@@ -99,20 +99,6 @@ impl RuleCounters {
         self.fcfs += other.fcfs;
         self.slot_id += other.slot_id;
     }
-
-    /// Folds a batched pass's per-rule tallies in. Indices follow the
-    /// Table-2 chain order of [`DecisionRule`] (Validity … SlotId).
-    fn add_counts(&mut self, c: &RuleCounts) {
-        self.validity += c[0];
-        self.earliest_deadline += c[1];
-        self.lowest_window_constraint += c[2];
-        self.highest_denominator += c[3];
-        self.lowest_numerator += c[4];
-        self.static_priority += c[5];
-        self.service_tag += c[6];
-        self.fcfs += c[7];
-        self.slot_id += c[8];
-    }
 }
 
 /// Pure comparison: does `a` order before (win against) `b` under `mode`?
@@ -236,173 +222,70 @@ impl DecisionBlock {
     }
 }
 
-/// Lane index for [`ComparisonMode::Dwcs`] in the monomorphized SWAR pass.
-const MODE_DWCS: u8 = 0;
-/// Lane index for [`ComparisonMode::Edf`].
-const MODE_EDF: u8 = 1;
-/// Lane index for [`ComparisonMode::StaticPriority`].
-const MODE_PRIO: u8 = 2;
-/// Lane index for [`ComparisonMode::ServiceTag`].
-const MODE_TAG: u8 = 3;
-
-/// Per-rule firing tallies from a batched pass, indexed in the Table-2
-/// chain order of [`DecisionRule`] (Validity … SlotId).
-pub(crate) type RuleCounts = [u64; 9];
-
-/// Branchless serial-number compare term over 16-bit tags sitting in the
-/// low bits of `ta`/`tb` (higher bits are masked off here): −1 when `ta`
-/// orders first, +1 when `tb` does, 0 on equality. The antipodal distance
-/// 0x8000 maps to +1, exactly matching [`ss_types::Wrap16::serial_cmp`].
-#[inline(always)]
-fn serial_term(ta: u64, tb: u64) -> i32 {
-    let t = tb.wrapping_sub(ta) & 0xFFFF;
-    (t >= 0x8000) as i32 - ((t != 0) && (t < 0x8000)) as i32
-}
-
-/// Branchless unsigned three-way compare: −1 / 0 / +1.
-#[inline(always)]
-fn cmp_term(a: u64, b: u64) -> i32 {
-    (a > b) as i32 - (a < b) as i32
-}
-
-/// One fused shuffle-exchange pass over packed lane words: the batched
-/// (SWAR) Decision-block kernel.
+/// Pairwise ordering of two packed lane words (see [`ss_types::packed`]):
+/// does `a` win against `b` under `mode`, and which rule decided.
 ///
-/// Comparator `j` orders `src_w[j]` against `src_w[j + n/2]` — exactly the
+/// When both words are valid and their deadline fields differ in a
+/// deadline-first mode (Dwcs/Edf) — the case that decides almost every
+/// comparison — the verdict is the sign of the wrapped 16-bit difference
+/// (antipode 0x8000 → `b`, exactly [`ss_types::Wrap16::serial_cmp`]) and
+/// the rule is [`DecisionRule::EarliestDeadline`]: a rank packed into one
+/// word is ordered by one integer compare. Everything else — validity,
+/// deadline ties, the other modes — unpacks and asks [`order`], so the
+/// verdict and the fired rule are [`order`]'s by construction.
+// lint:hot-path
+#[inline(always)]
+pub(crate) fn lane_order(a: u64, b: u64, mode: ComparisonMode) -> (bool, DecisionRule) {
+    use ss_types::packed::{unpack, DEADLINE_SHIFT, INVALID_BIT};
+    if matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf) && (a | b) >> INVALID_BIT == 0 {
+        let ahead = ((b >> DEADLINE_SHIFT) as u16).wrapping_sub((a >> DEADLINE_SHIFT) as u16);
+        if ahead != 0 {
+            return (ahead < 0x8000, DecisionRule::EarliestDeadline);
+        }
+    }
+    let (ord, rule) = order(&unpack(a), &unpack(b), mode);
+    (ord == Ordering::Less, rule)
+}
+
+/// [`lane_order`] plus the firing tally in `counters`. Returns an all-ones
+/// mask when `a` wins, zero when `b` does, for branchless winner/loser
+/// routing.
+// lint:hot-path
+#[inline(always)]
+pub(crate) fn lane_select(
+    a: u64,
+    b: u64,
+    mode: ComparisonMode,
+    counters: &mut RuleCounters,
+) -> u64 {
+    let (a_wins, rule) = lane_order(a, b, mode);
+    counters.bump(rule);
+    (a_wins as u64).wrapping_neg()
+}
+
+/// One fused shuffle-exchange pass over packed lane words: the decision
+/// kernel of the fabric hot path.
+///
+/// Comparator `j` orders `src[j]` against `src[j + n/2]` — exactly the
 /// pair the perfect shuffle delivers to adjacent exchange ports — and
-/// routes the winner word to `dst_w[2j]`, the loser to `dst_w[2j + 1]`,
-/// with the derived window-rank keys (see [`ss_types::packed::window_key`])
-/// travelling in lockstep. Bit-identical to running
-/// [`DecisionBlock::compare`] on every pair: same winner, same loser, and
-/// the same Table-2 rule tallied into `counters` — the per-pair rule index
-/// is selected with the same mask arithmetic that picks the winner, so
-/// counter fidelity survives batching.
-///
-/// With the `simd` feature enabled, pass-sized batches are dispatched to a
-/// runtime-detected `std::arch` kernel; this portable branchless scalar
-/// loop is both the fallback and the reference.
+/// routes the winner word to `dst[2j]`, the loser to `dst[2j + 1]`.
+/// Bit-identical to running [`DecisionBlock::compare`] on every pair: same
+/// winner, same loser, and the same Table-2 rule tallied into `counters`.
 // lint:hot-path
 pub fn compare_batch(
-    src_w: &[u64],
-    src_k: &[u32],
-    dst_w: &mut [u64],
-    dst_k: &mut [u32],
+    src: &[u64],
+    dst: &mut [u64],
     mode: ComparisonMode,
     counters: &mut RuleCounters,
 ) {
-    debug_assert!(src_w.len().is_power_of_two() && src_w.len() >= 2);
-    debug_assert!(src_k.len() == src_w.len());
-    debug_assert!(dst_w.len() == src_w.len() && dst_k.len() == src_w.len());
-    let mut counts = [0u64; 9];
-    #[cfg(feature = "simd")]
-    if crate::simd::try_compare_batch(src_w, src_k, dst_w, dst_k, mode, &mut counts) {
-        counters.add_counts(&counts);
-        return;
-    }
-    match mode {
-        ComparisonMode::Dwcs => swar_pass::<MODE_DWCS>(src_w, src_k, dst_w, dst_k, &mut counts),
-        ComparisonMode::Edf => swar_pass::<MODE_EDF>(src_w, src_k, dst_w, dst_k, &mut counts),
-        ComparisonMode::StaticPriority => {
-            swar_pass::<MODE_PRIO>(src_w, src_k, dst_w, dst_k, &mut counts)
-        }
-        ComparisonMode::ServiceTag => {
-            swar_pass::<MODE_TAG>(src_w, src_k, dst_w, dst_k, &mut counts)
-        }
-    }
-    counters.add_counts(&counts);
-}
-
-/// The hand-tiled branchless comparator loop, monomorphized per mode.
-///
-/// Every pair evaluates a fixed stage chain; each stage yields a term
-/// `c ∈ {−1, 0, +1}` and a rule index, and mask arithmetic commits the
-/// first non-zero term (`und` tracks "still undecided"). Mode stages are
-/// multiplied by `both_valid`, so validity short-circuits them without a
-/// branch; the final slot stage fires whenever the chain is still
-/// undecided — even on full equality — matching `order()`'s total SlotId
-/// verdict. The winner is `a` iff the committed term is strictly negative
-/// (`Equal` routes `b` to the winner port, as `DecisionBlock::compare`
-/// does).
-// lint:hot-path
-fn swar_pass<const MODE: u8>(
-    src_w: &[u64],
-    src_k: &[u32],
-    dst_w: &mut [u64],
-    dst_k: &mut [u32],
-    counts: &mut RuleCounts,
-) {
-    use ss_types::packed::{ARRIVAL_SHIFT, DEADLINE_SHIFT, PRIO_SHIFT, SLOT_MASK};
-    let half = src_w.len() / 2;
-    for j in 0..half {
-        let a = src_w[j];
-        let b = src_w[j + half];
-        let ka = src_k[j];
-        let kb = src_k[j + half];
-        let inv_a = (a >> 63) as i32;
-        let inv_b = (b >> 63) as i32;
-        let both_valid = 1 - (inv_a | inv_b);
-
-        let mut res = 0i32;
-        let mut rule = 0usize;
-        let mut und = 1i32;
-        macro_rules! stage {
-            ($c:expr, $r:expr) => {{
-                let c: i32 = $c;
-                let take = ((c != 0) as i32) & und;
-                res += c * take;
-                rule += $r * take as usize;
-                und &= take ^ 1;
-            }};
-        }
-
-        // Validity (rule index 0): an invalid word loses outright.
-        stage!(inv_a - inv_b, 0);
-        if MODE == MODE_DWCS {
-            stage!(
-                serial_term(a >> DEADLINE_SHIFT, b >> DEADLINE_SHIFT) * both_valid,
-                1
-            );
-            // Window chain: the composite key orders rules 2–4 at once;
-            // the fired rule is recovered from which key half differed.
-            let hi_eq = ((ka >> 8) == (kb >> 8)) as usize;
-            let hi_nz = ((ka >> 8) != 0) as usize;
-            let wrule = 2 + hi_eq * (1 + hi_nz);
-            stage!(cmp_term(ka as u64, kb as u64) * both_valid, wrule);
-            stage!(
-                serial_term(a >> ARRIVAL_SHIFT, b >> ARRIVAL_SHIFT) * both_valid,
-                7
-            );
-        } else if MODE == MODE_EDF {
-            stage!(
-                serial_term(a >> DEADLINE_SHIFT, b >> DEADLINE_SHIFT) * both_valid,
-                1
-            );
-            stage!(
-                serial_term(a >> ARRIVAL_SHIFT, b >> ARRIVAL_SHIFT) * both_valid,
-                7
-            );
-        } else if MODE == MODE_PRIO {
-            stage!(
-                cmp_term((a >> PRIO_SHIFT) & 0xFF, (b >> PRIO_SHIFT) & 0xFF) * both_valid,
-                5
-            );
-        } else {
-            stage!(
-                serial_term(a >> DEADLINE_SHIFT, b >> DEADLINE_SHIFT) * both_valid,
-                6
-            );
-        }
-        // Slot tie-break (rule index 8): fires whenever still undecided.
-        res += cmp_term(a & SLOT_MASK, b & SLOT_MASK) * und;
-        rule += 8 * und as usize;
-
-        counts[rule] += 1;
-        let am = ((res < 0) as u64).wrapping_neg();
-        dst_w[2 * j] = (a & am) | (b & !am);
-        dst_w[2 * j + 1] = (b & am) | (a & !am);
-        let km = am as u32;
-        dst_k[2 * j] = (ka & km) | (kb & !km);
-        dst_k[2 * j + 1] = (kb & km) | (ka & !km);
+    debug_assert!(src.len().is_power_of_two() && src.len() >= 2);
+    debug_assert!(dst.len() == src.len());
+    let (lo, hi) = src.split_at(src.len() / 2);
+    for ((&a, &b), out) in lo.iter().zip(hi).zip(dst.chunks_exact_mut(2)) {
+        let a_wins = lane_select(a, b, mode, counters);
+        let winner = (a & a_wins) | (b & !a_wins);
+        out[0] = winner;
+        out[1] = a ^ b ^ winner;
     }
 }
 
@@ -660,48 +543,52 @@ mod tests {
         }
     }
 
-    /// Runs one batched comparator on the pair `(a, b)` and returns
+    /// Runs one packed comparator on the pair `(a, b)` and returns
     /// `(winner, loser, counter delta)`.
     fn batch_pair(
         a: StreamAttrs,
         b: StreamAttrs,
         mode: ComparisonMode,
     ) -> (StreamAttrs, StreamAttrs, RuleCounters) {
-        use ss_types::packed::{pack, unpack, window_key};
-        let src_w = [pack(&a), pack(&b)];
-        let src_k = [window_key(a.window), window_key(b.window)];
-        let mut dst_w = [0u64; 2];
-        let mut dst_k = [0u32; 2];
+        use ss_types::packed::{pack, unpack};
+        let src = [pack(&a), pack(&b)];
+        let mut dst = [0u64; 2];
         let mut counters = RuleCounters::default();
-        compare_batch(&src_w, &src_k, &mut dst_w, &mut dst_k, mode, &mut counters);
-        assert_eq!(dst_k[0], window_key(unpack(dst_w[0]).window), "key lockstep");
-        assert_eq!(dst_k[1], window_key(unpack(dst_w[1]).window), "key lockstep");
-        (unpack(dst_w[0]), unpack(dst_w[1]), counters)
+        compare_batch(&src, &mut dst, mode, &mut counters);
+        (unpack(dst[0]), unpack(dst[1]), counters)
     }
 
-    /// Asserts batched ≡ scalar on one pair: winner, loser, and fired rule.
-    fn assert_pair_equiv(a: StreamAttrs, b: StreamAttrs, mode: ComparisonMode) {
+    /// Asserts packed ≡ scalar on one pair: winner, loser, and every
+    /// `RuleCounters` field. Returns the rule the scalar reference fired.
+    fn assert_pair_equiv(a: StreamAttrs, b: StreamAttrs, mode: ComparisonMode) -> DecisionRule {
         let mut blk = DecisionBlock::new();
         let (sw, sl) = blk.compare(a, b, mode);
         let (bw, bl, counters) = batch_pair(a, b, mode);
         assert_eq!(bw, sw, "winner {a} vs {b} in {mode:?}");
         assert_eq!(bl, sl, "loser {a} vs {b} in {mode:?}");
-        assert_eq!(&counters, blk.counters(), "fired rule {a} vs {b} in {mode:?}");
+        assert_eq!(
+            &counters,
+            blk.counters(),
+            "fired rule {a} vs {b} in {mode:?}"
+        );
+        assert_eq!(counters.total(), 1, "exactly one firing per comparator");
+        order(&a, &b, mode).1
     }
+
+    const MODES: [ComparisonMode; 4] = [
+        ComparisonMode::Dwcs,
+        ComparisonMode::Edf,
+        ComparisonMode::StaticPriority,
+        ComparisonMode::ServiceTag,
+    ];
 
     #[test]
     fn batched_matches_scalar_on_wrap_edges() {
         // Antipodal deadline/arrival distances (±32768) are the serial
         // arithmetic's most delicate corner: exercise them explicitly in
         // every mode, both operand orders.
-        let modes = [
-            ComparisonMode::Dwcs,
-            ComparisonMode::Edf,
-            ComparisonMode::StaticPriority,
-            ComparisonMode::ServiceTag,
-        ];
         let edge_tags = [0u16, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF];
-        for mode in modes {
+        for mode in MODES {
             for &da in &edge_tags {
                 for &db in &edge_tags {
                     let mut a = attrs(0);
@@ -718,6 +605,65 @@ mod tests {
     }
 
     #[test]
+    fn antipodal_deadlines_route_the_second_operand_to_the_winner_port() {
+        // Distance exactly 0x8000: `serial_cmp` calls the other operand
+        // greater in *both* directions, so whichever word sits on port b
+        // wins — the early-exit sign test must reproduce that, not a
+        // symmetric ordering.
+        for base in [0u16, 1, 0x1234, 0x7FFF, 0x8000, 0xFFFF] {
+            let mut a = attrs(0);
+            let mut b = attrs(1);
+            a.deadline = Wrap16(base);
+            b.deadline = Wrap16(base.wrapping_add(0x8000));
+            for (x, y) in [(a, b), (b, a)] {
+                for mode in [ComparisonMode::Dwcs, ComparisonMode::Edf] {
+                    let rule = assert_pair_equiv(x, y, mode);
+                    assert_eq!(rule, DecisionRule::EarliestDeadline);
+                    let (winner, _, counters) = batch_pair(x, y, mode);
+                    assert_eq!(winner, y, "antipode routes port b to the winner port");
+                    assert_eq!(counters.earliest_deadline, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_deadlines_fall_through_the_tie_chain() {
+        // Deadline ties leave the early exit and must fire exactly the
+        // rule `order()` names: 2, 3, 4, 5 and the slot tie-break in turn.
+        let w = WindowConstraint::new;
+        let cases = [
+            (
+                w(1, 4),
+                w(1, 2),
+                10,
+                10,
+                DecisionRule::LowestWindowConstraint,
+            ),
+            (w(0, 9), w(0, 3), 10, 10, DecisionRule::HighestDenominator),
+            (w(5, 0), w(0, 3), 10, 10, DecisionRule::HighestDenominator),
+            (w(1, 2), w(2, 4), 10, 10, DecisionRule::LowestNumerator),
+            (w(1, 2), w(1, 2), 3, 9, DecisionRule::Fcfs),
+            (w(1, 2), w(1, 2), 0x8000, 0, DecisionRule::Fcfs),
+            (w(1, 2), w(1, 2), 10, 10, DecisionRule::SlotId),
+            (w(0, 7), w(0, 7), 10, 10, DecisionRule::SlotId),
+        ];
+        for (wa, wb, arr_a, arr_b, expect) in cases {
+            let mut a = attrs(0);
+            let mut b = attrs(1);
+            (a.window, b.window) = (wa, wb);
+            (a.arrival, b.arrival) = (Wrap16(arr_a), Wrap16(arr_b));
+            assert_eq!(assert_pair_equiv(a, b, ComparisonMode::Dwcs), expect);
+            assert_eq!(assert_pair_equiv(b, a, ComparisonMode::Dwcs), expect);
+            // The other modes skip the window chain but must still agree.
+            for mode in MODES {
+                assert_pair_equiv(a, b, mode);
+                assert_pair_equiv(b, a, mode);
+            }
+        }
+    }
+
+    #[test]
     fn batched_matches_scalar_on_invalid_words() {
         for (va, vb) in [(true, false), (false, true), (false, false)] {
             let mut a = attrs(0);
@@ -727,14 +673,14 @@ mod tests {
             // Give the invalid side otherwise-winning fields.
             a.deadline = Wrap16(1);
             b.deadline = Wrap16(0);
-            for mode in [
-                ComparisonMode::Dwcs,
-                ComparisonMode::Edf,
-                ComparisonMode::StaticPriority,
-                ComparisonMode::ServiceTag,
-            ] {
-                assert_pair_equiv(a, b, mode);
-                assert_pair_equiv(b, a, mode);
+            let expect = if va || vb {
+                DecisionRule::Validity
+            } else {
+                DecisionRule::SlotId
+            };
+            for mode in MODES {
+                assert_eq!(assert_pair_equiv(a, b, mode), expect);
+                assert_eq!(assert_pair_equiv(b, a, mode), expect);
             }
         }
     }
@@ -743,46 +689,46 @@ mod tests {
     fn batched_routes_full_pass_like_the_shuffle() {
         // 8 lanes: comparator j must pair src[j] with src[j+4] and emit
         // winner/loser adjacently — the fused form of shuffle-then-compare.
-        let mut src = Vec::new();
-        for s in 0..8u8 {
-            let mut w = attrs(s);
-            w.deadline = Wrap16([40, 10, 30, 20, 15, 45, 25, 35][s as usize]);
-            src.push(w);
-        }
-        use ss_types::packed::{pack, unpack, window_key};
+        use ss_types::packed::{pack, unpack};
+        let src: Vec<StreamAttrs> = (0..8u8)
+            .map(|s| {
+                let mut w = attrs(s);
+                w.deadline = Wrap16([40, 10, 30, 20, 15, 45, 25, 35][s as usize]);
+                w
+            })
+            .collect();
         let src_w: Vec<u64> = src.iter().map(pack).collect();
-        let src_k: Vec<u32> = src.iter().map(|a| window_key(a.window)).collect();
         let mut dst_w = vec![0u64; 8];
-        let mut dst_k = vec![0u32; 8];
         let mut counters = RuleCounters::default();
-        compare_batch(
-            &src_w,
-            &src_k,
-            &mut dst_w,
-            &mut dst_k,
-            ComparisonMode::Dwcs,
-            &mut counters,
-        );
+        compare_batch(&src_w, &mut dst_w, ComparisonMode::Dwcs, &mut counters);
         for j in 0..4 {
             let mut blk = DecisionBlock::new();
             let (w, l) = blk.compare(src[j], src[j + 4], ComparisonMode::Dwcs);
             assert_eq!(unpack(dst_w[2 * j]), w, "pair {j} winner");
             assert_eq!(unpack(dst_w[2 * j + 1]), l, "pair {j} loser");
         }
-        assert_eq!(counters.total(), 4, "one firing per comparator");
+        assert_eq!(counters.earliest_deadline, 4, "one firing per comparator");
+        assert_eq!(counters.total(), 4);
     }
 
     proptest! {
-        /// Batched ≡ scalar (winner, loser, fired rule) on arbitrary words
-        /// across every mode — the SWAR kernel's bit-equivalence contract.
+        /// Packed ≡ scalar (winner, loser, fired rule) on arbitrary words
+        /// across every mode — the kernel's bit-equivalence contract.
+        /// Deadline ties are rare under uniform sampling, so half the cases
+        /// force one: the fall-through to `order()` then sees arbitrary
+        /// windows and arrivals.
         #[test]
         fn compare_batch_matches_scalar(
             a in arb_attrs(0),
             b in arb_attrs(1),
+            tie in any::<bool>(),
             mode_idx in 0usize..4,
         ) {
-            let mode = [ComparisonMode::Dwcs, ComparisonMode::Edf,
-                        ComparisonMode::StaticPriority, ComparisonMode::ServiceTag][mode_idx];
+            let mut b = b;
+            if tie {
+                b.deadline = a.deadline;
+            }
+            let mode = MODES[mode_idx];
             let mut blk = DecisionBlock::new();
             let (sw, sl) = blk.compare(a, b, mode);
             let (bw, bl, counters) = batch_pair(a, b, mode);

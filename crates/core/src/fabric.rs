@@ -27,7 +27,7 @@ use crate::network;
 use crate::register::{RegisterBaseBlock, SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
 use ss_hwsim::FabricConfigKind;
-use ss_types::packed::{lane_slot, lane_valid};
+use ss_types::packed::{lane_slot, lane_valid, pack, unpack};
 use ss_types::{
     AttrPlanes, ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint,
     Wrap16,
@@ -174,41 +174,39 @@ pub struct Fabric {
     /// Scheduler time in packet-times.
     now: u64,
     decision_count: u64,
-    /// Ping-pong attribute-word scratch buffers for the shuffle-exchange
-    /// hot path — preallocated so the steady-state decision cycle never
-    /// touches the heap (mirroring the fixed register files in hardware).
+    /// Canonical packed lane words, one `u64` per slot — the register-file
+    /// contents as last driven onto the wires, and what the decision kernel
+    /// streams: 8 bytes per slot instead of the 10-byte `StreamAttrs`
+    /// struct. Refreshed incrementally: only slots whose register state
+    /// changed (arrival, service, expiry, load) are re-encoded, once, at the
+    /// start of the next decision. Maintained only while `batched` is set.
+    planes: AttrPlanes,
+    /// Ping-pong lane scratch for the shuffle-exchange and the tournament
+    /// — preallocated so the steady-state decision cycle never touches the
+    /// heap (mirroring the fixed register files in hardware).
+    lw_a: Vec<u64>,
+    /// Ping-pong lane scratch (odd passes).
+    lw_b: Vec<u64>,
+    /// Rule firings from the packed kernel (the reference arm counts
+    /// inside each [`DecisionBlock`]); [`Fabric::rule_counters`] merges
+    /// both.
+    batch_counters: RuleCounters,
+    /// Slots whose canonical word is stale (bit i = slot i). Everything
+    /// that touches a register only sets the bit; the words are re-encoded
+    /// in one sweep when the next decision cycle starts (and, so
+    /// `peek_winner` finds them current, when a WR or expiry cycle ends).
+    dirty: u64,
+    /// Reference-arm selector: `true` (the default, in every build) runs
+    /// decisions through the packed kernel; `false` selects the
+    /// `StreamAttrs` scalar path the equivalence suites compare against.
+    batched: bool,
+    /// The reference arm's mirror of `planes`: canonical `StreamAttrs`
+    /// words under the same dirty-mask refresh. Maintained only while
+    /// `batched` is clear.
+    words: Vec<StreamAttrs>,
+    /// The reference arm's ping-pong scratch buffers.
     scratch_a: Vec<StreamAttrs>,
     scratch_b: Vec<StreamAttrs>,
-    /// Canonical attribute words, one per slot — the register-file contents
-    /// as last driven onto the wires. Refreshed incrementally: only slots
-    /// whose register state changed (arrival, service, expiry, load) are
-    /// recomputed, so a decision cycle costs one memcpy instead of N
-    /// attribute-word rebuilds.
-    words: Vec<StreamAttrs>,
-    /// Slots whose canonical word is stale (bit i = slot i); applied at the
-    /// start of the next decision cycle.
-    dirty: u64,
-    /// Structure-of-arrays mirror of `words`: packed u64 lane words plus
-    /// precomputed window-rank keys, kept in sync through the same
-    /// dirty-mask drain. This is what the batched SWAR/SIMD kernel streams
-    /// — 12 bytes per slot instead of the 24-byte `StreamAttrs` struct.
-    /// Maintained only while `batched` is set.
-    planes: AttrPlanes,
-    /// Ping-pong lane scratch for the batched shuffle-exchange (words).
-    lw_a: Vec<u64>,
-    /// Ping-pong lane scratch (words, odd passes).
-    lw_b: Vec<u64>,
-    /// Ping-pong lane scratch (window keys, even passes).
-    lk_a: Vec<u32>,
-    /// Ping-pong lane scratch (window keys, odd passes).
-    lk_b: Vec<u32>,
-    /// Rule firings from the batched kernel (the scalar path counts inside
-    /// each [`DecisionBlock`]); [`Fabric::rule_counters`] merges both.
-    batch_counters: RuleCounters,
-    /// Route BA decisions through the batched packed-lane kernel. Defaults
-    /// on for non-bitonic BA fabrics of ≥ 8 slots (below that the scalar
-    /// loop wins on setup cost); both paths are bit-identical.
-    batched: bool,
     /// `true` until [`Fabric::with_updater`] installs a custom rule set:
     /// lets the hot path call the canonical [`DwcsUpdater`] directly
     /// instead of through the vtable.
@@ -243,22 +241,6 @@ impl Fabric {
             .map(|i| RegisterBaseBlock::new(SlotId::new_unchecked(i as u8)))
             .collect();
         let words: Vec<StreamAttrs> = registers.iter().map(|r| r.attrs()).collect();
-        let scratch_a = words.clone();
-        let scratch_b = words.clone();
-        let mut planes = AttrPlanes::with_slots(config.slots);
-        for (i, w) in words.iter().enumerate() {
-            planes.set(i, w);
-        }
-        // The packed-lane path pays off once the runtime-dispatched
-        // `std::arch` kernel is compiled in (`simd`); the portable SWAR
-        // fallback loses to the branch-predicted scalar reference on wide
-        // out-of-order cores, so the default dispatch only prefers batching
-        // when the vector kernel can actually engage. Either path can still
-        // be forced via `set_batched` — they are bit-identical.
-        let batched = cfg!(feature = "simd")
-            && matches!(config.kind, FabricConfigKind::Base)
-            && !config.bitonic
-            && config.slots >= 8;
         Ok(Self {
             config,
             registers,
@@ -269,17 +251,15 @@ impl Fabric {
             updater: Box::new(DwcsUpdater),
             now: 0,
             decision_count: 0,
-            scratch_a,
-            scratch_b,
-            words,
-            dirty: 0,
-            planes,
+            planes: AttrPlanes::with_slots(config.slots),
             lw_a: vec![0; config.slots],
             lw_b: vec![0; config.slots],
-            lk_a: vec![0; config.slots],
-            lk_b: vec![0; config.slots],
             batch_counters: RuleCounters::default(),
-            batched,
+            dirty: 0,
+            batched: true,
+            scratch_a: words.clone(),
+            scratch_b: words.clone(),
+            words,
             updater_is_dwcs: true,
             block_buf: Vec::with_capacity(config.slots),
             serviced: 0,
@@ -295,50 +275,87 @@ impl Fabric {
         self
     }
 
-    /// Selects the BA decision path: `true` routes through the batched
-    /// packed-lane kernel, `false` through the scalar reference loop. Both
-    /// are bit-identical; this is a performance knob (and the lever the
-    /// equivalence tests and benchmarks use to compare the two). Batching
-    /// only applies to non-bitonic BA fabrics — on any other configuration
-    /// the request is ignored. Returns the effective state.
+    /// Selects the decision arm: `true` (the default) is the packed
+    /// kernel, `false` the `StreamAttrs` scalar reference. The two are
+    /// bit-identical — packets, counters, rule firings, hardware cycles —
+    /// and this selector exists so the equivalence suites and the
+    /// benchmark's output check can run one against the other. Returns the
+    /// effective state.
     pub fn set_batched(&mut self, on: bool) -> bool {
-        let supported =
-            matches!(self.config.kind, FabricConfigKind::Base) && !self.config.bitonic;
-        let was = self.batched;
-        self.batched = on && supported;
-        // Each path maintains only its own attribute mirror on the hot path
-        // (packed lane planes when batched, `StreamAttrs` words when not),
-        // so a switch rebuilds the newly-active mirror from the registers —
-        // the single source of truth, valid regardless of pending dirty bits.
-        if self.batched != was {
-            for i in 0..self.registers.len() {
-                let a = self.registers[i].attrs();
-                if self.batched {
-                    self.planes.set(i, &a);
-                } else {
-                    self.words[i] = a;
-                }
-            }
+        // Each arm maintains only its own attribute mirror, so a switch
+        // marks every slot stale: the next decision re-encodes the newly
+        // active mirror from the registers, the single source of truth.
+        if self.batched != on {
+            self.dirty = (1u64 << self.config.slots) - 1;
         }
-        self.batched
+        self.batched = on;
+        on
     }
 
-    /// `true` while BA decisions route through the batched kernel.
+    /// `true` while decisions route through the packed kernel.
     pub fn is_batched(&self) -> bool {
         self.batched
     }
 
-    /// Refreshes slot `i`'s canonical attribute word from its register (and
-    /// the packed lane mirror, when the batched path maintains one).
+    /// Re-encodes every stale slot's canonical word from its register,
+    /// into the active arm's mirror.
     // lint:hot-path
     #[inline]
-    fn refresh_word(&mut self, i: usize) {
-        let a = self.registers[i].attrs();
-        if self.batched {
-            self.planes.set(i, &a);
-        } else {
-            self.words[i] = a;
+    fn refresh_dirty(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        while dirty != 0 {
+            let i = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            let a = self.registers[i].attrs();
+            if self.batched {
+                self.planes.set(i, &a);
+            } else {
+                self.words[i] = a;
+            }
         }
+    }
+
+    /// Transmits `slot`'s head packet in the packet-time after `*t`: the
+    /// first packet of a decision records the win, the packet joins the
+    /// block buffer, and the slot's word goes stale.
+    // lint:hot-path
+    #[inline]
+    fn transmit(&mut self, slot: usize, t: &mut u64) {
+        if self.block_buf.is_empty() {
+            self.registers[slot].record_win();
+        }
+        *t += 1;
+        // A valid circulated word always has a queued packet; `None` here
+        // would be a decision/register desync. The hot path must not
+        // panic, so release builds skip the slot this cycle.
+        let Some((deadline, met)) = self.service_slot(slot, *t) else {
+            debug_assert!(false, "valid word has a queued packet");
+            return;
+        };
+        self.block_buf.push(ScheduledPacket {
+            slot: SlotId::new_unchecked(slot as u8),
+            deadline,
+            completed_at: *t,
+            met,
+        });
+        self.serviced |= 1u64 << slot;
+        self.dirty |= 1u64 << slot;
+    }
+
+    /// PRIORITY_UPDATE for the losers: every slot not serviced this cycle
+    /// runs its deadline-expiry check at time `t`. Returns how many
+    /// recorded a miss.
+    // lint:hot-path
+    #[inline]
+    fn expire_unserviced(&mut self, t: u64) -> u32 {
+        let mut expired = 0;
+        for i in 0..self.registers.len() {
+            if self.serviced & (1u64 << i) == 0 && self.expiry_slot(i, t) {
+                self.dirty |= 1u64 << i;
+                expired += 1;
+            }
+        }
+        expired
     }
 
     /// Services `slot`'s head packet. Devirtualized for the canonical DWCS
@@ -514,154 +531,89 @@ impl Fabric {
             self.blocked_cycle();
             return;
         }
-        // Apply deferred refreshes (arrivals, loads since the last cycle)
-        // to the canonical word cache, then LOAD it into the even-pass
-        // scratch buffer (the register-file read in hardware).
-        let mut dirty = self.dirty;
-        self.dirty = 0;
-        while dirty != 0 {
-            let i = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            self.refresh_word(i);
-        }
+        self.refresh_dirty();
         self.fsm.run_decision();
         self.decision_count += 1;
         self.block_buf.clear();
         self.serviced = 0;
         let mut expired = 0u32;
+        let mode = self.config.mode;
+        let mut t = self.now;
 
         match self.config.kind {
             FabricConfigKind::WinnerOnly => {
-                self.scratch_a.copy_from_slice(&self.words);
-                let (winner, _) = network::wr_decision_in_place(
-                    &mut self.scratch_a,
-                    &mut self.decisions,
-                    self.config.mode,
-                );
-                let end = self.now + 1;
-                if winner.valid {
-                    let slot = winner.slot.index();
-                    self.registers[slot].record_win();
-                    // A valid winner always has a queued packet; `None` here
-                    // would be a decision/register desync. The hot path must
-                    // not panic, so release builds skip the slot this cycle.
-                    if let Some((deadline, met)) = self.service_slot(slot, end) {
-                        self.block_buf.push(ScheduledPacket {
-                            slot: winner.slot,
-                            deadline,
-                            completed_at: end,
-                            met,
-                        });
-                        self.serviced = 1u64 << slot;
-                    } else {
-                        debug_assert!(false, "valid winner has a queued packet");
-                    }
-                    self.refresh_word(slot);
+                let winner = if self.batched {
+                    self.lw_a.copy_from_slice(self.planes.words());
+                    let w =
+                        network::wr_decision_lanes(&mut self.lw_a, mode, &mut self.batch_counters);
+                    lane_valid(w).then(|| lane_slot(w))
+                } else {
+                    self.scratch_a.copy_from_slice(&self.words);
+                    let (w, _) = network::wr_decision_in_place(
+                        &mut self.scratch_a,
+                        &mut self.decisions,
+                        mode,
+                    );
+                    w.valid.then(|| w.slot.index())
+                };
+                match winner {
+                    Some(slot) => self.transmit(slot, &mut t),
+                    None => t += 1, // idle packet-time
                 }
                 if self.config.priority_update {
-                    for i in 0..self.registers.len() {
-                        if self.serviced & (1u64 << i) == 0 && self.expiry_slot(i, end) {
-                            self.refresh_word(i);
-                            expired += 1;
-                        }
-                    }
+                    expired = self.expire_unserviced(t);
                 }
-                self.now = end;
+                // WR services one slot per decision, so deferring its
+                // re-encode would save at most that one — while a sharded
+                // frontend calls `peek_winner` on every shard before every
+                // decision. Refresh now and the probe reads current words.
+                self.refresh_dirty();
             }
             FabricConfigKind::Base => {
                 let n = self.config.slots;
-                let mut t = self.now;
                 // The block transaction carries only occupied slots, in
                 // transmission order: MaxFirst walks the block forward,
                 // MinFirst backward. The circulated winner — the first
                 // occupied slot in transmission order — records the win.
                 let max_first = matches!(self.config.block_order, BlockOrder::MaxFirst);
+                let at = |k: usize| if max_first { k } else { n - 1 - k };
                 if self.batched {
-                    // Stream the 12-byte packed lanes instead of the 24-byte
-                    // attribute structs: the first pass reads the canonical
-                    // planes in place, so steady state never copies them.
-                    let (in_a, _) = network::ba_decision_from_planes(
+                    // The first pass reads the canonical plane in place, so
+                    // steady state never copies it.
+                    let in_a = network::ba_decision_from_planes(
                         self.planes.words(),
-                        self.planes.keys(),
                         &mut self.lw_a,
-                        &mut self.lk_a,
                         &mut self.lw_b,
-                        &mut self.lk_b,
-                        self.config.mode,
+                        mode,
                         &mut self.batch_counters,
                     );
                     // Detach the sorted lane buffer (a pointer swap) so the
                     // walk can service registers without aliasing it.
-                    let lanes =
-                        std::mem::take(if in_a { &mut self.lw_a } else { &mut self.lw_b });
+                    let lanes = std::mem::take(if in_a { &mut self.lw_a } else { &mut self.lw_b });
                     for k in 0..n {
-                        let idx = if max_first { k } else { n - 1 - k };
-                        let w = lanes[idx];
-                        if !lane_valid(w) {
-                            continue;
+                        let w = lanes[at(k)];
+                        if lane_valid(w) {
+                            self.transmit(lane_slot(w), &mut t);
                         }
-                        let slot = lane_slot(w);
-                        if self.block_buf.is_empty() {
-                            self.registers[slot].record_win();
-                        }
-                        t += 1;
-                        // A valid circulated word always has a queued packet,
-                        // and the hot path must not panic on a desync.
-                        let Some((deadline, met)) = self.service_slot(slot, t) else {
-                            debug_assert!(false, "valid word has a queued packet");
-                            continue;
-                        };
-                        self.block_buf.push(ScheduledPacket {
-                            slot: SlotId::new_unchecked(slot as u8),
-                            deadline,
-                            completed_at: t,
-                            met,
-                        });
-                        self.serviced |= 1u64 << slot;
-                        self.refresh_word(slot);
                     }
-                    if in_a {
-                        self.lw_a = lanes;
-                    } else {
-                        self.lw_b = lanes;
-                    }
+                    *(if in_a { &mut self.lw_a } else { &mut self.lw_b }) = lanes;
                 } else {
                     self.scratch_a.copy_from_slice(&self.words);
                     let (in_a, _) = network::ba_decision_ping_pong(
                         &mut self.scratch_a,
                         &mut self.scratch_b,
                         &mut self.decisions,
-                        self.config.mode,
+                        mode,
                     );
                     for k in 0..n {
-                        let idx = if max_first { k } else { n - 1 - k };
                         let w = if in_a {
-                            self.scratch_a[idx]
+                            self.scratch_a[at(k)]
                         } else {
-                            self.scratch_b[idx]
+                            self.scratch_b[at(k)]
                         };
-                        if !w.valid {
-                            continue;
+                        if w.valid {
+                            self.transmit(w.slot.index(), &mut t);
                         }
-                        let slot = w.slot.index();
-                        if self.block_buf.is_empty() {
-                            self.registers[slot].record_win();
-                        }
-                        t += 1;
-                        // As above: a valid circulated word always has a
-                        // queued packet; no panic on the hot path.
-                        let Some((deadline, met)) = self.service_slot(slot, t) else {
-                            debug_assert!(false, "valid word has a queued packet");
-                            continue;
-                        };
-                        self.block_buf.push(ScheduledPacket {
-                            slot: SlotId::new_unchecked(slot as u8),
-                            deadline,
-                            completed_at: t,
-                            met,
-                        });
-                        self.serviced |= 1u64 << slot;
-                        self.refresh_word(slot);
                     }
                 }
                 if self.block_buf.is_empty() {
@@ -672,16 +624,11 @@ impl Fabric {
                 // PRIORITY_UPDATE sweep can be elided (the common case for
                 // saturated BA fabrics).
                 if self.config.priority_update && self.serviced != (1u64 << n) - 1 {
-                    for i in 0..self.registers.len() {
-                        if self.serviced & (1u64 << i) == 0 && self.expiry_slot(i, t) {
-                            self.refresh_word(i);
-                            expired += 1;
-                        }
-                    }
+                    expired = self.expire_unserviced(t);
                 }
-                self.now = t;
             }
         }
+        self.now = t;
         self.telem
             .on_decision(self.decision_count, &self.block_buf, expired, self.batched);
     }
@@ -818,21 +765,32 @@ impl Fabric {
 
     /// Computes what the WR tournament would select right now, with no side
     /// effects: no service, no counters, no time advance. A min-reduction
-    /// under [`crate::decision::order`] is equivalent to the tournament
-    /// because the Table 2 rule chain with the slot tie-break is a total
-    /// order. This is the probe a sharded frontend uses to collect shard
-    /// proposals before the global merge decides who transmits.
+    /// under the lane comparator is equivalent to the tournament because
+    /// the Table 2 rule chain with the slot tie-break is a total order.
+    /// Reads the canonical lane words, re-encoding stale slots (arrivals
+    /// pushed since the last cycle, a BA block's services) from their
+    /// registers on the fly. This is the probe a sharded frontend uses to
+    /// collect shard proposals before the global merge decides who
+    /// transmits.
     // lint:hot-path
     pub fn peek_winner(&self) -> StreamAttrs {
         let mode = self.config.mode;
-        let mut best = self.registers[0].attrs();
-        for r in &self.registers[1..] {
-            let w = r.attrs();
-            if crate::decision::order(&w, &best, mode).0 == std::cmp::Ordering::Less {
+        let stale = if self.batched { self.dirty } else { u64::MAX };
+        let lane = |i: usize| {
+            if stale & (1u64 << i) != 0 {
+                pack(&self.registers[i].attrs())
+            } else {
+                self.planes.words()[i]
+            }
+        };
+        let mut best = lane(0);
+        for i in 1..self.registers.len() {
+            let w = lane(i);
+            if crate::decision::lane_order(w, best, mode).0 {
                 best = w;
             }
         }
-        best
+        unpack(best)
     }
 
     /// Advances one packet-time without a transmission grant: every slot
@@ -850,17 +808,14 @@ impl Fabric {
         self.decision_count += 1;
         self.block_buf.clear();
         self.serviced = 0;
-        let mut expired = 0u32;
-        let end = self.now + 1;
-        if self.config.priority_update {
-            for i in 0..self.registers.len() {
-                if self.expiry_slot(i, end) {
-                    self.refresh_word(i);
-                    expired += 1;
-                }
-            }
-        }
-        self.now = end;
+        self.now += 1;
+        let expired = if self.config.priority_update {
+            self.expire_unserviced(self.now)
+        } else {
+            0
+        };
+        // As after a WR decision: the next thing a frontend does is probe.
+        self.refresh_dirty();
         self.telem.on_expire_cycle(self.decision_count, expired);
     }
 
@@ -1423,114 +1378,287 @@ mod tests {
 
     #[test]
     fn batched_flag_follows_configuration() {
-        let f = Fabric::new(FabricConfig::dwcs(8, FabricConfigKind::Base)).unwrap();
-        assert_eq!(
-            f.is_batched(),
-            cfg!(feature = "simd"),
-            "BA ≥ 8 slots defaults to batched exactly when the vector kernel is compiled in"
-        );
-        let mut small = Fabric::new(FabricConfig::dwcs(4, FabricConfigKind::Base)).unwrap();
-        assert!(!small.is_batched(), "small fabrics default to scalar");
-        assert!(small.set_batched(true), "but batching can be forced");
-        let mut wr = Fabric::new(FabricConfig::dwcs(8, FabricConfigKind::WinnerOnly)).unwrap();
-        assert!(!wr.set_batched(true), "WR has no block to batch");
-        let mut bitonic = Fabric::new(FabricConfig {
+        // The packed kernel is the default for every shape, in every
+        // build; the flag only selects the scalar reference arm.
+        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
+            for slots in [2usize, 4, 8, 16, 32] {
+                let f = Fabric::new(FabricConfig::dwcs(slots, kind)).unwrap();
+                assert!(f.is_batched(), "{kind:?} × {slots} defaults to packed");
+            }
+        }
+        let mut f = Fabric::new(FabricConfig {
             bitonic: true,
             ..FabricConfig::dwcs(8, FabricConfigKind::Base)
         })
         .unwrap();
-        assert!(!bitonic.set_batched(true), "bitonic stays scalar");
+        assert!(f.is_batched());
+        assert!(!f.set_batched(false), "returns the effective state");
+        assert!(!f.is_batched());
+        assert!(f.set_batched(true));
+        assert!(f.is_batched());
     }
 
-    /// Satellite proof for the batched path: a 10 000-cycle pinned-seed
-    /// replay across every fabric width, with random loads, arrivals,
-    /// mid-run unload/reload and window variety, must be bit-identical to
-    /// the scalar reference — every packet, every counter, every rule
-    /// firing, every packet-time.
+    #[test]
+    fn switching_arms_mid_run_is_invisible() {
+        // Each arm keeps only its own attribute mirror; a switch with
+        // arrivals and services still pending must rebuild the other one.
+        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
+            let mut fixed = backlogged_edf(8, kind, 64);
+            let mut toggled = backlogged_edf(8, kind, 64);
+            for cycle in 0..48u64 {
+                if cycle.is_multiple_of(5) {
+                    toggled.set_batched(!toggled.is_batched());
+                }
+                let tag = Wrap16::from_wide(cycle);
+                fixed.push_arrival((cycle % 8) as usize, tag).unwrap();
+                toggled.push_arrival((cycle % 8) as usize, tag).unwrap();
+                assert_eq!(fixed.peek_winner(), toggled.peek_winner());
+                assert_eq!(fixed.decision_cycle(), toggled.decision_cycle());
+            }
+            assert_eq!(fixed.rule_counters(), toggled.rule_counters());
+        }
+    }
+
+    /// Pinned xorshift64* — deterministic across runs and platforms.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545F4914F6CDD1D)
+        }
+    }
+
+    /// The scalar reference arm and the packed kernel side by side, fed
+    /// the same trace and compared after every step.
+    struct Arms {
+        scalar: Fabric,
+        packed: Fabric,
+    }
+
+    impl Arms {
+        fn new(cfg: FabricConfig) -> Self {
+            let mut scalar = Fabric::new(cfg).unwrap();
+            let packed = Fabric::new(cfg).unwrap();
+            assert!(!scalar.set_batched(false));
+            assert!(packed.is_batched());
+            Self { scalar, packed }
+        }
+
+        fn each(&mut self, f: impl Fn(&mut Fabric)) {
+            f(&mut self.scalar);
+            f(&mut self.packed);
+        }
+
+        /// One decision on both arms. Before it, `peek_winner` — taken
+        /// with whatever arrivals and services are still undrained — must
+        /// agree across arms and, on WR, name the slot that then wins.
+        fn step(&mut self, what: &str) {
+            let peek = self.packed.peek_winner();
+            assert_eq!(self.scalar.peek_winner(), peek, "peek diverged: {what}");
+            let out = self.packed.decision_cycle();
+            assert_eq!(self.scalar.decision_cycle(), out, "divergence: {what}");
+            assert_eq!(self.scalar.now(), self.packed.now());
+            if let DecisionOutcome::Winner(w) = out {
+                assert_eq!(w.map(|p| p.slot), peek.valid.then_some(peek.slot), "{what}");
+            }
+        }
+
+        /// Every counter, field by field, and the hardware clock.
+        fn assert_counters_match(&self, what: &str) {
+            for s in 0..self.scalar.config().slots {
+                assert_eq!(
+                    self.scalar.slot_counters(s).unwrap(),
+                    self.packed.slot_counters(s).unwrap(),
+                    "slot {s} counters diverged: {what}"
+                );
+            }
+            // Derived equality: all nine `RuleCounters` fields.
+            assert_eq!(
+                self.scalar.rule_counters(),
+                self.packed.rule_counters(),
+                "rule firings diverged: {what}"
+            );
+            assert_eq!(self.scalar.hw_cycles(), self.packed.hw_cycles(), "{what}");
+        }
+    }
+
+    /// Satellite proof for the packed kernel: a 10 000-cycle pinned-seed
+    /// replay across every fabric width, BA and WR, with random loads,
+    /// arrivals, mid-run unload/reload and window variety, must be
+    /// bit-identical to the scalar reference — every packet, every counter,
+    /// every rule firing, every packet-time.
     #[test]
     fn batched_fabric_replays_scalar_bit_exactly() {
-        // Pinned xorshift64* — deterministic across runs and platforms.
-        let mut rng_state = 0x5DEECE66Du64;
-        let mut rng = move || {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            rng_state.wrapping_mul(0x2545F4914F6CDD1D)
-        };
-        for (slots, mode) in [
-            (4usize, ComparisonMode::Dwcs),
-            (4, ComparisonMode::Edf),
-            (8, ComparisonMode::Dwcs),
-            (8, ComparisonMode::ServiceTag),
-            (16, ComparisonMode::Dwcs),
-            (16, ComparisonMode::StaticPriority),
-            (32, ComparisonMode::Dwcs),
-            (32, ComparisonMode::Edf),
-        ] {
-            let cfg = FabricConfig {
-                mode,
-                priority_update: matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf),
-                ..FabricConfig::dwcs(slots, FabricConfigKind::Base)
-            };
-            let mut scalar = Fabric::new(cfg).unwrap();
-            let mut batched = Fabric::new(cfg).unwrap();
-            assert!(!scalar.set_batched(false));
-            assert!(batched.set_batched(true));
-            for s in 0..slots {
-                let st = StreamState {
-                    request_period: 1 + (s as u64 % 3),
-                    original_window: WindowConstraint::new((s % 5) as u8, 1 + (s % 4) as u8),
-                    static_prio: (s * 7 % 11) as u8,
-                    late_policy: LatePolicy::ServeLate,
-                };
-                scalar.load_stream(s, st.clone(), (s + 1) as u64).unwrap();
-                batched.load_stream(s, st, (s + 1) as u64).unwrap();
-            }
-            for cycle in 0u64..1250 {
+        let mut rng = xorshift(0x5DEECE66D);
+        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
+            for (slots, mode) in [
+                (4usize, ComparisonMode::Dwcs),
+                (4, ComparisonMode::Edf),
+                (8, ComparisonMode::Dwcs),
+                (8, ComparisonMode::ServiceTag),
+                (16, ComparisonMode::Dwcs),
+                (16, ComparisonMode::StaticPriority),
+                (32, ComparisonMode::Dwcs),
+                (32, ComparisonMode::Edf),
+            ] {
+                let what = format!("{kind:?} × {slots}, {mode:?}");
+                let mut arms = Arms::new(FabricConfig {
+                    mode,
+                    priority_update: matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf),
+                    ..FabricConfig::dwcs(slots, kind)
+                });
                 for s in 0..slots {
-                    let r = rng();
-                    if r & 3 == 0 {
-                        let tag = Wrap16::from_wide(cycle);
-                        scalar.push_arrival(s, tag).unwrap();
-                        batched.push_arrival(s, tag).unwrap();
-                    }
-                    // Occasionally churn a slot's binding mid-run so the
-                    // replay also covers unload/reload word refreshes.
-                    if r % 97 == 0 {
-                        scalar.unload_stream(s).unwrap();
-                        batched.unload_stream(s).unwrap();
-                        let st = StreamState {
-                            request_period: 1 + (r % 2),
-                            original_window: WindowConstraint::new((r % 3) as u8, 2),
-                            static_prio: (r % 13) as u8,
-                            late_policy: LatePolicy::ServeLate,
-                        };
-                        let dl = scalar.now() + 1 + r % 5;
-                        scalar.load_stream(s, st.clone(), dl).unwrap();
-                        batched.load_stream(s, st, dl).unwrap();
-                    }
+                    let st = StreamState {
+                        request_period: 1 + (s as u64 % 3),
+                        original_window: WindowConstraint::new((s % 5) as u8, 1 + (s % 4) as u8),
+                        static_prio: (s * 7 % 11) as u8,
+                        late_policy: LatePolicy::ServeLate,
+                    };
+                    arms.each(|f| f.load_stream(s, st.clone(), (s + 1) as u64).unwrap());
                 }
-                assert_eq!(
-                    scalar.decision_cycle(),
-                    batched.decision_cycle(),
-                    "divergence at {slots} slots, {mode:?}, cycle {cycle}"
-                );
-                assert_eq!(scalar.now(), batched.now());
+                for cycle in 0u64..1250 {
+                    for s in 0..slots {
+                        let r = rng();
+                        if r & 3 == 0 {
+                            let tag = Wrap16::from_wide(cycle);
+                            arms.each(|f| f.push_arrival(s, tag).unwrap());
+                        }
+                        // Occasionally churn a slot's binding mid-run so the
+                        // replay also covers unload/reload word refreshes.
+                        if r.is_multiple_of(97) {
+                            let st = StreamState {
+                                request_period: 1 + (r % 2),
+                                original_window: WindowConstraint::new((r % 3) as u8, 2),
+                                static_prio: (r % 13) as u8,
+                                late_policy: LatePolicy::ServeLate,
+                            };
+                            let dl = arms.scalar.now() + 1 + r % 5;
+                            arms.each(|f| {
+                                f.unload_stream(s).unwrap();
+                                f.load_stream(s, st.clone(), dl).unwrap();
+                            });
+                        }
+                    }
+                    arms.step(&format!("{what}, cycle {cycle}"));
+                }
+                arms.assert_counters_match(&what);
             }
-            for s in 0..slots {
-                assert_eq!(
-                    scalar.slot_counters(s).unwrap(),
-                    batched.slot_counters(s).unwrap(),
-                    "slot {s} counters diverged at {slots} slots {mode:?}"
-                );
-            }
-            assert_eq!(
-                scalar.rule_counters(),
-                batched.rule_counters(),
-                "rule firings diverged at {slots} slots {mode:?}"
-            );
-            assert_eq!(scalar.hw_cycles(), batched.hw_cycles());
         }
+    }
+
+    /// The 16-bit deadline and arrival fields wrap every 65 536 packet-
+    /// times; run each width, BA and WR, past three wraps at a load that
+    /// keeps deadlines tracking the clock, so the early-exit sign test
+    /// sees pre-/post-wrap pairs with dirty bits pending every cycle.
+    #[test]
+    fn packed_kernel_survives_three_deadline_wraps() {
+        const HORIZON: u64 = 3 << 16;
+        let mut rng = xorshift(0x9E3779B97F4A7C15);
+        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
+            for slots in [4usize, 8, 16, 32] {
+                let what = format!("{kind:?} × {slots}");
+                let mut arms = Arms::new(FabricConfig::dwcs(slots, kind));
+                for s in 0..slots {
+                    let st = StreamState {
+                        // Demand ≤ the link, so no deadline runs ahead of
+                        // the clock: live tags stay within half the 16-bit
+                        // space, where scan and tournament agree.
+                        request_period: slots as u64 - (s as u64 % 2),
+                        original_window: WindowConstraint::new((s % 3) as u8, 2 + (s % 3) as u8),
+                        static_prio: 0,
+                        late_policy: [LatePolicy::ServeLate, LatePolicy::Drop][s % 2],
+                    };
+                    arms.each(|f| f.load_stream(s, st.clone(), (s + 1) as u64).unwrap());
+                }
+                // WR transmits one packet per decision: offer ≈ one per
+                // cycle in total. BA drains every occupied slot per cycle.
+                let one_in = match kind {
+                    FabricConfigKind::WinnerOnly => slots as u64 + 1,
+                    FabricConfigKind::Base => 4,
+                };
+                let mut cycle = 0u64;
+                while arms.scalar.now() < HORIZON {
+                    for s in 0..slots {
+                        if rng().is_multiple_of(one_in) {
+                            let tag = Wrap16::from_wide(arms.scalar.now());
+                            arms.each(|f| f.push_arrival(s, tag).unwrap());
+                        }
+                    }
+                    arms.step(&format!("{what}, cycle {cycle}"));
+                    cycle += 1;
+                }
+                arms.assert_counters_match(&what);
+                let rc = arms.packed.rule_counters();
+                assert!(
+                    rc.earliest_deadline > 0 && rc.total() > rc.earliest_deadline + rc.validity
+                );
+                assert!(arms.packed.register(0).unwrap().head_deadline() > HORIZON - (1 << 15));
+            }
+        }
+    }
+
+    #[test]
+    fn all_slots_tied_decide_on_slot_id_in_both_arms() {
+        // Identical deadline, window and arrival in every slot: every
+        // comparison leaves the early exit and falls through the whole
+        // chain to the slot tie-break.
+        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
+            for slots in [4usize, 8, 16, 32] {
+                let what = format!("{kind:?} × {slots}");
+                let mut arms = Arms::new(FabricConfig::dwcs(slots, kind));
+                for s in 0..slots {
+                    let st = StreamState {
+                        request_period: slots as u64,
+                        original_window: WindowConstraint::new(1, 2),
+                        static_prio: 0,
+                        late_policy: LatePolicy::ServeLate,
+                    };
+                    arms.each(|f| {
+                        f.load_stream(s, st.clone(), 500).unwrap();
+                        f.push_arrival(s, Wrap16(7)).unwrap();
+                        f.push_arrival(s, Wrap16(7)).unwrap();
+                    });
+                }
+                arms.step(&what);
+                let rc = arms.packed.rule_counters();
+                assert_eq!(rc.slot_id, rc.total(), "{what}: every comparator tied");
+                assert_eq!(arms.packed.last_block()[0].slot.index(), 0, "{what}");
+                for _ in 0..2 * slots {
+                    arms.step(&what);
+                }
+                arms.assert_counters_match(&what);
+            }
+        }
+    }
+
+    #[test]
+    fn peek_winner_sees_undrained_arrivals() {
+        let mut f = Fabric::new(FabricConfig::edf(8, FabricConfigKind::WinnerOnly)).unwrap();
+        for s in 0..8 {
+            f.load_stream(s, edf_state(8), (10 + s) as u64).unwrap();
+        }
+        assert!(!f.peek_winner().valid, "nothing queued yet");
+        // Pushed but not drained: the canonical words are all still stale.
+        f.push_arrival(5, Wrap16(0)).unwrap();
+        f.push_arrival(3, Wrap16(1)).unwrap();
+        for expect in [3usize, 5] {
+            let peek = f.peek_winner();
+            assert!(peek.valid);
+            assert_eq!(peek.slot.index(), expect);
+            match f.decision_cycle() {
+                DecisionOutcome::Winner(Some(p)) => assert_eq!(p.slot.index(), expect),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // The service emptied slot 5.
+        assert!(!f.peek_winner().valid);
+        // An arrival between two peeks, no decision in between.
+        f.push_arrival(6, Wrap16(2)).unwrap();
+        assert_eq!(f.peek_winner().slot.index(), 6);
+        f.expire_cycle();
+        assert_eq!(f.peek_winner().slot.index(), 6);
     }
 
     #[test]

@@ -39,12 +39,7 @@
 //!   streams by [`ss_types::StreamSpec`], enqueue packet arrivals, run
 //!   decisions, read QoS counters.
 
-// Without the `simd` feature this crate is entirely safe code; with it,
-// the one sanctioned unsafe surface is the `std::arch` kernel in `simd`
-// (module-scoped `allow` against the crate-wide `deny`, every site
-// SAFETY-commented and registered in lint.toml's unsafe allow-list).
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod control;
@@ -56,8 +51,6 @@ pub mod network;
 pub mod register;
 pub mod rtl;
 pub mod scheduler;
-#[cfg(feature = "simd")]
-pub(crate) mod simd;
 pub mod telem;
 pub mod watchdog;
 

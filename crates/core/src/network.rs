@@ -17,7 +17,7 @@
 //! sort, at log2(N)·(log2(N)+1)/2 passes). The unit tests enshrine the
 //! counterexample.
 
-use crate::decision::{compare_batch, DecisionBlock, RuleCounters};
+use crate::decision::{compare_batch, lane_select, DecisionBlock, RuleCounters};
 use ss_types::{ComparisonMode, StreamAttrs};
 
 /// Validates the word-count for the network (power of two, 2..=32).
@@ -55,10 +55,12 @@ pub fn perfect_shuffle<T: Copy>(words: &[T]) -> Vec<T> {
 }
 
 /// One cycle of the recirculating shuffle-exchange network, writing the
-/// result into `dst`: shuffle `src` into `dst`, then compare-exchange each
-/// adjacent pair in place (winner to the even port, loser to the odd port).
-/// This is the BA (Base Architecture) datapath where both winners and losers
-/// are routed. No allocation.
+/// result into `dst`. The perfect shuffle is fused into the indexing:
+/// Decision block `j` reads the pair the shuffle would deliver to its ports
+/// (`src[j]`, `src[j + n/2]`) and drives the winner onto the even port
+/// `dst[2j]`, the loser onto the odd port `dst[2j + 1]`. This is the BA
+/// (Base Architecture) datapath where both winners and losers are routed.
+/// No allocation.
 // lint:hot-path
 pub fn shuffle_exchange_pass_into(
     src: &[StreamAttrs],
@@ -69,9 +71,10 @@ pub fn shuffle_exchange_pass_into(
     let n = src.len();
     check_n(n);
     debug_assert_eq!(blocks.len(), n / 2, "need N/2 decision blocks");
-    perfect_shuffle_into(src, dst);
-    for j in 0..n / 2 {
-        let (w, l) = blocks[j].compare(dst[2 * j], dst[2 * j + 1], mode);
+    debug_assert_eq!(dst.len(), n, "shuffle buffers must match in length");
+    let half = n / 2;
+    for j in 0..half {
+        let (w, l) = blocks[j].compare(src[j], src[j + half], mode);
         dst[2 * j] = w;
         dst[2 * j + 1] = l;
     }
@@ -119,92 +122,35 @@ pub fn ba_decision_ping_pong(
     (src_is_a, passes)
 }
 
-/// The full batched BA decision, reading the first pass straight out of the
-/// canonical attribute planes: the remaining log2(N)−1 passes ping-pong
-/// between the two scratch lane buffers, so the caller never copies the
-/// planes into scratch first. Returns `(in_a, network_cycles)` exactly like
-/// [`ba_decision_ping_pong_batched`].
+/// The full BA decision over *packed* lane words, reading the first pass
+/// straight out of the canonical attribute plane `src`: the remaining
+/// log2(N)−1 passes ping-pong between the two scratch lane buffers, so the
+/// caller never copies the plane into scratch first. Every pass is one
+/// [`compare_batch`]. Returns `true` if the final block (position 0 =
+/// highest priority) is in `a`, `false` if in `b`; bit-identical, block and
+/// rule tallies, to [`ba_decision_ping_pong`]. No allocation.
 // lint:hot-path
-#[allow(clippy::too_many_arguments)]
 pub fn ba_decision_from_planes(
-    src_w: &[u64],
-    src_k: &[u32],
-    a_w: &mut [u64],
-    a_k: &mut [u32],
-    b_w: &mut [u64],
-    b_k: &mut [u32],
+    src: &[u64],
+    a: &mut [u64],
+    b: &mut [u64],
     mode: ComparisonMode,
     counters: &mut RuleCounters,
-) -> (bool, u64) {
-    let n = src_w.len();
+) -> bool {
+    let n = src.len();
     check_n(n);
-    debug_assert!(src_k.len() == n && a_w.len() == n && b_w.len() == n);
-    debug_assert!(a_k.len() == n && b_k.len() == n);
-    let passes = n.trailing_zeros() as u64;
-    shuffle_exchange_pass_batched(src_w, src_k, b_w, b_k, mode, counters);
+    debug_assert!(a.len() == n && b.len() == n);
+    compare_batch(src, b, mode, counters);
     let mut src_is_a = false;
-    for _ in 1..passes {
+    for _ in 1..n.trailing_zeros() {
         if src_is_a {
-            shuffle_exchange_pass_batched(a_w, a_k, b_w, b_k, mode, counters);
+            compare_batch(a, b, mode, counters);
         } else {
-            shuffle_exchange_pass_batched(b_w, b_k, a_w, a_k, mode, counters);
+            compare_batch(b, a, mode, counters);
         }
         src_is_a = !src_is_a;
     }
-    (src_is_a, passes)
-}
-
-/// One cycle of the recirculating shuffle-exchange network over *packed*
-/// lane words: the batched counterpart of [`shuffle_exchange_pass_into`],
-/// with the shuffle fused into the comparator indexing (comparator `j`
-/// reads lanes `j` and `j + n/2`, writes ports `2j`/`2j + 1` — the same
-/// wiring, one pass over memory). Rule firings are tallied into
-/// `counters`; the derived window-rank keys travel in lockstep with the
-/// words. No allocation.
-// lint:hot-path
-pub fn shuffle_exchange_pass_batched(
-    src_w: &[u64],
-    src_k: &[u32],
-    dst_w: &mut [u64],
-    dst_k: &mut [u32],
-    mode: ComparisonMode,
-    counters: &mut RuleCounters,
-) {
-    check_n(src_w.len());
-    debug_assert_eq!(src_k.len(), src_w.len());
-    debug_assert_eq!(dst_w.len(), src_w.len());
-    debug_assert_eq!(dst_k.len(), src_w.len());
-    compare_batch(src_w, src_k, dst_w, dst_k, mode, counters);
-}
-
-/// Runs the full BA decision over packed lanes by ping-ponging between two
-/// caller-owned scratch plane pairs: the batched counterpart of
-/// [`ba_decision_ping_pong`], bit-identical block for block. The input
-/// starts in the `a` planes; returns `(result_in_a, cycles)` naming the
-/// plane pair holding the final block. No allocation.
-// lint:hot-path
-pub fn ba_decision_ping_pong_batched(
-    a_w: &mut [u64],
-    a_k: &mut [u32],
-    b_w: &mut [u64],
-    b_k: &mut [u32],
-    mode: ComparisonMode,
-    counters: &mut RuleCounters,
-) -> (bool, u64) {
-    let n = a_w.len();
-    check_n(n);
-    debug_assert!(a_k.len() == n && b_w.len() == n && b_k.len() == n);
-    let passes = n.trailing_zeros() as u64;
-    let mut src_is_a = true;
-    for _ in 0..passes {
-        if src_is_a {
-            shuffle_exchange_pass_batched(a_w, a_k, b_w, b_k, mode, counters);
-        } else {
-            shuffle_exchange_pass_batched(b_w, b_k, a_w, a_k, mode, counters);
-        }
-        src_is_a = !src_is_a;
-    }
-    (src_is_a, passes)
+    src_is_a
 }
 
 /// Runs the full BA decision: log2(N) shuffle-exchange cycles, returning the
@@ -245,6 +191,29 @@ pub fn wr_decision_in_place(
         cycles += 1;
     }
     (scratch[0], cycles)
+}
+
+/// The WR tournament over *packed* lane words, in place: the same
+/// comparisons and rule tallies as [`wr_decision_in_place`], winners
+/// compacted into the front of `lanes` (clobbering it). Returns the
+/// winning word.
+// lint:hot-path
+pub fn wr_decision_lanes(
+    lanes: &mut [u64],
+    mode: ComparisonMode,
+    counters: &mut RuleCounters,
+) -> u64 {
+    check_n(lanes.len());
+    let mut live = lanes.len();
+    while live > 1 {
+        live /= 2;
+        for j in 0..live {
+            let (a, b) = (lanes[2 * j], lanes[2 * j + 1]);
+            let a_wins = lane_select(a, b, mode, counters);
+            lanes[j] = (a & a_wins) | (b & !a_wins);
+        }
+    }
+    lanes[0]
 }
 
 /// Runs the WR (winner-only / max-finding) decision: a log2(N)-cycle
@@ -553,16 +522,18 @@ mod tests {
             prop_assert_eq!(cycles, bitonic_pass_count(n));
         }
 
-        /// The batched ping-pong produces the bit-identical final block
-        /// (and total rule-firing count) of the scalar ping-pong, at every
-        /// fabric width, for arbitrary word contents in every mode.
+        /// The packed BA ping-pong and WR tournament produce the
+        /// bit-identical final block / winner and the same `RuleCounters`,
+        /// field by field, as the scalar forms, at every fabric width, for
+        /// arbitrary word contents in every mode.
         #[test]
         fn batched_ping_pong_matches_scalar(
             n_idx in 0usize..4,
             seed in proptest::collection::vec(any::<((u16, u8, u8), (u16, u8, bool))>(), 32),
+            tie_deadlines in any::<bool>(),
             mode_idx in 0usize..4,
         ) {
-            use ss_types::packed::{pack, unpack, window_key};
+            use ss_types::packed::{pack, unpack};
             let n = [4usize, 8, 16, 32][n_idx];
             let mode = [ComparisonMode::Dwcs, ComparisonMode::Edf,
                         ComparisonMode::StaticPriority, ComparisonMode::ServiceTag][mode_idx];
@@ -570,7 +541,9 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &((d, num, den), (arr, prio, valid)))| StreamAttrs {
-                    deadline: Wrap16(d),
+                    // Half the cases squeeze deadlines onto two values so
+                    // the tie chain behind the early exit is exercised.
+                    deadline: Wrap16(if tie_deadlines { d & 1 } else { d }),
                     window: WindowConstraint::new(num, den),
                     arrival: Wrap16(arr),
                     slot: SlotId::new(i as u8).unwrap(),
@@ -578,29 +551,36 @@ mod tests {
                     valid,
                 })
                 .collect();
-            // Scalar reference.
+            let merged = |blks: &[DecisionBlock]| {
+                let mut total = RuleCounters::default();
+                blks.iter().for_each(|b| total.merge(b.counters()));
+                total
+            };
+            let lanes: Vec<u64> = words.iter().map(pack).collect();
+
+            // BA: scalar reference vs packed lanes.
             let mut sa = words.clone();
             let mut sb = words.clone();
             let mut blks = blocks(n);
-            let (s_in_a, s_passes) = ba_decision_ping_pong(&mut sa, &mut sb, &mut blks, mode);
+            let (s_in_a, _) = ba_decision_ping_pong(&mut sa, &mut sb, &mut blks, mode);
             let scalar = if s_in_a { &sa } else { &sb };
-            let scalar_total: u64 = blks.iter().map(|b| b.counters().total()).sum();
-            // Batched lanes.
-            let mut aw: Vec<u64> = words.iter().map(pack).collect();
-            let mut ak: Vec<u32> = words.iter().map(|w| window_key(w.window)).collect();
-            let mut bw = vec![0u64; n];
-            let mut bk = vec![0u32; n];
+            let (mut aw, mut bw) = (vec![0u64; n], vec![0u64; n]);
             let mut counters = RuleCounters::default();
-            let (b_in_a, b_passes) =
-                ba_decision_ping_pong_batched(&mut aw, &mut ak, &mut bw, &mut bk, mode, &mut counters);
-            prop_assert_eq!(b_passes, s_passes);
-            prop_assert_eq!(b_in_a, s_in_a);
-            let (bw_final, bk_final) = if b_in_a { (&aw, &ak) } else { (&bw, &bk) };
+            let in_a = ba_decision_from_planes(&lanes, &mut aw, &mut bw, mode, &mut counters);
+            let packed = if in_a { &aw } else { &bw };
             for (i, sw) in scalar.iter().enumerate() {
-                prop_assert_eq!(&unpack(bw_final[i]), sw, "lane {}", i);
-                prop_assert_eq!(bk_final[i], window_key(sw.window), "key {}", i);
+                prop_assert_eq!(&unpack(packed[i]), sw, "lane {}", i);
             }
-            prop_assert_eq!(counters.total(), scalar_total);
+            prop_assert_eq!(counters, merged(&blks));
+
+            // WR: scalar tournament vs packed tournament.
+            let mut blks = blocks(n);
+            let (s_winner, _) = wr_decision(&words, &mut blks, mode);
+            let mut scratch = lanes.clone();
+            let mut counters = RuleCounters::default();
+            let winner = wr_decision_lanes(&mut scratch, mode, &mut counters);
+            prop_assert_eq!(unpack(winner), s_winner);
+            prop_assert_eq!(counters, merged(&blks));
         }
     }
 }

@@ -300,8 +300,8 @@ mod enabled {
 
         /// Hook: one decision cycle completed. `block` is the transmitted
         /// packets in transmission order; `expired` counts loser slots whose
-        /// head packet expired this cycle; `batched` says which BA arm
-        /// (packed-lane vs scalar) produced the decision.
+        /// head packet expired this cycle; `batched` says which arm (packed
+        /// kernel vs scalar reference) produced the decision.
         // lint:hot-path
         #[inline]
         pub fn on_decision(

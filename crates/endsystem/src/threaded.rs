@@ -1336,10 +1336,11 @@ mod tests {
             let got = events.iter().filter(|e| e.stage == stage).count();
             assert_eq!(got, want, "stage {}", stage.name());
         }
+        // The packed kernel is every fabric's default arm.
         assert!(events
             .iter()
             .filter(|e| e.stage == Stage::DecisionWin)
-            .all(|e| e.detail == detail::DECISION_SCALAR));
+            .all(|e| e.detail == detail::DECISION_BATCHED));
         validate_causal(&events).expect("lifecycle order holds per tag");
         let json = ss_telemetry::perfetto_json(&run.tracks, run.ticks_per_us);
         validate_perfetto_schema(&json).expect("trace-event schema");

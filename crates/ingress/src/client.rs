@@ -150,11 +150,17 @@ pub struct IngressClient {
     /// Registrations to replay on reconnect: (slot, epoch).
     registered: Vec<(u32, u32)>,
     next_seq: u64,
-    pending: Option<(u64, Vec<(u32, u16)>)>,
+    /// The batch in flight, held for resubmission under its original
+    /// sequence after a reconnect. One buffer for the client's lifetime:
+    /// refilled per submit, never reallocated once it has seen the
+    /// largest batch.
+    pending: Vec<(u32, u16)>,
     last_pressure: u8,
     stats: ClientStats,
     rng: SplitMix64,
     out: Vec<u8>,
+    /// Socket read buffer for reply frames.
+    rbuf: [u8; 4096],
 }
 
 /// Caps an injected stall so a chaotic schedule cannot freeze a test.
@@ -181,11 +187,12 @@ impl IngressClient {
             dec: FrameDecoder::new(16 * 1024),
             registered: Vec::new(),
             next_seq: 1,
-            pending: None,
+            pending: Vec::new(),
             last_pressure: 0,
             stats: ClientStats::default(),
             rng,
             out: Vec::with_capacity(4096),
+            rbuf: [0; 4096],
         };
         let mut attempts = 0u32;
         loop {
@@ -241,18 +248,14 @@ impl IngressClient {
     /// advanced, so a later submit resolves the ambiguity).
     pub fn submit(&mut self, entries: &[(u32, u16)]) -> Result<SubmitOutcome, ClientError> {
         let seq = self.next_seq;
-        self.pending = Some((seq, entries.to_vec()));
+        self.pending.clear();
+        self.pending.extend_from_slice(entries);
         let outcome = self.run_op(|c| {
-            let (seq, entries) = match c.pending.clone() {
-                Some(p) => p,
-                None => return Err(protocol_io("submit without pending batch")),
-            };
             c.out.clear();
-            frame::encode_submit(&mut c.out, seq, &entries);
+            frame::encode_submit(&mut c.out, seq, &c.pending);
             c.send_out()?;
             c.await_submit_ack(seq)
         })?;
-        self.pending = None;
         self.next_seq = seq + 1;
         self.last_pressure = outcome.pressure;
         Ok(outcome)
@@ -438,15 +441,14 @@ impl IngressClient {
             return Err(std::io::Error::from(ErrorKind::NotConnected));
         };
         let deadline = Instant::now() + self.cfg.ack_deadline;
-        let mut buf = [0u8; 4096];
         let result = 'outer: loop {
             if Instant::now() >= deadline {
                 break Err(std::io::Error::from(ErrorKind::TimedOut));
             }
-            match sock.read(&mut buf) {
+            match sock.read(&mut self.rbuf) {
                 Ok(0) => break Err(std::io::Error::from(ErrorKind::UnexpectedEof)),
                 Ok(n) => {
-                    if self.dec.push(&buf[..n]).is_err() {
+                    if self.dec.push(&self.rbuf[..n]).is_err() {
                         break Err(std::io::Error::from(ErrorKind::InvalidData));
                     }
                     loop {
@@ -520,4 +522,46 @@ impl IngressClient {
 
 fn protocol_io(what: &'static str) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, what)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EdgeMode, IngressConfig, IngressServer};
+    use ss_faults::FaultConfig;
+    use ss_types::WindowConstraint;
+
+    #[test]
+    fn submit_reuses_its_buffers() {
+        let injector = Arc::new(FaultInjector::new(1, FaultConfig::quiet()));
+        let server = IngressServer::start(
+            IngressConfig::default(),
+            &[WindowConstraint::new(3, 4)],
+            EdgeMode::Deterministic,
+            Arc::clone(&injector),
+            None,
+        )
+        .expect("server start");
+        let mut client = IngressClient::connect(server.addr(), ClientConfig::new(7, 7), injector)
+            .expect("connect");
+        assert!(client.register(0, 1).expect("register"));
+        let batch: Vec<(u32, u16)> = (0..32u16).map(|t| (0, t)).collect();
+        // The first full-size batch sizes both buffers; from then on no
+        // submit, of any size up to that, may move or regrow them.
+        client.submit(&batch).expect("submit");
+        let pending = (client.pending.as_ptr(), client.pending.capacity());
+        let out = (client.out.as_ptr(), client.out.capacity());
+        for i in 0..1_000usize {
+            let outcome = client.submit(&batch[..1 + i % 32]).expect("submit");
+            assert_eq!(outcome.acked_seq, i as u64 + 2);
+            assert_eq!(
+                (client.pending.as_ptr(), client.pending.capacity()),
+                pending
+            );
+            assert_eq!((client.out.as_ptr(), client.out.capacity()), out);
+        }
+        assert_eq!(client.stats().reconnects, 0);
+        client.goodbye();
+        assert!(server.shutdown().conserved);
+    }
 }

@@ -2,10 +2,10 @@
 //!
 //! The hardware routes a 53-bit attribute word between Decision blocks
 //! (see [`crate::field_widths`]); this module widens it to one 64-bit
-//! lane so a whole shuffle-exchange pass can be evaluated with branchless
-//! integer arithmetic (SWAR, or `std::arch` SIMD behind the `simd`
-//! feature). The layout is chosen so the *unsigned* value of the word
-//! already encodes the validity rule:
+//! lane, the only representation the decision hot path streams: eight
+//! bytes per slot, every Table-2 field one shift away. The layout is
+//! chosen so the *unsigned* value of the word already encodes the
+//! validity rule:
 //!
 //! ```text
 //!  bit 63    62........55  54..53  52........37  36..29  28..21  20.........5  4...0
@@ -19,11 +19,6 @@
 //!   the 8-bit static-priority register), so the codec round-trips
 //!   exactly — the lane word carries *no more* information per wire than
 //!   the published hardware word did.
-//!
-//! Window constraints order by exact rational value, which a per-field
-//! comparison cannot express; the batched kernel therefore carries a
-//! derived 24-bit rank alongside each word (see [`window_key`]), kept in
-//! lockstep by [`AttrPlanes`].
 
 use crate::attrs::{StreamAttrs, WindowConstraint};
 use crate::ids::SlotId;
@@ -43,19 +38,6 @@ pub const DEN_SHIFT: u32 = 21;
 pub const ARRIVAL_SHIFT: u32 = 5;
 /// Mask of the 5-bit slot field (shift 0).
 pub const SLOT_MASK: u64 = 0x1F;
-
-/// Rounded-up fixed-point reciprocals `ceil(2^32 / den) = (2^32 / den) + 1`
-/// for every 8-bit denominator, so [`window_key`] needs no hardware divide.
-/// Index 0 is unused (a zero denominator means a zero window).
-const RECIP: [u64; 256] = {
-    let mut t = [0u64; 256];
-    let mut d = 1usize;
-    while d < 256 {
-        t[d] = (1u64 << 32) / (d as u64) + 1;
-        d += 1;
-    }
-    t
-};
 
 /// Packs an attribute word into its `u64` lane representation.
 ///
@@ -103,52 +85,21 @@ pub const fn lane_slot(w: u64) -> usize {
     (w & SLOT_MASK) as usize
 }
 
-/// Derived `u32` window rank: smaller key ⇔ the constraint wins the DWCS
-/// window tie-break chain (Table 2 rules 2–4) earlier.
-///
-/// Layout: `floor(num·2^16/den) << 8 | tie8`, where the high half ranks
-/// by exact rational value (zero windows rank 0; the smallest nonzero
-/// value 1/255 maps to 257, so `key >> 8 == 0` ⇔ zero window) and the low
-/// 8 bits encode the in-chain tie-break — `255 − den` for zero windows
-/// (HighestDenominator: larger `den` ⇒ smaller key ⇒ wins) and `num` for
-/// nonzero ones (LowestNumerator). Two keys are equal iff rules 2–4 all
-/// tie. Exactness of the high half: distinct 8-bit rationals differ by at
-/// least 1/65025 > 1/65536, so their fixed-point floors differ; equal
-/// values (e.g. 1/2 vs 2/4) collide by design and fall to the numerator
-/// byte.
-// lint:hot-path
-#[inline]
-pub fn window_key(w: WindowConstraint) -> u32 {
-    if w.is_zero() {
-        255 - w.den as u32
-    } else {
-        let hi = ((w.num as u64) << 16).wrapping_mul(RECIP[w.den as usize]) >> 32;
-        ((hi as u32) << 8) | w.num as u32
-    }
-}
-
-/// Structure-of-arrays view of a fabric's attribute words: one `u64` lane
-/// word plus one derived window-rank key per slot, kept in lockstep with
-/// the scalar attribute cache by the fabric's dirty-mask refresh.
+/// A fabric's canonical attribute words: one `u64` lane word per slot,
+/// re-encoded from the registers by the fabric's dirty-mask refresh.
 #[derive(Debug, Clone, Default)]
 pub struct AttrPlanes {
     words: Vec<u64>,
-    keys: Vec<u32>,
 }
 
 impl AttrPlanes {
     /// Planes for `slots` streams, initialized from empty (invalid) words.
     pub fn with_slots(slots: usize) -> Self {
-        let mut p = Self {
-            words: Vec::with_capacity(slots),
-            keys: Vec::with_capacity(slots),
-        };
-        for s in 0..slots {
-            let empty = StreamAttrs::empty(SlotId::new_unchecked(s as u8));
-            p.words.push(pack(&empty));
-            p.keys.push(window_key(empty.window));
+        Self {
+            words: (0..slots)
+                .map(|s| pack(&StreamAttrs::empty(SlotId::new_unchecked(s as u8))))
+                .collect(),
         }
-        p
     }
 
     /// Re-encodes slot `i` from `a` (the dirty-mask refresh hook).
@@ -156,19 +107,12 @@ impl AttrPlanes {
     #[inline]
     pub fn set(&mut self, i: usize, a: &StreamAttrs) {
         self.words[i] = pack(a);
-        self.keys[i] = window_key(a.window);
     }
 
     /// The packed lane words, one per slot.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// The derived window-rank keys, one per slot.
-    #[inline]
-    pub fn keys(&self) -> &[u32] {
-        &self.keys
     }
 
     /// Number of slots.
@@ -188,7 +132,6 @@ impl AttrPlanes {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::cmp::Ordering;
 
     fn attrs(
         deadline: u16,
@@ -228,46 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn reciprocal_table_matches_division_exhaustively() {
-        // floor(num·2^16/den) via the rounded-up reciprocal must equal the
-        // true floored quotient for every 8-bit (num, den) pair.
-        for den in 1u64..=255 {
-            for num in 0u64..=255 {
-                let direct = (num << 16) / den;
-                let recip = (num << 16).wrapping_mul(RECIP[den as usize]) >> 32;
-                assert_eq!(recip, direct, "num={num} den={den}");
-            }
-        }
-    }
-
-    #[test]
-    fn window_key_high_half_separates_zero_from_nonzero() {
-        // Zero windows (either field zero) keep the high 16 bits zero; the
-        // smallest nonzero rational 1/255 lands at 257.
-        assert_eq!(window_key(WindowConstraint::new(0, 200)) >> 8, 0);
-        assert_eq!(window_key(WindowConstraint::new(5, 0)) >> 8, 0);
-        assert_eq!(window_key(WindowConstraint::new(1, 255)), (257 << 8) | 1);
-    }
-
-    #[test]
-    fn window_key_breaks_zero_ties_by_highest_denominator() {
-        // Both zero-valued: the larger denominator must get the smaller key
-        // (HighestDenominator wins the min).
-        let a = window_key(WindowConstraint::new(0, 200));
-        let b = window_key(WindowConstraint::new(0, 3));
-        assert!(a < b);
-    }
-
-    #[test]
-    fn equal_rationals_fall_to_the_numerator_byte() {
-        // 1/2 and 2/4 share the rational value; LowestNumerator decides.
-        let a = window_key(WindowConstraint::new(1, 2));
-        let b = window_key(WindowConstraint::new(2, 4));
-        assert_eq!(a >> 8, b >> 8);
-        assert!(a < b);
-    }
-
-    #[test]
     fn planes_start_empty_and_track_set() {
         let mut p = AttrPlanes::with_slots(8);
         assert_eq!(p.len(), 8);
@@ -279,7 +182,9 @@ mod tests {
         let a = attrs(9, 1, 4, 3, 5, 0, true);
         p.set(5, &a);
         assert_eq!(unpack(p.words()[5]), a);
-        assert_eq!(p.keys()[5], window_key(a.window));
+        for (s, &w) in p.words().iter().enumerate() {
+            assert_eq!(lane_valid(w), s == 5, "only the set slot changed");
+        }
     }
 
     proptest! {
@@ -289,36 +194,6 @@ mod tests {
             let ((d, num, den), (arr, slot, prio, valid)) = fields;
             let a = attrs(d, num, den, arr, slot % 32, prio, valid);
             prop_assert_eq!(unpack(pack(&a)), a);
-        }
-
-        /// The full window key orders exactly like the Table-2 window
-        /// tie-break chain: value first, then HighestDenominator for zero
-        /// windows / LowestNumerator for nonzero ones.
-        #[test]
-        fn window_key_matches_rule_chain(a in any::<(u8, u8)>(), b in any::<(u8, u8)>()) {
-            let (x, y) = (WindowConstraint::new(a.0, a.1), WindowConstraint::new(b.0, b.1));
-            let chain = x.value_cmp(y).then_with(|| {
-                if x.is_zero() {
-                    // HighestDenominator: larger den wins (orders first).
-                    y.den.cmp(&x.den)
-                } else {
-                    x.num.cmp(&y.num)
-                }
-            });
-            prop_assert_eq!(window_key(x).cmp(&window_key(y)), chain);
-        }
-
-        /// The high half of the key alone reproduces value_cmp, except on
-        /// equal-valued rationals where it deliberately collides.
-        #[test]
-        fn window_key_high_half_is_value_cmp(a in any::<(u8, u8)>(), b in any::<(u8, u8)>()) {
-            let (x, y) = (WindowConstraint::new(a.0, a.1), WindowConstraint::new(b.0, b.1));
-            let (hx, hy) = (window_key(x) >> 8, window_key(y) >> 8);
-            match x.value_cmp(y) {
-                Ordering::Less => prop_assert!(hx < hy),
-                Ordering::Greater => prop_assert!(hx > hy),
-                Ordering::Equal => prop_assert_eq!(hx, hy),
-            }
         }
     }
 }

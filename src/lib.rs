@@ -96,7 +96,6 @@ pub fn publish_build_info(registry: &ss_telemetry::Registry) {
         ("telemetry", cfg!(feature = "telemetry")),
         ("faults", cfg!(feature = "faults")),
         ("overload", cfg!(feature = "overload")),
-        ("simd", cfg!(feature = "simd")),
         ("pinning", cfg!(feature = "pinning")),
         ("ingress", cfg!(feature = "ingress")),
     ]

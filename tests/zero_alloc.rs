@@ -105,64 +105,38 @@ fn steady_state_decision_cycles_do_not_allocate() {
     const WARMUP: u64 = 200;
     const MEASURED: u64 = 5_000;
 
-    // --- WR fabric, per-cycle API ---
-    let mut wr = backlogged(SLOTS, FabricConfigKind::WinnerOnly, DEPTH);
     let mut tag = 0u64;
-    for _ in 0..WARMUP {
-        wr.decision_cycle_into();
-        refill(&mut wr, &mut tag);
-    }
-    let before = allocations();
-    for _ in 0..MEASURED {
-        wr.decision_cycle_into();
-        refill(&mut wr, &mut tag);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "WR decision_cycle_into allocated in steady state"
-    );
 
-    // --- BA fabric, per-cycle API (full blocks every cycle) ---
-    let mut ba = backlogged(SLOTS, FabricConfigKind::Base, DEPTH);
-    for _ in 0..WARMUP {
-        ba.decision_cycle_into();
-        refill(&mut ba, &mut tag);
-    }
-    let before = allocations();
-    for _ in 0..MEASURED {
-        ba.decision_cycle_into();
-        refill(&mut ba, &mut tag);
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "BA decision_cycle_into allocated in steady state"
-    );
-
-    // --- Batched lane pass vs pinned scalar reference ---
-    // Wide BA fabrics auto-select the packed-lane pass, so the span above
-    // already runs it; pinning both dispatches explicitly keeps coverage
-    // intact even if the auto-selection heuristic changes. The batched span
-    // proves the plane refresh, lane ping-pong, and (under `simd`) the
-    // runtime-dispatched AVX2 kernel all stay heap-free.
-    for batched in [false, true] {
-        let mut f = backlogged(SLOTS, FabricConfigKind::Base, DEPTH);
-        f.set_batched(batched);
-        for _ in 0..WARMUP {
-            f.decision_cycle_into();
-            refill(&mut f, &mut tag);
+    // --- Per-cycle API, BA and WR, both decision arms ---
+    // The packed kernel is the default arm; pinning both explicitly keeps
+    // the scalar reference covered too. The packed spans prove the
+    // dirty-mask re-encode, the lane ping-pong (BA), the lane tournament
+    // (WR) and the stale-slot path of `peek_winner` / `expire_cycle` all
+    // stay heap-free.
+    for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
+        for batched in [false, true] {
+            let mut f = backlogged(SLOTS, kind, DEPTH);
+            assert_eq!(f.set_batched(batched), batched);
+            let cycle = |f: &mut Fabric, tag: &mut u64| {
+                std::hint::black_box(f.peek_winner());
+                f.decision_cycle_into();
+                refill(f, tag);
+                std::hint::black_box(f.peek_winner());
+                f.expire_cycle();
+            };
+            for _ in 0..WARMUP {
+                cycle(&mut f, &mut tag);
+            }
+            let before = allocations();
+            for _ in 0..MEASURED {
+                cycle(&mut f, &mut tag);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "{kind:?} decision_cycle_into (batched={batched}) allocated in steady state"
+            );
         }
-        let before = allocations();
-        for _ in 0..MEASURED {
-            f.decision_cycle_into();
-            refill(&mut f, &mut tag);
-        }
-        assert_eq!(
-            allocations() - before,
-            0,
-            "BA decision_cycle_into (batched={batched}) allocated in steady state"
-        );
     }
 
     // --- Batched API with a preallocated sink ---
