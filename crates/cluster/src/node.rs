@@ -162,7 +162,8 @@ impl SimNode {
         // tick-derived offset so they are deterministic and don't always
         // land on slot 0.
         let mut burst_extra = 0u32;
-        if let Some(FaultKind::OverloadBurst { extra }) = self.injector.sample(FaultSite::Admission)
+        if let Some(FaultKind::OverloadBurst { extra }) =
+            self.injector.sample_mut(FaultSite::Admission)
         {
             burst_extra = extra;
         }
@@ -208,18 +209,18 @@ impl SimNode {
     // lint:hot-path
     #[inline]
     fn sample_faults(&mut self) {
-        match self.injector.sample(FaultSite::Shard) {
+        match self.injector.sample_mut(FaultSite::Shard) {
             Some(FaultKind::ShardCrash) => self.crash_one_shard(),
             Some(FaultKind::ShardStall { cycles }) => self.stall += cycles,
             _ => {}
         }
         if let Some(FaultKind::StuckCycles { cycles }) =
-            self.injector.sample(FaultSite::DecisionCycle)
+            self.injector.sample_mut(FaultSite::DecisionCycle)
         {
             self.stall += cycles;
         }
         if let Some(FaultKind::RingOverflowBurst { len }) =
-            self.injector.sample(FaultSite::SpscRing)
+            self.injector.sample_mut(FaultSite::SpscRing)
         {
             self.ring_drop_budget += len;
         }
@@ -321,18 +322,13 @@ impl SimNode {
         self.gate.force_protected_shed();
     }
 
-    /// Recomputes the live fabric backlog from scratch (BacklogMirror's
-    /// reference side). Registered hot path: runs every tick.
+    /// Recounts the live fabric backlog from the register queues
+    /// (BacklogMirror's reference side — independent of `backlog_ctr`).
+    /// Registered hot path: runs every tick.
     // lint:hot-path
     #[inline]
     pub fn recomputed_backlog(&self) -> u64 {
-        let mut sum = 0u64;
-        for s in 0..self.dead_slot.len() {
-            if !self.dead_slot[s] {
-                sum += self.sched.backlog(s).unwrap_or(0) as u64;
-            }
-        }
-        sum
+        self.sched.live_backlog()
     }
 
     /// Node ID.

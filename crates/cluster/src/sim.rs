@@ -14,9 +14,10 @@
 //! 2. **cluster phase** (sequential, node order) — winners feed the
 //!    bounded egress aggregator (the "linecard": drains
 //!    `egress_per_tick`, drops above `egress_queue_cap`, every drop
-//!    counted), flight-recorder events are recorded, the sabotage plan
-//!    fires, and the [`InvariantEngine`] sweeps every node plus the
-//!    egress identity.
+//!    counted), flight-recorder events are recorded (into a recorder
+//!    this phase alone owns — no lock — under one timestamp per tick),
+//!    the sabotage plan fires, and the [`InvariantEngine`] sweeps every
+//!    node plus the egress identity.
 //!
 //! A violation records an [`ss_telemetry::Stage::InvariantViolation`]
 //! control event, auto-dumps the flight recorder with
@@ -33,7 +34,8 @@ use crate::scenario::{Scenario, ScenarioSpec};
 use serde::Serialize;
 use ss_faults::rng::mix;
 use ss_overload::LossLedger;
-use ss_telemetry::{DumpReason, FlightDump, SharedFlightRecorder, Stage};
+use ss_telemetry::clock::now_tsc;
+use ss_telemetry::{DumpReason, FlightDump, FlightRecorder, Stage, StageEvent};
 use ss_types::Error;
 
 /// What a `--sabotage` plan breaks.
@@ -169,7 +171,8 @@ pub struct ClusterSim {
     scenario: Scenario,
     nodes: Vec<SimNode>,
     engine: InvariantEngine,
-    flight: SharedFlightRecorder,
+    /// Single-owner: only the sequential cluster phase records or dumps.
+    flight: FlightRecorder,
     winner_scratch: Vec<Option<Winner>>,
     tick: u64,
     /// Winners handed to the linecard so far.
@@ -203,7 +206,7 @@ impl ClusterSim {
             let injector = config.faults.injector_for(config.seed, id);
             nodes.push(SimNode::new(id, params, &scenario, config.seed, injector)?);
         }
-        let flight = SharedFlightRecorder::new(config.flight_capacity.max(16));
+        let flight = FlightRecorder::new(config.flight_capacity.max(16));
         let winner_scratch = vec![None; config.nodes];
         Ok(Self {
             config,
@@ -271,18 +274,23 @@ impl ClusterSim {
             }
         }
 
+        // One timestamp read covers the whole cluster phase: ring order,
+        // not the stamp, is the tiebreak among a tick's events.
+        let tsc = now_tsc();
+
         // Linecard aggregation in node order: enqueue → drain → bound.
         for i in 0..self.nodes.len() {
             if let Some((slot, _, met)) = self.winner_scratch[i] {
                 self.transmitted_total += 1;
                 self.egress_queue += 1;
-                self.flight.record_control(
+                self.flight.record(StageEvent::control(
+                    tsc,
                     tick,
                     i as u16,
                     Stage::Service,
                     u8::from(met),
                     u32::from(slot),
-                );
+                ));
             }
         }
         let drained = self.egress_queue.min(self.config.egress_per_tick);
@@ -297,7 +305,7 @@ impl ClusterSim {
         // Invariant sweep: every node, then the egress identity.
         for i in 0..self.nodes.len() {
             if let Some(inv) = self.engine.check_node(&self.nodes[i], tick) {
-                self.on_violation(inv, i as u32, tick);
+                self.on_violation(inv, i as u32, tick, tsc);
                 if self.halted {
                     return;
                 }
@@ -310,7 +318,7 @@ impl ClusterSim {
             dropped: self.egress_dropped,
         };
         if let Some(inv) = self.engine.check_egress(view, tick) {
-            self.on_violation(inv, u32::MAX, tick);
+            self.on_violation(inv, u32::MAX, tick, tsc);
             if self.halted {
                 return;
             }
@@ -366,16 +374,17 @@ impl ClusterSim {
 
     /// Violation path: control event → auto-dump (first violation only)
     /// → halt if configured.
-    fn on_violation(&mut self, invariant: Invariant, node: u32, tick: u64) {
-        self.flight.record_control(
+    fn on_violation(&mut self, invariant: Invariant, node: u32, tick: u64, tsc: u64) {
+        self.flight.record(StageEvent::control(
+            tsc,
             tick,
             node.min(u32::from(u16::MAX)) as u16,
             Stage::InvariantViolation,
             invariant as u8,
             node,
-        );
+        ));
         if self.dump.is_none() {
-            self.dump = Some(self.flight.auto_dump(DumpReason::InvariantViolation, tick));
+            self.dump = Some(self.flight.dump(DumpReason::InvariantViolation, tick));
         }
         if self.config.halt_on_violation {
             self.halted = true;

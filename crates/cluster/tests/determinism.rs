@@ -18,6 +18,21 @@ fn pinned_config(threads: usize) -> ClusterConfig {
     config
 }
 
+/// The outcome of `pinned_config`, captured once (at commit caa2c21) and
+/// never recomputed: run-against-run comparisons cannot see a change that
+/// moves every run; these can.
+const PINNED_FINGERPRINT: u64 = 0x6648_da6c_99c7_af25;
+const PINNED_NODE_FINGERPRINTS: [u64; 6] = [
+    0x55ec_9296_7eff_26f9,
+    0x43e4_3d70_c633_4055,
+    0x2eed_3e29_bb2e_4877,
+    0xe5d3_92a1_ca1b_8656,
+    0x1eda_1a1c_1359_0fc7,
+    0x1821_2470_8dd0_be26,
+];
+/// `(admission, ring, shed, shard)` losses.
+const PINNED_LEDGER: (u64, u64, u64, u64) = (31_182, 3_203, 4_346, 7_410);
+
 fn run(threads: usize) -> (RunReport, Vec<Vec<Winner>>) {
     let mut sim = ClusterSim::new(pinned_config(threads)).expect("cluster builds");
     let report = sim.run();
@@ -52,6 +67,28 @@ fn pinned_seed_replays_bit_identically() {
     assert_eq!(a.egressed, b.egressed);
     assert_eq!(a.egress_dropped, b.egress_dropped);
     assert_eq!(a.shard_crashes, b.shard_crashes);
+}
+
+#[test]
+fn pinned_outcome_has_not_moved() {
+    for threads in [1, 2, 4, 6] {
+        let (r, _) = run(threads);
+        assert_eq!(r.fingerprint, PINNED_FINGERPRINT, "threads={threads}");
+        assert_eq!(
+            r.node_fingerprints, PINNED_NODE_FINGERPRINTS,
+            "threads={threads}"
+        );
+        assert_eq!(
+            (
+                r.ledger.admission,
+                r.ledger.ring,
+                r.ledger.shed,
+                r.ledger.shard
+            ),
+            PINNED_LEDGER,
+            "threads={threads}"
+        );
+    }
 }
 
 #[test]

@@ -47,6 +47,31 @@ fn phantom_arrival_trips_conservation_and_dumps_flight() {
     );
     assert_eq!(violation_events[0].arg, 2, "the node rides in arg");
 
+    // The window is the lead-up, in order: the Service events of the
+    // ticks before the violation, each tick's events under the one stamp
+    // the cluster phase took for it, and the violation itself last.
+    assert_eq!(dump.capacity, 4_096);
+    assert_eq!(dump.total, dump.events.len() as u64 + dump.dropped);
+    let last = dump.events.last().expect("non-empty window");
+    assert_eq!(last.stage, Stage::InvariantViolation);
+    assert_eq!(last.cycle, 1111);
+    let services = &dump.events[..dump.events.len() - 1];
+    assert!(services.iter().all(|e| e.stage == Stage::Service));
+    assert!(services.iter().all(|e| e.trace_tag().is_control()));
+    assert!(services.len() > 1_000, "a thousand ticks of winners held");
+    assert!(services.iter().any(|e| e.cycle < 1111));
+    for pair in dump.events.windows(2) {
+        assert!(pair[0].cycle <= pair[1].cycle, "ring order is tick order");
+        assert!(pair[0].tsc <= pair[1].tsc, "stamps never run backwards");
+        if pair[0].cycle == pair[1].cycle {
+            assert_eq!(pair[0].tsc, pair[1].tsc, "one stamp per tick");
+            assert!(
+                pair[0].track < pair[1].track || pair[1].stage == Stage::InvariantViolation,
+                "within a tick, ring order is node order"
+            );
+        }
+    }
+
     // The dump survives a JSON round-trip (what the soak binary writes).
     let json = dump.to_json();
     let parsed = ss_telemetry::FlightDump::from_json(&json).expect("dump parses");

@@ -225,19 +225,36 @@ impl DecisionBlock {
 /// Pairwise ordering of two packed lane words (see [`ss_types::packed`]):
 /// does `a` win against `b` under `mode`, and which rule decided.
 ///
-/// When both words are valid and their deadline fields differ in a
-/// deadline-first mode (Dwcs/Edf) — the case that decides almost every
-/// comparison — the verdict is the sign of the wrapped 16-bit difference
-/// (antipode 0x8000 → `b`, exactly [`ss_types::Wrap16::serial_cmp`]) and
-/// the rule is [`DecisionRule::EarliestDeadline`]: a rank packed into one
-/// word is ordered by one integer compare. Everything else — validity,
-/// deadline ties, the other modes — unpacks and asks [`order`], so the
-/// verdict and the fired rule are [`order`]'s by construction.
+/// Two cases decide almost every comparison, each on the raw words:
+///
+/// * both valid and, in a deadline-first mode (Dwcs/Edf), the deadline
+///   fields differ — the verdict is the sign of the wrapped 16-bit
+///   difference (antipode 0x8000 → `b`, exactly
+///   [`ss_types::Wrap16::serial_cmp`]), rule
+///   [`DecisionRule::EarliestDeadline`]: a rank packed into one word is
+///   ordered by one integer compare;
+/// * an empty slot on either port — [`order`]'s rule 0, which no mode
+///   overrides: exactly one word invalid → the valid one wins, rule
+///   [`DecisionRule::Validity`]; both invalid → the lower slot field wins
+///   (`b` on equal fields), rule [`DecisionRule::SlotId`].
+///
+/// Everything else — deadline ties, the other modes — unpacks and asks
+/// [`order`], so the verdict and the fired rule are [`order`]'s by
+/// construction.
 // lint:hot-path
 #[inline(always)]
-pub(crate) fn lane_order(a: u64, b: u64, mode: ComparisonMode) -> (bool, DecisionRule) {
-    use ss_types::packed::{unpack, DEADLINE_SHIFT, INVALID_BIT};
-    if matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf) && (a | b) >> INVALID_BIT == 0 {
+pub fn lane_order(a: u64, b: u64, mode: ComparisonMode) -> (bool, DecisionRule) {
+    use ss_types::packed::{lane_slot, lane_valid, unpack, DEADLINE_SHIFT};
+    // INVALID is the top bit: set in `a | b` when either slot is empty, in
+    // `a & b` only when both are.
+    if !lane_valid(a | b) {
+        return if lane_valid(a & b) {
+            (lane_valid(a), DecisionRule::Validity)
+        } else {
+            (lane_slot(a) < lane_slot(b), DecisionRule::SlotId)
+        };
+    }
+    if matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf) {
         let ahead = ((b >> DEADLINE_SHIFT) as u16).wrapping_sub((a >> DEADLINE_SHIFT) as u16);
         if ahead != 0 {
             return (ahead < 0x8000, DecisionRule::EarliestDeadline);
@@ -735,6 +752,61 @@ mod tests {
             prop_assert_eq!(bw, sw);
             prop_assert_eq!(bl, sl);
             prop_assert_eq!(&counters, blk.counters());
+            // The comparator itself, as the shard merge calls it: verdict
+            // and rule are `order()`'s whichever ports hold empty slots.
+            use ss_types::packed::pack;
+            let (ord, rule) = order(&a, &b, mode);
+            prop_assert_eq!(
+                lane_order(pack(&a), pack(&b), mode),
+                (ord == Ordering::Less, rule)
+            );
+        }
+    }
+
+    #[test]
+    fn lane_order_decides_empty_slots_on_the_raw_words() {
+        use ss_types::packed::pack;
+        let agree = |a: &StreamAttrs, b: &StreamAttrs, mode| {
+            let (ord, rule) = order(a, b, mode);
+            let lanes = lane_order(pack(a), pack(b), mode);
+            assert_eq!(
+                lanes,
+                (ord == Ordering::Less, rule),
+                "{a} vs {b} in {mode:?}"
+            );
+            lanes
+        };
+        for mode in MODES {
+            // An empty slot loses even when its stale fields would win
+            // every rule below validity.
+            let occupied = attrs(0);
+            let mut empty = attrs(1);
+            empty.valid = false;
+            empty.deadline = Wrap16(occupied.deadline.raw().wrapping_sub(5));
+            empty.static_prio = 0; // numerically lowest = highest priority
+            let mut occupied_low_prio = occupied;
+            occupied_low_prio.static_prio = 9;
+            assert_eq!(
+                agree(&occupied_low_prio, &empty, mode),
+                (true, DecisionRule::Validity)
+            );
+            assert_eq!(
+                agree(&empty, &occupied_low_prio, mode),
+                (false, DecisionRule::Validity)
+            );
+            // Two empty slots: lower slot field wins; on equal fields (two
+            // shards' local slot 3, say) `b` does, as `order()` has it.
+            let mut other_empty = empty;
+            other_empty.slot = SlotId::new(3).unwrap();
+            assert_eq!(
+                agree(&empty, &other_empty, mode),
+                (true, DecisionRule::SlotId)
+            );
+            assert_eq!(
+                agree(&other_empty, &empty, mode),
+                (false, DecisionRule::SlotId)
+            );
+            assert_eq!(agree(&empty, &empty, mode), (false, DecisionRule::SlotId));
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::network;
 use crate::register::{RegisterBaseBlock, SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
 use ss_hwsim::FabricConfigKind;
-use ss_types::packed::{lane_slot, lane_valid, pack, unpack};
+use ss_types::packed::{lane_slot, lane_valid, pack};
 use ss_types::{
     AttrPlanes, ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint,
     Wrap16,
@@ -486,6 +486,13 @@ impl Fabric {
         Ok(self.registers[slot].backlog())
     }
 
+    /// Queue depth summed over every slot, read straight off the
+    /// registers.
+    // lint:hot-path
+    pub fn total_backlog(&self) -> usize {
+        self.registers.iter().map(RegisterBaseBlock::backlog).sum()
+    }
+
     /// Direct read access to a Register Base block.
     pub fn register(&self, slot: usize) -> Result<&RegisterBaseBlock> {
         self.check_slot(slot)?;
@@ -769,11 +776,13 @@ impl Fabric {
     /// the Table 2 rule chain with the slot tie-break is a total order.
     /// Reads the canonical lane words, re-encoding stale slots (arrivals
     /// pushed since the last cycle, a BA block's services) from their
-    /// registers on the fly. This is the probe a sharded frontend uses to
-    /// collect shard proposals before the global merge decides who
-    /// transmits.
+    /// registers on the fly, and returns the winning packed lane word
+    /// ([`ss_types::packed`]; invalid when nothing is queued). This is the
+    /// probe a sharded frontend uses to collect shard proposals before the
+    /// global merge — [`crate::decision::lane_order`] again, one level up —
+    /// decides who transmits.
     // lint:hot-path
-    pub fn peek_winner(&self) -> StreamAttrs {
+    pub fn peek_winner(&self) -> u64 {
         let mode = self.config.mode;
         let stale = if self.batched { self.dirty } else { u64::MAX };
         let lane = |i: usize| {
@@ -790,7 +799,7 @@ impl Fabric {
                 best = w;
             }
         }
-        unpack(best)
+        best
     }
 
     /// Advances one packet-time without a transmission grant: every slot
@@ -1461,7 +1470,8 @@ mod tests {
             assert_eq!(self.scalar.decision_cycle(), out, "divergence: {what}");
             assert_eq!(self.scalar.now(), self.packed.now());
             if let DecisionOutcome::Winner(w) = out {
-                assert_eq!(w.map(|p| p.slot), peek.valid.then_some(peek.slot), "{what}");
+                let peeked = lane_valid(peek).then(|| lane_slot(peek));
+                assert_eq!(w.map(|p| p.slot.index()), peeked, "{what}");
             }
         }
 
@@ -1639,26 +1649,26 @@ mod tests {
         for s in 0..8 {
             f.load_stream(s, edf_state(8), (10 + s) as u64).unwrap();
         }
-        assert!(!f.peek_winner().valid, "nothing queued yet");
+        assert!(!lane_valid(f.peek_winner()), "nothing queued yet");
         // Pushed but not drained: the canonical words are all still stale.
         f.push_arrival(5, Wrap16(0)).unwrap();
         f.push_arrival(3, Wrap16(1)).unwrap();
         for expect in [3usize, 5] {
             let peek = f.peek_winner();
-            assert!(peek.valid);
-            assert_eq!(peek.slot.index(), expect);
+            assert!(lane_valid(peek));
+            assert_eq!(lane_slot(peek), expect);
             match f.decision_cycle() {
                 DecisionOutcome::Winner(Some(p)) => assert_eq!(p.slot.index(), expect),
                 other => panic!("unexpected {other:?}"),
             }
         }
         // The service emptied slot 5.
-        assert!(!f.peek_winner().valid);
+        assert!(!lane_valid(f.peek_winner()));
         // An arrival between two peeks, no decision in between.
         f.push_arrival(6, Wrap16(2)).unwrap();
-        assert_eq!(f.peek_winner().slot.index(), 6);
+        assert_eq!(lane_slot(f.peek_winner()), 6);
         f.expire_cycle();
-        assert_eq!(f.peek_winner().slot.index(), 6);
+        assert_eq!(lane_slot(f.peek_winner()), 6);
     }
 
     #[test]

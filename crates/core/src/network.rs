@@ -356,7 +356,10 @@ mod tests {
         }
     }
 
+    // The length and size checks are `debug_assert!`s (the kernels are
+    // registered panic-free hot paths), so only debug builds can see them.
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "debug_assert! compiles out")]
     #[should_panic(expected = "match in length")]
     fn shuffle_into_rejects_mismatched_buffers() {
         let src = [0u32, 1, 2, 3];
@@ -447,11 +450,55 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "debug_assert! compiles out")]
     #[should_panic(expected = "must be a power of two")]
     fn rejects_non_power_of_two() {
         let words = tagged(&[1, 2, 3]);
         let mut blks = blocks(4);
         ba_decision(&words, &mut blks, ComparisonMode::ServiceTag);
+    }
+
+    #[test]
+    fn lane_tournament_matches_scalar_on_a_half_empty_fabric() {
+        // Four occupied slots among eight: every first-round pair meets an
+        // empty port (rule 0, decided on the raw words), later rounds mix
+        // empty-vs-empty and valid-vs-valid.
+        use ss_types::packed::{pack, unpack};
+        for mode in [
+            ComparisonMode::Dwcs,
+            ComparisonMode::Edf,
+            ComparisonMode::StaticPriority,
+            ComparisonMode::ServiceTag,
+        ] {
+            // (occupancy mask, comparisons decided valid-vs-empty,
+            // comparisons decided empty-vs-empty)
+            for (occupied, validity, slot_id) in [
+                (0b0101_0101u8, 4, 0),
+                (0b1010_1010, 4, 0),
+                (0b0000_1111, 1, 3),
+                (0b1111_0000, 1, 3),
+            ] {
+                let mut words = tagged(&[40, 10, 30, 20, 15, 45, 25, 35]);
+                for (i, w) in words.iter_mut().enumerate() {
+                    w.valid = occupied & (1 << i) != 0;
+                    w.static_prio = (7 - i) as u8;
+                }
+                let mut blks = blocks(8);
+                let (s_winner, _) = wr_decision_in_place(&mut words.clone(), &mut blks, mode);
+                let mut lanes: Vec<u64> = words.iter().map(pack).collect();
+                let mut counters = RuleCounters::default();
+                let winner = wr_decision_lanes(&mut lanes, mode, &mut counters);
+                assert_eq!(unpack(winner), s_winner, "{mode:?} {occupied:#010b}");
+                let mut scalar = RuleCounters::default();
+                blks.iter().for_each(|b| scalar.merge(b.counters()));
+                assert_eq!(counters, scalar, "{mode:?} {occupied:#010b}");
+                assert_eq!(
+                    (counters.validity, counters.slot_id, counters.total()),
+                    (validity, slot_id, 7),
+                    "{mode:?} {occupied:#010b}"
+                );
+            }
+        }
     }
 
     fn is_sorted(block: &[StreamAttrs], mode: ComparisonMode) -> bool {

@@ -2,15 +2,17 @@
 //!
 //! One [`FaultInjector`] is shared (via `Arc`) by every instrumented layer
 //! — PCI transfer paths, the banked-SRAM arbitration, SPSC rings, fabric
-//! decision cycles, shard workers. Each [`FaultSite`] owns an independent
-//! SplitMix64 stream derived from the run seed, advanced with a single
-//! `fetch_add`, so:
+//! decision cycles, shard workers — or owned outright by one simulated
+//! node. Each [`FaultSite`] owns an independent SplitMix64 stream derived
+//! from the run seed, advanced by one add per draw, so:
 //!
 //! * the schedule is **deterministic**: the k-th query at a site yields the
 //!   same verdict for the same seed regardless of how other sites
-//!   interleave;
-//! * sampling is **cheap and lock-free**: one atomic add plus a mixer, no
-//!   shared mutable state beyond the per-site counter cells;
+//!   interleave, and regardless of which receiver drew it;
+//! * sampling is **cheap and lock-free**: one add plus a mixer — an atomic
+//!   `fetch_add` through `&self` ([`FaultInjector::sample`]), a plain add
+//!   through `&mut self` ([`FaultInjector::sample_mut`]) — and no shared
+//!   mutable state beyond the per-site counter cells;
 //! * the injected schedule is **self-accounting**: every `Some(fault)`
 //!   increments the per-site injected counter in [`FaultStats`], and the
 //!   recovery machinery reports its side (detected / retried / recovered /
@@ -275,6 +277,69 @@ impl FaultConfig {
             FaultSite::Socket => self.socket_rate_ppm,
         }
     }
+
+    /// The schedule's verdict for one query at `site`, given the site's
+    /// stream as `draw`: the rate check on the first draw, then — only when
+    /// faulted — a second draw that picks the kind and its parameters, so
+    /// the hit/miss sequence is independent of parameter widths. A site at
+    /// rate 0 never draws. Both [`FaultInjector`] receivers go through
+    /// here; they differ only in how `draw` advances the stream.
+    // lint:hot-path
+    #[inline]
+    fn verdict(&self, site: FaultSite, mut draw: impl FnMut() -> u64) -> Option<FaultKind> {
+        let rate = self.rate_for(site);
+        if rate == 0 || draw() % 1_000_000 >= rate as u64 {
+            return None;
+        }
+        let param = draw();
+        Some(match site {
+            FaultSite::PciTransfer => {
+                if param.is_multiple_of(2) {
+                    FaultKind::TransferTimeout
+                } else {
+                    FaultKind::CorruptWord
+                }
+            }
+            FaultSite::SramHandover => FaultKind::BankStall {
+                extra_ns: 1 + param % self.max_stall_ns.max(1),
+            },
+            FaultSite::SramAccess => FaultKind::WrongOwner,
+            FaultSite::SpscRing => FaultKind::RingOverflowBurst {
+                len: 1 + (param % self.max_burst_len.max(1) as u64) as u32,
+            },
+            FaultSite::DecisionCycle => FaultKind::StuckCycles {
+                cycles: 1 + (param % self.max_stuck_cycles.max(1) as u64) as u32,
+            },
+            FaultSite::Shard => {
+                if param % 100 < self.shard_crash_weight_pct as u64 {
+                    FaultKind::ShardCrash
+                } else {
+                    FaultKind::ShardStall {
+                        cycles: 1 + (param % self.max_shard_stall_cycles.max(1) as u64) as u32,
+                    }
+                }
+            }
+            FaultSite::Admission => FaultKind::OverloadBurst {
+                extra: 1 + (param % self.max_overload_burst.max(1) as u64) as u32,
+            },
+            FaultSite::Socket => {
+                // Six kinds share the site; the selector uses the high bits
+                // so the parameter draw (low bits) stays decorrelated.
+                let pick = (param >> 32) % 6;
+                let torn = 1 + (param % self.max_torn_bytes.max(1) as u64) as u32;
+                match pick {
+                    0 => FaultKind::AcceptFail,
+                    1 => FaultKind::TornRead { limit: torn },
+                    2 => FaultKind::TornWrite { limit: torn },
+                    3 => FaultKind::PeerReset,
+                    4 => FaultKind::PeerStall {
+                        ms: 1 + (param % self.max_peer_stall_ms.max(1) as u64) as u32,
+                    },
+                    _ => FaultKind::CorruptFrame,
+                }
+            }
+        })
+    }
 }
 
 /// Injection and recovery accounting, shared by the injector and every
@@ -368,8 +433,18 @@ impl FaultStats {
 
 /// The deterministic, seed-driven fault injector.
 ///
-/// `sample(site)` is the single hot-path entry point: one atomic add, one
-/// mixer, one compare against the site's rate. Shared freely via `Arc`.
+/// One query is one add, one mixer, one compare against the site's rate,
+/// through either of two receivers that draw the same schedule:
+///
+/// * [`sample`](Self::sample) (`&self`) — for an injector shared via `Arc`
+///   across layers or threads (ingress, endsystem, the sharded frontend's
+///   `faults` leg): the add is an atomic `fetch_add`.
+/// * [`sample_mut`](Self::sample_mut) (`&mut self`) — for an injector with
+///   exactly one owner (each cluster `SimNode` owns its own): the borrow
+///   already excludes every other drawer, so the add is a plain one.
+///
+/// Both apply the one site → [`FaultKind`] table and keep the same
+/// `stats().injected` tally; a caller may mix them freely.
 #[derive(Debug)]
 pub struct FaultInjector {
     config: FaultConfig,
@@ -408,77 +483,34 @@ impl FaultInjector {
         &self.stats
     }
 
-    /// One raw draw from `site`'s stream.
-    #[inline]
-    fn draw(&self, site: FaultSite) -> u64 {
-        let prev = self.streams[site.index()].fetch_add(GOLDEN_GAMMA, Ordering::Relaxed);
-        mix(prev.wrapping_add(GOLDEN_GAMMA))
-    }
-
     /// Samples `site`: `Some(kind)` if this query is faulted under the
-    /// schedule, `None` otherwise. Every injected fault is counted.
+    /// schedule, `None` otherwise. Every injected fault is counted. The
+    /// shared form: each draw is one `fetch_add` on the site's stream.
+    // lint:hot-path
     #[inline]
     pub fn sample(&self, site: FaultSite) -> Option<FaultKind> {
-        let rate = self.config.rate_for(site);
-        if rate == 0 {
-            return None;
-        }
-        let roll = self.draw(site);
-        if roll % 1_000_000 >= rate as u64 {
-            return None;
-        }
-        // Faulted: a second draw picks the kind/parameters so the hit/miss
-        // sequence is independent of parameter widths.
-        let param = self.draw(site);
-        let kind = match site {
-            FaultSite::PciTransfer => {
-                if param.is_multiple_of(2) {
-                    FaultKind::TransferTimeout
-                } else {
-                    FaultKind::CorruptWord
-                }
-            }
-            FaultSite::SramHandover => FaultKind::BankStall {
-                extra_ns: 1 + param % self.config.max_stall_ns.max(1),
-            },
-            FaultSite::SramAccess => FaultKind::WrongOwner,
-            FaultSite::SpscRing => FaultKind::RingOverflowBurst {
-                len: 1 + (param % self.config.max_burst_len.max(1) as u64) as u32,
-            },
-            FaultSite::DecisionCycle => FaultKind::StuckCycles {
-                cycles: 1 + (param % self.config.max_stuck_cycles.max(1) as u64) as u32,
-            },
-            FaultSite::Shard => {
-                if param % 100 < self.config.shard_crash_weight_pct as u64 {
-                    FaultKind::ShardCrash
-                } else {
-                    FaultKind::ShardStall {
-                        cycles: 1
-                            + (param % self.config.max_shard_stall_cycles.max(1) as u64) as u32,
-                    }
-                }
-            }
-            FaultSite::Admission => FaultKind::OverloadBurst {
-                extra: 1 + (param % self.config.max_overload_burst.max(1) as u64) as u32,
-            },
-            FaultSite::Socket => {
-                // Six kinds share the site; the selector uses the high bits
-                // so the parameter draw (low bits) stays decorrelated.
-                let pick = (param >> 32) % 6;
-                let torn = 1 + (param % self.config.max_torn_bytes.max(1) as u64) as u32;
-                match pick {
-                    0 => FaultKind::AcceptFail,
-                    1 => FaultKind::TornRead { limit: torn },
-                    2 => FaultKind::TornWrite { limit: torn },
-                    3 => FaultKind::PeerReset,
-                    4 => FaultKind::PeerStall {
-                        ms: 1 + (param % self.config.max_peer_stall_ms.max(1) as u64) as u32,
-                    },
-                    _ => FaultKind::CorruptFrame,
-                }
-            }
-        };
-        self.stats.injected[site.index()].fetch_add(1, Ordering::Relaxed);
+        let i = site.index();
+        let kind = self.config.verdict(site, || {
+            let prev = self.streams[i].fetch_add(GOLDEN_GAMMA, Ordering::Relaxed);
+            mix(prev.wrapping_add(GOLDEN_GAMMA))
+        })?;
+        self.stats.injected[i].fetch_add(1, Ordering::Relaxed);
+        Some(kind)
+    }
+
+    /// [`FaultInjector::sample`] for an exclusive owner: the same streams,
+    /// the same verdicts, the same tally, through plain loads and stores —
+    /// `&mut self` proves nobody else can be drawing.
+    // lint:hot-path
+    #[inline]
+    pub fn sample_mut(&mut self, site: FaultSite) -> Option<FaultKind> {
+        let i = site.index();
+        let stream = self.streams[i].get_mut();
+        let kind = self.config.verdict(site, || {
+            *stream = stream.wrapping_add(GOLDEN_GAMMA);
+            mix(*stream)
+        })?;
+        *self.stats.injected[i].get_mut() += 1;
         Some(kind)
     }
 
@@ -666,6 +698,64 @@ mod tests {
         assert_eq!(seq, seq2);
         // Other sites stay quiet under the socket-only profile.
         assert_eq!(inj.sample(FaultSite::Shard), None);
+    }
+
+    #[test]
+    fn shared_and_exclusive_receivers_draw_the_same_schedule() {
+        // The soak lab's two rate tables (ss-cluster's `FaultProfile`,
+        // which this crate cannot name), plus a uniform one so the four
+        // sites those leave quiet are live too.
+        let light = FaultConfig {
+            shard_rate_ppm: 120,
+            decision_rate_ppm: 800,
+            spsc_rate_ppm: 800,
+            admission_rate_ppm: 400,
+            shard_crash_weight_pct: 10,
+            max_shard_stall_cycles: 8,
+            max_stuck_cycles: 4,
+            max_burst_len: 16,
+            max_overload_burst: 32,
+            ..FaultConfig::quiet()
+        };
+        let chaos = FaultConfig {
+            shard_rate_ppm: 1_500,
+            decision_rate_ppm: 6_000,
+            spsc_rate_ppm: 6_000,
+            admission_rate_ppm: 3_000,
+            shard_crash_weight_pct: 25,
+            max_shard_stall_cycles: 16,
+            max_stuck_cycles: 8,
+            max_burst_len: 48,
+            max_overload_burst: 128,
+            ..FaultConfig::quiet()
+        };
+        // A node tick draws shard → decision → ring → admission; the sites
+        // a node never touches follow.
+        let order = [
+            FaultSite::Shard,
+            FaultSite::DecisionCycle,
+            FaultSite::SpscRing,
+            FaultSite::Admission,
+            FaultSite::PciTransfer,
+            FaultSite::SramHandover,
+            FaultSite::SramAccess,
+            FaultSite::Socket,
+        ];
+        for config in [light, chaos, FaultConfig::uniform(20_000)] {
+            let shared = FaultInjector::new(0x5EED, config);
+            let mut owned = FaultInjector::new(0x5EED, config);
+            let mut hits = 0u64;
+            for draw in 0..100_000 {
+                for site in order {
+                    let verdict = shared.sample(site);
+                    assert_eq!(owned.sample_mut(site), verdict, "{site:?} draw {draw}");
+                    hits += u64::from(verdict.is_some());
+                }
+            }
+            assert!(hits > 0, "the table fired");
+            assert_eq!(owned.stats().snapshot(), shared.stats().snapshot());
+            assert_eq!(owned.stats().snapshot().total_injected(), hits);
+        }
     }
 
     #[test]

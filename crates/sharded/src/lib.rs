@@ -5,17 +5,22 @@
 //! contiguously across K independent fabric shards — global slot `g` lives
 //! on shard `g / (M/K)` as local slot `g % (M/K)` — and rebuilds the global
 //! schedule with a **winner-merge**: the paper's Table 2 pairwise
-//! comparator ([`ss_core::decision::order`]) applied across the K shard
-//! winners, exactly the comparator tree a K-ported hardware frontend would
-//! instantiate after the per-shard tournaments.
+//! comparator applied across the K shard winners, exactly the comparator
+//! tree a K-ported hardware frontend would instantiate after the per-shard
+//! tournaments. Shards propose packed `u64` lane words
+//! ([`ss_types::packed`]) and the merge orders them with the fabric's own
+//! lane comparator ([`ss_core::decision::lane_order`]): a proposal is never
+//! unpacked unless its deadline ties, and an idle shard's empty word loses
+//! on its top bit.
 //!
 //! Two drive modes share the same shards:
 //!
 //! * **Inline** ([`ShardedScheduler::decision_cycle`]) — deterministic,
-//!   single-threaded, *exact*: each shard proposes its local WR winner via
-//!   the side-effect-free [`ss_core::Fabric::peek_winner`] probe, the merge
-//!   picks the global winner (slot ties broken by global slot ID, so the
-//!   contiguous partition reproduces the single-fabric total order), the
+//!   single-threaded, *exact*: each shard proposes its local WR winner's
+//!   lane word via the side-effect-free [`ss_core::Fabric::peek_winner`]
+//!   probe, the merge picks the global winner (slot ties broken by global
+//!   slot ID, so the contiguous partition reproduces the single-fabric
+//!   total order), the
 //!   winning shard runs its normal decision cycle and every losing shard
 //!   runs [`ss_core::Fabric::expire_cycle`]. Because the Table 2 rule chain
 //!   is a total order, `min` over shard minima is the global minimum — the
@@ -36,22 +41,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ss_core::decision::{order, DecisionRule};
+use ss_core::decision::{lane_order, DecisionRule};
 use ss_core::{Fabric, FabricConfig, ScheduledPacket, SlotCounters, StreamState};
 use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
 use ss_hwsim::FabricConfigKind;
 #[cfg(feature = "overload")]
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
-use ss_types::{ComparisonMode, Error, Result, SlotId, StreamAttrs, Wrap16};
-use std::cmp::Ordering;
+use ss_types::packed::lane_valid;
+use ss_types::{ComparisonMode, Error, Result, SlotId, Wrap16};
 use std::thread::JoinHandle;
 
-/// A packet together with the pre-service attribute word that won it its
+/// A packet together with the pre-service lane word that won it its
 /// slot in the schedule — what a shard circulates to the merge stage.
 #[derive(Debug, Clone, Copy)]
 struct CycleProposal {
-    /// The shard's winner word *before* service (merge ordering key).
-    word: StreamAttrs,
+    /// The shard's winner lane word *before* service (merge ordering key).
+    word: u64,
     /// The serviced packet, still in shard-local slot/time coordinates.
     packet: Option<ScheduledPacket>,
 }
@@ -439,14 +444,6 @@ impl ShardedScheduler {
         self.overload_ledger.publish(registry);
     }
 
-    /// Sum of shard `k`'s local queue depths.
-    #[cfg(feature = "overload")]
-    fn shard_backlog(&self, k: usize) -> usize {
-        (0..self.per_shard)
-            .map(|l| self.shards[k].backlog(l).unwrap_or(0))
-            .sum()
-    }
-
     /// Feeds one global cycle into every live shard's breaker: a shard
     /// makes progress when it proposes a valid winner word or has nothing
     /// queued; a backlogged shard proposing nothing (wedged) or one over
@@ -460,8 +457,8 @@ impl ShardedScheduler {
             if self.failed[k] {
                 continue;
             }
-            let backlog = self.shard_backlog(k);
-            let made_progress = backlog == 0 || self.shards[k].peek_winner().valid;
+            let backlog = self.shards[k].total_backlog();
+            let made_progress = backlog == 0 || lane_valid(self.shards[k].peek_winner());
             #[cfg(feature = "telemetry")]
             let before = self.breakers[k].state();
             self.breakers[k].observe(made_progress, backlog);
@@ -529,6 +526,21 @@ impl ShardedScheduler {
         self.shards[shard].backlog(local)
     }
 
+    /// Packets queued across the shards still in the merge: each live
+    /// shard's queue depths summed straight off its registers, with no trip
+    /// through the slot map. A failed shard's backlog was written off by
+    /// [`ShardedScheduler::fail_shard`] and is not counted.
+    // lint:hot-path
+    pub fn live_backlog(&self) -> u64 {
+        let mut sum = 0u64;
+        for (k, fabric) in self.shards.iter().enumerate() {
+            if !self.failed[k] {
+                sum += fabric.total_backlog() as u64;
+            }
+        }
+        sum
+    }
+
     /// Per-slot performance counters for global slot `g`.
     pub fn slot_counters(&self, global: usize) -> Result<&SlotCounters> {
         let (shard, local) = self.map(global)?;
@@ -572,10 +584,7 @@ impl ShardedScheduler {
             return Err(Error::ShardFailed { shard: k });
         }
         self.failed[k] = true;
-        let mut lost = 0u64;
-        for local in 0..self.per_shard {
-            lost += self.shards[k].backlog(local).unwrap_or(0) as u64;
-        }
+        let lost = self.shards[k].total_backlog() as u64;
         self.lost_packets += lost;
         #[cfg(feature = "faults")]
         if let Some(inj) = &self.injector {
@@ -705,8 +714,9 @@ impl ShardedScheduler {
     /// (every other shard failed or stalled), so there was no comparison
     /// to decide. A [`DecisionRule::SlotId`] reason means the winner held
     /// a full tie on the global-slot-ID convention.
+    // lint:hot-path
     pub fn merge_pick_with_reason(&self) -> Option<(usize, Option<DecisionRule>)> {
-        let mut best: Option<(usize, StreamAttrs)> = None;
+        let mut best: Option<(usize, u64)> = None;
         let mut reason: Option<DecisionRule> = None;
         for (k, fabric) in self.shards.iter().enumerate() {
             // Failed shards are out of the merge for good; stalled shards
@@ -715,22 +725,22 @@ impl ShardedScheduler {
                 continue;
             }
             let w = fabric.peek_winner();
-            match &best {
+            match best {
                 None => best = Some((k, w)),
                 Some((_, b)) => {
                     // A SlotId verdict compared shard-local IDs, which is
                     // meaningless across shards: the earlier shard holds
                     // the lower global IDs, so the incumbent keeps the
                     // slot tie.
-                    let (ord, rule) = order(&w, b, self.mode);
+                    let (wins, rule) = lane_order(w, b, self.mode);
                     reason = Some(rule);
-                    if rule != DecisionRule::SlotId && ord == Ordering::Less {
+                    if wins && rule != DecisionRule::SlotId {
                         best = Some((k, w));
                     }
                 }
             }
         }
-        best.and_then(|(k, w)| w.valid.then_some((k, reason)))
+        best.and_then(|(k, w)| lane_valid(w).then_some((k, reason)))
     }
 
     /// One exact global decision: the merged winner's shard services its
@@ -892,7 +902,7 @@ pub struct ThreadedShards {
     /// rehomed slots keep their global IDs in merged reports.
     rev_map: Vec<Vec<usize>>,
     /// Per-cycle merge scratch (≤ K entries), reused across cycles.
-    merge_scratch: Vec<(StreamAttrs, ScheduledPacket, usize)>,
+    merge_scratch: Vec<(u64, ScheduledPacket, usize)>,
     #[cfg(feature = "faults")]
     injector: Option<std::sync::Arc<ss_faults::FaultInjector>>,
     #[cfg(feature = "telemetry")]
@@ -1134,8 +1144,8 @@ impl ThreadedShards {
             for i in 1..scratch.len() {
                 let mut j = i;
                 while j > 0 {
-                    let (ord, rule) = order(&scratch[j].0, &scratch[j - 1].0, self.mode);
-                    if rule != DecisionRule::SlotId && ord == Ordering::Less {
+                    let (wins, rule) = lane_order(scratch[j].0, scratch[j - 1].0, self.mode);
+                    if wins && rule != DecisionRule::SlotId {
                         scratch.swap(j - 1, j);
                         j -= 1;
                     } else {

@@ -470,15 +470,14 @@ impl SharedFlightRecorder {
 
     /// Convenience: stamp and record a control-plane event.
     pub fn record_control(&self, cycle: u64, track: u16, stage: Stage, detail: u8, arg: u32) {
-        self.record(StageEvent {
-            tag: crate::span::TraceTag::CONTROL.0,
-            tsc: now_tsc(),
+        self.record(StageEvent::control(
+            now_tsc(),
             cycle,
             track,
             stage,
             detail,
             arg,
-        });
+        ));
     }
 
     /// Snapshots the window and stores it as the recorder's last dump

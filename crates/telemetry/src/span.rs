@@ -256,6 +256,30 @@ pub struct StageEvent {
 }
 
 impl StageEvent {
+    /// A control-plane event (tag [`TraceTag::CONTROL`]) under a
+    /// caller-provided timestamp, so a burst can share one clock read.
+    // lint:hot-path
+    #[inline]
+    #[must_use]
+    pub const fn control(
+        tsc: u64,
+        cycle: u64,
+        track: u16,
+        stage: Stage,
+        detail: u8,
+        arg: u32,
+    ) -> Self {
+        Self {
+            tag: TraceTag::CONTROL.0,
+            tsc,
+            cycle,
+            track,
+            stage,
+            detail,
+            arg,
+        }
+    }
+
     /// The event's tag, typed.
     #[inline]
     #[must_use]

@@ -153,38 +153,43 @@ fn steady_state_decision_cycles_do_not_allocate() {
     );
 
     // --- Inline sharded winner-merge ---
-    let mut sharded =
-        ShardedScheduler::new(FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly), 4).unwrap();
-    for s in 0..SLOTS {
-        sharded.load_stream(s, edf_state(), (s + 1) as u64).unwrap();
-        for a in 0..DEPTH {
-            sharded
-                .push_arrival(s, Wrap16::from_wide(a as u64))
-                .unwrap();
+    // K = 2 is the soak lab's node shape, K = 4 the wider merge. Odd slots
+    // are loaded but never fed, so the lane probe, the merge and each
+    // shard's tournament also take the empty-slot arms of the comparator;
+    // the per-tick backlog recount rides along.
+    for shards in [2, 4] {
+        let config = FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly);
+        let mut sharded = ShardedScheduler::new(config, shards).unwrap();
+        for s in 0..SLOTS {
+            sharded.load_stream(s, edf_state(), (s + 1) as u64).unwrap();
+            for a in 0..DEPTH * (1 - s % 2) {
+                sharded
+                    .push_arrival(s, Wrap16::from_wide(a as u64))
+                    .unwrap();
+            }
         }
-    }
-    for _ in 0..WARMUP {
-        if let Some(p) = sharded.decision_cycle() {
-            tag += 1;
-            sharded
-                .push_arrival(p.slot.index(), Wrap16::from_wide(tag))
-                .unwrap();
+        let cycle = |sharded: &mut ShardedScheduler, tag: &mut u64| {
+            if let Some(p) = sharded.decision_cycle() {
+                *tag += 1;
+                sharded
+                    .push_arrival(p.slot.index(), Wrap16::from_wide(*tag))
+                    .unwrap();
+            }
+            assert_eq!(sharded.live_backlog(), (SLOTS / 2 * DEPTH) as u64);
+        };
+        for _ in 0..WARMUP {
+            cycle(&mut sharded, &mut tag);
         }
-    }
-    let before = allocations();
-    for _ in 0..MEASURED {
-        if let Some(p) = sharded.decision_cycle() {
-            tag += 1;
-            sharded
-                .push_arrival(p.slot.index(), Wrap16::from_wide(tag))
-                .unwrap();
+        let before = allocations();
+        for _ in 0..MEASURED {
+            cycle(&mut sharded, &mut tag);
         }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "sharded inline decision_cycle (K={shards}) allocated in steady state"
+        );
     }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "sharded inline decision_cycle allocated in steady state"
-    );
 
     // --- Attached telemetry: hooks and periodic flushes stay heap-free ---
     // All instrumentation buffers (trace ring, latency tracker, registry
