@@ -22,7 +22,7 @@ use ss_core::{
     ControlFsm, DecisionBlock, DecisionOutcome, DwcsUpdater, Fabric, FabricConfig,
     FabricConfigKind, LatePolicy, PriorityUpdater, RegisterBaseBlock, ScheduledPacket, StreamState,
 };
-use ss_endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
+use ss_endsystem::{Gate, GateConfig, RedConfig};
 use ss_sharded::ShardedScheduler;
 use ss_types::{ComparisonMode, SlotId, StreamAttrs, WindowConstraint, Wrap16};
 use std::hint::black_box;
@@ -339,13 +339,13 @@ fn sharded_aggregate_decisions_per_s(slots: usize, shards: usize) -> f64 {
 /// Builds the overload gate used by the admission-path rows: uniform
 /// 2×-sustainable buckets over a mixed set of window constraints, with the
 /// classic RED curve over a 64-deep mirror.
-fn admission_gate(slots: usize) -> OverloadGate {
+fn admission_gate(slots: usize) -> Gate<()> {
     let windows: Vec<WindowConstraint> = (0..slots)
         .map(|s| WindowConstraint::new((s % 4) as u8, 4))
         .collect();
     // Aggregate refill = slots × (1000/slots) ≈ the fabric's 1000 mtok
     // service rate, so a 2× offered load really exercises the reject path.
-    OverloadGate::new(GateConfig::from_windows(
+    Gate::new(GateConfig::from_windows(
         &windows,
         (1_000 / slots as u32).max(1),
         4_000,
@@ -354,28 +354,22 @@ fn admission_gate(slots: usize) -> OverloadGate {
     ))
 }
 
-/// Pure gate throughput: offers/s through `offer` + `served` + `tick` with
-/// no fabric attached — the per-arrival cost ceiling of the admission path.
+/// Pure gate throughput: offers/s through `offer` + `mirror_served` +
+/// `mirror_tick` with no fabric attached — the per-arrival cost ceiling of
+/// the admission path.
 fn gate_offers_per_s(slots: usize) -> f64 {
     best_of(|| {
         let mut gate = admission_gate(slots);
         let offers = CYCLES * 2;
-        // Warm the RED mirror's VecDeque to its high-water capacity so the
-        // measured span is the steady state, as in tests/zero_alloc.rs.
-        for i in 0..512usize {
-            let _ = gate.offer(i % slots);
-            gate.served(i % slots);
-            gate.tick(i % 128, 128);
-        }
         let start = Instant::now();
         let mut admitted = 0u64;
         for i in 0..offers {
-            if matches!(gate.offer(i as usize % slots), GateVerdict::Admit) {
+            if gate.offer(i as usize % slots, ()).admits() {
                 admitted += 1;
-                gate.served(i as usize % slots);
+                gate.mirror_served(i as usize % slots);
             }
             if i % 2 == 0 {
-                gate.tick((i % 128) as usize, 128);
+                gate.mirror_tick((i % 128) as usize, 128);
             }
         }
         black_box(admitted);
@@ -401,7 +395,7 @@ fn gated_decisions_per_s(slots: usize, managed: bool) -> f64 {
             for k in 0..2u64 {
                 let slot = ((c * 2 + k) % slots as u64) as usize;
                 let admit = match gate.as_mut() {
-                    Some(g) => matches!(g.offer(slot), GateVerdict::Admit),
+                    Some(g) => g.offer(slot, ()).admits(),
                     None => true,
                 };
                 if admit {
@@ -412,11 +406,11 @@ fn gated_decisions_per_s(slots: usize, managed: bool) -> f64 {
             if let DecisionOutcome::Winner(Some(p)) = f.decision_cycle() {
                 packets += 1;
                 if let Some(g) = gate.as_mut() {
-                    g.served(p.slot.index());
+                    g.mirror_served(p.slot.index());
                 }
             }
             if let Some(g) = gate.as_mut() {
-                g.tick(0, 128);
+                g.mirror_tick(0, 128);
             }
         }
         black_box(packets);

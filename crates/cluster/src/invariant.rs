@@ -172,9 +172,7 @@ impl InvariantEngine {
             return Some(Invariant::VirtualTimeMonotone);
         }
         for s in 0..node.slots() {
-            if node.gate().protection(s) >= crate::gate::FULLY_PROTECTED
-                && node.gate().shed_for(s) != 0
-            {
+            if node.protection(s) >= crate::node::FULLY_PROTECTED && node.sheds_for(s) != 0 {
                 return Some(Invariant::ProtectedShed);
             }
         }

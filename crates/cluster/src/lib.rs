@@ -44,7 +44,6 @@
 
 pub mod cli;
 pub mod faults;
-pub mod gate;
 pub mod invariant;
 pub mod node;
 pub mod report;
@@ -53,9 +52,8 @@ pub mod sim;
 
 pub use cli::{parse_args, repro_command, SoakArgs};
 pub use faults::FaultProfile;
-pub use gate::{NodeGate, FULLY_PROTECTED};
 pub use invariant::{EgressView, Invariant, InvariantEngine, Violation};
-pub use node::{NodeParams, SimNode, Winner};
+pub use node::{NodeParams, SimNode, Winner, FULLY_PROTECTED};
 pub use report::{append_trend, RunReport, TrendFile, TrendPoint, ViolationReport};
 pub use scenario::{Scenario, ScenarioKind, ScenarioSpec};
 pub use sim::{ClusterConfig, ClusterSim, Sabotage, SabotageKind};

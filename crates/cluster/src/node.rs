@@ -18,7 +18,10 @@
 //!    upcoming decision cycles, ring bursts arm a drop budget, overload
 //!    bursts add offered arrivals.
 //! 2. **Arrivals** — scenario-drawn counts (plus burst extras) pass the
-//!    gate, then the armed ring-drop budget, then land in the fabric.
+//!    gate ([`ss_overload::GateCore`]: admission, then a shed proposal
+//!    whenever pressure is `Overloaded` — the node's one line of policy;
+//!    the core refuses it for any 0/y window), then the armed ring-drop
+//!    budget, then land in the fabric.
 //!    Ring bursts only consume unprotected-stream arrivals: protected
 //!    lanes are modeled as reserved ring capacity, which keeps the
 //!    QoS-floor invariant exact rather than probabilistic.
@@ -35,14 +38,16 @@
 //!   slots' fabric backlogs.
 //! * Winner `completed_at` is strictly increasing (lock-step clocks).
 
-use crate::gate::{NodeGate, FULLY_PROTECTED};
 use crate::scenario::Scenario;
 use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, ScheduledPacket, StreamState};
 use ss_faults::rng::mix;
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
-use ss_overload::LossLedger;
+use ss_overload::{GateCore, LossLedger, LossSite, PressureLevel};
 use ss_sharded::ShardedScheduler;
 use ss_types::{Error, Wrap16};
+
+/// Full protection, ‰ — a 0/y window's mandatory fraction.
+pub const FULLY_PROTECTED: u16 = 1000;
 
 /// A winner record: `(global slot, completed_at, met deadline)`.
 pub type Winner = (u16, u64, bool);
@@ -67,7 +72,9 @@ pub struct NodeParams {
 pub struct SimNode {
     id: usize,
     sched: ShardedScheduler,
-    gate: NodeGate,
+    gate: GateCore,
+    /// The slot `--sabotage protected-shed` forged a shed on, if any.
+    forged_shed: Option<usize>,
     injector: FaultInjector,
     per_shard: usize,
     /// Arrival-count scratch, reused every tick.
@@ -119,7 +126,7 @@ impl SimNode {
             };
             sched.load_stream(g, state, (g + 1) as u64)?;
         }
-        let gate = NodeGate::new(
+        let gate = GateCore::from_windows(
             scenario.windows(),
             params.gate_rate_mtok,
             params.gate_burst_mtok,
@@ -129,6 +136,7 @@ impl SimNode {
             per_shard: params.slots / params.shards,
             sched,
             gate,
+            forged_shed: None,
             injector,
             counts: vec![0; params.slots],
             dead_slot: vec![false; params.slots],
@@ -233,15 +241,17 @@ impl SimNode {
     fn offer_one(&mut self, slot: usize, tick: u64) {
         self.offered += 1;
         if self.dead_slot[slot] {
-            self.gate.shard_loss(1);
+            self.gate.record_loss(LossSite::Shard, 1);
             return;
         }
-        if !self.gate.offer(slot) {
+        if !self.gate.admit(slot)
+            || (self.gate.level() == PressureLevel::Overloaded && self.gate.shed_if_sheddable(slot))
+        {
             return; // ledgered at admission or shed
         }
         if self.ring_drop_budget > 0 && self.gate.protection(slot) < FULLY_PROTECTED {
             self.ring_drop_budget -= 1;
-            self.gate.ring_drop();
+            self.gate.record_loss(LossSite::Ring, 1);
             return;
         }
         match self.sched.push_arrival(slot, Wrap16::from_wide(tick)) {
@@ -251,7 +261,7 @@ impl SimNode {
             }
             Err(Error::ShardFailed { .. }) => {
                 self.dead_slot[slot] = true;
-                self.gate.shard_loss(1);
+                self.gate.record_loss(LossSite::Shard, 1);
             }
             Err(_) => self.internal_error = true,
         }
@@ -266,7 +276,7 @@ impl SimNode {
         self.backlog_ctr = self.backlog_ctr.saturating_sub(1);
         self.idle_streak = 0;
         let slot = p.slot.index();
-        self.gate.served(slot);
+        self.gate.mark_served(slot);
         if self.transmitted > 1 && p.completed_at <= self.last_completed {
             self.monotone_ok = false;
         }
@@ -299,7 +309,7 @@ impl SimNode {
                 continue;
             }
             if let Ok(lost) = self.sched.fail_shard(k) {
-                self.gate.shard_loss(lost);
+                self.gate.record_loss(LossSite::Shard, lost);
                 self.backlog_ctr = self.backlog_ctr.saturating_sub(lost);
                 for s in k * self.per_shard..(k + 1) * self.per_shard {
                     self.dead_slot[s] = true;
@@ -316,10 +326,11 @@ impl SimNode {
         self.offered += 1;
     }
 
-    /// Sabotage: forge a shed on a fully-protected slot — ProtectedShed
-    /// must fire on this tick.
+    /// Sabotage: forge a shed on a fully-protected slot (slot 0 if there
+    /// is none) — ProtectedShed must fire on this tick.
     pub fn sabotage_protected_shed(&mut self) {
-        self.gate.force_protected_shed();
+        let victim = (0..self.slots()).find(|&s| self.protection(s) >= FULLY_PROTECTED);
+        self.forged_shed = Some(victim.unwrap_or(0));
     }
 
     /// Recounts the live fabric backlog from the register queues
@@ -356,9 +367,15 @@ impl SimNode {
         self.gate.ledger()
     }
 
-    /// The composed gate (protected-floor witnesses live here).
-    pub fn gate(&self) -> &NodeGate {
-        &self.gate
+    /// Protection (‰) of `slot`.
+    pub fn protection(&self, slot: usize) -> u16 {
+        self.gate.protection(slot)
+    }
+
+    /// Sheds charged to `slot` so far — the protected-floor invariant's
+    /// witness (a forged shed counts, which is the point of forging it).
+    pub fn sheds_for(&self, slot: usize) -> u64 {
+        self.gate.sheds_for(slot) + u64::from(self.forged_shed == Some(slot))
     }
 
     /// `true` while virtual time has never gone backwards.
@@ -419,5 +436,60 @@ impl SimNode {
     /// The captured winner sequence, when recording was requested.
     pub fn winners(&self) -> Option<&[Winner]> {
         self.winners.as_deref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::FaultProfile;
+    use crate::scenario::ScenarioSpec;
+
+    fn node(rate_permille: u32) -> (SimNode, Scenario) {
+        let scenario = Scenario::new(ScenarioSpec::steady(rate_permille), 8);
+        let params = NodeParams {
+            slots: 8,
+            shards: 2,
+            gate_rate_mtok: 375,
+            gate_burst_mtok: 2_000,
+            record_winners: false,
+        };
+        let injector = FaultProfile::Off.injector_for(1, 0);
+        let node = SimNode::new(0, params, &scenario, 1, injector).expect("node builds");
+        (node, scenario)
+    }
+
+    /// The node's one line of policy: a shed is proposed only while the
+    /// pressure level is Overloaded, and the core disposes.
+    #[test]
+    fn sheds_start_with_the_overloaded_level() {
+        let (mut n, scenario) = node(2_000);
+        let mut tick = 0u64;
+        while n.gate.level() != PressureLevel::Overloaded {
+            assert_eq!(n.ledger().shed, 0, "no shed below Overloaded");
+            n.step(tick, &scenario, 1);
+            tick += 1;
+            assert!(tick < 10_000, "2x load never reached Overloaded");
+        }
+        for _ in 0..2_000 {
+            n.step(tick, &scenario, 1);
+            tick += 1;
+        }
+        assert!(n.ledger().shed > 0, "sustained overload sheds");
+        let protected: Vec<usize> = (0..n.slots())
+            .filter(|&s| n.protection(s) >= FULLY_PROTECTED)
+            .collect();
+        assert!(!protected.is_empty(), "the class mix has a protected slot");
+        assert!(protected.iter().all(|&s| n.sheds_for(s) == 0));
+    }
+
+    #[test]
+    fn forged_shed_lands_on_a_protected_slot() {
+        let (mut n, _) = node(1_000);
+        n.sabotage_protected_shed();
+        let forged: Vec<usize> = (0..n.slots()).filter(|&s| n.sheds_for(s) != 0).collect();
+        assert_eq!(forged.len(), 1);
+        assert!(n.protection(forged[0]) >= FULLY_PROTECTED);
+        assert_eq!(n.ledger().total(), 0, "the gate itself shed nothing");
     }
 }

@@ -408,7 +408,7 @@ impl ClusterSim {
             transmitted += node.transmitted();
             shard_crashes += node.shard_crashes();
             for s in 0..node.slots() {
-                if node.gate().protection(s) >= crate::gate::FULLY_PROTECTED {
+                if node.protection(s) >= crate::node::FULLY_PROTECTED {
                     if let Ok(c) = node.slot_counters(s) {
                         protected_serviced += c.serviced;
                         protected_met += c.met_deadlines;

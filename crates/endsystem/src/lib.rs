@@ -40,12 +40,9 @@
 pub mod affinity;
 pub mod aggregation;
 pub mod faults;
-#[cfg(feature = "overload")]
-pub mod overload;
 pub mod pci;
 pub mod pipeline;
 pub mod queue_manager;
-pub mod red;
 pub mod spsc;
 pub mod sram;
 pub mod streaming;
@@ -55,20 +52,22 @@ pub mod transmission;
 pub use affinity::pin_current_thread;
 pub use aggregation::{StreamletMux, StreamletSetConfig};
 pub use faults::EndsystemFaults;
-#[cfg(feature = "overload")]
-pub use overload::{GateConfig, GateReason, GateVerdict, OverloadGate};
 pub use pci::{CardLink, PciModel, TransferStrategy};
 pub use pipeline::{EndsystemConfig, EndsystemPipeline, EndsystemReport, StreamPipelineStats};
 pub use queue_manager::QueueManager;
-pub use red::{early_drop_probability, RedConfig, RedQueue, RedVerdict};
 pub use spsc::{spsc_ring, Consumer, Producer, RingStats};
 pub use sram::{BankOwner, BankedSram};
+// RED and the overload gate live in ss-overload (`ss_overload::gate` has
+// the composition and the backpressure rule); the endsystem runs
+// `Gate<()>` as a zero-sized mirror of the fabric backlog.
+pub use ss_overload::{
+    early_drop_probability, Gate, GateConfig, GateReason, RedConfig, RedQueue, RedVerdict,
+};
 pub use streaming::{StreamingReport, StreamingUnit};
 #[cfg(feature = "faults")]
 pub use threaded::run_threaded_faulted;
 #[cfg(feature = "telemetry")]
 pub use threaded::{run_threaded_instrumented, run_threaded_traced, TraceConfig, TracedReport};
 pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
-#[cfg(feature = "overload")]
 pub use threaded::{run_threaded_overload, OverloadRunReport};
 pub use transmission::TransmissionEngine;

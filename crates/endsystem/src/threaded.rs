@@ -19,7 +19,7 @@ use crate::faults::EndsystemFaults;
 use crate::spsc::{spsc_ring, RingStats};
 use ss_core::{DecisionWatchdog, Fabric, FabricConfig, WatchdogVerdict};
 use ss_core::{LatePolicy, StreamState};
-use ss_overload::{LossLedger, LossSite};
+use ss_overload::{Gate, GateConfig, LossLedger, LossSite};
 use ss_types::{Error, Result, Wrap16};
 use std::time::Instant;
 
@@ -175,20 +175,17 @@ fn publish_ring_stats(registry: &ss_telemetry::Registry, ring: &str, stats: &Rin
 
 /// Results of an overload-gated threaded run: the plain report plus the
 /// gate's accounting.
-#[cfg(feature = "overload")]
 #[derive(Debug, Clone)]
 pub struct OverloadRunReport {
     /// The underlying pipeline report. `report.loss` merges the ring/shard
-    /// sites from the pipeline with the gate's admission/shed sites; the
-    /// partition stays exact: `report.lost == report.loss.total()` and
+    /// sites from the pipeline with the gate's ledger; the partition stays
+    /// exact: `report.lost == report.loss.total()` and
     /// `report.total + report.lost == offered`.
     pub report: ThreadedReport,
     /// Arrivals offered to the gate by the scheduler thread.
     pub offered: u64,
     /// Arrivals the gate admitted into the fabric.
     pub admitted: u64,
-    /// RED drop proposals vetoed for protected streams.
-    pub vetoes: u64,
     /// Pressure-level transitions over the run (hysteresis audit: bounded
     /// even under oscillating load).
     pub pressure_transitions: u64,
@@ -198,21 +195,20 @@ pub struct OverloadRunReport {
 
 /// Like [`run_threaded`], but with the overload control plane engaged end
 /// to end: the scheduler thread runs every drained arrival through an
-/// [`crate::overload::OverloadGate`] (token-bucket admission squeezed by
-/// pressure, RED + QoS-aware shedding), publishes the hysteresis pressure
-/// level through the gate's [`ss_overload::SharedPressure`], and the
-/// producer thread throttles its ingest on that signal (the hierarchical
-/// backpressure path: fabric backlog → pressure level → Stream-processor
-/// pacing). Loss is classified by site and conserved exactly.
-#[cfg(feature = "overload")]
+/// [`ss_overload::Gate`] mirroring the fabric backlog (token-bucket
+/// admission squeezed by pressure, RED + QoS-aware shedding), publishes the
+/// hysteresis pressure level through the gate's
+/// [`ss_overload::SharedPressure`], and the producer thread throttles its
+/// ingest on that signal (the hierarchical backpressure path: fabric
+/// backlog → pressure level → Stream-processor pacing; the rule is stated
+/// in [`ss_overload::gate`]). Loss is classified by site and conserved
+/// exactly.
 pub fn run_threaded_overload(
     config: FabricConfig,
     states: Vec<StreamState>,
     arrivals_per_slot: u64,
-    gate_config: crate::overload::GateConfig,
+    gate_config: GateConfig,
 ) -> Result<OverloadRunReport> {
-    use crate::overload::{GateVerdict, OverloadGate};
-
     assert_eq!(states.len(), config.slots, "one StreamState per slot");
     let slots = config.slots;
     let mut fabric = Fabric::new(config)?;
@@ -220,8 +216,8 @@ pub fn run_threaded_overload(
         let period = st.request_period;
         fabric.load_stream(i, st, period)?;
     }
-    let mut gate = OverloadGate::new(gate_config);
-    let shared = gate.shared_pressure();
+    let mut gate = Gate::<()>::new(gate_config);
+    let shared = gate.core().shared_pressure();
 
     let (mut arr_tx, mut arr_rx) = spsc_ring::<ArrivalMsg>(4096);
     let (mut id_tx, mut id_rx) = spsc_ring::<u8>(4096);
@@ -271,11 +267,12 @@ pub fn run_threaded_overload(
             arr_batch.clear();
             while arr_batch.len() < arr_batch.capacity() {
                 match arr_rx.pop() {
-                    Some(msg) if msg.slot < slots => match gate.offer(msg.slot) {
-                        GateVerdict::Admit => arr_batch.push((msg.slot, msg.tag)),
-                        // Refusals are already in the gate's ledger.
-                        GateVerdict::RejectAdmission | GateVerdict::Shed => {}
-                    },
+                    // Refusals are already in the gate's ledger.
+                    Some(msg) if msg.slot < slots => {
+                        if gate.offer(msg.slot, ()).admits() {
+                            arr_batch.push((msg.slot, msg.tag));
+                        }
+                    }
                     Some(_) => loss.record(LossSite::Ring),
                     None => break,
                 }
@@ -289,7 +286,7 @@ pub fn run_threaded_overload(
             // pressure signal (and through it admission refill and the
             // producer's pacing).
             let occupied = arr_rx.len() + pending.min(ring_capacity as u64) as usize;
-            gate.tick(occupied, 2 * ring_capacity);
+            gate.mirror_tick(occupied, 2 * ring_capacity);
             if pending == 0 {
                 if arr_rx.is_disconnected() && arr_rx.is_empty() {
                     break;
@@ -301,7 +298,7 @@ pub fn run_threaded_overload(
             let produced = packets.len() as u64;
             pending -= produced;
             for p in packets {
-                gate.served(p.slot.index());
+                gate.mirror_served(p.slot.index());
                 let mut id = p.slot.raw();
                 loop {
                     match id_tx.push(id) {
@@ -358,7 +355,7 @@ pub fn run_threaded_overload(
     })?;
     let id_ring = id_rx.stats();
 
-    loss.merge(gate.ledger());
+    loss.merge(gate.core().ledger());
     let wall_seconds = start.elapsed().as_secs_f64();
     let total: u64 = per_slot.iter().sum();
     Ok(OverloadRunReport {
@@ -373,9 +370,8 @@ pub fn run_threaded_overload(
             loss,
         },
         offered: gate.offered(),
-        admitted: gate.admitted(),
-        vetoes: gate.vetoes(),
-        pressure_transitions: gate.pressure_transitions(),
+        admitted: gate.served() + gate.backlog_len() as u64,
+        pressure_transitions: gate.core().pressure_transitions(),
         holdbacks,
     })
 }
@@ -390,8 +386,7 @@ pub struct TraceConfig {
     pub flight_capacity: usize,
     /// Overload gate in front of the fabric (runs on the scheduler
     /// thread), if any.
-    #[cfg(feature = "overload")]
-    pub gate: Option<crate::overload::GateConfig>,
+    pub gate: Option<GateConfig>,
     /// Fault injector wired into the fabric and the producer's ring
     /// seam, if any — the chaos half of a traced chaos soak.
     #[cfg(feature = "faults")]
@@ -408,7 +403,6 @@ impl TraceConfig {
         Self {
             span_capacity,
             flight_capacity,
-            #[cfg(feature = "overload")]
             gate: None,
             #[cfg(feature = "faults")]
             faults: None,
@@ -451,9 +445,9 @@ struct TracedArrival {
 /// its stage crossings (admission, SPSC enqueue/dequeue, gate verdict,
 /// fabric arrival, decision win, service, shed) into a per-thread span
 /// track, while a shared flight recorder keeps the most recent events and
-/// dumps automatically when the scheduler's watchdog trips. With the
-/// `overload`/`faults` features the [`TraceConfig`] can also engage the
-/// gate and a fault injector, so a chaos soak leaves a causally-ordered
+/// dumps automatically when the scheduler's watchdog trips. The
+/// [`TraceConfig`] can also engage the gate and (with the `faults`
+/// feature) a fault injector, so a chaos soak leaves a causally-ordered
 /// post-mortem artifact instead of just pass/fail.
 #[cfg(feature = "telemetry")]
 pub fn run_threaded_traced(
@@ -481,8 +475,7 @@ pub fn run_threaded_traced(
         es_faults.attach(inj.clone(), *pol);
         fabric.attach_faults(inj.clone());
     }
-    #[cfg(feature = "overload")]
-    let mut gate = trace.gate.clone().map(crate::overload::OverloadGate::new);
+    let mut gate = trace.gate.clone().map(Gate::<()>::new);
 
     let spans = SpanRecorder::new(trace.span_capacity);
     let flight = SharedFlightRecorder::new(trace.flight_capacity);
@@ -562,9 +555,8 @@ pub fn run_threaded_traced(
                 match arr_rx.pop() {
                     Some(msg) if msg.slot < slots => {
                         track.record(msg.trace, 0, Stage::RingDequeue, 0, msg.slot as u32);
-                        #[cfg(feature = "overload")]
                         if let Some(g) = &mut gate {
-                            let (verdict, reason) = g.offer_traced(msg.slot);
+                            let reason = g.offer(msg.slot, ());
                             track.record(
                                 msg.trace,
                                 0,
@@ -572,29 +564,25 @@ pub fn run_threaded_traced(
                                 reason.code(),
                                 msg.slot as u32,
                             );
-                            match verdict {
-                                crate::overload::GateVerdict::Admit => {}
-                                crate::overload::GateVerdict::RejectAdmission
-                                | crate::overload::GateVerdict::Shed => {
-                                    // Refusals are in the gate's ledger.
-                                    track.record(
-                                        msg.trace,
-                                        0,
-                                        Stage::Shed,
-                                        reason.code(),
-                                        msg.slot as u32,
-                                    );
-                                    sched_flight.record(StageEvent {
-                                        tag: msg.trace,
-                                        tsc: clock::now_tsc(),
-                                        cycle: fabric.decision_count(),
-                                        track: sched_track,
-                                        stage: Stage::Shed,
-                                        detail: reason.code(),
-                                        arg: msg.slot as u32,
-                                    });
-                                    continue;
-                                }
+                            if !reason.admits() {
+                                // Refusals are in the gate's ledger.
+                                track.record(
+                                    msg.trace,
+                                    0,
+                                    Stage::Shed,
+                                    reason.code(),
+                                    msg.slot as u32,
+                                );
+                                sched_flight.record(StageEvent {
+                                    tag: msg.trace,
+                                    tsc: clock::now_tsc(),
+                                    cycle: fabric.decision_count(),
+                                    track: sched_track,
+                                    stage: Stage::Shed,
+                                    detail: reason.code(),
+                                    arg: msg.slot as u32,
+                                });
+                                continue;
                             }
                         }
                         arr_batch.push((msg.slot, msg.tag16));
@@ -619,13 +607,10 @@ pub fn run_threaded_traced(
                 // Unreachable after validation; counted rather than panicked.
                 Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
             }
-            #[cfg(feature = "overload")]
             if let Some(g) = &mut gate {
                 let occupied = arr_rx.len() + pending.min(ring_capacity as u64) as usize;
-                g.tick(occupied, 2 * ring_capacity);
+                g.mirror_tick(occupied, 2 * ring_capacity);
             }
-            #[cfg(not(feature = "overload"))]
-            let _ = ring_capacity;
             if pending == 0 {
                 if arr_rx.is_disconnected() && arr_rx.is_empty() {
                     break;
@@ -659,9 +644,8 @@ pub fn run_threaded_traced(
                     detail: arm,
                     arg: slot as u32,
                 });
-                #[cfg(feature = "overload")]
                 if let Some(g) = &mut gate {
-                    g.served(slot);
+                    g.mirror_served(slot);
                 }
                 let mut id = (p.raw(), tag);
                 loop {
@@ -738,9 +722,8 @@ pub fn run_threaded_traced(
                 break;
             }
         }
-        #[cfg(feature = "overload")]
         if let Some(g) = &gate {
-            loss.merge(g.ledger());
+            loss.merge(g.core().ledger());
         }
         (arr_rx.stats(), loss, watchdog.trips())
     });
@@ -1203,11 +1186,9 @@ mod tests {
             .contains("ss_endsystem_ring_high_water"));
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn overload_run_with_headroom_loses_nothing() {
-        use crate::overload::GateConfig;
-        use crate::red::RedConfig;
+        use ss_overload::RedConfig;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
         let states: Vec<StreamState> = (0..4)
             .map(|_| StreamState {
@@ -1235,11 +1216,9 @@ mod tests {
         assert_eq!(run.report.loss.total(), 0);
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn overload_run_conserves_under_starved_admission() {
-        use crate::overload::GateConfig;
-        use crate::red::RedConfig;
+        use ss_overload::RedConfig;
         use ss_overload::StreamClass;
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
         let states: Vec<StreamState> = (0..4)
@@ -1379,11 +1358,10 @@ mod tests {
         validate_causal(&events).expect("causal even through the trip");
     }
 
-    #[cfg(all(feature = "telemetry", feature = "overload"))]
+    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_gate_records_verdicts_and_shed_reasons() {
-        use crate::overload::GateConfig;
-        use crate::red::RedConfig;
+        use ss_overload::RedConfig;
         use ss_overload::StreamClass;
         use ss_telemetry::span::detail;
         use ss_telemetry::{stitch, validate_causal, Stage};

@@ -1,37 +1,21 @@
-//! The edge admission gate: ss-overload's state machines composed with a
-//! RED front end for the network boundary.
+//! The edge admission gate: [`ss_overload::Gate`] holding the decoded
+//! packets themselves, plus what only the network boundary needs.
 //!
-//! Packets decoded from SUBMIT frames pass through, in order:
+//! Packets decoded from SUBMIT frames are offered to a
+//! `Gate<IngressArrival>` — admission → RED proposal → QoS veto → one
+//! ledger site per refusal; the composition, its conservation identity and
+//! the backpressure-before-shedding rule are stated once in
+//! [`ss_overload::gate`]. The backlog is served at the embedder's pace via
+//! [`EdgeGate::pop_backlog`] / [`EdgeGate::mark_served`]; in the real
+//! server the popped arrivals feed the endsystem SPSC ring.
 //!
-//! 1. the window-aware token-bucket [`AdmissionController`] — no token ⇒
-//!    the packet is refused before any buffering ([`LossSite::Admission`]);
-//! 2. the RED-managed edge backlog ([`RedQueue`]) — the probabilistic
-//!    front end. An Early/Forced verdict is a *shed proposal* the
-//!    QoS-aware [`QosShedder`] may veto: streams with loss headroom are
-//!    shed ([`LossSite::Shed`]), protected (0/y-window) streams are
-//!    force-enqueued past RED. Only the hard capacity backstop can refuse
-//!    a protected stream ([`LossSite::Ring`], the bounded-buffer
-//!    overflow site);
-//! 3. the backlog is served at the embedder's pace via
-//!    [`EdgeGate::pop_backlog`] / [`EdgeGate::mark_served`]; in the real
-//!    server the popped arrivals feed the endsystem SPSC ring.
-//!
-//! The backlog depth drives a hysteresis [`PressureSignal`] published
-//! through a [`SharedPressure`], and [`EdgeGate::reply_code`] turns the
-//! level into the SUBMIT_ACK backpressure byte — which throttles
-//! well-behaved clients *before* RED starts shedding, the
-//! source-propagated backpressure rule this crate exists to enforce.
-//!
-//! Conservation is structural: every offered packet is either still in
-//! the backlog, served, or recorded at exactly one [`LossSite`] —
-//! [`EdgeGate::conserves`] checks the identity and the chaos soak asserts
-//! it at every seed.
+//! What this adapter adds: the gate ticks on its own backlog depth,
+//! [`EdgeGate::reply_code`] turns the pressure level into the SUBMIT_ACK
+//! backpressure byte, served packets are counted per slot, and the
+//! graceful drain writes the backlog (and late arrivals) off at
+//! [`LossSite::Drain`].
 
-use ss_endsystem::{RedConfig, RedQueue, RedVerdict};
-use ss_overload::{
-    AdmissionController, LossLedger, LossSite, PressureConfig, PressureSignal, QosShedder,
-    SharedPressure, StreamClass,
-};
+use ss_overload::{Gate, GateConfig, LossLedger, LossSite, RedConfig, SharedPressure};
 use ss_types::WindowConstraint;
 use std::sync::Arc;
 
@@ -44,7 +28,8 @@ pub struct IngressArrival {
     pub tag: u16,
 }
 
-/// Where an offered packet went.
+/// Where an offered packet went: the [`ss_overload::GateReason`] folded
+/// to its ledger site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeVerdict {
     /// Entered the edge backlog (will be served or drained).
@@ -57,21 +42,14 @@ pub enum EdgeVerdict {
     Overflow,
 }
 
-/// The composed edge gate. Single-owner (`&mut`) — the server serializes
+/// The edge gate. Single-owner (`&mut`) — the server serializes
 /// connections through it, which is also what makes the chaos soak's
 /// verdict sequence a pure function of the offered sequence.
 #[derive(Debug)]
 pub struct EdgeGate {
-    admission: AdmissionController,
-    shedder: QosShedder,
-    backlog: RedQueue<IngressArrival>,
-    pressure: PressureSignal,
-    shared: Arc<SharedPressure>,
-    ledger: LossLedger,
+    gate: Gate<IngressArrival>,
     capacity: usize,
     served_per_slot: Vec<u64>,
-    offered: u64,
-    served: u64,
 }
 
 impl EdgeGate {
@@ -86,56 +64,24 @@ impl EdgeGate {
         red: RedConfig,
         seed: u64,
     ) -> Self {
-        let classes: Vec<StreamClass> = windows
-            .iter()
-            .map(|&w| StreamClass::from_window(rate_mtok, burst_mtok, w))
-            .collect();
-        let capacity = red.capacity;
         Self {
-            admission: AdmissionController::new(classes),
-            shedder: QosShedder::new(windows),
-            backlog: RedQueue::new(red, seed),
-            pressure: PressureSignal::new(PressureConfig::default()),
-            shared: Arc::new(SharedPressure::new()),
-            ledger: LossLedger::new(),
-            capacity,
+            capacity: red.capacity,
             served_per_slot: vec![0; windows.len()],
-            offered: 0,
-            served: 0,
+            gate: Gate::new(GateConfig::from_windows(
+                windows, rate_mtok, burst_mtok, red, seed,
+            )),
         }
     }
 
-    /// Offers one decoded packet. Registered hot path: integer/flag work
-    /// plus one RED draw, allocation-free, panic-free.
+    /// Offers one decoded packet. Registered hot path.
     // lint:hot-path
     #[inline]
     pub fn offer(&mut self, arrival: IngressArrival) -> EdgeVerdict {
-        self.offered += 1;
-        let slot = arrival.slot as usize;
-        if !self.admission.try_admit(slot) {
-            self.ledger.record(LossSite::Admission);
-            return EdgeVerdict::RejectedAdmission;
-        }
-        match self.backlog.offer(arrival) {
-            RedVerdict::Enqueued => EdgeVerdict::Admitted,
-            RedVerdict::TailDrop => {
-                self.ledger.record(LossSite::Ring);
-                EdgeVerdict::Overflow
-            }
-            RedVerdict::EarlyDrop | RedVerdict::ForcedDrop => {
-                if self.shedder.sheddable(slot) {
-                    self.shedder.record_shed(slot);
-                    self.ledger.record(LossSite::Shed);
-                    EdgeVerdict::Shed
-                } else if self.backlog.push_unchecked(arrival) {
-                    // Protected veto: RED's proposal overruled; the packet
-                    // enters past the probabilistic front end.
-                    EdgeVerdict::Admitted
-                } else {
-                    self.ledger.record(LossSite::Ring);
-                    EdgeVerdict::Overflow
-                }
-            }
+        match self.gate.offer(arrival.slot as usize, arrival).site() {
+            None => EdgeVerdict::Admitted,
+            Some(LossSite::Admission) => EdgeVerdict::RejectedAdmission,
+            Some(LossSite::Shed) => EdgeVerdict::Shed,
+            Some(_) => EdgeVerdict::Overflow,
         }
     }
 
@@ -146,15 +92,14 @@ impl EdgeGate {
     // lint:hot-path
     #[inline]
     pub fn pop_backlog(&mut self) -> Option<IngressArrival> {
-        self.backlog.pop()
+        self.gate.pop()
     }
 
     /// Accounts a popped arrival as served. Registered hot path.
     // lint:hot-path
     #[inline]
     pub fn mark_served(&mut self, slot: usize) {
-        self.served += 1;
-        self.shedder.record_served(slot);
+        self.gate.mark_served(slot);
         if let Some(c) = self.served_per_slot.get_mut(slot) {
             *c += 1;
         }
@@ -165,28 +110,15 @@ impl EdgeGate {
     // lint:hot-path
     #[inline]
     pub fn mark_ring_loss(&mut self) {
-        self.ledger.record(LossSite::Ring);
+        self.gate.mark_ring_loss();
     }
 
-    /// One edge tick: observe backlog occupancy, advance the hysteresis
-    /// pressure signal, publish level changes, refill admission at the
-    /// resulting level. Registered hot path.
+    /// One edge tick: the backlog's own depth drives the pressure signal
+    /// and the admission refill. Registered hot path.
     // lint:hot-path
     #[inline]
     pub fn tick(&mut self) {
-        let level = self.pressure.observe(self.backlog.len(), self.capacity);
-        if level != self.shared.level() {
-            self.shared.publish(level);
-        }
-        self.admission.tick(level);
-    }
-
-    /// Advances the RED idle clock for a tick with no arrivals (decays
-    /// the EWMA per the Floyd/Jacobson idle rule). Registered hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn idle_tick(&mut self) {
-        self.backlog.idle_tick();
+        self.gate.tick(self.gate.backlog_len(), self.capacity);
     }
 
     /// The backpressure byte for SUBMIT_ACK / HELLO_ACK replies: the
@@ -195,45 +127,39 @@ impl EdgeGate {
     // lint:hot-path
     #[inline]
     pub fn reply_code(&self) -> u8 {
-        self.pressure.level().as_u8()
+        self.gate.core().level().as_u8()
     }
 
     /// Writes off the entire edge backlog at [`LossSite::Drain`] (the
     /// graceful-drain flush) and returns the count.
     pub fn drain_write_off(&mut self) -> u64 {
-        let mut n = 0u64;
-        while self.backlog.pop().is_some() {
-            n += 1;
-        }
-        self.ledger.record_n(LossSite::Drain, n);
-        n
+        self.gate.drain_write_off()
     }
 
     /// Accounts `n` packets that arrived after the drain cutoff and were
     /// written off without entering the backlog.
     pub fn write_off_late(&mut self, n: u64) {
-        self.offered += n;
-        self.ledger.record_n(LossSite::Drain, n);
+        self.gate.write_off_late(n);
     }
 
     /// The shareable pressure handle (lock-free reads from any thread).
     pub fn shared_pressure(&self) -> Arc<SharedPressure> {
-        Arc::clone(&self.shared)
+        self.gate.core().shared_pressure()
     }
 
     /// The loss ledger — an exact partition of every refused packet.
     pub fn ledger(&self) -> &LossLedger {
-        &self.ledger
+        self.gate.core().ledger()
     }
 
     /// Packets offered to the gate so far (including late write-offs).
     pub fn offered(&self) -> u64 {
-        self.offered
+        self.gate.offered()
     }
 
     /// Packets served out of the backlog so far.
     pub fn served(&self) -> u64 {
-        self.served
+        self.gate.served()
     }
 
     /// Served counts per slot.
@@ -243,13 +169,13 @@ impl EdgeGate {
 
     /// Current backlog depth.
     pub fn backlog_len(&self) -> usize {
-        self.backlog.len()
+        self.gate.backlog_len()
     }
 
     /// The conservation identity: every offered packet is served, still
     /// backlogged, or at exactly one ledger site.
     pub fn conserves(&self) -> bool {
-        self.served + self.ledger.total() + self.backlog.len() as u64 == self.offered
+        self.gate.conserves()
     }
 
     /// Slots managed.
@@ -259,7 +185,7 @@ impl EdgeGate {
 
     /// Packets shed from `slot` (QoS-confirmed RED drops).
     pub fn sheds_for(&self, slot: usize) -> u64 {
-        self.shedder.shed(slot)
+        self.gate.core().sheds_for(slot)
     }
 }
 
@@ -273,60 +199,6 @@ mod tests {
 
     fn arr(slot: u32, tag: u16) -> IngressArrival {
         IngressArrival { slot, tag }
-    }
-
-    #[test]
-    fn conserves_under_saturation() {
-        let mut g = gate(
-            &[WindowConstraint::new(0, 1), WindowConstraint::new(3, 4)],
-            16,
-        );
-        for t in 0..2000u32 {
-            g.offer(arr(t % 2, t as u16));
-            if t % 3 == 0 {
-                if let Some(a) = g.pop_backlog() {
-                    g.mark_served(a.slot as usize);
-                }
-            }
-            g.tick();
-            assert!(g.conserves(), "conservation at every step");
-        }
-        assert!(g.ledger().total() > 0, "2x load must lose something");
-        assert!(g.served() > 0);
-    }
-
-    #[test]
-    fn protected_slot_never_shed() {
-        // Effectively unlimited admission so pressure lands on RED and
-        // the shedder rather than the token buckets.
-        let mut g = EdgeGate::new(
-            &[WindowConstraint::new(0, 1), WindowConstraint::new(3, 4)],
-            1_000_000,
-            2_000_000,
-            RedConfig::classic(8),
-            7,
-        );
-        // Hold the backlog just under capacity so the RED average sits
-        // between min_th and max_th — the early-drop proposal region —
-        // while serving keeps the tolerant window regaining headroom.
-        for t in 0..20_000u32 {
-            g.offer(arr(t % 2, t as u16));
-            while g.backlog_len() > 6 {
-                match g.pop_backlog() {
-                    Some(a) => g.mark_served(a.slot as usize),
-                    None => break,
-                }
-            }
-            g.tick();
-        }
-        assert!(g.ledger().shed > 0, "tolerant slot absorbed the pressure");
-        assert_eq!(
-            g.ledger().shed,
-            g.sheds_for(1),
-            "every shed came from the tolerant slot"
-        );
-        assert_eq!(g.sheds_for(0), 0, "protected slot is never shed");
-        assert!(g.conserves());
     }
 
     #[test]
@@ -346,23 +218,29 @@ mod tests {
     }
 
     #[test]
-    fn drain_write_off_empties_backlog_exactly() {
-        let mut g = gate(&[WindowConstraint::new(3, 4)], 64);
+    fn served_counts_land_per_slot_and_drain_empties_the_rest() {
+        let mut g = gate(
+            &[WindowConstraint::new(3, 4), WindowConstraint::new(0, 1)],
+            64,
+        );
         let mut admitted = 0u64;
         for t in 0..40u32 {
-            if g.offer(arr(0, t as u16)) == EdgeVerdict::Admitted {
-                admitted += 1;
-            }
+            admitted += u64::from(g.offer(arr(t % 2, t as u16)) == EdgeVerdict::Admitted);
             g.tick();
         }
+        for _ in 0..5 {
+            let a = g.pop_backlog().expect("backlog holds the admitted packets");
+            g.mark_served(a.slot as usize);
+        }
+        assert_eq!(g.served_per_slot(), &[3, 2], "FIFO pops alternate slots");
+        assert_eq!(g.served(), 5);
         let backlog = g.backlog_len() as u64;
-        assert_eq!(backlog, admitted, "nothing served yet");
-        let off = g.drain_write_off();
-        assert_eq!(off, backlog);
-        assert_eq!(g.ledger().drain, off);
+        assert_eq!(backlog, admitted - 5);
+        assert_eq!(g.drain_write_off(), backlog);
         assert_eq!(g.backlog_len(), 0);
         g.write_off_late(5);
-        assert_eq!(g.ledger().drain, off + 5);
+        assert_eq!(g.ledger().drain, backlog + 5);
+        assert_eq!(g.offered(), 45);
         assert!(g.conserves());
     }
 }

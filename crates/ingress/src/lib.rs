@@ -12,12 +12,12 @@
 //!   (HELLO / REGISTER_STREAM / SUBMIT batches / DRAIN / GOODBYE) with a
 //!   bounded, allocation-free, panic-free incremental decoder whose every
 //!   failure is a typed [`frame::FrameError`];
-//! * [`gate`] — the edge admission gate: ss-overload's window-aware token
-//!   buckets and QoS-aware shedder composed with ss-endsystem's RED queue
-//!   as the probabilistic front end, publishing a [`SharedPressure`]
-//!   level that becomes the backpressure reply code throttling
-//!   well-behaved clients *before* RED sheds them. Every refused packet
-//!   lands at exactly one [`LossSite`], so conservation is exact;
+//! * [`gate`] — the edge admission gate: ss-overload's composed gate
+//!   (token buckets → RED proposal → QoS veto) holding the decoded
+//!   packets, publishing a [`SharedPressure`] level that becomes the
+//!   backpressure reply code throttling well-behaved clients *before* RED
+//!   sheds them (the rule lives in `ss_overload::gate`). Every refused
+//!   packet lands at exactly one [`LossSite`], so conservation is exact;
 //! * [`server`] — the TCP listener: per-connection reader threads with
 //!   hello deadlines, idle timeouts, bounded read buffers and slow-peer
 //!   (slowloris) eviction, feeding admitted packets to the endsystem SPSC

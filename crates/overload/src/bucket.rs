@@ -250,6 +250,7 @@ impl AdmissionController {
     }
 
     /// The configured class for `stream`.
+    #[inline]
     pub fn class(&self, stream: usize) -> Option<&StreamClass> {
         self.classes.get(stream)
     }

@@ -7,7 +7,7 @@
 //! that decides whether to **admit**, **delay**, or **shed** work, and
 //! propagates backpressure end to end instead of dropping silently.
 //!
-//! Five cooperating pieces, each usable on its own:
+//! Cooperating pieces, each usable on its own:
 //!
 //! * [`AdmissionController`] — per-stream token buckets whose refill is
 //!   *window-constraint aware*: a stream with a tight DWCS loss tolerance
@@ -29,14 +29,22 @@
 //! * [`DegradationLadder`] — the facade's rung sequence full QoS →
 //!   shed-optional-streams → FCFS drain, with watchdog + pressure driven
 //!   entry/exit and per-rung dwell hysteresis.
+//! * [`RedQueue`] — Floyd/Jacobson RED, the probabilistic front end that
+//!   decides *when* occupancy warrants a drop proposal.
+//!
+//! [`gate`] composes them, once: [`GateCore`] books every admission
+//! refusal, shed and external loss at exactly one [`LossLedger`] site, and
+//! [`Gate<T>`] adds the RED backlog whose proposals the shedder may veto.
+//! The endsystem mirror, the cluster node and the network edge are all
+//! configurations of those two types.
 //!
 //! Loss is never silent: every rejection is classified by site in a
-//! [`LossLedger`] whose partition (admission / ring / shed / shard) must
-//! sum *exactly* to total loss — the chaos soak asserts it.
+//! [`LossLedger`] whose partition (admission / ring / shed / shard /
+//! drain) must sum *exactly* to total loss — the chaos soaks assert it.
 //!
-//! Everything here is deterministic, integer-only on the hot paths, and
-//! allocation-free after construction (`try_admit`, `pick_victim`,
-//! `observe`, `record` are registered with the ss-lint hot-path-purity
+//! Everything here is deterministic, integer-only on the hot paths apart
+//! from RED's EWMA, and allocation-free after construction (the
+//! `// lint:hot-path` functions are held to the ss-lint hot-path-purity
 //! gate and covered by `tests/zero_alloc.rs`).
 
 #![forbid(unsafe_code)]
@@ -44,14 +52,18 @@
 
 pub mod breaker;
 pub mod bucket;
+pub mod gate;
 pub mod ladder;
 pub mod ledger;
 pub mod pressure;
+pub mod red;
 pub mod shed;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bucket::{AdmissionController, StreamClass};
+pub use gate::{Gate, GateConfig, GateCore, GateReason};
 pub use ladder::{DegradationLadder, LadderConfig, Rung};
 pub use ledger::{LossLedger, LossSite};
 pub use pressure::{PressureConfig, PressureLevel, PressureSignal, SharedPressure};
+pub use red::{early_drop_probability, RedConfig, RedQueue, RedVerdict};
 pub use shed::QosShedder;

@@ -18,10 +18,10 @@
 //!   drains and keep early-dropping a freshly idle queue.
 //!
 //! Beyond the classic role, this queue is the *probabilistic front end* of
-//! the overload shedder: `ss_endsystem::overload::OverloadGate` mirrors
-//! the admitted backlog here and treats Early/Forced verdicts as shed
-//! proposals, which the QoS-aware back end may veto for protected streams
-//! (admitting via [`RedQueue::push_unchecked`] to keep the mirror exact).
+//! the overload shedder: [`crate::Gate`] keeps its backlog here and treats
+//! Early/Forced verdicts as shed proposals, which the QoS-aware back end
+//! may veto for protected streams (admitting via
+//! [`RedQueue::push_unchecked`] to keep the backlog exact).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,7 +117,8 @@ pub struct RedQueue<T> {
 }
 
 impl<T> RedQueue<T> {
-    /// Creates a RED queue with a deterministic seed.
+    /// Creates a RED queue with a deterministic seed. The buffer is sized
+    /// to `config.capacity` here, so filling it never allocates.
     ///
     /// # Panics
     /// Panics on inconsistent thresholds.
@@ -133,7 +134,7 @@ impl<T> RedQueue<T> {
         assert!(config.capacity > 0, "capacity must be positive");
         Self {
             config,
-            queue: VecDeque::new(),
+            queue: VecDeque::with_capacity(config.capacity),
             avg: 0.0,
             count_since_drop: 0,
             idle_pending: 0,
@@ -167,7 +168,8 @@ impl<T> RedQueue<T> {
     /// Advances the packet-time clock across a cycle with no arrival.
     /// Counted only while the queue is physically empty — that is the idle
     /// period the classic algorithm decays the average over. Cheap enough
-    /// to call every scheduler cycle unconditionally.
+    /// to call every scheduler cycle unconditionally. Hot path.
+    // lint:hot-path
     #[inline]
     pub fn idle_tick(&mut self) {
         if self.queue.is_empty() {
@@ -187,7 +189,9 @@ impl<T> RedQueue<T> {
     }
 
     /// Offers an item, returning the RED verdict. The item is stored only
-    /// on [`RedVerdict::Enqueued`].
+    /// on [`RedVerdict::Enqueued`]. Hot path.
+    // lint:hot-path
+    #[inline]
     pub fn offer(&mut self, item: T) -> RedVerdict {
         // Idle decay first, then the EWMA update on every arrival.
         self.decay_idle();
@@ -222,7 +226,9 @@ impl<T> RedQueue<T> {
     /// already). The overload gate uses this when the QoS-aware back end
     /// vetoes a RED drop proposal for a protected stream. Only the hard
     /// capacity backstop still applies; returns `false` (and counts a tail
-    /// drop) when physically full.
+    /// drop) when physically full. Hot path.
+    // lint:hot-path
+    #[inline]
     pub fn push_unchecked(&mut self, item: T) -> bool {
         if self.queue.len() >= self.config.capacity {
             self.tail_drops += 1;
@@ -232,7 +238,9 @@ impl<T> RedQueue<T> {
         true
     }
 
-    /// Dequeues the head.
+    /// Dequeues the head. Hot path.
+    // lint:hot-path
+    #[inline]
     pub fn pop(&mut self) -> Option<T> {
         self.queue.pop_front()
     }
@@ -463,24 +471,6 @@ mod tests {
         assert!(!q.push_unchecked(64), "hard capacity still applies");
         assert_eq!(q.drops(), (0, 0, 1));
         assert_eq!(q.len(), 64);
-    }
-
-    #[test]
-    fn veto_flow_reinstates_rejected_arrival() {
-        // Gate flow: offer() proposes a drop, the QoS back end vetoes it,
-        // push_unchecked() re-admits the same arrival.
-        let mut q = RedQueue::new(cfg(), 3);
-        for i in 0..64 {
-            q.push_unchecked(i);
-        }
-        for i in 0..300 {
-            q.offer(i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.offer(1000), RedVerdict::ForcedDrop);
-        let len = q.len();
-        assert!(q.push_unchecked(1000));
-        assert_eq!(q.len(), len + 1);
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //! policy that maximizes Table-3 deadlines-met under overload.
 //!
 //! The shedder is the *deterministic back end*; the probabilistic front
-//! end is the endsystem's RED queue (`ss_endsystem::RedQueue`), which
-//! decides *when* pressure warrants an early drop. The composition lives
-//! in `ss_endsystem::overload::OverloadGate`: RED proposes, the shedder
-//! disposes — and if the arriving stream is protected, the drop is
-//! refused and the packet admitted anyway.
+//! end is [`crate::RedQueue`], which decides *when* pressure warrants an
+//! early drop. The composition lives in [`crate::gate`]: RED proposes, the
+//! shedder disposes — and if the arriving stream is protected, the drop
+//! is refused and the packet admitted anyway.
 
 use ss_types::WindowConstraint;
 
@@ -144,6 +143,7 @@ impl QosShedder {
     }
 
     /// Packets shed from `stream` so far.
+    #[inline]
     pub fn shed(&self, stream: usize) -> u64 {
         self.shed.get(stream).copied().unwrap_or(0)
     }

@@ -45,7 +45,6 @@ use ss_core::decision::{lane_order, DecisionRule};
 use ss_core::{Fabric, FabricConfig, ScheduledPacket, SlotCounters, StreamState};
 use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
 use ss_hwsim::FabricConfigKind;
-#[cfg(feature = "overload")]
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
 use ss_types::packed::lane_valid;
 use ss_types::{ComparisonMode, Error, Result, SlotId, Wrap16};
@@ -135,14 +134,12 @@ pub struct ShardedScheduler {
     stalled_until: Vec<u64>,
     /// Backlogged packets written off when shards failed.
     lost_packets: u64,
-    /// Per-shard overload breakers (`overload` feature, default off —
-    /// empty until [`ShardedScheduler::enable_breakers`]). Distinct from
+    /// Per-shard overload breakers (empty until
+    /// [`ShardedScheduler::enable_breakers`]). Distinct from
     /// `failed`: an open breaker sheds *new* ingest while the shard keeps
     /// cycling and draining, a failed shard is out of the merge for good.
-    #[cfg(feature = "overload")]
     breakers: Vec<CircuitBreaker>,
     /// Where breaker refusals are accounted ([`LossSite::Shed`]).
-    #[cfg(feature = "overload")]
     overload_ledger: LossLedger,
     #[cfg(feature = "faults")]
     injector: Option<std::sync::Arc<ss_faults::FaultInjector>>,
@@ -152,7 +149,7 @@ pub struct ShardedScheduler {
     spans: Option<MergeSpans>,
     /// Flight recorder for breaker-open auto-dumps
     /// ([`ShardedScheduler::attach_flight_recorder`]).
-    #[cfg(all(feature = "telemetry", feature = "overload"))]
+    #[cfg(feature = "telemetry")]
     flight: Option<ss_telemetry::SharedFlightRecorder>,
 }
 
@@ -218,9 +215,7 @@ impl ShardedScheduler {
             failed: vec![false; shards],
             stalled_until: vec![0; shards],
             lost_packets: 0,
-            #[cfg(feature = "overload")]
             breakers: Vec::new(),
-            #[cfg(feature = "overload")]
             overload_ledger: LossLedger::new(),
             #[cfg(feature = "faults")]
             injector: None,
@@ -228,7 +223,7 @@ impl ShardedScheduler {
             telem: None,
             #[cfg(feature = "telemetry")]
             spans: None,
-            #[cfg(all(feature = "telemetry", feature = "overload"))]
+            #[cfg(feature = "telemetry")]
             flight: None,
         })
     }
@@ -280,7 +275,7 @@ impl ShardedScheduler {
     /// Closed/HalfOpen → Open transition records a `BreakerOpen` control
     /// event and takes an automatic dump
     /// ([`ss_telemetry::DumpReason::BreakerOpen`]).
-    #[cfg(all(feature = "telemetry", feature = "overload"))]
+    #[cfg(feature = "telemetry")]
     pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
         self.flight = Some(flight.clone());
     }
@@ -376,14 +371,13 @@ impl ShardedScheduler {
         Ok(())
     }
 
-    /// Arms one [`CircuitBreaker`] per shard (`overload` feature). Until
+    /// Arms one [`CircuitBreaker`] per shard. Until
     /// called, breakers are off and ingest is never refused. An open
     /// breaker refuses [`ShardedScheduler::push_arrival`] for its shard
     /// with [`Error::Overloaded`] — survivors keep full service — while
     /// the shard keeps cycling in the merge so its backlog drains and its
     /// clock stays in lockstep. Breakers are inline-mode state; they do
     /// not follow the fabrics into [`ShardedScheduler::into_threaded`].
-    #[cfg(feature = "overload")]
     pub fn enable_breakers(&mut self, config: BreakerConfig) {
         self.breakers = (0..self.shards.len())
             .map(|_| CircuitBreaker::new(config))
@@ -392,26 +386,23 @@ impl ShardedScheduler {
 
     /// Shard `k`'s breaker state, or `None` before
     /// [`ShardedScheduler::enable_breakers`].
-    #[cfg(feature = "overload")]
     pub fn breaker_state(&self, k: usize) -> Option<BreakerState> {
         self.breakers.get(k).map(CircuitBreaker::state)
     }
 
     /// Total breaker trips across all shards.
-    #[cfg(feature = "overload")]
     pub fn breaker_trips(&self) -> u64 {
         self.breakers.iter().map(CircuitBreaker::trips).sum()
     }
 
     /// The ledger accounting every breaker refusal (at [`LossSite::Shed`]).
-    #[cfg(feature = "overload")]
     pub fn overload_ledger(&self) -> &LossLedger {
         &self.overload_ledger
     }
 
     /// Publishes per-shard breaker gauges (`ss_overload_breaker_*`) plus
     /// the breaker-shed ledger into `registry`.
-    #[cfg(all(feature = "overload", feature = "telemetry"))]
+    #[cfg(feature = "telemetry")]
     pub fn publish_breakers(&self, registry: &ss_telemetry::Registry) {
         for (k, b) in self.breakers.iter().enumerate() {
             let shard = k.to_string();
@@ -448,7 +439,6 @@ impl ShardedScheduler {
     /// makes progress when it proposes a valid winner word or has nothing
     /// queued; a backlogged shard proposing nothing (wedged) or one over
     /// the backlog limit is lagging.
-    #[cfg(feature = "overload")]
     fn observe_breakers(&mut self) {
         if self.breakers.is_empty() {
             return;
@@ -492,13 +482,12 @@ impl ShardedScheduler {
 
     /// Deposits one arrival into global slot `g`'s queue.
     ///
-    /// With breakers armed (`overload` feature), an arrival for a shard
+    /// With breakers armed, an arrival for a shard
     /// whose breaker is open is refused with [`Error::Overloaded`] and
     /// accounted at [`LossSite::Shed`] — intentional, counted load
     /// shedding, never silent loss.
     pub fn push_arrival(&mut self, global: usize, arrival: Wrap16) -> Result<()> {
         let (shard, local) = self.map_live(global)?;
-        #[cfg(feature = "overload")]
         if let Some(b) = self.breakers.get_mut(shard) {
             if !b.allows_ingest() {
                 b.record_shed();
@@ -752,7 +741,6 @@ impl ShardedScheduler {
         #[cfg(feature = "faults")]
         self.inject_shard_faults();
         self.auto_exclude_crashed();
-        #[cfg(feature = "overload")]
         self.observe_breakers();
         // Clock reads only happen when instrumentation is attached, so the
         // detached (and feature-off) hot path never calls `Instant::now`.
@@ -1445,7 +1433,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn open_breaker_sheds_ingest_while_survivors_flow() {
         use ss_overload::{BreakerConfig, BreakerState, LossSite};
@@ -1484,7 +1471,6 @@ mod tests {
         assert_eq!(served, 14, "queued packets still drain while open");
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn breaker_recloses_after_drain_and_probes() {
         use ss_overload::{BreakerConfig, BreakerState};
@@ -1685,7 +1671,7 @@ mod tests {
         assert_eq!(seqs, vec![0, 1]);
     }
 
-    #[cfg(all(feature = "telemetry", feature = "overload"))]
+    #[cfg(feature = "telemetry")]
     #[test]
     fn breaker_open_takes_automatic_flight_dump() {
         use ss_overload::BreakerConfig;

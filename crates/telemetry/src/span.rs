@@ -34,7 +34,7 @@
 //! through non-decreasing ranks (admission → SPSC ring → gate → fabric →
 //! decision → service, or → shed). The gate ranks *after* the ring
 //! stages because that is where it runs: the scheduler thread drains the
-//! ring and offers each arrival to the `OverloadGate` before depositing
+//! ring and offers each arrival to the overload gate before depositing
 //! it into the fabric. Control stages have no rank and are exempt from
 //! the causal check in [`crate::export::validate_causal`].
 
@@ -95,7 +95,7 @@ impl TraceTag {
 pub enum Stage {
     /// Arrival admitted into the endsystem (tag minted here).
     Admitted = 0,
-    /// `OverloadGate` ruled on the arrival (in the scheduler thread,
+    /// The overload gate ruled on the arrival (in the scheduler thread,
     /// after the ring); `detail` carries the [`gate reason`](detail)
     /// code.
     GateVerdict = 1,

@@ -13,7 +13,7 @@
 //!   frame rate (the paper's §2 example of large-granularity scheduling).
 //! * [`merge()`] — deterministic time-ordered merge of per-stream sources.
 //! * [`trace`] — CSV trace record/replay with retiming helpers.
-//! * `throttle::Throttled` (cargo feature `overload`) — backpressure-paced
+//! * [`Throttled`] — backpressure-paced
 //!   wrapper stretching any generator's gaps by the endsystem's published
 //!   pressure level.
 
@@ -27,7 +27,6 @@ pub mod mpeg;
 pub mod onoff;
 pub mod poisson;
 pub mod shaper;
-#[cfg(feature = "overload")]
 pub mod throttle;
 pub mod trace;
 
@@ -38,7 +37,6 @@ pub use mpeg::MpegFrames;
 pub use onoff::OnOff;
 pub use poisson::Poisson;
 pub use shaper::Shaper;
-#[cfg(feature = "overload")]
 pub use throttle::Throttled;
 pub use trace::{from_csv, rebase, retime, to_csv};
 

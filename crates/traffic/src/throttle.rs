@@ -1,4 +1,4 @@
-//! Pressure-aware generator throttling (`overload` feature).
+//! Pressure-aware generator throttling.
 //!
 //! [`Throttled`] closes the backpressure loop at the *source*: it wraps
 //! any arrival iterator and stretches its inter-arrival gaps according to

@@ -31,7 +31,6 @@ use ss_core::{
     StreamState, WatchdogVerdict,
 };
 use ss_disciplines::{Discipline, DwcsRef, DwcsStreamConfig, SwPacket};
-#[cfg(feature = "overload")]
 use ss_overload::{DegradationLadder, LadderConfig, PressureConfig, PressureSignal, Rung};
 use ss_types::{ComparisonMode, Error, Result, SlotId, WindowConstraint, Wrap16};
 
@@ -81,8 +80,7 @@ pub struct FailoverScheduler {
     arrival_seq: u64,
     failovers: u64,
     reattaches: u64,
-    /// Degradation-ladder supervision (`overload` feature, default off).
-    #[cfg(feature = "overload")]
+    /// Degradation-ladder supervision (off until armed).
     overload: Option<OverloadSupervisor>,
     #[cfg(feature = "faults")]
     injector: Option<std::sync::Arc<ss_faults::FaultInjector>>,
@@ -97,7 +95,6 @@ pub struct FailoverScheduler {
 /// The facade's overload state: a pressure signal derived from total
 /// backlog occupancy driving the full-QoS → shed-optional → FCFS-drain
 /// rung machine.
-#[cfg(feature = "overload")]
 #[derive(Debug)]
 struct OverloadSupervisor {
     ladder: DegradationLadder,
@@ -138,7 +135,6 @@ impl FailoverScheduler {
             arrival_seq: 0,
             failovers: 0,
             reattaches: 0,
-            #[cfg(feature = "overload")]
             overload: None,
             #[cfg(feature = "faults")]
             injector: None,
@@ -227,7 +223,7 @@ impl FailoverScheduler {
         Ok(())
     }
 
-    /// Arms the degradation ladder (`overload` feature). `capacity` is
+    /// Arms the degradation ladder. `capacity` is
     /// the total-backlog depth treated as 100% occupancy when deriving
     /// the pressure level. Until called, no rung logic runs and
     /// [`FailoverScheduler::enqueue`] never refuses for overload.
@@ -239,7 +235,6 @@ impl FailoverScheduler {
     ///   zero-loss streams keep flowing.
     /// * [`Rung::FcfsDrain`] — ingest closes entirely until pressure
     ///   clears; the queued backlog drains.
-    #[cfg(feature = "overload")]
     pub fn enable_degradation_ladder(
         &mut self,
         ladder: LadderConfig,
@@ -256,7 +251,6 @@ impl FailoverScheduler {
 
     /// The active degradation rung ([`Rung::FullQos`] before
     /// [`FailoverScheduler::enable_degradation_ladder`]).
-    #[cfg(feature = "overload")]
     pub fn rung(&self) -> Rung {
         self.overload
             .as_ref()
@@ -264,7 +258,6 @@ impl FailoverScheduler {
     }
 
     /// Rung transitions so far.
-    #[cfg(feature = "overload")]
     pub fn ladder_transitions(&self) -> u64 {
         self.overload
             .as_ref()
@@ -272,13 +265,11 @@ impl FailoverScheduler {
     }
 
     /// Arrivals refused by the ladder's active rung.
-    #[cfg(feature = "overload")]
     pub fn ladder_sheds(&self) -> u64 {
         self.overload.as_ref().map_or(0, |ov| ov.sheds)
     }
 
     /// Feeds one cycle's occupancy + watchdog health into the ladder.
-    #[cfg(feature = "overload")]
     fn observe_ladder(&mut self) {
         if self.overload.is_none() {
             return;
@@ -317,7 +308,6 @@ impl FailoverScheduler {
     }
 
     /// The rung's ingest verdict for `slot`: `true` = refuse this arrival.
-    #[cfg(feature = "overload")]
     fn ladder_refuses(&self, slot: usize) -> bool {
         let Some(ov) = &self.overload else {
             return false;
@@ -339,11 +329,10 @@ impl FailoverScheduler {
     /// FCFS tie-break; the software path uses the supervisor's own
     /// monotone arrival counter.
     ///
-    /// With the degradation ladder armed (`overload` feature), the active
+    /// With the degradation ladder armed, the active
     /// rung may refuse the arrival with [`Error::Overloaded`] — counted
     /// load shedding, traced as a `Shed` event when tracing is on.
     pub fn enqueue(&mut self, slot: usize, tag: Wrap16) -> Result<()> {
-        #[cfg(feature = "overload")]
         if self.ladder_refuses(slot) {
             if let Some(ov) = &mut self.overload {
                 ov.sheds += 1;
@@ -399,7 +388,6 @@ impl FailoverScheduler {
     /// stops; the stall itself costs the packet-times the watchdog
     /// threshold allows.
     pub fn decision_cycle(&mut self) -> Result<Option<ScheduledPacket>> {
-        #[cfg(feature = "overload")]
         self.observe_ladder();
         if self.software.is_some() {
             let out = self.software_cycle();
@@ -675,7 +663,6 @@ mod tests {
         assert_eq!(sup.now(), bare.now());
     }
 
-    #[cfg(feature = "overload")]
     #[test]
     fn ladder_sheds_optional_then_closes_then_recovers() {
         use ss_overload::{LadderConfig, PressureConfig, Rung};
@@ -874,7 +861,7 @@ mod tests {
             .any(|e| e.stage == Stage::Failover && e.detail == 1));
     }
 
-    #[cfg(all(feature = "overload", feature = "telemetry"))]
+    #[cfg(feature = "telemetry")]
     #[test]
     fn rung_change_takes_automatic_flight_dump() {
         use ss_overload::{LadderConfig, PressureConfig, Rung};

@@ -52,7 +52,7 @@
 //! | [`endsystem`] | host-router realization: SPSC rings, QM, PCI/SRAM models, TE, aggregation, pipeline |
 //! | [`sharded`] | scale-out frontend: K fabric shards with a Table-2 comparator winner-merge, inline (exact) and thread-per-shard modes |
 //! | [`linecard`] | switch line-card realization with dual-ported SRAM |
-//! | [`overload`] | overload control plane: window-aware admission, hierarchical backpressure, QoS-aware shedding, per-shard breakers, degradation ladder |
+//! | [`overload`] | overload control plane (always built, off until armed): window-aware admission, RED, hierarchical backpressure, QoS-aware shedding, the one composed gate, per-shard breakers, degradation ladder |
 //! | [`cluster`] | deterministic cluster-scale simulation + soak lab: scenario generators, per-tick invariant engine, flight-dump repro pipeline, `soak` binary |
 //! | [`framework`] | Figure-1 feasibility reasoning |
 //! | `ingress` | (cargo feature `ingress`) hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
@@ -95,7 +95,6 @@ pub fn publish_build_info(registry: &ss_telemetry::Registry) {
     let features = [
         ("telemetry", cfg!(feature = "telemetry")),
         ("faults", cfg!(feature = "faults")),
-        ("overload", cfg!(feature = "overload")),
         ("pinning", cfg!(feature = "pinning")),
         ("ingress", cfg!(feature = "ingress")),
     ]

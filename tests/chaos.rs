@@ -414,7 +414,7 @@ fn fault_ledger_publishes_into_telemetry() {
     );
 }
 
-/// Overload soak (cargo features `faults` + `overload`): the same pinned
+/// Overload soak (cargo feature `faults`): the same pinned
 /// seeds drive a 2× offered load — two arrivals per decision cycle against
 /// a one-packet-per-cycle fabric — plus seeded `OverloadBurst` spikes at
 /// the admission point. The deadline demand is deliberately infeasible
@@ -425,10 +425,9 @@ fn fault_ledger_publishes_into_telemetry() {
 /// RED mirror's hard capacity, every refusal partitioned exactly by loss
 /// site, tight-window (`0/4`) streams meeting strictly more deadlines
 /// than the unmanaged baseline, and bit-identical replay.
-#[cfg(feature = "overload")]
 mod overload_soak {
     use super::*;
-    use sharestreams::endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
+    use sharestreams::endsystem::{Gate, GateConfig, RedConfig};
     use sharestreams::overload::{PressureConfig, StreamClass};
     use ss_faults::{FaultKind, FaultSite};
 
@@ -518,7 +517,7 @@ mod overload_soak {
             },
         );
         let mut gate = if managed {
-            Some(OverloadGate::new(GateConfig {
+            Some(Gate::<()>::new(GateConfig {
                 classes: (0..SLOTS).map(class).collect(),
                 windows,
                 red: RedConfig::classic(RED_CAP),
@@ -550,7 +549,7 @@ mod overload_soak {
                 let slot = ((cycle * 2 + k) as usize + seed as usize) % SLOTS;
                 out.offered += 1;
                 let admit = match gate.as_mut() {
-                    Some(g) => matches!(g.offer(slot), GateVerdict::Admit),
+                    Some(g) => g.offer(slot, ()).admits(),
                     None => true,
                 };
                 if admit {
@@ -560,7 +559,7 @@ mod overload_soak {
             }
             if let DecisionOutcome::Winner(Some(p)) = fabric.decision_cycle() {
                 if let Some(g) = gate.as_mut() {
-                    g.served(p.slot.index());
+                    g.mirror_served(p.slot.index());
                 }
                 if p.slot.index() < TIGHT && p.met {
                     out.tight_met += 1;
@@ -571,7 +570,7 @@ mod overload_soak {
             let backlog: usize = (0..SLOTS).map(|s| fabric.backlog(s).unwrap()).sum();
             out.max_backlog = out.max_backlog.max(backlog);
             if let Some(g) = gate.as_mut() {
-                g.tick(backlog, 2 * RED_CAP);
+                g.mirror_tick(backlog, 2 * RED_CAP);
             }
         }
         out.still_queued = (0..SLOTS)
@@ -579,13 +578,13 @@ mod overload_soak {
             .sum::<usize>() as u64;
         match gate.as_ref() {
             Some(g) => {
-                out.ledger = [
-                    g.ledger().admission,
-                    g.ledger().ring,
-                    g.ledger().shed,
-                    g.ledger().shard,
-                ];
-                out.conserved = g.conserves(out.transmitted.len() as u64, out.still_queued);
+                let l = g.core().ledger();
+                out.ledger = [l.admission, l.ring, l.shed, l.shard];
+                // The gate's own identity, and its mirror agreeing with
+                // the fabric it stands for.
+                out.conserved = g.conserves()
+                    && g.served() == out.transmitted.len() as u64
+                    && g.backlog_len() as u64 == out.still_queued;
             }
             None => {
                 // Unmanaged: nothing is ever refused, so conservation is

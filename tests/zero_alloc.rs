@@ -305,8 +305,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // --- Ingress frame decode + edge gate: the wire fast path stays
     // heap-free --- The decoder's buffer is a fixed Box<[u8]> and every
     // SUBMIT entry is read through a borrowed view, so steady-state
-    // decode → offer → serve → tick must never touch the heap once the
-    // RED backlog's VecDeque has reached its high-water capacity.
+    // decode → offer → serve → tick must never touch the heap.
     #[cfg(feature = "ingress")]
     {
         use sharestreams::endsystem::RedConfig;
@@ -351,21 +350,19 @@ fn steady_state_decision_cycles_do_not_allocate() {
     }
 
     // --- Overload gate: the admit/shed/tick fast path stays heap-free ---
-    // Warmup drives the RED mirror's VecDeque to its high-water capacity
-    // and the 2-offers-per-serve loop then holds occupancy inside the RED
-    // band, so the measured span exercises every verdict — token-bucket
-    // rejects, RED sheds, protected-stream vetoes, and plain admits —
-    // plus the pressure/ledger bookkeeping behind them.
-    #[cfg(feature = "overload")]
+    // The 2-offers-per-serve loop holds occupancy inside the RED band, so
+    // the measured span exercises every verdict — token-bucket rejects,
+    // RED sheds, protected-stream vetoes, and plain admits — plus the
+    // pressure/ledger bookkeeping behind them.
     {
-        use sharestreams::endsystem::{GateConfig, GateVerdict, OverloadGate, RedConfig};
+        use sharestreams::endsystem::{Gate, GateConfig, RedConfig};
         let windows: Vec<WindowConstraint> = (0..SLOTS)
             .map(|s| WindowConstraint {
                 num: (s % 4) as u8,
                 den: 4,
             })
             .collect();
-        let mut gate = OverloadGate::new(GateConfig::from_windows(
+        let mut gate = Gate::<()>::new(GateConfig::from_windows(
             &windows,
             400,
             4_000,
@@ -373,20 +370,18 @@ fn steady_state_decision_cycles_do_not_allocate() {
             7,
         ));
         let mut next = 0usize;
-        let mut drive = |gate: &mut OverloadGate, cycles: u64| {
+        let mut drive = |gate: &mut Gate<()>, cycles: u64| {
             for _ in 0..cycles {
                 let mut admitted = 0u32;
                 for _ in 0..2 {
                     next = (next + 1) % SLOTS;
-                    if matches!(gate.offer(next), GateVerdict::Admit) {
-                        admitted += 1;
-                    }
+                    admitted += u32::from(gate.offer(next, ()).admits());
                 }
                 if admitted > 0 {
-                    gate.served(next);
+                    gate.mirror_served(next);
                 }
-                let occupied = gate.ledger().total() as usize % 128;
-                gate.tick(occupied, 128);
+                let occupied = gate.core().ledger().total() as usize % 128;
+                gate.mirror_tick(occupied, 128);
             }
         };
         drive(&mut gate, WARMUP);
@@ -397,5 +392,22 @@ fn steady_state_decision_cycles_do_not_allocate() {
             0,
             "overload gate offer/served/tick allocated in steady state"
         );
+
+        // Cold fill: a fresh gate holding real payloads (slot, tag — the
+        // edge's arrival shape) takes its first `capacity` packets, and
+        // the overflow behind them, without growing the backlog buffer.
+        let mut cold = Gate::<(u32, u16)>::new(GateConfig::from_windows(
+            &windows,
+            1_000_000,
+            2_000_000,
+            RedConfig::classic(256),
+            7,
+        ));
+        let before = allocations();
+        for i in 0..300u32 {
+            let _ = cold.offer(i as usize % SLOTS, (i % SLOTS as u32, i as u16));
+        }
+        assert_eq!(allocations() - before, 0, "cold gate fill allocated");
+        assert_eq!(cold.backlog_len(), 256, "filled to hard capacity");
     }
 }
