@@ -4,23 +4,45 @@
 //! between packet queuing, scheduling and transmission"):
 //!
 //! * **producer** — generates arrivals and pushes them into an SPSC ring
-//!   (the per-stream circular queues);
-//! * **scheduler** — drains the arrival ring into the fabric simulation,
-//!   runs decision cycles, and pushes winning stream IDs into a second
-//!   SPSC ring;
+//!   (the per-stream circular queues), pacing itself on the published
+//!   pressure level whenever a gate is configured;
+//! * **scheduler** — drains the arrival ring (through the gate, if any)
+//!   into the fabric simulation, runs decision cycles, and pushes winning
+//!   stream IDs into a second SPSC ring;
 //! * **transmitter** — consumes stream IDs and accounts per-stream service.
 //!
-//! No locks anywhere on the data path — only the two rings. This is the
-//! engine behind the `host_router` example and the threaded-throughput
-//! bench; [`run_threaded`] returns per-stream counts and the measured
-//! end-to-end rate.
+//! No locks anywhere on the data path — only the two rings. The pipeline
+//! is written once: `Scheduler::with_rings` builds the fabric, the gate and
+//! both rings, `run_stages` runs the three threads over them. The public
+//! `run_threaded*` entry points are wrappers that choose the inputs — the
+//! fault seams, an optional overload gate, what is done to the loaded
+//! fabric before the threads start, and an `Observer` (module `observer`):
+//! `()`, whose hooks are empty and whose tag is `()`, or the `telemetry`
+//! feature's lifecycle tracer, whose 8-byte tag rides the rings next to
+//! each packet.
+//!
+//! Every packet ends transmitted or at exactly one [`LossSite`]: `Ring`
+//! (an injected overflow burst, a corrupt slot), `Admission`/`Shed`/`Ring`
+//! from the gate, `Shed` again for a head the fabric dropped at its
+//! deadline ([`LatePolicy::Drop`]), `Shard` for everything the watchdog
+//! wrote off behind a stuck fabric — so `total + lost` is the offered load
+//! on every entry point.
 
+mod observer;
+
+#[cfg(feature = "telemetry")]
+use self::observer::Traced;
+use self::observer::{Crossing, Observer};
 use crate::faults::EndsystemFaults;
-use crate::spsc::{spsc_ring, RingStats};
+use crate::spsc::{spsc_ring, Consumer, Producer, RingStats};
 use ss_core::{DecisionWatchdog, Fabric, FabricConfig, WatchdogVerdict};
 use ss_core::{LatePolicy, StreamState};
-use ss_overload::{Gate, GateConfig, LossLedger, LossSite};
+use ss_overload::{Gate, GateConfig, LossLedger, LossSite, SharedPressure};
+#[cfg(feature = "telemetry")]
+use ss_telemetry::{clock, SharedFlightRecorder, SpanRecorder};
 use ss_types::{Error, Result, Wrap16};
+#[cfg(feature = "faults")]
+use std::sync::Arc;
 use std::time::Instant;
 
 /// An arrival message on the producer → scheduler ring.
@@ -45,22 +67,22 @@ pub struct ThreadedReport {
     pub pps: f64,
     /// Producer → scheduler arrival-ring statistics (pushes, backpressure
     /// rejections, occupancy high-water). Rejections here mean the producer
-    /// observed a full ring and had to retry — previously invisible.
+    /// observed a full ring and had to retry.
     pub arr_ring: RingStats,
     /// Scheduler → transmitter winner-ID-ring statistics.
     pub id_ring: RingStats,
-    /// Packets lost to faults: dropped at an overflowing arrival ring, or
-    /// abandoned when the scheduler's watchdog declared the fabric stuck.
-    /// Always 0 in a fault-free run — loss is bounded and *counted*, never
-    /// silent. Equals `loss.total()` exactly; kept as a scalar for
-    /// backward compatibility.
+    /// Packets offered but not transmitted: dropped at an overflowing
+    /// arrival ring, refused by the gate, dropped by the fabric at their
+    /// deadline ([`LatePolicy::Drop`] expiry), or abandoned when the
+    /// scheduler's watchdog declared the fabric stuck. Loss is bounded and
+    /// *counted*, never silent: `total + lost` is the offered load. Equals
+    /// `loss.total()` exactly; kept as a scalar for backward compatibility.
     pub lost: u64,
     /// The same loss, classified by the unique site that consumed each
-    /// packet (admission / ring / shed / shard). Earlier revisions folded
-    /// everything into the one scalar above, which made it impossible to
-    /// tell an overflowing ring from an abandoned backlog — and easy to
-    /// count a packet at two sites. The ledger partition is exact:
-    /// `loss.total() == lost`, asserted in tests.
+    /// packet (admission / ring / shed / shard; expiry drops are `shed`).
+    /// The partition is exact — `loss.total() == lost`, asserted in tests —
+    /// so an overflowing ring is never mistaken for an abandoned backlog
+    /// and no packet is counted at two sites.
     pub loss: LossLedger,
 }
 
@@ -75,14 +97,8 @@ pub fn run_threaded(
     states: Vec<StreamState>,
     arrivals_per_slot: u64,
 ) -> Result<ThreadedReport> {
-    run_threaded_inner(
-        config,
-        states,
-        arrivals_per_slot,
-        EndsystemFaults::new(),
-        |_| {},
-    )
-    .map(|(report, _)| report)
+    let stages = Scheduler::with_rings(config, states, None, EndsystemFaults::new(), ())?;
+    run_stages(stages, arrivals_per_slot, (), ()).map(|run| run.report)
 }
 
 /// Like [`run_threaded`], but wires both the fabric and the endsystem seams
@@ -96,15 +112,13 @@ pub fn run_threaded_faulted(
     config: FabricConfig,
     states: Vec<StreamState>,
     arrivals_per_slot: u64,
-    injector: std::sync::Arc<ss_faults::FaultInjector>,
+    injector: Arc<ss_faults::FaultInjector>,
     policy: ss_faults::RetryPolicy,
 ) -> Result<ThreadedReport> {
     let mut faults = EndsystemFaults::new();
-    faults.attach(injector.clone(), policy);
-    run_threaded_inner(config, states, arrivals_per_slot, faults, move |f| {
-        f.attach_faults(injector)
-    })
-    .map(|(report, _)| report)
+    faults.attach(injector, policy);
+    let stages = Scheduler::with_rings(config, states, None, faults, ())?;
+    run_stages(stages, arrivals_per_slot, (), ()).map(|run| run.report)
 }
 
 /// Like [`run_threaded`], but attaches the fabric to a telemetry registry
@@ -119,14 +133,13 @@ pub fn run_threaded_instrumented(
     registry: &ss_telemetry::Registry,
     trace_capacity: usize,
 ) -> Result<(ThreadedReport, ss_telemetry::QosSet)> {
-    let reg = registry.clone();
-    let (report, mut fabric) = run_threaded_inner(
-        config,
-        states,
-        arrivals_per_slot,
-        EndsystemFaults::new(),
-        move |f| f.attach_telemetry(&reg, 0, trace_capacity),
-    )?;
+    let mut stages = Scheduler::with_rings(config, states, None, EndsystemFaults::new(), ())?;
+    stages
+        .1
+        .fabric
+        .attach_telemetry(registry, 0, trace_capacity);
+    let run = run_stages(stages, arrivals_per_slot, (), ())?;
+    let (report, mut fabric) = (run.report, run.fabric);
     // The fabric batches its observations locally; drain them so the
     // registry is complete before this function's snapshot-style returns.
     fabric.flush_telemetry();
@@ -177,9 +190,9 @@ fn publish_ring_stats(registry: &ss_telemetry::Registry, ring: &str, stats: &Rin
 /// gate's accounting.
 #[derive(Debug, Clone)]
 pub struct OverloadRunReport {
-    /// The underlying pipeline report. `report.loss` merges the ring/shard
-    /// sites from the pipeline with the gate's ledger; the partition stays
-    /// exact: `report.lost == report.loss.total()` and
+    /// The underlying pipeline report. `report.loss` merges the pipeline's
+    /// own sites (ring, expiry shed, shard) with the gate's ledger; the
+    /// partition stays exact: `report.lost == report.loss.total()` and
     /// `report.total + report.lost == offered`.
     pub report: ThreadedReport,
     /// Arrivals offered to the gate by the scheduler thread.
@@ -209,170 +222,18 @@ pub fn run_threaded_overload(
     arrivals_per_slot: u64,
     gate_config: GateConfig,
 ) -> Result<OverloadRunReport> {
-    assert_eq!(states.len(), config.slots, "one StreamState per slot");
-    let slots = config.slots;
-    let mut fabric = Fabric::new(config)?;
-    for (i, st) in states.into_iter().enumerate() {
-        let period = st.request_period;
-        fabric.load_stream(i, st, period)?;
-    }
-    let mut gate = Gate::<()>::new(gate_config);
-    let shared = gate.core().shared_pressure();
-
-    let (mut arr_tx, mut arr_rx) = spsc_ring::<ArrivalMsg>(4096);
-    let (mut id_tx, mut id_rx) = spsc_ring::<u8>(4096);
-
-    let start = Instant::now();
-
-    let producer = std::thread::spawn(move || {
-        let mut holdbacks = 0u64;
-        let mut seq = 0u64;
-        for q in 0..arrivals_per_slot {
-            for slot in 0..slots {
-                // Hierarchical backpressure: the published pressure level
-                // asks this thread to hold back 0, 1 or 3 of every 4
-                // arrivals' worth of pacing. A holdback is a bounded yield,
-                // not a drop — ingest slows, nothing is lost here.
-                let hb = ss_overload::SharedPressure::holdback_per_4(shared.level()) as u64;
-                if hb > 0 && seq % 4 < hb {
-                    holdbacks += 1;
-                    std::thread::yield_now();
-                }
-                seq += 1;
-                let mut msg = ArrivalMsg {
-                    slot,
-                    tag: Wrap16::from_wide(q),
-                };
-                loop {
-                    match arr_tx.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            msg = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        }
-        holdbacks
-    });
-
-    let ring_capacity = 4096usize;
-    let scheduler = std::thread::spawn(move || {
-        let mut pending = 0u64;
-        let mut loss = LossLedger::new();
-        let mut watchdog = DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1);
-        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(4096);
-        loop {
-            arr_batch.clear();
-            while arr_batch.len() < arr_batch.capacity() {
-                match arr_rx.pop() {
-                    // Refusals are already in the gate's ledger.
-                    Some(msg) if msg.slot < slots => {
-                        if gate.offer(msg.slot, ()).admits() {
-                            arr_batch.push((msg.slot, msg.tag));
-                        }
-                    }
-                    Some(_) => loss.record(LossSite::Ring),
-                    None => break,
-                }
-            }
-            match fabric.push_arrivals(&arr_batch) {
-                Ok(()) => pending += arr_batch.len() as u64,
-                Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
-            }
-            // One control tick per scheduler sweep: ring occupancy plus the
-            // fabric backlog against their combined budget drives the
-            // pressure signal (and through it admission refill and the
-            // producer's pacing).
-            let occupied = arr_rx.len() + pending.min(ring_capacity as u64) as usize;
-            gate.mirror_tick(occupied, 2 * ring_capacity);
-            if pending == 0 {
-                if arr_rx.is_disconnected() && arr_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            let packets = fabric.decision_cycle_into();
-            let produced = packets.len() as u64;
-            pending -= produced;
-            for p in packets {
-                gate.mirror_served(p.slot.index());
-                let mut id = p.slot.raw();
-                loop {
-                    match id_tx.push(id) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            id = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            if watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
-                loss.record_n(LossSite::Shard, pending);
-                loop {
-                    match arr_rx.pop() {
-                        Some(_) => loss.record(LossSite::Shard),
-                        None => {
-                            if arr_rx.is_disconnected() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        (arr_rx.stats(), gate, loss)
-    });
-
-    let mut per_slot = vec![0u64; slots];
-    let expected = arrivals_per_slot * slots as u64;
-    let mut got = 0u64;
-    while got < expected {
-        match id_rx.pop() {
-            Some(id) => {
-                per_slot[id as usize] += 1;
-                got += 1;
-            }
-            None => {
-                if id_rx.is_disconnected() && id_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    let holdbacks = producer.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem producer thread panicked".into(),
-    })?;
-    let (arr_ring, gate, mut loss) = scheduler.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem scheduler thread panicked".into(),
-    })?;
-    let id_ring = id_rx.stats();
-
-    loss.merge(gate.core().ledger());
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let total: u64 = per_slot.iter().sum();
+    let faults = EndsystemFaults::new();
+    let stages = Scheduler::with_rings(config, states, Some(gate_config), faults, ())?;
+    let run = run_stages(stages, arrivals_per_slot, (), ())?;
+    let gate = run
+        .gate
+        .expect("the pipeline returns the gate it was given");
     Ok(OverloadRunReport {
-        report: ThreadedReport {
-            per_slot,
-            total,
-            wall_seconds,
-            pps: total as f64 / wall_seconds,
-            arr_ring,
-            id_ring,
-            lost: loss.total(),
-            loss,
-        },
+        report: run.report,
         offered: gate.offered(),
-        admitted: gate.served() + gate.backlog_len() as u64,
+        admitted: gate.offered() - gate.core().ledger().total(),
         pressure_transitions: gate.core().pressure_transitions(),
-        holdbacks,
+        holdbacks: run.holdbacks,
     })
 }
 
@@ -385,15 +246,12 @@ pub struct TraceConfig {
     /// Capacity (events) of the always-on flight recorder.
     pub flight_capacity: usize,
     /// Overload gate in front of the fabric (runs on the scheduler
-    /// thread), if any.
+    /// thread, and paces the producer), if any.
     pub gate: Option<GateConfig>,
     /// Fault injector wired into the fabric and the producer's ring
     /// seam, if any — the chaos half of a traced chaos soak.
     #[cfg(feature = "faults")]
-    pub faults: Option<(
-        std::sync::Arc<ss_faults::FaultInjector>,
-        ss_faults::RetryPolicy,
-    )>,
+    pub faults: Option<(Arc<ss_faults::FaultInjector>, ss_faults::RetryPolicy)>,
 }
 
 #[cfg(feature = "telemetry")]
@@ -429,17 +287,6 @@ pub struct TracedReport {
     pub ticks_per_us: f64,
 }
 
-/// An arrival on the traced producer → scheduler ring: the plain message
-/// plus the full 8-byte trace tag (the untraced rings stay unwidened —
-/// this runner has its own ring type).
-#[cfg(feature = "telemetry")]
-#[derive(Debug, Clone, Copy)]
-struct TracedArrival {
-    slot: usize,
-    tag16: Wrap16,
-    trace: u64,
-}
-
 /// Like [`run_threaded`], but with per-packet lifecycle tracing on: the
 /// producer mints an 8-byte trace tag per arrival and each thread records
 /// its stage crossings (admission, SPSC enqueue/dequeue, gate verdict,
@@ -456,540 +303,25 @@ pub fn run_threaded_traced(
     arrivals_per_slot: u64,
     trace: TraceConfig,
 ) -> Result<TracedReport> {
-    use ss_telemetry::span::detail;
-    use ss_telemetry::{clock, DumpReason, SharedFlightRecorder, SpanRecorder, Stage, StageEvent, TraceTag};
-    use std::collections::VecDeque;
-
-    assert_eq!(states.len(), config.slots, "one StreamState per slot");
-    let slots = config.slots;
-    let mut fabric = Fabric::new(config)?;
-    for (i, st) in states.into_iter().enumerate() {
-        let period = st.request_period;
-        fabric.load_stream(i, st, period)?;
-    }
-
-    #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-    let mut es_faults = EndsystemFaults::new();
-    #[cfg(feature = "faults")]
-    if let Some((inj, pol)) = &trace.faults {
-        es_faults.attach(inj.clone(), *pol);
-        fabric.attach_faults(inj.clone());
-    }
-    let mut gate = trace.gate.clone().map(Gate::<()>::new);
-
     let spans = SpanRecorder::new(trace.span_capacity);
     let flight = SharedFlightRecorder::new(trace.flight_capacity);
-
-    let (mut arr_tx, mut arr_rx) = spsc_ring::<TracedArrival>(4096);
-    let (mut id_tx, mut id_rx) = spsc_ring::<(u8, u64)>(4096);
-
-    let start = Instant::now();
-
-    let prod_spans = spans.clone();
-    let prod_faults = es_faults;
-    let producer = std::thread::spawn(move || {
-        let mut track = prod_spans.track("producer");
-        let mut loss = LossLedger::new();
-        for q in 0..arrivals_per_slot {
-            for slot in 0..slots {
-                let tag = TraceTag::new(0, slot as u16, q as u32).0;
-                track.record(tag, 0, Stage::Admitted, 0, slot as u32);
-                let mut msg = TracedArrival {
-                    slot,
-                    tag16: Wrap16::from_wide(q),
-                    trace: tag,
-                };
-                let mut fresh_episode = true;
-                let mut pushed = true;
-                loop {
-                    match arr_tx.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if fresh_episode && prod_faults.ring_overflows() {
-                                // Injected overflow burst: drop, account,
-                                // and leave a terminal Shed on the trace.
-                                loss.record(LossSite::Ring);
-                                track.record(tag, 0, Stage::Shed, detail::SHED_RING, slot as u32);
-                                pushed = false;
-                                break;
-                            }
-                            fresh_episode = false;
-                            msg = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                if pushed {
-                    track.record(tag, 0, Stage::RingEnqueue, 0, slot as u32);
-                }
-            }
-        }
-        loss
-    });
-
-    let sched_spans = spans.clone();
-    let sched_flight = flight.clone();
-    let scheduler = std::thread::spawn(move || {
-        let mut track = sched_spans.track("scheduler");
-        let sched_track = track.id();
-        let mut pending = 0u64;
-        let mut loss = LossLedger::new();
-        let mut watchdog = DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1);
-        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(4096);
-        let mut batch_tags: Vec<u64> = Vec::with_capacity(4096);
-        let mut win_buf = Vec::with_capacity(4096);
-        // Admitted-but-unserved trace tags, FIFO per slot: the fabric
-        // serves each slot's queue in arrival order, so the front of a
-        // slot's queue is exactly the packet its next win (or expiry)
-        // consumes — this is how wins map back to tags without widening
-        // the fabric's wire types.
-        let mut admitted_tags: Vec<VecDeque<u64>> = vec![VecDeque::new(); slots];
-        // Per-slot fabric drop counters at the last sweep; a delta means
-        // `DropLate` expiries consumed head packets.
-        let mut seen_dropped: Vec<u64> = vec![0; slots];
-        let ring_capacity = 4096usize;
-        loop {
-            arr_batch.clear();
-            batch_tags.clear();
-            while arr_batch.len() < arr_batch.capacity() {
-                match arr_rx.pop() {
-                    Some(msg) if msg.slot < slots => {
-                        track.record(msg.trace, 0, Stage::RingDequeue, 0, msg.slot as u32);
-                        if let Some(g) = &mut gate {
-                            let reason = g.offer(msg.slot, ());
-                            track.record(
-                                msg.trace,
-                                0,
-                                Stage::GateVerdict,
-                                reason.code(),
-                                msg.slot as u32,
-                            );
-                            if !reason.admits() {
-                                // Refusals are in the gate's ledger.
-                                track.record(
-                                    msg.trace,
-                                    0,
-                                    Stage::Shed,
-                                    reason.code(),
-                                    msg.slot as u32,
-                                );
-                                sched_flight.record(StageEvent {
-                                    tag: msg.trace,
-                                    tsc: clock::now_tsc(),
-                                    cycle: fabric.decision_count(),
-                                    track: sched_track,
-                                    stage: Stage::Shed,
-                                    detail: reason.code(),
-                                    arg: msg.slot as u32,
-                                });
-                                continue;
-                            }
-                        }
-                        arr_batch.push((msg.slot, msg.tag16));
-                        batch_tags.push(msg.trace);
-                    }
-                    Some(msg) => {
-                        loss.record(LossSite::Ring);
-                        track.record(msg.trace, 0, Stage::Shed, detail::SHED_RING, 0);
-                    }
-                    None => break,
-                }
-            }
-            match fabric.push_arrivals(&arr_batch) {
-                Ok(()) => {
-                    pending += arr_batch.len() as u64;
-                    let cycle = fabric.decision_count();
-                    for (&(slot, _), &tag) in arr_batch.iter().zip(&batch_tags) {
-                        track.record(tag, cycle, Stage::FabricArrival, 0, slot as u32);
-                        admitted_tags[slot].push_back(tag);
-                    }
-                }
-                // Unreachable after validation; counted rather than panicked.
-                Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
-            }
-            if let Some(g) = &mut gate {
-                let occupied = arr_rx.len() + pending.min(ring_capacity as u64) as usize;
-                g.mirror_tick(occupied, 2 * ring_capacity);
-            }
-            if pending == 0 {
-                if arr_rx.is_disconnected() && arr_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            let packets = fabric.decision_cycle_into();
-            let produced = packets.len() as u64;
-            pending -= produced;
-            win_buf.clear();
-            win_buf.extend(packets.iter().map(|p| p.slot));
-            let cycle = fabric.decision_count();
-            let arm = if fabric.is_batched() {
-                detail::DECISION_BATCHED
-            } else {
-                detail::DECISION_SCALAR
-            };
-            for p in &win_buf {
-                let slot = p.index();
-                let tag = admitted_tags[slot]
-                    .pop_front()
-                    .unwrap_or(ss_telemetry::TraceTag::CONTROL.0);
-                track.record(tag, cycle, Stage::DecisionWin, arm, slot as u32);
-                sched_flight.record(StageEvent {
-                    tag,
-                    tsc: clock::now_tsc(),
-                    cycle,
-                    track: sched_track,
-                    stage: Stage::DecisionWin,
-                    detail: arm,
-                    arg: slot as u32,
-                });
-                if let Some(g) = &mut gate {
-                    g.mirror_served(slot);
-                }
-                let mut id = (p.raw(), tag);
-                loop {
-                    match id_tx.push(id) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            id = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            // `DropLate` expiries consume head packets without a win:
-            // surface them as terminal Shed events so the tag queues stay
-            // aligned with the fabric's per-slot FIFOs.
-            for slot in 0..slots {
-                let dropped = fabric
-                    .slot_counters(slot)
-                    .map(|c| c.dropped)
-                    .unwrap_or(seen_dropped[slot]);
-                while seen_dropped[slot] < dropped {
-                    seen_dropped[slot] += 1;
-                    pending = pending.saturating_sub(1);
-                    if let Some(tag) = admitted_tags[slot].pop_front() {
-                        track.record(tag, cycle, Stage::Shed, detail::SHED_EXPIRED, slot as u32);
-                    }
-                }
-            }
-            if watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
-                // Stuck path: leave the trip on both recording surfaces,
-                // write the backlog off (counted), and take the automatic
-                // flight dump — the post-mortem artifact.
-                track.record(
-                    ss_telemetry::TraceTag::CONTROL.0,
-                    cycle,
-                    Stage::WatchdogTrip,
-                    0,
-                    watchdog.trips() as u32,
-                );
-                sched_flight.record_control(
-                    cycle,
-                    sched_track,
-                    Stage::WatchdogTrip,
-                    0,
-                    watchdog.trips() as u32,
-                );
-                loss.record_n(LossSite::Shard, pending);
-                for (slot, tags) in admitted_tags.iter_mut().enumerate() {
-                    while let Some(tag) = tags.pop_front() {
-                        track.record(tag, cycle, Stage::Shed, detail::SHED_SHARD, slot as u32);
-                    }
-                }
-                loop {
-                    match arr_rx.pop() {
-                        Some(msg) => {
-                            loss.record(LossSite::Shard);
-                            track.record(
-                                msg.trace,
-                                cycle,
-                                Stage::Shed,
-                                detail::SHED_SHARD,
-                                msg.slot as u32,
-                            );
-                        }
-                        None => {
-                            if arr_rx.is_disconnected() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                sched_flight.auto_dump(DumpReason::WatchdogTrip, cycle);
-                break;
-            }
-        }
-        if let Some(g) = &gate {
-            loss.merge(g.core().ledger());
-        }
-        (arr_rx.stats(), loss, watchdog.trips())
-    });
-
-    // Transmitter runs on the calling thread, recording Service events.
-    let mut tx_track = spans.track("transmitter");
-    let mut per_slot = vec![0u64; slots];
-    let expected = arrivals_per_slot * slots as u64;
-    let mut got = 0u64;
-    while got < expected {
-        match id_rx.pop() {
-            Some((id, tag)) => {
-                per_slot[id as usize] += 1;
-                got += 1;
-                tx_track.record(tag, 0, Stage::Service, 0, id as u32);
-            }
-            None => {
-                if id_rx.is_disconnected() && id_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
+    let [prod_obs, sched_obs, tx_obs] = ["producer", "scheduler", "transmitter"]
+        .map(|thread| Traced::new(&spans, &flight, thread, config.slots));
+    #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
+    let mut faults = EndsystemFaults::new();
+    #[cfg(feature = "faults")]
+    if let Some((injector, policy)) = trace.faults {
+        faults.attach(injector, policy);
     }
-    drop(tx_track);
-
-    let prod_loss = producer.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem producer thread panicked".into(),
-    })?;
-    let (arr_ring, sched_loss, watchdog_trips) =
-        scheduler.join().map_err(|_| Error::DegradedMode {
-            reason: "endsystem scheduler thread panicked".into(),
-        })?;
-    let id_ring = id_rx.stats();
-
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let total: u64 = per_slot.iter().sum();
-    let mut loss = prod_loss;
-    loss.merge(&sched_loss);
+    let stages = Scheduler::with_rings(config, states, trace.gate, faults, sched_obs)?;
+    let run = run_stages(stages, arrivals_per_slot, prod_obs, tx_obs)?;
     Ok(TracedReport {
-        report: ThreadedReport {
-            per_slot,
-            total,
-            wall_seconds,
-            pps: total as f64 / wall_seconds,
-            arr_ring,
-            id_ring,
-            lost: loss.total(),
-            loss,
-        },
+        report: run.report,
         tracks: spans.drain(),
         flight_dump: flight.take_last_dump(),
-        watchdog_trips,
+        watchdog_trips: run.watchdog_trips,
         ticks_per_us: clock::ticks_per_us(),
     })
-}
-
-/// How many consecutive unproductive-with-backlog decision cycles the
-/// scheduler thread tolerates before declaring the fabric stuck. Must
-/// comfortably exceed any transient injected wedge
-/// ([`ss_faults::FaultConfig::max_stuck_cycles`] defaults to 8) so only
-/// crashes and chained wedges trip it.
-const SCHEDULER_STALL_THRESHOLD: u32 = 64;
-
-fn run_threaded_inner(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-    faults: EndsystemFaults,
-    attach: impl FnOnce(&mut Fabric),
-) -> Result<(ThreadedReport, Fabric)> {
-    assert_eq!(states.len(), config.slots, "one StreamState per slot");
-    let slots = config.slots;
-    let mut fabric = Fabric::new(config)?;
-    for (i, st) in states.into_iter().enumerate() {
-        let period = st.request_period;
-        fabric.load_stream(i, st, period)?;
-    }
-    attach(&mut fabric);
-
-    let (mut arr_tx, mut arr_rx) = spsc_ring::<ArrivalMsg>(4096);
-    let (mut id_tx, mut id_rx) = spsc_ring::<u8>(4096);
-
-    let prod_faults = faults.clone();
-    #[cfg(feature = "faults")]
-    let sched_faults = faults;
-    #[cfg(not(feature = "faults"))]
-    let _ = faults; // zero-sized stand-in; only the producer's copy is used
-
-    let start = Instant::now();
-
-    let producer = std::thread::spawn(move || {
-        let mut loss = LossLedger::new();
-        for q in 0..arrivals_per_slot {
-            for slot in 0..slots {
-                let mut msg = ArrivalMsg {
-                    slot,
-                    tag: Wrap16::from_wide(q),
-                };
-                // One fault sample per full-ring episode (not per spin), so
-                // the injected-count stays proportional to real
-                // backpressure events rather than spin frequency.
-                let mut fresh_episode = true;
-                loop {
-                    match arr_tx.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            if fresh_episode && prod_faults.ring_overflows() {
-                                // Injected overflow burst on a full ring:
-                                // drop the packet and account it instead of
-                                // spinning against the pressure spike.
-                                loss.record(LossSite::Ring);
-                                #[cfg(feature = "faults")]
-                                if let Some(inj) = prod_faults.injector() {
-                                    inj.stats()
-                                        .lost_packets
-                                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                }
-                                break;
-                            }
-                            fresh_episode = false;
-                            msg = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-        }
-        // Dropping arr_tx disconnects the ring: the scheduler sees
-        // empty + disconnected and finishes.
-        loss
-    });
-
-    let scheduler = std::thread::spawn(move || {
-        let mut pending = 0u64;
-        let mut loss = LossLedger::new();
-        let mut watchdog = DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1);
-        // Reusable batch buffer: arrivals are drained from the ring in one
-        // sweep and deposited with `push_arrivals`, and the decision cycle
-        // runs through the zero-allocation `decision_cycle_into` view — the
-        // scheduler thread's steady-state loop never touches the heap.
-        let mut arr_batch: Vec<(usize, Wrap16)> = Vec::with_capacity(4096);
-        loop {
-            // Drain arrivals into the fabric (one batched deposit). Slots
-            // are validated here — a corrupt message is counted as lost, so
-            // `push_arrivals` below cannot fail and nothing panics.
-            arr_batch.clear();
-            while arr_batch.len() < arr_batch.capacity() {
-                match arr_rx.pop() {
-                    Some(msg) if msg.slot < slots => arr_batch.push((msg.slot, msg.tag)),
-                    // Corrupted in the ring: the ring consumed it.
-                    Some(_) => loss.record(LossSite::Ring),
-                    None => break,
-                }
-            }
-            match fabric.push_arrivals(&arr_batch) {
-                Ok(()) => pending += arr_batch.len() as u64,
-                // Unreachable after validation; counted rather than panicked.
-                Err(_) => loss.record_n(LossSite::Ring, arr_batch.len() as u64),
-            }
-            if pending == 0 {
-                if arr_rx.is_disconnected() && arr_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            let packets = fabric.decision_cycle_into();
-            let produced = packets.len() as u64;
-            pending -= produced;
-            for p in packets {
-                let mut id = p.slot.raw();
-                loop {
-                    match id_tx.push(id) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            id = back;
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            if watchdog.observe(produced > 0, pending > 0) == WatchdogVerdict::Stuck {
-                // The fabric stayed unproductive past the threshold — a
-                // crashed card or chained stuck windows, not a transient
-                // wedge. Abandon the backlog (counted, bounded) and drain
-                // the producer dry so it can never deadlock pushing into a
-                // full ring nobody reads. Everything written off here —
-                // the deposited backlog and the still-ringed arrivals —
-                // is lost to the dead scheduling path, not to the rings:
-                // one site per packet, no double count.
-                loss.record_n(LossSite::Shard, pending);
-                loop {
-                    match arr_rx.pop() {
-                        Some(_) => loss.record(LossSite::Shard),
-                        None => {
-                            if arr_rx.is_disconnected() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-                #[cfg(feature = "faults")]
-                if let Some(inj) = sched_faults.injector() {
-                    use std::sync::atomic::Ordering;
-                    inj.stats().detected.fetch_add(1, Ordering::Relaxed);
-                    inj.stats()
-                        .lost_packets
-                        .fetch_add(loss.total(), Ordering::Relaxed);
-                }
-                break;
-            }
-        }
-        // The loop only exits once the producer disconnected, so its final
-        // ring stats are published and exact here.
-        (arr_rx.stats(), fabric, loss)
-    });
-
-    // Transmitter runs on the calling thread. It stops at the expected
-    // count or — if the scheduler abandoned a stuck fabric — when the
-    // winner ring disconnects, so loss upstream never hangs this loop.
-    let mut per_slot = vec![0u64; slots];
-    let expected = arrivals_per_slot * slots as u64;
-    let mut got = 0u64;
-    while got < expected {
-        match id_rx.pop() {
-            Some(id) => {
-                per_slot[id as usize] += 1;
-                got += 1;
-            }
-            None => {
-                if id_rx.is_disconnected() && id_rx.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    let prod_loss = producer.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem producer thread panicked".into(),
-    })?;
-    let (arr_ring, fabric, sched_loss) = scheduler.join().map_err(|_| Error::DegradedMode {
-        reason: "endsystem scheduler thread panicked".into(),
-    })?;
-    // The scheduler has dropped its id_tx endpoint — its stats are final.
-    let id_ring = id_rx.stats();
-
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let total: u64 = per_slot.iter().sum();
-    let mut loss = prod_loss;
-    loss.merge(&sched_loss);
-    Ok((
-        ThreadedReport {
-            per_slot,
-            total,
-            wall_seconds,
-            pps: total as f64 / wall_seconds,
-            arr_ring,
-            id_ring,
-            lost: loss.total(),
-            loss,
-        },
-        fabric,
-    ))
 }
 
 /// Convenience: an EDF fabric of `slots` always-backlogged streams
@@ -1010,6 +342,415 @@ pub fn run_threaded_edf(
         })
         .collect();
     run_threaded(config, states, arrivals_per_slot)
+}
+
+/// How many consecutive unproductive-with-backlog decision cycles the
+/// scheduler thread tolerates before declaring the fabric stuck. Must
+/// comfortably exceed any transient injected wedge
+/// ([`ss_faults::FaultConfig::max_stuck_cycles`] defaults to 8) so only
+/// crashes and chained wedges trip it.
+const SCHEDULER_STALL_THRESHOLD: u32 = 64;
+
+/// Capacity of both rings, and of the scheduler's per-sweep batch.
+const RING_CAPACITY: usize = 4096;
+
+/// Spins until `value` is on the ring — the pipeline's one backpressure
+/// wait. `give_up` is consulted once, on the first full-ring observation
+/// (one fault sample per full-ring episode, not per spin, so the injected
+/// count stays proportional to real backpressure events): `true` drops the
+/// value instead, and this returns `false`.
+// lint:hot-path
+#[inline]
+fn push_spinning<T: Send>(
+    tx: &mut Producer<T>,
+    mut value: T,
+    give_up: impl FnOnce() -> bool,
+) -> bool {
+    let mut give_up = Some(give_up);
+    loop {
+        match tx.push(value) {
+            Ok(()) => return true,
+            Err(_) if give_up.take().is_some_and(|ask| ask()) => return false,
+            Err(back) => value = back,
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// `true` once the ring's producer is gone **and** everything it pushed
+/// has been popped. The disconnect is read first: a producer that pushes
+/// its last items and drops between a consumer's empty `pop` and this
+/// check leaves a non-empty ring, which the disconnect alone would hide.
+#[inline]
+fn finished<T: Send>(rx: &Consumer<T>) -> bool {
+    rx.is_disconnected() && rx.is_empty()
+}
+
+/// Pops until the ring is [`finished`], handing every item to `each`: the
+/// transmitter's loop, and the write-off drain that keeps a producer from
+/// deadlocking on a full ring nobody schedules from any more.
+fn drain_until_finished<T: Send>(rx: &mut Consumer<T>, mut each: impl FnMut(T)) {
+    loop {
+        match rx.pop() {
+            Some(item) => each(item),
+            None if finished(rx) => break,
+            None => std::hint::spin_loop(),
+        }
+    }
+}
+
+/// Books fault-caused loss on the attached injector's recovery ledger
+/// (`lost_packets`, plus `detected` per watchdog trip); no injector, no-op.
+#[cfg_attr(not(feature = "faults"), allow(unused_variables))]
+fn tally_injected(faults: &EndsystemFaults, detected: u64, lost: u64) {
+    #[cfg(feature = "faults")]
+    if let Some(injector) = faults.injector() {
+        use std::sync::atomic::Ordering;
+        let stats = injector.stats();
+        stats.detected.fetch_add(detected, Ordering::Relaxed);
+        stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
+    }
+}
+
+/// The scheduler thread's state: fabric, optional gate, both ring ends.
+struct Scheduler<O: Observer> {
+    fabric: Fabric,
+    gate: Option<Gate<()>>,
+    faults: EndsystemFaults,
+    obs: O,
+    arr_rx: Consumer<(ArrivalMsg, O::Tag)>,
+    id_tx: Producer<(u8, O::Tag)>,
+    /// Packets in the fabric's queues: deposited, not yet served or
+    /// expired. Follows [`Fabric::total_backlog`] after every cycle.
+    pending: u64,
+    loss: LossLedger,
+    watchdog: DecisionWatchdog,
+    /// Reusable batch buffers: a sweep drains the ring into these and
+    /// deposits them with one `push_arrivals`, and the decision cycle runs
+    /// through the zero-allocation `decision_cycle_into` view — the
+    /// steady-state loop never touches the heap.
+    arr_batch: Vec<(usize, Wrap16)>,
+    tag_batch: Vec<O::Tag>,
+}
+
+/// A pipeline before its threads start: the producer's ring end, the
+/// scheduler, the transmitter's ring end.
+type Stages<O> = (
+    Producer<(ArrivalMsg, <O as Observer>::Tag)>,
+    Scheduler<O>,
+    Consumer<(u8, <O as Observer>::Tag)>,
+);
+
+impl<O: Observer> Scheduler<O> {
+    /// Builds the fabric (wired to `faults`' injector, if attached), the
+    /// gate and both rings.
+    fn with_rings(
+        config: FabricConfig,
+        states: Vec<StreamState>,
+        gate: Option<GateConfig>,
+        faults: EndsystemFaults,
+        obs: O,
+    ) -> Result<Stages<O>> {
+        assert_eq!(states.len(), config.slots, "one StreamState per slot");
+        let mut fabric = Fabric::new(config)?;
+        for (i, st) in states.into_iter().enumerate() {
+            let period = st.request_period;
+            fabric.load_stream(i, st, period)?;
+        }
+        #[cfg(feature = "faults")]
+        if let Some(injector) = faults.injector() {
+            fabric.attach_faults(Arc::clone(injector));
+        }
+        let (arr_tx, arr_rx) = spsc_ring(RING_CAPACITY);
+        let (id_tx, id_rx) = spsc_ring(RING_CAPACITY);
+        let scheduler = Self {
+            fabric,
+            gate: gate.map(Gate::new),
+            faults,
+            obs,
+            arr_rx,
+            id_tx,
+            pending: 0,
+            loss: LossLedger::new(),
+            watchdog: DecisionWatchdog::new(SCHEDULER_STALL_THRESHOLD, 1),
+            arr_batch: Vec::with_capacity(RING_CAPACITY),
+            tag_batch: Vec::with_capacity(RING_CAPACITY),
+        };
+        Ok((arr_tx, scheduler, id_rx))
+    }
+
+    /// One sweep of the scheduler's steady state: drain the arrival ring
+    /// through the gate into the fabric (one batched deposit), tick the
+    /// gate, run one decision cycle, publish the winners, and reconcile
+    /// `pending` with what the fabric still holds. `None` when there was
+    /// nothing to schedule, else the watchdog's verdict on the cycle.
+    // lint:hot-path
+    fn sweep(&mut self) -> Option<WatchdogVerdict> {
+        let cycle = self.fabric.decision_count();
+        self.arr_batch.clear();
+        self.tag_batch.clear();
+        while self.arr_batch.len() < RING_CAPACITY {
+            let Some((msg, tag)) = self.arr_rx.pop() else {
+                break;
+            };
+            // Slots are validated here — a corrupt message is counted as
+            // lost to the ring, so `push_arrivals` below cannot fail.
+            if msg.slot >= self.fabric.config().slots {
+                self.loss.record(LossSite::Ring);
+                self.obs.crossed(Crossing::RingShed, tag, msg.slot, cycle);
+                continue;
+            }
+            self.obs
+                .crossed(Crossing::RingDequeue, tag, msg.slot, cycle);
+            if let Some(gate) = &mut self.gate {
+                let reason = gate.offer(msg.slot, ());
+                self.obs.gate_verdict(tag, msg.slot, reason, cycle);
+                if !reason.admits() {
+                    continue; // booked in the gate's ledger
+                }
+            }
+            self.arr_batch.push((msg.slot, msg.tag));
+            self.tag_batch.push(tag);
+        }
+        let deposited = self.arr_batch.len() as u64;
+        match self.fabric.push_arrivals(&self.arr_batch) {
+            Ok(()) => {
+                self.pending += deposited;
+                self.obs.deposited(&self.arr_batch, &self.tag_batch, cycle);
+            }
+            // Unreachable after validation; counted rather than panicked.
+            Err(_) => self.loss.record_n(LossSite::Ring, deposited),
+        }
+        // One control tick per sweep: ring occupancy plus the fabric
+        // backlog against their combined budget drives the pressure signal
+        // (and through it admission refill and the producer's pacing).
+        if let Some(gate) = &mut self.gate {
+            let occupied = self.arr_rx.len() + self.pending.min(RING_CAPACITY as u64) as usize;
+            gate.mirror_tick(occupied, 2 * RING_CAPACITY);
+        }
+        if self.pending == 0 {
+            return None;
+        }
+        let batched = self.fabric.is_batched();
+        self.fabric.decision_cycle_into();
+        let cycle = self.fabric.decision_count();
+        let winners = self.fabric.last_block();
+        for p in winners {
+            let tag = self.obs.won(p.slot.index(), cycle, batched);
+            if let Some(gate) = &mut self.gate {
+                gate.mirror_served(p.slot.index());
+            }
+            push_spinning(&mut self.id_tx, (p.slot.raw(), tag), || false);
+        }
+        let produced = winners.len() as u64;
+        // `pending` follows the fabric: what left its queues without
+        // winning was dropped at its deadline (`LatePolicy::Drop`) — shed,
+        // by the fabric rather than the gate, and ledgered as such, so a
+        // healthy fabric that drops late heads never looks stuck.
+        let backlog = self.fabric.total_backlog() as u64;
+        let expired = self.pending.saturating_sub(produced + backlog);
+        self.pending = backlog;
+        if expired > 0 {
+            self.loss.record_n(LossSite::Shed, expired);
+            if let Some(gate) = &mut self.gate {
+                // The mirror follows the backlog; the pipeline's ledger,
+                // not the gate's, books what the fabric dropped.
+                for _ in 0..expired {
+                    let _ = gate.pop();
+                }
+            }
+            self.obs.expired(&self.fabric, cycle);
+        }
+        Some(self.watchdog.observe(produced + expired > 0, backlog > 0))
+    }
+
+    /// The fabric stayed unproductive past the threshold — a crashed card
+    /// or chained stuck windows, not a transient wedge. Abandon the backlog
+    /// (counted, bounded) and drain the producer dry so it can never
+    /// deadlock pushing into a full ring nobody reads. Everything written
+    /// off here — the deposited backlog and the still-ringed arrivals — is
+    /// lost to the dead scheduling path, not to the rings: one site per
+    /// packet, no double count.
+    fn write_off(&mut self) {
+        let cycle = self.fabric.decision_count();
+        self.obs.watchdog_tripped(cycle, self.watchdog.trips());
+        let (mut lost, obs) = (self.pending, &mut self.obs);
+        drain_until_finished(&mut self.arr_rx, |(msg, tag)| {
+            lost += 1;
+            obs.crossed(Crossing::WrittenOff, tag, msg.slot, cycle);
+        });
+        self.loss.record_n(LossSite::Shard, lost);
+        tally_injected(&self.faults, 1, lost);
+    }
+
+    /// The scheduler thread: sweeps until the producer is done and the
+    /// fabric is empty, or the watchdog trips. Returning drops `id_tx`,
+    /// which is what ends the transmitter after a loss.
+    fn run(mut self) -> (RingStats, Fabric, Option<Gate<()>>, LossLedger, u64) {
+        loop {
+            match self.sweep() {
+                Some(WatchdogVerdict::Stuck) => {
+                    self.write_off();
+                    break;
+                }
+                Some(_) => {}
+                None if finished(&self.arr_rx) => break,
+                None => std::hint::spin_loop(),
+            }
+        }
+        // The producer has disconnected, so its final ring stats are
+        // published and exact here.
+        let trips = self.watchdog.trips();
+        (
+            self.arr_rx.stats(),
+            self.fabric,
+            self.gate,
+            self.loss,
+            trips,
+        )
+    }
+}
+
+/// The scheduler stage with the no-op observer, assembled outside the
+/// pipeline so its steady state can be driven on one thread over pre-filled
+/// rings (`tests/zero_alloc.rs` counts its allocations).
+pub struct SchedulerStage(Scheduler<()>);
+
+impl SchedulerStage {
+    /// Builds the stage between the ring ends a producer and a transmitter
+    /// would hold.
+    ///
+    /// # Panics
+    /// Panics if `states.len() != config.slots`.
+    #[allow(clippy::type_complexity)]
+    pub fn new(
+        config: FabricConfig,
+        states: Vec<StreamState>,
+        gate: Option<GateConfig>,
+    ) -> Result<(Producer<(ArrivalMsg, ())>, Self, Consumer<(u8, ())>)> {
+        let faults = EndsystemFaults::new();
+        let (arr_tx, scheduler, id_rx) = Scheduler::with_rings(config, states, gate, faults, ())?;
+        Ok((arr_tx, Self(scheduler), id_rx))
+    }
+
+    /// One scheduler sweep; `true` when a decision cycle ran. Spins while
+    /// the winner ring is full, so drain it between sweeps.
+    // lint:hot-path
+    pub fn sweep(&mut self) -> bool {
+        self.0.sweep().is_some()
+    }
+}
+
+/// Everything a wrapper may want back from [`run_stages`].
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+struct Run {
+    report: ThreadedReport,
+    fabric: Fabric,
+    gate: Option<Gate<()>>,
+    holdbacks: u64,
+    watchdog_trips: u64,
+}
+
+/// The three-thread pipeline, written once: the producer and the scheduler
+/// are spawned, the transmitter runs on the calling thread. What the
+/// wrappers vary went into [`Scheduler::with_rings`] — the fault seams (the
+/// producer's ring seam uses the scheduler's copy), the gate (which also
+/// paces the producer) and the scheduler's observer — or was done to the
+/// loaded fabric before this call.
+fn run_stages<O: Observer>(
+    (mut arr_tx, scheduler, mut id_rx): Stages<O>,
+    arrivals_per_slot: u64,
+    mut prod_obs: O,
+    mut tx_obs: O,
+) -> Result<Run> {
+    let slots = scheduler.fabric.config().slots;
+    let faults = scheduler.faults.clone();
+    let pressure = scheduler.gate.as_ref().map(|g| g.core().shared_pressure());
+    let start = Instant::now();
+
+    let producer = std::thread::spawn(move || {
+        let mut loss = LossLedger::new();
+        let (mut holdbacks, mut seq) = (0u64, 0u64);
+        for q in 0..arrivals_per_slot {
+            for slot in 0..slots {
+                // Hierarchical backpressure: the published pressure level
+                // asks this thread to hold back 0, 1 or 3 of every 4
+                // arrivals' worth of pacing. A holdback is a bounded yield,
+                // not a drop — ingest slows, nothing is lost here.
+                let level = pressure.as_ref().map(|p| p.level());
+                let holdback = level.map_or(0, SharedPressure::holdback_per_4);
+                if seq % 4 < u64::from(holdback) {
+                    holdbacks += 1;
+                    std::thread::yield_now();
+                }
+                seq += 1;
+                let tag = prod_obs.admitted(slot, q);
+                let msg = (
+                    ArrivalMsg {
+                        slot,
+                        tag: Wrap16::from_wide(q),
+                    },
+                    tag,
+                );
+                if push_spinning(&mut arr_tx, msg, || faults.ring_overflows()) {
+                    prod_obs.crossed(Crossing::RingEnqueue, tag, slot, 0);
+                } else {
+                    // Injected overflow burst on a full ring: dropped and
+                    // accounted instead of spun on.
+                    loss.record(LossSite::Ring);
+                    tally_injected(&faults, 0, 1);
+                    prod_obs.crossed(Crossing::RingShed, tag, slot, 0);
+                }
+            }
+        }
+        // Dropping `arr_tx` disconnects the ring: the scheduler sees it
+        // `finished` and winds down.
+        (loss, holdbacks)
+    });
+    let scheduler = std::thread::spawn(move || scheduler.run());
+
+    // The transmitter runs on the calling thread until the scheduler is done
+    // (served everything, or wrote the rest off) and the winner ring is dry.
+    let mut per_slot = vec![0u64; slots];
+    drain_until_finished(&mut id_rx, |(id, tag)| {
+        per_slot[id as usize] += 1;
+        tx_obs.crossed(Crossing::Service, tag, id as usize, 0);
+    });
+    drop(tx_obs);
+
+    let panicked = |thread: &str| Error::DegradedMode {
+        reason: format!("endsystem {thread} thread panicked"),
+    };
+    let (mut loss, holdbacks) = producer.join().map_err(|_| panicked("producer"))?;
+    let (arr_ring, fabric, gate, sched_loss, watchdog_trips) =
+        scheduler.join().map_err(|_| panicked("scheduler"))?;
+    // The scheduler has dropped its id_tx endpoint — its stats are final.
+    let id_ring = id_rx.stats();
+
+    let wall_seconds = start.elapsed().as_secs_f64();
+    let total: u64 = per_slot.iter().sum();
+    loss.merge(&sched_loss);
+    if let Some(gate) = &gate {
+        loss.merge(gate.core().ledger());
+    }
+    let (pps, lost) = (total as f64 / wall_seconds, loss.total());
+    let report = ThreadedReport {
+        per_slot,
+        total,
+        wall_seconds,
+        pps,
+        arr_ring,
+        id_ring,
+        lost,
+        loss,
+    };
+    Ok(Run {
+        report,
+        fabric,
+        gate,
+        holdbacks,
+        watchdog_trips,
+    })
 }
 
 #[cfg(test)]
@@ -1405,5 +1146,220 @@ mod tests {
             .count() as u64;
         assert_eq!(refused, run.report.loss.admission, "shed trail matches ledger");
         validate_causal(&events).expect("gate verdicts rank after dequeue");
+    }
+
+    fn states(slots: usize, period: u64, num: u8, late_policy: LatePolicy) -> Vec<StreamState> {
+        let original_window = ss_types::WindowConstraint { num, den: 4 };
+        (0..slots)
+            .map(|_| StreamState {
+                request_period: period,
+                original_window,
+                static_prio: 0,
+                late_policy,
+            })
+            .collect()
+    }
+
+    /// Generous buckets and a RED band far above any real occupancy: a
+    /// gate that refuses nothing.
+    fn headroom_gate(num: u8) -> GateConfig {
+        let windows = [ss_types::WindowConstraint { num, den: 4 }; 4];
+        let red = ss_overload::RedConfig::classic(1 << 20);
+        GateConfig::from_windows(&windows, 1_000_000, 4_000_000, red, 3)
+    }
+
+    /// The conservation identities of a run whose only loss is the fabric
+    /// dropping late heads: everything offered is transmitted or at `shed`,
+    /// and nothing was written off as a crashed shard.
+    fn assert_expiry_drops_are_shed(report: &ThreadedReport, offered: u64, what: &str) {
+        assert_eq!(report.total + report.lost, offered, "{what}: conserved");
+        assert_eq!(report.loss.total(), report.lost, "{what}: partition exact");
+        assert_eq!(
+            report.loss.shard, 0,
+            "{what}: a healthy fabric is not a crashed shard"
+        );
+        assert_eq!(
+            report.loss.shed, report.lost,
+            "{what}: expiry drops are shed"
+        );
+    }
+
+    /// `LatePolicy::Drop` is what `StreamState::from_spec` gives every
+    /// window-constrained stream. Transmitted counts depend on thread
+    /// timing; the identities do not.
+    #[test]
+    fn drop_late_expiry_is_shed_on_every_entry_point() {
+        for period in [1, 3] {
+            let config = || FabricConfig::dwcs(4, FabricConfigKind::WinnerOnly);
+            let late = || states(4, period, 3, LatePolicy::Drop);
+            let plain = run_threaded(config(), late(), 2_000).unwrap();
+            assert_expiry_drops_are_shed(&plain, 8_000, "plain");
+            let gated = run_threaded_overload(config(), late(), 2_000, headroom_gate(3)).unwrap();
+            assert_expiry_drops_are_shed(&gated.report, 8_000, "overload");
+            assert_eq!((gated.offered, gated.admitted), (8_000, 8_000));
+            #[cfg(feature = "faults")]
+            {
+                use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
+                let inj = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
+                let policy = RetryPolicy::default();
+                let faulted =
+                    run_threaded_faulted(config(), late(), 2_000, inj.clone(), policy).unwrap();
+                assert_expiry_drops_are_shed(&faulted, 8_000, "faulted");
+                let stats = inj.stats().snapshot();
+                assert_eq!(
+                    (stats.detected, stats.lost_packets),
+                    (0, 0),
+                    "no fault, no tally"
+                );
+            }
+            #[cfg(feature = "telemetry")]
+            {
+                use ss_telemetry::{span::detail, stitch, validate_causal, Stage};
+                let trace = TraceConfig::new(1 << 17, 256);
+                let run = run_threaded_traced(config(), late(), 2_000, trace).unwrap();
+                assert_expiry_drops_are_shed(&run.report, 8_000, "traced");
+                assert_eq!(run.watchdog_trips, 0);
+                assert!(run.flight_dump.is_none(), "healthy run: no automatic dump");
+                assert!(run.tracks.iter().all(|t| t.dropped == 0));
+                let events = stitch(&run.tracks);
+                let expired = events
+                    .iter()
+                    .filter(|e| e.stage == Stage::Shed && e.detail == detail::SHED_EXPIRED)
+                    .count() as u64;
+                assert_eq!(
+                    expired, run.report.lost,
+                    "one terminal Shed per dropped packet"
+                );
+                validate_causal(&events).expect("expiry sheds rank after the deposit");
+            }
+        }
+    }
+
+    /// The write-off drain's exit check, against a scripted ring: the drain
+    /// pops `None`, the producer then pushes its last items and drops, and
+    /// only then does the drain look at the disconnect.
+    #[test]
+    fn write_off_drain_counts_arrivals_that_land_before_the_disconnect() {
+        let (mut tx, mut rx) = spsc_ring::<u32>(8);
+        assert!(rx.pop().is_none(), "the drain sees an empty ring");
+        for late in 0..3 {
+            tx.push(late).unwrap();
+        }
+        drop(tx);
+        assert!(
+            rx.is_disconnected(),
+            "the disconnect alone would end the drain here"
+        );
+        assert!(!finished(&rx), "but three arrivals are still on the ring");
+        let mut counted = 0;
+        drain_until_finished(&mut rx, |_| counted += 1);
+        assert_eq!(counted, 3);
+        assert!(finished(&rx));
+    }
+
+    /// 300 always-wedged runs: whatever instant the producer finishes at,
+    /// every arrival is transmitted or written off at `shard`.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn wedged_runs_conserve_every_arrival() {
+        use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
+        let wedged = FaultConfig {
+            decision_rate_ppm: 1_000_000,
+            ..FaultConfig::quiet()
+        };
+        for seed in 13..313 {
+            let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
+            let inj = Arc::new(FaultInjector::new(seed, wedged));
+            let policy = RetryPolicy::default();
+            let serve_late = states(4, 4, 0, LatePolicy::ServeLate);
+            let report =
+                run_threaded_faulted(config, serve_late, 1_500, inj.clone(), policy).unwrap();
+            assert_eq!(report.total + report.lost, 6_000, "seed {seed}: conserved");
+            assert_eq!(
+                report.loss.shard, report.lost,
+                "seed {seed}: all loss at shard"
+            );
+            assert_eq!(
+                inj.stats().snapshot().lost_packets,
+                report.lost,
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// On a fault-free run every entry point is the same pipeline.
+    #[test]
+    fn wrappers_agree_on_a_fault_free_run() {
+        let config = || FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
+        let serve_late = || states(4, 4, 0, LatePolicy::ServeLate);
+        let mut reports = vec![("plain", run_threaded(config(), serve_late(), 500).unwrap())];
+        let gated = run_threaded_overload(config(), serve_late(), 500, headroom_gate(0)).unwrap();
+        assert_eq!((gated.offered, gated.admitted), (2_000, 2_000));
+        reports.push(("overload", gated.report));
+        #[cfg(feature = "faults")]
+        {
+            use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
+            let inj = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
+            let policy = RetryPolicy::default();
+            let run = run_threaded_faulted(config(), serve_late(), 500, inj, policy).unwrap();
+            reports.push(("faulted", run));
+        }
+        #[cfg(feature = "telemetry")]
+        {
+            let registry = ss_telemetry::Registry::new();
+            let run = run_threaded_instrumented(config(), serve_late(), 500, &registry, 128);
+            reports.push(("instrumented", run.unwrap().0));
+            for gate in [None, Some(headroom_gate(0))] {
+                let mut trace = TraceConfig::new(1 << 15, 256);
+                trace.gate = gate;
+                let run = run_threaded_traced(config(), serve_late(), 500, trace).unwrap();
+                reports.push(("traced", run.report));
+            }
+        }
+        for (what, report) in &reports {
+            assert_eq!(report.per_slot, [500; 4], "{what}");
+            assert_eq!((report.total, report.lost), (2_000, 0), "{what}");
+            assert_eq!(report.loss.total(), 0, "{what}: zero ledger");
+            assert_eq!(report.arr_ring.pushes, 2_000, "{what}");
+            assert_eq!(report.id_ring.pushes, 2_000, "{what}");
+        }
+    }
+
+    /// Pacing applies to every gated run because it lives in the one
+    /// producer loop. The gate here latches `Overloaded` at the first tick
+    /// that sees a handful of queued packets (its dwell outlasts the run),
+    /// and the load is several times what the ring and one scheduler batch
+    /// hold — so the producer is still offering when the level is
+    /// published, whatever the thread timing, and pauses from then on.
+    #[test]
+    fn producer_holds_back_once_the_gate_publishes_pressure() {
+        let mut gate = headroom_gate(0);
+        gate.pressure = ss_overload::PressureConfig {
+            rise_elevated: 1,
+            fall_elevated: 0,
+            rise_overloaded: 1,
+            fall_overloaded: 0,
+            min_dwell: u32::MAX,
+        };
+        let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
+        let serve_late = states(4, 4, 0, LatePolicy::ServeLate);
+        let run = run_threaded_overload(config, serve_late, 10_000, gate).unwrap();
+        assert!(run.holdbacks > 0, "the producer paced itself");
+        assert_eq!(run.pressure_transitions, 1, "latched");
+        assert_eq!(
+            (run.report.total, run.report.lost),
+            (40_000, 0),
+            "a pause is not a drop"
+        );
+    }
+
+    /// The no-op observer costs the plain path nothing: unit tags leave the
+    /// ring entries at the bare message and the winner's byte.
+    #[test]
+    fn plain_ring_entries_carry_no_tag() {
+        use std::mem::size_of;
+        type Tag = <() as Observer>::Tag;
+        assert_eq!(size_of::<(ArrivalMsg, Tag)>(), size_of::<ArrivalMsg>());
+        assert_eq!(size_of::<(u8, Tag)>(), size_of::<u8>());
     }
 }

@@ -12,7 +12,8 @@
 //!   buffered);
 //! * **ring** — dropped at an overflowing SPSC ring, or corrupted in it;
 //! * **shed** — admitted but dropped by the QoS-aware shedder / RED front
-//!   end / an open shard breaker;
+//!   end / an open shard breaker, or by the fabric at the packet's
+//!   deadline (`LatePolicy::Drop` expiry);
 //! * **shard** — written off with a stuck fabric or crashed shard's
 //!   backlog;
 //! * **drain** — accepted at the network ingress edge but written off
@@ -32,7 +33,9 @@ pub enum LossSite {
     Admission,
     /// Dropped at an SPSC ring (overflow burst or corrupt message).
     Ring,
-    /// Dropped by the QoS-aware shedder, RED, or an open breaker.
+    /// Dropped by the QoS-aware shedder, RED, or an open breaker — or by
+    /// the fabric itself, when a `LatePolicy::Drop` stream's head expires
+    /// at its deadline (the threaded endsystem books those here).
     Shed,
     /// Written off with a stuck/crashed shard's abandoned backlog.
     Shard,
@@ -70,7 +73,8 @@ pub struct LossLedger {
     pub admission: u64,
     /// Packets dropped at SPSC rings.
     pub ring: u64,
-    /// Packets shed by QoS-aware policy.
+    /// Packets shed by QoS-aware policy, or dropped by the fabric at
+    /// their deadline (`LatePolicy::Drop` expiry).
     pub shed: u64,
     /// Packets abandoned with failed/stuck shards.
     pub shard: u64,

@@ -410,4 +410,46 @@ fn steady_state_decision_cycles_do_not_allocate() {
         assert_eq!(allocations() - before, 0, "cold gate fill allocated");
         assert_eq!(cold.backlog_len(), 256, "filled to hard capacity");
     }
+
+    // --- Threaded endsystem: the scheduler thread's sweep stays heap-free ---
+    // One thread plays all three: it refills the arrival ring with one
+    // arrival per transmitted winner, so every sweep drains the ring (through
+    // the gate, in the second pass), deposits, ticks, runs a decision cycle
+    // and publishes its winner at a constant queue depth.
+    for gated in [false, true] {
+        use sharestreams::endsystem::threaded::{ArrivalMsg, SchedulerStage};
+        use sharestreams::endsystem::{GateConfig, RedConfig};
+        let gate = gated.then(|| {
+            let red = RedConfig::classic(4 * SLOTS * DEPTH);
+            GateConfig::from_windows(&[WindowConstraint::ZERO; SLOTS], 1_000_000, 4_000_000, red, 7)
+        });
+        let config = FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly);
+        let states = (0..SLOTS).map(|_| edf_state()).collect();
+        let (mut arr_tx, mut stage, mut id_rx) = SchedulerStage::new(config, states, gate).unwrap();
+        let mut offer = |slot: usize| {
+            tag += 1;
+            let msg = ArrivalMsg {
+                slot,
+                tag: Wrap16::from_wide(tag),
+            };
+            arr_tx.push((msg, ())).unwrap();
+        };
+        (0..SLOTS * DEPTH).for_each(|i| offer(i % SLOTS));
+        let mut sweeps = |n: u64| {
+            for _ in 0..n {
+                assert!(stage.sweep(), "a backlogged fabric always cycles");
+                while let Some((slot, ())) = id_rx.pop() {
+                    offer(slot as usize);
+                }
+            }
+        };
+        sweeps(WARMUP);
+        let before = allocations();
+        sweeps(MEASURED);
+        assert_eq!(
+            allocations() - before,
+            0,
+            "threaded scheduler sweep (gated={gated}) allocated in steady state"
+        );
+    }
 }
