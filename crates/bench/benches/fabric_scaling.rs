@@ -1,18 +1,19 @@
 //! Criterion bench: full decision cycles across the Figure 7 design space.
 //!
 //! Sweeps stream-slots × {BA, WR} (the paper's Figure 7 axes) plus the
-//! bitonic full-sort ablation (DESIGN.md §3) and the PRIORITY_UPDATE
-//! bypass (fair-queuing mapping). Simulated-cycle counts are deterministic
-//! (log2 N per decision); this measures the *simulator's* cost per decision
-//! so the experiment binaries' runtimes stay predictable.
+//! network-level bitonic-vs-shuffle-exchange ablation (DESIGN.md §3) and
+//! the PRIORITY_UPDATE bypass (fair-queuing mapping). Simulated-cycle
+//! counts are deterministic (log2 N per decision); this measures the
+//! *simulator's* cost per decision so the experiment binaries' runtimes
+//! stay predictable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ss_core::{
-    BlockOrder, Fabric, FabricConfig, FabricConfigKind, LatePolicy, RtlFabric, ScheduledPacket,
-    StreamState,
+    network, BlockOrder, DecisionBlock, Fabric, FabricConfig, FabricConfigKind, LatePolicy,
+    RtlFabric, ScheduledPacket, StreamState,
 };
 use ss_sharded::ShardedScheduler;
-use ss_types::{WindowConstraint, Wrap16};
+use ss_types::{ComparisonMode, SlotId, StreamAttrs, WindowConstraint, Wrap16};
 use std::hint::black_box;
 
 fn backlogged_fabric(config: FabricConfig) -> Fabric {
@@ -149,17 +150,37 @@ fn bench_sharded(c: &mut Criterion) {
 fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("fabric/ablations");
 
-    // Bitonic full sort vs log2(N) shuffle-exchange (BA, 16 slots).
-    let mut shuffle = backlogged_fabric(FabricConfig::dwcs(16, FabricConfigKind::Base));
+    // Bitonic full sort (10 passes) vs log2(N) shuffle-exchange (4 passes)
+    // at the network level, on the same 16 scrambled words and the same
+    // eight Decision blocks — no fabric runs the bitonic schedule.
+    let words: Vec<StreamAttrs> = (0..16u8)
+        .map(|i| StreamAttrs {
+            deadline: Wrap16(u16::from(i) * 37 % 101),
+            window: WindowConstraint::new(1, 2),
+            arrival: Wrap16(0),
+            slot: SlotId::new_unchecked(i),
+            static_prio: 0,
+            valid: true,
+        })
+        .collect();
+    let mut blocks: Vec<DecisionBlock> = (0..8).map(|_| DecisionBlock::new()).collect();
+    let (mut a, mut scratch) = (words.clone(), words.clone());
     group.bench_function("shuffle_16", |b| {
-        b.iter(|| steady_state_cycle(&mut shuffle))
-    });
-    let mut bitonic = backlogged_fabric(FabricConfig {
-        bitonic: true,
-        ..FabricConfig::dwcs(16, FabricConfigKind::Base)
+        b.iter(|| {
+            a.copy_from_slice(&words);
+            let (in_a, _) = network::ba_decision_ping_pong(
+                &mut a,
+                &mut scratch,
+                &mut blocks,
+                ComparisonMode::Dwcs,
+            );
+            black_box(if in_a { a[0] } else { scratch[0] })
+        })
     });
     group.bench_function("bitonic_16", |b| {
-        b.iter(|| steady_state_cycle(&mut bitonic))
+        b.iter(|| {
+            black_box(network::bitonic_decision(&words, &mut blocks, ComparisonMode::Dwcs).0[0])
+        })
     });
 
     // PRIORITY_UPDATE bypass (fair-queuing mapping) vs full DWCS.

@@ -7,8 +7,8 @@
 //! cost instead. All columns come from one feature-on build of the same
 //! `Fabric`; the only difference is what `attach_*` calls ran. The
 //! attached run pays the real per-cycle work: local delta accumulation,
-//! the win-gap histogram, QoS latency tracking, the trace-ring write, and
-//! the amortized every-4096-decisions flush into the striped registry. The
+//! the win-gap histogram, QoS latency tracking, and the amortized
+//! every-4096-decisions flush into the striped registry. The
 //! traced rows additionally attach a lifecycle-span track, so every
 //! decision win also stamps a timestamped `StageEvent` into the per-thread
 //! span ring — that path gets its own, looser gate (≤8% vs ≤5%).
@@ -80,7 +80,7 @@ fn build(kind: FabricConfigKind, batched: bool, level: Level) -> Fabric {
             // The registry handle outlives the fabric's Attached state (Arc
             // inside); a per-fabric registry keeps the columns independent.
             let registry = ss_telemetry::Registry::new();
-            f.attach_telemetry(&registry, 0, 1024);
+            f.attach_telemetry(&registry, 0);
         }
         if level == Level::Traced {
             // The span shared state is Arc'd into the track; the recorder

@@ -19,9 +19,10 @@
 //! Table 2's rule 3 ("equal deadlines and zero constraints → highest
 //! denominator first"), and a violation is recorded.
 //!
-//! The updater is a trait so that architectural variants (e.g. the
-//! "compute-ahead" register blocks mentioned in the paper's future work) can
-//! substitute their own rules; the fabric is generic over it.
+//! The rule set is fixed, as it is in the Register Base blocks: one
+//! [`DwcsUpdater::update`] function that the service and expiry paths call
+//! directly (the paper's "compute-ahead" variant changes *when* the update
+//! is evaluated, not what it computes — see `FabricConfig::compute_ahead`).
 
 use serde::{Deserialize, Serialize};
 use ss_types::WindowConstraint;
@@ -48,19 +49,8 @@ pub struct UpdateOutcome {
     pub violation: bool,
 }
 
-/// A PRIORITY_UPDATE rule set.
-pub trait PriorityUpdater {
-    /// Applies the rule for `event` to current constraint `current`, given
-    /// the stream's original constraint `original`.
-    fn update(
-        &self,
-        current: WindowConstraint,
-        original: WindowConstraint,
-        event: UpdateEvent,
-    ) -> UpdateOutcome;
-}
-
-/// The standard DWCS rules described in the module docs.
+/// The PRIORITY_UPDATE rule set: the standard DWCS rules described in the
+/// module docs.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct DwcsUpdater;
 
@@ -77,10 +67,10 @@ impl DwcsUpdater {
             (cur, false)
         }
     }
-}
 
-impl PriorityUpdater for DwcsUpdater {
-    fn update(
+    /// Applies the rule for `event` to current constraint `current`, given
+    /// the stream's original constraint `original`.
+    pub fn update(
         &self,
         current: WindowConstraint,
         original: WindowConstraint,

@@ -22,7 +22,6 @@
 
 use crate::control::ControlFsm;
 use crate::decision::{DecisionBlock, RuleCounters};
-use crate::dwcs::{DwcsUpdater, PriorityUpdater};
 use crate::network;
 use crate::register::{RegisterBaseBlock, SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
@@ -58,9 +57,6 @@ pub struct FabricConfig {
     pub priority_update: bool,
     /// Block transmission/circulation order (BA only).
     pub block_order: BlockOrder,
-    /// Use the bitonic full-sort schedule instead of the log2(N)
-    /// shuffle-exchange (BA extension; costs log2(N)(log2(N)+1)/2 cycles).
-    pub bitonic: bool,
     /// Compute-ahead Register Base blocks (the paper's §6 future-work
     /// extension): each slot precomputes both its winner-update and
     /// loser-update next states by predication during SCHEDULE, so the
@@ -81,7 +77,6 @@ impl FabricConfig {
             mode: ComparisonMode::Dwcs,
             priority_update: true,
             block_order: BlockOrder::MaxFirst,
-            bitonic: false,
             compute_ahead: false,
         }
     }
@@ -170,7 +165,6 @@ pub struct Fabric {
     registers: Vec<RegisterBaseBlock>,
     decisions: Vec<DecisionBlock>,
     fsm: ControlFsm,
-    updater: Box<dyn PriorityUpdater + Send>,
     /// Scheduler time in packet-times.
     now: u64,
     decision_count: u64,
@@ -207,10 +201,6 @@ pub struct Fabric {
     /// The reference arm's ping-pong scratch buffers.
     scratch_a: Vec<StreamAttrs>,
     scratch_b: Vec<StreamAttrs>,
-    /// `true` until [`Fabric::with_updater`] installs a custom rule set:
-    /// lets the hot path call the canonical [`DwcsUpdater`] directly
-    /// instead of through the vtable.
-    updater_is_dwcs: bool,
     /// Persistent block-transaction buffer, reused every cycle.
     block_buf: Vec<ScheduledPacket>,
     /// Slots serviced in the most recent cycle (bit i = slot i; slots ≤ 32).
@@ -229,11 +219,7 @@ impl Fabric {
         if !(config.slots.is_power_of_two() && (2..=32).contains(&config.slots)) {
             return Err(Error::InvalidSlotCount(config.slots));
         }
-        let schedule_cycles = if config.bitonic {
-            network::bitonic_pass_count(config.slots) as u8
-        } else {
-            config.slots.trailing_zeros() as u8
-        };
+        let schedule_cycles = config.slots.trailing_zeros() as u8;
         // Compute-ahead folds the update into the last schedule cycle: the
         // architectural effects are identical, only the cycle cost changes.
         let update_cycle = config.priority_update && !config.compute_ahead;
@@ -248,7 +234,6 @@ impl Fabric {
                 .map(|_| DecisionBlock::new())
                 .collect(),
             fsm: ControlFsm::new(schedule_cycles, update_cycle),
-            updater: Box::new(DwcsUpdater),
             now: 0,
             decision_count: 0,
             planes: AttrPlanes::with_slots(config.slots),
@@ -260,19 +245,11 @@ impl Fabric {
             scratch_a: words.clone(),
             scratch_b: words.clone(),
             words,
-            updater_is_dwcs: true,
             block_buf: Vec::with_capacity(config.slots),
             serviced: 0,
             telem: crate::telem::FabricTelemetry::new(),
             faults: crate::faults::FabricFaults::new(),
         })
-    }
-
-    /// Replaces the PRIORITY_UPDATE rule set (architectural variants).
-    pub fn with_updater(mut self, updater: Box<dyn PriorityUpdater + Send>) -> Self {
-        self.updater = updater;
-        self.updater_is_dwcs = false;
-        self
     }
 
     /// Selects the decision arm: `true` (the default) is the packed
@@ -328,7 +305,7 @@ impl Fabric {
         // A valid circulated word always has a queued packet; `None` here
         // would be a decision/register desync. The hot path must not
         // panic, so release builds skip the slot this cycle.
-        let Some((deadline, met)) = self.service_slot(slot, *t) else {
+        let Some((deadline, met)) = self.registers[slot].service(*t) else {
             debug_assert!(false, "valid word has a queued packet");
             return;
         };
@@ -350,37 +327,12 @@ impl Fabric {
     fn expire_unserviced(&mut self, t: u64) -> u32 {
         let mut expired = 0;
         for i in 0..self.registers.len() {
-            if self.serviced & (1u64 << i) == 0 && self.expiry_slot(i, t) {
+            if self.serviced & (1u64 << i) == 0 && self.registers[i].expiry_check(t) {
                 self.dirty |= 1u64 << i;
                 expired += 1;
             }
         }
         expired
-    }
-
-    /// Services `slot`'s head packet. Devirtualized for the canonical DWCS
-    /// rule set: the default updater is a unit struct, so this inlines the
-    /// update rules into the hot loop instead of an indirect call per
-    /// packet.
-    // lint:hot-path
-    #[inline]
-    fn service_slot(&mut self, slot: usize, t: u64) -> Option<(u64, bool)> {
-        if self.updater_is_dwcs {
-            self.registers[slot].service_with(t, &DwcsUpdater)
-        } else {
-            self.registers[slot].service_with(t, self.updater.as_ref())
-        }
-    }
-
-    /// Runs `slot`'s loser deadline-expiry check (same devirtualization).
-    // lint:hot-path
-    #[inline]
-    fn expiry_slot(&mut self, slot: usize, t: u64) -> bool {
-        if self.updater_is_dwcs {
-            self.registers[slot].expiry_check_with(t, &DwcsUpdater)
-        } else {
-            self.registers[slot].expiry_check_with(t, self.updater.as_ref())
-        }
     }
 
     /// The configuration.
@@ -684,21 +636,14 @@ impl Fabric {
     }
 
     /// Attaches this fabric to a telemetry registry: metrics are published
-    /// under a `shard="<shard>"` label and the last `trace_capacity`
-    /// decision-cycle events are kept in a drop-counting trace ring. All
-    /// buffers are allocated here, once — the per-decision hooks stay
-    /// allocation-free.
+    /// under a `shard="<shard>"` label. Every buffer is allocated here,
+    /// once — the per-decision hooks stay allocation-free. Per-decision
+    /// *events* are the span track's ([`Fabric::attach_spans`]).
     #[cfg(feature = "telemetry")]
-    pub fn attach_telemetry(
-        &mut self,
-        registry: &ss_telemetry::Registry,
-        shard: u16,
-        trace_capacity: usize,
-    ) {
+    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry, shard: u16) {
         self.telem.attach(
             registry,
             shard,
-            trace_capacity,
             self.config.slots,
             self.decision_count,
             self.config.priority_update,
@@ -706,7 +651,7 @@ impl Fabric {
         );
     }
 
-    /// The fabric's instrumentation state (trace ring, latency tracker).
+    /// The fabric's instrumentation state (win-latency tracker).
     #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> &crate::telem::FabricTelemetry {
         &self.telem
@@ -715,8 +660,9 @@ impl Fabric {
     /// Wires per-packet lifecycle recording into `recorder`: every
     /// arrival deposit and decision win gets a stage event tagged
     /// `(origin, slot, per-slot seq)` on a fresh track named `name`, with
-    /// the batched/scalar BA arm recorded in the event detail. Orthogonal
-    /// to [`Fabric::attach_telemetry`].
+    /// the batched/scalar BA arm recorded in the event detail; expiry
+    /// passes and blocked (wedged/crashed) cycles leave control events on
+    /// the same track. Orthogonal to [`Fabric::attach_telemetry`].
     #[cfg(feature = "telemetry")]
     pub fn attach_spans(&mut self, recorder: &ss_telemetry::SpanRecorder, origin: u16, name: &str) {
         self.telem
@@ -1089,23 +1035,6 @@ mod tests {
     }
 
     #[test]
-    fn bitonic_mode_costs_more_cycles() {
-        let cfg = FabricConfig {
-            bitonic: true,
-            ..FabricConfig::edf(8, FabricConfigKind::Base)
-        };
-        let mut f = Fabric::new(cfg).unwrap();
-        for s in 0..8 {
-            f.load_stream(s, edf_state(1), (s + 1) as u64).unwrap();
-            f.push_arrival(s, Wrap16(0)).unwrap();
-        }
-        let before = f.hw_cycles();
-        f.decision_cycle();
-        // 6 bitonic passes + 1 update.
-        assert_eq!(f.hw_cycles() - before, 7);
-    }
-
-    #[test]
     fn static_priority_mode_orders_by_level() {
         let mut f = Fabric::new(FabricConfig::static_priority(
             4,
@@ -1208,13 +1137,51 @@ mod tests {
             .is_err());
     }
 
+    /// Detaches the span track and returns its events (the fabric's is
+    /// the recorder's only track).
+    #[cfg(feature = "telemetry")]
+    fn drained_events(
+        f: &mut Fabric,
+        recorder: &ss_telemetry::SpanRecorder,
+    ) -> Vec<ss_telemetry::StageEvent> {
+        f.detach_spans();
+        let mut tracks = recorder.drain();
+        assert_eq!(tracks.len(), 1);
+        let track = tracks.remove(0);
+        assert_eq!(track.dropped, 0, "window holds the whole run");
+        assert!(track.events.iter().all(|e| e.track == track.track));
+        track.events
+    }
+
+    #[cfg(feature = "telemetry")]
+    fn metric<'a>(
+        snap: &'a ss_telemetry::Snapshot,
+        name: &str,
+    ) -> &'a ss_telemetry::MetricSnapshot {
+        snap.metrics
+            .iter()
+            .find(|m| m.name == name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+    }
+
+    #[cfg(feature = "telemetry")]
+    fn counter(snap: &ss_telemetry::Snapshot, name: &str) -> u64 {
+        match metric(snap, name).value {
+            ss_telemetry::MetricValue::Counter(c) => c,
+            ref other => panic!("{name}: unexpected {other:?}"),
+        }
+    }
+
     #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_counts_decisions_and_traces() {
-        use ss_telemetry::{MetricValue, Registry, TraceKind};
+        use ss_telemetry::span::detail;
+        use ss_telemetry::{MetricValue, Registry, SpanRecorder, Stage};
         let registry = Registry::new();
+        let recorder = SpanRecorder::new(256);
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 8);
-        f.attach_telemetry(&registry, 3, 64);
+        f.attach_telemetry(&registry, 3);
+        f.attach_spans(&recorder, 3, "fabric");
         for _ in 0..8 {
             f.decision_cycle();
         }
@@ -1223,38 +1190,56 @@ mod tests {
         // a drain so the registry reflects this mid-run fabric.
         f.flush_telemetry();
         let snap = registry.snapshot();
-        let get = |name: &str| {
-            snap.metrics
-                .iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("{name} missing"))
-        };
-        let decisions = get("ss_fabric_decision_cycles_total");
+        let decisions = metric(&snap, "ss_fabric_decision_cycles_total");
         assert_eq!(decisions.labels, vec![("shard".into(), "3".into())]);
         assert_eq!(decisions.value, MetricValue::Counter(9));
         assert_eq!(
-            get("ss_fabric_packets_total").value,
-            MetricValue::Counter(8),
+            counter(&snap, "ss_fabric_packets_total"),
+            8,
             "every WR cycle transmitted one packet"
         );
-        match &get("ss_fabric_win_gap_cycles").value {
+        assert_eq!(
+            counter(&snap, "ss_fabric_idle_cycles_total"),
+            1,
+            "only the grant-less expiry cycle transmitted nothing"
+        );
+        assert_eq!(
+            counter(&snap, "ss_fabric_priority_updates_total"),
+            9,
+            "EDF runs PRIORITY_UPDATE every cycle"
+        );
+        // Always-backlogged losers expire every cycle.
+        let expired = counter(&snap, "ss_fabric_expired_slots_total");
+        assert!(expired > 0);
+        match &metric(&snap, "ss_fabric_win_gap_cycles").value {
             MetricValue::Histogram(h) => assert_eq!(h.count, 8),
             other => panic!("unexpected {other:?}"),
         }
-        // Always-backlogged losers expire every cycle.
-        match get("ss_fabric_expired_slots_total").value {
-            MetricValue::Counter(c) => assert!(c > 0),
-            ref other => panic!("unexpected {other:?}"),
+
+        // The span track holds the same run as events: one `DecisionWin`
+        // per transmitted packet, tagged with this shard, and one
+        // `DecisionExpire` per expiry pass that dropped something.
+        let events = drained_events(&mut f, &recorder);
+        let wins: Vec<_> = events
+            .iter()
+            .filter(|e| e.stage == Stage::DecisionWin)
+            .collect();
+        assert_eq!(wins.len(), 8);
+        for (i, w) in wins.iter().enumerate() {
+            assert_eq!(w.cycle, i as u64 + 1, "one win per decision cycle");
+            assert_eq!(w.trace_tag().origin(), 3);
+            assert_eq!(w.trace_tag().slot() as u32, w.arg);
+            assert_eq!(w.detail, detail::DECISION_BATCHED);
         }
-        let trace = f.telemetry().trace().expect("attached");
-        assert!(!trace.is_empty());
-        assert!(trace
+        let expired_events: u64 = events
             .iter()
-            .any(|e| matches!(e.kind, TraceKind::Winner { .. })));
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::Fsm { .. })));
-        assert!(trace.iter().all(|e| e.shard == 3));
+            .filter(|e| e.stage == Stage::DecisionExpire)
+            .map(|e| {
+                assert!(e.trace_tag().is_control());
+                u64::from(e.arg)
+            })
+            .sum();
+        assert_eq!(expired_events, expired);
 
         let qos = f.qos_snapshot();
         assert_eq!(qos.decision_cycles, 9);
@@ -1269,21 +1254,18 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_ba_records_block_lengths() {
-        use ss_telemetry::{MetricValue, Registry, TraceKind};
+        use ss_telemetry::{MetricValue, Registry, SpanRecorder, Stage};
         let registry = Registry::new();
+        let recorder = SpanRecorder::new(64);
         let mut f = backlogged_edf(4, FabricConfigKind::Base, 2);
-        f.attach_telemetry(&registry, 0, 16);
+        f.attach_telemetry(&registry, 0);
+        f.attach_spans(&recorder, 0, "fabric");
         f.decision_cycle(); // full block of 4
         f.decision_cycle(); // full block of 4
         f.decision_cycle(); // empty → idle
         f.flush_telemetry();
         let snap = registry.snapshot();
-        let block_len = snap
-            .metrics
-            .iter()
-            .find(|m| m.name == "ss_fabric_block_len_packets")
-            .unwrap();
-        match &block_len.value {
+        match &metric(&snap, "ss_fabric_block_len_packets").value {
             MetricValue::Histogram(h) => {
                 assert_eq!(h.count, 2);
                 assert_eq!(h.min, Some(4));
@@ -1291,11 +1273,70 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let trace = f.telemetry().trace().unwrap();
-        assert!(trace
+        assert_eq!(counter(&snap, "ss_fabric_packets_total"), 8);
+        assert_eq!(counter(&snap, "ss_fabric_idle_cycles_total"), 1);
+
+        // Each block is one decision instant: its four wins share a
+        // timestamp; the idle third cycle leaves no event at all.
+        let events = drained_events(&mut f, &recorder);
+        let wins: Vec<_> = events
             .iter()
-            .any(|e| matches!(e.kind, TraceKind::Block { len: 4 })));
-        assert!(trace.iter().any(|e| matches!(e.kind, TraceKind::Idle)));
+            .filter(|e| e.stage == Stage::DecisionWin)
+            .collect();
+        assert_eq!(wins.len(), 8, "one win per transmitted packet");
+        for (block, cycle) in wins.chunks(4).zip(1u64..) {
+            assert!(block.iter().all(|w| w.cycle == cycle));
+            assert!(block.iter().all(|w| w.tsc == block[0].tsc));
+            assert!(block.iter().all(|w| w.trace_tag().origin() == 0));
+        }
+        assert!(events.iter().all(|e| e.cycle < 3));
+    }
+
+    #[cfg(all(feature = "faults", feature = "telemetry"))]
+    #[test]
+    fn blocked_cycles_leave_one_stall_event_each() {
+        use ss_faults::{FaultConfig, FaultInjector};
+        use ss_telemetry::{SpanRecorder, Stage};
+        use std::sync::Arc;
+        let recorder = SpanRecorder::new(64);
+        let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 8);
+        f.attach_spans(&recorder, 0, "fabric");
+        f.attach_faults(Arc::new(FaultInjector::new(
+            11,
+            FaultConfig {
+                decision_rate_ppm: 1_000_000,
+                max_stuck_cycles: 3,
+                ..FaultConfig::quiet()
+            },
+        )));
+        for _ in 0..10 {
+            assert!(f.decision_cycle().packets().is_empty(), "wedged");
+        }
+        f.expire_cycle(); // a blocked expiry attempt stalls the same way
+        f.inject_crash();
+        f.decision_cycle();
+
+        f.detach_spans();
+        let tracks = recorder.drain();
+        let stitched = ss_telemetry::stitch(&tracks);
+        let stalls: Vec<_> = stitched
+            .iter()
+            .filter(|e| e.stage == Stage::DecisionStall)
+            .collect();
+        assert_eq!(stalls.len(), 12, "one event per blocked cycle");
+        for (s, cycle) in stalls.iter().zip(1u64..) {
+            assert_eq!(s.cycle, cycle);
+            assert!(s.trace_tag().is_control());
+            assert_eq!(s.detail, u8::from(cycle == 12), "0 = wedged, 1 = crashed");
+        }
+        assert!(
+            stitched.iter().all(|e| e.stage != Stage::DecisionWin),
+            "a blocked cycle schedules nothing"
+        );
+        ss_telemetry::validate_causal(&stitched).unwrap();
+        let json = ss_telemetry::perfetto_json(&tracks, 1.0);
+        ss_telemetry::validate_perfetto_schema(&json).unwrap();
+        assert_eq!(json.matches("\"decision_stall\"").count(), 12);
     }
 
     #[cfg(feature = "faults")]
@@ -1395,12 +1436,7 @@ mod tests {
                 assert!(f.is_batched(), "{kind:?} × {slots} defaults to packed");
             }
         }
-        let mut f = Fabric::new(FabricConfig {
-            bitonic: true,
-            ..FabricConfig::dwcs(8, FabricConfigKind::Base)
-        })
-        .unwrap();
-        assert!(f.is_batched());
+        let mut f = Fabric::new(FabricConfig::dwcs(8, FabricConfigKind::Base)).unwrap();
         assert!(!f.set_batched(false), "returns the effective state");
         assert!(!f.is_batched());
         assert!(f.set_batched(true));

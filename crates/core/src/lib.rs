@@ -30,7 +30,8 @@
 //! * [`register`] — the Register Base block ("stream-slot"): per-stream state
 //!   storage, attribute supply, winner/loser updates, performance counters.
 //! * [`network`] — the recirculating shuffle-exchange network (BA), the
-//!   winner-only tournament (WR), and an optional bitonic full-sort mode.
+//!   winner-only tournament (WR), and the bitonic full-sort schedule the
+//!   fidelity note compares them against.
 //! * [`control`] — the Control & Steering FSM and its timeline trace
 //!   (paper Figure 6).
 //! * [`fabric`] — the assembled fabric: runs decision cycles, counts hardware
@@ -56,7 +57,7 @@ pub mod watchdog;
 
 pub use control::{ControlFsm, FsmState, TimelineEntry};
 pub use decision::{DecisionBlock, DecisionRule, RuleCounters};
-pub use dwcs::{DwcsUpdater, PriorityUpdater, UpdateEvent};
+pub use dwcs::{DwcsUpdater, UpdateEvent};
 pub use fabric::{
     BlockOrder, DecisionOutcome, Fabric, FabricConfig, RegisterSnapshot, ScheduledPacket,
 };

@@ -1,5 +1,5 @@
 //! The single-stage recirculating shuffle-exchange network, the winner-only
-//! tournament, and an optional bitonic full-sort schedule.
+//! tournament, and the bitonic full-sort schedule they are measured against.
 //!
 //! The paper's area argument (§3, §4.3): a Decision-block *tree* needs N−1
 //! blocks and cannot be pipelined for window-constrained disciplines (the
@@ -14,8 +14,9 @@
 //! the minimum at position N−1** — which is everything the paper's
 //! max-first/min-first block modes consume — but *not* a fully sorted
 //! permutation (see [`bitonic_decision`] for the counterexample-free full
-//! sort, at log2(N)·(log2(N)+1)/2 passes). The unit tests enshrine the
-//! counterexample.
+//! sort, at log2(N)·(log2(N)+1)/2 passes — a network-level schedule kept as
+//! the evidence for the note, not something a fabric can be configured
+//! into). The unit tests enshrine the counterexample.
 
 use crate::decision::{compare_batch, lane_select, DecisionBlock, RuleCounters};
 use ss_types::{ComparisonMode, StreamAttrs};
@@ -46,14 +47,6 @@ pub fn perfect_shuffle_into<T: Copy>(src: &[T], dst: &mut [T]) {
     }
 }
 
-/// The perfect shuffle permutation: interleaves the first and second halves
-/// (`new[2i] = old[i]`, `new[2i+1] = old[i + n/2]`).
-pub fn perfect_shuffle<T: Copy>(words: &[T]) -> Vec<T> {
-    let mut out = vec![words[0]; words.len()];
-    perfect_shuffle_into(words, &mut out);
-    out
-}
-
 /// One cycle of the recirculating shuffle-exchange network, writing the
 /// result into `dst`. The perfect shuffle is fused into the indexing:
 /// Decision block `j` reads the pair the shuffle would deliver to its ports
@@ -78,20 +71,6 @@ pub fn shuffle_exchange_pass_into(
         dst[2 * j] = w;
         dst[2 * j + 1] = l;
     }
-}
-
-/// One cycle of the recirculating shuffle-exchange network: shuffle, then
-/// route each adjacent pair through a Decision block (winner to the even
-/// port, loser to the odd port). This is the BA (Base Architecture) datapath
-/// where both winners and losers are routed.
-pub fn shuffle_exchange_pass(
-    words: &[StreamAttrs],
-    blocks: &mut [DecisionBlock],
-    mode: ComparisonMode,
-) -> Vec<StreamAttrs> {
-    let mut out = vec![words[0]; words.len()];
-    shuffle_exchange_pass_into(words, &mut out, blocks, mode);
-    out
 }
 
 /// Runs the full BA decision by ping-ponging between two caller-owned
@@ -153,20 +132,6 @@ pub fn ba_decision_from_planes(
     src_is_a
 }
 
-/// Runs the full BA decision: log2(N) shuffle-exchange cycles, returning the
-/// final block (position 0 = highest priority, position N−1 = lowest) and
-/// the number of network cycles consumed.
-pub fn ba_decision(
-    words: &[StreamAttrs],
-    blocks: &mut [DecisionBlock],
-    mode: ComparisonMode,
-) -> (Vec<StreamAttrs>, u64) {
-    let mut a = words.to_vec();
-    let mut b = a.clone();
-    let (in_a, passes) = ba_decision_ping_pong(&mut a, &mut b, blocks, mode);
-    (if in_a { a } else { b }, passes)
-}
-
 /// Runs the WR (winner-only / max-finding) tournament in place: each round
 /// compacts the winners into the front of `scratch`, so the buffer is
 /// clobbered but nothing is allocated. Returns the winning attribute word
@@ -216,20 +181,9 @@ pub fn wr_decision_lanes(
     lanes[0]
 }
 
-/// Runs the WR (winner-only / max-finding) decision: a log2(N)-cycle
-/// tournament in which only winners are routed between cycles. Returns the
-/// winning attribute word and the number of network cycles consumed.
-pub fn wr_decision(
-    words: &[StreamAttrs],
-    blocks: &mut [DecisionBlock],
-    mode: ComparisonMode,
-) -> (StreamAttrs, u64) {
-    let mut scratch = words.to_vec();
-    wr_decision_in_place(&mut scratch, blocks, mode)
-}
-
 /// Runs a bitonic sorting schedule on the same N/2 Decision blocks,
-/// producing an exactly sorted block (extension mode; DESIGN.md §3).
+/// producing an exactly sorted block (DESIGN.md §3 note 1; no fabric runs
+/// this schedule).
 /// Returns the sorted block and the number of network cycles consumed:
 /// log2(N)·(log2(N)+1)/2 — each bitonic stage is one pass over the N/2
 /// comparators, just with different mux settings from the Control unit.
@@ -333,16 +287,18 @@ mod tests {
     #[test]
     fn perfect_shuffle_interleaves_halves() {
         let v: Vec<u32> = (0..8).collect();
-        assert_eq!(perfect_shuffle(&v), vec![0, 4, 1, 5, 2, 6, 3, 7]);
-        let v4: Vec<u32> = (0..4).collect();
-        assert_eq!(perfect_shuffle(&v4), vec![0, 2, 1, 3]);
+        let mut out = vec![0u32; 8];
+        perfect_shuffle_into(&v, &mut out);
+        assert_eq!(out, vec![0, 4, 1, 5, 2, 6, 3, 7]);
+        perfect_shuffle_into(&v[..4], &mut out[..4]);
+        assert_eq!(out[..4], [0, 2, 1, 3]);
     }
 
     #[test]
     fn shuffle_into_parity_all_sizes() {
         // The in-place hot-path shuffle must match the wiring definition
-        // (dst[2i] = src[i], dst[2i+1] = src[i + n/2]) and the allocating
-        // API at every supported fabric width.
+        // (dst[2i] = src[i], dst[2i+1] = src[i + n/2]) at every supported
+        // fabric width.
         for n in [2usize, 4, 8, 16, 32] {
             let src: Vec<u32> = (0..n as u32).collect();
             let mut dst = vec![0u32; n];
@@ -352,7 +308,6 @@ mod tests {
                 assert_eq!(dst[2 * i] as usize, i, "even port, n={n}");
                 assert_eq!(dst[2 * i + 1] as usize, i + half, "odd port, n={n}");
             }
-            assert_eq!(perfect_shuffle(&src), dst, "Vec API parity, n={n}");
         }
     }
 
@@ -371,18 +326,21 @@ mod tests {
     fn ba_uses_log2_n_cycles() {
         // Paper §5.1: 2, 3, 4, 5 cycles for 4, 8, 16, 32 stream-slots.
         for (n, expect) in [(4usize, 2u64), (8, 3), (16, 4), (32, 5)] {
-            let words = tagged(&(0..n as u16).collect::<Vec<_>>());
-            let mut blks = blocks(n);
-            let (_, cycles) = ba_decision(&words, &mut blks, ComparisonMode::ServiceTag);
+            let mut a = tagged(&(0..n as u16).collect::<Vec<_>>());
+            let mut b = a.clone();
+            let (_, cycles) =
+                ba_decision_ping_pong(&mut a, &mut b, &mut blocks(n), ComparisonMode::ServiceTag);
             assert_eq!(cycles, expect, "n = {n}");
         }
     }
 
     #[test]
     fn ba_puts_max_at_0_and_min_at_end() {
-        let words = tagged(&[9, 3, 7, 1, 8, 2, 6, 4]);
-        let mut blks = blocks(8);
-        let (block, _) = ba_decision(&words, &mut blks, ComparisonMode::ServiceTag);
+        let mut a = tagged(&[9, 3, 7, 1, 8, 2, 6, 4]);
+        let mut b = a.clone();
+        let (in_a, _) =
+            ba_decision_ping_pong(&mut a, &mut b, &mut blocks(8), ComparisonMode::ServiceTag);
+        let block = if in_a { &a } else { &b };
         assert_eq!(block[0].deadline, Wrap16(1), "earliest tag wins");
         assert_eq!(block[7].deadline, Wrap16(9), "latest tag sinks to the end");
     }
@@ -392,9 +350,11 @@ mod tests {
         // DESIGN.md §3: [1, 4, 2, 3] is NOT fully sorted by 2 shuffle-
         // exchange passes, though its extremes are correct. If this test
         // ever fails, the fidelity note should be revisited.
-        let words = tagged(&[1, 4, 2, 3]);
-        let mut blks = blocks(4);
-        let (block, _) = ba_decision(&words, &mut blks, ComparisonMode::ServiceTag);
+        let mut a = tagged(&[1, 4, 2, 3]);
+        let mut b = a.clone();
+        let (in_a, _) =
+            ba_decision_ping_pong(&mut a, &mut b, &mut blocks(4), ComparisonMode::ServiceTag);
+        let block = if in_a { &a } else { &b };
         let tags: Vec<u16> = block.iter().map(|w| w.deadline.raw()).collect();
         assert_eq!(tags[0], 1);
         assert_eq!(tags[3], 4);
@@ -404,9 +364,9 @@ mod tests {
 
     #[test]
     fn wr_tournament_matches_oracle() {
-        let words = tagged(&[12, 7, 3, 9, 15, 1, 8, 2]);
-        let mut blks = blocks(8);
-        let (winner, cycles) = wr_decision(&words, &mut blks, ComparisonMode::ServiceTag);
+        let mut words = tagged(&[12, 7, 3, 9, 15, 1, 8, 2]);
+        let (winner, cycles) =
+            wr_decision_in_place(&mut words, &mut blocks(8), ComparisonMode::ServiceTag);
         assert_eq!(winner.deadline, Wrap16(1));
         assert_eq!(cycles, 3);
     }
@@ -416,17 +376,24 @@ mod tests {
         let tags = [
             5u16, 11, 2, 19, 7, 3, 13, 17, 23, 29, 31, 37, 41, 43, 47, 53,
         ];
-        let words = tagged(&tags);
-        let (ba_block, _) = ba_decision(&words, &mut blocks(16), ComparisonMode::ServiceTag);
-        let (wr_winner, _) = wr_decision(&words, &mut blocks(16), ComparisonMode::ServiceTag);
-        assert_eq!(ba_block[0], wr_winner);
+        let mut a = tagged(&tags);
+        let mut b = a.clone();
+        let mut wr = a.clone();
+        let (in_a, _) =
+            ba_decision_ping_pong(&mut a, &mut b, &mut blocks(16), ComparisonMode::ServiceTag);
+        let (wr_winner, _) =
+            wr_decision_in_place(&mut wr, &mut blocks(16), ComparisonMode::ServiceTag);
+        assert_eq!(if in_a { a[0] } else { b[0] }, wr_winner);
     }
 
     #[test]
     fn invalid_words_sink_to_the_bottom() {
-        let mut words = tagged(&[4, 3, 2, 1]);
-        words[2].valid = false; // the would-be winner is empty
-        let (block, _) = ba_decision(&words, &mut blocks(4), ComparisonMode::ServiceTag);
+        let mut a = tagged(&[4, 3, 2, 1]);
+        a[2].valid = false; // the would-be winner is empty
+        let mut b = a.clone();
+        let (in_a, _) =
+            ba_decision_ping_pong(&mut a, &mut b, &mut blocks(4), ComparisonMode::ServiceTag);
+        let block = if in_a { &a } else { &b };
         assert!(!block[3].valid, "invalid word must be last");
         assert_eq!(block[0].deadline, Wrap16(1));
     }
@@ -453,9 +420,9 @@ mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "debug_assert! compiles out")]
     #[should_panic(expected = "must be a power of two")]
     fn rejects_non_power_of_two() {
-        let words = tagged(&[1, 2, 3]);
-        let mut blks = blocks(4);
-        ba_decision(&words, &mut blks, ComparisonMode::ServiceTag);
+        let mut a = tagged(&[1, 2, 3]);
+        let mut b = a.clone();
+        ba_decision_ping_pong(&mut a, &mut b, &mut blocks(4), ComparisonMode::ServiceTag);
     }
 
     #[test]
@@ -519,7 +486,10 @@ mod tests {
         ) {
             let n = [4usize, 8, 16, 32][n_idx];
             let words = tagged(&seed_tags[..n]);
-            let (block, _) = ba_decision(&words, &mut blocks(n), ComparisonMode::ServiceTag);
+            let (mut a, mut b) = (words.clone(), words.clone());
+            let (in_a, _) =
+                ba_decision_ping_pong(&mut a, &mut b, &mut blocks(n), ComparisonMode::ServiceTag);
+            let block = if in_a { &a } else { &b };
             let best = oracle_best(&words, ComparisonMode::ServiceTag);
             let worst = oracle_worst(&words, ComparisonMode::ServiceTag);
             prop_assert_eq!(block[0], best);
@@ -535,7 +505,10 @@ mod tests {
         ) {
             let n = [4usize, 8, 16, 32][n_idx];
             let words = tagged(&seed_tags[..n]);
-            let (block, _) = ba_decision(&words, &mut blocks(n), ComparisonMode::ServiceTag);
+            let (mut a, mut b) = (words.clone(), words.clone());
+            let (in_a, _) =
+                ba_decision_ping_pong(&mut a, &mut b, &mut blocks(n), ComparisonMode::ServiceTag);
+            let block = if in_a { &a } else { &b };
             let mut in_slots: Vec<u8> = words.iter().map(|w| w.slot.raw()).collect();
             let mut out_slots: Vec<u8> = block.iter().map(|w| w.slot.raw()).collect();
             in_slots.sort_unstable();
@@ -552,7 +525,7 @@ mod tests {
             let mode = [ComparisonMode::Dwcs, ComparisonMode::Edf,
                         ComparisonMode::StaticPriority, ComparisonMode::ServiceTag][mode_idx];
             let words = tagged(&seed_tags);
-            let (winner, _) = wr_decision(&words, &mut blocks(8), mode);
+            let (winner, _) = wr_decision_in_place(&mut words.clone(), &mut blocks(8), mode);
             prop_assert_eq!(winner, oracle_best(&words, mode));
         }
 
@@ -622,7 +595,7 @@ mod tests {
 
             // WR: scalar tournament vs packed tournament.
             let mut blks = blocks(n);
-            let (s_winner, _) = wr_decision(&words, &mut blks, mode);
+            let (s_winner, _) = wr_decision_in_place(&mut words.clone(), &mut blks, mode);
             let mut scratch = lanes.clone();
             let mut counters = RuleCounters::default();
             let winner = wr_decision_lanes(&mut scratch, mode, &mut counters);

@@ -23,7 +23,7 @@
 //! pairwise 16-bit comparisons stay valid because backlogged heads lag
 //! *together* (their mutual distances remain tiny). See DESIGN.md §3.
 
-use crate::dwcs::{PriorityUpdater, UpdateEvent};
+use crate::dwcs::{DwcsUpdater, UpdateEvent};
 use serde::{Deserialize, Serialize};
 use ss_types::{SlotId, StreamAttrs, StreamSpec, WindowConstraint, Wrap16};
 use std::collections::VecDeque;
@@ -236,26 +236,11 @@ impl RegisterBaseBlock {
     ///
     /// The head leaves the queue, the slot's deadline advances by `T_i`
     /// (drift-free: from the old deadline, not from `completion`), and the
-    /// appropriate DWCS window update is applied.
-    pub fn service(
-        &mut self,
-        completion: u64,
-        updater: &dyn PriorityUpdater,
-    ) -> Option<(u64, bool)> {
-        self.service_with(completion, updater)
-    }
-
-    /// Monomorphic form of [`Self::service`]: with a concrete `U` (the
-    /// canonical [`crate::DwcsUpdater`]) the window-update rules inline into
-    /// the caller instead of going through the vtable — the fabric's block
+    /// appropriate DWCS window update is applied. The fabric's block
     /// service loop runs one of these per transmitted packet.
     // lint:hot-path
     #[inline]
-    pub fn service_with<U: PriorityUpdater + ?Sized>(
-        &mut self,
-        completion: u64,
-        updater: &U,
-    ) -> Option<(u64, bool)> {
+    pub fn service(&mut self, completion: u64) -> Option<(u64, bool)> {
         let state = self.state.as_ref()?;
         self.queue.pop_front()?;
         let deadline = self.deadline;
@@ -271,7 +256,7 @@ impl RegisterBaseBlock {
             self.counters.missed_deadlines += 1;
             UpdateEvent::MissedDeadline
         };
-        let out = updater.update(self.window, original, event);
+        let out = DwcsUpdater.update(self.window, original, event);
         self.window = out.window;
         self.counters.violations += u64::from(out.violation);
         self.counters.window_resets += u64::from(out.window_reset);
@@ -298,18 +283,9 @@ impl RegisterBaseBlock {
     /// additionally dropped and the deadline advances to the next request.
     ///
     /// Returns `true` if a miss was recorded.
-    pub fn expiry_check(&mut self, now: u64, updater: &dyn PriorityUpdater) -> bool {
-        self.expiry_check_with(now, updater)
-    }
-
-    /// Monomorphic form of [`Self::expiry_check`] (see [`Self::service_with`]).
     // lint:hot-path
     #[inline]
-    pub fn expiry_check_with<U: PriorityUpdater + ?Sized>(
-        &mut self,
-        now: u64,
-        updater: &U,
-    ) -> bool {
+    pub fn expiry_check(&mut self, now: u64) -> bool {
         let Some(state) = self.state.as_ref() else {
             return false;
         };
@@ -321,7 +297,7 @@ impl RegisterBaseBlock {
         let policy = state.late_policy;
 
         self.counters.missed_deadlines += 1;
-        let out = updater.update(self.window, original, UpdateEvent::MissedDeadline);
+        let out = DwcsUpdater.update(self.window, original, UpdateEvent::MissedDeadline);
         self.window = out.window;
         self.counters.violations += u64::from(out.violation);
         self.counters.window_resets += u64::from(out.window_reset);
@@ -350,7 +326,6 @@ impl RegisterBaseBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dwcs::DwcsUpdater;
     use ss_types::ServiceClass;
 
     fn edf_state(period: u64) -> StreamState {
@@ -399,7 +374,7 @@ mod tests {
         r.push_arrival(Wrap16(0), 0);
         r.push_arrival(Wrap16(1), 0);
         // Serviced early at t=4: met, next deadline = 10 + 10 (not 4 + 10).
-        let (d, met) = r.service(4, &DwcsUpdater).unwrap();
+        let (d, met) = r.service(4).unwrap();
         assert_eq!(d, 10);
         assert!(met);
         assert_eq!(r.head_deadline(), 20);
@@ -413,7 +388,7 @@ mod tests {
         let mut r = RegisterBaseBlock::new(slot(0));
         r.load(edf_state(1), 5);
         r.push_arrival(Wrap16(0), 0);
-        let (_, met) = r.service(9, &DwcsUpdater).unwrap();
+        let (_, met) = r.service(9).unwrap();
         assert!(!met);
         assert_eq!(r.counters().missed_deadlines, 1);
         assert_eq!(r.counters().serviced, 1);
@@ -424,7 +399,7 @@ mod tests {
     fn service_empty_queue_returns_none() {
         let mut r = RegisterBaseBlock::new(slot(0));
         r.load(edf_state(1), 1);
-        assert_eq!(r.service(1, &DwcsUpdater), None);
+        assert_eq!(r.service(1), None);
         assert_eq!(r.counters().serviced, 0);
     }
 
@@ -433,9 +408,9 @@ mod tests {
         let mut r = RegisterBaseBlock::new(slot(0));
         r.load(edf_state(1), 3);
         r.push_arrival(Wrap16(0), 0);
-        assert!(!r.expiry_check(2, &DwcsUpdater), "not yet expired");
-        assert!(r.expiry_check(3, &DwcsUpdater), "expired at its deadline");
-        assert!(r.expiry_check(4, &DwcsUpdater));
+        assert!(!r.expiry_check(2), "not yet expired");
+        assert!(r.expiry_check(3), "expired at its deadline");
+        assert!(r.expiry_check(4));
         // EDF semantics: head not dropped, deadline unchanged.
         assert_eq!(r.backlog(), 1);
         assert_eq!(r.head_deadline(), 3);
@@ -452,7 +427,7 @@ mod tests {
         r.load(st, 3);
         r.push_arrival(Wrap16(0), 0);
         r.push_arrival(Wrap16(1), 0);
-        assert!(r.expiry_check(4, &DwcsUpdater));
+        assert!(r.expiry_check(4));
         assert_eq!(r.backlog(), 1, "expired head dropped");
         assert_eq!(r.head_deadline(), 8, "deadline advanced to next request");
         assert_eq!(r.counters().dropped, 1);
@@ -461,9 +436,9 @@ mod tests {
     #[test]
     fn expiry_check_ignores_empty_or_unbound_slots() {
         let mut r = RegisterBaseBlock::new(slot(0));
-        assert!(!r.expiry_check(100, &DwcsUpdater));
+        assert!(!r.expiry_check(100));
         r.load(edf_state(1), 1);
-        assert!(!r.expiry_check(100, &DwcsUpdater), "no packet queued");
+        assert!(!r.expiry_check(100), "no packet queued");
     }
 
     #[test]
@@ -480,13 +455,13 @@ mod tests {
             r.push_arrival(Wrap16(i), 0);
         }
         // On-time service consumes window: 1/3 -> 1/2.
-        r.service(1, &DwcsUpdater).unwrap();
+        r.service(1).unwrap();
         assert_eq!(r.current_window(), WindowConstraint::new(1, 2));
         // Miss charges the loss: 1/2 -> 0/1 -> ... den==num==? 0/1: den!=num
-        r.expiry_check(10, &DwcsUpdater);
+        r.expiry_check(10);
         assert_eq!(r.current_window(), WindowConstraint::new(0, 1));
         // Next miss is a violation; denominator boosted.
-        r.expiry_check(20, &DwcsUpdater);
+        r.expiry_check(20);
         assert_eq!(r.current_window(), WindowConstraint::new(0, 2));
         assert_eq!(r.counters().violations, 1);
     }
@@ -527,7 +502,7 @@ mod tests {
         let mut r = RegisterBaseBlock::new(slot(0));
         r.load(edf_state(1), 1);
         r.push_arrival(Wrap16(0), 0);
-        r.service(5, &DwcsUpdater);
+        r.service(5);
         assert_eq!(r.counters().serviced, 1);
         r.load(edf_state(2), 9);
         assert_eq!(r.counters().serviced, 0);

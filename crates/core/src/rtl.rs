@@ -16,11 +16,10 @@
 //!
 //! Scope: the two configurations the paper evaluates — winner-only (WR)
 //! and base (BA) routing with max-first circulation on the log2(N)
-//! shuffle-exchange schedule. Bitonic and min-first remain
+//! shuffle-exchange schedule. Min-first circulation remains
 //! functional-only.
 
 use crate::decision::DecisionBlock;
-use crate::dwcs::{DwcsUpdater, PriorityUpdater};
 use crate::fabric::{BlockOrder, DecisionOutcome, FabricConfig, ScheduledPacket};
 use crate::network;
 use crate::register::{RegisterBaseBlock, SlotCounters, StreamState};
@@ -56,7 +55,6 @@ fn retire(
     lanes: &[StreamAttrs],
     kind: FabricConfigKind,
     priority_update: bool,
-    updater: &dyn PriorityUpdater,
     now: u64,
 ) -> (Vec<ScheduledPacket>, u64) {
     let mut packets = Vec::new();
@@ -68,7 +66,7 @@ fn retire(
                 let slot = winner.slot.index();
                 registers[slot].record_win();
                 let (deadline, met) = registers[slot]
-                    .service(end, updater)
+                    .service(end)
                     .expect("valid winner has a packet");
                 packets.push(ScheduledPacket {
                     slot: winner.slot,
@@ -81,7 +79,7 @@ fn retire(
                 let winner_slot = packets.first().map(|p| p.slot.index());
                 for (i, r) in registers.iter_mut().enumerate() {
                     if Some(i) != winner_slot {
-                        r.expiry_check(end, updater);
+                        r.expiry_check(end);
                     }
                 }
             }
@@ -96,9 +94,7 @@ fn retire(
             for w in &valid {
                 t += 1;
                 let slot = w.slot.index();
-                let (deadline, met) = registers[slot]
-                    .service(t, updater)
-                    .expect("valid word has a packet");
+                let (deadline, met) = registers[slot].service(t).expect("valid word has a packet");
                 packets.push(ScheduledPacket {
                     slot: w.slot,
                     deadline,
@@ -115,7 +111,7 @@ fn retire(
                     .collect();
                 for (i, r) in registers.iter_mut().enumerate() {
                     if !serviced[i] {
-                        r.expiry_check(t, updater);
+                        r.expiry_check(t);
                     }
                 }
             }
@@ -131,6 +127,8 @@ struct NetworkStage {
     kind: FabricConfigKind,
     mode: ComparisonMode,
     schedule_cycles: u8,
+    /// The stage's output register: N lanes, swapped with the wires at
+    /// each active clock edge so neither side ever reallocates.
     next_lanes: Vec<StreamAttrs>,
     next_live: usize,
     active: bool,
@@ -144,22 +142,25 @@ impl Synchronous<RtlWires> for NetworkStage {
         }
         match self.kind {
             FabricConfigKind::Base => {
-                self.next_lanes =
-                    network::shuffle_exchange_pass(&wires.lanes, &mut self.blocks, self.mode);
+                network::shuffle_exchange_pass_into(
+                    &wires.lanes,
+                    &mut self.next_lanes,
+                    &mut self.blocks,
+                    self.mode,
+                );
                 self.next_live = wires.lanes.len();
             }
             FabricConfigKind::WinnerOnly => {
-                let mut next = wires.lanes.clone();
+                self.next_lanes.copy_from_slice(&wires.lanes);
                 let mut out = 0;
                 for pair in wires.lanes[..wires.live].chunks(2) {
-                    next[out] = if pair.len() == 2 {
+                    self.next_lanes[out] = if pair.len() == 2 {
                         self.blocks[out].compare(pair[0], pair[1], self.mode).0
                     } else {
                         pair[0]
                     };
                     out += 1;
                 }
-                self.next_lanes = next;
                 self.next_live = out;
             }
         }
@@ -167,7 +168,7 @@ impl Synchronous<RtlWires> for NetworkStage {
 
     fn commit(&mut self, wires: &mut RtlWires) {
         if self.active {
-            wires.lanes = std::mem::take(&mut self.next_lanes);
+            std::mem::swap(&mut wires.lanes, &mut self.next_lanes);
             wires.live = self.next_live;
         }
     }
@@ -193,7 +194,6 @@ impl Synchronous<RtlWires> for UpdateStage {
                 &wires.lanes,
                 self.kind,
                 self.priority_update,
-                &DwcsUpdater,
                 *self.now.borrow(),
             )
         });
@@ -251,11 +251,6 @@ impl RtlFabric {
         if !(config.slots.is_power_of_two() && (2..=32).contains(&config.slots)) {
             return Err(Error::InvalidSlotCount(config.slots));
         }
-        if config.bitonic {
-            return Err(Error::Config(
-                "RTL fabric does not model the bitonic schedule".into(),
-            ));
-        }
         if config.block_order != BlockOrder::MaxFirst {
             return Err(Error::Config(
                 "RTL fabric models max-first circulation only".into(),
@@ -279,13 +274,14 @@ impl RtlFabric {
             step: 0,
             update_phase: false,
         };
+        let next_lanes = wires.lanes.clone();
         let mut sim = CycleSim::new(wires);
         sim.add(Box::new(NetworkStage {
             blocks: (0..n / 2).map(|_| DecisionBlock::new()).collect(),
             kind: config.kind,
             mode: config.mode,
             schedule_cycles,
-            next_lanes: Vec::new(),
+            next_lanes,
             next_live: 0,
             active: false,
         }));
@@ -415,7 +411,6 @@ impl RtlFabric {
                 &lanes,
                 self.config.kind,
                 self.config.priority_update,
-                &DwcsUpdater,
                 now,
             );
             *self.now.borrow_mut() = new_now;
@@ -517,11 +512,6 @@ mod tests {
 
     #[test]
     fn rtl_rejects_unsupported_configs() {
-        let bitonic = FabricConfig {
-            bitonic: true,
-            ..FabricConfig::dwcs(4, FabricConfigKind::Base)
-        };
-        assert!(RtlFabric::new(bitonic).is_err());
         let min_first = FabricConfig {
             block_order: BlockOrder::MinFirst,
             ..FabricConfig::dwcs(4, FabricConfigKind::Base)
@@ -611,7 +601,6 @@ impl RtlFabric {
                     &lanes,
                     self.config.kind,
                     self.config.priority_update,
-                    &DwcsUpdater,
                     now,
                 );
                 *self.now.borrow_mut() = new_now;

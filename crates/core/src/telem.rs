@@ -2,16 +2,16 @@
 //!
 //! With the feature **on**, [`FabricTelemetry`] holds handles into an
 //! `ss-telemetry` [`Registry`](ss_telemetry::Registry), a per-slot
-//! winner-selection-latency tracker, and a fixed-capacity decision-cycle
-//! trace ring. With the feature **off**, the same type is a zero-sized
-//! struct whose methods are inlined empty bodies — the hook arguments are
-//! dead and the optimizer erases the call sites, so the uninstrumented
-//! fabric is bit-for-bit the PR-1 zero-allocation core.
+//! winner-selection-latency tracker, and — attached separately — a span
+//! track of [`StageEvent`](ss_telemetry::StageEvent)s (arrivals, wins,
+//! expiry passes, blocked cycles). With the feature **off**, the same type
+//! is a zero-sized struct whose methods are inlined empty bodies — the hook
+//! arguments are dead and the optimizer erases the call sites, so the
+//! uninstrumented fabric is bit-for-bit the PR-1 zero-allocation core.
 //!
 //! The enabled hooks never allocate and touch no shared memory on the
 //! per-decision path: observations accumulate in plain local counters and
-//! [`LocalHistogram`](ss_telemetry::LocalHistogram)s plus stores into the
-//! preallocated [`EventRing`](ss_telemetry::EventRing), and drain into the
+//! [`LocalHistogram`](ss_telemetry::LocalHistogram)s, and drain into the
 //! registry's striped atomics every [`FLUSH_EVERY`](enabled::FLUSH_EVERY)
 //! decisions (and on drop / explicit flush). Registry readers on other
 //! threads therefore lag the fabric by at most one flush window.
@@ -21,8 +21,8 @@ mod enabled {
     use crate::fabric::ScheduledPacket;
     use ss_telemetry::span::detail;
     use ss_telemetry::{
-        Counter, EventRing, FsmPhase, Histogram, LocalHistogram, QosSet, Registry, SpanRecorder,
-        Stage, TraceEvent, TraceKind, TraceTag, TrackRecorder, WinLatencyTracker,
+        Counter, Histogram, LocalHistogram, QosSet, Registry, SpanRecorder, Stage, TraceTag,
+        TrackRecorder, WinLatencyTracker,
     };
 
     /// Decisions between automatic drains of the local accumulators into
@@ -54,17 +54,24 @@ mod enabled {
         win_seq: Vec<u32>,
     }
 
+    impl SpanState {
+        /// Control event: this cycle's expiry pass dropped `expired` late
+        /// head packets (nothing is recorded for a clean pass).
+        #[inline]
+        fn expiry_pass(&mut self, cycle: u64, expired: u32) {
+            if expired > 0 {
+                self.track
+                    .record(TraceTag::CONTROL.0, cycle, Stage::DecisionExpire, 0, expired);
+            }
+        }
+    }
+
     #[derive(Debug)]
     struct Attached {
-        shard: u16,
         /// `true` when every decision runs the PRIORITY_UPDATE phase.
         priority_update: bool,
         /// `true` for BA (block) fabrics, `false` for WR.
         is_block: bool,
-        /// Last FSM phase recorded in the trace. Steady-state repeats of
-        /// the SCHEDULE↔PRIORITY_UPDATE alternation are coalesced: the
-        /// ring records each distinct transition once, not per cycle.
-        last_phase: FsmPhase,
         // Registry handles — flush targets, shared striped atomics.
         decisions: Counter,
         packets: Counter,
@@ -87,7 +94,6 @@ mod enabled {
         win_gap_base: LocalHistogram,
         since_flush: u32,
         win_latency: WinLatencyTracker,
-        trace: EventRing,
     }
 
     impl Attached {
@@ -142,14 +148,12 @@ mod enabled {
         }
 
         /// Wires this fabric into `registry` under a `shard` label,
-        /// allocating the trace ring and latency tracker up front so the
-        /// per-decision hooks stay allocation-free.
-        #[allow(clippy::too_many_arguments)]
+        /// allocating the latency tracker up front so the per-decision
+        /// hooks stay allocation-free.
         pub fn attach(
             &mut self,
             registry: &Registry,
             shard: u16,
-            trace_capacity: usize,
             slots: usize,
             start_cycle: u64,
             priority_update: bool,
@@ -158,10 +162,8 @@ mod enabled {
             let s = shard.to_string();
             let labels: &[(&str, &str)] = &[("shard", &s)];
             self.inner = Some(Attached {
-                shard,
                 priority_update,
                 is_block,
-                last_phase: FsmPhase::Load,
                 decisions: registry.counter_labeled(
                     "ss_fabric_decision_cycles_total",
                     labels,
@@ -206,7 +208,6 @@ mod enabled {
                 win_gap_base: LocalHistogram::new(),
                 since_flush: 0,
                 win_latency: WinLatencyTracker::new(slots, start_cycle),
-                trace: EventRing::with_capacity(trace_capacity),
             });
         }
 
@@ -255,11 +256,6 @@ mod enabled {
             if let Some(a) = &mut self.inner {
                 a.flush();
             }
-        }
-
-        /// The decision-cycle trace ring, once attached.
-        pub fn trace(&self) -> Option<&EventRing> {
-            self.inner.as_ref().map(|a| &a.trace)
         }
 
         /// Per-slot winner-selection-latency tracker, once attached.
@@ -334,51 +330,22 @@ mod enabled {
                         slot as u32,
                     );
                 }
-                if expired > 0 {
-                    sp.track
-                        .record(TraceTag::CONTROL.0, cycle, Stage::DecisionExpire, 0, expired);
-                }
+                sp.expiry_pass(cycle, expired);
             }
             let Some(a) = &mut self.inner else { return };
             a.d_decisions += 1;
-            if a.last_phase == FsmPhase::Load {
-                a.trace.push(TraceEvent {
-                    cycle,
-                    shard: a.shard,
-                    kind: TraceKind::Fsm {
-                        from: FsmPhase::Load,
-                        to: FsmPhase::Schedule,
-                    },
-                });
-            }
             if block.is_empty() {
                 a.d_idle += 1;
-                a.trace.push(TraceEvent {
-                    cycle,
-                    shard: a.shard,
-                    kind: TraceKind::Idle,
-                });
             } else {
                 a.d_packets += block.len() as u64;
                 // The circulated winner is the first packet in
                 // transmission order.
-                let winner = block[0].slot.index();
-                a.win_latency.record_win(winner, cycle);
-                let kind = if a.is_block {
+                a.win_latency.record_win(block[0].slot.index(), cycle);
+                if a.is_block {
                     a.d_block_len.record(block.len() as u64);
-                    TraceKind::Block {
-                        len: block.len() as u8,
-                    }
-                } else {
-                    TraceKind::Winner { slot: winner as u8 }
-                };
-                a.trace.push(TraceEvent {
-                    cycle,
-                    shard: a.shard,
-                    kind,
-                });
+                }
             }
-            Self::expiry_and_update(a, cycle, expired);
+            Self::expiry_and_update(a, expired);
             a.since_flush += 1;
             if a.since_flush >= FLUSH_EVERY {
                 a.flush();
@@ -386,21 +353,22 @@ mod enabled {
         }
 
         /// Hook: one decision/expiry attempt was consumed by a fault (stuck
-        /// FSM wedge or crash). Recorded in the trace ring only — the
-        /// injected/recovered totals live in the `ss-faults` counters, and
-        /// a blocked cycle is not a *completed* decision, so the decision
-        /// counters are left alone.
+        /// FSM wedge or crash). Recorded on the span track only, as one
+        /// control `DecisionStall` event — the injected/recovered totals
+        /// live in the `ss-faults` counters, and a blocked cycle is not a
+        /// *completed* decision, so the decision counters are left alone.
         // lint:hot-path
         #[inline]
         pub fn on_fault_stall(&mut self, cycle: u64, crashed: bool) {
-            let Some(a) = &mut self.inner else { return };
-            a.trace.push(TraceEvent {
-                cycle,
-                shard: a.shard,
-                kind: TraceKind::Fault {
-                    code: u8::from(crashed),
-                },
-            });
+            if let Some(sp) = &mut self.spans {
+                sp.track.record(
+                    TraceTag::CONTROL.0,
+                    cycle,
+                    Stage::DecisionStall,
+                    u8::from(crashed),
+                    0,
+                );
+            }
         }
 
         /// Hook: one grant-less expiry cycle completed (the fabric lost the
@@ -408,10 +376,13 @@ mod enabled {
         // lint:hot-path
         #[inline]
         pub fn on_expire_cycle(&mut self, cycle: u64, expired: u32) {
+            if let Some(sp) = &mut self.spans {
+                sp.expiry_pass(cycle, expired);
+            }
             let Some(a) = &mut self.inner else { return };
             a.d_decisions += 1;
             a.d_idle += 1;
-            Self::expiry_and_update(a, cycle, expired);
+            Self::expiry_and_update(a, expired);
             a.since_flush += 1;
             if a.since_flush >= FLUSH_EVERY {
                 a.flush();
@@ -419,33 +390,9 @@ mod enabled {
         }
 
         // lint:hot-path
-        fn expiry_and_update(a: &mut Attached, cycle: u64, expired: u32) {
-            if expired > 0 {
-                a.d_expired += expired as u64;
-                a.trace.push(TraceEvent {
-                    cycle,
-                    shard: a.shard,
-                    kind: TraceKind::Expired {
-                        slots: expired.min(u8::MAX as u32) as u8,
-                    },
-                });
-            }
-            if a.priority_update {
-                a.d_prio += 1;
-                if a.last_phase != FsmPhase::PriorityUpdate {
-                    a.trace.push(TraceEvent {
-                        cycle,
-                        shard: a.shard,
-                        kind: TraceKind::Fsm {
-                            from: FsmPhase::Schedule,
-                            to: FsmPhase::PriorityUpdate,
-                        },
-                    });
-                }
-                a.last_phase = FsmPhase::PriorityUpdate;
-            } else {
-                a.last_phase = FsmPhase::Schedule;
-            }
+        fn expiry_and_update(a: &mut Attached, expired: u32) {
+            a.d_expired += expired as u64;
+            a.d_prio += u64::from(a.priority_update);
         }
     }
 }

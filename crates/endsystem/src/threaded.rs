@@ -131,13 +131,9 @@ pub fn run_threaded_instrumented(
     states: Vec<StreamState>,
     arrivals_per_slot: u64,
     registry: &ss_telemetry::Registry,
-    trace_capacity: usize,
 ) -> Result<(ThreadedReport, ss_telemetry::QosSet)> {
     let mut stages = Scheduler::with_rings(config, states, None, EndsystemFaults::new(), ())?;
-    stages
-        .1
-        .fabric
-        .attach_telemetry(registry, 0, trace_capacity);
+    stages.1.fabric.attach_telemetry(registry, 0);
     let run = run_stages(stages, arrivals_per_slot, (), ())?;
     let (report, mut fabric) = (run.report, run.fabric);
     // The fabric batches its observations locally; drain them so the
@@ -901,7 +897,7 @@ mod tests {
                 late_policy: LatePolicy::ServeLate,
             })
             .collect();
-        let (report, qos) = run_threaded_instrumented(config, states, 500, &registry, 128).unwrap();
+        let (report, qos) = run_threaded_instrumented(config, states, 500, &registry).unwrap();
         assert_eq!(report.total, 2_000);
         assert_eq!(qos.streams.len(), 4);
         let qos_serviced: u64 = qos.streams.iter().map(|s| s.serviced).sum();
@@ -1307,7 +1303,7 @@ mod tests {
         #[cfg(feature = "telemetry")]
         {
             let registry = ss_telemetry::Registry::new();
-            let run = run_threaded_instrumented(config(), serve_late(), 500, &registry, 128);
+            let run = run_threaded_instrumented(config(), serve_late(), 500, &registry);
             reports.push(("instrumented", run.unwrap().0));
             for gate in [None, Some(headroom_gate(0))] {
                 let mut trace = TraceConfig::new(1 << 15, 256);

@@ -214,19 +214,6 @@ impl<'ws> Analysis<'ws> {
         &self.ws.files[self.files[sym.file]]
     }
 
-    /// Symbols named `name` in `file` (workspace-relative path).
-    pub fn named_in_file(&self, file: &str, name: &str) -> Vec<usize> {
-        self.by_name
-            .get(name)
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|&i| self.file_of(&self.fns[i]).rel == file)
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// All symbols named `name`.
     pub fn named(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
@@ -566,10 +553,8 @@ fn recv_chain(bytes: &[u8], body: &str, dot: usize) -> Option<Vec<String>> {
 }
 
 /// Runs the `call-graph` rule: every `// lint:hot-path` annotation must
-/// attach to a function definition, and every `[[hot_path.functions]]`
-/// registry entry must resolve into the graph (so the symbol table can
-/// never silently lose coverage the registry promises).
-pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
+/// attach to a function definition.
+pub fn check(analysis: &Analysis<'_>, report: &mut Report) {
     for s in &analysis.fns {
         if s.hot_annotated {
             report.stat("hot-path annotated roots");
@@ -586,20 +571,6 @@ pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
             a.line,
             "`// lint:hot-path` annotation does not attach to a function definition — place it directly above the fn (or its attributes)".to_string(),
         );
-    }
-    for entry in &cfg.hot_entries {
-        for name in &entry.names {
-            if analysis.named_in_file(&entry.file, name).is_empty() {
-                report.violation(
-                    ID,
-                    &entry.file,
-                    1,
-                    format!(
-                        "registered hot function `{name}` has no symbol in the call graph — renamed, or the file is out of graph scope"
-                    ),
-                );
-            }
-        }
     }
 }
 

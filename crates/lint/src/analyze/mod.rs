@@ -8,8 +8,7 @@
 //!   `// lint:hot-path` annotations) from each masked file.
 //! * [`callgraph`] — resolves call edges conservatively by name and
 //!   builds the [`callgraph::Analysis`] the later passes share; its own
-//!   rule (`call-graph`) keeps annotations and the registry attached to
-//!   real symbols.
+//!   rule (`call-graph`) keeps annotations attached to real symbols.
 //! * [`reachability`] — transitive hot-path purity: walks the graph from
 //!   every hot root and reports forbidden sinks with a witness call path.
 //! * [`features`] — feature-cfg consistency: on/off hook arms must match,

@@ -1,12 +1,10 @@
 //! `hot-path-reachability` — transitive hot-path purity.
 //!
-//! PR 4's `hot-path-purity` rule scans registered function *bodies* for
-//! forbidden tokens; it is blind to everything those functions call. This
-//! pass closes that hole: starting from every hot root — functions carrying
-//! a `// lint:hot-path` annotation at the definition site, plus the legacy
-//! `[[hot_path.functions]]` registry — it walks the conservative call
-//! graph and reports every forbidden sink reachable from a root, printing
-//! a witness call path:
+//! The one hot-path rule. Starting from every hot root — a function
+//! carrying a `// lint:hot-path` annotation at its definition site; the
+//! annotations are the only list of hot functions — it walks the
+//! conservative call graph and reports every forbidden sink in a root's
+//! own body or reachable from it, printing a witness call path:
 //!
 //! ```text
 //! crates/cluster/src/node.rs:88: [hot-path-reachability] forbidden token
@@ -17,9 +15,8 @@
 //!
 //! Waiver points, both with the usual `-- rationale` tail:
 //!
-//! * at the **sink line** (`hot-path-reachability` or `hot-path-purity`) —
-//!   "this token is fine here";
-//! * at the **call-site line** in the caller (`hot-path-reachability`) —
+//! * at the **sink line** — "this token is fine here";
+//! * at the **call-site line** in the caller —
 //!   "this edge leaves the hot path" (e.g. a cold failure-reporting branch).
 //!   The walk does not traverse a waived edge.
 //!
@@ -29,32 +26,22 @@
 
 use super::callgraph::Analysis;
 use crate::config::Config;
-use crate::rules::hot_path;
 use crate::Report;
 use std::collections::{BTreeSet, VecDeque};
 
 /// The rule id.
 pub const ID: &str = "hot-path-reachability";
 
-/// Hot-root symbol indices: annotated definitions plus registry entries,
-/// restricted to items live under the active feature set.
+/// Hot-root symbol indices: annotated definitions live under the active
+/// feature set.
 pub fn roots(analysis: &Analysis<'_>, cfg: &Config) -> BTreeSet<usize> {
-    let mut set = BTreeSet::new();
-    for (i, s) in analysis.fns.iter().enumerate() {
-        if s.hot_annotated && s.live(&cfg.active_features) && !s.test_only() {
-            set.insert(i);
-        }
-    }
-    for entry in &cfg.hot_entries {
-        for name in &entry.names {
-            for i in analysis.named_in_file(&entry.file, name) {
-                if analysis.fns[i].live(&cfg.active_features) && !analysis.fns[i].test_only() {
-                    set.insert(i);
-                }
-            }
-        }
-    }
-    set
+    analysis
+        .fns
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.hot_annotated && s.live(&cfg.active_features) && !s.test_only())
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Runs the transitive pass.
@@ -105,15 +92,8 @@ pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
             if !sink.cfg.iter().all(|a| a.live(&cfg.active_features)) {
                 continue;
             }
-            if f.waived(ID, sink.line) || f.waived(hot_path::ID, sink.line) {
+            if f.waived(ID, sink.line) {
                 report.stat("waivers honored");
-                continue;
-            }
-            // Direct hits inside *registered* bodies are already reported
-            // by hot-path-purity; re-reporting them here would double every
-            // legacy finding. Only roots that are pure annotation-roots
-            // (not in the registry) and transitive callees report here.
-            if roots.contains(&i) && in_registry(analysis, cfg, i) {
                 continue;
             }
             report.violation(
@@ -135,14 +115,6 @@ pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
     for _ in &roots {
         report.stat("hot roots");
     }
-}
-
-fn in_registry(analysis: &Analysis<'_>, cfg: &Config, i: usize) -> bool {
-    let sym = &analysis.fns[i];
-    let rel = &analysis.file_of(sym).rel;
-    cfg.hot_entries
-        .iter()
-        .any(|e| &e.file == rel && e.names.iter().any(|n| n == &sym.name))
 }
 
 /// Renders the root → … → sink-holder chain, annotating each hop with its

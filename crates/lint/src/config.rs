@@ -185,16 +185,6 @@ fn parse_value(s: &str, lineno: usize) -> Result<Value, ConfigError> {
 // Typed configuration
 // ---------------------------------------------------------------------------
 
-/// One registered hot-path file and the functions inside it that must stay
-/// pure (panic-free, allocation-free).
-#[derive(Debug, Clone)]
-pub struct HotEntry {
-    /// Workspace-relative path.
-    pub file: String,
-    /// Function names whose bodies are scanned.
-    pub names: Vec<String>,
-}
-
 /// One declared atomics-protocol rule: in `file`, operation `op` on the
 /// atomic field `atomic` must use exactly ordering `require`.
 #[derive(Debug, Clone)]
@@ -241,10 +231,9 @@ pub struct Config {
     pub unsafe_allow_files: Vec<String>,
     /// Files that must carry `#![forbid(unsafe_code)]`.
     pub forbid_unsafe_files: Vec<String>,
-    /// Tokens forbidden inside registered hot-path functions.
+    /// Tokens forbidden in everything reachable from a `// lint:hot-path`
+    /// annotated function.
     pub hot_forbidden: Vec<String>,
-    /// The registered hot-path functions.
-    pub hot_entries: Vec<HotEntry>,
     /// Flag every `Ordering::SeqCst` site.
     pub flag_seqcst: bool,
     /// The declared acquire/release protocol.
@@ -290,13 +279,6 @@ impl Config {
         let atomics = doc.table("atomics").unwrap_or(&empty);
         let errors = doc.table("error_discipline").unwrap_or(&empty);
 
-        let mut hot_entries = Vec::new();
-        for t in doc.tables("hot_path.functions") {
-            hot_entries.push(HotEntry {
-                file: string(t, "file", "[[hot_path.functions]]")?,
-                names: strings(t, "names"),
-            });
-        }
         let mut protocol = Vec::new();
         for t in doc.tables("atomics.protocol") {
             protocol.push(ProtocolRule {
@@ -336,7 +318,6 @@ impl Config {
             unsafe_allow_files: strings(uns, "allow_files"),
             forbid_unsafe_files: strings(uns, "forbid_files"),
             hot_forbidden: strings(hot, "forbidden"),
-            hot_entries,
             flag_seqcst: matches!(atomics.get("flag_seqcst"), Some(Value::Bool(true)) | None),
             protocol,
             zst_crates,

@@ -1,4 +1,4 @@
-//! The five rule implementations.
+//! The four per-file rule implementations.
 //!
 //! Every rule works on masked source (see [`crate::lexer`]), reports
 //! [`Violation`](crate::Violation)s with file:line positions, and honors
@@ -6,7 +6,6 @@
 
 pub mod atomics;
 pub mod errors;
-pub mod hot_path;
 pub mod unsafe_hygiene;
 pub mod zst;
 

@@ -169,12 +169,12 @@ mod tests {
     fn waivers_parse_rule_targets_and_rationale() {
         let f = SourceFile::from_text(
             "x.rs",
-            "// lint:allow(atomics-ordering) -- owner-side index\nx.load(r);\ny.store(); // lint:allow(hot-path-purity) -- cold slow path\n".into(),
+            "// lint:allow(atomics-ordering) -- owner-side index\nx.load(r);\ny.store(); // lint:allow(hot-path-reachability) -- cold slow path\n".into(),
         );
         assert_eq!(f.waivers.len(), 2);
         assert!(f.waived("atomics-ordering", 2));
         assert!(!f.waived("atomics-ordering", 3));
-        assert!(f.waived("hot-path-purity", 3));
+        assert!(f.waived("hot-path-reachability", 3));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!
 //! Everything here is deterministic, integer-only on the hot paths apart
 //! from RED's EWMA, and allocation-free after construction (the
-//! `// lint:hot-path` functions are held to the ss-lint hot-path-purity
+//! `// lint:hot-path` functions are held to the ss-lint hot-path-reachability
 //! gate and covered by `tests/zero_alloc.rs`).
 
 #![forbid(unsafe_code)]

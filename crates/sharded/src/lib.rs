@@ -235,9 +235,9 @@ impl ShardedScheduler {
     /// [`ShardedScheduler::into_threaded`] — the instrumentation moves onto
     /// the workers with the fabrics.
     #[cfg(feature = "telemetry")]
-    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry, trace_capacity: usize) {
+    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry) {
         for (k, fabric) in self.shards.iter_mut().enumerate() {
-            fabric.attach_telemetry(registry, k as u16, trace_capacity);
+            fabric.attach_telemetry(registry, k as u16);
         }
         self.telem = Some(ShardedTelemetry::new(registry, self.shards.len()));
     }
@@ -1572,7 +1572,7 @@ mod tests {
         }
         assert_eq!(s.shard_fairness(), None, "detached until attach");
         let registry = ss_telemetry::Registry::new();
-        s.attach_telemetry(&registry, 16);
+        s.attach_telemetry(&registry);
         for _ in 0..8 {
             s.decision_cycle().expect("backlogged");
         }
@@ -1710,7 +1710,7 @@ mod tests {
     fn telemetry_survives_into_threaded() {
         let registry = ss_telemetry::Registry::new();
         let mut s = backlogged(8, 4, 10);
-        s.attach_telemetry(&registry, 8);
+        s.attach_telemetry(&registry);
         let mut t = s.into_threaded(1024);
         // 4 shards × 2 slots × 10 arrivals: each shard services one packet
         // per cycle, so 10 cycles drain 40 packets.

@@ -12,11 +12,6 @@
 //!   updates are relaxed atomic adds striped across per-thread cells (no
 //!   shared cache line between recording threads); stripes are merged only
 //!   on [`Registry::snapshot`].
-//! * [`ring`] — [`EventRing`], a fixed-capacity, drop-counting trace ring
-//!   for decision-cycle events (cycle number, winner slot, FSM state
-//!   transitions LOAD→SCHEDULE↔PRIORITY_UPDATE, shard ID). Steady state
-//!   never allocates: the ring overwrites its oldest entry and counts the
-//!   overwrite.
 //! * [`qos`] — per-stream QoS accounting matching the paper's Table 3
 //!   quantities: deadlines met/missed, window-constraint (x/y) violations,
 //!   and winner-selection latency in decision cycles.
@@ -26,14 +21,17 @@
 //!   Prometheus-text exporters.
 //! * [`stats`] — [`Summary`], the Welford mean/variance accumulator
 //!   (moved here from `ss-hwsim` so both report through one schema).
-//! * [`span`] / [`clock`] / [`recorder`] / [`export`] — per-packet
-//!   lifecycle tracing: 8-byte [`TraceTag`]s minted at admission,
-//!   32-byte [`StageEvent`]s recorded into per-thread rings with
-//!   `rdtsc`-class timestamps ([`clock::now_tsc`]), an always-on bounded
-//!   [`FlightRecorder`] dumped on watchdog trip / rung change / breaker
-//!   open / panic, and an exporter that stitches tracks into
-//!   causally-ordered Chrome/Perfetto trace JSON plus per-stage latency
-//!   histograms merged into this crate's snapshot schema.
+//! * [`span`] / [`clock`] / [`recorder`] / [`export`] — the one event
+//!   model: 32-byte [`StageEvent`]s recorded into fixed-capacity,
+//!   drop-counting [`StageRing`]s with `rdtsc`-class timestamps
+//!   ([`clock::now_tsc`]). Packet events carry an 8-byte [`TraceTag`]
+//!   minted at admission; machine events (expiry passes, blocked decision
+//!   cycles, failovers, rung changes, ladder sheds, watchdog trips) carry
+//!   [`TraceTag::CONTROL`]. Per-thread span tracks feed an exporter that
+//!   stitches them into causally-ordered Chrome/Perfetto trace JSON plus
+//!   per-stage latency histograms merged into this crate's snapshot
+//!   schema; an always-on bounded [`FlightRecorder`] is dumped on watchdog
+//!   trip / rung change / breaker open / panic.
 //!
 //! # Feature gating
 //!
@@ -64,7 +62,6 @@ pub mod export;
 pub mod metrics;
 pub mod qos;
 pub mod recorder;
-pub mod ring;
 pub mod snapshot;
 pub mod span;
 pub mod stats;
@@ -76,7 +73,6 @@ pub use recorder::{
     install_panic_hook, stitch, DumpReason, FlightDump, FlightRecorder, SharedFlightRecorder,
     SpanRecorder, StageRing, TrackDump, TrackRecorder,
 };
-pub use ring::{EventRing, FsmPhase, TraceEvent, TraceKind};
 pub use span::{Stage, StageEvent, TraceTag};
 pub use snapshot::{
     Bucket, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot, SummarySnapshot,

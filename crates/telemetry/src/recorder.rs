@@ -1,6 +1,9 @@
 //! Per-thread stage-event rings and the always-on flight recorder.
 //!
-//! Two recording surfaces share the [`crate::span::StageEvent`] format:
+//! Two recording surfaces share the [`crate::span::StageEvent`] format and
+//! the one ring type, [`StageRing`] (anything that is only a count — idle
+//! cycles, priority updates, block lengths — is a [`crate::metrics`]
+//! counter, not an event):
 //!
 //! * **Span tracks** ([`SpanRecorder`] / [`TrackRecorder`]) — each
 //!   recording thread owns a [`TrackRecorder`] and pushes into it with no
@@ -27,8 +30,12 @@ use serde::{Deserialize, Serialize};
 use crate::clock::{now_tsc, ticks_per_us};
 use crate::span::{Stage, StageEvent};
 
-/// Fixed-capacity, drop-counting ring of [`StageEvent`]s — the stage
-/// analogue of [`crate::ring::EventRing`].
+/// Fixed-capacity, drop-counting ring of [`StageEvent`]s — the
+/// workspace's one event ring. Pushes are plain stores into a buffer
+/// allocated at construction; when full, the *oldest* event is overwritten
+/// and the overwrite counted, so the ring always holds the most recent
+/// `capacity` events and [`StageRing::dropped`] tells a complete window
+/// from a truncated one.
 #[derive(Debug, Clone)]
 pub struct StageRing {
     buf: Vec<StageEvent>,
@@ -649,6 +656,22 @@ mod tests {
         assert_eq!(back.events.len(), 2);
         assert_eq!(back.reason, DumpReason::WatchdogTrip);
         assert!(back.ticks_per_us > 0.0);
+    }
+
+    #[test]
+    fn dump_written_before_decision_stall_existed_still_round_trips() {
+        // Byte-for-byte what the commit before `Stage::DecisionStall` /
+        // `detail::SHED_LADDER` wrote for these three events.
+        let old = "{\"reason\":\"WatchdogTrip\",\"at_cycle\":11,\"capacity\":4,\"dropped\":0,\
+            \"total\":3,\"ticks_per_us\":2.5,\"events\":[\
+            {\"tag\":18446744073709551615,\"tsc\":42,\"cycle\":9,\"track\":2,\"stage\":\"Failover\",\"detail\":1,\"arg\":1},\
+            {\"tag\":281483566645251,\"tsc\":50,\"cycle\":10,\"track\":0,\"stage\":\"Shed\",\"detail\":12,\"arg\":2},\
+            {\"tag\":18446744073709551615,\"tsc\":60,\"cycle\":11,\"track\":2,\"stage\":\"InvariantViolation\",\"detail\":3,\"arg\":1}]}";
+        let dump = FlightDump::from_json(old).unwrap();
+        assert_eq!(dump.events[0].stage, Stage::Failover);
+        assert_eq!(dump.events[1].detail, detail::SHED_EXPIRED);
+        assert_eq!(dump.events[2].stage as u8, 38);
+        assert_eq!(dump.to_json(), old);
     }
 
     #[test]

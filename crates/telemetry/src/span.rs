@@ -133,6 +133,10 @@ pub enum Stage {
     /// Control: a continuously-checked simulation invariant failed
     /// (`detail` = invariant code, `arg` = node).
     InvariantViolation = 38,
+    /// Control: a decision or expiry attempt was consumed by a fault — the
+    /// packet-time elapsed and nothing was scheduled (`detail` 0 = stuck
+    /// decision FSM, 1 = crashed fabric/shard).
+    DecisionStall = 39,
 }
 
 impl Stage {
@@ -160,7 +164,8 @@ impl Stage {
             | Stage::RungChange
             | Stage::BreakerOpen
             | Stage::WatchdogTrip
-            | Stage::InvariantViolation => None,
+            | Stage::InvariantViolation
+            | Stage::DecisionStall => None,
         }
     }
 
@@ -184,6 +189,7 @@ impl Stage {
             Stage::BreakerOpen => "breaker_open",
             Stage::WatchdogTrip => "watchdog_trip",
             Stage::InvariantViolation => "invariant_violation",
+            Stage::DecisionStall => "decision_stall",
         }
     }
 }
@@ -225,6 +231,10 @@ pub mod detail {
     /// [`super::Stage::Shed`]: head packet expired in the fabric
     /// (`DropLate` policy).
     pub const SHED_EXPIRED: u8 = 12;
+    /// [`super::Stage::Shed`]: refused at ingest by the degradation
+    /// ladder's active rung (control-tagged: the arrival never got a tag;
+    /// `arg` is the slot).
+    pub const SHED_LADDER: u8 = 13;
 
     /// [`super::Stage::MergeWin`]: the winner was the only live candidate.
     pub const MERGE_ONLY_CANDIDATE: u8 = 255;
@@ -333,6 +343,17 @@ mod tests {
             "selection stages share a rank"
         );
         assert!(Stage::WatchdogTrip.lifecycle_rank().is_none());
+    }
+
+    #[test]
+    fn appended_codes_leave_the_wire_format_alone() {
+        // Append, never renumber: the last pre-existing control stage and
+        // shed code keep their values, the new ones take the next.
+        assert_eq!(Stage::InvariantViolation as u8, 38);
+        assert_eq!(Stage::DecisionStall as u8, 39);
+        assert!(Stage::DecisionStall.lifecycle_rank().is_none());
+        assert_eq!(Stage::DecisionStall.name(), "decision_stall");
+        assert_eq!((detail::SHED_EXPIRED, detail::SHED_LADDER), (12, 13));
     }
 
     #[test]

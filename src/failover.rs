@@ -21,10 +21,9 @@
 //!
 //! Both switches cost one packet-time and are recorded: in the
 //! `ss-faults` ledger (`failovers`/`reattaches`) when an injector is
-//! attached, and as [`TraceKind::Failover`] events when the `telemetry`
-//! feature's trace ring is enabled.
-//!
-//! [`TraceKind::Failover`]: ss_telemetry::TraceKind::Failover
+//! attached, and as one `Stage::Failover` control event each in the flight
+//! recorder when one is attached (`telemetry` feature,
+//! `FailoverScheduler::attach_flight_recorder`).
 
 use ss_core::{
     DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, RegisterSnapshot, ScheduledPacket,
@@ -84,10 +83,9 @@ pub struct FailoverScheduler {
     overload: Option<OverloadSupervisor>,
     #[cfg(feature = "faults")]
     injector: Option<std::sync::Arc<ss_faults::FaultInjector>>,
-    #[cfg(feature = "telemetry")]
-    trace: Option<ss_telemetry::EventRing>,
-    /// Flight recorder for automatic incident dumps: path failovers and
-    /// ladder rung changes ([`FailoverScheduler::attach_flight_recorder`]).
+    /// Flight recorder for path switches, ladder sheds and rung changes,
+    /// with automatic incident dumps
+    /// ([`FailoverScheduler::attach_flight_recorder`]).
     #[cfg(feature = "telemetry")]
     flight: Option<ss_telemetry::SharedFlightRecorder>,
 }
@@ -138,8 +136,6 @@ impl FailoverScheduler {
             overload: None,
             #[cfg(feature = "faults")]
             injector: None,
-            #[cfg(feature = "telemetry")]
-            trace: None,
             #[cfg(feature = "telemetry")]
             flight: None,
         })
@@ -331,22 +327,22 @@ impl FailoverScheduler {
     ///
     /// With the degradation ladder armed, the active
     /// rung may refuse the arrival with [`Error::Overloaded`] — counted
-    /// load shedding, traced as a `Shed` event when tracing is on.
+    /// load shedding, recorded as a control `Shed` event (`detail` =
+    /// `SHED_LADDER`, `arg` = slot) when a flight recorder is attached.
     pub fn enqueue(&mut self, slot: usize, tag: Wrap16) -> Result<()> {
         if self.ladder_refuses(slot) {
             if let Some(ov) = &mut self.overload {
                 ov.sheds += 1;
             }
             #[cfg(feature = "telemetry")]
-            if let Some(ring) = &mut self.trace {
-                ring.push(ss_telemetry::TraceEvent {
-                    cycle: self.now,
-                    shard: 0,
-                    kind: ss_telemetry::TraceKind::Shed {
-                        slot: slot.min(u8::MAX as usize) as u8,
-                        site: 3,
-                    },
-                });
+            if let Some(fl) = &self.flight {
+                fl.record_control(
+                    self.now,
+                    0,
+                    ss_telemetry::Stage::Shed,
+                    ss_telemetry::span::detail::SHED_LADDER,
+                    slot as u32,
+                );
             }
             return Err(Error::Overloaded {
                 slot,
@@ -532,14 +528,6 @@ impl FailoverScheduler {
     #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     fn record_switch(&mut self, to_software: bool) {
         #[cfg(feature = "telemetry")]
-        if let Some(ring) = &mut self.trace {
-            ring.push(ss_telemetry::TraceEvent {
-                cycle: self.now,
-                shard: 0,
-                kind: ss_telemetry::TraceKind::Failover { to_software },
-            });
-        }
-        #[cfg(feature = "telemetry")]
         if let Some(fl) = &self.flight {
             fl.record_control(
                 self.now,
@@ -573,25 +561,15 @@ impl FailoverScheduler {
         self.fabric.inject_crash();
     }
 
-    /// Keeps the last `capacity` path-switch events in a trace ring
-    /// (readable via [`FailoverScheduler::trace`]).
-    #[cfg(feature = "telemetry")]
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(ss_telemetry::EventRing::with_capacity(capacity));
-    }
-
-    /// The path-switch trace ring, if enabled.
-    #[cfg(feature = "telemetry")]
-    pub fn trace(&self) -> Option<&ss_telemetry::EventRing> {
-        self.trace.as_ref()
-    }
-
-    /// Wires a shared flight recorder to the supervisor's incident paths:
-    /// a hardware→software failover records a `Failover` control event and
-    /// takes an automatic [`ss_telemetry::DumpReason::WatchdogTrip`] dump;
-    /// a degradation-ladder rung change records `RungChange` and dumps with
+    /// Wires a shared flight recorder to the supervisor: every path switch
+    /// records one `Failover` control event (detail 1 = to software, 0 =
+    /// re-attach), and the hardware→software direction also takes an
+    /// automatic [`ss_telemetry::DumpReason::WatchdogTrip`] dump; a
+    /// degradation-ladder rung change records `RungChange` and dumps with
     /// [`ss_telemetry::DumpReason::RungChange`] (detail = new rung,
-    /// arg = old rung; 0 full-QoS, 1 shed-optional, 2 FCFS-drain).
+    /// arg = old rung; 0 full-QoS, 1 shed-optional, 2 FCFS-drain); every
+    /// arrival the ladder refuses records a control `Shed`
+    /// (detail `SHED_LADDER`, arg = slot).
     #[cfg(feature = "telemetry")]
     pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
         self.flight = Some(flight.clone());
@@ -663,9 +641,10 @@ mod tests {
         assert_eq!(sup.now(), bare.now());
     }
 
-    #[test]
-    fn ladder_sheds_optional_then_closes_then_recovers() {
-        use ss_overload::{LadderConfig, PressureConfig, Rung};
+    /// A two-slot DWCS supervisor — slot 0 loss-tolerant ("optional"),
+    /// slot 1 zero-loss — with a fast ladder armed over a capacity of 8 and
+    /// the backlog saturated to 16.
+    fn saturated_ladder() -> FailoverScheduler {
         let config = FabricConfig::dwcs(2, FabricConfigKind::WinnerOnly);
         let mut sup = FailoverScheduler::with_default_watchdog(config).unwrap();
         let optional = StreamState {
@@ -695,11 +674,16 @@ mod tests {
             8,
         );
         assert_eq!(sup.rung(), Rung::FullQos);
-        // Saturate the backlog well past the declared capacity: 16 of 8.
         for a in 0..8u64 {
             sup.enqueue(0, Wrap16::from_wide(a)).unwrap();
             sup.enqueue(1, Wrap16::from_wide(a)).unwrap();
         }
+        sup
+    }
+
+    #[test]
+    fn ladder_sheds_optional_then_closes_then_recovers() {
+        let mut sup = saturated_ladder();
         // Two overloaded observations climb to ShedOptional.
         sup.decision_cycle().unwrap();
         sup.decision_cycle().unwrap();
@@ -728,6 +712,42 @@ mod tests {
         assert_eq!(sup.rung(), Rung::FullQos);
         assert!(sup.ladder_transitions() >= 4, "two climbs, two descents");
         sup.enqueue(0, Wrap16(0)).unwrap();
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn ladder_refusals_leave_control_shed_events() {
+        use ss_telemetry::span::detail;
+        use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
+        let mut sup = saturated_ladder();
+        let flight = SharedFlightRecorder::new(64);
+        sup.attach_flight_recorder(&flight);
+        sup.decision_cycle().unwrap();
+        sup.decision_cycle().unwrap();
+        assert_eq!(sup.rung(), Rung::ShedOptional);
+        assert!(sup.enqueue(0, Wrap16(99)).is_err(), "optional: refused");
+        sup.enqueue(1, Wrap16(99)).unwrap(); // admitted: no event
+        sup.decision_cycle().unwrap();
+        sup.decision_cycle().unwrap();
+        assert_eq!(sup.rung(), Rung::FcfsDrain);
+        assert!(sup.enqueue(1, Wrap16(100)).is_err(), "ingest closed");
+        assert!(sup.enqueue(0, Wrap16(100)).is_err());
+        let dump = flight.auto_dump(DumpReason::Manual, sup.now());
+        let sheds: Vec<_> = dump
+            .events
+            .iter()
+            .filter(|e| e.stage == Stage::Shed)
+            .collect();
+        assert_eq!(sheds.len() as u64, sup.ladder_sheds(), "one per refusal");
+        assert_eq!(
+            sheds.iter().map(|e| e.arg).collect::<Vec<_>>(),
+            [0, 1, 0],
+            "arg names the refused slot, in refusal order"
+        );
+        for e in sheds {
+            assert!(e.trace_tag().is_control(), "the arrival never got a tag");
+            assert_eq!(e.detail, detail::SHED_LADDER);
+        }
     }
 
     #[cfg(feature = "faults")]
@@ -810,10 +830,11 @@ mod tests {
     #[test]
     fn path_switches_are_traced_and_ledgered() {
         use ss_faults::{FaultConfig, FaultInjector};
-        use ss_telemetry::TraceKind;
+        use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
         use std::sync::Arc;
         let mut sup = FailoverScheduler::new(wr_edf(2), DecisionWatchdog::new(2, 3)).unwrap();
-        sup.enable_trace(16);
+        let flight = SharedFlightRecorder::new(64);
+        sup.attach_flight_recorder(&flight);
         let inj = Arc::new(FaultInjector::new(5, FaultConfig::quiet()));
         sup.attach_faults(Arc::clone(&inj));
         sup.load_stream(0, edf_state(1), 1).unwrap();
@@ -827,14 +848,16 @@ mod tests {
         let stats = inj.stats().snapshot();
         assert_eq!(stats.failovers, sup.failovers());
         assert_eq!(stats.reattaches, sup.reattaches());
-        assert!(sup.failovers() >= 1);
-        let kinds: Vec<_> = sup.trace().unwrap().to_vec();
-        assert!(kinds
+        assert_eq!((sup.failovers(), sup.reattaches()), (1, 1));
+        // One sink, one event per switch: out to software, then back.
+        let dump = flight.auto_dump(DumpReason::Manual, sup.now());
+        let switches: Vec<u8> = dump
+            .events
             .iter()
-            .any(|e| e.kind == TraceKind::Failover { to_software: true }));
-        assert!(kinds
-            .iter()
-            .any(|e| e.kind == TraceKind::Failover { to_software: false }));
+            .filter(|e| e.stage == Stage::Failover)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(switches, [1, 0]);
     }
 
     #[cfg(all(feature = "faults", feature = "telemetry"))]

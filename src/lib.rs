@@ -56,7 +56,7 @@
 //! | [`cluster`] | deterministic cluster-scale simulation + soak lab: scenario generators, per-tick invariant engine, flight-dump repro pipeline, `soak` binary |
 //! | [`framework`] | Figure-1 feasibility reasoning |
 //! | `ingress` | (cargo feature `ingress`) hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
-//! | `telemetry` | (cargo feature `telemetry`) lock-free metric registry, Table-3 QoS accounting, decision-cycle trace rings, JSON/Prometheus exporters |
+//! | `telemetry` | (cargo feature `telemetry`) lock-free metric registry, Table-3 QoS accounting, per-packet stage-event tracing + flight recorder, JSON/Prometheus/Perfetto exporters |
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results; `cargo run -p ss-bench --bin run_all`

@@ -192,15 +192,15 @@ fn steady_state_decision_cycles_do_not_allocate() {
     }
 
     // --- Attached telemetry: hooks and periodic flushes stay heap-free ---
-    // All instrumentation buffers (trace ring, latency tracker, registry
-    // entries) are allocated at attach time; the measured span crosses the
+    // All instrumentation buffers (latency tracker, registry entries) are
+    // allocated at attach time; the measured span crosses the
     // 4096-decision auto-flush boundary, so the counter also proves the
     // local-accumulator drain into the striped registry never allocates.
     #[cfg(feature = "telemetry")]
     {
         let registry = sharestreams::telemetry::Registry::new();
         let mut wr = backlogged(SLOTS, FabricConfigKind::WinnerOnly, DEPTH);
-        wr.attach_telemetry(&registry, 0, 256);
+        wr.attach_telemetry(&registry, 0);
         for _ in 0..WARMUP {
             wr.decision_cycle_into();
             refill(&mut wr, &mut tag);
@@ -228,7 +228,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
                     .unwrap();
             }
         }
-        sharded.attach_telemetry(&registry, 256);
+        sharded.attach_telemetry(&registry);
         for _ in 0..WARMUP {
             if let Some(p) = sharded.decision_cycle() {
                 tag += 1;
