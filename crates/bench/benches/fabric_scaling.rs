@@ -8,11 +8,13 @@
 //! stay predictable.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ss_core::decision::compare_batch;
 use ss_core::{
     network, BlockOrder, DecisionBlock, Fabric, FabricConfig, FabricConfigKind, LatePolicy,
-    RtlFabric, ScheduledPacket, StreamState,
+    RtlFabric, RuleCounters, ScheduledPacket, StreamState,
 };
 use ss_sharded::ShardedScheduler;
+use ss_types::packed::pack;
 use ss_types::{ComparisonMode, SlotId, StreamAttrs, WindowConstraint, Wrap16};
 use std::hint::black_box;
 
@@ -240,12 +242,67 @@ fn bench_rtl_vs_functional(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two BA networks behind `network::ba_decision_from_planes` on 32
+/// lanes, and what a block that turns out to tie pays for having tried the
+/// key network first — the side `BENCHMARK.json` has no workload for.
+/// `key_32` and `word_32` decide the same tie-free words (`word_32` is the
+/// fallback's own code, five `compare_batch` passes); the `all_tied` rows
+/// share one deadline, so `key_then_word − word` is the declined attempt.
+fn bench_ba_networks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fabric/ba_networks");
+    let mode = ComparisonMode::Dwcs;
+    let lanes = |deadline: fn(u8) -> u16| -> [u64; 32] {
+        std::array::from_fn(|i| {
+            pack(&StreamAttrs {
+                deadline: Wrap16(deadline(i as u8)),
+                window: WindowConstraint::new(i as u8 % 4, 4),
+                arrival: Wrap16(i as u16),
+                slot: SlotId::new_unchecked(i as u8),
+                static_prio: 0,
+                valid: true,
+            })
+        })
+    };
+    let staggered = lanes(|i| 1 + u16::from(i) * 37 % 101);
+    let tied = lanes(|_| 500);
+    let (mut a, mut b) = ([0u64; 32], [0u64; 32]);
+    let mut counters = RuleCounters::default();
+
+    let mut word_network = |words: &[u64; 32]| {
+        compare_batch(words, &mut b, mode, &mut counters);
+        compare_batch(&b, &mut a, mode, &mut counters);
+        compare_batch(&a, &mut b, mode, &mut counters);
+        compare_batch(&b, &mut a, mode, &mut counters);
+        compare_batch(&a, &mut b, mode, &mut counters);
+        black_box(b[0])
+    };
+    group.bench_function("word_32", |bch| {
+        bch.iter(|| word_network(black_box(&staggered)))
+    });
+    group.bench_function("word_32_all_tied", |bch| {
+        bch.iter(|| word_network(black_box(&tied)))
+    });
+
+    let mut either_network = |words: &[u64; 32]| {
+        let in_a = network::ba_decision_from_planes(words, &mut a, &mut b, mode, &mut counters);
+        black_box(if in_a { a[0] } else { b[0] })
+    };
+    group.bench_function("key_32", |bch| {
+        bch.iter(|| either_network(black_box(&staggered)))
+    });
+    group.bench_function("key_then_word_32_all_tied", |bch| {
+        bch.iter(|| either_network(black_box(&tied)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ba_vs_wr,
     bench_alloc_free,
     bench_sharded,
     bench_ablations,
+    bench_ba_networks,
     bench_rtl_vs_functional
 );
 criterion_main!(benches);

@@ -281,7 +281,7 @@ pub(crate) fn lane_select(
 }
 
 /// One fused shuffle-exchange pass over packed lane words: the decision
-/// kernel of the fabric hot path.
+/// kernel of the fabric hot path, monomorphised per network size.
 ///
 /// Comparator `j` orders `src[j]` against `src[j + n/2]` — exactly the
 /// pair the perfect shuffle delivers to adjacent exchange ports — and
@@ -289,15 +289,14 @@ pub(crate) fn lane_select(
 /// Bit-identical to running [`DecisionBlock::compare`] on every pair: same
 /// winner, same loser, and the same Table-2 rule tallied into `counters`.
 // lint:hot-path
-pub fn compare_batch(
-    src: &[u64],
-    dst: &mut [u64],
+pub fn compare_batch<const N: usize>(
+    src: &[u64; N],
+    dst: &mut [u64; N],
     mode: ComparisonMode,
     counters: &mut RuleCounters,
 ) {
-    debug_assert!(src.len().is_power_of_two() && src.len() >= 2);
-    debug_assert!(dst.len() == src.len());
-    let (lo, hi) = src.split_at(src.len() / 2);
+    debug_assert!(N.is_power_of_two() && N >= 2);
+    let (lo, hi) = src.split_at(N / 2);
     for ((&a, &b), out) in lo.iter().zip(hi).zip(dst.chunks_exact_mut(2)) {
         let a_wins = lane_select(a, b, mode, counters);
         let winner = (a & a_wins) | (b & !a_wins);
@@ -714,8 +713,8 @@ mod tests {
                 w
             })
             .collect();
-        let src_w: Vec<u64> = src.iter().map(pack).collect();
-        let mut dst_w = vec![0u64; 8];
+        let src_w: [u64; 8] = std::array::from_fn(|i| pack(&src[i]));
+        let mut dst_w = [0u64; 8];
         let mut counters = RuleCounters::default();
         compare_batch(&src_w, &mut dst_w, ComparisonMode::Dwcs, &mut counters);
         for j in 0..4 {

@@ -70,6 +70,7 @@ impl DwcsUpdater {
 
     /// Applies the rule for `event` to current constraint `current`, given
     /// the stream's original constraint `original`.
+    #[inline]
     pub fn update(
         &self,
         current: WindowConstraint,

@@ -1,5 +1,6 @@
-//! The assembled scheduler fabric: N Register Base blocks, N/2 Decision
-//! blocks, the recirculating network, and the Control FSM.
+//! The assembled scheduler fabric: the register file of N Register Base
+//! blocks, N/2 Decision blocks, the recirculating network, and the Control
+//! FSM.
 //!
 //! One [`Fabric::decision_cycle`] call is one hardware decision:
 //!
@@ -19,17 +20,24 @@
 //! per BA decision where k is the number of packets in the block
 //! transaction. Hardware time advances log2(N) (+1 with priority update)
 //! clock cycles per decision, exactly as the Control FSM sequences.
+//!
+//! A decision reads the slots' packed lane words in place from the
+//! [`RegisterFile`], which keeps them current (there is no refresh step),
+//! and a BA block is serviced by the file's own walk over the sorted lanes
+//! ([`RegisterFile::service_block`]). [`Fabric::set_batched`]`(false)`
+//! selects the `StreamAttrs` scalar reference arm, which unpacks the same
+//! words at decision time.
 
 use crate::control::ControlFsm;
 use crate::decision::{DecisionBlock, RuleCounters};
 use crate::network;
-use crate::register::{RegisterBaseBlock, SlotCounters, StreamState};
+use crate::register::{RegisterFile, SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
 use ss_hwsim::FabricConfigKind;
-use ss_types::packed::{lane_slot, lane_valid, pack};
+use ss_types::packed::{lane_slot, lane_valid, pack, unpack};
 use ss_types::{
-    AttrPlanes, ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint,
-    Wrap16,
+    ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint, Wrap16,
+    MAX_SLOTS,
 };
 
 /// Which end of the block is circulated for PRIORITY_UPDATE, and the block
@@ -162,47 +170,36 @@ impl DecisionOutcome {
 /// The assembled scheduler fabric.
 pub struct Fabric {
     config: FabricConfig,
-    registers: Vec<RegisterBaseBlock>,
+    /// Per-slot state and the always-current packed lane words the
+    /// decision kernel reads in place.
+    registers: RegisterFile,
     decisions: Vec<DecisionBlock>,
     fsm: ControlFsm,
     /// Scheduler time in packet-times.
     now: u64,
     decision_count: u64,
-    /// Canonical packed lane words, one `u64` per slot — the register-file
-    /// contents as last driven onto the wires, and what the decision kernel
-    /// streams: 8 bytes per slot instead of the 10-byte `StreamAttrs`
-    /// struct. Refreshed incrementally: only slots whose register state
-    /// changed (arrival, service, expiry, load) are re-encoded, once, at the
-    /// start of the next decision. Maintained only while `batched` is set.
-    planes: AttrPlanes,
     /// Ping-pong lane scratch for the shuffle-exchange and the tournament
-    /// — preallocated so the steady-state decision cycle never touches the
+    /// — inline, so the steady-state decision cycle never touches the
     /// heap (mirroring the fixed register files in hardware).
-    lw_a: Vec<u64>,
+    lw_a: [u64; MAX_SLOTS],
     /// Ping-pong lane scratch (odd passes).
-    lw_b: Vec<u64>,
+    lw_b: [u64; MAX_SLOTS],
     /// Rule firings from the packed kernel (the reference arm counts
     /// inside each [`DecisionBlock`]); [`Fabric::rule_counters`] merges
     /// both.
     batch_counters: RuleCounters,
-    /// Slots whose canonical word is stale (bit i = slot i). Everything
-    /// that touches a register only sets the bit; the words are re-encoded
-    /// in one sweep when the next decision cycle starts (and, so
-    /// `peek_winner` finds them current, when a WR or expiry cycle ends).
-    dirty: u64,
     /// Reference-arm selector: `true` (the default, in every build) runs
     /// decisions through the packed kernel; `false` selects the
     /// `StreamAttrs` scalar path the equivalence suites compare against.
     batched: bool,
-    /// The reference arm's mirror of `planes`: canonical `StreamAttrs`
-    /// words under the same dirty-mask refresh. Maintained only while
-    /// `batched` is clear.
-    words: Vec<StreamAttrs>,
-    /// The reference arm's ping-pong scratch buffers.
+    /// The reference arm's ping-pong scratch buffers, filled from the
+    /// unpacked lane words at decision time.
     scratch_a: Vec<StreamAttrs>,
     scratch_b: Vec<StreamAttrs>,
-    /// Persistent block-transaction buffer, reused every cycle.
-    block_buf: Vec<ScheduledPacket>,
+    /// Persistent block-transaction buffer, reused every cycle: the first
+    /// `block_len` entries are the most recent cycle's packets.
+    block_buf: [ScheduledPacket; MAX_SLOTS],
+    block_len: usize,
     /// Slots serviced in the most recent cycle (bit i = slot i; slots ≤ 32).
     serviced: u64,
     /// Instrumentation hooks — a zero-sized no-op unless the `telemetry`
@@ -223,10 +220,8 @@ impl Fabric {
         // Compute-ahead folds the update into the last schedule cycle: the
         // architectural effects are identical, only the cycle cost changes.
         let update_cycle = config.priority_update && !config.compute_ahead;
-        let registers: Vec<RegisterBaseBlock> = (0..config.slots)
-            .map(|i| RegisterBaseBlock::new(SlotId::new_unchecked(i as u8)))
-            .collect();
-        let words: Vec<StreamAttrs> = registers.iter().map(|r| r.attrs()).collect();
+        let registers = RegisterFile::new(config.slots);
+        let scratch: Vec<StreamAttrs> = (0..config.slots).map(|i| registers.attrs(i)).collect();
         Ok(Self {
             config,
             registers,
@@ -236,16 +231,19 @@ impl Fabric {
             fsm: ControlFsm::new(schedule_cycles, update_cycle),
             now: 0,
             decision_count: 0,
-            planes: AttrPlanes::with_slots(config.slots),
-            lw_a: vec![0; config.slots],
-            lw_b: vec![0; config.slots],
+            lw_a: [0; MAX_SLOTS],
+            lw_b: [0; MAX_SLOTS],
             batch_counters: RuleCounters::default(),
-            dirty: 0,
             batched: true,
-            scratch_a: words.clone(),
-            scratch_b: words.clone(),
-            words,
-            block_buf: Vec::with_capacity(config.slots),
+            scratch_a: scratch.clone(),
+            scratch_b: scratch,
+            block_buf: [ScheduledPacket {
+                slot: SlotId::new_unchecked(0),
+                deadline: 0,
+                completed_at: 0,
+                met: false,
+            }; MAX_SLOTS],
+            block_len: 0,
             serviced: 0,
             telem: crate::telem::FabricTelemetry::new(),
             faults: crate::faults::FabricFaults::new(),
@@ -259,12 +257,6 @@ impl Fabric {
     /// benchmark's output check can run one against the other. Returns the
     /// effective state.
     pub fn set_batched(&mut self, on: bool) -> bool {
-        // Each arm maintains only its own attribute mirror, so a switch
-        // marks every slot stale: the next decision re-encodes the newly
-        // active mirror from the registers, the single source of truth.
-        if self.batched != on {
-            self.dirty = (1u64 << self.config.slots) - 1;
-        }
         self.batched = on;
         on
     }
@@ -274,49 +266,35 @@ impl Fabric {
         self.batched
     }
 
-    /// Re-encodes every stale slot's canonical word from its register,
-    /// into the active arm's mirror.
+    /// WR: transmits `slot`'s head packet in the packet-time ending at
+    /// `t`; the slot records the win and the packet becomes the block.
     // lint:hot-path
     #[inline]
-    fn refresh_dirty(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        while dirty != 0 {
-            let i = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            let a = self.registers[i].attrs();
-            if self.batched {
-                self.planes.set(i, &a);
-            } else {
-                self.words[i] = a;
-            }
-        }
-    }
-
-    /// Transmits `slot`'s head packet in the packet-time after `*t`: the
-    /// first packet of a decision records the win, the packet joins the
-    /// block buffer, and the slot's word goes stale.
-    // lint:hot-path
-    #[inline]
-    fn transmit(&mut self, slot: usize, t: &mut u64) {
-        if self.block_buf.is_empty() {
-            self.registers[slot].record_win();
-        }
-        *t += 1;
+    fn transmit_winner(&mut self, slot: usize, t: u64) {
         // A valid circulated word always has a queued packet; `None` here
         // would be a decision/register desync. The hot path must not
         // panic, so release builds skip the slot this cycle.
-        let Some((deadline, met)) = self.registers[slot].service(*t) else {
+        let Some((deadline, met)) = self.registers.service(slot, t) else {
             debug_assert!(false, "valid word has a queued packet");
             return;
         };
-        self.block_buf.push(ScheduledPacket {
+        self.registers.record_win(slot);
+        self.block_buf[0] = ScheduledPacket {
             slot: SlotId::new_unchecked(slot as u8),
             deadline,
-            completed_at: *t,
+            completed_at: t,
             met,
-        });
-        self.serviced |= 1u64 << slot;
-        self.dirty |= 1u64 << slot;
+        };
+        self.block_len = 1;
+        self.serviced = 1u64 << slot;
+    }
+
+    /// The scalar reference arm's input: every slot's lane word, unpacked
+    /// into `scratch_a`.
+    fn unpack_words(&mut self) {
+        for (a, &w) in self.scratch_a.iter_mut().zip(self.registers.words()) {
+            *a = unpack(w);
+        }
     }
 
     /// PRIORITY_UPDATE for the losers: every slot not serviced this cycle
@@ -326,9 +304,8 @@ impl Fabric {
     #[inline]
     fn expire_unserviced(&mut self, t: u64) -> u32 {
         let mut expired = 0;
-        for i in 0..self.registers.len() {
-            if self.serviced & (1u64 << i) == 0 && self.registers[i].expiry_check(t) {
-                self.dirty |= 1u64 << i;
+        for i in 0..self.config.slots {
+            if self.serviced & (1u64 << i) == 0 && self.registers.expiry_check(i, t) {
                 expired += 1;
             }
         }
@@ -385,32 +362,29 @@ impl Fabric {
         first_deadline: u64,
     ) -> Result<()> {
         self.check_slot(slot)?;
-        if self.registers[slot].is_configured() {
+        if self.registers.is_configured(slot) {
             return Err(Error::SlotBusy(slot));
         }
-        self.registers[slot].load(state, first_deadline);
+        self.registers.load(slot, state, first_deadline);
         self.fsm.load(1);
-        self.dirty |= 1u64 << slot;
         Ok(())
     }
 
     /// Unbinds `slot`.
     pub fn unload_stream(&mut self, slot: usize) -> Result<()> {
         self.check_slot(slot)?;
-        self.registers[slot].unload();
-        self.dirty |= 1u64 << slot;
+        self.registers.unload(slot);
         Ok(())
     }
 
     /// Deposits a packet arrival tag into `slot`'s queue. Idle slots with
     /// stale deadlines are re-anchored to the current scheduler time (see
-    /// [`RegisterBaseBlock::push_arrival`]).
+    /// [`RegisterFile::push_arrival`]).
     // lint:hot-path
+    #[inline]
     pub fn push_arrival(&mut self, slot: usize, arrival: Wrap16) -> Result<()> {
         self.check_slot(slot)?;
-        let now = self.now;
-        self.registers[slot].push_arrival(arrival, now);
-        self.dirty |= 1u64 << slot;
+        self.registers.push_arrival(slot, arrival, self.now);
         self.telem.on_arrival(self.decision_count, slot);
         Ok(())
     }
@@ -429,26 +403,20 @@ impl Fabric {
     /// Per-slot performance counters.
     pub fn slot_counters(&self, slot: usize) -> Result<&SlotCounters> {
         self.check_slot(slot)?;
-        Ok(self.registers[slot].counters())
+        Ok(self.registers.counters(slot))
     }
 
     /// Queue depth of `slot`.
     pub fn backlog(&self, slot: usize) -> Result<usize> {
         self.check_slot(slot)?;
-        Ok(self.registers[slot].backlog())
+        Ok(self.registers.backlog(slot))
     }
 
-    /// Queue depth summed over every slot, read straight off the
-    /// registers.
+    /// Queue depth summed over every slot, recounted from the register
+    /// file's `qlen` bank.
     // lint:hot-path
     pub fn total_backlog(&self) -> usize {
-        self.registers.iter().map(RegisterBaseBlock::backlog).sum()
-    }
-
-    /// Direct read access to a Register Base block.
-    pub fn register(&self, slot: usize) -> Result<&RegisterBaseBlock> {
-        self.check_slot(slot)?;
-        Ok(&self.registers[slot])
+        self.registers.total_backlog()
     }
 
     /// Reads `slot`'s register state for a failover supervisor:
@@ -459,12 +427,12 @@ impl Fabric {
     /// a supervisor needs it.
     pub fn register_snapshot(&self, slot: usize) -> Result<Option<RegisterSnapshot>> {
         self.check_slot(slot)?;
-        let r = &self.registers[slot];
-        Ok(r.state().map(|state| RegisterSnapshot {
-            state: state.clone(),
-            head_deadline: r.head_deadline(),
-            window: r.current_window(),
-            backlog: r.backlog(),
+        let r = &self.registers;
+        Ok(r.state(slot).map(|state| RegisterSnapshot {
+            state,
+            head_deadline: r.head_deadline(slot),
+            window: r.current_window(slot),
+            backlog: r.backlog(slot),
         }))
     }
 
@@ -482,32 +450,35 @@ impl Fabric {
 
     /// The zero-allocation decision core: runs one decision and leaves the
     /// transmitted packets (in transmission order) in the persistent
-    /// `block_buf`. Steady state touches only the preallocated scratch
-    /// buffers — no heap traffic per cycle.
+    /// `block_buf`. Steady state touches only the inline scratch buffers
+    /// and the register banks — no heap traffic per cycle.
     // lint:hot-path
     fn decision_cycle_core(&mut self) {
         if self.faults.begin_cycle() {
             self.blocked_cycle();
             return;
         }
-        self.refresh_dirty();
         self.fsm.run_decision();
         self.decision_count += 1;
-        self.block_buf.clear();
+        self.block_len = 0;
         self.serviced = 0;
         let mut expired = 0u32;
         let mode = self.config.mode;
+        let n = self.config.slots;
         let mut t = self.now;
 
         match self.config.kind {
             FabricConfigKind::WinnerOnly => {
                 let winner = if self.batched {
-                    self.lw_a.copy_from_slice(self.planes.words());
-                    let w =
-                        network::wr_decision_lanes(&mut self.lw_a, mode, &mut self.batch_counters);
+                    self.lw_a[..n].copy_from_slice(&self.registers.words()[..n]);
+                    let w = network::wr_decision_lanes(
+                        &mut self.lw_a[..n],
+                        mode,
+                        &mut self.batch_counters,
+                    );
                     lane_valid(w).then(|| lane_slot(w))
                 } else {
-                    self.scratch_a.copy_from_slice(&self.words);
+                    self.unpack_words();
                     let (w, _) = network::wr_decision_in_place(
                         &mut self.scratch_a,
                         &mut self.decisions,
@@ -515,69 +486,52 @@ impl Fabric {
                     );
                     w.valid.then(|| w.slot.index())
                 };
-                match winner {
-                    Some(slot) => self.transmit(slot, &mut t),
-                    None => t += 1, // idle packet-time
+                t += 1; // the winner's packet-time, or an idle one
+                if let Some(slot) = winner {
+                    self.transmit_winner(slot, t);
                 }
                 if self.config.priority_update {
                     expired = self.expire_unserviced(t);
                 }
-                // WR services one slot per decision, so deferring its
-                // re-encode would save at most that one — while a sharded
-                // frontend calls `peek_winner` on every shard before every
-                // decision. Refresh now and the probe reads current words.
-                self.refresh_dirty();
             }
             FabricConfigKind::Base => {
-                let n = self.config.slots;
                 // The block transaction carries only occupied slots, in
                 // transmission order: MaxFirst walks the block forward,
                 // MinFirst backward. The circulated winner — the first
                 // occupied slot in transmission order — records the win.
                 let max_first = matches!(self.config.block_order, BlockOrder::MaxFirst);
-                let at = |k: usize| if max_first { k } else { n - 1 - k };
-                if self.batched {
-                    // The first pass reads the canonical plane in place, so
-                    // steady state never copies it.
-                    let in_a = network::ba_decision_from_planes(
-                        self.planes.words(),
-                        &mut self.lw_a,
-                        &mut self.lw_b,
+                let in_a = if self.batched {
+                    // The first pass reads the register file's words in
+                    // place, so steady state never copies them.
+                    network::ba_decision_from_planes(
+                        &self.registers.words()[..n],
+                        &mut self.lw_a[..n],
+                        &mut self.lw_b[..n],
                         mode,
                         &mut self.batch_counters,
-                    );
-                    // Detach the sorted lane buffer (a pointer swap) so the
-                    // walk can service registers without aliasing it.
-                    let lanes = std::mem::take(if in_a { &mut self.lw_a } else { &mut self.lw_b });
-                    for k in 0..n {
-                        let w = lanes[at(k)];
-                        if lane_valid(w) {
-                            self.transmit(lane_slot(w), &mut t);
-                        }
-                    }
-                    *(if in_a { &mut self.lw_a } else { &mut self.lw_b }) = lanes;
+                    )
                 } else {
-                    self.scratch_a.copy_from_slice(&self.words);
+                    self.unpack_words();
                     let (in_a, _) = network::ba_decision_ping_pong(
                         &mut self.scratch_a,
                         &mut self.scratch_b,
                         &mut self.decisions,
                         mode,
                     );
-                    for k in 0..n {
-                        let w = if in_a {
-                            self.scratch_a[at(k)]
-                        } else {
-                            self.scratch_b[at(k)]
-                        };
-                        if w.valid {
-                            self.transmit(w.slot.index(), &mut t);
-                        }
+                    // The reference arm's sorted words go through the same
+                    // block service, as lane words in `lw_a`.
+                    let sorted = if in_a { &self.scratch_a } else { &self.scratch_b };
+                    for (lane, w) in self.lw_a.iter_mut().zip(sorted) {
+                        *lane = pack(w);
                     }
-                }
-                if self.block_buf.is_empty() {
-                    t += 1; // idle packet-time
-                }
+                    true
+                };
+                let lanes = if in_a { &self.lw_a } else { &self.lw_b };
+                (self.block_len, self.serviced) =
+                    self.registers
+                        .service_block(&lanes[..n], max_first, t, &mut self.block_buf);
+                // An empty block still costs an idle packet-time.
+                t += (self.block_len as u64).max(1);
                 // A fully-serviced block has no losers left to expire: every
                 // serviced slot skips the check anyway, so the whole
                 // PRIORITY_UPDATE sweep can be elided (the common case for
@@ -588,8 +542,12 @@ impl Fabric {
             }
         }
         self.now = t;
-        self.telem
-            .on_decision(self.decision_count, &self.block_buf, expired, self.batched);
+        self.telem.on_decision(
+            self.decision_count,
+            &self.block_buf[..self.block_len],
+            expired,
+            self.batched,
+        );
     }
 
     /// Runs one decision cycle. See the module docs for the exact
@@ -598,9 +556,9 @@ impl Fabric {
         self.decision_cycle_core();
         match self.config.kind {
             FabricConfigKind::WinnerOnly => {
-                DecisionOutcome::Winner(self.block_buf.first().copied())
+                DecisionOutcome::Winner(self.last_block().first().copied())
             }
-            FabricConfigKind::Base => DecisionOutcome::Block(self.block_buf.clone()),
+            FabricConfigKind::Base => DecisionOutcome::Block(self.last_block().to_vec()),
         }
     }
 
@@ -611,12 +569,14 @@ impl Fabric {
     // lint:hot-path
     pub fn decision_cycle_into(&mut self) -> &[ScheduledPacket] {
         self.decision_cycle_core();
-        &self.block_buf
+        self.last_block()
     }
 
     /// The packets transmitted by the most recent decision cycle.
+    // lint:hot-path
+    #[inline]
     pub fn last_block(&self) -> &[ScheduledPacket] {
-        &self.block_buf
+        &self.block_buf[..self.block_len]
     }
 
     /// Runs `n` decision cycles back-to-back, appending every transmitted
@@ -629,8 +589,8 @@ impl Fabric {
         let mut appended = 0;
         for _ in 0..n {
             self.decision_cycle_core();
-            sink.extend_from_slice(&self.block_buf);
-            appended += self.block_buf.len();
+            sink.extend_from_slice(self.last_block());
+            appended += self.block_len;
         }
         appended
     }
@@ -692,12 +652,9 @@ impl Fabric {
     pub fn qos_snapshot(&self) -> ss_telemetry::QosSet {
         let mut set = ss_telemetry::QosSet {
             decision_cycles: self.decision_count,
-            streams: self
-                .registers
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let c = r.counters();
+            streams: (0..self.config.slots)
+                .map(|i| {
+                    let c = self.registers.counters(i);
                     ss_telemetry::StreamQos {
                         slot: i as u8,
                         serviced: c.serviced,
@@ -720,27 +677,19 @@ impl Fabric {
     /// effects: no service, no counters, no time advance. A min-reduction
     /// under the lane comparator is equivalent to the tournament because
     /// the Table 2 rule chain with the slot tie-break is a total order.
-    /// Reads the canonical lane words, re-encoding stale slots (arrivals
-    /// pushed since the last cycle, a BA block's services) from their
-    /// registers on the fly, and returns the winning packed lane word
-    /// ([`ss_types::packed`]; invalid when nothing is queued). This is the
-    /// probe a sharded frontend uses to collect shard proposals before the
-    /// global merge — [`crate::decision::lane_order`] again, one level up —
-    /// decides who transmits.
+    /// Reads the register file's lane words — current whatever arrivals,
+    /// services or expiries came since the last cycle — and returns the
+    /// winning packed lane word ([`ss_types::packed`]; invalid when nothing
+    /// is queued). This is the probe a sharded frontend uses to collect
+    /// shard proposals before the global merge —
+    /// [`crate::decision::lane_order`] again, one level up — decides who
+    /// transmits.
     // lint:hot-path
     pub fn peek_winner(&self) -> u64 {
         let mode = self.config.mode;
-        let stale = if self.batched { self.dirty } else { u64::MAX };
-        let lane = |i: usize| {
-            if stale & (1u64 << i) != 0 {
-                pack(&self.registers[i].attrs())
-            } else {
-                self.planes.words()[i]
-            }
-        };
-        let mut best = lane(0);
-        for i in 1..self.registers.len() {
-            let w = lane(i);
+        let words = &self.registers.words()[..self.config.slots];
+        let mut best = words[0];
+        for &w in &words[1..] {
             if crate::decision::lane_order(w, best, mode).0 {
                 best = w;
             }
@@ -761,7 +710,7 @@ impl Fabric {
         }
         self.fsm.run_decision();
         self.decision_count += 1;
-        self.block_buf.clear();
+        self.block_len = 0;
         self.serviced = 0;
         self.now += 1;
         let expired = if self.config.priority_update {
@@ -769,8 +718,6 @@ impl Fabric {
         } else {
             0
         };
-        // As after a WR decision: the next thing a frontend does is probe.
-        self.refresh_dirty();
         self.telem.on_expire_cycle(self.decision_count, expired);
     }
 
@@ -783,7 +730,7 @@ impl Fabric {
     #[cfg_attr(not(feature = "faults"), allow(dead_code))]
     fn blocked_cycle(&mut self) {
         self.decision_count += 1;
-        self.block_buf.clear();
+        self.block_len = 0;
         self.serviced = 0;
         self.now += 1;
         self.telem
@@ -807,9 +754,9 @@ impl Fabric {
     /// `true` if any configured slot has a queued packet — the watchdog's
     /// "should this cycle have produced something" input.
     pub fn has_backlog(&self) -> bool {
-        self.registers
+        self.registers.words()[..self.config.slots]
             .iter()
-            .any(|r| r.is_configured() && r.backlog() > 0)
+            .any(|&w| lane_valid(w))
     }
 
     /// Wires this fabric to a shared fault injector: each decision/expiry
@@ -1445,8 +1392,8 @@ mod tests {
 
     #[test]
     fn switching_arms_mid_run_is_invisible() {
-        // Each arm keeps only its own attribute mirror; a switch with
-        // arrivals and services still pending must rebuild the other one.
+        // Both arms read the register file's words: a switch with
+        // arrivals and services since the last cycle changes nothing.
         for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
             let mut fixed = backlogged_edf(8, kind, 64);
             let mut toggled = backlogged_edf(8, kind, 64);
@@ -1597,7 +1544,7 @@ mod tests {
     /// The 16-bit deadline and arrival fields wrap every 65 536 packet-
     /// times; run each width, BA and WR, past three wraps at a load that
     /// keeps deadlines tracking the clock, so the early-exit sign test
-    /// sees pre-/post-wrap pairs with dirty bits pending every cycle.
+    /// sees pre-/post-wrap pairs with arrivals and services every cycle.
     #[test]
     fn packed_kernel_survives_three_deadline_wraps() {
         const HORIZON: u64 = 3 << 16;
@@ -1640,7 +1587,8 @@ mod tests {
                 assert!(
                     rc.earliest_deadline > 0 && rc.total() > rc.earliest_deadline + rc.validity
                 );
-                assert!(arms.packed.register(0).unwrap().head_deadline() > HORIZON - (1 << 15));
+                let slot0 = arms.packed.register_snapshot(0).unwrap().unwrap();
+                assert!(slot0.head_deadline > HORIZON - (1 << 15));
             }
         }
     }
@@ -1679,6 +1627,120 @@ mod tests {
         }
     }
 
+    /// The benchmark's `fabric_block` op on both arms: one arrival per
+    /// slot in a rotated order, then decisions until all 32 packets are
+    /// out. Staggered first deadlines (`rank + 1`, period 32) never tie, so
+    /// every packed decision takes the key network; equal first deadlines
+    /// tie every comparison, so every one takes the word network. Either
+    /// way the packed arm must reproduce the scalar arm's packets,
+    /// `SlotCounters`, `RuleCounters` and hardware clock.
+    #[test]
+    fn block_refill_ops_match_the_scalar_arm_on_both_networks() {
+        const SLOTS: usize = 32;
+        for staggered in [true, false] {
+            let what = if staggered { "staggered" } else { "all tied" };
+            let mut arms = Arms::new(FabricConfig::dwcs(SLOTS, FabricConfigKind::Base));
+            let mut rng = xorshift(0xFAB);
+            for s in 0..SLOTS {
+                let rank = (s * 13 + 5) % SLOTS;
+                let st = StreamState {
+                    request_period: SLOTS as u64,
+                    original_window: WindowConstraint::new((rank % 4) as u8, 4),
+                    static_prio: 0,
+                    late_policy: LatePolicy::ServeLate,
+                };
+                let first = if staggered { rank as u64 + 1 } else { 1 };
+                arms.each(|f| f.load_stream(s, st.clone(), first).unwrap());
+            }
+            let mut tag = 0u16;
+            for op in 0..10_000 {
+                let start = rng() as usize;
+                for j in 0..SLOTS {
+                    // The all-tied run shares one tag per op, so a
+                    // comparison falls through FCFS to the slot tie-break.
+                    tag = tag.wrapping_add(u16::from(staggered || j == 0));
+                    arms.each(|f| f.push_arrival((start + j) % SLOTS, Wrap16(tag)).unwrap());
+                }
+                let mut out = 0;
+                while out < SLOTS {
+                    arms.step(&format!("{what}, op {op}"));
+                    out += arms.packed.last_block().len();
+                }
+                assert_eq!(out, SLOTS, "{what}: one block per op");
+            }
+            arms.assert_counters_match(what);
+            let rc = arms.packed.rule_counters();
+            assert_eq!(rc.total(), 80 * arms.packed.decision_count(), "{what}");
+            if staggered {
+                assert_eq!(rc.earliest_deadline, rc.total(), "every verdict is rule 1");
+            } else {
+                assert_eq!(rc.earliest_deadline, 0, "no verdict is rule 1");
+            }
+        }
+    }
+
+    /// Every lane word equals `pack(&attrs(slot))` recomputed from the
+    /// banks, and `peek_winner` is the min-reduction over those.
+    fn assert_words_current(f: &Fabric, what: &str) {
+        let n = f.config.slots;
+        let fresh: Vec<u64> = (0..n).map(|i| pack(&f.registers.attrs(i))).collect();
+        assert_eq!(&f.registers.words()[..n], &fresh[..], "stale word after {what}");
+        let best = fresh[1..].iter().fold(fresh[0], |best, &w| {
+            if crate::decision::lane_order(w, best, f.config.mode).0 {
+                w
+            } else {
+                best
+            }
+        });
+        assert_eq!(f.peek_winner(), best, "peek after {what}");
+    }
+
+    proptest::proptest! {
+        /// Lane words are current by construction: after any mutating call
+        /// — load, unload, arrival, decision, grant-less expiry — on any
+        /// shape, with every late policy in play.
+        #[test]
+        fn lane_words_are_never_stale(
+            shape in 0usize..12,
+            ops in proptest::collection::vec(proptest::prelude::any::<(u8, u8, u16)>(), 0..160),
+        ) {
+            let kind = [FabricConfigKind::Base, FabricConfigKind::WinnerOnly][shape % 2];
+            let slots = [4usize, 8, 32][shape / 2 % 3];
+            let base = FabricConfig::dwcs(slots, kind);
+            let mut f = Fabric::new(if shape < 6 {
+                base
+            } else {
+                FabricConfig { block_order: BlockOrder::MinFirst, ..FabricConfig::edf(slots, kind) }
+            })
+            .unwrap();
+            assert_words_current(&f, "new");
+            for (i, (op, slot, tag)) in ops.into_iter().enumerate() {
+                let slot = slot as usize % slots;
+                let what = format!("op {i}: {op} on slot {slot}");
+                match op % 8 {
+                    0 => {
+                        let st = StreamState {
+                            request_period: 1 + u64::from(tag % 5),
+                            original_window: WindowConstraint::new((tag % 3) as u8, 3),
+                            static_prio: (tag % 7) as u8,
+                            late_policy: [LatePolicy::ServeLate, LatePolicy::Drop, LatePolicy::Renew]
+                                [tag as usize % 3],
+                        };
+                        // Busy slots refuse the load and must stay intact.
+                        let _ = f.load_stream(slot, st, f.now() + u64::from(tag % 4));
+                    }
+                    1 => f.unload_stream(slot).unwrap(),
+                    2 => f.expire_cycle(),
+                    3 | 4 => {
+                        f.decision_cycle_into();
+                    }
+                    _ => f.push_arrival(slot, Wrap16(tag)).unwrap(),
+                }
+                assert_words_current(&f, &what);
+            }
+        }
+    }
+
     #[test]
     fn peek_winner_sees_undrained_arrivals() {
         let mut f = Fabric::new(FabricConfig::edf(8, FabricConfigKind::WinnerOnly)).unwrap();
@@ -1686,7 +1748,7 @@ mod tests {
             f.load_stream(s, edf_state(8), (10 + s) as u64).unwrap();
         }
         assert!(!lane_valid(f.peek_winner()), "nothing queued yet");
-        // Pushed but not drained: the canonical words are all still stale.
+        // Pushed since the last cycle: the words already show them.
         f.push_arrival(5, Wrap16(0)).unwrap();
         f.push_arrival(3, Wrap16(1)).unwrap();
         for expect in [3usize, 5] {

@@ -27,8 +27,10 @@
 //! * [`dwcs`] — the DWCS winner/loser window-constraint update rules applied
 //!   during PRIORITY_UPDATE (reconstructed from West & Poellabauer, RTSS'00;
 //!   see DESIGN.md §3).
-//! * [`register`] — the Register Base block ("stream-slot"): per-stream state
-//!   storage, attribute supply, winner/loser updates, performance counters.
+//! * [`register`] — the Register Base blocks ("stream-slots") as one
+//!   register file: per-stream state in 32-entry banks, always-current lane
+//!   words, winner/loser updates, the block service walk, performance
+//!   counters.
 //! * [`network`] — the recirculating shuffle-exchange network (BA), the
 //!   winner-only tournament (WR), and the bitonic full-sort schedule the
 //!   fidelity note compares them against.
@@ -62,7 +64,7 @@ pub use fabric::{
     BlockOrder, DecisionOutcome, Fabric, FabricConfig, RegisterSnapshot, ScheduledPacket,
 };
 pub use faults::FabricFaults;
-pub use register::{LatePolicy, RegisterBaseBlock, SlotCounters, StreamState};
+pub use register::{LatePolicy, RegisterFile, SlotCounters, StreamState};
 pub use rtl::{RtlFabric, RtlWires};
 pub use scheduler::{SchedulerReport, ShareStreamsScheduler};
 pub use telem::FabricTelemetry;

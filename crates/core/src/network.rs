@@ -8,6 +8,24 @@
 //! recirculates attribute words through a perfect-shuffle interconnect for
 //! log2(N) cycles per decision.
 //!
+//! ## Two networks for one BA decision
+//!
+//! [`ba_decision_from_planes`] computes the block over packed lane words.
+//! The **word network** is the general form: log2(N) [`compare_batch`]
+//! passes, each comparator the full [`crate::decision::lane_order`]. The
+//! **key network** runs the same passes on `u32` keys — the 16-bit
+//! deadline above the lane index — and gathers the words in key order. It
+//! applies only when every lane is valid, the mode is deadline-first
+//! (Dwcs/Edf) and no compared pair ties on its deadline: then every
+//! verdict of the word network would have been Table 2's rule 1, decided
+//! by the sign of the same wrapped 16-bit difference, so by induction over
+//! the passes both networks route identically and the rule tally is
+//! `passes × N/2` firings of `earliest_deadline`. An empty lane declines
+//! before a key is extracted, a tie at the pass that sees it; the word
+//! network then decides from the untouched input, and is the only code for
+//! ties, empty lanes and the other two modes. The choice is made from the
+//! input alone.
+//!
 //! ## Fidelity note (DESIGN.md §3)
 //!
 //! log2(N) shuffle-exchange passes guarantee the **maximum at position 0 and
@@ -19,6 +37,7 @@
 //! into). The unit tests enshrine the counterexample.
 
 use crate::decision::{compare_batch, lane_select, DecisionBlock, RuleCounters};
+use ss_types::packed::{lane_valid, DEADLINE_SHIFT};
 use ss_types::{ComparisonMode, StreamAttrs};
 
 /// Validates the word-count for the network (power of two, 2..=32).
@@ -102,12 +121,15 @@ pub fn ba_decision_ping_pong(
 }
 
 /// The full BA decision over *packed* lane words, reading the first pass
-/// straight out of the canonical attribute plane `src`: the remaining
-/// log2(N)−1 passes ping-pong between the two scratch lane buffers, so the
-/// caller never copies the plane into scratch first. Every pass is one
-/// [`compare_batch`]. Returns `true` if the final block (position 0 =
-/// highest priority) is in `a`, `false` if in `b`; bit-identical, block and
-/// rule tallies, to [`ba_decision_ping_pong`]. No allocation.
+/// straight out of the register file's word bank `src`, so the caller never
+/// copies it into scratch first. Returns `true` if the final block
+/// (position 0 = highest priority) is in `a`, `false` if in `b`;
+/// bit-identical, block and rule tallies, to [`ba_decision_ping_pong`]. No
+/// allocation.
+///
+/// The key network is tried first in the deadline-first modes; whatever it
+/// declines, the word network — one [`compare_batch`] per pass — decides
+/// from the original words (module docs).
 // lint:hot-path
 pub fn ba_decision_from_planes(
     src: &[u64],
@@ -116,12 +138,44 @@ pub fn ba_decision_from_planes(
     mode: ComparisonMode,
     counters: &mut RuleCounters,
 ) -> bool {
-    let n = src.len();
-    check_n(n);
-    debug_assert!(a.len() == n && b.len() == n);
+    match src.len() {
+        2 => ba_decision_lanes::<2>(src, a, b, mode, counters),
+        4 => ba_decision_lanes::<4>(src, a, b, mode, counters),
+        8 => ba_decision_lanes::<8>(src, a, b, mode, counters),
+        16 => ba_decision_lanes::<16>(src, a, b, mode, counters),
+        32 => ba_decision_lanes::<32>(src, a, b, mode, counters),
+        n => {
+            check_n(n);
+            false
+        }
+    }
+}
+
+/// [`ba_decision_from_planes`] for an `N`-lane network.
+// lint:hot-path
+fn ba_decision_lanes<const N: usize>(
+    src: &[u64],
+    a: &mut [u64],
+    b: &mut [u64],
+    mode: ComparisonMode,
+    counters: &mut RuleCounters,
+) -> bool {
+    let (Ok(src), Ok(a), Ok(b)) = (
+        <&[u64; N]>::try_from(src),
+        <&mut [u64; N]>::try_from(a),
+        <&mut [u64; N]>::try_from(b),
+    ) else {
+        debug_assert!(false, "scratch buffers must match the {N} lanes");
+        return false;
+    };
+    let passes = N.trailing_zeros();
+    if matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf) && key_network(src, a) {
+        counters.earliest_deadline += u64::from(passes) * (N as u64 / 2);
+        return true;
+    }
     compare_batch(src, b, mode, counters);
     let mut src_is_a = false;
-    for _ in 1..n.trailing_zeros() {
+    for _ in 1..passes {
         if src_is_a {
             compare_batch(a, b, mode, counters);
         } else {
@@ -130,6 +184,77 @@ pub fn ba_decision_from_planes(
         src_is_a = !src_is_a;
     }
     src_is_a
+}
+
+/// Bit position of the 16-bit deadline in a network key; the lane index
+/// sits in the low bits.
+const KEY_DEADLINE_SHIFT: u32 = 16;
+/// The deadline field of a network key.
+const KEY_DEADLINE: u32 = !0 << KEY_DEADLINE_SHIFT;
+
+/// The key network: sorts (deadline, lane index) keys through the same
+/// log2(N) fused shuffle-exchange passes as the word network, branch-free,
+/// and gathers `src` into `out` in the resulting lane order.
+///
+/// Returns `false`, leaving `out` unspecified, unless every lane of `src`
+/// is valid and no compared pair had equal deadlines. When it returns
+/// `true`, each of its `passes × N/2` comparisons is one the word network
+/// would have decided by rule 1 with the same verdict — both words valid,
+/// deadlines differing, winner = sign of the wrapped 16-bit difference —
+/// so `out` is the word network's block.
+// lint:hot-path
+fn key_network<const N: usize>(src: &[u64; N], out: &mut [u64; N]) -> bool {
+    // An empty lane sets the INVALID (top) bit of the OR: decline before
+    // extracting a single key.
+    if !lane_valid(src.iter().fold(0, |any, &w| any | w)) {
+        return false;
+    }
+    let (mut keys, mut next) = ([0u32; N], [0u32; N]);
+    for (lane, (key, &w)) in keys.iter_mut().zip(src).enumerate() {
+        *key = ((w >> (DEADLINE_SHIFT - KEY_DEADLINE_SHIFT)) as u32 & KEY_DEADLINE) | lane as u32;
+    }
+    let (mut keys, mut next) = (&mut keys, &mut next);
+    for _ in 0..N.trailing_zeros() {
+        // A block that ties pays for no pass beyond the one that saw it.
+        if key_pass(keys, next) {
+            return false;
+        }
+        std::mem::swap(&mut keys, &mut next);
+    }
+    for (word, &key) in out.iter_mut().zip(keys.iter()) {
+        *word = src[key as usize & (N - 1)];
+    }
+    true
+}
+
+/// One shuffle-exchange pass over network keys, routed exactly as
+/// [`compare_batch`] routes words. Returns `true` if any compared pair
+/// tied on its deadline (the pass's output is then meaningless).
+///
+/// Out of line on purpose: as a loop from one array to another it compiles
+/// to SIMD compares and interleaved stores, while inlined into the
+/// unrolled five-pass caller the arrays dissolve into scalar registers
+/// and spills (88 → 50 ns per 32-lane network alone, ≈ 14 ns per decision
+/// inside a fabric; EXPERIMENTS.md "A register file under the fabric").
+// lint:hot-path
+#[inline(never)]
+fn key_pass<const N: usize>(src: &[u32; N], dst: &mut [u32; N]) -> bool {
+    let (lo, hi) = src.split_at(N / 2);
+    let mut distinct = !0u32;
+    for ((&a, &b), out) in lo.iter().zip(hi).zip(dst.chunks_exact_mut(2)) {
+        // The wrapped 16-bit difference `b − a`, in the top half-word: as
+        // an `i32` it is positive exactly when `a` is the earlier deadline
+        // (antipode 0x8000 → negative → `b`, as `lane_order` has it).
+        let ahead = (b & KEY_DEADLINE).wrapping_sub(a & KEY_DEADLINE);
+        // `x | −x` has its top bit set unless `x` is zero: the AND over a
+        // pass keeps it only if no pair tied.
+        distinct &= ahead | ahead.wrapping_neg();
+        let a_wins = ((ahead as i32 > 0) as u32).wrapping_neg();
+        let winner = (a & a_wins) | (b & !a_wins);
+        out[0] = winner;
+        out[1] = a ^ b ^ winner;
+    }
+    (distinct as i32) >= 0
 }
 
 /// Runs the WR (winner-only / max-finding) tournament in place: each round
@@ -468,6 +593,137 @@ mod tests {
         }
     }
 
+    /// The word network alone — log2(N) [`compare_batch`] passes — with
+    /// the depth of the first pass in which a compared pair tied on its
+    /// deadline (the inputs here are all valid).
+    fn word_network<const N: usize>(
+        src: &[u64; N],
+        mode: ComparisonMode,
+    ) -> ([u64; N], RuleCounters, Option<u32>) {
+        let deadline = |w: u64| (w >> DEADLINE_SHIFT) as u16;
+        let (mut cur, mut next) = (*src, [0u64; N]);
+        let mut counters = RuleCounters::default();
+        let mut first_tie = None;
+        for pass in 0..N.trailing_zeros() {
+            let tied = (0..N / 2).any(|j| deadline(cur[j]) == deadline(cur[j + N / 2]));
+            if tied && first_tie.is_none() {
+                first_tie = Some(pass);
+            }
+            compare_batch(&cur, &mut next, mode, &mut counters);
+            cur = next;
+        }
+        (cur, counters, first_tie)
+    }
+
+    /// One random lane: `((deadline, num, den), (arrival, static_prio))`.
+    type LaneSeed = ((u16, u8, u8), (u16, u8));
+
+    /// How the key-network cases shape the 32 random deadlines.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Uniform deadlines: compared pairs almost never tie.
+        Random,
+        /// Pass 0 pairs lane j with a lane 0x7FFF, 0x8000 (the antipode:
+        /// the second operand wins), 0x8001 or 1 ahead of it.
+        WrapEdges { base: u16, rot: usize },
+        /// The two earliest deadlines are equal and sit where they first
+        /// meet in pass `depth`; every other deadline is distinct.
+        TieAt { base: u16, depth: u32 },
+    }
+
+    /// One key-network case at width `N`: the key network accepts exactly
+    /// the inputs with no empty lane and no tied comparison, its block is
+    /// the word network's, and the public entry point — whichever network
+    /// it picks — leaves the word network's block and rule tallies.
+    fn check_key_network<const N: usize>(
+        seed: &[LaneSeed],
+        shape: Shape,
+        empty_lane: Option<usize>,
+    ) -> Result<(), TestCaseError> {
+        use ss_types::packed::pack;
+        let mut words: Vec<StreamAttrs> = seed[..N]
+            .iter()
+            .enumerate()
+            .map(|(i, &((d, num, den), (arr, prio)))| StreamAttrs {
+                deadline: Wrap16(d),
+                window: WindowConstraint::new(num, den),
+                arrival: Wrap16(arr),
+                slot: SlotId::new(i as u8).unwrap(),
+                static_prio: prio,
+                valid: true,
+            })
+            .collect();
+        match shape {
+            Shape::Random => {}
+            Shape::WrapEdges { base, rot } => {
+                let edges = [0x7FFFu16, 0x8000, 0x8001, 1];
+                for j in 0..N / 2 {
+                    let d = base.wrapping_add(3 * j as u16);
+                    words[j].deadline = Wrap16(d);
+                    words[j + N / 2].deadline = Wrap16(d.wrapping_add(edges[(j + rot) % 4]));
+                }
+            }
+            Shape::TieAt { base, depth } => {
+                let depth = depth % N.trailing_zeros();
+                let partner = N >> (depth + 1);
+                for (i, w) in words.iter_mut().enumerate() {
+                    w.deadline = Wrap16(base.wrapping_add(1 + i as u16));
+                }
+                words[0].deadline = Wrap16(base);
+                words[partner].deadline = Wrap16(base);
+            }
+        }
+        if let Some(lane) = empty_lane {
+            words[lane % N].valid = false;
+        }
+        let lanes: [u64; N] = std::array::from_fn(|i| pack(&words[i]));
+
+        let mut keyed = [0u64; N];
+        let accepted = key_network(&lanes, &mut keyed);
+        if empty_lane.is_some() {
+            prop_assert!(!accepted, "an empty lane must decline");
+        } else {
+            // Deadline-first modes share rule 1, so Dwcs stands for both.
+            let (block, counters, first_tie) = word_network(&lanes, ComparisonMode::Dwcs);
+            if let Shape::TieAt { depth, .. } = shape {
+                prop_assert_eq!(first_tie, Some(depth % N.trailing_zeros()));
+            }
+            prop_assert_eq!(accepted, first_tie.is_none(), "accepts iff no pair ties");
+            if accepted {
+                prop_assert_eq!(keyed, block);
+                prop_assert_eq!(counters.earliest_deadline, counters.total());
+            }
+        }
+
+        for mode in [
+            ComparisonMode::Dwcs,
+            ComparisonMode::Edf,
+            ComparisonMode::StaticPriority,
+            ComparisonMode::ServiceTag,
+        ] {
+            let (mut a, mut b) = ([0u64; N], [0u64; N]);
+            let mut counters = RuleCounters::default();
+            let in_a = ba_decision_from_planes(&lanes, &mut a, &mut b, mode, &mut counters);
+            let (block, expect, _) = word_network(&lanes, mode);
+            prop_assert_eq!(if in_a { a } else { b }, block, "{:?}", mode);
+            prop_assert_eq!(counters, expect, "{:?}", mode);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn key_network_routes_the_antipode_to_the_second_operand() {
+        use ss_types::packed::pack;
+        let mut words = tagged(&[0x1234, 0x1234u16.wrapping_add(0x8000)]);
+        for _ in 0..2 {
+            let lanes = [pack(&words[0]), pack(&words[1])];
+            let mut out = [0u64; 2];
+            assert!(key_network(&lanes, &mut out));
+            assert_eq!(out, [lanes[1], lanes[0]], "distance 0x8000: port b wins");
+            words.swap(0, 1);
+        }
+    }
+
     fn is_sorted(block: &[StreamAttrs], mode: ComparisonMode) -> bool {
         block
             .windows(2)
@@ -601,6 +857,36 @@ mod tests {
             let winner = wr_decision_lanes(&mut scratch, mode, &mut counters);
             prop_assert_eq!(unpack(winner), s_winner);
             prop_assert_eq!(counters, merged(&blks));
+        }
+
+        /// The key network against the word network at every width: same
+        /// lane order and same `RuleCounters` delta whenever it accepts,
+        /// and it declines every empty lane and every tied comparison,
+        /// whichever pass the tie first shows in.
+        #[test]
+        fn key_network_matches_word_network(
+            n_idx in 0usize..5,
+            seed in proptest::collection::vec(any::<LaneSeed>(), 32),
+            shape in prop_oneof![
+                Just(Shape::Random),
+                any::<(u16, u8)>().prop_map(|(base, rot)| Shape::WrapEdges {
+                    base,
+                    rot: rot as usize,
+                }),
+                any::<(u16, u8)>().prop_map(|(base, depth)| Shape::TieAt {
+                    base,
+                    depth: u32::from(depth),
+                }),
+            ],
+            empty_lane in prop_oneof![3 => Just(None), 1 => (0usize..32).prop_map(Some)],
+        ) {
+            match n_idx {
+                0 => check_key_network::<2>(&seed, shape, empty_lane)?,
+                1 => check_key_network::<4>(&seed, shape, empty_lane)?,
+                2 => check_key_network::<8>(&seed, shape, empty_lane)?,
+                3 => check_key_network::<16>(&seed, shape, empty_lane)?,
+                _ => check_key_network::<32>(&seed, shape, empty_lane)?,
+            }
         }
     }
 }

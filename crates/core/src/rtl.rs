@@ -22,7 +22,7 @@
 use crate::decision::DecisionBlock;
 use crate::fabric::{BlockOrder, DecisionOutcome, FabricConfig, ScheduledPacket};
 use crate::network;
-use crate::register::{RegisterBaseBlock, SlotCounters, StreamState};
+use crate::register::{RegisterFile, SlotCounters, StreamState};
 use ss_hwsim::{CycleSim, FabricConfigKind, Synchronous};
 use ss_types::{ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, Wrap16};
 use std::cell::RefCell;
@@ -42,7 +42,7 @@ pub struct RtlWires {
     pub update_phase: bool,
 }
 
-type Registers = Rc<RefCell<Vec<RegisterBaseBlock>>>;
+type Registers = Rc<RefCell<RegisterFile>>;
 type SharedNow = Rc<RefCell<u64>>;
 type Outbox = Rc<RefCell<Vec<ScheduledPacket>>>;
 
@@ -51,7 +51,7 @@ type Outbox = Rc<RefCell<Vec<ScheduledPacket>>>;
 /// advances scheduler time. Shared by the RTL update component and the
 /// host-side retire used when the PRIORITY_UPDATE cycle is bypassed.
 fn retire(
-    registers: &mut [RegisterBaseBlock],
+    registers: &mut RegisterFile,
     lanes: &[StreamAttrs],
     kind: FabricConfigKind,
     priority_update: bool,
@@ -64,9 +64,9 @@ fn retire(
             let end = now + 1;
             if winner.valid {
                 let slot = winner.slot.index();
-                registers[slot].record_win();
-                let (deadline, met) = registers[slot]
-                    .service(end)
+                registers.record_win(slot);
+                let (deadline, met) = registers
+                    .service(slot, end)
                     .expect("valid winner has a packet");
                 packets.push(ScheduledPacket {
                     slot: winner.slot,
@@ -77,9 +77,9 @@ fn retire(
             }
             if priority_update {
                 let winner_slot = packets.first().map(|p| p.slot.index());
-                for (i, r) in registers.iter_mut().enumerate() {
+                for i in 0..registers.slots() {
                     if Some(i) != winner_slot {
-                        r.expiry_check(end);
+                        registers.expiry_check(i, end);
                     }
                 }
             }
@@ -88,13 +88,15 @@ fn retire(
         FabricConfigKind::Base => {
             let valid: Vec<StreamAttrs> = lanes.iter().filter(|w| w.valid).copied().collect();
             if let Some(first) = valid.first() {
-                registers[first.slot.index()].record_win();
+                registers.record_win(first.slot.index());
             }
             let mut t = now;
             for w in &valid {
                 t += 1;
                 let slot = w.slot.index();
-                let (deadline, met) = registers[slot].service(t).expect("valid word has a packet");
+                let (deadline, met) = registers
+                    .service(slot, t)
+                    .expect("valid word has a packet");
                 packets.push(ScheduledPacket {
                     slot: w.slot,
                     deadline,
@@ -106,12 +108,9 @@ fn retire(
                 t += 1;
             }
             if priority_update {
-                let serviced: Vec<bool> = (0..registers.len())
-                    .map(|i| valid.iter().any(|w| w.slot.index() == i))
-                    .collect();
-                for (i, r) in registers.iter_mut().enumerate() {
-                    if !serviced[i] {
-                        r.expiry_check(t);
+                for i in 0..registers.slots() {
+                    if !valid.iter().any(|w| w.slot.index() == i) {
+                        registers.expiry_check(i, t);
                     }
                 }
             }
@@ -258,11 +257,7 @@ impl RtlFabric {
         }
         let n = config.slots;
         let schedule_cycles = n.trailing_zeros() as u8;
-        let registers: Registers = Rc::new(RefCell::new(
-            (0..n)
-                .map(|i| RegisterBaseBlock::new(SlotId::new_unchecked(i as u8)))
-                .collect(),
-        ));
+        let registers: Registers = Rc::new(RefCell::new(RegisterFile::new(n)));
         let now: SharedNow = Rc::new(RefCell::new(0));
         let outbox: Outbox = Rc::new(RefCell::new(Vec::new()));
 
@@ -317,6 +312,17 @@ impl RtlFabric {
         &self.config
     }
 
+    fn check_slot(&self, slot: usize) -> Result<()> {
+        if slot < self.config.slots {
+            Ok(())
+        } else {
+            Err(Error::SlotOutOfRange {
+                slot,
+                slots: self.config.slots,
+            })
+        }
+    }
+
     /// Loads a stream into `slot`.
     pub fn load_stream(
         &mut self,
@@ -324,27 +330,20 @@ impl RtlFabric {
         state: StreamState,
         first_deadline: u64,
     ) -> Result<()> {
+        self.check_slot(slot)?;
         let mut regs = self.registers.borrow_mut();
-        let r = regs.get_mut(slot).ok_or(Error::SlotOutOfRange {
-            slot,
-            slots: self.config.slots,
-        })?;
-        if r.is_configured() {
+        if regs.is_configured(slot) {
             return Err(Error::SlotBusy(slot));
         }
-        r.load(state, first_deadline);
+        regs.load(slot, state, first_deadline);
         Ok(())
     }
 
     /// Deposits an arrival tag for `slot`.
     pub fn push_arrival(&mut self, slot: usize, arrival: Wrap16) -> Result<()> {
+        self.check_slot(slot)?;
         let now = *self.now.borrow();
-        let mut regs = self.registers.borrow_mut();
-        let r = regs.get_mut(slot).ok_or(Error::SlotOutOfRange {
-            slot,
-            slots: self.config.slots,
-        })?;
-        r.push_arrival(arrival, now);
+        self.registers.borrow_mut().push_arrival(slot, arrival, now);
         Ok(())
     }
 
@@ -355,13 +354,8 @@ impl RtlFabric {
 
     /// Per-slot counters.
     pub fn slot_counters(&self, slot: usize) -> Result<SlotCounters> {
-        let regs = self.registers.borrow();
-        regs.get(slot)
-            .map(|r| *r.counters())
-            .ok_or(Error::SlotOutOfRange {
-                slot,
-                slots: self.config.slots,
-            })
+        self.check_slot(slot)?;
+        Ok(*self.registers.borrow().counters(slot))
     }
 
     /// Hardware clock cycles elapsed.
@@ -382,7 +376,10 @@ impl RtlFabric {
     /// Drives fresh attribute words from the register file onto the lanes
     /// (the combinational read at each decision boundary).
     fn prime(&mut self) {
-        let lanes: Vec<StreamAttrs> = self.registers.borrow().iter().map(|r| r.attrs()).collect();
+        let lanes: Vec<StreamAttrs> = {
+            let regs = self.registers.borrow();
+            (0..regs.slots()).map(|i| regs.attrs(i)).collect()
+        };
         let wires = self.sim.state_mut();
         wires.live = lanes.len();
         wires.lanes = lanes;

@@ -688,9 +688,11 @@ fn run_stages<O: Observer>(
                     },
                     tag,
                 );
-                if push_spinning(&mut arr_tx, msg, || faults.ring_overflows()) {
-                    prod_obs.crossed(Crossing::RingEnqueue, tag, slot, 0);
-                } else {
+                // Stamped before the push, once however long it spins: the
+                // scheduler may dequeue (and stamp) the arrival the instant
+                // it lands, and the trace must read enqueue → dequeue.
+                prod_obs.crossed(Crossing::RingEnqueue, tag, slot, 0);
+                if !push_spinning(&mut arr_tx, msg, || faults.ring_overflows()) {
                     // Injected overflow burst on a full ring: dropped and
                     // accounted instead of spun on.
                     loss.record(LossSite::Ring);

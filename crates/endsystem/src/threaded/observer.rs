@@ -14,6 +14,9 @@ use ss_types::Wrap16;
 /// The stage crossings that are one span event and nothing else.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Crossing {
+    /// The producer is about to push the arrival onto the ring (stamped
+    /// first, so it precedes the consumer's `RingDequeue`; an injected
+    /// overflow may still turn the attempt into a `RingShed`).
     RingEnqueue,
     RingDequeue,
     /// A ring consumed the packet: an injected overflow burst at the

@@ -34,7 +34,6 @@ pub mod spec;
 pub mod wrap16;
 
 pub use attrs::{ComparisonMode, StreamAttrs, WindowConstraint};
-pub use packed::AttrPlanes;
 pub use bandwidth::{BitsPerSec, BytesPerSec, Ratio};
 pub use error::{Error, Result};
 pub use ids::{SlotId, StreamId, StreamletId, MAX_SLOTS, SLOT_ID_BITS};

@@ -19,6 +19,10 @@
 //!   the 8-bit static-priority register), so the codec round-trips
 //!   exactly — the lane word carries *no more* information per wire than
 //!   the published hardware word did.
+//!
+//! This module is the codec only. The words themselves live in
+//! `ss-core`'s register file, one per slot, re-derived whenever a slot's
+//! state changes — there is no separate mirror to refresh.
 
 use crate::attrs::{StreamAttrs, WindowConstraint};
 use crate::ids::SlotId;
@@ -85,49 +89,6 @@ pub const fn lane_slot(w: u64) -> usize {
     (w & SLOT_MASK) as usize
 }
 
-/// A fabric's canonical attribute words: one `u64` lane word per slot,
-/// re-encoded from the registers by the fabric's dirty-mask refresh.
-#[derive(Debug, Clone, Default)]
-pub struct AttrPlanes {
-    words: Vec<u64>,
-}
-
-impl AttrPlanes {
-    /// Planes for `slots` streams, initialized from empty (invalid) words.
-    pub fn with_slots(slots: usize) -> Self {
-        Self {
-            words: (0..slots)
-                .map(|s| pack(&StreamAttrs::empty(SlotId::new_unchecked(s as u8))))
-                .collect(),
-        }
-    }
-
-    /// Re-encodes slot `i` from `a` (the dirty-mask refresh hook).
-    // lint:hot-path
-    #[inline]
-    pub fn set(&mut self, i: usize, a: &StreamAttrs) {
-        self.words[i] = pack(a);
-    }
-
-    /// The packed lane words, one per slot.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of slots.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// `true` if the planes cover zero slots.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,23 +129,6 @@ mod tests {
         let invalid = attrs(0, 0, 0, 0, 0, 0, false);
         let worst_valid = attrs(u16::MAX, u8::MAX, u8::MAX, u16::MAX, 31, u8::MAX, true);
         assert!(pack(&invalid) > pack(&worst_valid));
-    }
-
-    #[test]
-    fn planes_start_empty_and_track_set() {
-        let mut p = AttrPlanes::with_slots(8);
-        assert_eq!(p.len(), 8);
-        assert!(!p.is_empty());
-        for (s, &w) in p.words().iter().enumerate() {
-            assert!(!lane_valid(w));
-            assert_eq!(lane_slot(w), s);
-        }
-        let a = attrs(9, 1, 4, 3, 5, 0, true);
-        p.set(5, &a);
-        assert_eq!(unpack(p.words()[5]), a);
-        for (s, &w) in p.words().iter().enumerate() {
-            assert_eq!(lane_valid(w), s == 5, "only the set slot changed");
-        }
     }
 
     proptest! {

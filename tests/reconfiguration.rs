@@ -28,7 +28,12 @@ fn slot_reuse_resets_state_and_counters() {
     assert!(before.streams[a.index()].counters.serviced > 0);
     // Work-conserving under-load served b far ahead of its nominal 1/8
     // rate: its deadline banks that credit (DWCS reservation semantics).
-    let b_deadline = sched.fabric().register(b.index()).unwrap().head_deadline();
+    let b_deadline = sched
+        .fabric()
+        .register_snapshot(b.index())
+        .unwrap()
+        .expect("b is bound")
+        .head_deadline;
     assert!(
         b_deadline > sched.fabric().now() + 100,
         "b is ahead of schedule"

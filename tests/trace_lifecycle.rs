@@ -23,8 +23,8 @@ use sharestreams::core::LatePolicy;
 use sharestreams::prelude::*;
 use sharestreams::telemetry::span::detail;
 use sharestreams::telemetry::{
-    perfetto_json, stitch, validate_causal, validate_perfetto_schema, DumpReason, FlightDump,
-    Registry, SpanRecorder, Stage, StageEvent, StageLatencies, TraceTag,
+    stitch, validate_causal, DumpReason, FlightDump, Registry, SpanRecorder, Stage, StageEvent,
+    TraceTag,
 };
 
 fn edf_state(period: u64) -> StreamState {
@@ -125,6 +125,7 @@ proptest! {
 #[test]
 fn traced_chaos_run_is_causal_and_perfetto_loadable() {
     use sharestreams::endsystem::{run_threaded_traced, TraceConfig};
+    use sharestreams::telemetry::{perfetto_json, validate_perfetto_schema, StageLatencies};
     use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
     use std::sync::Arc;
 
