@@ -15,6 +15,14 @@
 //! Detection is deliberately *not* in here: [`crate::watchdog`] is
 //! feature-independent, because a real deployment needs the watchdog
 //! against genuine hardware wedges, not only injected ones.
+//!
+//! [`RecoveryLedger`] is the supervisors' half of the same contract: the
+//! handle the sharded frontend, the failover supervisor and the endsystem
+//! pipeline hold to book what their recovery paths did (exclusions,
+//! failovers, re-attaches, written-off packets) on the injector's
+//! `FaultStats`, and to wire a fabric they build to the same injector.
+//! Zero-sized with empty bodies when the feature is off, so those crates
+//! spell no `cfg` at their booking sites.
 
 #[cfg(feature = "faults")]
 mod enabled {
@@ -105,6 +113,76 @@ mod enabled {
             }
         }
     }
+
+    /// A supervisor's handle on the shared injector's recovery ledger
+    /// (`faults` feature on). Detached by default — every booking is a
+    /// cheap branch until [`RecoveryLedger::attach`].
+    #[derive(Debug, Clone, Default)]
+    pub struct RecoveryLedger {
+        injector: Option<Arc<FaultInjector>>,
+    }
+
+    impl RecoveryLedger {
+        /// A detached ledger: bookings go nowhere.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Books on (and wires fabrics to) `injector` from now on.
+        pub fn attach(&mut self, injector: Arc<FaultInjector>) {
+            self.injector = Some(injector);
+        }
+
+        /// The shared injector, for the holder's own fault sampling.
+        pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
+            self.injector.as_ref()
+        }
+
+        /// Wires `fabric`'s decision cycles to the attached injector (a
+        /// fabric the supervisor just built or adopted).
+        pub fn wire(&self, fabric: &mut crate::Fabric) {
+            if let Some(inj) = &self.injector {
+                fabric.attach_faults(Arc::clone(inj));
+            }
+        }
+
+        /// Books `detected` recovery detections and `lost` written-off
+        /// packets.
+        #[inline]
+        pub fn tally(&self, detected: u64, lost: u64) {
+            if let Some(inj) = &self.injector {
+                inj.stats().detected.fetch_add(detected, Ordering::Relaxed);
+                inj.stats().lost_packets.fetch_add(lost, Ordering::Relaxed);
+            }
+        }
+
+        /// Books one shard excluded from the winner merge: one detection,
+        /// one exclusion, `lost` packets written off with it.
+        #[inline]
+        pub fn shard_excluded(&self, lost: u64) {
+            if let Some(inj) = &self.injector {
+                inj.stats().shards_excluded.fetch_add(1, Ordering::Relaxed);
+            }
+            self.tally(1, lost);
+        }
+
+        /// Books one hardware→software failover (a detection).
+        #[inline]
+        pub fn failed_over(&self) {
+            if let Some(inj) = &self.injector {
+                inj.stats().failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            self.tally(1, 0);
+        }
+
+        /// Books one software→hardware re-attach.
+        #[inline]
+        pub fn reattached(&self) {
+            if let Some(inj) = &self.injector {
+                inj.stats().reattaches.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 #[cfg(not(feature = "faults"))]
@@ -139,9 +217,41 @@ mod disabled {
             false
         }
     }
+
+    /// Zero-sized stand-in for the supervisors' recovery ledger when the
+    /// `faults` feature is off: nothing to book on, nothing to wire.
+    #[derive(Debug, Clone, Default)]
+    pub struct RecoveryLedger;
+
+    impl RecoveryLedger {
+        /// The zero-sized stand-in (mirrors the enabled constructor).
+        pub fn new() -> Self {
+            Self
+        }
+
+        /// Hook: wire a fabric to the injector (no-op).
+        #[inline(always)]
+        pub fn wire(&self, _fabric: &mut crate::Fabric) {}
+
+        /// Hook: detections and written-off packets (no-op).
+        #[inline(always)]
+        pub fn tally(&self, _detected: u64, _lost: u64) {}
+
+        /// Hook: a shard left the merge (no-op).
+        #[inline(always)]
+        pub fn shard_excluded(&self, _lost: u64) {}
+
+        /// Hook: hardware→software failover (no-op).
+        #[inline(always)]
+        pub fn failed_over(&self) {}
+
+        /// Hook: software→hardware re-attach (no-op).
+        #[inline(always)]
+        pub fn reattached(&self) {}
+    }
 }
 
 #[cfg(not(feature = "faults"))]
-pub use disabled::FabricFaults;
+pub use disabled::{FabricFaults, RecoveryLedger};
 #[cfg(feature = "faults")]
-pub use enabled::FabricFaults;
+pub use enabled::{FabricFaults, RecoveryLedger};

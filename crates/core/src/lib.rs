@@ -63,11 +63,11 @@ pub use dwcs::{DwcsUpdater, UpdateEvent};
 pub use fabric::{
     BlockOrder, DecisionOutcome, Fabric, FabricConfig, RegisterSnapshot, ScheduledPacket,
 };
-pub use faults::FabricFaults;
+pub use faults::{FabricFaults, RecoveryLedger};
 pub use register::{LatePolicy, RegisterFile, SlotCounters, StreamState};
 pub use rtl::{RtlFabric, RtlWires};
 pub use scheduler::{SchedulerReport, ShareStreamsScheduler};
-pub use telem::FabricTelemetry;
+pub use telem::{FabricTelemetry, SupervisorTrace};
 pub use watchdog::{DecisionWatchdog, WatchdogVerdict};
 
 // Re-export the hwsim configuration enum used throughout.

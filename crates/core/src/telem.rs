@@ -15,14 +15,22 @@
 //! registry's striped atomics every [`FLUSH_EVERY`](enabled::FLUSH_EVERY)
 //! decisions (and on drop / explicit flush). Registry readers on other
 //! threads therefore lag the fabric by at most one flush window.
+//!
+//! [`SupervisorTrace`] is the same contract one level up: the handle the
+//! sharded frontend and the failover supervisor hold for the control events
+//! *they* leave — merge wins on a span track, breaker trips, ladder rung
+//! changes and sheds, path switches in a flight recorder with its automatic
+//! incident dumps. Zero-sized with empty hooks when the feature is off, so
+//! those crates spell no `cfg` at their recording sites.
 
 #[cfg(feature = "telemetry")]
 mod enabled {
+    use crate::decision::DecisionRule;
     use crate::fabric::ScheduledPacket;
     use ss_telemetry::span::detail;
     use ss_telemetry::{
-        Counter, Histogram, LocalHistogram, QosSet, Registry, SpanRecorder, Stage, TraceTag,
-        TrackRecorder, WinLatencyTracker,
+        Counter, DumpReason, Histogram, LocalHistogram, QosSet, Registry, SharedFlightRecorder,
+        SpanRecorder, Stage, TraceTag, TrackRecorder, WinLatencyTracker,
     };
 
     /// Decisions between automatic drains of the local accumulators into
@@ -395,10 +403,132 @@ mod enabled {
             a.d_prio += u64::from(a.priority_update);
         }
     }
+    /// The supervisors' control-event sink (`telemetry` feature on): an
+    /// optional span track (with per-slot win sequence numbers, so each
+    /// merge win carries a reconstructible [`TraceTag`]) and an optional
+    /// shared flight recorder. Detached by default — every hook is a cheap
+    /// branch until one is attached.
+    #[derive(Default)]
+    pub struct SupervisorTrace {
+        spans: Option<(TrackRecorder, Vec<u32>)>,
+        flight: Option<SharedFlightRecorder>,
+    }
+
+    impl SupervisorTrace {
+        /// A detached sink: hooks record nothing.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Opens a span track named `name` in `recorder`, with win
+        /// sequence numbers for `slots` slots.
+        pub fn attach_spans(&mut self, recorder: &SpanRecorder, name: &str, slots: usize) {
+            self.spans = Some((recorder.track(name), vec![0; slots]));
+        }
+
+        /// Drops the span track (flushing it into its recorder's drain set).
+        pub fn detach_spans(&mut self) {
+            self.spans = None;
+        }
+
+        /// Records control events into (and takes incident dumps from)
+        /// `flight` from now on.
+        pub fn attach_flight(&mut self, flight: &SharedFlightRecorder) {
+            self.flight = Some(flight.clone());
+        }
+
+        /// Hook: `shard`'s proposal for global slot `slot` won the merge.
+        /// One `MergeWin` on the span track: tag = (origin `shard`, `slot`,
+        /// the slot's win count), detail = the deciding Table 2 rule or
+        /// [`detail::MERGE_ONLY_CANDIDATE`] when nothing was compared.
+        #[inline]
+        pub fn on_merge_win(
+            &mut self,
+            cycle: u64,
+            shard: usize,
+            slot: usize,
+            reason: Option<DecisionRule>,
+        ) {
+            if let Some((track, win_seq)) = &mut self.spans {
+                let tag = TraceTag::new(shard as u16, slot as u16, win_seq[slot]).0;
+                win_seq[slot] = win_seq[slot].wrapping_add(1);
+                let why = reason.map_or(detail::MERGE_ONLY_CANDIDATE, |r| r as u8);
+                track.record(tag, cycle, Stage::MergeWin, why, slot as u32);
+            }
+        }
+
+        /// Hook: `shard`'s breaker just opened over `backlog` queued
+        /// packets. A control `BreakerOpen` on the span track and in the
+        /// flight recorder, which also snapshots the recent past
+        /// ([`DumpReason::BreakerOpen`]).
+        pub fn on_breaker_open(&mut self, cycle: u64, shard: usize, backlog: usize) {
+            if let Some((track, _)) = &mut self.spans {
+                track.record(
+                    TraceTag::CONTROL.0,
+                    cycle,
+                    Stage::BreakerOpen,
+                    shard as u8,
+                    backlog as u32,
+                );
+            }
+            if let Some(fl) = &self.flight {
+                let track = self.spans.as_ref().map_or(0, |(track, _)| track.id());
+                fl.record_control(
+                    cycle,
+                    track,
+                    Stage::BreakerOpen,
+                    shard as u8,
+                    backlog as u32,
+                );
+                fl.auto_dump(DumpReason::BreakerOpen, cycle);
+            }
+        }
+
+        /// Hook: the degradation ladder moved from rung code `before` to
+        /// `after`. A control `RungChange` (detail = new, arg = old) and a
+        /// [`DumpReason::RungChange`] dump.
+        pub fn on_rung_change(&mut self, now: u64, after: u8, before: u8) {
+            if let Some(fl) = &self.flight {
+                fl.record_control(now, 0, Stage::RungChange, after, before as u32);
+                fl.auto_dump(DumpReason::RungChange, now);
+            }
+        }
+
+        /// Hook: the ladder refused an arrival for `slot`. A control `Shed`
+        /// (detail [`detail::SHED_LADDER`], arg = slot).
+        #[inline]
+        pub fn on_ladder_shed(&mut self, now: u64, slot: usize) {
+            if let Some(fl) = &self.flight {
+                fl.record_control(now, 0, Stage::Shed, detail::SHED_LADDER, slot as u32);
+            }
+        }
+
+        /// Hook: the supervisor switched scheduling paths (`failovers` so
+        /// far). One control `Failover` (detail 1 = to software, 0 =
+        /// re-attach). The hardware→software switch is the incident — the
+        /// watchdog declared the fabric stuck — and also dumps
+        /// ([`DumpReason::WatchdogTrip`]); re-attachment is recovery and
+        /// only leaves the event.
+        pub fn on_path_switch(&mut self, now: u64, to_software: bool, failovers: u64) {
+            if let Some(fl) = &self.flight {
+                fl.record_control(
+                    now,
+                    0,
+                    Stage::Failover,
+                    to_software as u8,
+                    failovers.min(u32::MAX as u64) as u32,
+                );
+                if to_software {
+                    fl.auto_dump(DumpReason::WatchdogTrip, now);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(not(feature = "telemetry"))]
 mod disabled {
+    use crate::decision::DecisionRule;
     use crate::fabric::ScheduledPacket;
 
     /// Zero-sized stand-in compiled when the `telemetry` feature is off.
@@ -440,9 +570,48 @@ mod disabled {
         #[inline(always)]
         pub fn on_expire_cycle(&mut self, _cycle: u64, _expired: u32) {}
     }
+
+    /// Zero-sized stand-in for the supervisors' control-event sink when
+    /// the `telemetry` feature is off: every hook is an inlined empty body.
+    #[derive(Default)]
+    pub struct SupervisorTrace;
+
+    impl SupervisorTrace {
+        /// The zero-sized stand-in (mirrors the enabled constructor).
+        pub fn new() -> Self {
+            Self
+        }
+
+        /// Hook: a shard's proposal won the merge (no-op).
+        #[inline(always)]
+        pub fn on_merge_win(
+            &mut self,
+            _cycle: u64,
+            _shard: usize,
+            _slot: usize,
+            _reason: Option<DecisionRule>,
+        ) {
+        }
+
+        /// Hook: a shard's breaker opened (no-op).
+        #[inline(always)]
+        pub fn on_breaker_open(&mut self, _cycle: u64, _shard: usize, _backlog: usize) {}
+
+        /// Hook: the degradation ladder changed rung (no-op).
+        #[inline(always)]
+        pub fn on_rung_change(&mut self, _now: u64, _after: u8, _before: u8) {}
+
+        /// Hook: the ladder refused an arrival (no-op).
+        #[inline(always)]
+        pub fn on_ladder_shed(&mut self, _now: u64, _slot: usize) {}
+
+        /// Hook: the supervisor switched scheduling paths (no-op).
+        #[inline(always)]
+        pub fn on_path_switch(&mut self, _now: u64, _to_software: bool, _failovers: u64) {}
+    }
 }
 
 #[cfg(not(feature = "telemetry"))]
-pub use disabled::FabricTelemetry;
+pub use disabled::{FabricTelemetry, SupervisorTrace};
 #[cfg(feature = "telemetry")]
-pub use enabled::FabricTelemetry;
+pub use enabled::{FabricTelemetry, SupervisorTrace};

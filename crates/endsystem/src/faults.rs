@@ -10,6 +10,7 @@
 
 #[cfg(feature = "faults")]
 mod enabled {
+    use ss_core::RecoveryLedger;
     use ss_faults::{retry_with_backoff, FaultInjector, FaultKind, FaultSite, RetryPolicy};
     use ss_types::{Nanos, Result};
     use std::sync::Arc;
@@ -18,7 +19,7 @@ mod enabled {
     /// every seam behaves nominally until [`EndsystemFaults::attach`].
     #[derive(Debug, Clone, Default)]
     pub struct EndsystemFaults {
-        injector: Option<Arc<FaultInjector>>,
+        ledger: RecoveryLedger,
         policy: RetryPolicy,
     }
 
@@ -26,7 +27,7 @@ mod enabled {
         /// Detached fault state: transfers never fail, no stalls, no races.
         pub fn new() -> Self {
             Self {
-                injector: None,
+                ledger: RecoveryLedger::new(),
                 policy: RetryPolicy::default(),
             }
         }
@@ -34,13 +35,13 @@ mod enabled {
         /// Wires the endsystem seams to a shared injector with the given
         /// retry policy for PCI transfers.
         pub fn attach(&mut self, injector: Arc<FaultInjector>, policy: RetryPolicy) {
-            self.injector = Some(injector);
+            self.ledger.attach(injector);
             self.policy = policy;
         }
 
         /// `true` once an injector is attached.
         pub fn is_attached(&self) -> bool {
-            self.injector.is_some()
+            self.ledger.injector().is_some()
         }
 
         /// Runs one PCI transfer of nominal cost `base_cost_ns` through the
@@ -51,7 +52,7 @@ mod enabled {
         /// simulated cost on success.
         #[inline]
         pub fn transfer_ns(&self, base_cost_ns: Nanos) -> Result<Nanos> {
-            let Some(inj) = &self.injector else {
+            let Some(inj) = self.ledger.injector() else {
                 return Ok(base_cost_ns);
             };
             let outcome = retry_with_backoff(&self.policy, Some(inj.stats()), |_attempt| {
@@ -73,8 +74,8 @@ mod enabled {
         #[inline]
         pub fn handover_extra_ns(&self) -> Nanos {
             match self
-                .injector
-                .as_ref()
+                .ledger
+                .injector()
                 .and_then(|inj| inj.sample(FaultSite::SramHandover))
             {
                 Some(FaultKind::BankStall { extra_ns }) => extra_ns,
@@ -87,8 +88,8 @@ mod enabled {
         #[inline]
         pub fn access_races(&self) -> bool {
             matches!(
-                self.injector
-                    .as_ref()
+                self.ledger
+                    .injector()
                     .and_then(|inj| inj.sample(FaultSite::SramAccess)),
                 Some(FaultKind::WrongOwner)
             )
@@ -99,22 +100,24 @@ mod enabled {
         #[inline]
         pub fn ring_overflows(&self) -> bool {
             matches!(
-                self.injector
-                    .as_ref()
+                self.ledger
+                    .injector()
                     .and_then(|inj| inj.sample(FaultSite::SpscRing)),
                 Some(FaultKind::RingOverflowBurst { .. })
             )
         }
 
-        /// The shared injector, for recovery-path accounting.
-        pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
-            self.injector.as_ref()
+        /// The attached injector's recovery ledger: where the pipeline
+        /// books fault-caused loss and wires the fabric it builds.
+        pub fn ledger(&self) -> &RecoveryLedger {
+            &self.ledger
         }
     }
 }
 
 #[cfg(not(feature = "faults"))]
 mod disabled {
+    use ss_core::RecoveryLedger;
     use ss_types::{Nanos, Result};
 
     /// Zero-sized stand-in compiled when the `faults` feature is off.
@@ -159,6 +162,12 @@ mod disabled {
         #[inline(always)]
         pub fn ring_overflows(&self) -> bool {
             false
+        }
+
+        /// The (zero-sized) recovery ledger: nothing to book on.
+        #[inline(always)]
+        pub fn ledger(&self) -> &RecoveryLedger {
+            &RecoveryLedger
         }
     }
 }

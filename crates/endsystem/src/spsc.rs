@@ -110,6 +110,27 @@ impl<T> Drop for Ring<T> {
     }
 }
 
+/// How many failed ring operations busy-spin before falling back to
+/// `yield_now`. Pure spinning starves the counterpart thread whenever
+/// threads outnumber cores (always true on a single-core host), turning
+/// every ring handoff into a full scheduler quantum; yielding immediately
+/// costs a syscall per item when cores are plentiful. A short spin window
+/// gets both: lock-free handoff when the peer is truly parallel, prompt
+/// descheduling when it needs this CPU.
+const SPIN_LIMIT: u32 = 64;
+
+/// One failed ring operation: busy-spin for the first [`SPIN_LIMIT`] tries,
+/// then hand the core to whichever thread owns the other ring end.
+#[inline]
+fn spin_or_yield(spins: &mut u32) {
+    if *spins < SPIN_LIMIT {
+        *spins += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
 /// The producing endpoint.
 pub struct Producer<T> {
     ring: Arc<Ring<T>>,
@@ -190,6 +211,27 @@ impl<T: Send> Producer<T> {
             self.high_water = occupancy;
         }
         Ok(())
+    }
+
+    /// Waits until `value` is on the ring — the one backpressure wait of
+    /// every ring user (spin, then yield: see [`SPIN_LIMIT`]). `give_up` is
+    /// consulted once, on the first full-ring observation (one fault sample
+    /// per full-ring episode, not per spin, so an injected count stays
+    /// proportional to real backpressure events): `true` drops the value
+    /// instead, and this returns `false`.
+    // lint:hot-path
+    #[inline]
+    pub fn push_spinning(&mut self, mut value: T, give_up: impl FnOnce() -> bool) -> bool {
+        let mut give_up = Some(give_up);
+        let mut spins = 0u32;
+        loop {
+            match self.push(value) {
+                Ok(()) => return true,
+                Err(_) if give_up.take().is_some_and(|ask| ask()) => return false,
+                Err(back) => value = back,
+            }
+            spin_or_yield(&mut spins);
+        }
     }
 
     /// Capacity of the ring.
@@ -276,6 +318,32 @@ impl<T: Send> Consumer<T> {
     /// `true` if the producer endpoint has been dropped.
     pub fn is_disconnected(&self) -> bool {
         Arc::strong_count(&self.ring) == 1
+    }
+
+    /// `true` once the producer is gone **and** everything it pushed has
+    /// been popped — the ring's termination condition. The disconnect is
+    /// read first: a producer that pushes its last items and drops between
+    /// a consumer's empty `pop` and this check leaves a non-empty ring,
+    /// which the disconnect alone would hide.
+    #[inline]
+    pub fn finished(&self) -> bool {
+        self.is_disconnected() && self.is_empty()
+    }
+
+    /// Pops, waiting (spin, then yield) while the ring is empty but its
+    /// producer is still there; `None` only once the ring is
+    /// [`finished`](Consumer::finished). `while let Some(x) =
+    /// rx.pop_waiting()` therefore drains a ring to its end.
+    #[inline]
+    pub fn pop_waiting(&mut self) -> Option<T> {
+        let mut spins = 0u32;
+        loop {
+            match self.pop() {
+                Some(item) => return Some(item),
+                None if self.finished() => return None,
+                None => spin_or_yield(&mut spins),
+            }
+        }
     }
 
     /// The statistics as last published by the producer: exact once the

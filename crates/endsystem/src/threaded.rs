@@ -350,64 +350,6 @@ const SCHEDULER_STALL_THRESHOLD: u32 = 64;
 /// Capacity of both rings, and of the scheduler's per-sweep batch.
 const RING_CAPACITY: usize = 4096;
 
-/// Spins until `value` is on the ring — the pipeline's one backpressure
-/// wait. `give_up` is consulted once, on the first full-ring observation
-/// (one fault sample per full-ring episode, not per spin, so the injected
-/// count stays proportional to real backpressure events): `true` drops the
-/// value instead, and this returns `false`.
-// lint:hot-path
-#[inline]
-fn push_spinning<T: Send>(
-    tx: &mut Producer<T>,
-    mut value: T,
-    give_up: impl FnOnce() -> bool,
-) -> bool {
-    let mut give_up = Some(give_up);
-    loop {
-        match tx.push(value) {
-            Ok(()) => return true,
-            Err(_) if give_up.take().is_some_and(|ask| ask()) => return false,
-            Err(back) => value = back,
-        }
-        std::hint::spin_loop();
-    }
-}
-
-/// `true` once the ring's producer is gone **and** everything it pushed
-/// has been popped. The disconnect is read first: a producer that pushes
-/// its last items and drops between a consumer's empty `pop` and this
-/// check leaves a non-empty ring, which the disconnect alone would hide.
-#[inline]
-fn finished<T: Send>(rx: &Consumer<T>) -> bool {
-    rx.is_disconnected() && rx.is_empty()
-}
-
-/// Pops until the ring is [`finished`], handing every item to `each`: the
-/// transmitter's loop, and the write-off drain that keeps a producer from
-/// deadlocking on a full ring nobody schedules from any more.
-fn drain_until_finished<T: Send>(rx: &mut Consumer<T>, mut each: impl FnMut(T)) {
-    loop {
-        match rx.pop() {
-            Some(item) => each(item),
-            None if finished(rx) => break,
-            None => std::hint::spin_loop(),
-        }
-    }
-}
-
-/// Books fault-caused loss on the attached injector's recovery ledger
-/// (`lost_packets`, plus `detected` per watchdog trip); no injector, no-op.
-#[cfg_attr(not(feature = "faults"), allow(unused_variables))]
-fn tally_injected(faults: &EndsystemFaults, detected: u64, lost: u64) {
-    #[cfg(feature = "faults")]
-    if let Some(injector) = faults.injector() {
-        use std::sync::atomic::Ordering;
-        let stats = injector.stats();
-        stats.detected.fetch_add(detected, Ordering::Relaxed);
-        stats.lost_packets.fetch_add(lost, Ordering::Relaxed);
-    }
-}
-
 /// The scheduler thread's state: fabric, optional gate, both ring ends.
 struct Scheduler<O: Observer> {
     fabric: Fabric,
@@ -453,10 +395,7 @@ impl<O: Observer> Scheduler<O> {
             let period = st.request_period;
             fabric.load_stream(i, st, period)?;
         }
-        #[cfg(feature = "faults")]
-        if let Some(injector) = faults.injector() {
-            fabric.attach_faults(Arc::clone(injector));
-        }
+        faults.ledger().wire(&mut fabric);
         let (arr_tx, arr_rx) = spsc_ring(RING_CAPACITY);
         let (id_tx, id_rx) = spsc_ring(RING_CAPACITY);
         let scheduler = Self {
@@ -536,7 +475,7 @@ impl<O: Observer> Scheduler<O> {
             if let Some(gate) = &mut self.gate {
                 gate.mirror_served(p.slot.index());
             }
-            push_spinning(&mut self.id_tx, (p.slot.raw(), tag), || false);
+            self.id_tx.push_spinning((p.slot.raw(), tag), || false);
         }
         let produced = winners.len() as u64;
         // `pending` follows the fabric: what left its queues without
@@ -571,12 +510,12 @@ impl<O: Observer> Scheduler<O> {
         let cycle = self.fabric.decision_count();
         self.obs.watchdog_tripped(cycle, self.watchdog.trips());
         let (mut lost, obs) = (self.pending, &mut self.obs);
-        drain_until_finished(&mut self.arr_rx, |(msg, tag)| {
+        while let Some((msg, tag)) = self.arr_rx.pop_waiting() {
             lost += 1;
             obs.crossed(Crossing::WrittenOff, tag, msg.slot, cycle);
-        });
+        }
         self.loss.record_n(LossSite::Shard, lost);
-        tally_injected(&self.faults, 1, lost);
+        self.faults.ledger().tally(1, lost);
     }
 
     /// The scheduler thread: sweeps until the producer is done and the
@@ -590,7 +529,7 @@ impl<O: Observer> Scheduler<O> {
                     break;
                 }
                 Some(_) => {}
-                None if finished(&self.arr_rx) => break,
+                None if self.arr_rx.finished() => break,
                 None => std::hint::spin_loop(),
             }
         }
@@ -692,11 +631,11 @@ fn run_stages<O: Observer>(
                 // scheduler may dequeue (and stamp) the arrival the instant
                 // it lands, and the trace must read enqueue → dequeue.
                 prod_obs.crossed(Crossing::RingEnqueue, tag, slot, 0);
-                if !push_spinning(&mut arr_tx, msg, || faults.ring_overflows()) {
+                if !arr_tx.push_spinning(msg, || faults.ring_overflows()) {
                     // Injected overflow burst on a full ring: dropped and
                     // accounted instead of spun on.
                     loss.record(LossSite::Ring);
-                    tally_injected(&faults, 0, 1);
+                    faults.ledger().tally(0, 1);
                     prod_obs.crossed(Crossing::RingShed, tag, slot, 0);
                 }
             }
@@ -710,10 +649,10 @@ fn run_stages<O: Observer>(
     // The transmitter runs on the calling thread until the scheduler is done
     // (served everything, or wrote the rest off) and the winner ring is dry.
     let mut per_slot = vec![0u64; slots];
-    drain_until_finished(&mut id_rx, |(id, tag)| {
+    while let Some((id, tag)) = id_rx.pop_waiting() {
         per_slot[id as usize] += 1;
         tx_obs.crossed(Crossing::Service, tag, id as usize, 0);
-    });
+    }
     drop(tx_obs);
 
     let panicked = |thread: &str| Error::DegradedMode {
@@ -1248,11 +1187,13 @@ mod tests {
             rx.is_disconnected(),
             "the disconnect alone would end the drain here"
         );
-        assert!(!finished(&rx), "but three arrivals are still on the ring");
+        assert!(!rx.finished(), "but three arrivals are still on the ring");
         let mut counted = 0;
-        drain_until_finished(&mut rx, |_| counted += 1);
+        while rx.pop_waiting().is_some() {
+            counted += 1;
+        }
         assert_eq!(counted, 3);
-        assert!(finished(&rx));
+        assert!(rx.finished());
     }
 
     /// 300 always-wedged runs: whatever instant the producer finishes at,

@@ -1,0 +1,263 @@
+//! The threaded drive mode: each fabric on its own worker thread behind
+//! three SPSC rings, merged per cycle on the calling thread. Owns what only
+//! this mode has — the rings, the workers, the streamlet scratch — over the
+//! [`Frontend`] the inline scheduler handed over whole. Every ring wait is
+//! [`ss_endsystem::spsc`]'s `push_spinning` / `pop_waiting`, so a ring ends
+//! on the one `finished` definition.
+
+use crate::frontend::{Frontend, Lane};
+use ss_core::{Fabric, ScheduledPacket};
+use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
+use ss_types::{Error, Result, Wrap16};
+use std::collections::VecDeque;
+use std::thread::JoinHandle;
+
+/// A packet together with the pre-service lane word that won it its
+/// slot in the schedule — what a shard circulates to the merge stage.
+#[derive(Debug, Clone, Copy)]
+struct CycleProposal {
+    /// The shard's winner lane word *before* service (merge ordering key).
+    word: u64,
+    /// The serviced packet, still in shard-local slot/time coordinates.
+    packet: Option<ScheduledPacket>,
+}
+
+/// One merged streamlet report from [`ThreadedShards::run_cycles`].
+#[derive(Debug, Clone, Default)]
+pub struct StreamletReport {
+    /// Packets in merged global transmission order: cycles ascending, and
+    /// within each cycle's streamlet, Table-2 comparator order. Slot IDs
+    /// are global; completion times remain shard-local (each shard models
+    /// its own lane of the aggregate link).
+    pub packets: Vec<ScheduledPacket>,
+    /// Total shard decision cycles dispatched (cycles × live shards);
+    /// shards that die mid-batch complete fewer.
+    pub decisions: u64,
+    /// Shards newly excluded during this run (worker exited or crashed):
+    /// their lanes stop contributing but the surviving merge continues.
+    pub excluded: Vec<usize>,
+    /// Cycle proposals that never arrived from excluded shards — the
+    /// bounded, counted gap their loss left in this batch.
+    pub missed_proposals: u64,
+}
+
+/// Aligned to 128 bytes (two lines on common prefetch-paired hardware) so
+/// that adjacent links in the merger's `links` vec never share a cache
+/// line: each link's ring endpoints hold locally-cached head/tail copies
+/// that the merge loop updates per proposal, and cross-shard false sharing
+/// on those would serialize exactly the path sharding exists to spread.
+#[repr(align(128))]
+struct ShardLink {
+    /// Batch commands: run this many decision cycles.
+    cmd_tx: Producer<u64>,
+    arr_tx: Producer<(usize, Wrap16)>,
+    out_rx: Consumer<CycleProposal>,
+    /// Proposals drained from `out_rx` in batches ahead of the per-cycle
+    /// merge: one ring synchronization covers up to a ring's worth of
+    /// cycles the worker ran ahead.
+    buf: VecDeque<CycleProposal>,
+    handle: JoinHandle<Fabric>,
+}
+
+/// One shard's worker: for every batch command, `n` decision cycles, each
+/// draining the arrival ring first and proposing its winner. Ends when the
+/// command ring is finished, or right after proposing from a crashed
+/// fabric — dropping `out_tx` is the merger's exclusion signal.
+fn worker(
+    mut fabric: Fabric,
+    mut cmd_rx: Consumer<u64>,
+    mut arr_rx: Consumer<(usize, Wrap16)>,
+    mut out_tx: Producer<CycleProposal>,
+) -> Fabric {
+    while let Some(n) = cmd_rx.pop_waiting() {
+        for _ in 0..n {
+            while let Some((slot, tag)) = arr_rx.pop() {
+                // Slots were validated at routing; a failed deposit is
+                // dropped, never a worker panic.
+                let _ = fabric.push_arrival(slot, tag);
+            }
+            let word = fabric.peek_winner();
+            let packet = fabric.decision_cycle_into().first().copied();
+            out_tx.push_spinning(CycleProposal { word, packet }, || false);
+            if fabric.is_crashed() {
+                return fabric;
+            }
+        }
+    }
+    fabric
+}
+
+/// The thread-per-shard runtime: K workers, each owning one fabric, fed by
+/// SPSC rings, merged on the calling thread.
+pub struct ThreadedShards {
+    /// Routing, merge order, exclusion and merge metrics — the inline
+    /// scheduler's own frontend, moved here by `into_threaded`.
+    front: Frontend,
+    links: Vec<ShardLink>,
+    /// Per-cycle merge scratch (≤ K entries), reused across cycles.
+    merge_scratch: Vec<Lane>,
+}
+
+impl ThreadedShards {
+    pub(crate) fn spawn(front: Frontend, shards: Vec<Fabric>, ring_capacity: usize) -> Self {
+        // Worker pinning (feature `pinning`): shard k stays on core
+        // 1 + k mod (cores − 1), keeping core 0 for the merging thread so
+        // its comparator tree and this struct's ring endpoints stay warm.
+        // On a single-core host pinning would only fight the scheduler, so
+        // it is skipped; `pin_current_thread` itself degrades to a no-op
+        // off x86_64 Linux.
+        let cores = if cfg!(feature = "pinning") {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            1
+        };
+        let merge_scratch = Vec::with_capacity(shards.len());
+        let links = shards
+            .into_iter()
+            .enumerate()
+            .map(|(shard_idx, fabric)| {
+                let (cmd_tx, cmd_rx) = spsc_ring(64);
+                let (arr_tx, arr_rx) = spsc_ring(ring_capacity);
+                let (out_tx, out_rx) = spsc_ring(ring_capacity);
+                let handle = std::thread::spawn(move || {
+                    if cores > 1 {
+                        let _ = ss_endsystem::pin_current_thread(1 + shard_idx % (cores - 1));
+                    }
+                    worker(fabric, cmd_rx, arr_rx, out_tx)
+                });
+                ShardLink {
+                    cmd_tx,
+                    arr_tx,
+                    out_rx,
+                    buf: VecDeque::with_capacity(ring_capacity),
+                    handle,
+                }
+            })
+            .collect();
+        Self {
+            front,
+            links,
+            merge_scratch,
+        }
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.links.len()
+    }
+
+    /// Jain's fairness index over per-shard lane services, or `None` if the
+    /// source scheduler was never instrumented. In threaded mode every
+    /// non-idle shard services its own lane each cycle, so this measures
+    /// how evenly the offered load spreads across shards.
+    #[cfg(feature = "telemetry")]
+    pub fn shard_fairness(&self) -> Option<f64> {
+        self.front.metrics.fairness()
+    }
+
+    /// Routes one arrival to its shard's ring. Fails with `QueueFull` if
+    /// the ring is full (workers drain it once per cycle) and with
+    /// `ShardFailed` if the slot's shard has been excluded.
+    pub fn push_arrival(&mut self, global: usize, arrival: Wrap16) -> Result<()> {
+        let (shard, local) = self.front.route_live(global)?;
+        let arr_tx = &mut self.links[shard].arr_tx;
+        arr_tx.push((local, arrival)).map_err(|_| Error::QueueFull {
+            slot: global,
+            capacity: arr_tx.capacity(),
+        })
+    }
+
+    /// Batched arrival routing over `(global_slot, tag)` pairs.
+    pub fn push_arrivals(&mut self, arrivals: &[(usize, Wrap16)]) -> Result<()> {
+        for &(global, arrival) in arrivals {
+            self.push_arrival(global, arrival)?;
+        }
+        Ok(())
+    }
+
+    /// Runs `n` cycles on every shard in parallel and merges the results:
+    /// for each cycle index, the ≤K shard winners are ordered by the Table 2
+    /// comparator (global-slot tie-break) into one streamlet. Workers run
+    /// ahead of the merger through the proposal rings, so the shards never
+    /// synchronize with each other — only with the ring capacity.
+    pub fn run_cycles(&mut self, n: u64) -> StreamletReport {
+        let mut live = 0u64;
+        for (k, link) in self.links.iter_mut().enumerate() {
+            if !self.front.is_failed(k) {
+                link.cmd_tx.push_spinning(n, || false);
+                live += 1;
+            }
+        }
+        let mut report = StreamletReport {
+            packets: Vec::new(),
+            decisions: n * live,
+            excluded: Vec::new(),
+            missed_proposals: 0,
+        };
+        for cycle in 0..n {
+            self.merge_scratch.clear();
+            for (k, link) in self.links.iter_mut().enumerate() {
+                if self.front.is_failed(k) {
+                    continue;
+                }
+                // Wait for the shard's proposal. Proposals are drained in
+                // batches: the worker runs ahead of the merge through the
+                // ring, so one synchronization on `out_rx` typically buys a
+                // whole backlog of cycles, and the per-cycle cost collapses
+                // to a local `VecDeque` pop.
+                let proposal = link.buf.pop_front().or_else(|| {
+                    let first = link.out_rx.pop_waiting()?;
+                    while let Some(p) = link.out_rx.pop() {
+                        link.buf.push_back(p);
+                    }
+                    Some(first)
+                });
+                // A finished ring means the worker exited (crash fault or
+                // panic): exclude the shard and account the cycles it will
+                // never answer, instead of waiting forever or panicking the
+                // merge. Its backlog is on the worker's fabric, out of the
+                // merger's sight — booked as 0 lost here.
+                let Some(proposal) = proposal else {
+                    self.front.exclude(k, 0);
+                    report.excluded.push(k);
+                    report.missed_proposals += n - cycle;
+                    continue;
+                };
+                if let Some(p) = proposal.packet {
+                    self.merge_scratch.push((proposal.word, p, k));
+                }
+            }
+            // The merge latency window covers ordering and emission only —
+            // the proposal wait above measures worker speed, not the
+            // comparator tree.
+            let merge_start = self.front.metrics.start();
+            self.front.sort_streamlet(&mut self.merge_scratch);
+            for &(_, p, k) in &self.merge_scratch {
+                report.packets.push(self.front.globalize(k, p));
+            }
+            self.front
+                .metrics
+                .record_merge(merge_start, self.merge_scratch.iter().map(|&(_, _, k)| k));
+        }
+        report
+    }
+
+    /// Indices of shards currently excluded from the merge.
+    pub fn dead_shards(&self) -> Vec<usize> {
+        self.front.failed_shards()
+    }
+
+    /// Shuts the workers down and returns the shard fabrics (for reading
+    /// counters after a run). A worker that panicked simply yields no
+    /// fabric — the join itself never panics.
+    pub fn join(self) -> Vec<Fabric> {
+        self.links
+            .into_iter()
+            .filter_map(|link| {
+                drop(link.cmd_tx);
+                drop(link.arr_tx);
+                link.handle.join().ok()
+            })
+            .collect()
+    }
+}

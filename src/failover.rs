@@ -26,8 +26,8 @@
 //! `FailoverScheduler::attach_flight_recorder`).
 
 use ss_core::{
-    DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, RegisterSnapshot, ScheduledPacket,
-    StreamState, WatchdogVerdict,
+    DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, RecoveryLedger, RegisterSnapshot,
+    ScheduledPacket, StreamState, SupervisorTrace, WatchdogVerdict,
 };
 use ss_disciplines::{Discipline, DwcsRef, DwcsStreamConfig, SwPacket};
 use ss_overload::{DegradationLadder, LadderConfig, PressureConfig, PressureSignal, Rung};
@@ -81,13 +81,13 @@ pub struct FailoverScheduler {
     reattaches: u64,
     /// Degradation-ladder supervision (off until armed).
     overload: Option<OverloadSupervisor>,
-    #[cfg(feature = "faults")]
-    injector: Option<std::sync::Arc<ss_faults::FaultInjector>>,
-    /// Flight recorder for path switches, ladder sheds and rung changes,
-    /// with automatic incident dumps
-    /// ([`FailoverScheduler::attach_flight_recorder`]).
-    #[cfg(feature = "telemetry")]
-    flight: Option<ss_telemetry::SharedFlightRecorder>,
+    /// The injector's recovery ledger (`attach_faults`; zero-sized
+    /// without the `faults` feature).
+    ledger: RecoveryLedger,
+    /// Path switches, ladder sheds and rung changes in the flight recorder,
+    /// with automatic incident dumps (`attach_flight_recorder`; zero-sized
+    /// without the `telemetry` feature).
+    trace: SupervisorTrace,
 }
 
 /// The facade's overload state: a pressure signal derived from total
@@ -134,10 +134,8 @@ impl FailoverScheduler {
             failovers: 0,
             reattaches: 0,
             overload: None,
-            #[cfg(feature = "faults")]
-            injector: None,
-            #[cfg(feature = "telemetry")]
-            flight: None,
+            ledger: RecoveryLedger::new(),
+            trace: SupervisorTrace::new(),
         })
     }
 
@@ -277,29 +275,17 @@ impl FailoverScheduler {
         let healthy = self.watchdog.unproductive_cycles() == 0 && self.software.is_none();
         let ov = self.overload.as_mut().expect("checked above");
         let level = ov.pressure.observe(occupied, ov.capacity);
-        #[cfg(feature = "telemetry")]
         let before = ov.ladder.rung();
         ov.ladder.observe(level, healthy);
-        #[cfg(feature = "telemetry")]
-        {
-            let after = ov.ladder.rung();
-            if before != after {
-                if let Some(fl) = &self.flight {
-                    let rung_code = |r: Rung| match r {
-                        Rung::FullQos => 0u8,
-                        Rung::ShedOptional => 1,
-                        Rung::FcfsDrain => 2,
-                    };
-                    fl.record_control(
-                        self.now,
-                        0,
-                        ss_telemetry::Stage::RungChange,
-                        rung_code(after),
-                        rung_code(before) as u32,
-                    );
-                    fl.auto_dump(ss_telemetry::DumpReason::RungChange, self.now);
-                }
-            }
+        let after = ov.ladder.rung();
+        if before != after {
+            let rung_code = |r: Rung| match r {
+                Rung::FullQos => 0u8,
+                Rung::ShedOptional => 1,
+                Rung::FcfsDrain => 2,
+            };
+            self.trace
+                .on_rung_change(self.now, rung_code(after), rung_code(before));
         }
     }
 
@@ -334,16 +320,7 @@ impl FailoverScheduler {
             if let Some(ov) = &mut self.overload {
                 ov.sheds += 1;
             }
-            #[cfg(feature = "telemetry")]
-            if let Some(fl) = &self.flight {
-                fl.record_control(
-                    self.now,
-                    0,
-                    ss_telemetry::Stage::Shed,
-                    ss_telemetry::span::detail::SHED_LADDER,
-                    slot as u32,
-                );
-            }
+            self.trace.on_ladder_shed(self.now, slot);
             return Err(Error::Overloaded {
                 slot,
                 site: "ladder",
@@ -483,13 +460,8 @@ impl FailoverScheduler {
         self.software = Some(sw);
         self.failovers += 1;
         self.watchdog.reset();
-        #[cfg(feature = "faults")]
-        if let Some(inj) = &self.injector {
-            use std::sync::atomic::Ordering;
-            inj.stats().detected.fetch_add(1, Ordering::Relaxed);
-            inj.stats().failovers.fetch_add(1, Ordering::Relaxed);
-        }
-        self.record_switch(true);
+        self.ledger.failed_over();
+        self.trace.on_path_switch(self.now, true, self.failovers);
         Ok(())
     }
 
@@ -512,37 +484,13 @@ impl FailoverScheduler {
                 }
             }
         }
-        #[cfg(feature = "faults")]
-        if let Some(inj) = &self.injector {
-            use std::sync::atomic::Ordering;
-            fabric.attach_faults(std::sync::Arc::clone(inj));
-            inj.stats().reattaches.fetch_add(1, Ordering::Relaxed);
-        }
+        self.ledger.wire(&mut fabric);
+        self.ledger.reattached();
         self.fabric = fabric;
         self.reattaches += 1;
         self.watchdog.reset();
-        self.record_switch(false);
+        self.trace.on_path_switch(self.now, false, self.failovers);
         Ok(())
-    }
-
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
-    fn record_switch(&mut self, to_software: bool) {
-        #[cfg(feature = "telemetry")]
-        if let Some(fl) = &self.flight {
-            fl.record_control(
-                self.now,
-                0,
-                ss_telemetry::Stage::Failover,
-                to_software as u8,
-                self.failovers.min(u32::MAX as u64) as u32,
-            );
-            // The hardware→software switch is the incident (the watchdog
-            // declared the fabric stuck); re-attachment is recovery and
-            // only leaves the control event.
-            if to_software {
-                fl.auto_dump(ss_telemetry::DumpReason::WatchdogTrip, self.now);
-            }
-        }
     }
 
     /// Wires the supervised fabric (and every fabric built by future
@@ -550,8 +498,8 @@ impl FailoverScheduler {
     /// events land in the injector's ledger.
     #[cfg(feature = "faults")]
     pub fn attach_faults(&mut self, injector: std::sync::Arc<ss_faults::FaultInjector>) {
-        self.fabric.attach_faults(std::sync::Arc::clone(&injector));
-        self.injector = Some(injector);
+        self.ledger.attach(injector);
+        self.ledger.wire(&mut self.fabric);
     }
 
     /// Crashes the current hardware path (test hook; the watchdog will
@@ -572,7 +520,7 @@ impl FailoverScheduler {
     /// (detail `SHED_LADDER`, arg = slot).
     #[cfg(feature = "telemetry")]
     pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
-        self.flight = Some(flight.clone());
+        self.trace.attach_flight(flight);
     }
 }
 

@@ -55,7 +55,7 @@
 //! | [`overload`] | overload control plane (always built, off until armed): window-aware admission, RED, hierarchical backpressure, QoS-aware shedding, the one composed gate, per-shard breakers, degradation ladder |
 //! | [`cluster`] | deterministic cluster-scale simulation + soak lab: scenario generators, per-tick invariant engine, flight-dump repro pipeline, `soak` binary |
 //! | [`framework`] | Figure-1 feasibility reasoning |
-//! | `ingress` | (cargo feature `ingress`) hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
+//! | `ingress` | hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
 //! | `telemetry` | (cargo feature `telemetry`) lock-free metric registry, Table-3 QoS accounting, per-packet stage-event tracing + flight recorder, JSON/Prometheus/Perfetto exporters |
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
@@ -76,7 +76,6 @@ pub use ss_endsystem as endsystem;
 pub use ss_faults as faults;
 pub use ss_framework as framework;
 pub use ss_hwsim as hwsim;
-#[cfg(feature = "ingress")]
 pub use ss_ingress as ingress;
 pub use ss_linecard as linecard;
 pub use ss_overload as overload;
@@ -96,7 +95,6 @@ pub fn publish_build_info(registry: &ss_telemetry::Registry) {
         ("telemetry", cfg!(feature = "telemetry")),
         ("faults", cfg!(feature = "faults")),
         ("pinning", cfg!(feature = "pinning")),
-        ("ingress", cfg!(feature = "ingress")),
     ]
     .iter()
     .filter(|(_, on)| *on)

@@ -1,6 +1,5 @@
-//! Loopback ingress smoke test for the `ingress` feature-matrix CI leg:
-//! dial, register, submit, drain — through the facade re-export.
-#![cfg(feature = "ingress")]
+//! Loopback ingress smoke test: dial, register, submit, drain — through
+//! the facade re-export.
 
 use sharestreams::ingress::{
     ClientConfig, EdgeMode, FaultConfig, FaultInjector, IngressClient, IngressConfig, IngressServer,

@@ -306,7 +306,6 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // heap-free --- The decoder's buffer is a fixed Box<[u8]> and every
     // SUBMIT entry is read through a borrowed view, so steady-state
     // decode → offer → serve → tick must never touch the heap.
-    #[cfg(feature = "ingress")]
     {
         use sharestreams::endsystem::RedConfig;
         use sharestreams::ingress::{frame, EdgeGate, Frame, FrameDecoder, IngressArrival};
