@@ -18,20 +18,22 @@ use ss_types::packed::pack;
 use ss_types::{ComparisonMode, SlotId, StreamAttrs, WindowConstraint, Wrap16};
 use std::hint::black_box;
 
+/// The benches' stream: DWCS window 1/2, serve-late, one request per
+/// `period` packet-times.
+fn stream(period: u64) -> StreamState {
+    StreamState {
+        request_period: period,
+        original_window: WindowConstraint::new(1, 2),
+        static_prio: 0,
+        late_policy: LatePolicy::ServeLate,
+    }
+}
+
 fn backlogged_fabric(config: FabricConfig) -> Fabric {
     let mut fabric = Fabric::new(config).unwrap();
     for s in 0..config.slots {
         fabric
-            .load_stream(
-                s,
-                StreamState {
-                    request_period: config.slots as u64,
-                    original_window: WindowConstraint::new(1, 2),
-                    static_prio: 0,
-                    late_policy: LatePolicy::ServeLate,
-                },
-                (s + 1) as u64,
-            )
+            .load_stream(s, stream(config.slots as u64), (s + 1) as u64)
             .unwrap();
         // Modest initial backlog; the measured loop refills what it
         // consumes so the fabric never runs dry.
@@ -121,16 +123,7 @@ fn bench_sharded(c: &mut Criterion) {
         .unwrap();
         for s in 0..slots {
             sharded
-                .load_stream(
-                    s,
-                    StreamState {
-                        request_period: slots as u64,
-                        original_window: WindowConstraint::new(1, 2),
-                        static_prio: 0,
-                        late_policy: LatePolicy::ServeLate,
-                    },
-                    (s + 1) as u64,
-                )
+                .load_stream(s, stream(slots as u64), (s + 1) as u64)
                 .unwrap();
             for q in 0..64u64 {
                 sharded.push_arrival(s, Wrap16::from_wide(q)).unwrap();
@@ -215,17 +208,7 @@ fn bench_rtl_vs_functional(c: &mut Criterion) {
 
     let mut rtl = RtlFabric::new(config).unwrap();
     for s in 0..16 {
-        rtl.load_stream(
-            s,
-            StreamState {
-                request_period: 16,
-                original_window: ss_types::WindowConstraint::new(1, 2),
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            },
-            (s + 1) as u64,
-        )
-        .unwrap();
+        rtl.load_stream(s, stream(16), (s + 1) as u64).unwrap();
         for q in 0..64u64 {
             rtl.push_arrival(s, Wrap16::from_wide(q)).unwrap();
         }
@@ -296,8 +279,89 @@ fn bench_ba_networks(c: &mut Criterion) {
     group.finish();
 }
 
+/// The winner-only path as every system workload drives it: one arrival,
+/// one decision, the winner's slot refilled so queue depths never move.
+/// `on_time` (period = slots, one packet queued) is the regime a
+/// backlogged periodic stream set lives in — every head due within a
+/// period of `now`, no loser ever late; `all_late` (period 2 over an
+/// 8-deep preload) is 2–16× overload, where all the losers expire every
+/// cycle. The ablation rows of EXPERIMENTS.md "The winner-only path".
+fn bench_wr_cycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fabric/wr_cycle");
+    for slots in [4usize, 8, 32] {
+        for (regime, period, preload) in [("on_time", slots as u64, 1), ("all_late", 2, 8)] {
+            let config = FabricConfig::dwcs(slots, FabricConfigKind::WinnerOnly);
+            let mut fabric = Fabric::new(config).unwrap();
+            for s in 0..slots {
+                fabric
+                    .load_stream(s, stream(period), (s + 1) as u64)
+                    .unwrap();
+                for q in 0..preload {
+                    fabric.push_arrival(s, Wrap16::from_wide(q)).unwrap();
+                }
+            }
+            // The first iteration's arrival lands where the first winner
+            // will leave a gap one cycle later.
+            let mut refill = 0usize;
+            let mut tag = 0u16;
+            group.bench_function(BenchmarkId::new(slots.to_string(), regime), |b| {
+                b.iter(|| {
+                    tag = tag.wrapping_add(1);
+                    fabric.push_arrival(refill, Wrap16(tag)).unwrap();
+                    if let Some(p) = fabric.decision_cycle_into().first() {
+                        refill = p.slot.index();
+                    }
+                    black_box(refill)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// One global cycle of the inline sharded frontend, `<total slots>x<K>`,
+/// each winner's slot refilled. `8x2_one_excluded` is the soak lab's node
+/// after its light-fault schedule has taken a shard: one live 4-slot
+/// fabric behind the frontend.
+fn bench_inline_cycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sharded/inline_cycle");
+    for (name, slots, shards, excluded) in [
+        ("8x2_one_excluded", 8usize, 2usize, Some(1usize)),
+        ("8x2", 8, 2, None),
+        ("32x1", 32, 1, None),
+        ("32x2", 32, 2, None),
+        ("32x4", 32, 4, None),
+    ] {
+        let config = FabricConfig::dwcs(slots, FabricConfigKind::WinnerOnly);
+        let mut sharded = ShardedScheduler::new(config, shards).unwrap();
+        for s in 0..slots {
+            sharded
+                .load_stream(s, stream(slots as u64), (s + 1) as u64)
+                .unwrap();
+            sharded.push_arrival(s, Wrap16::ZERO).unwrap();
+        }
+        if let Some(k) = excluded {
+            sharded.fail_shard(k).unwrap();
+        }
+        let mut tag = 0u16;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let p = sharded.decision_cycle();
+                if let Some(p) = p {
+                    tag = tag.wrapping_add(1);
+                    sharded.push_arrival(p.slot.index(), Wrap16(tag)).unwrap();
+                }
+                black_box(p.is_some())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_wr_cycle,
+    bench_inline_cycle,
     bench_ba_vs_wr,
     bench_alloc_free,
     bench_sharded,

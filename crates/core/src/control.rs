@@ -122,6 +122,7 @@ impl ControlFsm {
 
     /// Runs one full decision: log2(N) SCHEDULE cycles, then one
     /// PRIORITY_UPDATE cycle if enabled. Returns the hardware cycles spent.
+    #[inline]
     pub fn run_decision(&mut self) -> Cycles {
         if !self.record {
             // Same observable effect as the ticked walk below — the

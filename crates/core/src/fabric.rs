@@ -7,7 +7,11 @@
 //! * **WR (max-finding)** — the tournament selects the single winner, whose
 //!   head packet occupies the next packet-time on the link; every other slot
 //!   runs its deadline-expiry check ("streams with conflicting deadlines
-//!   will increment their missed-deadline counters by one").
+//!   will increment their missed-deadline counters by one"). The cycle
+//!   splits where the hardware splits it: [`Fabric::propose`] is the
+//!   tournament, [`Fabric::grant`] the winner's transmission plus the
+//!   losers' expiry; a sharded frontend that lets another shard transmit
+//!   ends the cycle with [`Fabric::expire_cycle`] (the pass) instead.
 //! * **BA (block)** — the shuffle-exchange produces a block; *all* queued
 //!   head packets are transmitted back-to-back in block order in a single
 //!   transaction (the paper's block-scheduling throughput factor). Each
@@ -178,9 +182,10 @@ pub struct Fabric {
     /// Scheduler time in packet-times.
     now: u64,
     decision_count: u64,
-    /// Ping-pong lane scratch for the shuffle-exchange and the tournament
-    /// — inline, so the steady-state decision cycle never touches the
-    /// heap (mirroring the fixed register files in hardware).
+    /// Ping-pong lane scratch for the shuffle-exchange — inline, so the
+    /// steady-state decision cycle never touches the heap (mirroring the
+    /// fixed register files in hardware). The WR tournament needs
+    /// neither: it reads the register words in place.
     lw_a: [u64; MAX_SLOTS],
     /// Ping-pong lane scratch (odd passes).
     lw_b: [u64; MAX_SLOTS],
@@ -451,95 +456,156 @@ impl Fabric {
     /// The zero-allocation decision core: runs one decision and leaves the
     /// transmitted packets (in transmission order) in the persistent
     /// `block_buf`. Steady state touches only the inline scratch buffers
-    /// and the register banks — no heap traffic per cycle.
+    /// and the register banks — no heap traffic per cycle. The WR arm is
+    /// [`Fabric::propose`] then the grant, so a fabric driven by whole
+    /// cycles and one driven by `propose` → `grant` run the same code.
     // lint:hot-path
     fn decision_cycle_core(&mut self) {
         if self.faults.begin_cycle() {
             self.blocked_cycle();
             return;
         }
+        match self.config.kind {
+            FabricConfigKind::WinnerOnly => {
+                let word = self.propose();
+                self.grant_tail(word);
+            }
+            FabricConfigKind::Base => self.block_cycle(),
+        }
+    }
+
+    /// WR, first half: this cycle's tournament over the slots' lane words,
+    /// counted in [`Fabric::rule_counters`], on whichever arm is selected.
+    /// Returns the winning packed lane word ([`ss_types::packed`]; invalid
+    /// when nothing is queued) and changes nothing else — no service, no
+    /// time advance. The cycle is then finished by exactly one of
+    /// [`Fabric::grant`] (this fabric transmits its winner) or
+    /// [`Fabric::expire_cycle`] (the pass: another shard's word won the
+    /// merge), with no arrival, load or unload in between. Equal to
+    /// [`Fabric::peek_winner`] at all times — the tournament and the
+    /// min-reduction agree because the rule chain is a total order.
+    // lint:hot-path
+    #[inline]
+    pub fn propose(&mut self) -> u64 {
+        let mode = self.config.mode;
+        if self.batched {
+            network::wr_decision_words(
+                &self.registers.words()[..self.config.slots],
+                mode,
+                &mut self.batch_counters,
+            )
+        } else {
+            self.unpack_words();
+            let (winner, _) =
+                network::wr_decision_in_place(&mut self.scratch_a, &mut self.decisions, mode);
+            pack(&winner)
+        }
+    }
+
+    /// WR, second half: finishes the cycle [`Fabric::propose`] opened by
+    /// transmitting `word`'s slot in the packet-time that now elapses (an
+    /// idle one for an invalid word), while every other slot runs its
+    /// deadline-expiry check. `word` must be this cycle's proposal.
+    /// Returns the transmitted packet, as [`Fabric::decision_cycle_into`]
+    /// does; `propose` → `grant` *is* that call on a WR fabric.
+    // lint:hot-path
+    pub fn grant(&mut self, word: u64) -> &[ScheduledPacket] {
+        debug_assert_eq!(self.config.kind, FabricConfigKind::WinnerOnly);
+        debug_assert_eq!(
+            word,
+            self.peek_winner(),
+            "granted word is not this cycle's proposal"
+        );
+        if self.faults.begin_cycle() {
+            self.blocked_cycle();
+        } else {
+            self.grant_tail(word);
+        }
+        self.last_block()
+    }
+
+    /// The grant on a clean (unblocked) cycle.
+    // lint:hot-path
+    #[inline(always)]
+    fn grant_tail(&mut self, word: u64) {
         self.fsm.run_decision();
         self.decision_count += 1;
         self.block_len = 0;
         self.serviced = 0;
+        let t = self.now + 1; // the winner's packet-time, or an idle one
+        if lane_valid(word) {
+            self.transmit_winner(lane_slot(word), t);
+        }
+        let expired = if self.config.priority_update {
+            self.expire_unserviced(t)
+        } else {
+            0
+        };
+        self.now = t;
+        self.telem.on_decision(
+            self.decision_count,
+            &self.block_buf[..self.block_len],
+            expired,
+            self.batched,
+        );
+    }
+
+    /// One BA decision on a clean cycle: the shuffle-exchange block, then
+    /// the block transaction. (Its clock-and-telemetry tail is spelled out
+    /// here and in `grant_tail`: shared through a helper, pinned
+    /// `fabric_block` read −0.9 %, 6 of 8 pairs.)
+    // lint:hot-path
+    #[inline(always)]
+    fn block_cycle(&mut self) {
+        self.fsm.run_decision();
+        self.decision_count += 1;
         let mut expired = 0u32;
         let mode = self.config.mode;
         let n = self.config.slots;
         let mut t = self.now;
-
-        match self.config.kind {
-            FabricConfigKind::WinnerOnly => {
-                let winner = if self.batched {
-                    self.lw_a[..n].copy_from_slice(&self.registers.words()[..n]);
-                    let w = network::wr_decision_lanes(
-                        &mut self.lw_a[..n],
-                        mode,
-                        &mut self.batch_counters,
-                    );
-                    lane_valid(w).then(|| lane_slot(w))
-                } else {
-                    self.unpack_words();
-                    let (w, _) = network::wr_decision_in_place(
-                        &mut self.scratch_a,
-                        &mut self.decisions,
-                        mode,
-                    );
-                    w.valid.then(|| w.slot.index())
-                };
-                t += 1; // the winner's packet-time, or an idle one
-                if let Some(slot) = winner {
-                    self.transmit_winner(slot, t);
-                }
-                if self.config.priority_update {
-                    expired = self.expire_unserviced(t);
-                }
+        // The block transaction carries only occupied slots, in
+        // transmission order: MaxFirst walks the block forward, MinFirst
+        // backward. The circulated winner — the first occupied slot in
+        // transmission order — records the win.
+        let max_first = matches!(self.config.block_order, BlockOrder::MaxFirst);
+        let in_a = if self.batched {
+            // The first pass reads the register file's words in place, so
+            // steady state never copies them.
+            network::ba_decision_from_planes(
+                &self.registers.words()[..n],
+                &mut self.lw_a[..n],
+                &mut self.lw_b[..n],
+                mode,
+                &mut self.batch_counters,
+            )
+        } else {
+            self.unpack_words();
+            let (in_a, _) = network::ba_decision_ping_pong(
+                &mut self.scratch_a,
+                &mut self.scratch_b,
+                &mut self.decisions,
+                mode,
+            );
+            // The reference arm's sorted words go through the same block
+            // service, as lane words in `lw_a`.
+            let sorted = if in_a { &self.scratch_a } else { &self.scratch_b };
+            for (lane, w) in self.lw_a.iter_mut().zip(sorted) {
+                *lane = pack(w);
             }
-            FabricConfigKind::Base => {
-                // The block transaction carries only occupied slots, in
-                // transmission order: MaxFirst walks the block forward,
-                // MinFirst backward. The circulated winner — the first
-                // occupied slot in transmission order — records the win.
-                let max_first = matches!(self.config.block_order, BlockOrder::MaxFirst);
-                let in_a = if self.batched {
-                    // The first pass reads the register file's words in
-                    // place, so steady state never copies them.
-                    network::ba_decision_from_planes(
-                        &self.registers.words()[..n],
-                        &mut self.lw_a[..n],
-                        &mut self.lw_b[..n],
-                        mode,
-                        &mut self.batch_counters,
-                    )
-                } else {
-                    self.unpack_words();
-                    let (in_a, _) = network::ba_decision_ping_pong(
-                        &mut self.scratch_a,
-                        &mut self.scratch_b,
-                        &mut self.decisions,
-                        mode,
-                    );
-                    // The reference arm's sorted words go through the same
-                    // block service, as lane words in `lw_a`.
-                    let sorted = if in_a { &self.scratch_a } else { &self.scratch_b };
-                    for (lane, w) in self.lw_a.iter_mut().zip(sorted) {
-                        *lane = pack(w);
-                    }
-                    true
-                };
-                let lanes = if in_a { &self.lw_a } else { &self.lw_b };
-                (self.block_len, self.serviced) =
-                    self.registers
-                        .service_block(&lanes[..n], max_first, t, &mut self.block_buf);
-                // An empty block still costs an idle packet-time.
-                t += (self.block_len as u64).max(1);
-                // A fully-serviced block has no losers left to expire: every
-                // serviced slot skips the check anyway, so the whole
-                // PRIORITY_UPDATE sweep can be elided (the common case for
-                // saturated BA fabrics).
-                if self.config.priority_update && self.serviced != (1u64 << n) - 1 {
-                    expired = self.expire_unserviced(t);
-                }
-            }
+            true
+        };
+        let lanes = if in_a { &self.lw_a } else { &self.lw_b };
+        (self.block_len, self.serviced) =
+            self.registers
+                .service_block(&lanes[..n], max_first, t, &mut self.block_buf);
+        // An empty block still costs an idle packet-time.
+        t += (self.block_len as u64).max(1);
+        // A fully-serviced block has no losers left to expire: every
+        // serviced slot skips the check anyway, so the whole
+        // PRIORITY_UPDATE sweep can be elided (the common case for
+        // saturated BA fabrics).
+        if self.config.priority_update && self.serviced != (1u64 << n) - 1 {
+            expired = self.expire_unserviced(t);
         }
         self.now = t;
         self.telem.on_decision(
@@ -680,11 +746,9 @@ impl Fabric {
     /// Reads the register file's lane words — current whatever arrivals,
     /// services or expiries came since the last cycle — and returns the
     /// winning packed lane word ([`ss_types::packed`]; invalid when nothing
-    /// is queued). This is the probe a sharded frontend uses to collect
-    /// shard proposals before the global merge —
-    /// [`crate::decision::lane_order`] again, one level up — decides who
-    /// transmits.
-    // lint:hot-path
+    /// is queued). A read-only diagnostic and the oracle [`Fabric::propose`]
+    /// is tested (and, in debug builds, [`Fabric::grant`] is checked)
+    /// against; no decision path calls it.
     pub fn peek_winner(&self) -> u64 {
         let mode = self.config.mode;
         let words = &self.registers.words()[..self.config.slots];
@@ -697,11 +761,13 @@ impl Fabric {
         best
     }
 
-    /// Advances one packet-time without a transmission grant: every slot
-    /// runs the deadline-expiry check that losers receive, exactly as if
-    /// another stream (on another shard) had won this packet-time. The
-    /// shuffle-exchange still clocks (the FSM advances), but nothing is
-    /// serviced and the block buffer is left empty.
+    /// Advances one packet-time without a transmission grant — the *pass*
+    /// that ends a cycle whose [`Fabric::propose`] lost the merge (or that
+    /// proposed nothing at all): every slot runs the deadline-expiry check
+    /// that losers receive, exactly as if another stream (on another
+    /// shard) had won this packet-time. The shuffle-exchange still clocks
+    /// (the FSM advances), but nothing is serviced and the block buffer is
+    /// left empty.
     // lint:hot-path
     pub fn expire_cycle(&mut self) {
         if self.faults.begin_cycle() {
@@ -1677,6 +1743,121 @@ mod tests {
                 assert_eq!(rc.earliest_deadline, 0, "no verdict is rule 1");
             }
         }
+    }
+
+    /// The split WR cycle against the whole one, on both arms at every
+    /// width, past three deadline wraps with loads, unloads and arrivals
+    /// between cycles. Three fabrics take the same trace: `whole` runs
+    /// `decision_cycle_into` / `expire_cycle`; `split` runs `propose` →
+    /// `grant` for a decision and the bare pass otherwise, and must match
+    /// `whole` in everything, rule firings included; `keen` proposes before
+    /// *every* cycle, passes included — what a shard behind a frontend
+    /// does — and must match in everything but the tally, which is one
+    /// tournament of n − 1 comparisons per cycle.
+    #[test]
+    fn split_cycle_matches_the_whole_cycle() {
+        const HORIZON: u64 = 3 << 16;
+        let mut rng = xorshift(0xD1CE_5EED);
+        for batched in [true, false] {
+            for slots in [2usize, 4, 8, 16, 32] {
+                let what = format!("batched={batched} × {slots}");
+                let config = FabricConfig::dwcs(slots, FabricConfigKind::WinnerOnly);
+                let mut trio: [Fabric; 3] = std::array::from_fn(|_| {
+                    let mut f = Fabric::new(config).unwrap();
+                    f.set_batched(batched);
+                    f
+                });
+                let state = |s: usize, r: u64| StreamState {
+                    // A quarter of the cycles are passes and the offered
+                    // load is half the link, so deadlines track the clock:
+                    // live tags stay within half the 16-bit space, where
+                    // scan and tournament agree.
+                    request_period: slots as u64 + r % 2,
+                    original_window: WindowConstraint::new((s % 3) as u8, 2 + (r % 3) as u8),
+                    static_prio: 0,
+                    late_policy: [LatePolicy::ServeLate, LatePolicy::Drop][s % 2],
+                };
+                for s in 0..slots {
+                    for f in &mut trio {
+                        f.load_stream(s, state(s, s as u64), (s + 1) as u64)
+                            .unwrap();
+                    }
+                }
+                let (mut cycles, mut served) = (0u64, 0u64);
+                while trio[0].now() < HORIZON {
+                    let now = trio[0].now();
+                    for s in 0..slots {
+                        let r = rng();
+                        if r.is_multiple_of(2 * slots as u64) {
+                            for f in &mut trio {
+                                f.push_arrival(s, Wrap16::from_wide(now)).unwrap();
+                            }
+                        }
+                        if (r >> 32).is_multiple_of(4099) {
+                            for f in &mut trio {
+                                f.unload_stream(s).unwrap();
+                                f.load_stream(s, state(s, r), now + 1 + r % 5).unwrap();
+                            }
+                        }
+                    }
+                    let [whole, split, keen] = &mut trio;
+                    let peek = whole.peek_winner();
+                    let word = keen.propose();
+                    assert_eq!(word, peek, "{what}, cycle {cycles}: propose != peek");
+                    let packets = if rng().is_multiple_of(4) {
+                        whole.expire_cycle();
+                        split.expire_cycle();
+                        keen.expire_cycle();
+                        assert!(split.last_block().is_empty() && keen.last_block().is_empty());
+                        whole.last_block().to_vec()
+                    } else {
+                        let packets = whole.decision_cycle_into().to_vec();
+                        assert_eq!(split.propose(), peek, "{what}, cycle {cycles}");
+                        assert_eq!(split.grant(peek), &packets[..], "{what}, cycle {cycles}");
+                        assert_eq!(keen.grant(word), &packets[..], "{what}, cycle {cycles}");
+                        packets
+                    };
+                    served += packets.len() as u64;
+                    cycles += 1;
+                    for f in [&*split, &*keen] {
+                        assert_eq!(f.now(), whole.now(), "{what}, cycle {cycles}");
+                        assert_eq!(f.hw_cycles(), whole.hw_cycles(), "{what}, cycle {cycles}");
+                        assert_eq!(f.decision_count(), cycles);
+                        for s in 0..slots {
+                            assert_eq!(
+                                f.slot_counters(s).unwrap(),
+                                whole.slot_counters(s).unwrap(),
+                                "{what}, cycle {cycles}, slot {s}"
+                            );
+                        }
+                    }
+                    // Derived equality: all nine `RuleCounters` fields.
+                    assert_eq!(split.rule_counters(), whole.rule_counters(), "{what}");
+                    assert_eq!(keen.rule_counters().total(), cycles * (slots as u64 - 1));
+                }
+                assert!(served > HORIZON / 4, "{what}: the trace kept the link busy");
+                let rc = trio[0].rule_counters();
+                assert!(rc.earliest_deadline > 0 && rc.validity > 0, "{what}");
+            }
+        }
+    }
+
+    /// `grant` takes the word `propose` just returned; an arrival between
+    /// the two that changes the winner is a protocol violation, caught in
+    /// debug builds (a release build transmits the stale word's slot).
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "debug_assert! compiles out")]
+    #[should_panic(expected = "not this cycle's proposal")]
+    fn grant_rejects_a_proposal_an_arrival_made_stale() {
+        let mut f = Fabric::new(FabricConfig::edf(4, FabricConfigKind::WinnerOnly)).unwrap();
+        for s in 0..4 {
+            f.load_stream(s, edf_state(4), (s + 1) as u64).unwrap();
+        }
+        f.push_arrival(3, Wrap16(0)).unwrap();
+        let word = f.propose();
+        assert_eq!(lane_slot(word), 3);
+        f.push_arrival(0, Wrap16(1)).unwrap(); // deadline 1 beats deadline 4
+        f.grant(word);
     }
 
     /// Every lane word equals `pack(&attrs(slot))` recomputed from the

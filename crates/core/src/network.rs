@@ -37,8 +37,8 @@
 //! into). The unit tests enshrine the counterexample.
 
 use crate::decision::{compare_batch, lane_select, DecisionBlock, RuleCounters};
-use ss_types::packed::{lane_valid, DEADLINE_SHIFT};
-use ss_types::{ComparisonMode, StreamAttrs};
+use ss_types::packed::{lane_valid, DEADLINE_SHIFT, INVALID_BIT};
+use ss_types::{ComparisonMode, StreamAttrs, MAX_SLOTS};
 
 /// Validates the word-count for the network (power of two, 2..=32).
 /// Debug-only: the callers are registered hot-path kernels, which must not
@@ -283,27 +283,60 @@ pub fn wr_decision_in_place(
     (scratch[0], cycles)
 }
 
-/// The WR tournament over *packed* lane words, in place: the same
-/// comparisons and rule tallies as [`wr_decision_in_place`], winners
-/// compacted into the front of `lanes` (clobbering it). Returns the
-/// winning word.
+/// The WR tournament over *packed* lane words, read in place: round one
+/// plays bracket `(2j, 2j + 1)` straight off `src` — the register file's
+/// word bank, which is never copied or clobbered — and the later rounds
+/// compact winners in a stack scratch. The same comparisons and rule
+/// tallies as [`wr_decision_in_place`]. Returns the winning word (an empty
+/// word when nothing is queued).
 // lint:hot-path
-pub fn wr_decision_lanes(
-    lanes: &mut [u64],
+#[inline]
+pub fn wr_decision_words(src: &[u64], mode: ComparisonMode, counters: &mut RuleCounters) -> u64 {
+    match src.len() {
+        2 => wr_tournament::<2>(src, mode, counters),
+        4 => wr_tournament::<4>(src, mode, counters),
+        8 => wr_tournament::<8>(src, mode, counters),
+        16 => wr_tournament::<16>(src, mode, counters),
+        32 => wr_tournament::<32>(src, mode, counters),
+        n => {
+            check_n(n);
+            EMPTY_WORD
+        }
+    }
+}
+
+/// What a network of unsupported width proposes: nothing.
+const EMPTY_WORD: u64 = 1 << INVALID_BIT;
+
+/// [`wr_decision_words`] for an `N`-lane network: every round's trip count
+/// is a constant, so the whole bracket unrolls.
+// lint:hot-path
+#[inline]
+fn wr_tournament<const N: usize>(
+    src: &[u64],
     mode: ComparisonMode,
     counters: &mut RuleCounters,
 ) -> u64 {
-    check_n(lanes.len());
-    let mut live = lanes.len();
+    let Ok(src) = <&[u64; N]>::try_from(src) else {
+        debug_assert!(false, "the word bank must hold the {N} lanes");
+        return EMPTY_WORD;
+    };
+    let mut winners = [0u64; MAX_SLOTS / 2];
+    for (out, pair) in winners.iter_mut().zip(src.chunks_exact(2)) {
+        let (a, b) = (pair[0], pair[1]);
+        let a_wins = lane_select(a, b, mode, counters);
+        *out = (a & a_wins) | (b & !a_wins);
+    }
+    let mut live = N / 2;
     while live > 1 {
         live /= 2;
         for j in 0..live {
-            let (a, b) = (lanes[2 * j], lanes[2 * j + 1]);
+            let (a, b) = (winners[2 * j], winners[2 * j + 1]);
             let a_wins = lane_select(a, b, mode, counters);
-            lanes[j] = (a & a_wins) | (b & !a_wins);
+            winners[j] = (a & a_wins) | (b & !a_wins);
         }
     }
-    lanes[0]
+    winners[0]
 }
 
 /// Runs a bitonic sorting schedule on the same N/2 Decision blocks,
@@ -577,9 +610,9 @@ mod tests {
                 }
                 let mut blks = blocks(8);
                 let (s_winner, _) = wr_decision_in_place(&mut words.clone(), &mut blks, mode);
-                let mut lanes: Vec<u64> = words.iter().map(pack).collect();
+                let lanes: Vec<u64> = words.iter().map(pack).collect();
                 let mut counters = RuleCounters::default();
-                let winner = wr_decision_lanes(&mut lanes, mode, &mut counters);
+                let winner = wr_decision_words(&lanes, mode, &mut counters);
                 assert_eq!(unpack(winner), s_winner, "{mode:?} {occupied:#010b}");
                 let mut scalar = RuleCounters::default();
                 blks.iter().for_each(|b| scalar.merge(b.counters()));
@@ -852,9 +885,8 @@ mod tests {
             // WR: scalar tournament vs packed tournament.
             let mut blks = blocks(n);
             let (s_winner, _) = wr_decision_in_place(&mut words.clone(), &mut blks, mode);
-            let mut scratch = lanes.clone();
             let mut counters = RuleCounters::default();
-            let winner = wr_decision_lanes(&mut scratch, mode, &mut counters);
+            let winner = wr_decision_words(&lanes, mode, &mut counters);
             prop_assert_eq!(unpack(winner), s_winner);
             prop_assert_eq!(counters, merged(&blks));
         }

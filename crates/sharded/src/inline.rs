@@ -11,7 +11,40 @@ use ss_core::{Fabric, FabricConfig, ScheduledPacket, SlotCounters, StreamState, 
 use ss_hwsim::FabricConfigKind;
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
 use ss_types::packed::lane_valid;
-use ss_types::{Error, Result, Wrap16};
+use ss_types::{Error, Result, Wrap16, MAX_SLOTS};
+
+/// The most shards a frontend can have: a shard is at least a 2-slot
+/// fabric, and global slot IDs are the 5-bit field.
+const MAX_SHARDS: usize = MAX_SLOTS / 2;
+
+/// One global cycle's proposed winner words, by shard, on the stack: the
+/// merge, the breakers and the grant all read the same words.
+#[derive(Default)]
+struct Proposals {
+    words: [u64; MAX_SHARDS],
+    /// Bit k set = shard k proposed this cycle.
+    made: u32,
+}
+
+impl Proposals {
+    #[inline]
+    fn set(&mut self, k: usize, word: u64) {
+        self.words[k] = word;
+        self.made |= 1 << k;
+    }
+
+    #[inline]
+    fn get(&self, k: usize) -> Option<u64> {
+        (self.made & (1 << k) != 0).then(|| self.words[k])
+    }
+
+    /// `(shard, word)` in ascending shard order — the order
+    /// [`Frontend::pick`] breaks full ties by.
+    #[inline]
+    fn iter(&self, shards: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..shards).filter_map(|k| Some((k, self.get(k)?)))
+    }
+}
 
 /// The sharded frontend: K fabric shards plus the comparator merge.
 pub struct ShardedScheduler {
@@ -264,10 +297,11 @@ impl ShardedScheduler {
     }
 
     /// Feeds one global cycle into every live shard's breaker: a shard
-    /// makes progress when it proposes a valid winner word or has nothing
-    /// queued; a backlogged shard proposing nothing (wedged) or one over
-    /// the backlog limit is lagging.
-    fn observe_breakers(&mut self) {
+    /// makes progress when it proposed a valid winner word or has nothing
+    /// queued; one over the backlog limit is lagging. `proposals` is this
+    /// cycle's own: a stalled shard proposed nothing and is judged on its
+    /// backlog alone.
+    fn observe_breakers(&mut self, proposals: &Proposals) {
         if self.breakers.is_empty() {
             return;
         }
@@ -276,7 +310,7 @@ impl ShardedScheduler {
                 continue;
             }
             let backlog = self.shards[k].total_backlog();
-            let made_progress = backlog == 0 || lane_valid(self.shards[k].peek_winner());
+            let made_progress = backlog == 0 || proposals.get(k).is_none_or(lane_valid);
             let before = self.breakers[k].state();
             self.breakers[k].observe(made_progress, backlog);
             if before != BreakerState::Open && self.breakers[k].state() == BreakerState::Open {
@@ -473,54 +507,75 @@ impl ShardedScheduler {
         }
     }
 
-    /// The winner-merge, with provenance: picks the shard whose proposal
-    /// wins the Table 2 comparison, with slot ties resolved by *global*
-    /// slot ID (shard-local IDs collide across shards; the contiguous
-    /// partition makes lower-shard-first equal to lower-global-ID-first,
-    /// matching the single-fabric tie-break). Returns `None` when every
-    /// shard is idle. The second element is *why*: the Table 2 rule that
-    /// decided the *last* comparison the
+    /// Test hook: shard `k` proposes nothing for the next `cycles` global
+    /// cycles, as an injected `ShardStall` fault makes it.
+    #[cfg(test)]
+    pub(crate) fn stall_shard(&mut self, k: usize, cycles: u64) {
+        self.stalled_until[k] = self.decision_count + 1 + cycles;
+    }
+
+    /// `true` if shard `k` competes in global cycle `cycle`'s merge: failed
+    /// shards are out for good; stalled shards sit out their injected
+    /// window but keep expiring.
+    #[inline]
+    fn competes(&self, k: usize, cycle: u64) -> bool {
+        !self.front.is_failed(k) && cycle >= self.stalled_until[k]
+    }
+
+    /// What the next cycle's winner-merge will pick, with provenance and no
+    /// side effects — a diagnostic over [`Fabric::peek_winner`], and the
+    /// oracle the tests hold [`ShardedScheduler::decision_cycle`] to; the
+    /// cycle itself merges the words the shards *proposed*. Picks the shard
+    /// whose word wins the Table 2 comparison, with slot ties resolved by
+    /// *global* slot ID (shard-local IDs collide across shards; the
+    /// contiguous partition makes lower-shard-first equal to
+    /// lower-global-ID-first, matching the single-fabric tie-break).
+    /// Returns `None` when every shard is idle. The second element is
+    /// *why*: the Table 2 rule that decided the *last* comparison the
     /// winner took part in — `None` when it was the only competing shard
     /// (every other shard failed or stalled), so there was no comparison
     /// to decide. A `SlotId` reason means the winner held a full tie on the
     /// global-slot-ID convention.
-    // lint:hot-path
-    #[inline]
     pub fn merge_pick_with_reason(&self) -> Option<(usize, Option<DecisionRule>)> {
-        // Failed shards are out of the merge for good; stalled shards sit
-        // out their injected window but keep expiring.
         self.front.pick(
-            self.shards
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| {
-                    !self.front.is_failed(k) && self.decision_count >= self.stalled_until[k]
-                })
-                .map(|(k, fabric)| (k, fabric.peek_winner())),
+            (0..self.shards.len())
+                .filter(|&k| self.competes(k, self.decision_count + 1))
+                .map(|k| (k, self.shards[k].peek_winner())),
         )
     }
 
-    /// One exact global decision: the merged winner's shard services its
-    /// packet; every other shard takes the loser expiry path. Returns the
+    /// One exact global decision, as K hardware fabrics would run it:
+    /// every competing shard *proposes* — one counted tournament each —
+    /// the frontend merges the proposed words, the winning shard is
+    /// *granted* its own word and services its packet, and every other
+    /// live shard *passes* (the loser expiry path). Returns the
     /// transmitted packet in global coordinates, or `None` on an idle
     /// packet-time.
+    // lint:hot-path
     pub fn decision_cycle(&mut self) -> Option<ScheduledPacket> {
         self.decision_count += 1;
         #[cfg(feature = "faults")]
         self.inject_shard_faults();
         self.auto_exclude_crashed();
-        self.observe_breakers();
         let merge_start = self.front.metrics.start();
-        let picked = self.merge_pick_with_reason();
+        let mut proposals = Proposals::default();
+        for k in 0..self.shards.len() {
+            if self.competes(k, self.decision_count) {
+                proposals.set(k, self.shards[k].propose());
+            }
+        }
+        let picked = self.front.pick(proposals.iter(self.shards.len()));
         let winner = picked.map(|(k, _)| k);
         self.front.metrics.record_merge(merge_start, winner);
+        self.observe_breakers(&proposals);
         let mut out = None;
         for k in 0..self.shards.len() {
             if self.front.is_failed(k) {
                 continue; // dead hardware: no decisions, no expiry clock
             }
             if Some(k) == winner {
-                let packet = self.shards[k].decision_cycle_into().first().copied();
+                // Granted the very word it proposed.
+                let packet = self.shards[k].grant(proposals.words[k]).first().copied();
                 out = packet.map(|p| self.front.globalize(k, p));
             } else {
                 self.shards[k].expire_cycle();

@@ -16,21 +16,23 @@
 //! Two drive modes share the same shards:
 //!
 //! * **Inline** ([`ShardedScheduler::decision_cycle`]) — deterministic,
-//!   single-threaded, *exact*: each shard proposes its local WR winner's
-//!   lane word via the side-effect-free [`ss_core::Fabric::peek_winner`]
-//!   probe, the merge picks the global winner (slot ties broken by global
-//!   slot ID, so the contiguous partition reproduces the single-fabric
-//!   total order), the
-//!   winning shard runs its normal decision cycle and every losing shard
-//!   runs [`ss_core::Fabric::expire_cycle`]. Because the Table 2 rule chain
-//!   is a total order, `min` over shard minima is the global minimum — the
-//!   merged schedule is bit-identical to a single M-slot WR fabric (see
-//!   `tests/sharded_equivalence.rs`).
+//!   single-threaded, *exact*, and split where K hardware fabrics split a
+//!   cycle: every live shard *proposes* — one counted WR tournament,
+//!   [`ss_core::Fabric::propose`] — the merge picks the global winner
+//!   among the proposed words (slot ties broken by global slot ID, so the
+//!   contiguous partition reproduces the single-fabric total order), the
+//!   winning shard is *granted* its own word
+//!   ([`ss_core::Fabric::grant`]) and every other live shard *passes*
+//!   ([`ss_core::Fabric::expire_cycle`]). No shard is ranked twice.
+//!   Because the Table 2 rule chain is a total order, `min` over shard
+//!   minima is the global minimum — the merged schedule is bit-identical
+//!   to a single M-slot WR fabric (see `tests/sharded_equivalence.rs`).
 //! * **Threaded** ([`ShardedScheduler::into_threaded`]) — each shard's
 //!   fabric moves onto its own worker thread, fed arrivals and batch
 //!   commands over the endsystem's lock-free SPSC rings, and streams one
-//!   proposal per cycle back. The merger orders each cycle's ≤K shard
-//!   winners into a *streamlet* with the same comparator. All K shards
+//!   proposal per cycle back (`propose` → `grant`: every shard
+//!   transmits). The merger orders each cycle's ≤K shard winners into a
+//!   *streamlet* with the same comparator. All K shards
 //!   service their own winner every cycle (a K-lane aggregate link), so
 //!   throughput scales with K; per-stream accounting is shard-local. The
 //!   documented **streamlet tolerance** versus a single fabric is this mode's

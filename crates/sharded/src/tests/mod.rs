@@ -343,6 +343,85 @@ fn breaker_recloses_after_drain_and_probes() {
     s.push_arrival(5, Wrap16(0)).unwrap();
 }
 
+/// The split cycle's one semantic change: a shard fabric's rule counters
+/// count one tournament per global cycle it *competed* in — what K
+/// hardware fabrics do — not one per cycle it won. A stalled shard
+/// proposes nothing (and still expires, in lockstep); an excluded one
+/// stops for good.
+#[test]
+fn every_live_shard_counts_one_tournament_per_cycle() {
+    const CYCLES: u64 = 60;
+    let (shards, per_shard) = (4usize, 4u64);
+    let mut s = backlogged(16, shards, 40);
+    let mut proposals = 0u64;
+    for cycle in 0..CYCLES {
+        if cycle == 10 {
+            s.stall_shard(1, 7);
+        }
+        if cycle == CYCLES / 2 {
+            s.fail_shard(3).unwrap();
+        }
+        let live = (0..shards).filter(|&k| !s.is_failed(k)).count() as u64;
+        proposals += live - u64::from((10..17).contains(&cycle));
+        let oracle = s.merge_pick_with_reason().map(|(k, _)| k);
+        let p = s.decision_cycle().expect("backlogged");
+        assert_eq!(Some(p.slot.index() / per_shard as usize), oracle);
+    }
+    assert_eq!(proposals, 30 * 4 + 30 * 3 - 7);
+    let tallied: u64 = (0..shards)
+        .map(|k| s.shard(k).rule_counters().total())
+        .sum();
+    assert_eq!(tallied, proposals * (per_shard - 1));
+    assert_eq!(s.shard(3).rule_counters().total(), 30 * (per_shard - 1));
+    assert_eq!(
+        s.shard(1).rule_counters().total(),
+        (CYCLES - 7) * (per_shard - 1)
+    );
+    assert_eq!(s.shard(1).now(), s.shard(0).now(), "a stalled shard passes");
+}
+
+/// The breakers judge the words the shards proposed this cycle, not a
+/// scan of their own. A wedged fabric still proposes (the tournament reads
+/// the register words; the wedge blocks the grant), so a wedged,
+/// backlogged shard is "progressing" by its word and trips on its backlog
+/// alone: 4 queued against a limit of 4 for 6 cycles, which a healthy
+/// merge drains first (seed 80 never trips). The figures are the parent
+/// commit's, where a third `peek_winner` scan fed the breakers.
+#[cfg(feature = "faults")]
+#[test]
+fn breakers_see_the_cycles_proposals() {
+    use ss_faults::{FaultConfig, FaultInjector};
+    use ss_overload::{BreakerConfig, BreakerState};
+    use std::sync::Arc;
+    let mut s = backlogged(8, 2, 1);
+    s.attach_faults(Arc::new(FaultInjector::new(
+        79,
+        FaultConfig {
+            decision_rate_ppm: 400_000,
+            max_stuck_cycles: 6,
+            ..FaultConfig::quiet()
+        },
+    )));
+    s.enable_breakers(BreakerConfig {
+        trip_lag_cycles: 6,
+        trip_backlog: 4,
+        cooldown_cycles: 16,
+        probe_quota: 2,
+    });
+    let mut first_open = [None; 2];
+    let mut served = 0u64;
+    for cycle in 1..=60u64 {
+        served += u64::from(s.decision_cycle().is_some());
+        for (k, first) in first_open.iter_mut().enumerate() {
+            if first.is_none() && s.breaker_state(k) == Some(BreakerState::Open) {
+                *first = Some(cycle);
+            }
+        }
+    }
+    assert_eq!(first_open, [Some(6), Some(6)], "first trip, per shard");
+    assert_eq!((s.breaker_trips(), served), (3, 8));
+}
+
 #[cfg(feature = "faults")]
 #[test]
 fn injected_crash_auto_excludes_the_shard() {

@@ -76,8 +76,8 @@ fn worker(
                 // dropped, never a worker panic.
                 let _ = fabric.push_arrival(slot, tag);
             }
-            let word = fabric.peek_winner();
-            let packet = fabric.decision_cycle_into().first().copied();
+            let word = fabric.propose();
+            let packet = fabric.grant(word).first().copied();
             out_tx.push_spinning(CycleProposal { word, packet }, || false);
             if fabric.is_crashed() {
                 return fabric;

@@ -5,7 +5,8 @@
 //! `bench_function` / `bench_with_input`, `Bencher::iter` / `iter_batched`,
 //! `BenchmarkId`, `Throughput`, and `black_box`. Each benchmark reports
 //! mean ns/iter (and derived element throughput when configured) to stdout;
-//! there is no statistical analysis, HTML report, or baseline comparison.
+//! a bare command-line argument filters benchmarks by substring. There is
+//! no statistical analysis, HTML report, or baseline comparison.
 
 #![forbid(unsafe_code)]
 
@@ -157,6 +158,23 @@ impl Bencher {
     }
 }
 
+/// Runs and reports one benchmark — unless the command line carries a
+/// filter (criterion's convention: the first argument that is not a flag,
+/// as in `cargo bench --bench fabric_scaling -- wr_cycle`) and `name` does
+/// not contain it.
+fn run_named(name: &str, throughput: Option<Throughput>, f: impl FnOnce(&mut Bencher)) {
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    if filter.is_some_and(|f| !name.contains(&f)) {
+        return;
+    }
+    let mut bencher = Bencher {
+        elapsed: Duration::ZERO,
+        iters: 0,
+    };
+    f(&mut bencher);
+    bencher.report(name, throughput);
+}
+
 /// A named collection of related benchmarks.
 pub struct BenchmarkGroup<'a> {
     name: String,
@@ -187,17 +205,12 @@ impl<'a> BenchmarkGroup<'a> {
     }
 
     /// Run one benchmark in this group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut bencher = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
-        f(&mut bencher);
-        bencher.report(&format!("{}/{}", self.name, id.id), self.throughput);
+        run_named(&format!("{}/{}", self.name, id.id), self.throughput, f);
         self
     }
 
@@ -212,12 +225,9 @@ impl<'a> BenchmarkGroup<'a> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
-        let mut bencher = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
-        f(&mut bencher, input);
-        bencher.report(&format!("{}/{}", self.name, id.id), self.throughput);
+        run_named(&format!("{}/{}", self.name, id.id), self.throughput, |b| {
+            f(b, input)
+        });
         self
     }
 
@@ -245,17 +255,11 @@ impl Criterion {
     }
 
     /// Run a stand-alone benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let mut bencher = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
-        f(&mut bencher);
-        bencher.report(&id.id, None);
+        run_named(&id.into().id, None, f);
         self
     }
 }

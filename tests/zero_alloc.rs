@@ -109,19 +109,27 @@ fn steady_state_decision_cycles_do_not_allocate() {
 
     // --- Per-cycle API, BA and WR, both decision arms ---
     // The packed kernel is the default arm; pinning both explicitly keeps
-    // the scalar reference covered too. The packed spans prove the
-    // dirty-mask re-encode, the lane ping-pong (BA), the lane tournament
-    // (WR) and the stale-slot path of `peek_winner` / `expire_cycle` all
-    // stay heap-free.
+    // the scalar reference covered too. WR runs the split cycle a shard
+    // behind a frontend runs — `propose` → `grant`, then `propose` → the
+    // `expire_cycle` pass — so the spans prove the in-place tournament,
+    // the grant and the pass heap-free; BA runs the whole cycle (the lane
+    // ping-pong and the block walk) and a grant-less expiry.
     for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
         for batched in [false, true] {
             let mut f = backlogged(SLOTS, kind, DEPTH);
             assert_eq!(f.set_batched(batched), batched);
+            let split = kind == FabricConfigKind::WinnerOnly;
             let cycle = |f: &mut Fabric, tag: &mut u64| {
-                std::hint::black_box(f.peek_winner());
-                f.decision_cycle_into();
+                if split {
+                    let word = f.propose();
+                    f.grant(word);
+                } else {
+                    f.decision_cycle_into();
+                }
                 refill(f, tag);
-                std::hint::black_box(f.peek_winner());
+                if split {
+                    std::hint::black_box(f.propose());
+                }
                 f.expire_cycle();
             };
             for _ in 0..WARMUP {
@@ -153,10 +161,11 @@ fn steady_state_decision_cycles_do_not_allocate() {
     );
 
     // --- Inline sharded winner-merge ---
-    // K = 2 is the soak lab's node shape, K = 4 the wider merge. Odd slots
-    // are loaded but never fed, so the lane probe, the merge and each
-    // shard's tournament also take the empty-slot arms of the comparator;
-    // the per-tick backlog recount rides along.
+    // K = 2 is the soak lab's node shape, K = 4 the wider merge: every
+    // shard proposes, the winner is granted, the rest pass. Odd slots are
+    // loaded but never fed, so each shard's tournament and the merge also
+    // take the empty-slot arms of the comparator; the per-tick backlog
+    // recount rides along.
     for shards in [2, 4] {
         let config = FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly);
         let mut sharded = ShardedScheduler::new(config, shards).unwrap();
