@@ -78,6 +78,22 @@ pub fn parse_args(args: &[String]) -> Result<SoakArgs, String> {
     if config.shards == 0 || config.slots % config.shards != 0 {
         return Err("--shards must divide --slots".into());
     }
+    // A plan off the end of the topology or the horizon never fires: the
+    // run would exit clean and the repro pipeline would pass untested.
+    if let Some(sab) = config.sabotage {
+        if sab.node >= config.nodes {
+            return Err(format!(
+                "--sabotage {sab} names node {} but --nodes is {}",
+                sab.node, config.nodes
+            ));
+        }
+        if sab.tick >= config.ticks {
+            return Err(format!(
+                "--sabotage {sab} fires at tick {} but --ticks is {}",
+                sab.tick, config.ticks
+            ));
+        }
+    }
     // The defaults derived from the topology must re-derive when the
     // topology changed: rebuild through the constructor, carrying over
     // the explicit knobs.
@@ -177,6 +193,29 @@ mod tests {
         assert!(bad("--nodes 0").is_err());
         assert!(bad("--slots 8 --shards 3").is_err());
         assert!(bad("--sabotage phantom@oops").is_err());
+    }
+
+    /// A plan that can never fire is a mistyped repro, not a clean run.
+    #[test]
+    fn sabotage_beyond_the_topology_or_horizon_fails_loudly() {
+        let parse = |s: &str| parse_args(&split(s));
+        let err = parse("--nodes 4 --sabotage phantom@4:10").expect_err("node 4 of 4");
+        assert!(err.contains("--nodes is 4"), "{err}");
+        let err =
+            parse("--ticks 100 --sabotage shed-protected@0:100").expect_err("tick 100 of 100");
+        assert!(err.contains("--ticks is 100"), "{err}");
+        // Flag order does not matter: the plan is checked against the
+        // final topology and horizon, defaults included.
+        assert!(parse("--sabotage phantom@5:10 --nodes 6").is_ok());
+        assert!(
+            parse("--sabotage phantom@5:10").is_err(),
+            "default is 4 nodes"
+        );
+        assert!(
+            parse("--sabotage phantom@3:199999").is_ok(),
+            "last default tick"
+        );
+        assert!(parse("--sabotage phantom@3:200000").is_err());
     }
 
     #[test]

@@ -146,21 +146,28 @@ impl InvariantEngine {
     // lint:hot-path
     #[inline]
     pub fn check_node(&mut self, node: &SimNode, tick: u64) -> Option<Invariant> {
-        let failed = self.first_failure(node, tick);
+        let failed = Self::probe(node, tick);
         if let Some(invariant) = failed {
-            self.violations.push(Violation {
-                node: node.id() as u32,
-                tick,
-                invariant,
-            });
+            self.record(node.id() as u32, tick, invariant);
         }
         failed
     }
 
-    /// The per-node checks, first failure wins. Registered hot path.
+    /// Books a violation found by [`probe`](Self::probe) — possibly on
+    /// another thread, an epoch ago: detection order is booking order.
+    pub(crate) fn record(&mut self, node: u32, tick: u64, invariant: Invariant) {
+        self.violations.push(Violation {
+            node,
+            tick,
+            invariant,
+        });
+    }
+
+    /// The per-node checks, first failure wins: a pure read of `node`, so
+    /// the node phase can run it wherever the node is. Registered hot path.
     // lint:hot-path
     #[inline]
-    fn first_failure(&self, node: &SimNode, tick: u64) -> Option<Invariant> {
+    pub fn probe(node: &SimNode, tick: u64) -> Option<Invariant> {
         let live_backlog = node.recomputed_backlog();
         if node.backlog_ctr() != live_backlog {
             return Some(Invariant::BacklogMirror);
@@ -171,10 +178,8 @@ impl InvariantEngine {
         if !node.monotone_ok() {
             return Some(Invariant::VirtualTimeMonotone);
         }
-        for s in 0..node.slots() {
-            if node.protection(s) >= crate::node::FULLY_PROTECTED && node.sheds_for(s) != 0 {
-                return Some(Invariant::ProtectedShed);
-            }
+        if node.protected_sheds() != 0 {
+            return Some(Invariant::ProtectedShed);
         }
         if node.idle_streak() > LIVELOCK_STREAK {
             return Some(Invariant::Livelock);
@@ -209,11 +214,7 @@ impl InvariantEngine {
     #[inline]
     pub fn check_egress(&mut self, egress: EgressView, tick: u64) -> Option<Invariant> {
         if egress.transmitted != egress.egressed + egress.queued + egress.dropped {
-            self.violations.push(Violation {
-                node: u32::MAX,
-                tick,
-                invariant: Invariant::EgressConservation,
-            });
+            self.record(u32::MAX, tick, Invariant::EgressConservation);
             return Some(Invariant::EgressConservation);
         }
         None

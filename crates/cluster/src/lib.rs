@@ -25,9 +25,12 @@
 //!
 //! Every run is a pure function of `(seed, scenario)`: replays are
 //! bit-identical — same winner sequence, same loss-ledger partition, same
-//! fingerprint — including across `--threads` settings, because nodes are
-//! stepped independently within a tick and all cross-node coupling
-//! happens in a sequential post-barrier phase in node order.
+//! fingerprint — including across `--threads` settings and epoch lengths,
+//! because each node runs an epoch of ticks by itself (on the sim thread
+//! or on a persistent worker its partition is handed to) and all
+//! cross-node coupling happens afterwards, in a sequential phase that
+//! replays the epoch in tick order, node order within a tick, and never
+//! feeds back into a node.
 //!
 //! # Feature hygiene
 //!

@@ -2,12 +2,13 @@
 //! fault stream, stepped on the cluster's virtual clock.
 //!
 //! A [`SimNode`] owns everything whose state a tick can touch, so nodes
-//! are independent within a tick and the simulation may step them on any
-//! number of threads without changing a single bit of the outcome:
-//! arrival sampling is keyed by `(seed, node, tick)`, the fault stream is
-//! per-node, and all cross-node coupling (the shared egress linecard, the
-//! invariant engine, flight recording) happens in the sequential
-//! post-barrier phase owned by the simulation.
+//! are independent of one another and the simulation may run each a whole
+//! epoch of ticks ahead, on any number of threads, without changing a
+//! single bit of the outcome: arrival sampling is keyed by
+//! `(seed, node, tick)`, the fault stream is per-node, and all cross-node
+//! coupling (the shared egress linecard, the violation sink, flight
+//! recording) happens in the sequential post-barrier phase owned by the
+//! simulation, which reads what a node did and never writes to it.
 //!
 //! ## Per-tick order (fixed; determinism depends on it)
 //!
@@ -75,6 +76,9 @@ pub struct SimNode {
     gate: GateCore,
     /// The slot `--sabotage protected-shed` forged a shed on, if any.
     forged_shed: Option<usize>,
+    /// The fully-protected slots: a slot's class is fixed at construction,
+    /// so the every-tick floor check walks these and nothing else.
+    protected: Vec<usize>,
     injector: FaultInjector,
     per_shard: usize,
     /// Arrival-count scratch, reused every tick.
@@ -131,12 +135,16 @@ impl SimNode {
             params.gate_rate_mtok,
             params.gate_burst_mtok,
         );
+        let protected = (0..params.slots)
+            .filter(|&s| gate.protection(s) >= FULLY_PROTECTED)
+            .collect();
         Ok(Self {
             id,
             per_shard: params.slots / params.shards,
             sched,
             gate,
             forged_shed: None,
+            protected,
             injector,
             counts: vec![0; params.slots],
             dead_slot: vec![false; params.slots],
@@ -329,8 +337,7 @@ impl SimNode {
     /// Sabotage: forge a shed on a fully-protected slot (slot 0 if there
     /// is none) — ProtectedShed must fire on this tick.
     pub fn sabotage_protected_shed(&mut self) {
-        let victim = (0..self.slots()).find(|&s| self.protection(s) >= FULLY_PROTECTED);
-        self.forged_shed = Some(victim.unwrap_or(0));
+        self.forged_shed = Some(self.protected.first().copied().unwrap_or(0));
     }
 
     /// Recounts the live fabric backlog from the register queues
@@ -376,6 +383,14 @@ impl SimNode {
     /// witness (a forged shed counts, which is the point of forging it).
     pub fn sheds_for(&self, slot: usize) -> u64 {
         self.gate.sheds_for(slot) + u64::from(self.forged_shed == Some(slot))
+    }
+
+    /// Sheds charged to fully-protected slots, forged ones included — the
+    /// protected-floor invariant holds while this is 0. Reads the gate's
+    /// own per-slot counters, like [`sheds_for`](Self::sheds_for).
+    #[inline]
+    pub fn protected_sheds(&self) -> u64 {
+        self.protected.iter().map(|&s| self.sheds_for(s)).sum()
     }
 
     /// `true` while virtual time has never gone backwards.

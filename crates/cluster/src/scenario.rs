@@ -183,6 +183,22 @@ pub struct Scenario {
     weights: Vec<u32>,
     /// Per-slot DWCS window constraints (the class mix).
     windows: Vec<WindowConstraint>,
+    /// Per-slot `(whole, frac)` split of the expected arrivals at
+    /// `base_permille` — the intensity of every tick of three shapes and
+    /// of every off-spike tick of the other two — so the sampler divides
+    /// only on the ticks whose intensity differs.
+    base_split: Vec<(u32, u32)>,
+}
+
+/// Expected arrivals of one slot, ×10⁶ = intensity(‰) × weight(‰), split
+/// into whole arrivals and the Bernoulli remainder.
+#[inline]
+fn split_micro(intensity: u32, weight: u32) -> (u32, u32) {
+    let expect_micro = u64::from(intensity) * u64::from(weight);
+    (
+        (expect_micro / 1_000_000) as u32,
+        (expect_micro % 1_000_000) as u32,
+    )
 }
 
 impl Scenario {
@@ -236,10 +252,15 @@ impl Scenario {
         let windows = (0..slots)
             .map(|i| slot_window(spec.kind, i, slots))
             .collect();
+        let base_split = weights
+            .iter()
+            .map(|&w| split_micro(spec.base_permille, w))
+            .collect();
         Self {
             spec,
             weights,
             windows,
+            base_split,
         }
     }
 
@@ -315,17 +336,21 @@ impl Scenario {
         let mut rng = SplitMix64::new(mix(seed
             ^ mix(node as u64 + 1)
             ^ (tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))));
-        let mut total = 0u32;
-        let n = counts.len().min(self.weights.len());
-        for (count, &weight) in counts.iter_mut().zip(self.weights.iter()).take(n) {
-            // Expected arrivals ×10⁶: intensity(‰) × weight(‰).
-            let expect_micro = u64::from(intensity) * u64::from(weight);
-            let whole = (expect_micro / 1_000_000) as u32;
-            let frac = expect_micro % 1_000_000;
-            let extra = u32::from(rng.below(1_000_000) < frac);
-            let c = whole + extra;
+        // One Bernoulli draw per slot, in slot order, on either arm.
+        let mut draw = |count: &mut u32, (whole, frac): (u32, u32)| {
+            let c = whole + u32::from(rng.below(1_000_000) < u64::from(frac));
             *count = c;
-            total += c;
+            c
+        };
+        let mut total = 0u32;
+        if intensity == self.spec.base_permille {
+            for (count, &split) in counts.iter_mut().zip(self.base_split.iter()) {
+                total += draw(count, split);
+            }
+        } else {
+            for (count, &weight) in counts.iter_mut().zip(self.weights.iter()) {
+                total += draw(count, split_micro(intensity, weight));
+            }
         }
         total
     }

@@ -3,27 +3,43 @@
 //!
 //! ## Virtual-clock model
 //!
-//! One tick = one fabric packet-time, cluster-wide. Each tick has two
-//! phases with a barrier between them:
+//! One tick = one fabric packet-time, cluster-wide. The clock advances an
+//! **epoch** — up to `EPOCH_TICKS` (32) ticks — at a time, in two phases with
+//! a barrier between them:
 //!
-//! 1. **node phase** (parallelizable) — every [`SimNode`] independently
-//!    samples faults, draws arrivals, and runs one decision cycle. Nodes
-//!    share no mutable state and all randomness is keyed by
-//!    `(seed, node, tick)`, so any thread count produces bit-identical
-//!    results; `threads` is purely a wall-clock knob.
-//! 2. **cluster phase** (sequential, node order) — winners feed the
+//! 1. **node phase, node-major** (parallelizable) — every [`SimNode`]
+//!    runs the whole epoch on its own: per tick it samples faults, draws
+//!    arrivals, runs one decision cycle, takes the sabotage plan if this
+//!    `(node, tick)` is its mark, and probes its own invariants, leaving
+//!    one cell per tick — the winner's `(slot, met)` and any failed
+//!    probe — in its partition's epoch buffer. Nodes share no mutable
+//!    state, all randomness is keyed by `(seed, node, tick)`, and nothing
+//!    the cluster phase does ever reaches a node, so any epoch length and
+//!    any thread count produce bit-identical results; `threads` is purely
+//!    a wall-clock knob. Beyond the first, each partition has a
+//!    long-lived worker that is *sent* the partition for the epoch and
+//!    sends it back: ownership transfer is the barrier.
+//! 2. **cluster phase, tick order** (sequential, sim thread) — for each
+//!    tick of the epoch, under one timestamp: winners in node order feed
+//!    the flight recorder (which this phase alone owns — no lock) and the
 //!    bounded egress aggregator (the "linecard": drains
 //!    `egress_per_tick`, drops above `egress_queue_cap`, every drop
-//!    counted), flight-recorder events are recorded (into a recorder
-//!    this phase alone owns — no lock — under one timestamp per tick),
-//!    the sabotage plan fires, and the [`InvariantEngine`] sweeps every
-//!    node plus the egress identity.
+//!    counted), then the tick's failed node probes are booked in node
+//!    order, then the egress identity is checked.
+//!
+//! An epoch of one tick is the tick-major order this replaces, and what
+//! [`ClusterSim::step_tick`] runs: the oracle
+//! `tests/epoch_equivalence.rs` holds every other epoch length to.
 //!
 //! A violation records an [`ss_telemetry::Stage::InvariantViolation`]
 //! control event, auto-dumps the flight recorder with
 //! [`ss_telemetry::DumpReason::InvariantViolation`], and renders a
 //! one-line repro command (`crate::cli::repro_command`) that replays the
-//! exact `(seed, scenario, topology, faults, sabotage)` tuple.
+//! exact `(seed, scenario, topology, faults, sabotage)` tuple. Under
+//! `halt_on_violation` the cluster phase stops on that tick while the
+//! nodes have already run to the end of the epoch; they are rebuilt and
+//! replayed to the halt tick (`ClusterSim::rewind_nodes`) — a run is a pure
+//! function of its config, so the config is the undo log.
 
 use crate::cli;
 use crate::faults::FaultProfile;
@@ -37,6 +53,8 @@ use ss_overload::LossLedger;
 use ss_telemetry::clock::now_tsc;
 use ss_telemetry::{DumpReason, FlightDump, FlightRecorder, Stage, StageEvent};
 use ss_types::Error;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::thread::JoinHandle;
 
 /// What a `--sabotage` plan breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -165,15 +183,244 @@ impl ClusterConfig {
     }
 }
 
-/// The simulation.
-pub struct ClusterSim {
-    config: ClusterConfig,
+/// Ticks per epoch: how far the node phase runs one node before it
+/// touches the next. Long enough that a node's ≈ 12.6 KB of state is
+/// loaded into L1d once per epoch rather than once per tick (four such
+/// nodes do not fit beside each other) and that a worker hand-off is
+/// paid once per 32 node-ticks; short enough that the epoch buffer (6 B
+/// per node-tick) stays a rounding error beside the node it sits next to
+/// and a halt replays at most one epoch of cluster-phase work it then
+/// discards. Not configurable: no outcome depends on it.
+const EPOCH_TICKS: u64 = 32;
+
+/// Polls of an empty hand-off channel that only pause between looks. The
+/// partner is at most one cluster phase (worker side) or one partition's
+/// imbalance (sim side) away — microseconds — and a futex sleep and wake
+/// costs more than the epoch it waits for.
+const SPIN_POLLS: u32 = 256;
+
+/// Further polls that give the core away between looks — with more
+/// partitions than cores the partner may be waiting for this very core —
+/// before the waiter blocks, so one whose partner is simply gone (the sim
+/// between chunks) stops burning its timeslice after about a millisecond.
+const YIELD_POLLS: u32 = 2_048;
+
+/// What the cluster phase reads of one `(tick, node)`: not the node, not
+/// the 24-byte [`Winner`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// The tick's winner as `(slot, met)`, if the node produced one.
+    winner: Option<(u16, bool)>,
+    /// The first invariant the node's own probe found broken.
+    failed: Option<Invariant>,
+}
+
+/// Everything a node's tick is a function of besides the node itself.
+/// Read-only; every thread of the node phase owns a copy.
+#[derive(Debug, Clone)]
+struct NodeCtx {
     scenario: Scenario,
+    seed: u64,
+    sabotage: Option<Sabotage>,
+}
+
+impl NodeCtx {
+    /// One node-tick: the step, then the sabotage plan if this is its
+    /// `(node, tick)` — before any probe, so the forged state is caught
+    /// on the tick it was planted.
+    #[inline]
+    fn advance(&self, node: &mut SimNode, tick: u64) -> Option<Winner> {
+        let winner = node.step(tick, &self.scenario, self.seed);
+        if let Some(sab) = self.sabotage {
+            if sab.tick == tick && sab.node == node.id() {
+                match sab.kind {
+                    SabotageKind::Phantom => node.sabotage_phantom(),
+                    SabotageKind::ShedProtected => node.sabotage_protected_shed(),
+                }
+            }
+        }
+        winner
+    }
+}
+
+/// A contiguous run of nodes and the epoch buffer they fill: the unit of
+/// the node phase, moved whole to a worker and back.
+#[derive(Debug, Default)]
+struct Partition {
     nodes: Vec<SimNode>,
+    /// `[tick of the epoch][node of the partition]`, `EPOCH_TICKS` rows
+    /// allocated once.
+    cells: Vec<Cell>,
+}
+
+impl Partition {
+    fn new(nodes: Vec<SimNode>) -> Self {
+        let cells = vec![Cell::default(); nodes.len() * EPOCH_TICKS as usize];
+        Self { nodes, cells }
+    }
+
+    /// The node phase: each node in turn runs ticks `start..start + len`
+    /// and leaves its column of the epoch buffer. Registered hot path.
+    // lint:hot-path
+    fn node_phase(&mut self, ctx: &NodeCtx, start: u64, len: u64) {
+        let width = self.nodes.len();
+        for (local, node) in self.nodes.iter_mut().enumerate() {
+            let column = self.cells.iter_mut().skip(local).step_by(width);
+            for (tick, cell) in (start..start + len).zip(column) {
+                let winner = ctx.advance(node, tick);
+                *cell = Cell {
+                    winner: winner.map(|(slot, _, met)| (slot, met)),
+                    failed: InvariantEngine::probe(node, tick),
+                };
+            }
+        }
+    }
+
+    /// What this partition's nodes did on tick `t` of the epoch.
+    #[inline]
+    fn row(&self, t: usize) -> &[Cell] {
+        let width = self.nodes.len();
+        &self.cells[t * width..(t + 1) * width]
+    }
+}
+
+/// Tick `t` of the epoch across all partitions, in node order.
+#[inline]
+fn cells_at(parts: &[Partition], t: usize) -> impl Iterator<Item = &Cell> {
+    parts.iter().flat_map(move |p| p.row(t))
+}
+
+/// An epoch of work for a worker: the partition by value.
+struct Job {
+    part: Partition,
+    start: u64,
+    len: u64,
+    /// Makes the worker panic instead of working.
+    #[cfg(test)]
+    poisoned: bool,
+}
+
+/// A long-lived node-phase thread and the two bounded channels its
+/// partition travels over.
+struct Worker {
+    jobs: SyncSender<Job>,
+    done: Receiver<Partition>,
+    handle: JoinHandle<()>,
+}
+
+impl Worker {
+    fn spawn(ctx: &NodeCtx) -> Self {
+        let (jobs, job_rx) = sync_channel::<Job>(1);
+        let (done_tx, done) = sync_channel::<Partition>(1);
+        let ctx = ctx.clone();
+        let handle = std::thread::Builder::new()
+            .name("ss-cluster-node-phase".into())
+            .spawn(move || worker_loop(&ctx, &job_rx, &done_tx))
+            .expect("spawning a node-phase worker thread");
+        Self { jobs, done, handle }
+    }
+}
+
+/// Receives with a bounded wait before blocking: pause, then yield, then
+/// sleep. `None` once the other side is gone, whichever wait sees it.
+#[inline]
+fn recv_spinning<T>(rx: &Receiver<T>) -> Option<T> {
+    for poll in 0..SPIN_POLLS + YIELD_POLLS {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if poll < SPIN_POLLS => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv().ok()
+}
+
+/// A worker's life: take a partition, run its epoch, give it back; leave
+/// when the simulation hangs up. Registered hot path.
+// lint:hot-path
+fn worker_loop(ctx: &NodeCtx, jobs: &Receiver<Job>, done: &SyncSender<Partition>) {
+    while let Some(mut job) = recv_spinning(jobs) {
+        #[cfg(test)]
+        assert!(!job.poisoned, "poisoned epoch at tick {}", job.start);
+        job.part.node_phase(ctx, job.start, job.len);
+        if done.send(job.part).is_err() {
+            return;
+        }
+    }
+}
+
+/// The persistent workers of partitions `1..`: spawned at the first epoch
+/// that has such partitions, joined when the simulation drops.
+#[derive(Default)]
+struct Pool {
+    workers: Vec<Worker>,
+    /// Poisons the jobs of every later epoch.
+    #[cfg(test)]
+    poisoned: bool,
+}
+
+impl Pool {
+    /// Sends each of `parts` to its worker, leaving empty husks behind.
+    fn dispatch(&mut self, parts: &mut [Partition], ctx: &NodeCtx, start: u64, len: u64) {
+        if self.workers.is_empty() {
+            self.workers
+                .extend((0..parts.len()).map(|_| Worker::spawn(ctx)));
+        }
+        for (part, worker) in parts.iter_mut().zip(&self.workers) {
+            let job = Job {
+                part: std::mem::take(part),
+                start,
+                len,
+                #[cfg(test)]
+                poisoned: self.poisoned,
+            };
+            // A receiver only drops with its thread; `collect` finds the
+            // same corpse and reports how it died.
+            let _ = worker.jobs.send(job);
+        }
+    }
+
+    /// Takes each of `parts` back from its worker — the epoch's barrier.
+    /// A worker that died instead dies again here, on the sim thread.
+    fn collect(&mut self, parts: &mut [Partition]) {
+        for (p, home) in parts.iter_mut().enumerate() {
+            match recv_spinning(&self.workers[p].done) {
+                Some(part) => *home = part,
+                None => match self.workers.remove(p).handle.join() {
+                    Err(panic) => std::panic::resume_unwind(panic),
+                    Ok(()) => panic!("a node-phase worker exited mid-run"),
+                },
+            }
+        }
+    }
+
+    /// Hangs up on every worker — the stop signal, whether it is spinning
+    /// or asleep — and waits for each to leave. Returns how many left
+    /// cleanly; a panic was re-raised by `collect` already, or the sim is
+    /// unwinding from something else, so none is re-raised from here.
+    fn join_all(&mut self) -> usize {
+        let mut clean = 0;
+        for Worker { jobs, done, handle } in self.workers.drain(..) {
+            drop((jobs, done));
+            clean += usize::from(handle.join().is_ok());
+        }
+        clean
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.join_all();
+    }
+}
+
+/// Everything the sequential cluster phase owns: the clock, the linecard,
+/// the flight recorder, the violation sink.
+struct ClusterPhase {
     engine: InvariantEngine,
-    /// Single-owner: only the sequential cluster phase records or dumps.
+    /// Single-owner: only this phase records or dumps.
     flight: FlightRecorder,
-    winner_scratch: Vec<Option<Winner>>,
     tick: u64,
     /// Winners handed to the linecard so far.
     transmitted_total: u64,
@@ -188,193 +435,82 @@ pub struct ClusterSim {
     halted: bool,
 }
 
-impl ClusterSim {
-    /// Builds the cluster: `nodes` endsystems, each a `shards`-way
-    /// sharded DWCS fabric over `slots` slots with the scenario's class
-    /// mix, plus per-node fault streams.
-    pub fn new(config: ClusterConfig) -> Result<Self, Error> {
-        let scenario = Scenario::new(config.scenario, config.slots);
-        let params = NodeParams {
-            slots: config.slots,
-            shards: config.shards,
-            gate_rate_mtok: config.gate_rate_mtok,
-            gate_burst_mtok: config.gate_burst_mtok,
-            record_winners: config.record_winners,
-        };
-        let mut nodes = Vec::with_capacity(config.nodes);
-        for id in 0..config.nodes {
-            let injector = config.faults.injector_for(config.seed, id);
-            nodes.push(SimNode::new(id, params, &scenario, config.seed, injector)?);
-        }
-        let flight = FlightRecorder::new(config.flight_capacity.max(16));
-        let winner_scratch = vec![None; config.nodes];
-        Ok(Self {
-            config,
-            scenario,
-            nodes,
-            engine: InvariantEngine::new(),
-            flight,
-            winner_scratch,
-            tick: 0,
-            transmitted_total: 0,
-            egressed: 0,
-            egress_queue: 0,
-            egress_dropped: 0,
-            dump: None,
-            halted: false,
-        })
-    }
-
-    /// The current virtual tick.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
-    /// `true` once a violation halted the run.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Node `i` (read access for tests and reporting).
-    pub fn node(&self, i: usize) -> &SimNode {
-        &self.nodes[i]
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// Violations detected so far.
-    pub fn violations(&self) -> &[Violation] {
-        self.engine.violations()
-    }
-
-    /// The flight dump taken at the first violation, if any.
-    pub fn dump(&self) -> Option<&FlightDump> {
-        self.dump.as_ref()
-    }
-
-    /// Advances one virtual tick (no-op once halted).
-    pub fn step_tick(&mut self) {
-        if self.halted || self.tick >= self.config.ticks {
-            return;
-        }
-        let tick = self.tick;
-        self.step_nodes(tick);
-
-        // Sequential cluster phase. Sabotage fires before the sweep so
-        // the forged state is caught on the tick it was planted.
-        if let Some(sab) = self.config.sabotage {
-            if sab.tick == tick && sab.node < self.nodes.len() {
-                match sab.kind {
-                    SabotageKind::Phantom => self.nodes[sab.node].sabotage_phantom(),
-                    SabotageKind::ShedProtected => self.nodes[sab.node].sabotage_protected_shed(),
+impl ClusterPhase {
+    /// Replays `len` ticks of node-phase output in tick order, each
+    /// under one timestamp: `Service` events and linecard enqueue in node
+    /// order, drain, bound, the tick's failed probes in node order, the
+    /// egress identity. Stops on the tick of a halting violation, `tick`
+    /// not advanced past it. Registered hot path.
+    // lint:hot-path
+    fn replay(&mut self, config: &ClusterConfig, parts: &[Partition], len: u64) {
+        for t in 0..len as usize {
+            let tick = self.tick;
+            // One timestamp read covers the tick: ring order, not the
+            // stamp, is the tiebreak among a tick's events.
+            let tsc = now_tsc();
+            let mut any_failed = false;
+            for (i, cell) in cells_at(parts, t).enumerate() {
+                any_failed |= cell.failed.is_some();
+                if let Some((slot, met)) = cell.winner {
+                    self.transmitted_total += 1;
+                    self.egress_queue += 1;
+                    self.flight.record(StageEvent::control(
+                        tsc,
+                        tick,
+                        i as u16,
+                        Stage::Service,
+                        u8::from(met),
+                        u32::from(slot),
+                    ));
                 }
             }
-        }
-
-        // One timestamp read covers the whole cluster phase: ring order,
-        // not the stamp, is the tiebreak among a tick's events.
-        let tsc = now_tsc();
-
-        // Linecard aggregation in node order: enqueue → drain → bound.
-        for i in 0..self.nodes.len() {
-            if let Some((slot, _, met)) = self.winner_scratch[i] {
-                self.transmitted_total += 1;
-                self.egress_queue += 1;
-                self.flight.record(StageEvent::control(
-                    tsc,
-                    tick,
-                    i as u16,
-                    Stage::Service,
-                    u8::from(met),
-                    u32::from(slot),
-                ));
+            let drained = self.egress_queue.min(config.egress_per_tick);
+            self.egressed += drained;
+            self.egress_queue -= drained;
+            if self.egress_queue > config.egress_queue_cap {
+                self.egress_dropped += self.egress_queue - config.egress_queue_cap;
+                self.egress_queue = config.egress_queue_cap;
             }
-        }
-        let drained = self.egress_queue.min(self.config.egress_per_tick);
-        self.egressed += drained;
-        self.egress_queue -= drained;
-        if self.egress_queue > self.config.egress_queue_cap {
-            let overflow = self.egress_queue - self.config.egress_queue_cap;
-            self.egress_dropped += overflow;
-            self.egress_queue = self.config.egress_queue_cap;
-        }
 
-        // Invariant sweep: every node, then the egress identity.
-        for i in 0..self.nodes.len() {
-            if let Some(inv) = self.engine.check_node(&self.nodes[i], tick) {
-                self.on_violation(inv, i as u32, tick, tsc);
+            if any_failed {
+                for (i, cell) in cells_at(parts, t).enumerate() {
+                    if let Some(invariant) = cell.failed {
+                        self.engine.record(i as u32, tick, invariant);
+                        // lint:allow(hot-path-reachability) -- the violation path snapshots the ring: it ends the steady state
+                        self.on_violation(config, invariant, i as u32, tick, tsc);
+                        if self.halted {
+                            return;
+                        }
+                    }
+                }
+            }
+            let view = EgressView {
+                transmitted: self.transmitted_total,
+                egressed: self.egressed,
+                queued: self.egress_queue,
+                dropped: self.egress_dropped,
+            };
+            if let Some(invariant) = self.engine.check_egress(view, tick) {
+                // lint:allow(hot-path-reachability) -- as above
+                self.on_violation(config, invariant, u32::MAX, tick, tsc);
                 if self.halted {
                     return;
                 }
             }
+            self.tick += 1;
         }
-        let view = EgressView {
-            transmitted: self.transmitted_total,
-            egressed: self.egressed,
-            queued: self.egress_queue,
-            dropped: self.egress_dropped,
-        };
-        if let Some(inv) = self.engine.check_egress(view, tick) {
-            self.on_violation(inv, u32::MAX, tick, tsc);
-            if self.halted {
-                return;
-            }
-        }
-        self.tick += 1;
-    }
-
-    /// Runs to the configured horizon (or the first violation).
-    pub fn run(&mut self) -> RunReport {
-        while self.tick < self.config.ticks && !self.halted {
-            self.step_tick();
-        }
-        self.report()
-    }
-
-    /// Runs at most `ticks` further ticks (the soak binary's wall-clock
-    /// budget loop), returning how many actually ran.
-    pub fn run_chunk(&mut self, ticks: u64) -> u64 {
-        let start = self.tick;
-        let target = (start + ticks).min(self.config.ticks);
-        while self.tick < target && !self.halted {
-            self.step_tick();
-        }
-        self.tick - start
-    }
-
-    /// The node phase: possibly parallel, always bit-identical.
-    fn step_nodes(&mut self, tick: u64) {
-        let scenario = &self.scenario;
-        let seed = self.config.seed;
-        let threads = self.config.threads.max(1).min(self.nodes.len().max(1));
-        if threads <= 1 {
-            for (node, w) in self.nodes.iter_mut().zip(self.winner_scratch.iter_mut()) {
-                *w = node.step(tick, scenario, seed);
-            }
-            return;
-        }
-        let chunk = self.nodes.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (nodes, winners) in self
-                .nodes
-                .chunks_mut(chunk)
-                .zip(self.winner_scratch.chunks_mut(chunk))
-            {
-                scope.spawn(move || {
-                    for (node, w) in nodes.iter_mut().zip(winners.iter_mut()) {
-                        *w = node.step(tick, scenario, seed);
-                    }
-                });
-            }
-        });
     }
 
     /// Violation path: control event → auto-dump (first violation only)
     /// → halt if configured.
-    fn on_violation(&mut self, invariant: Invariant, node: u32, tick: u64, tsc: u64) {
+    fn on_violation(
+        &mut self,
+        config: &ClusterConfig,
+        invariant: Invariant,
+        node: u32,
+        tick: u64,
+        tsc: u64,
+    ) {
         self.flight.record(StageEvent::control(
             tsc,
             tick,
@@ -386,8 +522,149 @@ impl ClusterSim {
         if self.dump.is_none() {
             self.dump = Some(self.flight.dump(DumpReason::InvariantViolation, tick));
         }
-        if self.config.halt_on_violation {
+        if config.halt_on_violation {
             self.halted = true;
+        }
+    }
+}
+
+/// The simulation.
+pub struct ClusterSim {
+    config: ClusterConfig,
+    ctx: NodeCtx,
+    /// The nodes, in `threads` contiguous partitions. All are home between
+    /// epochs; during one, only the first is.
+    parts: Vec<Partition>,
+    pool: Pool,
+    cluster: ClusterPhase,
+}
+
+impl ClusterSim {
+    /// Builds the cluster: `nodes` endsystems, each a `shards`-way
+    /// sharded DWCS fabric over `slots` slots with the scenario's class
+    /// mix, plus per-node fault streams. No thread starts here.
+    pub fn new(config: ClusterConfig) -> Result<Self, Error> {
+        let ctx = NodeCtx {
+            scenario: Scenario::new(config.scenario, config.slots),
+            seed: config.seed,
+            sabotage: config.sabotage,
+        };
+        let threads = config.threads.clamp(1, config.nodes.max(1));
+        let mut parts = Vec::with_capacity(threads);
+        for p in 0..threads {
+            let ids = p * config.nodes / threads..(p + 1) * config.nodes / threads;
+            let nodes = ids
+                .map(|id| build_node(&config, &ctx.scenario, id))
+                .collect::<Result<_, _>>()?;
+            parts.push(Partition::new(nodes));
+        }
+        let cluster = ClusterPhase {
+            engine: InvariantEngine::new(),
+            flight: FlightRecorder::new(config.flight_capacity.max(16)),
+            tick: 0,
+            transmitted_total: 0,
+            egressed: 0,
+            egress_queue: 0,
+            egress_dropped: 0,
+            dump: None,
+            halted: false,
+        };
+        Ok(Self {
+            config,
+            ctx,
+            parts,
+            pool: Pool::default(),
+            cluster,
+        })
+    }
+
+    /// The current virtual tick.
+    pub fn tick(&self) -> u64 {
+        self.cluster.tick
+    }
+
+    /// `true` once a violation halted the run.
+    pub fn halted(&self) -> bool {
+        self.cluster.halted
+    }
+
+    /// Node `i` (read access for tests and reporting).
+    pub fn node(&self, i: usize) -> &SimNode {
+        self.nodes()
+            .nth(i)
+            .expect("node index below the node count")
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = &SimNode> {
+        self.parts.iter().flat_map(|p| &p.nodes)
+    }
+
+    /// The run configuration.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.config
+    }
+
+    /// Violations detected so far.
+    pub fn violations(&self) -> &[Violation] {
+        self.cluster.engine.violations()
+    }
+
+    /// The flight dump taken at the first violation, if any.
+    pub fn dump(&self) -> Option<&FlightDump> {
+        self.cluster.dump.as_ref()
+    }
+
+    /// Advances one virtual tick (no-op once halted): an epoch of one,
+    /// which is tick-major order.
+    pub fn step_tick(&mut self) {
+        self.run_chunk(1);
+    }
+
+    /// Runs to the configured horizon (or the first violation).
+    pub fn run(&mut self) -> RunReport {
+        self.run_chunk(u64::MAX);
+        self.report()
+    }
+
+    /// Runs at most `ticks` further ticks (the soak binary's wall-clock
+    /// budget loop), returning how many actually ran.
+    pub fn run_chunk(&mut self, ticks: u64) -> u64 {
+        let start = self.cluster.tick;
+        let target = start.saturating_add(ticks).min(self.config.ticks);
+        while self.cluster.tick < target && !self.cluster.halted {
+            self.epoch((target - self.cluster.tick).min(EPOCH_TICKS));
+        }
+        self.cluster.tick - start
+    }
+
+    /// One epoch of `len` ticks: node phase on every partition, the
+    /// barrier, the cluster phase, and the rewind if it halted early.
+    fn epoch(&mut self, len: u64) {
+        let start = self.cluster.tick;
+        let (own, sent) = self.parts.split_at_mut(1);
+        self.pool.dispatch(sent, &self.ctx, start, len);
+        own[0].node_phase(&self.ctx, start, len);
+        self.pool.collect(sent);
+        self.cluster.replay(&self.config, &self.parts, len);
+        if self.cluster.halted && self.cluster.tick + 1 < start + len {
+            self.rewind_nodes(self.cluster.tick);
+        }
+    }
+
+    /// Puts every node back where tick-major order leaves it on a halt at
+    /// `halt_tick` — stepped through that tick and no further — by
+    /// building it again and replaying the node side alone: no egress, no
+    /// flight events, no checks. O(`halt_tick`), once, on a run that is
+    /// over; the price of keeping no snapshot on the runs that are not.
+    fn rewind_nodes(&mut self, halt_tick: u64) {
+        for part in &mut self.parts {
+            for node in &mut part.nodes {
+                *node = build_node(&self.config, &self.ctx.scenario, node.id())
+                    .expect("the constructor accepted this node once already");
+                for tick in 0..=halt_tick {
+                    self.ctx.advance(node, tick);
+                }
+            }
         }
     }
 
@@ -400,9 +677,9 @@ impl ClusterSim {
         let mut shard_crashes = 0u64;
         let mut protected_serviced = 0u64;
         let mut protected_met = 0u64;
-        let mut node_fingerprints = Vec::with_capacity(self.nodes.len());
+        let mut node_fingerprints = Vec::with_capacity(self.config.nodes);
         let mut fingerprint = mix(self.config.seed);
-        for node in &self.nodes {
+        for node in self.nodes() {
             ledger.merge(node.ledger());
             offered += node.offered();
             transmitted += node.transmitted();
@@ -420,12 +697,11 @@ impl ClusterSim {
         }
         fingerprint = mix(fingerprint
             ^ mix(ledger.total())
-            ^ mix(self.egressed)
-            ^ mix(self.egress_dropped)
+            ^ mix(self.cluster.egressed)
+            ^ mix(self.cluster.egress_dropped)
             ^ mix(transmitted));
         let repro = cli::repro_command(&self.config);
         let violations = self
-            .engine
             .violations()
             .iter()
             .map(|v| ViolationReport {
@@ -437,13 +713,13 @@ impl ClusterSim {
             })
             .collect();
         RunReport {
-            ticks_run: self.tick,
-            nodes: self.nodes.len() as u64,
+            ticks_run: self.cluster.tick,
+            nodes: self.config.nodes as u64,
             offered,
             transmitted,
-            egressed: self.egressed,
-            egress_queued: self.egress_queue,
-            egress_dropped: self.egress_dropped,
+            egressed: self.cluster.egressed,
+            egress_queued: self.cluster.egress_queue,
+            egress_dropped: self.cluster.egress_dropped,
             ledger,
             protected_serviced,
             protected_met,
@@ -451,6 +727,131 @@ impl ClusterSim {
             node_fingerprints,
             fingerprint,
             violations,
+        }
+    }
+}
+
+/// Node `id` of `config`'s cluster at tick 0 — the one constructor, for
+/// the first build and for [`ClusterSim::rewind_nodes`].
+fn build_node(config: &ClusterConfig, scenario: &Scenario, id: usize) -> Result<SimNode, Error> {
+    let params = NodeParams {
+        slots: config.slots,
+        shards: config.shards,
+        gate_rate_mtok: config.gate_rate_mtok,
+        gate_burst_mtok: config.gate_burst_mtok,
+        record_winners: config.record_winners,
+    };
+    let injector = config.faults.injector_for(config.seed, id);
+    SimNode::new(id, params, scenario, config.seed, injector)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn config(nodes: usize, threads: usize) -> ClusterConfig {
+        let scenario = ScenarioSpec::parse("steady:rate=1500").expect("spec");
+        let mut config = ClusterConfig::new(0x5EED, scenario, nodes, 2, 8);
+        config.ticks = 500;
+        config.faults = FaultProfile::Light;
+        config.threads = threads;
+        config
+    }
+
+    #[test]
+    fn one_thread_never_spawns_one() {
+        let mut sim = ClusterSim::new(config(4, 1)).expect("builds");
+        sim.run();
+        assert_eq!(sim.parts.len(), 1);
+        assert!(sim.pool.workers.is_empty());
+    }
+
+    #[test]
+    fn more_threads_than_nodes_clamps_to_one_node_each() {
+        let mut wide = ClusterSim::new(config(3, 64)).expect("builds");
+        assert_eq!(wide.parts.len(), 3);
+        assert!(wide.parts.iter().all(|p| p.nodes.len() == 1));
+        assert!(wide.pool.workers.is_empty(), "workers start with the run");
+        let report = wide.run();
+        assert_eq!(wide.pool.workers.len(), 2, "the sim thread keeps node 0");
+        let mut narrow = ClusterSim::new(config(3, 1)).expect("builds");
+        assert_eq!(report.fingerprint, narrow.run().fingerprint);
+        assert_eq!(
+            (0..3).map(|i| wide.node(i).id()).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+    }
+
+    #[test]
+    fn a_worker_panic_surfaces_on_the_sim_thread_with_its_message() {
+        let mut sim = ClusterSim::new(config(4, 2)).expect("builds");
+        assert_eq!(sim.run_chunk(64), 64, "a healthy pool first");
+        sim.pool.poisoned = true;
+        let panic = catch_unwind(AssertUnwindSafe(|| sim.run_chunk(64)))
+            .expect_err("the hand-off must fail, not hang");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("the worker's own payload");
+        assert!(message.contains("poisoned epoch at tick 64"), "{message}");
+        // Dropping the wreck must not hang or panic again.
+        drop(sim);
+    }
+
+    #[test]
+    fn dropping_the_sim_stops_spinning_and_sleeping_workers_alike() {
+        // Straight after a chunk the workers are still inside their spin.
+        let mut sim = ClusterSim::new(config(6, 3)).expect("builds");
+        sim.run_chunk(64);
+        assert_eq!(sim.pool.join_all(), 2, "both left, neither by panic");
+        // A pause far beyond the spin bound finds them blocked in `recv`.
+        // (Nothing observable says "asleep"; if a worker were still
+        // spinning this checks the first case twice, never a wrong one.)
+        let mut sim = ClusterSim::new(config(6, 3)).expect("builds");
+        sim.run_chunk(64);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(sim.pool.join_all(), 2);
+        // And `Drop` is that call.
+        let mut sim = ClusterSim::new(config(6, 3)).expect("builds");
+        sim.run_chunk(64);
+        drop(sim);
+    }
+
+    /// Tick-major booking order — tick, then node — with more than one
+    /// node failing per tick, which no `--sabotage` plan can arrange:
+    /// nodes 1 and 3 (on different partitions at two threads) carry a
+    /// phantom from tick 0.
+    #[test]
+    fn violations_are_booked_tick_then_node_at_any_epoch_length() {
+        let run = |threads: usize, chunk: u64| {
+            let mut c = config(4, threads);
+            c.ticks = 70;
+            c.halt_on_violation = false;
+            let mut sim = ClusterSim::new(c).expect("builds");
+            for id in [1, 3] {
+                let part = sim
+                    .parts
+                    .iter_mut()
+                    .find(|p| p.nodes.iter().any(|n| n.id() == id));
+                let part = part.expect("every node has a partition");
+                let node = part.nodes.iter_mut().find(|n| n.id() == id);
+                node.expect("found above").sabotage_phantom();
+            }
+            while sim.run_chunk(chunk) > 0 {}
+            sim.violations().to_vec()
+        };
+        let oracle = run(1, 1);
+        assert_eq!(oracle.len(), 140);
+        for (t, pair) in oracle.chunks(2).enumerate() {
+            assert_eq!((pair[0].tick, pair[0].node), (t as u64, 1));
+            assert_eq!((pair[1].tick, pair[1].node), (t as u64, 3));
+        }
+        for (threads, chunk) in [(1, 32), (1, 7), (2, 32), (4, 1000)] {
+            assert_eq!(
+                run(threads, chunk),
+                oracle,
+                "threads={threads} chunk={chunk}"
+            );
         }
     }
 }

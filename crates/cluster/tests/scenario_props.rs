@@ -3,7 +3,8 @@
 //! bit-identically across thread counts for any (seed, scenario).
 
 use proptest::prelude::*;
-use ss_cluster::{ClusterConfig, ClusterSim, FaultProfile, Scenario, ScenarioSpec};
+use ss_cluster::{ClusterConfig, ClusterSim, FaultProfile, Scenario, ScenarioKind, ScenarioSpec};
+use ss_faults::rng::{mix, SplitMix64};
 
 fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
     (0u8..5, 200u32..3000, 1u32..3, 64u64..512, 0u32..900).prop_map(
@@ -27,8 +28,57 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
     )
 }
 
+/// `sample_arrivals` as it was before `Scenario::new` tabulated the split
+/// at the base intensity: every slot's expectation multiplied out and
+/// divided on every tick, one Bernoulli draw per slot in slot order.
+fn formula_arrivals(scenario: &Scenario, seed: u64, node: usize, tick: u64) -> Vec<u32> {
+    let intensity = u64::from(scenario.intensity_permille(tick));
+    let mut rng = SplitMix64::new(mix(seed
+        ^ mix(node as u64 + 1)
+        ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    scenario
+        .weights()
+        .iter()
+        .map(|&weight| {
+            let expect_micro = intensity * u64::from(weight);
+            let extra = rng.below(1_000_000) < expect_micro % 1_000_000;
+            (expect_micro / 1_000_000) as u32 + u32::from(extra)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tabulated split is the formula: same counts, slot for slot, on
+    /// the ticks that take the table (intensity at base — all of steady,
+    /// elephant-mice and wimax, the off-spike ticks of the other two) and
+    /// on the ticks that cannot (mid-ramp, peak, the diurnal slopes).
+    #[test]
+    fn tabulated_split_equals_the_formula(spec in arb_spec(), seed in any::<u64>(), node in 0usize..8) {
+        let slots = 8;
+        let scenario = Scenario::new(spec, slots);
+        let mut counts = vec![0u32; slots];
+        let (mut at_base, mut off_base) = (0u32, 0u32);
+        for tick in 0..1_280u64 {
+            let total = scenario.sample_arrivals(seed, node, tick, &mut counts);
+            let want = formula_arrivals(&scenario, seed, node, tick);
+            prop_assert_eq!(&counts, &want, "tick {}", tick);
+            prop_assert_eq!(total, want.iter().sum::<u32>());
+            if scenario.intensity_permille(tick) == spec.base_permille {
+                at_base += 1;
+            } else {
+                off_base += 1;
+            }
+        }
+        // Both arms ran wherever the shape has both.
+        prop_assert!(at_base > 0);
+        if matches!(spec.kind, ScenarioKind::FlashCrowd | ScenarioKind::Diurnal) {
+            prop_assert!(off_base > 0, "{:?} never left its base intensity", spec.kind);
+        } else {
+            prop_assert_eq!(off_base, 0);
+        }
+    }
 
     /// The sampler's realized aggregate rate tracks the configured
     /// intensity integral: over a long horizon, arrivals/tick ≈ the mean

@@ -168,24 +168,18 @@ fn all_rules_together_find_exactly_the_seeded_violations() {
 /// add/remove, in which case update the pin in the same commit.
 #[test]
 fn hot_root_counts_of_the_real_workspace_are_pinned() {
-    // 128 / 139 → 132 / 143 with the split WR cycle, +7 −3 on every leg:
-    // + `network::wr_decision_words` — the in-place tournament's entry point;
-    // + `network::wr_tournament` — its per-width body;
-    // + `Fabric::propose` — the counted first half of a WR cycle;
-    // + `Fabric::grant` — the second half, as a shard frontend calls it;
-    // + `Fabric::grant_tail` — the same on a clean cycle, shared with
-    //   `decision_cycle_core`;
-    // + `Fabric::block_cycle` — the BA arm, moved out of
-    //   `decision_cycle_core` as a function of its own;
-    // + `ShardedScheduler::decision_cycle` — the propose / merge / grant |
-    //   pass loop, the root that now reaches `Frontend::pick`;
-    // − the slice-form WR tournament in `network` — deleted (it worked on a
-    //   copy of the words);
-    // − `Fabric::peek_winner` — a read-only diagnostic, off every decision
-    //   path;
-    // − `ShardedScheduler::merge_pick_with_reason` — likewise.
+    // 132 / 143 → 135 / 146 with the soak lab's epoch loop, +3 on every
+    // leg (`InvariantEngine::first_failure` became the public `probe` and
+    // kept its annotation):
+    // + `Partition::node_phase` — a partition's nodes, one epoch each,
+    //   node-major; the root that now reaches `SimNode::step` and `probe`
+    //   from the simulation itself;
+    // + `ClusterPhase::replay` — the cluster phase, tick order (its two
+    //   `on_violation` edges are waived at the call: a violation ends the
+    //   steady state);
+    // + `worker_loop` — the same node phase behind the ownership hand-off.
     let (ws, mut cfg) = load(&workspace_root());
-    for (features, pinned) in [(&[][..], 132), (&["telemetry", "faults"][..], 143)] {
+    for (features, pinned) in [(&[][..], 135), (&["telemetry", "faults"][..], 146)] {
         cfg.active_features = features.iter().map(ToString::to_string).collect();
         let mut report = Report::default();
         run_rule("hot-path-reachability", &ws, &cfg, &mut report);

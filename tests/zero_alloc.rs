@@ -3,9 +3,10 @@
 //! A counting global allocator wraps the system allocator; after a warmup
 //! that lets every buffer (fabric scratch, per-slot VecDeques, sinks) reach
 //! its high-water capacity, thousands of decision cycles — WR, BA, batched,
-//! and the inline sharded merge — must leave the allocation counter
-//! untouched. This file holds exactly one `#[test]` so no sibling test
-//! thread can pollute the counter, and the counter itself is per-thread:
+//! the inline sharded merge, and the cluster simulation's epoch loop —
+//! must leave the allocation counter untouched. This file holds exactly
+//! one `#[test]` so no sibling test thread can pollute the counter, and
+//! the counter itself is per-thread:
 //! the libtest harness thread occasionally allocates while the test runs
 //! (timing-dependent), and a process-wide count would misattribute that
 //! to the decision core. The thread-local is const-initialized and holds
@@ -458,6 +459,45 @@ fn steady_state_decision_cycles_do_not_allocate() {
             allocations() - before,
             0,
             "threaded scheduler sweep (gated={gated}) allocated in steady state"
+        );
+    }
+
+    // --- Cluster simulation: the epoch loop stays heap-free ---
+    // `cluster_soak`'s shape (4 nodes × 2 shards × 8 slots, 2× load, light
+    // faults) driven as the benchmark drives it. The warm-up is long
+    // because the nodes' per-slot queues find their high-water mark under
+    // fault bursts, not on the first tick; the run is a pure function of
+    // its config, so where that mark is reached is too. On one thread the
+    // span covers the node phase, the epoch buffer and the cluster-phase
+    // replay. On two it covers the sim thread's side of the hand-off —
+    // this counter is per-thread, and the worker runs the node phase the
+    // one-thread span already vouches for: partitions and buffers travel
+    // by value through channels sized at spawn, so an epoch allocates
+    // nothing. The only allowance is std's: the first time a wait
+    // outlasts its spin, the channel builds the thread's parking context
+    // and its waiter list — once per thread and channel, whenever the
+    // scheduler makes that happen, never per epoch.
+    for (threads, allowed) in [(1, 0), (2, 8)] {
+        use sharestreams::cluster::{ClusterConfig, ClusterSim, FaultProfile, ScenarioSpec};
+        let mut config = ClusterConfig::new(5, ScenarioSpec::steady(2_000), 4, 2, 8);
+        config.faults = FaultProfile::Light;
+        config.ticks = u64::MAX;
+        config.threads = threads;
+        let mut sim = ClusterSim::new(config).unwrap();
+        let mut chunks = |n: u64| {
+            for _ in 0..n {
+                assert_eq!(sim.run_chunk(32), 32, "no violation cuts a chunk short");
+            }
+        };
+        chunks(5 * WARMUP);
+        let before = allocations();
+        chunks(MEASURED / 10);
+        let allocated = allocations() - before;
+        assert!(
+            allocated <= allowed,
+            "ClusterSim::run_chunk(32) at threads={threads} allocated {allocated} times \
+             over {} epochs in steady state",
+            MEASURED / 10
         );
     }
 }
