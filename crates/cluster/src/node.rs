@@ -14,15 +14,24 @@
 //!
 //! 1. **Fault draws** — one sample per site (shard, decision, ring,
 //!    admission), mapped onto unconditional APIs: crashes call
-//!    [`ShardedScheduler::fail_shard`] (the last live shard degrades a
-//!    crash to a stall so the node never goes fully dark), stalls skip
-//!    upcoming decision cycles, ring bursts arm a drop budget, overload
-//!    bursts add offered arrivals.
-//! 2. **Arrivals** — scenario-drawn counts (plus burst extras) pass the
-//!    gate ([`ss_overload::GateCore`]: admission, then a shed proposal
+//!    [`ShardedScheduler::fail_shard`] and re-derive the dead-slot mask
+//!    from the slot map ([`ShardedScheduler::slots_on`]; the last live
+//!    shard degrades a crash to a stall so the node never goes fully
+//!    dark), stalls skip upcoming decision cycles, ring bursts arm a drop
+//!    budget, overload bursts add offered arrivals.
+//! 2. **Arrivals** — the scenario's draws as slot sets
+//!    ([`Scenario::sample_mask`]: a Bernoulli bit per slot plus whole
+//!    counts), with burst extras folded into per-slot counts. Arrivals on
+//!    slots stranded on crashed shards are booked first, all at once:
+//!    their count (a popcount on the common tick) goes to `offered` and to
+//!    [`LossSite::Shard`], the only two things they touch and two things
+//!    no other arrival reads, so booking them ahead of the rest changes
+//!    no outcome. The live slots are then walked in ascending slot order,
+//!    each slot's arrivals back to back, through the gate
+//!    ([`ss_overload::GateCore`]: admission, then a shed proposal
 //!    whenever pressure is `Overloaded` — the node's one line of policy;
 //!    the core refuses it for any 0/y window), then the armed ring-drop
-//!    budget, then land in the fabric.
+//!    budget, then the fabric.
 //!    Ring bursts only consume unprotected-stream arrivals: protected
 //!    lanes are modeled as reserved ring capacity, which keeps the
 //!    QoS-floor invariant exact rather than probabilistic.
@@ -45,7 +54,7 @@ use ss_faults::rng::mix;
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
 use ss_overload::{GateCore, LossLedger, LossSite, PressureLevel};
 use ss_sharded::ShardedScheduler;
-use ss_types::{Error, Wrap16};
+use ss_types::{slot_bits, Error, Wrap16, MAX_SLOTS};
 
 /// Full protection, ‰ — a 0/y window's mandatory fraction.
 pub const FULLY_PROTECTED: u16 = 1000;
@@ -76,15 +85,20 @@ pub struct SimNode {
     gate: GateCore,
     /// The slot `--sabotage protected-shed` forged a shed on, if any.
     forged_shed: Option<usize>,
-    /// The fully-protected slots: a slot's class is fixed at construction,
-    /// so the every-tick floor check walks these and nothing else.
-    protected: Vec<usize>,
+    /// Slots on this node.
+    slots: usize,
+    /// The fully-protected slots, as a mask: a slot's class is fixed at
+    /// construction, so the every-tick floor check walks these and nothing
+    /// else, and a ring burst skips them by one bit test.
+    protected: u32,
     injector: FaultInjector,
-    per_shard: usize,
-    /// Arrival-count scratch, reused every tick.
-    counts: Vec<u32>,
-    /// Slots stranded on crashed shards.
-    dead_slot: Vec<bool>,
+    /// Per-slot multi-arrival counts of the current tick — whole draws
+    /// plus burst extras — valid for the slots the tick's `multi` mask
+    /// names; other entries are stale.
+    counts: [u32; MAX_SLOTS],
+    /// Slots stranded on crashed shards, as a mask — the union of the
+    /// failed shards' slot sets, read off the scheduler's slot map.
+    dead: u32,
     /// Arrivals pushed into the fabric, per slot (live-slot sanity).
     pushed_per_slot: Vec<u64>,
     offered: u64,
@@ -137,17 +151,17 @@ impl SimNode {
         );
         let protected = (0..params.slots)
             .filter(|&s| gate.protection(s) >= FULLY_PROTECTED)
-            .collect();
+            .fold(0, |mask, s| mask | 1 << s);
         Ok(Self {
             id,
-            per_shard: params.slots / params.shards,
+            slots: params.slots,
             sched,
             gate,
             forged_shed: None,
             protected,
             injector,
-            counts: vec![0; params.slots],
-            dead_slot: vec![false; params.slots],
+            counts: [0; MAX_SLOTS],
+            dead: 0,
             pushed_per_slot: vec![0; params.slots],
             offered: 0,
             transmitted: 0,
@@ -172,27 +186,28 @@ impl SimNode {
     #[inline]
     pub fn step(&mut self, tick: u64, scenario: &Scenario, seed: u64) -> Option<Winner> {
         self.sample_faults();
-        let slots = self.counts.len();
+        let slots = self.slots;
 
         // Phase 2: arrivals. Burst extras are spread round-robin from a
         // tick-derived offset so they are deterministic and don't always
-        // land on slot 0.
+        // land on slot 0; they fold into the per-slot counts.
         let mut burst_extra = 0u32;
         if let Some(FaultKind::OverloadBurst { extra }) =
             self.injector.sample_mut(FaultSite::Admission)
         {
             burst_extra = extra;
         }
-        scenario.sample_arrivals(seed, self.id, tick, &mut self.counts);
+        let (bits, mut multi) =
+            scenario.sample_mask(seed, self.id, tick, &mut self.counts[..slots]);
         for i in 0..burst_extra as usize {
             let s = (tick as usize + i) % slots;
-            self.counts[s] += 1;
+            self.counts[s] = self.whole(multi, s) + 1;
+            multi |= 1 << s;
         }
-        for s in 0..slots {
-            let n = self.counts[s];
-            for _ in 0..n {
-                self.offer_one(s, tick);
-            }
+        self.book_dead_arrivals(bits, multi);
+        for s in slot_bits((bits | multi) & !self.dead) {
+            let n = self.whole(multi, s) + (bits >> s & 1);
+            self.offer_slot(s, n, tick);
         }
 
         // Phase 3: one decision cycle, unless an injected wedge holds the
@@ -242,25 +257,67 @@ impl SimNode {
         }
     }
 
-    /// Offers one arrival for `slot` through gate → ring → fabric,
-    /// ledgering the first site that consumes it. Registered hot path.
+    /// Slot `s`'s whole arrivals this tick: its `counts` entry if `multi`
+    /// says the tick wrote one, else none.
+    #[inline]
+    fn whole(&self, multi: u32, s: usize) -> u32 {
+        if multi & (1 << s) != 0 {
+            self.counts[s]
+        } else {
+            0
+        }
+    }
+
+    /// Books this tick's arrivals on dead slots — the Bernoulli bits by
+    /// popcount, whole counts and burst extras by a walk of the (almost
+    /// always empty) dead multi-arrival set — into `offered` and
+    /// [`LossSite::Shard`] at once. Nothing else reads either, so booking
+    /// them ahead of the live slots' offers moves no outcome; and no
+    /// branch on the coin flip of where an arrival landed. Registered hot
+    /// path.
     // lint:hot-path
     #[inline]
-    fn offer_one(&mut self, slot: usize, tick: u64) {
-        self.offered += 1;
-        if self.dead_slot[slot] {
-            self.gate.record_loss(LossSite::Shard, 1);
-            return;
+    fn book_dead_arrivals(&mut self, bits: u32, multi: u32) {
+        let mut n = u64::from((bits & self.dead).count_ones());
+        for s in slot_bits(multi & self.dead) {
+            n += u64::from(self.counts[s]);
         }
+        self.offered += n;
+        self.gate.record_loss(LossSite::Shard, n);
+    }
+
+    /// Offers live `slot`'s `n` arrivals, back to back. Should the fabric
+    /// report the slot's shard failed after all, the slot joins the dead
+    /// set and the arrivals still unoffered are booked as a dead slot's
+    /// would have been. Registered hot path.
+    // lint:hot-path
+    #[inline]
+    fn offer_slot(&mut self, slot: usize, n: u32, tick: u64) {
+        for left in (0..n).rev() {
+            if !self.offer_one(slot, tick) {
+                self.offered += u64::from(left);
+                self.gate.record_loss(LossSite::Shard, u64::from(left));
+                return;
+            }
+        }
+    }
+
+    /// Offers one arrival for live `slot` through gate → ring → fabric,
+    /// ledgering the first site that consumes it; `false` when the fabric
+    /// found the slot's shard failed. Registered hot path.
+    // lint:hot-path
+    #[inline]
+    fn offer_one(&mut self, slot: usize, tick: u64) -> bool {
+        self.offered += 1;
         if !self.gate.admit(slot)
             || (self.gate.level() == PressureLevel::Overloaded && self.gate.shed_if_sheddable(slot))
         {
-            return; // ledgered at admission or shed
+            return true; // ledgered at admission or shed
         }
-        if self.ring_drop_budget > 0 && self.gate.protection(slot) < FULLY_PROTECTED {
+        if self.ring_drop_budget > 0 && self.protected & (1 << slot) == 0 {
             self.ring_drop_budget -= 1;
             self.gate.record_loss(LossSite::Ring, 1);
-            return;
+            return true;
         }
         match self.sched.push_arrival(slot, Wrap16::from_wide(tick)) {
             Ok(()) => {
@@ -268,11 +325,13 @@ impl SimNode {
                 self.backlog_ctr += 1;
             }
             Err(Error::ShardFailed { .. }) => {
-                self.dead_slot[slot] = true;
+                self.dead |= 1 << slot;
                 self.gate.record_loss(LossSite::Shard, 1);
+                return false;
             }
             Err(_) => self.internal_error = true,
         }
+        true
     }
 
     /// Books one transmitted winner: loss-window advance, virtual-time
@@ -319,9 +378,11 @@ impl SimNode {
             if let Ok(lost) = self.sched.fail_shard(k) {
                 self.gate.record_loss(LossSite::Shard, lost);
                 self.backlog_ctr = self.backlog_ctr.saturating_sub(lost);
-                for s in k * self.per_shard..(k + 1) * self.per_shard {
-                    self.dead_slot[s] = true;
-                }
+                // The slots the slot map homes on failed shards — not an
+                // arithmetic partition, which a rehoming would falsify.
+                self.dead = (0..shards)
+                    .filter(|&f| self.sched.is_failed(f))
+                    .fold(0, |dead, f| dead | self.sched.slots_on(f));
                 self.shard_crashes += 1;
             }
             return;
@@ -337,7 +398,9 @@ impl SimNode {
     /// Sabotage: forge a shed on a fully-protected slot (slot 0 if there
     /// is none) — ProtectedShed must fire on this tick.
     pub fn sabotage_protected_shed(&mut self) {
-        self.forged_shed = Some(self.protected.first().copied().unwrap_or(0));
+        // The lowest protected slot; an empty mask's 32 trailing zeros
+        // fall back to slot 0.
+        self.forged_shed = Some(self.protected.trailing_zeros() as usize % MAX_SLOTS);
     }
 
     /// Recounts the live fabric backlog from the register queues
@@ -390,7 +453,7 @@ impl SimNode {
     /// own per-slot counters, like [`sheds_for`](Self::sheds_for).
     #[inline]
     pub fn protected_sheds(&self) -> u64 {
-        self.protected.iter().map(|&s| self.sheds_for(s)).sum()
+        slot_bits(self.protected).map(|s| self.sheds_for(s)).sum()
     }
 
     /// `true` while virtual time has never gone backwards.
@@ -425,12 +488,12 @@ impl SimNode {
 
     /// `true` if `slot` is stranded on a crashed shard.
     pub fn is_dead_slot(&self, slot: usize) -> bool {
-        self.dead_slot.get(slot).copied().unwrap_or(false)
+        slot < self.slots && self.dead & (1 << slot) != 0
     }
 
     /// Slots on this node.
     pub fn slots(&self) -> usize {
-        self.dead_slot.len()
+        self.slots
     }
 
     /// Per-slot fabric counters (Err on dead slots).
@@ -491,11 +554,11 @@ mod tests {
             tick += 1;
         }
         assert!(n.ledger().shed > 0, "sustained overload sheds");
-        let protected: Vec<usize> = (0..n.slots())
+        let mut protected = (0..n.slots())
             .filter(|&s| n.protection(s) >= FULLY_PROTECTED)
-            .collect();
-        assert!(!protected.is_empty(), "the class mix has a protected slot");
-        assert!(protected.iter().all(|&s| n.sheds_for(s) == 0));
+            .peekable();
+        assert!(protected.peek().is_some(), "the class mix has a protected slot");
+        assert!(protected.all(|s| n.sheds_for(s) == 0));
     }
 
     #[test]

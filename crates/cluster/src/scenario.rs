@@ -26,10 +26,18 @@
 //! and the drawn counts are bit-identical. Intensities are integer
 //! per-mille (1000 = one expected arrival per node per tick); fractional
 //! expectations resolve by one Bernoulli draw per slot.
+//!
+//! One draw loop serves two views of a tick: [`Scenario::sample_arrivals`]
+//! writes each slot's count (`whole + bit`), and [`Scenario::sample_mask`]
+//! hands the node the same draws as slot sets — the Bernoulli bits as one
+//! `u32`, the slots with whole arrivals as another — so a tick at 2× load
+//! visits only the slots that drew something. Slot sets are words because
+//! slot IDs are the fabric's 5-bit field: a scenario over more than 32
+//! slots is unsupported (the cluster refuses that topology first).
 
 use serde::{Deserialize, Serialize};
 use ss_faults::rng::{mix, SplitMix64};
-use ss_types::WindowConstraint;
+use ss_types::{WindowConstraint, MAX_SLOTS};
 
 /// The load shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -202,8 +210,14 @@ fn split_micro(intensity: u32, weight: u32) -> (u32, u32) {
 }
 
 impl Scenario {
-    /// Compiles `spec` for `slots` slots per node.
+    /// Compiles `spec` for `slots` slots per node. More than 32 slots
+    /// (the 5-bit slot field, and the width of a slot-set word) is
+    /// unsupported.
     pub fn new(spec: ScenarioSpec, slots: usize) -> Self {
+        debug_assert!(
+            slots <= MAX_SLOTS,
+            "{slots} slots exceed the 5-bit slot field"
+        );
         let mut weights = vec![0u32; slots];
         let slots_u = slots as u32;
         match spec.kind {
@@ -324,35 +338,71 @@ impl Scenario {
         }
     }
 
+    /// The one draw loop: `(whole, bit)` per slot, in slot order — whole
+    /// arrivals from the tick's expectation and one Bernoulli draw for its
+    /// remainder, off the `(seed, node, tick)`-keyed SplitMix64 stream. The
+    /// split is read from the base table whenever the tick runs at base
+    /// intensity and multiplied out otherwise; the draws are the same
+    /// either way.
+    #[inline]
+    fn draws(&self, seed: u64, node: usize, tick: u64) -> impl Iterator<Item = (u32, bool)> + '_ {
+        let intensity = self.intensity_permille(tick);
+        let at_base = intensity == self.spec.base_permille;
+        let mut rng = SplitMix64::new(mix(seed
+            ^ mix(node as u64 + 1)
+            ^ (tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))));
+        self.base_split
+            .iter()
+            .zip(&self.weights)
+            .map(move |(&split, &weight)| {
+                let (whole, frac) = if at_base {
+                    split
+                } else {
+                    split_micro(intensity, weight)
+                };
+                (whole, rng.below(1_000_000) < u64::from(frac))
+            })
+    }
+
     /// Draws this tick's arrival counts for `node` into `counts`
-    /// (per-slot), returning the total. Pure function of
+    /// (per-slot, `whole + bit`), returning the total. Pure function of
     /// `(seed, node, tick)` — draw order is node-local, so any stepping
     /// order or thread count produces identical counts. Registered hot
     /// path: integer-only, allocation-free, panic-free.
     // lint:hot-path
     #[inline]
     pub fn sample_arrivals(&self, seed: u64, node: usize, tick: u64, counts: &mut [u32]) -> u32 {
-        let intensity = self.intensity_permille(tick);
-        let mut rng = SplitMix64::new(mix(seed
-            ^ mix(node as u64 + 1)
-            ^ (tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))));
-        // One Bernoulli draw per slot, in slot order, on either arm.
-        let mut draw = |count: &mut u32, (whole, frac): (u32, u32)| {
-            let c = whole + u32::from(rng.below(1_000_000) < u64::from(frac));
-            *count = c;
-            c
-        };
         let mut total = 0u32;
-        if intensity == self.spec.base_permille {
-            for (count, &split) in counts.iter_mut().zip(self.base_split.iter()) {
-                total += draw(count, split);
-            }
-        } else {
-            for (count, &weight) in counts.iter_mut().zip(self.weights.iter()) {
-                total += draw(count, split_micro(intensity, weight));
-            }
+        for (count, (whole, bit)) in counts.iter_mut().zip(self.draws(seed, node, tick)) {
+            *count = whole + u32::from(bit);
+            total += *count;
         }
         total
+    }
+
+    /// The same draws as [`sample_arrivals`](Self::sample_arrivals), as
+    /// slot sets: returns `(bits, multi)`, where bit `s` of `bits` is slot
+    /// `s`'s Bernoulli draw and bit `s` of `multi` marks a slot with whole
+    /// arrivals, whose count is written to `whole[s]` — only those entries
+    /// are written, so a tick without whole arrivals (every 2× tick)
+    /// stores nothing but the two words. Slot `s` drew `bits >> s & 1`
+    /// arrivals, plus `whole[s]` if it is in `multi`. Registered hot path.
+    // lint:hot-path
+    #[inline]
+    pub fn sample_mask(&self, seed: u64, node: usize, tick: u64, whole: &mut [u32]) -> (u32, u32) {
+        let (mut bits, mut multi) = (0u32, 0u32);
+        for (s, (out, (n, bit))) in whole
+            .iter_mut()
+            .zip(self.draws(seed, node, tick))
+            .enumerate()
+        {
+            bits |= u32::from(bit) << s;
+            if n != 0 {
+                *out = n;
+                multi |= 1 << s;
+            }
+        }
+        (bits, multi)
     }
 }
 

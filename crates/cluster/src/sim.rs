@@ -52,7 +52,7 @@ use ss_faults::rng::mix;
 use ss_overload::LossLedger;
 use ss_telemetry::clock::now_tsc;
 use ss_telemetry::{DumpReason, FlightDump, FlightRecorder, Stage, StageEvent};
-use ss_types::Error;
+use ss_types::{Error, MAX_SLOTS};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::thread::JoinHandle;
 
@@ -542,8 +542,16 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Builds the cluster: `nodes` endsystems, each a `shards`-way
     /// sharded DWCS fabric over `slots` slots with the scenario's class
-    /// mix, plus per-node fault streams. No thread starts here.
+    /// mix, plus per-node fault streams. No thread starts here. More than
+    /// 32 slots per node is a `Config` error, returned before anything is
+    /// built: slot sets are 32-bit words all the way down.
     pub fn new(config: ClusterConfig) -> Result<Self, Error> {
+        if config.slots > MAX_SLOTS {
+            return Err(Error::Config(format!(
+                "{} slots per node exceed the 5-bit slot field",
+                config.slots
+            )));
+        }
         let ctx = NodeCtx {
             scenario: Scenario::new(config.scenario, config.slots),
             seed: config.seed,
@@ -757,6 +765,21 @@ mod tests {
         config.faults = FaultProfile::Light;
         config.threads = threads;
         config
+    }
+
+    #[test]
+    fn more_than_32_slots_is_a_config_error() {
+        for slots in [33, 64] {
+            let mut c = config(2, 1);
+            c.slots = slots;
+            assert!(
+                matches!(ClusterSim::new(c), Err(Error::Config(_))),
+                "{slots}"
+            );
+        }
+        let mut c = config(2, 1);
+        c.slots = 32;
+        assert!(ClusterSim::new(c).is_ok());
     }
 
     #[test]

@@ -31,7 +31,8 @@ const PINNED_NODE_FINGERPRINTS: [u64; 6] = [
     0x1821_2470_8dd0_be26,
 ];
 /// `(admission, ring, shed, shard)` losses.
-const PINNED_LEDGER: (u64, u64, u64, u64) = (31_182, 3_203, 4_346, 7_410);
+type Ledger = (u64, u64, u64, u64);
+const PINNED_LEDGER: Ledger = (31_182, 3_203, 4_346, 7_410);
 
 fn run(threads: usize) -> (RunReport, Vec<Vec<Winner>>) {
     let mut sim = ClusterSim::new(pinned_config(threads)).expect("cluster builds");
@@ -126,6 +127,59 @@ fn the_run_actually_exercises_the_hard_paths() {
         report.protected_met_permille()
     );
     assert!(report.transmitted > 10_000, "the fabrics kept deciding");
+}
+
+/// Whole-count scenarios: at `steady:rate=9000` every slot draws one whole
+/// arrival per tick plus a Bernoulli extra, and at
+/// `elephant-mice:rate=3000,skew=900` the two elephants do while the mice
+/// draw bits only — the multi-arrival slots the common 2× tick never has,
+/// landing on crashed shards under chaos.
+fn whole_count_config(spec: &str, threads: usize) -> ClusterConfig {
+    let scenario = ScenarioSpec::parse(spec).expect("spec");
+    let mut config = ClusterConfig::new(0x5107_5E75, scenario, 4, 2, 8);
+    config.ticks = 3_000;
+    config.faults = FaultProfile::Chaos;
+    config.threads = threads;
+    config
+}
+
+/// `(spec, fingerprint, ledger)`, captured at commit 1e599a3 — before the
+/// sampler became a Bernoulli mask plus whole counts — and never
+/// recomputed.
+const PINNED_WHOLE_COUNT: [(&str, u64, Ledger); 2] = [
+    (
+        "steady:rate=9000",
+        0x3dac_0aa9_885b_eafa,
+        (59_978, 2_189, 1_627, 30_849),
+    ),
+    (
+        "elephant-mice:rate=3000,skew=900",
+        0x0b82_e0c4_85c2_4902,
+        (12_297, 1_957, 22, 17_827),
+    ),
+];
+
+#[test]
+fn whole_count_outcomes_have_not_moved() {
+    for (spec, fingerprint, ledger) in PINNED_WHOLE_COUNT {
+        for threads in [1, 2] {
+            let mut sim = ClusterSim::new(whole_count_config(spec, threads)).expect("builds");
+            let r = sim.run();
+            assert!(r.violations.is_empty(), "{spec}: {:?}", r.violations);
+            assert!(r.shard_crashes > 0, "{spec}: chaos crashed a shard");
+            assert_eq!(r.fingerprint, fingerprint, "{spec} threads={threads}");
+            assert_eq!(
+                (
+                    r.ledger.admission,
+                    r.ledger.ring,
+                    r.ledger.shed,
+                    r.ledger.shard
+                ),
+                ledger,
+                "{spec} threads={threads}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -156,6 +156,83 @@ proptest! {
     }
 }
 
+/// The node books every drawn arrival, once, on the tick it was drawn:
+/// per tick, `offered` grows by the scenario's total plus the overload
+/// burst's extras (read off a second copy of the node's fault stream — the
+/// admission site's draws are a stream of their own), and the `Shard`
+/// ledger by the arrivals that landed on dead slots plus, on a crash tick,
+/// the backlog the crashed shard held. Every shape, every fault profile;
+/// the whole-count specs put one or more whole arrivals on a slot per
+/// tick, so multi-arrival slots meet crashed shards too.
+#[test]
+fn node_books_every_drawn_arrival_once() {
+    use ss_cluster::{NodeParams, SimNode};
+    use ss_faults::{FaultKind, FaultSite};
+    const SLOTS: usize = 8;
+    let specs = [
+        "steady:rate=9000",
+        "flash-crowd:rate=2000,peak=9000,at=300,width=400",
+        "diurnal:rate=1500,peak=9000,at=800",
+        "elephant-mice:rate=3000,skew=900",
+        "wimax:rate=6000",
+    ];
+    let (mut multi_ticks, mut dead_arrivals, mut crashes) = (0u64, 0u64, 0u64);
+    for (i, spec) in specs.iter().enumerate() {
+        let scenario = Scenario::new(ScenarioSpec::parse(spec).expect("spec"), SLOTS);
+        for profile in [FaultProfile::Off, FaultProfile::Light, FaultProfile::Chaos] {
+            for seed in [0x5EED_u64, 0xC0FFEE] {
+                let id = i % 4;
+                let config = ClusterConfig::new(seed, *scenario.spec(), 4, 2, SLOTS);
+                let params = NodeParams {
+                    slots: SLOTS,
+                    shards: 2,
+                    gate_rate_mtok: config.gate_rate_mtok,
+                    gate_burst_mtok: config.gate_burst_mtok,
+                    record_winners: false,
+                };
+                let mut node =
+                    SimNode::new(id, params, &scenario, seed, profile.injector_for(seed, id))
+                        .expect("node builds");
+                let mut shadow = profile.injector_for(seed, id);
+                let mut counts = [0u32; SLOTS];
+                for tick in 0..3_000u64 {
+                    let mut total = scenario.sample_arrivals(seed, id, tick, &mut counts);
+                    multi_ticks += u64::from(counts.iter().any(|&c| c > 1));
+                    if let Some(FaultKind::OverloadBurst { extra }) =
+                        shadow.sample_mut(FaultSite::Admission)
+                    {
+                        for e in 0..extra as usize {
+                            counts[(tick as usize + e) % SLOTS] += 1;
+                        }
+                        total += extra;
+                    }
+                    let dead_before: Vec<bool> = (0..SLOTS).map(|s| node.is_dead_slot(s)).collect();
+                    let backlog: Vec<usize> = (0..SLOTS)
+                        .map(|s| node.slot_backlog(s).expect("in range"))
+                        .collect();
+                    let (offered, shard) = (node.offered(), node.ledger().shard);
+                    node.step(tick, &scenario, seed);
+                    let ctx = format!("{spec} {profile} seed {seed:#x} tick {tick}");
+                    assert_eq!(node.offered() - offered, u64::from(total), "{ctx}");
+                    let dead = (0..SLOTS).filter(|&s| node.is_dead_slot(s));
+                    let on_dead: u64 = dead.clone().map(|s| u64::from(counts[s])).sum();
+                    let written_off: u64 = dead
+                        .filter(|&s| !dead_before[s])
+                        .map(|s| backlog[s] as u64)
+                        .sum();
+                    assert_eq!(node.ledger().shard - shard, on_dead + written_off, "{ctx}");
+                    dead_arrivals += on_dead;
+                }
+                crashes += node.shard_crashes();
+            }
+        }
+    }
+    assert!(
+        multi_ticks > 0 && dead_arrivals > 0 && crashes > 0,
+        "the hard paths ran"
+    );
+}
+
 proptest! {
     // Full cluster runs are expensive; fewer, stronger cases.
     #![proptest_config(ProptestConfig::with_cases(6))]

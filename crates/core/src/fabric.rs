@@ -420,6 +420,7 @@ impl Fabric {
     /// Queue depth summed over every slot, recounted from the register
     /// file's `qlen` bank.
     // lint:hot-path
+    #[inline]
     pub fn total_backlog(&self) -> usize {
         self.registers.total_backlog()
     }

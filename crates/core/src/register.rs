@@ -272,11 +272,13 @@ impl RegisterFile {
         self.qlen[slot]
     }
 
-    /// Queued packets summed over every slot: a recount of the `qlen`
-    /// bank, not a running total.
+    /// Queued packets summed over the file's `slots` slots: a recount of
+    /// that much of the `qlen` bank (the unbound upper entries stay 0), not
+    /// a running total.
     // lint:hot-path
+    #[inline]
     pub fn total_backlog(&self) -> usize {
-        self.qlen.iter().sum()
+        self.qlen.iter().take(self.slots).sum()
     }
 
     /// Current head deadline of `slot` (wide).

@@ -178,8 +178,21 @@ fn hot_root_counts_of_the_real_workspace_are_pinned() {
     //   `on_violation` edges are waived at the call: a violation ends the
     //   steady state);
     // + `worker_loop` — the same node phase behind the ownership hand-off.
+    // 135 / 146 → 138 / 149 with slot sets as words on the node tick, +6 −3
+    // on every leg:
+    // + `ss_types::slot_bits` — the ascending walk over a slot or shard
+    //   mask that every new loop below is;
+    // + `Scenario::sample_mask` — the tick's draws as a Bernoulli mask plus
+    //   whole counts;
+    // + `SimNode::book_dead_arrivals` and `SimNode::offer_slot` — the dead
+    //   slots' arrivals booked at once, a live slot's offered back to back;
+    // + `Frontend::live` — the live-shard mask both drive modes walk;
+    // + `Bucket::settled` — the admission settle over tabulated rates,
+    //   which replaces `AdmissionController::pending_refill` and `sync`
+    //   (−2) and leaves `refill_shift` a construction-time table builder
+    //   (−1, annotation dropped).
     let (ws, mut cfg) = load(&workspace_root());
-    for (features, pinned) in [(&[][..], 135), (&["telemetry", "faults"][..], 146)] {
+    for (features, pinned) in [(&[][..], 138), (&["telemetry", "faults"][..], 149)] {
         cfg.active_features = features.iter().map(ToString::to_string).collect();
         let mut report = Report::default();
         run_rule("hot-path-reachability", &ws, &cfg, &mut report);

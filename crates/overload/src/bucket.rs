@@ -64,13 +64,70 @@ impl StreamClass {
 /// [`AdmissionController::level_index`].
 type LevelTicks = [u64; 3];
 
+/// The pressure levels in [`AdmissionController::level_index`] order.
+const LEVELS: [PressureLevel; 3] = [
+    PressureLevel::Nominal,
+    PressureLevel::Elevated,
+    PressureLevel::Overloaded,
+];
+
+/// One stream's bucket: everything a settle reads and writes, side by
+/// side.
+#[derive(Debug, Clone)]
+struct Bucket {
+    /// The refill ladder, tabulated at construction: `rate_mtok >>
+    /// refill_shift(level, protection)` per level, in `LEVELS` order.
+    rates: [u32; 3],
+    /// Bucket depth, millitokens.
+    burst: u32,
+    /// Bucket level as of the last sync, millitokens. Buckets start full
+    /// so an initial burst up to the configured depth is admitted.
+    tokens: u32,
+    /// Snapshot of the controller's `level_ticks` at the last sync.
+    synced: LevelTicks,
+    admitted: u64,
+    rejected: u64,
+}
+
+impl Bucket {
+    fn new(class: &StreamClass) -> Self {
+        Self {
+            rates: LEVELS.map(|level| {
+                class.rate_mtok >> AdmissionController::refill_shift(level, class.protection)
+            }),
+            burst: class.burst_mtok,
+            tokens: class.burst_mtok,
+            synced: [0; 3],
+            admitted: 0,
+            rejected: 0,
+        }
+    }
+
+    /// The bucket level at per-level clocks `now`: the tokens as of the
+    /// last sync plus every level's clock delta times that level's
+    /// tabulated rate — ticks spent at level `l` always refill at `l`'s
+    /// rate, no matter when the bucket settles them — capped at the burst
+    /// depth. Multiply-adds only: no ladder branch, no data-dependent
+    /// branch at all.
+    // lint:hot-path
+    #[inline]
+    fn settled(&self, now: &LevelTicks) -> u32 {
+        let mut level = u64::from(self.tokens);
+        for ((&now, &synced), &rate) in now.iter().zip(&self.synced).zip(&self.rates) {
+            level = level.saturating_add((now - synced).saturating_mul(u64::from(rate)));
+        }
+        level.min(u64::from(self.burst)) as u32
+    }
+}
+
 /// Per-stream token buckets with pressure- and window-aware refill.
 ///
 /// Refill is *lazy*: a tick only bumps one of three cumulative per-level
 /// clocks (O(1) regardless of stream count), and each bucket settles the
 /// elapsed refill the next time it is actually touched — the per-level
 /// clock deltas since the bucket's last sync, each multiplied by that
-/// level's ladder rate. Because tokens only ever leave a bucket through
+/// level's ladder rate, tabulated per stream at construction. Because
+/// tokens only ever leave a bucket through
 /// [`AdmissionController::try_admit`] (which syncs first), capping at the
 /// burst depth once at sync time is exactly equivalent to capping every
 /// tick, so the lazy controller is bit-identical to the eager one while
@@ -78,31 +135,19 @@ type LevelTicks = [u64; 3];
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     classes: Vec<StreamClass>,
-    /// Bucket levels as of each stream's last sync, millitokens. Buckets
-    /// start full so an initial burst up to the configured depth is
-    /// admitted.
-    tokens: Vec<u32>,
+    buckets: Vec<Bucket>,
     /// Packet-times elapsed at each pressure level since construction.
     level_ticks: LevelTicks,
-    /// Per-stream snapshot of `level_ticks` at its last refill sync.
-    synced: Vec<LevelTicks>,
-    admitted: Vec<u64>,
-    rejected: Vec<u64>,
 }
 
 impl AdmissionController {
     /// A controller with one bucket per entry of `classes`, all starting
     /// full.
     pub fn new(classes: Vec<StreamClass>) -> Self {
-        let tokens = classes.iter().map(|c| c.burst_mtok).collect();
-        let n = classes.len();
         Self {
+            buckets: classes.iter().map(Bucket::new).collect(),
             classes,
-            tokens,
             level_ticks: [0; 3],
-            synced: vec![[0; 3]; n],
-            admitted: vec![0; n],
-            rejected: vec![0; n],
         }
     }
 
@@ -117,43 +162,6 @@ impl AdmissionController {
         }
     }
 
-    /// Millitokens `class` has earned across the per-level clock deltas
-    /// since `synced` — ticks spent at level `l` always refill at level
-    /// `l`'s ladder rate, no matter when the bucket settles them.
-    // lint:hot-path
-    #[inline]
-    fn pending_refill(class: &StreamClass, synced: &LevelTicks, now: &LevelTicks) -> u64 {
-        const LEVELS: [PressureLevel; 3] = [
-            PressureLevel::Nominal,
-            PressureLevel::Elevated,
-            PressureLevel::Overloaded,
-        ];
-        let mut refill = 0u64;
-        for (l, &level) in LEVELS.iter().enumerate() {
-            let dt = now[l] - synced[l];
-            if dt != 0 {
-                let rate = u64::from(class.rate_mtok >> Self::refill_shift(level, class.protection));
-                refill = refill.saturating_add(dt.saturating_mul(rate));
-            }
-        }
-        refill
-    }
-
-    /// Settles `stream`'s elapsed refill into its bucket and re-anchors
-    /// its sync snapshot. Callers guarantee `stream` is in range.
-    // lint:hot-path
-    #[inline]
-    fn sync(&mut self, stream: usize) {
-        let refill = Self::pending_refill(
-            &self.classes[stream],
-            &self.synced[stream],
-            &self.level_ticks,
-        );
-        self.tokens[stream] = (u64::from(self.tokens[stream]) + refill)
-            .min(u64::from(self.classes[stream].burst_mtok)) as u32;
-        self.synced[stream] = self.level_ticks;
-    }
-
     /// Streams managed.
     pub fn streams(&self) -> usize {
         self.classes.len()
@@ -162,9 +170,9 @@ impl AdmissionController {
     /// How much refill a stream with `protection` gets at `level`,
     /// expressed as a right-shift of its configured rate. The ladder:
     /// fully-protected streams are never squeezed; mid-tier streams halve
-    /// then quarter; loss-tolerant streams quarter then eighth.
-    // lint:hot-path
-    #[inline]
+    /// then quarter; loss-tolerant streams quarter then eighth. Read once
+    /// per stream and level, at construction: the buckets keep the rates
+    /// it yields.
     pub fn refill_shift(level: PressureLevel, protection: u16) -> u32 {
         if protection >= PROTECTED_PERMILLE {
             return 0;
@@ -205,48 +213,46 @@ impl AdmissionController {
     // lint:hot-path
     #[inline]
     pub fn try_admit(&mut self, stream: usize) -> bool {
-        if stream >= self.classes.len() {
+        let Some(b) = self.buckets.get_mut(stream) else {
             return false;
-        }
-        self.sync(stream);
-        if self.tokens[stream] >= TOKEN_COST_MTOK {
-            self.tokens[stream] -= TOKEN_COST_MTOK;
-            self.admitted[stream] += 1;
-            true
-        } else {
-            self.rejected[stream] += 1;
-            false
-        }
+        };
+        // Settle the elapsed refill and re-anchor the sync snapshot.
+        b.tokens = b.settled(&self.level_ticks);
+        b.synced = self.level_ticks;
+        let ok = b.tokens >= TOKEN_COST_MTOK;
+        b.tokens -= if ok { TOKEN_COST_MTOK } else { 0 };
+        b.admitted += u64::from(ok);
+        b.rejected += u64::from(!ok);
+        ok
     }
 
     /// Current bucket level for `stream`, millitokens — elapsed refill
-    /// included, computed without disturbing the bucket's sync state.
+    /// included, computed from the same tabulated ladder without
+    /// disturbing the bucket's sync state.
     pub fn tokens(&self, stream: usize) -> u32 {
-        let Some(class) = self.classes.get(stream) else {
-            return 0;
-        };
-        let refill = Self::pending_refill(class, &self.synced[stream], &self.level_ticks);
-        (u64::from(self.tokens[stream]) + refill).min(u64::from(class.burst_mtok)) as u32
+        self.buckets
+            .get(stream)
+            .map_or(0, |b| b.settled(&self.level_ticks))
     }
 
     /// Packets admitted for `stream` so far.
     pub fn admitted(&self, stream: usize) -> u64 {
-        self.admitted.get(stream).copied().unwrap_or(0)
+        self.buckets.get(stream).map_or(0, |b| b.admitted)
     }
 
     /// Packets rejected at admission for `stream` so far.
     pub fn rejected(&self, stream: usize) -> u64 {
-        self.rejected.get(stream).copied().unwrap_or(0)
+        self.buckets.get(stream).map_or(0, |b| b.rejected)
     }
 
     /// Total rejections across streams.
     pub fn total_rejected(&self) -> u64 {
-        self.rejected.iter().sum()
+        self.buckets.iter().map(|b| b.rejected).sum()
     }
 
     /// Total admissions across streams.
     pub fn total_admitted(&self) -> u64 {
-        self.admitted.iter().sum()
+        self.buckets.iter().map(|b| b.admitted).sum()
     }
 
     /// The configured class for `stream`.
@@ -387,17 +393,14 @@ mod tests {
 
     #[test]
     fn lazy_refill_matches_eager_reference() {
-        // A brute-force eager controller (the old per-tick sweep) replayed
-        // against the lazy one through pressure swings, bursty spends, and
-        // long idle gaps: every admit verdict and every observable bucket
-        // level must agree.
-        let classes = vec![
-            StreamClass::from_window(700, 2_500, wc(0, 1)),
-            StreamClass::from_window(1_000, 4_000, wc(1, 2)),
-            StreamClass::from_window(300, 1_000, wc(3, 4)),
-        ];
-        let mut lazy = AdmissionController::new(classes.clone());
-        let mut eager_tokens: Vec<u32> = classes.iter().map(|c| c.burst_mtok).collect();
+        // A brute-force eager controller (the old per-tick sweep, reading
+        // the ladder through `refill_shift` every tick) replayed against
+        // the lazy one, which reads rates it tabulated at construction,
+        // through pressure swings, bursty spends, and long idle gaps: every
+        // admit verdict and every observable bucket level must agree. Three
+        // hand-picked classes, then random ones in every protection tier
+        // (fully protected, the PROTECTED and MID boundaries and either
+        // side of them, unprotected) with rates and bursts up to u32::MAX.
         let mut seed = 0x9E3779B97F4A7C15u64;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -405,21 +408,42 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for step in 0..4_000u64 {
-            let level = match (step / 250) % 3 {
-                0 => PressureLevel::Nominal,
-                1 => PressureLevel::Elevated,
-                _ => PressureLevel::Overloaded,
+        let mut classes = vec![
+            StreamClass::from_window(700, 2_500, wc(0, 1)),
+            StreamClass::from_window(1_000, 4_000, wc(1, 2)),
+            StreamClass::from_window(300, 1_000, wc(3, 4)),
+        ];
+        let tiers = [1000, 999, PROTECTED_PERMILLE, 749, MID_PERMILLE, 499, 0];
+        for i in 0..28 {
+            let mut mtok = || match rng() % 4 {
+                0 => u32::MAX,
+                1 => rng() as u32,
+                2 => u32::MAX - (rng() % 8_000) as u32,
+                _ => (rng() % 8_000) as u32,
             };
+            classes.push(StreamClass {
+                rate_mtok: mtok(),
+                burst_mtok: mtok(),
+                protection: tiers[i % tiers.len()],
+            });
+        }
+        let mut lazy = AdmissionController::new(classes.clone());
+        let mut eager_tokens: Vec<u32> = classes.iter().map(|c| c.burst_mtok).collect();
+        for step in 0..4_000u64 {
+            // Regular 250-tick phases, then a level drawn every tick.
+            let phase = if step < 2_000 { step / 250 } else { rng() };
+            let level = LEVELS[(phase % 3) as usize];
             lazy.tick(level);
             for (tokens, class) in eager_tokens.iter_mut().zip(&classes) {
                 let refill =
                     class.rate_mtok >> AdmissionController::refill_shift(level, class.protection);
-                *tokens = (*tokens + refill).min(class.burst_mtok);
+                *tokens = (u64::from(*tokens) + u64::from(refill)).min(u64::from(class.burst_mtok))
+                    as u32;
             }
             for (s, tokens) in eager_tokens.iter_mut().enumerate() {
-                // Idle gaps: stream 2 only offers every 16th packet-time.
-                if s == 2 && step % 16 != 0 {
+                // Idle gaps: every third stream only offers every 16th
+                // packet-time.
+                if s % 3 == 2 && step % 16 != 0 {
                     continue;
                 }
                 if rng() & 1 == 0 {
@@ -434,14 +458,21 @@ mod tests {
                         eager_admit,
                         "verdicts diverged at step {step} stream {s}"
                     );
-                    assert_eq!(lazy.tokens(s), *tokens, "levels diverged at {step}");
                 }
             }
+            // The read-only accessor settles pending refill, idle streams
+            // included, from the same table.
+            for (s, &tokens) in eager_tokens.iter().enumerate() {
+                assert_eq!(
+                    lazy.tokens(s),
+                    tokens,
+                    "levels diverged at {step} stream {s}"
+                );
+            }
         }
-        // The read-only accessor also settles pending refill correctly.
-        for (s, class) in classes.iter().enumerate() {
-            assert!(lazy.tokens(s) <= class.burst_mtok);
-        }
+        let admitted: u64 = (0..classes.len()).map(|s| lazy.admitted(s)).sum();
+        assert_eq!(admitted, lazy.total_admitted());
+        assert!(lazy.total_admitted() > 0 && lazy.total_rejected() > 0);
     }
 
     #[test]

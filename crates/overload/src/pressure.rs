@@ -132,20 +132,22 @@ impl PressureSignal {
     }
 
     /// Feeds one occupancy observation (`occupied` of `capacity` slots)
-    /// and returns the — possibly updated — level. Hot path: integer-only,
-    /// no allocation, no panic (`capacity == 0` reads as empty).
+    /// and returns the — possibly updated — level. An observation inside
+    /// a dwell window only counts the window down, so it returns before
+    /// the occupancy is divided out. Hot path: integer-only, no
+    /// allocation, no panic (`capacity == 0` reads as empty).
     // lint:hot-path
     #[inline]
     pub fn observe(&mut self, occupied: usize, capacity: usize) -> PressureLevel {
+        if self.dwell > 0 {
+            self.dwell -= 1;
+            return self.level;
+        }
         let permille = if capacity == 0 {
             0
         } else {
             ((occupied.min(capacity) as u64 * 1000) / capacity as u64) as u32
         };
-        if self.dwell > 0 {
-            self.dwell -= 1;
-            return self.level;
-        }
         let next = match self.level {
             PressureLevel::Nominal => {
                 if permille >= self.config.rise_overloaded {
@@ -309,6 +311,67 @@ mod tests {
             "dwell must bound flapping, got {}",
             p.transitions()
         );
+    }
+
+    /// `observe` as it was before it returned on dwell first: the
+    /// occupancy divided out on every call, dwell or not.
+    fn divide_first(p: &mut PressureSignal, occupied: usize, capacity: usize) -> PressureLevel {
+        let permille = if capacity == 0 {
+            0
+        } else {
+            ((occupied.min(capacity) as u64 * 1000) / capacity as u64) as u32
+        };
+        if p.dwell > 0 {
+            p.dwell -= 1;
+            return p.level;
+        }
+        let c = p.config;
+        let next = match p.level {
+            PressureLevel::Nominal if permille >= c.rise_overloaded => PressureLevel::Overloaded,
+            PressureLevel::Nominal if permille >= c.rise_elevated => PressureLevel::Elevated,
+            PressureLevel::Elevated if permille >= c.rise_overloaded => PressureLevel::Overloaded,
+            PressureLevel::Elevated if permille <= c.fall_elevated => PressureLevel::Nominal,
+            PressureLevel::Overloaded if permille <= c.fall_elevated => PressureLevel::Nominal,
+            PressureLevel::Overloaded if permille <= c.fall_overloaded => PressureLevel::Elevated,
+            level => level,
+        };
+        if next != p.level {
+            p.level = next;
+            p.dwell = c.min_dwell;
+            p.transitions += 1;
+        }
+        p.level
+    }
+
+    /// Dwell-first equals divide-first, exhaustively: every capacity in
+    /// 0..=130 (the zero-capacity case and every divisor of the ‰ scale
+    /// up to it), every occupancy up to twice the capacity, swept up and
+    /// back down so all three levels and every transition are reached,
+    /// under dwell windows of 0, 1, 3 and the default 8.
+    #[test]
+    fn dwell_first_observe_equals_divide_first() {
+        for min_dwell in [0, 1, 3, 8] {
+            let config = PressureConfig {
+                min_dwell,
+                ..PressureConfig::default()
+            };
+            for capacity in 0..=130usize {
+                let (mut fast, mut oracle) =
+                    (PressureSignal::new(config), PressureSignal::new(config));
+                let up = 0..=2 * capacity;
+                for occupied in up.clone().chain(up.rev()) {
+                    assert_eq!(
+                        fast.observe(occupied, capacity),
+                        divide_first(&mut oracle, occupied, capacity),
+                        "dwell {min_dwell}, {occupied}/{capacity}"
+                    );
+                    assert_eq!(
+                        (fast.dwell, fast.transitions),
+                        (oracle.dwell, oracle.transitions)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

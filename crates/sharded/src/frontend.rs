@@ -1,7 +1,7 @@
 //! What both drive modes need, written once: the global↔(shard, local)
 //! slot indirection, the host-side shadow of every loaded stream, the
-//! comparison mode, one failed flag per shard — and the four rules over
-//! them: slot routing ([`Frontend::route`]), the merge order
+//! comparison mode, the failed shards as one mask word — and the four
+//! rules over them: slot routing ([`Frontend::route`]), the merge order
 //! ([`Frontend::merge_before`], with the scan and the streamlet sort built
 //! on it), exclusion booking ([`Frontend::exclude`]) and merge-telemetry
 //! recording ([`MergeMetrics::record_merge`], the `metrics` field).
@@ -14,7 +14,12 @@ use crate::metrics::MergeMetrics;
 use ss_core::decision::{lane_order, DecisionRule};
 use ss_core::{FabricConfig, RecoveryLedger, ScheduledPacket, StreamState};
 use ss_types::packed::lane_valid;
-use ss_types::{ComparisonMode, Error, Result, SlotId};
+use ss_types::{slot_bits, ComparisonMode, Error, Result, SlotId, MAX_SLOTS};
+
+/// The most shards a frontend can have: a shard is at least a 2-slot
+/// fabric, and global slot IDs are the 5-bit field. A set of shards is
+/// therefore a `u32` word with the top half clear.
+pub(crate) const MAX_SHARDS: usize = MAX_SLOTS / 2;
 
 /// One shard's entry in a streamlet: its pre-service winner word (the
 /// merge key), the packet it serviced, and the shard index.
@@ -33,9 +38,12 @@ pub(crate) struct Frontend {
     /// Host-side shadow of every loaded stream's configuration — the
     /// supervisor's copy that makes rehoming off dead hardware possible.
     shadow: Vec<Option<StreamState>>,
-    /// Shards out of the merge for good: operator-failed, crashed, or (in
-    /// threaded mode) a worker whose proposal ring disconnected.
-    failed: Vec<bool>,
+    /// The shards that exist: the low K bits set.
+    shards: u32,
+    /// Bit k set = shard k is out of the merge for good: operator-failed,
+    /// crashed, or (in threaded mode) a worker whose proposal ring
+    /// disconnected. Both drive modes read this one word.
+    failed: u32,
     /// Backlogged packets written off when shards were excluded.
     lost_packets: u64,
     /// The shared injector's recovery ledger (zero-sized without `faults`).
@@ -48,7 +56,7 @@ impl Frontend {
     /// The contiguous partition of `config.slots` global slots over
     /// `shards` shards: global `g` lives on shard `g / (M/K)` as local slot
     /// `g % (M/K)`. The caller has validated that `shards` divides the
-    /// slot count.
+    /// slot count and is at most [`MAX_SHARDS`].
     pub(crate) fn new(config: &FabricConfig, shards: usize) -> Self {
         let per_shard = config.slots / shards;
         Self {
@@ -62,7 +70,8 @@ impl Frontend {
                 .map(|k| (0..per_shard).map(|l| k * per_shard + l).collect())
                 .collect(),
             shadow: vec![None; config.slots],
-            failed: vec![false; shards],
+            shards: (1u32 << shards) - 1,
+            failed: 0,
             lost_packets: 0,
             ledger: RecoveryLedger::new(),
             metrics: MergeMetrics::new(),
@@ -94,7 +103,7 @@ impl Frontend {
     #[inline]
     pub(crate) fn route_live(&self, global: usize) -> Result<(usize, usize)> {
         let (shard, local) = self.route(global)?;
-        if self.failed[shard] {
+        if self.is_failed(shard) {
             return Err(Error::ShardFailed { shard });
         }
         Ok((shard, local))
@@ -123,15 +132,30 @@ impl Frontend {
         self.shadow[global] = state;
     }
 
-    /// `true` once shard `k` is out of the merge.
+    /// `true` once shard `k` (below [`MAX_SHARDS`]) is out of the merge.
     #[inline]
     pub(crate) fn is_failed(&self, k: usize) -> bool {
-        self.failed[k]
+        self.failed & (1 << k) != 0
+    }
+
+    /// The shards still in the merge, as a mask.
+    // lint:hot-path
+    #[inline]
+    pub(crate) fn live(&self) -> u32 {
+        self.shards & !self.failed
     }
 
     /// Indices of excluded shards, ascending.
     pub(crate) fn failed_shards(&self) -> Vec<usize> {
-        (0..self.failed.len()).filter(|&k| self.failed[k]).collect()
+        slot_bits(self.failed).collect()
+    }
+
+    /// The global slots homed on shard `k`, as a mask (0 when `k` is out
+    /// of range): read off the reverse map, so it follows every rehoming.
+    pub(crate) fn slots_on(&self, k: usize) -> u32 {
+        self.rev_map
+            .get(k)
+            .map_or(0, |row| row.iter().fold(0, |mask, &g| mask | 1 << g))
     }
 
     pub(crate) fn lost_packets(&self) -> u64 {
@@ -146,7 +170,7 @@ impl Frontend {
     /// stranded backlog is readable off the fabric
     /// [`ThreadedShards::join`](crate::ThreadedShards::join) returns).
     pub(crate) fn exclude(&mut self, shard: usize, lost: u64) {
-        self.failed[shard] = true;
+        self.failed |= 1 << shard;
         self.lost_packets += lost;
         self.ledger.shard_excluded(lost);
     }
@@ -162,7 +186,7 @@ impl Frontend {
             .rev_map
             .iter()
             .enumerate()
-            .filter(|&(k2, _)| !self.failed[k2])
+            .filter(|&(k2, _)| !self.is_failed(k2))
             .find_map(|(k2, row)| {
                 let l2 = row.iter().position(|&t| self.shadow[t].is_none())?;
                 Some((k2, l2, row[l2]))
@@ -212,8 +236,9 @@ impl Frontend {
         best.and_then(|(k, w)| lane_valid(w).then_some((k, reason)))
     }
 
-    /// Orders one cycle's lanes into a streamlet. Insertion sort — K ≤ 16,
-    /// and the lanes arrive in ascending shard order, so full ties stay put.
+    /// Orders one cycle's lanes into a streamlet. Insertion sort — K ≤
+    /// [`MAX_SHARDS`], and the lanes arrive in ascending shard order, so
+    /// full ties stay put.
     pub(crate) fn sort_streamlet(&self, lanes: &mut [Lane]) {
         for i in 1..lanes.len() {
             let mut j = i;

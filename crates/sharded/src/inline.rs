@@ -4,18 +4,14 @@
 //! stall horizons, the per-shard overload breakers — over the shared
 //! [`Frontend`].
 
-use crate::frontend::Frontend;
+use crate::frontend::{Frontend, MAX_SHARDS};
 use crate::threaded::ThreadedShards;
 use ss_core::decision::DecisionRule;
 use ss_core::{Fabric, FabricConfig, ScheduledPacket, SlotCounters, StreamState, SupervisorTrace};
 use ss_hwsim::FabricConfigKind;
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
 use ss_types::packed::lane_valid;
-use ss_types::{Error, Result, Wrap16, MAX_SLOTS};
-
-/// The most shards a frontend can have: a shard is at least a 2-slot
-/// fabric, and global slot IDs are the 5-bit field.
-const MAX_SHARDS: usize = MAX_SLOTS / 2;
+use ss_types::{slot_bits, Error, Result, Wrap16};
 
 /// One global cycle's proposed winner words, by shard, on the stack: the
 /// merge, the breakers and the grant all read the same words.
@@ -39,10 +35,11 @@ impl Proposals {
     }
 
     /// `(shard, word)` in ascending shard order — the order
-    /// [`Frontend::pick`] breaks full ties by.
+    /// [`Frontend::pick`] breaks full ties by — visiting the bits of
+    /// `made` only.
     #[inline]
-    fn iter(&self, shards: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        (0..shards).filter_map(|k| Some((k, self.get(k)?)))
+    fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        slot_bits(self.made).map(|k| (k, self.words[k]))
     }
 }
 
@@ -77,7 +74,8 @@ impl ShardedScheduler {
     /// merge; block merges belong to the aggregation layer), `shards` must
     /// divide `slots`, M ≤ 32 (global slot IDs are the fabric's 5-bit
     /// field), and each shard's M/K slots must satisfy the fabric's own
-    /// power-of-two 2..=32 rule.
+    /// power-of-two 2..=32 rule — so K ≤ 16, and a set of shards is one
+    /// mask word.
     pub fn new(config: FabricConfig, shards: usize) -> Result<Self> {
         if config.kind != FabricConfigKind::WinnerOnly {
             return Err(Error::Config(
@@ -94,6 +92,11 @@ impl ShardedScheduler {
             return Err(Error::Config(format!(
                 "total slots {} exceed the 5-bit global slot field",
                 config.slots
+            )));
+        }
+        if shards > MAX_SHARDS {
+            return Err(Error::Config(format!(
+                "{shards} shards of one slot each: a shard is at least a 2-slot fabric"
             )));
         }
         let front = Frontend::new(&config, shards);
@@ -206,8 +209,8 @@ impl ShardedScheduler {
     /// in inline mode, so the first surviving shard speaks for everyone
     /// (shard 0's clock freezes if it fails).
     pub fn now(&self) -> u64 {
-        (0..self.shards.len())
-            .find(|&k| !self.front.is_failed(k))
+        slot_bits(self.front.live())
+            .next()
             .map_or(0, |k| self.shards[k].now())
     }
 
@@ -305,10 +308,7 @@ impl ShardedScheduler {
         if self.breakers.is_empty() {
             return;
         }
-        for k in 0..self.shards.len() {
-            if self.front.is_failed(k) {
-                continue;
-            }
+        for k in slot_bits(self.front.live()) {
             let backlog = self.shards[k].total_backlog();
             let made_progress = backlog == 0 || proposals.get(k).is_none_or(lane_valid);
             let before = self.breakers[k].state();
@@ -326,7 +326,9 @@ impl ShardedScheduler {
     /// With breakers armed, an arrival for a shard
     /// whose breaker is open is refused with [`Error::Overloaded`] and
     /// accounted at [`LossSite::Shed`] — intentional, counted load
-    /// shedding, never silent loss.
+    /// shedding, never silent loss. Inlinable: it is the node tick's
+    /// per-arrival call.
+    #[inline]
     pub fn push_arrival(&mut self, global: usize, arrival: Wrap16) -> Result<()> {
         let (shard, local) = self.front.route_live(global)?;
         if let Some(b) = self.breakers.get_mut(shard) {
@@ -361,14 +363,11 @@ impl ShardedScheduler {
     /// through the slot map. A failed shard's backlog was written off by
     /// [`ShardedScheduler::fail_shard`] and is not counted.
     // lint:hot-path
+    #[inline]
     pub fn live_backlog(&self) -> u64 {
-        let mut sum = 0u64;
-        for (k, fabric) in self.shards.iter().enumerate() {
-            if !self.front.is_failed(k) {
-                sum += fabric.total_backlog() as u64;
-            }
-        }
-        sum
+        slot_bits(self.front.live())
+            .map(|k| self.shards[k].total_backlog() as u64)
+            .sum()
     }
 
     /// Per-slot performance counters for global slot `g`.
@@ -390,6 +389,16 @@ impl ShardedScheduler {
     /// Indices of excluded shards, ascending.
     pub fn failed_shards(&self) -> Vec<usize> {
         self.front.failed_shards()
+    }
+
+    /// The global slots homed on shard `k` right now, as a mask (bit `g`
+    /// = global slot `g`; 0 for an out-of-range `k`). Read off the
+    /// frontend's reverse map, so it follows
+    /// [`ShardedScheduler::redistribute`]: a rehomed slot leaves its
+    /// failed shard's mask for its survivor's, and the empty tenant it
+    /// swapped with goes the other way.
+    pub fn slots_on(&self, k: usize) -> u32 {
+        self.front.slots_on(k)
     }
 
     /// Backlogged packets written off when shards failed.
@@ -499,8 +508,8 @@ impl ShardedScheduler {
     /// Probes every live shard's health and auto-excludes crashed ones —
     /// the frontend's watchdog sweep, run at the top of each global cycle.
     fn auto_exclude_crashed(&mut self) {
-        for k in 0..self.shards.len() {
-            if !self.front.is_failed(k) && self.shards[k].is_crashed() {
+        for k in slot_bits(self.front.live()) {
+            if self.shards[k].is_crashed() {
                 // fail_shard only errors on already-failed, excluded here.
                 let _ = self.fail_shard(k);
             }
@@ -514,12 +523,12 @@ impl ShardedScheduler {
         self.stalled_until[k] = self.decision_count + 1 + cycles;
     }
 
-    /// `true` if shard `k` competes in global cycle `cycle`'s merge: failed
-    /// shards are out for good; stalled shards sit out their injected
-    /// window but keep expiring.
+    /// `true` if live shard `k` sits out global cycle `cycle`'s merge: a
+    /// stalled shard proposes nothing for its injected window but keeps
+    /// expiring (failed shards are out of the live mask for good).
     #[inline]
-    fn competes(&self, k: usize, cycle: u64) -> bool {
-        !self.front.is_failed(k) && cycle >= self.stalled_until[k]
+    fn stalled(&self, k: usize, cycle: u64) -> bool {
+        cycle < self.stalled_until[k]
     }
 
     /// What the next cycle's winner-merge will pick, with provenance and no
@@ -538,8 +547,8 @@ impl ShardedScheduler {
     /// global-slot-ID convention.
     pub fn merge_pick_with_reason(&self) -> Option<(usize, Option<DecisionRule>)> {
         self.front.pick(
-            (0..self.shards.len())
-                .filter(|&k| self.competes(k, self.decision_count + 1))
+            slot_bits(self.front.live())
+                .filter(|&k| !self.stalled(k, self.decision_count + 1))
                 .map(|k| (k, self.shards[k].peek_winner())),
         )
     }
@@ -558,21 +567,21 @@ impl ShardedScheduler {
         self.inject_shard_faults();
         self.auto_exclude_crashed();
         let merge_start = self.front.metrics.start();
+        // Dead hardware makes no decisions and keeps no expiry clock: both
+        // walks below visit the live shards only.
+        let live = self.front.live();
         let mut proposals = Proposals::default();
-        for k in 0..self.shards.len() {
-            if self.competes(k, self.decision_count) {
+        for k in slot_bits(live) {
+            if !self.stalled(k, self.decision_count) {
                 proposals.set(k, self.shards[k].propose());
             }
         }
-        let picked = self.front.pick(proposals.iter(self.shards.len()));
+        let picked = self.front.pick(proposals.iter());
         let winner = picked.map(|(k, _)| k);
         self.front.metrics.record_merge(merge_start, winner);
         self.observe_breakers(&proposals);
         let mut out = None;
-        for k in 0..self.shards.len() {
-            if self.front.is_failed(k) {
-                continue; // dead hardware: no decisions, no expiry clock
-            }
+        for k in slot_bits(live) {
             if Some(k) == winner {
                 // Granted the very word it proposed.
                 let packet = self.shards[k].grant(proposals.words[k]).first().copied();

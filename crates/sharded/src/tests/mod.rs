@@ -40,6 +40,11 @@ fn config_validation() {
         ShardedScheduler::new(wr, 8).is_err(),
         "1-slot shards rejected by the fabric"
     );
+    let wr32 = FabricConfig::edf(32, FabricConfigKind::WinnerOnly);
+    assert!(
+        matches!(ShardedScheduler::new(wr32, 32), Err(Error::Config(_))),
+        "more than 16 shards is refused before any shard mask is built"
+    );
     let s = ShardedScheduler::new(wr, 2).unwrap();
     assert_eq!(s.shard_count(), 2);
     assert_eq!(s.per_shard(), 4);
@@ -242,6 +247,73 @@ fn redistribute_rehomes_streams_onto_surviving_capacity() {
     for g in 4..total {
         assert_eq!(s.slot_counters(g).unwrap().serviced, 1);
     }
+}
+
+/// `slots_on` reads the reverse map, so a redistribution moves the rehomed
+/// global slot's bit from the failed shard's mask to its survivor's — and
+/// the empty tenant it swapped with the other way. The contiguous
+/// partition's arithmetic (`k * per_shard ..`) would still name the old
+/// home.
+#[test]
+fn slots_on_follows_a_rehomed_slot() {
+    let mut s =
+        ShardedScheduler::new(FabricConfig::edf(8, FabricConfigKind::WinnerOnly), 2).unwrap();
+    // Shard 0 holds globals 0..4, one of them (3) unloaded: room for one.
+    for g in (0..3).chain(4..8) {
+        s.load_stream(g, edf_state(1), (g + 1) as u64).unwrap();
+    }
+    assert_eq!((s.slots_on(0), s.slots_on(1)), (0x0F, 0xF0));
+    assert_eq!(s.slots_on(2), 0, "out of range is the empty set");
+    s.fail_shard(1).unwrap();
+    let moves = s.redistribute(1).unwrap();
+    assert_eq!(moves, vec![(4, 0)], "one free slot on the survivor");
+    assert_ne!(s.slots_on(0) & 1 << 4, 0, "the survivor gains global 4");
+    assert_eq!(s.slots_on(1) & 1 << 4, 0, "the failed shard loses it");
+    assert_eq!((s.slots_on(0), s.slots_on(1)), (0x17, 0xE8));
+    assert_eq!(s.slots_on(0) & s.slots_on(1), 0, "still a partition");
+    assert!(s.push_arrival(4, Wrap16(0)).is_ok());
+    assert!(matches!(
+        s.push_arrival(3, Wrap16(0)),
+        Err(Error::ShardFailed { shard: 1 })
+    ));
+}
+
+/// The widest frontend: 16 two-slot shards, so the failed set uses every
+/// bit a shard mask has. Failures land out of order; `failed_shards`
+/// comes back ascending, and the merge and the threaded runtime both skip
+/// exactly those shards.
+#[test]
+fn the_sixteenth_shard_fails_like_any_other() {
+    let mut s = backlogged(32, 16, 2);
+    for k in [15, 3, 9] {
+        assert_eq!(s.fail_shard(k).unwrap(), 4, "2 slots x 2 queued");
+    }
+    assert_eq!(s.failed_shards(), vec![3, 9, 15]);
+    assert!(s.is_failed(15) && !s.is_failed(14) && !s.is_failed(16));
+    assert_eq!(s.slots_on(15), 0b11 << 30);
+    assert!(matches!(
+        s.push_arrival(31, Wrap16(0)),
+        Err(Error::ShardFailed { shard: 15 })
+    ));
+    assert_eq!(s.live_backlog(), 13 * 4);
+    let mut served = 0;
+    while let Some(p) = s.decision_cycle() {
+        assert!(![3, 9, 15].contains(&(p.slot.index() / 2)), "{p:?}");
+        served += 1;
+    }
+    assert_eq!(served, 13 * 4, "every live shard drains");
+    let mut s = backlogged(32, 16, 1);
+    s.fail_shard(15).unwrap();
+    let mut t = s.into_threaded(64);
+    assert_eq!(t.dead_shards(), vec![15]);
+    let report = t.run_cycles(2);
+    assert_eq!(report.decisions, 2 * 15);
+    assert_eq!(
+        report.packets.len(),
+        30,
+        "one slot per live shard per cycle"
+    );
+    t.join();
 }
 
 /// `into_threaded` moves the frontend whole, so a redistribution that

@@ -8,7 +8,7 @@
 use crate::frontend::{Frontend, Lane};
 use ss_core::{Fabric, ScheduledPacket};
 use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
-use ss_types::{Error, Result, Wrap16};
+use ss_types::{slot_bits, Error, Result, Wrap16};
 use std::collections::VecDeque;
 use std::thread::JoinHandle;
 
@@ -181,25 +181,22 @@ impl ThreadedShards {
     /// ahead of the merger through the proposal rings, so the shards never
     /// synchronize with each other — only with the ring capacity.
     pub fn run_cycles(&mut self, n: u64) -> StreamletReport {
-        let mut live = 0u64;
-        for (k, link) in self.links.iter_mut().enumerate() {
-            if !self.front.is_failed(k) {
-                link.cmd_tx.push_spinning(n, || false);
-                live += 1;
-            }
+        let live = self.front.live();
+        for k in slot_bits(live) {
+            self.links[k].cmd_tx.push_spinning(n, || false);
         }
         let mut report = StreamletReport {
             packets: Vec::new(),
-            decisions: n * live,
+            decisions: n * u64::from(live.count_ones()),
             excluded: Vec::new(),
             missed_proposals: 0,
         };
         for cycle in 0..n {
             self.merge_scratch.clear();
-            for (k, link) in self.links.iter_mut().enumerate() {
-                if self.front.is_failed(k) {
-                    continue;
-                }
+            // The frontend's live mask, read per cycle: a shard excluded
+            // below drops out from the next cycle on.
+            for k in slot_bits(self.front.live()) {
+                let link = &mut self.links[k];
                 // Wait for the shard's proposal. Proposals are drained in
                 // batches: the worker runs ahead of the merge through the
                 // ring, so one synchronization on `out_rx` typically buys a

@@ -14,6 +14,20 @@ pub const SLOT_ID_BITS: u32 = 5;
 /// Maximum number of stream-slots addressable by a 5-bit register ID.
 pub const MAX_SLOTS: usize = 1 << SLOT_ID_BITS;
 
+/// The members of a slot set — bit `i` of `mask` is slot `i` — in
+/// ascending order. A 5-bit ID space makes every set of slots (or of the
+/// ≤ 16 shards that partition them) one `u32` word; this is the walk over
+/// one, visiting set bits only. Registered hot path.
+// lint:hot-path
+#[inline]
+pub fn slot_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let slot = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (slot < MAX_SLOTS).then_some(slot)
+    })
+}
+
 /// Identifier of a stream known to the scheduler hardware (5-bit field).
 ///
 /// In the endsystem realization one `StreamId` maps 1:1 onto the [`SlotId`]
@@ -174,6 +188,17 @@ mod tests {
     fn max_slots_matches_field_width() {
         assert_eq!(MAX_SLOTS, 32);
         assert_eq!(1usize << SLOT_ID_BITS, MAX_SLOTS);
+    }
+
+    #[test]
+    fn slot_bits_walks_set_bits_ascending() {
+        assert_eq!(slot_bits(0).count(), 0);
+        assert_eq!(slot_bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+        assert_eq!(slot_bits(1 << 31).collect::<Vec<_>>(), [31]);
+        assert_eq!(
+            slot_bits(u32::MAX).collect::<Vec<_>>(),
+            (0..32).collect::<Vec<_>>()
+        );
     }
 
     #[test]

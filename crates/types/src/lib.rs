@@ -36,7 +36,7 @@ pub mod wrap16;
 pub use attrs::{ComparisonMode, StreamAttrs, WindowConstraint};
 pub use bandwidth::{BitsPerSec, BytesPerSec, Ratio};
 pub use error::{Error, Result};
-pub use ids::{SlotId, StreamId, StreamletId, MAX_SLOTS, SLOT_ID_BITS};
+pub use ids::{slot_bits, SlotId, StreamId, StreamletId, MAX_SLOTS, SLOT_ID_BITS};
 pub use packet::{packet_time_ns, Packet, PacketId, PacketSize};
 pub use spec::{ServiceClass, StreamSpec};
 pub use wrap16::{ArrivalTag, DeadlineTag, Wrap16};

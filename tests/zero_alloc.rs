@@ -477,27 +477,57 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // outlasts its spin, the channel builds the thread's parking context
     // and its waiter list — once per thread and channel, whenever the
     // scheduler makes that happen, never per epoch.
-    for (threads, allowed) in [(1, 0), (2, 8)] {
-        use sharestreams::cluster::{ClusterConfig, ClusterSim, FaultProfile, ScenarioSpec};
-        let mut config = ClusterConfig::new(5, ScenarioSpec::steady(2_000), 4, 2, 8);
-        config.faults = FaultProfile::Light;
-        config.ticks = u64::MAX;
-        config.threads = threads;
-        let mut sim = ClusterSim::new(config).unwrap();
-        let mut chunks = |n: u64| {
-            for _ in 0..n {
-                assert_eq!(sim.run_chunk(32), 32, "no violation cuts a chunk short");
+    //
+    // The second configuration puts the rest of the node tick's slot-set
+    // paths under the same guard: chaos faults have crashed a shard on
+    // every node before the span, so every tick books arrivals on dead
+    // slots, and overload bursts fold extras into per-slot counts; a
+    // flash crowd runs the sampler off its base intensity for almost the
+    // whole span. The crowd *thins* the load (peak below base): a rising
+    // one grows slot queues past their warmed-up depth, which is the
+    // fabric's own growth, not the tick's. Chaos keeps finding new queue
+    // depths long after a crash, too; seed 5 at this warm-up is a run whose
+    // span finds none (as the light run's does).
+    use sharestreams::cluster::{ClusterConfig, ClusterSim, FaultProfile, Scenario, ScenarioSpec};
+    const SPAN_START: u64 = 5 * WARMUP * 32;
+    let crowd = "flash-crowd:rate=2000,peak=1000,at=33000,width=8000";
+    for (spec, faults) in [
+        ("steady:rate=2000", FaultProfile::Light),
+        (crowd, FaultProfile::Chaos),
+    ] {
+        let spec = ScenarioSpec::parse(spec).unwrap();
+        for (threads, allowed) in [(1, 0), (2, 8)] {
+            let mut config = ClusterConfig::new(5, spec, 4, 2, 8);
+            config.faults = faults;
+            config.ticks = u64::MAX;
+            config.threads = threads;
+            let mut sim = ClusterSim::new(config).unwrap();
+            let chunks = |sim: &mut ClusterSim, n: u64| {
+                for _ in 0..n {
+                    assert_eq!(sim.run_chunk(32), 32, "no violation cuts a chunk short");
+                }
+            };
+            chunks(&mut sim, 5 * WARMUP);
+            assert_eq!(sim.tick(), SPAN_START);
+            if faults == FaultProfile::Chaos {
+                let scenario = Scenario::new(spec, 8);
+                let span = SPAN_START..SPAN_START + MEASURED / 10 * 32;
+                let off_base = span.filter(|&t| scenario.intensity_permille(t) != 2000);
+                assert!(off_base.count() > 14_000, "the crowd fills the span");
+                assert!(
+                    (0..4).all(|i| sim.node(i).shard_crashes() > 0),
+                    "dead slots"
+                );
             }
-        };
-        chunks(5 * WARMUP);
-        let before = allocations();
-        chunks(MEASURED / 10);
-        let allocated = allocations() - before;
-        assert!(
-            allocated <= allowed,
-            "ClusterSim::run_chunk(32) at threads={threads} allocated {allocated} times \
-             over {} epochs in steady state",
-            MEASURED / 10
-        );
+            let before = allocations();
+            chunks(&mut sim, MEASURED / 10);
+            let allocated = allocations() - before;
+            assert!(
+                allocated <= allowed,
+                "ClusterSim::run_chunk(32) on {spec} ({faults}) at threads={threads} \
+                 allocated {allocated} times over {} epochs in steady state",
+                MEASURED / 10
+            );
+        }
     }
 }
