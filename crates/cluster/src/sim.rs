@@ -48,13 +48,13 @@ use crate::node::{NodeParams, SimNode, Winner};
 use crate::report::{RunReport, ViolationReport};
 use crate::scenario::{Scenario, ScenarioSpec};
 use serde::Serialize;
+use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
+use ss_endsystem::Worker;
 use ss_faults::rng::mix;
 use ss_overload::LossLedger;
 use ss_telemetry::clock::now_tsc;
 use ss_telemetry::{DumpReason, FlightDump, FlightRecorder, Stage, StageEvent};
 use ss_types::{Error, MAX_SLOTS};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::thread::JoinHandle;
 
 /// What a `--sabotage` plan breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -193,18 +193,6 @@ impl ClusterConfig {
 /// discards. Not configurable: no outcome depends on it.
 const EPOCH_TICKS: u64 = 32;
 
-/// Polls of an empty hand-off channel that only pause between looks. The
-/// partner is at most one cluster phase (worker side) or one partition's
-/// imbalance (sim side) away — microseconds — and a futex sleep and wake
-/// costs more than the epoch it waits for.
-const SPIN_POLLS: u32 = 256;
-
-/// Further polls that give the core away between looks — with more
-/// partitions than cores the partner may be waiting for this very core —
-/// before the waiter blocks, so one whose partner is simply gone (the sim
-/// between chunks) stops burning its timeslice after about a millisecond.
-const YIELD_POLLS: u32 = 2_048;
-
 /// What the cluster phase reads of one `(tick, node)`: not the node, not
 /// the 24-byte [`Winner`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -300,53 +288,34 @@ struct Job {
     poisoned: bool,
 }
 
-/// A long-lived node-phase thread and the two bounded channels its
-/// partition travels over.
-struct Worker {
-    jobs: SyncSender<Job>,
-    done: Receiver<Partition>,
-    handle: JoinHandle<()>,
+/// A long-lived node-phase thread and the two capacity-1 rings its
+/// partition travels over; between chunks it sleeps in the rings' wait.
+struct PoolWorker {
+    jobs: Producer<Job>,
+    done: Consumer<Partition>,
+    thread: Worker<()>,
 }
 
-impl Worker {
+impl PoolWorker {
     fn spawn(ctx: &NodeCtx) -> Self {
-        let (jobs, job_rx) = sync_channel::<Job>(1);
-        let (done_tx, done) = sync_channel::<Partition>(1);
+        let (jobs, job_rx) = spsc_ring(1);
+        let (done_tx, done) = spsc_ring(1);
         let ctx = ctx.clone();
-        let handle = std::thread::Builder::new()
-            .name("ss-cluster-node-phase".into())
-            .spawn(move || worker_loop(&ctx, &job_rx, &done_tx))
+        let thread = Worker::spawn("ss-node-phase", move || worker_loop(&ctx, job_rx, done_tx))
             .expect("spawning a node-phase worker thread");
-        Self { jobs, done, handle }
+        Self { jobs, done, thread }
     }
-}
-
-/// Receives with a bounded wait before blocking: pause, then yield, then
-/// sleep. `None` once the other side is gone, whichever wait sees it.
-#[inline]
-fn recv_spinning<T>(rx: &Receiver<T>) -> Option<T> {
-    for poll in 0..SPIN_POLLS + YIELD_POLLS {
-        match rx.try_recv() {
-            Ok(v) => return Some(v),
-            Err(TryRecvError::Disconnected) => return None,
-            Err(TryRecvError::Empty) if poll < SPIN_POLLS => std::hint::spin_loop(),
-            Err(TryRecvError::Empty) => std::thread::yield_now(),
-        }
-    }
-    rx.recv().ok()
 }
 
 /// A worker's life: take a partition, run its epoch, give it back; leave
 /// when the simulation hangs up. Registered hot path.
 // lint:hot-path
-fn worker_loop(ctx: &NodeCtx, jobs: &Receiver<Job>, done: &SyncSender<Partition>) {
-    while let Some(mut job) = recv_spinning(jobs) {
+fn worker_loop(ctx: &NodeCtx, mut jobs: Consumer<Job>, mut done: Producer<Partition>) {
+    while let Some(mut job) = jobs.pop_waiting() {
         #[cfg(test)]
         assert!(!job.poisoned, "poisoned epoch at tick {}", job.start);
         job.part.node_phase(ctx, job.start, job.len);
-        if done.send(job.part).is_err() {
-            return;
-        }
+        done.push_spinning(job.part, || false);
     }
 }
 
@@ -354,7 +323,7 @@ fn worker_loop(ctx: &NodeCtx, jobs: &Receiver<Job>, done: &SyncSender<Partition>
 /// that has such partitions, joined when the simulation drops.
 #[derive(Default)]
 struct Pool {
-    workers: Vec<Worker>,
+    workers: Vec<PoolWorker>,
     /// Poisons the jobs of every later epoch.
     #[cfg(test)]
     poisoned: bool,
@@ -365,9 +334,9 @@ impl Pool {
     fn dispatch(&mut self, parts: &mut [Partition], ctx: &NodeCtx, start: u64, len: u64) {
         if self.workers.is_empty() {
             self.workers
-                .extend((0..parts.len()).map(|_| Worker::spawn(ctx)));
+                .extend((0..parts.len()).map(|_| PoolWorker::spawn(ctx)));
         }
-        for (part, worker) in parts.iter_mut().zip(&self.workers) {
+        for (part, worker) in parts.iter_mut().zip(&mut self.workers) {
             let job = Job {
                 part: std::mem::take(part),
                 start,
@@ -375,9 +344,9 @@ impl Pool {
                 #[cfg(test)]
                 poisoned: self.poisoned,
             };
-            // A receiver only drops with its thread; `collect` finds the
-            // same corpse and reports how it died.
-            let _ = worker.jobs.send(job);
+            // A consumer only drops with its thread, taking the job along;
+            // `collect` finds the same corpse and reports how it died.
+            worker.jobs.push_spinning(job, || false);
         }
     }
 
@@ -385,9 +354,9 @@ impl Pool {
     /// A worker that died instead dies again here, on the sim thread.
     fn collect(&mut self, parts: &mut [Partition]) {
         for (p, home) in parts.iter_mut().enumerate() {
-            match recv_spinning(&self.workers[p].done) {
+            match self.workers[p].done.pop_waiting() {
                 Some(part) => *home = part,
-                None => match self.workers.remove(p).handle.join() {
+                None => match self.workers.remove(p).thread.join() {
                     Err(panic) => std::panic::resume_unwind(panic),
                     Ok(()) => panic!("a node-phase worker exited mid-run"),
                 },
@@ -401,9 +370,9 @@ impl Pool {
     /// unwinding from something else, so none is re-raised from here.
     fn join_all(&mut self) -> usize {
         let mut clean = 0;
-        for Worker { jobs, done, handle } in self.workers.drain(..) {
+        for PoolWorker { jobs, done, thread } in self.workers.drain(..) {
             drop((jobs, done));
-            clean += usize::from(handle.join().is_ok());
+            clean += usize::from(thread.join().is_ok());
         }
         clean
     }

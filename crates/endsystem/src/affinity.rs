@@ -1,12 +1,8 @@
-//! Best-effort CPU pinning for shard worker threads.
-//!
-//! The sharded frontend's throughput claim assumes each shard's worker
-//! stays on one core: a migration drags the shard's ring and register
-//! working set across caches mid-run, which shows up directly as
-//! cross-shard scaling loss. This module wraps the Linux
-//! `sched_setaffinity` syscall as a single safe, infallible-by-contract
-//! call; every other platform (and any kernel refusal) degrades to a
-//! no-op so pinning is purely an optimization, never a requirement.
+//! Best-effort CPU pinning of the calling thread, for benchmark rigs whose
+//! timed runs a migration would smear; no product thread pins itself. The
+//! Linux `sched_setaffinity` syscall is wrapped as a single safe,
+//! infallible-by-contract call; every other platform (and any kernel
+//! refusal) degrades to a no-op.
 //!
 //! The syscall is issued through a raw `asm!` block rather than libc —
 //! this workspace builds offline with no external crates — and is the

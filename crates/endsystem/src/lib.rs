@@ -32,8 +32,8 @@
 //!   Figures 8, 9, 10 and the §5.2 endsystem throughput numbers.
 //! * [`threaded`] — a real multi-threaded pipeline over the SPSC rings
 //!   (used by the `host_router` example and throughput benches).
-//! * [`affinity`] — best-effort CPU pinning for shard/pipeline worker
-//!   threads (raw `sched_setaffinity`; no-op off x86_64 Linux).
+//! * [`worker`] — the one thread lifecycle: named, joined when dropped.
+//! * [`affinity`] — best-effort pinning for benchmark rigs (no-op off Linux).
 
 #![warn(missing_docs)]
 
@@ -48,6 +48,7 @@ pub mod sram;
 pub mod streaming;
 pub mod threaded;
 pub mod transmission;
+pub mod worker;
 
 pub use affinity::pin_current_thread;
 pub use aggregation::{StreamletMux, StreamletSetConfig};
@@ -71,3 +72,4 @@ pub use threaded::{run_threaded_instrumented, run_threaded_traced, TraceConfig, 
 pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
 pub use threaded::{run_threaded_overload, OverloadRunReport};
 pub use transmission::TransmissionEngine;
+pub use worker::Worker;

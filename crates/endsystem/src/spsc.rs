@@ -110,24 +110,31 @@ impl<T> Drop for Ring<T> {
     }
 }
 
-/// How many failed ring operations busy-spin before falling back to
-/// `yield_now`. Pure spinning starves the counterpart thread whenever
-/// threads outnumber cores (always true on a single-core host), turning
-/// every ring handoff into a full scheduler quantum; yielding immediately
-/// costs a syscall per item when cores are plentiful. A short spin window
-/// gets both: lock-free handoff when the peer is truly parallel, prompt
-/// descheduling when it needs this CPU.
-const SPIN_LIMIT: u32 = 64;
+/// The one wait of every ring user: spin (a partner on another core answers
+/// in microseconds), then yield (threads may outnumber cores), then sleep
+/// 50 µs doubling to 1 ms (the partner is idle; yielding forever would burn
+/// a core per waiter). The sleep needs no waker and no new atomic, and its
+/// cap bounds the idle cost to about a thousand wake-ups per second; an
+/// unpark-on-hand-off waker cost `cluster.sim.parallel2_speedup` more than
+/// the late wakes it saves. The spin covers that metric's partition
+/// imbalance, which 64 spins did not (EXPERIMENTS.md "One worker, one wait").
+const SPIN_WAITS: u32 = 256;
+const YIELD_WAITS: u32 = 2_048;
+const SLEEP_MIN_US: u64 = 50;
+const SLEEP_MAX_US: u64 = 1_000;
 
-/// One failed ring operation: busy-spin for the first [`SPIN_LIMIT`] tries,
-/// then hand the core to whichever thread owns the other ring end.
+/// One failed ring operation, the `waits`-th in a row (see [`SPIN_WAITS`]).
 #[inline]
-fn spin_or_yield(spins: &mut u32) {
-    if *spins < SPIN_LIMIT {
-        *spins += 1;
+fn back_off(waits: &mut u32) {
+    let n = *waits;
+    *waits = n.saturating_add(1);
+    if n < SPIN_WAITS {
         std::hint::spin_loop();
-    } else {
+    } else if n < YIELD_WAITS {
         std::thread::yield_now();
+    } else {
+        let us = (SLEEP_MIN_US << (n - YIELD_WAITS).min(5)).min(SLEEP_MAX_US);
+        std::thread::sleep(std::time::Duration::from_micros(us));
     }
 }
 
@@ -214,23 +221,24 @@ impl<T: Send> Producer<T> {
     }
 
     /// Waits until `value` is on the ring — the one backpressure wait of
-    /// every ring user (spin, then yield: see [`SPIN_LIMIT`]). `give_up` is
-    /// consulted once, on the first full-ring observation (one fault sample
-    /// per full-ring episode, not per spin, so an injected count stays
-    /// proportional to real backpressure events): `true` drops the value
-    /// instead, and this returns `false`.
+    /// every ring user (see [`SPIN_WAITS`]). `give_up` is consulted once,
+    /// on the first full-ring observation (one fault sample per full-ring
+    /// episode, not per wait, so an injected count stays proportional to
+    /// real backpressure events): `true` drops the value instead, and this
+    /// returns `false` — as it does once the consumer is gone.
     // lint:hot-path
     #[inline]
     pub fn push_spinning(&mut self, mut value: T, give_up: impl FnOnce() -> bool) -> bool {
         let mut give_up = Some(give_up);
-        let mut spins = 0u32;
+        let mut waits = 0u32;
         loop {
             match self.push(value) {
                 Ok(()) => return true,
                 Err(_) if give_up.take().is_some_and(|ask| ask()) => return false,
+                Err(_) if self.is_disconnected() => return false,
                 Err(back) => value = back,
             }
-            spin_or_yield(&mut spins);
+            back_off(&mut waits);
         }
     }
 
@@ -330,18 +338,18 @@ impl<T: Send> Consumer<T> {
         self.is_disconnected() && self.is_empty()
     }
 
-    /// Pops, waiting (spin, then yield) while the ring is empty but its
+    /// Pops, waiting (see [`SPIN_WAITS`]) while the ring is empty but its
     /// producer is still there; `None` only once the ring is
     /// [`finished`](Consumer::finished). `while let Some(x) =
     /// rx.pop_waiting()` therefore drains a ring to its end.
     #[inline]
     pub fn pop_waiting(&mut self) -> Option<T> {
-        let mut spins = 0u32;
+        let mut waits = 0u32;
         loop {
             match self.pop() {
                 Some(item) => return Some(item),
                 None if self.finished() => return None,
-                None => spin_or_yield(&mut spins),
+                None => back_off(&mut waits),
             }
         }
     }
@@ -603,6 +611,31 @@ mod tests {
                 std::thread::yield_now();
             }
         }
+        producer.join().unwrap();
+    }
+
+    #[test]
+    fn push_spinning_gives_up_on_a_ring_nobody_drains() {
+        let (mut p, c) = spsc_ring(1);
+        assert!(p.push_spinning(1u8, || false));
+        drop(c);
+        assert!(
+            !p.push_spinning(2, || false),
+            "a full ring with no consumer"
+        );
+    }
+
+    #[test]
+    fn waits_outlast_the_sleep_stage() {
+        // The consumer reaches the sleep stage long before the producer
+        // pushes; it must still see the item, and then the end.
+        let (mut p, mut c) = spsc_ring(2);
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            assert!(p.push_spinning(7u32, || false));
+        });
+        assert_eq!(c.pop_waiting(), Some(7));
+        assert_eq!(c.pop_waiting(), None);
         producer.join().unwrap();
     }
 

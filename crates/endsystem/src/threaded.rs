@@ -35,6 +35,7 @@ use self::observer::Traced;
 use self::observer::{Crossing, Observer};
 use crate::faults::EndsystemFaults;
 use crate::spsc::{spsc_ring, Consumer, Producer, RingStats};
+use crate::worker::Worker;
 use ss_core::{DecisionWatchdog, Fabric, FabricConfig, WatchdogVerdict};
 use ss_core::{LatePolicy, StreamState};
 use ss_overload::{Gate, GateConfig, LossLedger, LossSite, SharedPressure};
@@ -587,7 +588,7 @@ struct Run {
 }
 
 /// The three-thread pipeline, written once: the producer and the scheduler
-/// are spawned, the transmitter runs on the calling thread. What the
+/// are [`Worker`]s, the transmitter runs on the calling thread. What the
 /// wrappers vary went into [`Scheduler::with_rings`] — the fault seams (the
 /// producer's ring seam uses the scheduler's copy), the gate (which also
 /// paces the producer) and the scheduler's observer — or was done to the
@@ -603,7 +604,7 @@ fn run_stages<O: Observer>(
     let pressure = scheduler.gate.as_ref().map(|g| g.core().shared_pressure());
     let start = Instant::now();
 
-    let producer = std::thread::spawn(move || {
+    let producer = Worker::spawn("ss-es-producer", move || {
         let mut loss = LossLedger::new();
         let (mut holdbacks, mut seq) = (0u64, 0u64);
         for q in 0..arrivals_per_slot {
@@ -643,8 +644,10 @@ fn run_stages<O: Observer>(
         // Dropping `arr_tx` disconnects the ring: the scheduler sees it
         // `finished` and winds down.
         (loss, holdbacks)
-    });
-    let scheduler = std::thread::spawn(move || scheduler.run());
+    })
+    .expect("spawning the endsystem producer thread");
+    let scheduler = Worker::spawn("ss-es-scheduler", move || scheduler.run())
+        .expect("spawning the endsystem scheduler thread");
 
     // The transmitter runs on the calling thread until the scheduler is done
     // (served everything, or wrote the rest off) and the winner ring is dry.
@@ -658,9 +661,12 @@ fn run_stages<O: Observer>(
     let panicked = |thread: &str| Error::DegradedMode {
         reason: format!("endsystem {thread} thread panicked"),
     };
-    let (mut loss, holdbacks) = producer.join().map_err(|_| panicked("producer"))?;
+    // Both joined before either verdict: a dropped unjoined worker would
+    // re-raise its panic instead of reporting it.
+    let (produced, scheduled) = (producer.join(), scheduler.join());
+    let (mut loss, holdbacks) = produced.map_err(|_| panicked("producer"))?;
     let (arr_ring, fabric, gate, sched_loss, watchdog_trips) =
-        scheduler.join().map_err(|_| panicked("scheduler"))?;
+        scheduled.map_err(|_| panicked("scheduler"))?;
     // The scheduler has dropped its id_tx endpoint — its stats are final.
     let id_ring = id_rx.stats();
 

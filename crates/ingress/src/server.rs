@@ -3,12 +3,13 @@
 //!
 //! # Threading model
 //!
-//! One nonblocking accept loop plus one blocking-with-timeout reader
-//! thread per connection. Readers decode frames from a bounded
-//! [`FrameDecoder`] and funnel every protocol action through the single
-//! [`Mutex`]-guarded edge core, so the [`EdgeGate`] observes one globally
-//! serialized arrival sequence — which is what makes chaos-soak replays
-//! bit-identical.
+//! One accept loop, blocked in `accept()` until a peer or the stopping
+//! dial arrives, plus one blocking-with-timeout reader thread per
+//! connection, all [`ss_endsystem::Worker`]s. Readers decode frames from
+//! a bounded [`FrameDecoder`] and funnel every protocol action through the
+//! single [`Mutex`]-guarded edge core, so the [`EdgeGate`] observes one
+//! globally serialized arrival sequence — which is what makes chaos-soak
+//! replays bit-identical.
 //!
 //! # Connection lifecycle
 //!
@@ -31,7 +32,7 @@
 use crate::frame::{self, Frame, FrameDecoder};
 use crate::gate::{EdgeGate, EdgeVerdict, IngressArrival};
 use serde::Serialize;
-use ss_endsystem::{spsc_ring, Consumer, Producer, RedConfig};
+use ss_endsystem::{spsc_ring, Consumer, Producer, RedConfig, Worker};
 use ss_faults::rng::mix;
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
 use ss_overload::{LossLedger, SharedPressure};
@@ -42,7 +43,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Tuning for the ingress server.
@@ -117,7 +118,7 @@ pub enum EdgeMode {
 pub struct IngressTotals {
     /// Connections accepted and handed to a reader.
     pub connections: u64,
-    /// Connections refused at the edge (cap reached or draining).
+    /// Connections refused at the edge (cap reached, or no reader thread).
     pub refused_connections: u64,
     /// Frames decoded and handled.
     pub frames: u64,
@@ -324,18 +325,31 @@ enum Step {
     Evict,
 }
 
+/// What the server, its accept loop and every reader share.
+struct Shared {
+    core: Mutex<EdgeCore>,
+    /// Raised before the wake-up dial: the accept loop stops.
+    draining: AtomicBool,
+    /// Raised at the drain deadline or on drop: readers stop.
+    hard_stop: AtomicBool,
+    /// Readers alive.
+    live: AtomicUsize,
+}
+
 /// The ingress TCP server handle.
 pub struct IngressServer {
     addr: SocketAddr,
     cfg: IngressConfig,
-    core: Arc<Mutex<EdgeCore>>,
-    draining: Arc<AtomicBool>,
-    hard_stop: Arc<AtomicBool>,
-    live: Arc<AtomicUsize>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    shared: Arc<Shared>,
+    /// The accept loop, which hands back its readers; `None` once stopped.
+    accept: Option<Worker<Vec<Worker<()>>>>,
     consumer: Option<Consumer<IngressArrival>>,
     recorder: Option<Arc<SharedFlightRecorder>>,
     shared_pressure: Arc<SharedPressure>,
+    /// Wake-up dials that fail before any is made, as one would out of
+    /// descriptors.
+    #[cfg(test)]
+    failing_dials: u32,
 }
 
 impl IngressServer {
@@ -356,7 +370,6 @@ impl IngressServer {
         recorder: Option<Arc<SharedFlightRecorder>>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let gate = EdgeGate::new(
@@ -377,7 +390,7 @@ impl IngressServer {
         if let Some(rec) = &recorder {
             ss_telemetry::install_panic_hook(rec);
         }
-        let core = Arc::new(Mutex::new(EdgeCore {
+        let core = Mutex::new(EdgeCore {
             gate,
             slots: vec![None; windows.len()],
             clients: BTreeMap::new(),
@@ -395,35 +408,30 @@ impl IngressServer {
             throttle_replies: 0,
             reply_fingerprint: 0,
             drain_writeoffs: 0,
-        }));
-        let draining = Arc::new(AtomicBool::new(false));
-        let hard_stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicUsize::new(0));
-
+        });
+        let shared = Arc::new(Shared {
+            core,
+            draining: AtomicBool::new(false),
+            hard_stop: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
+        });
         let accept = {
-            let core = Arc::clone(&core);
-            let draining = Arc::clone(&draining);
-            let hard_stop = Arc::clone(&hard_stop);
-            let live = Arc::clone(&live);
-            let cfg = cfg.clone();
-            thread::Builder::new()
-                .name("ss-ingress-accept".into())
-                .spawn(move || {
-                    accept_loop(listener, cfg, core, injector, draining, hard_stop, live)
-                })?
+            let (cfg, shared) = (cfg.clone(), Arc::clone(&shared));
+            Worker::spawn("ss-ingress-accept", move || {
+                accept_loop(&listener, &cfg, &shared, &injector)
+            })?
         };
 
         Ok(Self {
             addr,
             cfg,
-            core,
-            draining,
-            hard_stop,
-            live,
+            shared,
             accept: Some(accept),
             consumer,
             recorder,
             shared_pressure,
+            #[cfg(test)]
+            failing_dials: 0,
         })
     }
 
@@ -445,13 +453,13 @@ impl IngressServer {
 
     /// A snapshot of the aggregate counters.
     pub fn totals(&self) -> IngressTotals {
-        lock_core(&self.core).totals()
+        lock_core(&self.shared.core).totals()
     }
 
     /// Publishes `ss_ingress_*` metrics from the current counters.
     pub fn publish_metrics(&self, registry: &Registry) {
         let (totals, backlog) = {
-            let c = lock_core(&self.core);
+            let c = lock_core(&self.shared.core);
             (c.totals(), c.gate.backlog_len())
         };
         totals.publish(registry);
@@ -464,60 +472,38 @@ impl IngressServer {
     /// ledger site, wait for readers up to `drain_deadline`, hard-stop
     /// and auto-dump the flight recorder on timeout, then report.
     pub fn shutdown(mut self) -> DrainReport {
-        self.draining.store(true, Ordering::Release);
-        // Kick the nonblocking accept loop awake by dialing it once; it
-        // exits on the flag at its next poll either way.
-        let _ = TcpStream::connect(self.addr);
-        let readers = match self.accept.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => Vec::new(),
-        };
-        lock_core(&self.core).drain_cutoff();
+        let readers = self.stop_accepting();
+        lock_core(&self.shared.core).drain_cutoff();
 
         let deadline = Instant::now() + self.cfg.drain_deadline;
-        let mut timed_out = false;
-        while self.live.load(Ordering::Acquire) > 0 {
-            if Instant::now() >= deadline {
-                timed_out = true;
-                break;
-            }
+        while self.shared.live.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(2));
         }
+        let timed_out = self.shared.live.load(Ordering::Acquire) > 0;
         if timed_out {
-            self.hard_stop.store(true, Ordering::Release);
+            self.shared.hard_stop.store(true, Ordering::Release);
             if let Some(rec) = &self.recorder {
-                let served = {
-                    let c = lock_core(&self.core);
-                    rec.record_control(
-                        c.gate.served(),
-                        0,
-                        Stage::DecisionExpire,
-                        1,
-                        self.live.load(Ordering::Acquire) as u32,
-                    );
-                    c.gate.served()
-                };
+                let c = lock_core(&self.shared.core);
+                let (served, live) = (c.gate.served(), self.shared.live.load(Ordering::Acquire));
+                rec.record_control(served, 0, Stage::DecisionExpire, 1, live as u32);
+                drop(c);
                 rec.auto_dump(DumpReason::DrainTimeout, served);
             }
-            // Give hard-stopped readers one poll quantum to notice.
-            let grace = Instant::now() + self.cfg.read_poll * 4;
-            while self.live.load(Ordering::Acquire) > 0 && Instant::now() < grace {
-                thread::sleep(Duration::from_millis(2));
-            }
         }
-        let mut panicked = false;
-        for h in readers {
-            if h.join().is_err() {
-                panicked = true;
-            }
-        }
-        if panicked {
+        // Hard-stopped readers notice within a read poll; every one is
+        // joined, and a panic in any of them is dumped.
+        let panicked = readers
+            .into_iter()
+            .map(Worker::join)
+            .filter(Result::is_err)
+            .count();
+        if panicked > 0 {
             if let Some(rec) = &self.recorder {
                 rec.auto_dump(DumpReason::Panic, 0);
             }
         }
 
-        let mut c = lock_core(&self.core);
+        let mut c = lock_core(&self.shared.core);
         // Catch packets admitted between the cutoff and reader exit.
         let late = c.gate.drain_write_off();
         c.drain_writeoffs += late;
@@ -533,31 +519,64 @@ impl IngressServer {
             conserved,
         }
     }
+
+    /// Raises `draining`, dials the blocked `accept()` awake (never booked
+    /// as a peer) until the loop has ended — a dial can fail, out of
+    /// descriptors say — and joins it: its readers, if it still ran.
+    fn stop_accepting(&mut self) -> Vec<Worker<()>> {
+        let Some(accept) = self.accept.take() else {
+            return Vec::new();
+        };
+        self.shared.draining.store(true, Ordering::Release);
+        let mut pause = Duration::from_micros(50);
+        while !accept.is_finished() {
+            self.dial_accept();
+            thread::sleep(pause);
+            pause = (pause * 2).min(Duration::from_millis(20));
+        }
+        accept.join().unwrap_or_default()
+    }
+
+    /// One wake-up dial; whether it connected shows in the loop ending.
+    fn dial_accept(&mut self) {
+        #[cfg(test)]
+        if self.failing_dials > 0 {
+            self.failing_dials -= 1;
+            return;
+        }
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
+impl Drop for IngressServer {
+    /// Without [`IngressServer::shutdown`]: stop accepting, hard-stop and
+    /// join the readers, so no thread outlives the server. Nothing drains.
+    fn drop(&mut self) {
+        let readers = self.stop_accepting();
+        self.shared.hard_stop.store(true, Ordering::Release);
+        readers.into_iter().for_each(|reader| drop(reader.join()));
+    }
+}
+
 fn accept_loop(
-    listener: TcpListener,
-    cfg: IngressConfig,
-    core: Arc<Mutex<EdgeCore>>,
-    injector: Arc<FaultInjector>,
-    draining: Arc<AtomicBool>,
-    hard_stop: Arc<AtomicBool>,
-    live: Arc<AtomicUsize>,
-) -> Vec<JoinHandle<()>> {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    listener: &TcpListener,
+    cfg: &IngressConfig,
+    shared: &Arc<Shared>,
+    injector: &FaultInjector,
+) -> Vec<Worker<()>> {
+    let (core, live) = (&shared.core, &shared.live);
+    let mut readers = Vec::new();
     loop {
-        if draining.load(Ordering::Acquire) || hard_stop.load(Ordering::Acquire) {
+        let accepted = listener.accept();
+        // Checked after every return from `accept()`: the stopping dial
+        // lands here, and so does any peer that raced it.
+        if shared.draining.load(Ordering::Acquire) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((sock, _peer)) => {
-                if draining.load(Ordering::Acquire) {
-                    lock_core(&core).refused += 1;
-                    continue;
-                }
                 if live.load(Ordering::Acquire) >= cfg.max_connections {
-                    lock_core(&core).refused += 1;
+                    lock_core(core).refused += 1;
                     continue;
                 }
                 // One keyed draw per accepted connection: an AcceptFail
@@ -567,45 +586,33 @@ fn accept_loop(
                     injector.sample(FaultSite::Socket),
                     Some(FaultKind::AcceptFail)
                 ) {
-                    lock_core(&core).accept_faults += 1;
+                    lock_core(core).accept_faults += 1;
                     continue;
                 }
-                lock_core(&core).connections += 1;
+                lock_core(core).connections += 1;
                 live.fetch_add(1, Ordering::AcqRel);
-                let reader_core = Arc::clone(&core);
-                let reader_stop = Arc::clone(&hard_stop);
-                let reader_live = Arc::clone(&live);
-                let reader_cfg = cfg.clone();
-                let spawned = thread::Builder::new()
-                    .name("ss-ingress-reader".into())
-                    .spawn(move || {
-                        run_reader(sock, reader_cfg, reader_core, reader_stop, &reader_live);
-                    });
+                let (reader_cfg, reader_shared) = (cfg.clone(), Arc::clone(shared));
+                let spawned = Worker::spawn("ss-ingress-reader", move || {
+                    run_reader(sock, &reader_cfg, &reader_shared);
+                });
                 match spawned {
-                    Ok(h) => readers.push(h),
+                    Ok(reader) => readers.push(reader),
                     Err(_) => {
                         live.fetch_sub(1, Ordering::AcqRel);
-                        lock_core(&core).refused += 1;
+                        lock_core(core).refused += 1;
                     }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // Interrupted, out of descriptors or the like: look again a
+            // little later.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
     readers
 }
 
-fn run_reader(
-    mut sock: TcpStream,
-    cfg: IngressConfig,
-    core: Arc<Mutex<EdgeCore>>,
-    hard_stop: Arc<AtomicBool>,
-    live: &AtomicUsize,
-) {
+fn run_reader(mut sock: TcpStream, cfg: &IngressConfig, shared: &Shared) {
+    let core = &shared.core;
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(Some(cfg.read_poll));
     let _ = sock.set_write_timeout(Some(cfg.write_timeout));
@@ -617,7 +624,7 @@ fn run_reader(
     let mut buf = [0u8; 4096];
 
     'conn: loop {
-        if hard_stop.load(Ordering::Acquire) {
+        if shared.hard_stop.load(Ordering::Acquire) {
             break;
         }
         match sock.read(&mut buf) {
@@ -625,7 +632,7 @@ fn run_reader(
             Ok(n) => {
                 last_activity = Instant::now();
                 if dec.push(&buf[..n]).is_err() {
-                    let mut c = lock_core(&core);
+                    let mut c = lock_core(core);
                     c.decode_errors += 1;
                     c.evictions += 1;
                     break;
@@ -634,9 +641,9 @@ fn run_reader(
                     reply.clear();
                     let step = match dec.next() {
                         Ok(None) => break,
-                        Ok(Some(f)) => handle_frame(f, &mut client_id, &core, &cfg, &mut reply),
+                        Ok(Some(f)) => handle_frame(f, &mut client_id, core, cfg, &mut reply),
                         Err(_e) => {
-                            let mut c = lock_core(&core);
+                            let mut c = lock_core(core);
                             c.decode_errors += 1;
                             c.evictions += 1;
                             Step::Evict
@@ -659,7 +666,7 @@ fn run_reader(
                 if hello_late || idle {
                     // A stalled partial frame (slowloris) and a silent
                     // peer land here identically: evict on the clock.
-                    let mut c = lock_core(&core);
+                    let mut c = lock_core(core);
                     c.evictions += 1;
                     if dec.has_partial() {
                         c.protocol_errors += 1;
@@ -671,7 +678,7 @@ fn run_reader(
             Err(_) => break,
         }
     }
-    live.fetch_sub(1, Ordering::AcqRel);
+    shared.live.fetch_sub(1, Ordering::AcqRel);
 }
 
 fn protocol_evict(c: &mut EdgeCore) -> Step {
@@ -850,6 +857,47 @@ mod tests {
             }
         }
         None
+    }
+
+    fn start_quiet() -> IngressServer {
+        let windows = [WindowConstraint::new(3, 4)];
+        IngressServer::start(
+            IngressConfig::default(),
+            &windows,
+            EdgeMode::Deterministic,
+            quiet_injector(),
+            None,
+        )
+        .expect("start")
+    }
+
+    #[test]
+    fn stopping_outlasts_failed_wake_up_dials() {
+        // Each stop runs on its own thread, so a stop that hangs in
+        // `accept()` fails the test instead of stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let mut server = start_quiet();
+            server.failing_dials = 3;
+            tx.send(server.shutdown()).expect("the test is listening");
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown returns");
+        assert_eq!(report.totals.refused_connections, 0);
+        assert!(report.conserved);
+
+        let mut server = start_quiet();
+        server.failing_dials = 3;
+        let addr = server.addr();
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            drop(server);
+            tx.send(()).expect("the test is listening");
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("drop returns");
+        assert!(TcpStream::connect(addr).is_err(), "the listener is closed");
     }
 
     #[test]

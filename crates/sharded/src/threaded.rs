@@ -1,16 +1,17 @@
 //! The threaded drive mode: each fabric on its own worker thread behind
 //! three SPSC rings, merged per cycle on the calling thread. Owns what only
 //! this mode has — the rings, the workers, the streamlet scratch — over the
-//! [`Frontend`] the inline scheduler handed over whole. Every ring wait is
+//! [`Frontend`] the inline scheduler handed over whole. Each worker is an
+//! [`ss_endsystem::Worker`], and every ring wait is
 //! [`ss_endsystem::spsc`]'s `push_spinning` / `pop_waiting`, so a ring ends
-//! on the one `finished` definition.
+//! on the one `finished` definition and an idle worker sleeps.
 
 use crate::frontend::{Frontend, Lane};
 use ss_core::{Fabric, ScheduledPacket};
 use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
+use ss_endsystem::Worker;
 use ss_types::{slot_bits, Error, Result, Wrap16};
 use std::collections::VecDeque;
-use std::thread::JoinHandle;
 
 /// A packet together with the pre-service lane word that won it its
 /// slot in the schedule — what a shard circulates to the merge stage.
@@ -46,6 +47,8 @@ pub struct StreamletReport {
 /// line: each link's ring endpoints hold locally-cached head/tail copies
 /// that the merge loop updates per proposal, and cross-shard false sharing
 /// on those would serialize exactly the path sharding exists to spread.
+/// Fields drop in order: a dropped link hangs up `cmd_tx`, then joins the
+/// worker, which runs out its queued batches and leaves.
 #[repr(align(128))]
 struct ShardLink {
     /// Batch commands: run this many decision cycles.
@@ -56,7 +59,7 @@ struct ShardLink {
     /// merge: one ring synchronization covers up to a ring's worth of
     /// cycles the worker ran ahead.
     buf: VecDeque<CycleProposal>,
-    handle: JoinHandle<Fabric>,
+    worker: Worker<Fabric>,
 }
 
 /// One shard's worker: for every batch command, `n` decision cycles, each
@@ -100,17 +103,6 @@ pub struct ThreadedShards {
 
 impl ThreadedShards {
     pub(crate) fn spawn(front: Frontend, shards: Vec<Fabric>, ring_capacity: usize) -> Self {
-        // Worker pinning (feature `pinning`): shard k stays on core
-        // 1 + k mod (cores − 1), keeping core 0 for the merging thread so
-        // its comparator tree and this struct's ring endpoints stay warm.
-        // On a single-core host pinning would only fight the scheduler, so
-        // it is skipped; `pin_current_thread` itself degrades to a no-op
-        // off x86_64 Linux.
-        let cores = if cfg!(feature = "pinning") {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            1
-        };
         let merge_scratch = Vec::with_capacity(shards.len());
         let links = shards
             .into_iter()
@@ -119,18 +111,16 @@ impl ThreadedShards {
                 let (cmd_tx, cmd_rx) = spsc_ring(64);
                 let (arr_tx, arr_rx) = spsc_ring(ring_capacity);
                 let (out_tx, out_rx) = spsc_ring(ring_capacity);
-                let handle = std::thread::spawn(move || {
-                    if cores > 1 {
-                        let _ = ss_endsystem::pin_current_thread(1 + shard_idx % (cores - 1));
-                    }
+                let worker = Worker::spawn(&format!("ss-shard-{shard_idx}"), move || {
                     worker(fabric, cmd_rx, arr_rx, out_tx)
-                });
+                })
+                .expect("spawning a shard worker thread");
                 ShardLink {
                     cmd_tx,
                     arr_tx,
                     out_rx,
                     buf: VecDeque::with_capacity(ring_capacity),
-                    handle,
+                    worker,
                 }
             })
             .collect();
@@ -253,7 +243,7 @@ impl ThreadedShards {
             .filter_map(|link| {
                 drop(link.cmd_tx);
                 drop(link.arr_tx);
-                link.handle.join().ok()
+                link.worker.join().ok()
             })
             .collect()
     }

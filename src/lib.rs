@@ -49,7 +49,7 @@
 //! | [`disciplines`] | software reference schedulers (DWCS, EDF, WFQ, SFQ, DRR, …) |
 //! | [`priorityq`] | related-work hardware priority queues (heap, systolic, shift-register, tree) |
 //! | [`traffic`] | deterministic workload generators |
-//! | [`endsystem`] | host-router realization: SPSC rings, QM, PCI/SRAM models, TE, aggregation, pipeline |
+//! | [`endsystem`] | host-router realization: SPSC rings and their one wait, the one worker-thread lifecycle, QM, PCI/SRAM models, TE, aggregation, pipeline |
 //! | [`sharded`] | scale-out frontend: K fabric shards with a Table-2 comparator winner-merge, inline (exact) and thread-per-shard modes |
 //! | [`linecard`] | switch line-card realization with dual-ported SRAM |
 //! | [`overload`] | overload control plane (always built, off until armed): window-aware admission, RED, hierarchical backpressure, QoS-aware shedding, the one composed gate, per-shard breakers, degradation ladder |
@@ -94,7 +94,6 @@ pub fn publish_build_info(registry: &ss_telemetry::Registry) {
     let features = [
         ("telemetry", cfg!(feature = "telemetry")),
         ("faults", cfg!(feature = "faults")),
-        ("pinning", cfg!(feature = "pinning")),
     ]
     .iter()
     .filter(|(_, on)| *on)
