@@ -7,10 +7,10 @@
 //!   decision, forcing a drain-and-refill (the cost the shuffle avoids).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
-use ss_priorityq::{
+use ss_bench::priorityq::{
     ComparatorTree, HwPriorityQueue, PipelinedHeap, PqEntry, ShiftRegisterChain, SystolicQueue,
 };
+use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
 use ss_types::{WindowConstraint, Wrap16};
 use std::hint::black_box;
 

@@ -5,7 +5,7 @@
 
 use serde::Serialize;
 use ss_bench::{banner, fmt_rate, write_json};
-use ss_hwsim::{FabricConfigKind, VirtexIIProjection, VirtexModel};
+use ss_core::hwsim::{FabricConfigKind, VirtexIIProjection, VirtexModel};
 use ss_types::{packet_time_ns, PacketSize};
 
 #[derive(Debug, Serialize)]

@@ -2,9 +2,9 @@
 //! vs achievable scheduling rate over (stream count, packet size, link
 //! speed), and the discipline complexity ranking.
 
+use sharestreams::framework::{assess, complexity_ranking, feasibility_surface};
 use ss_bench::{banner, write_json};
-use ss_framework::{assess, complexity_ranking, feasibility_surface};
-use ss_hwsim::FabricConfigKind;
+use ss_core::hwsim::FabricConfigKind;
 use ss_types::PacketSize;
 
 const GBPS: u64 = 1_000_000_000;

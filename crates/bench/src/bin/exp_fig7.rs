@@ -3,12 +3,12 @@
 //!
 //! Area comes from the paper's published per-block slice counts (Decision
 //! 190, Register Base 150, Control 22) plus the wiring model; clock rates
-//! come from the calibrated table in `ss_hwsim::virtex` (anchored to the
-//! §5.2 7.6 M decisions/s figure — see DESIGN.md §7).
+//! come from the calibrated table in `ss_core::hwsim::virtex` (anchored to
+//! the §5.2 7.6 M decisions/s figure — see DESIGN.md §7).
 
 use serde::Serialize;
 use ss_bench::{banner, fmt_rate, write_json};
-use ss_hwsim::{FabricConfigKind, TimeSeries, VirtexDevice, VirtexModel};
+use ss_core::hwsim::{FabricConfigKind, TimeSeries, VirtexDevice, VirtexModel};
 
 #[derive(Debug, Serialize)]
 struct Point {

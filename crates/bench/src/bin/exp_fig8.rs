@@ -13,6 +13,7 @@
 
 use serde::Serialize;
 use ss_bench::{banner, write_csv_multi, write_json};
+use ss_core::hwsim::TimeSeries;
 use ss_core::{FabricConfig, FabricConfigKind};
 use ss_endsystem::{EndsystemConfig, EndsystemPipeline};
 use ss_traffic::{merge, ArrivalEvent, Cbr};
@@ -109,7 +110,7 @@ fn main() {
     println!("  shape check passed: byte shares match 1:1:2:4 within 1.5 points");
 
     let series: Vec<_> = ids.iter().map(|&id| pipe.bandwidth_series(id)).collect();
-    let labeled: Vec<(&str, &ss_hwsim::TimeSeries)> = ["w1_a", "w1_b", "w2", "w4"]
+    let labeled: Vec<(&str, &TimeSeries)> = ["w1_a", "w1_b", "w2", "w4"]
         .iter()
         .zip(&series)
         .map(|(l, s)| (*l, s))

@@ -14,6 +14,7 @@
 
 use serde::Serialize;
 use ss_bench::{banner, write_csv_multi, write_json};
+use ss_core::hwsim::TimeSeries;
 use ss_core::{FabricConfig, FabricConfigKind};
 use ss_endsystem::{EndsystemConfig, EndsystemPipeline};
 use ss_traffic::{merge, ArrivalEvent, Bursty};
@@ -114,8 +115,8 @@ fn main() {
     }
     println!("  shape checks passed: stream 4 delay lowest; per-burst saw-tooth present");
 
-    let series: Vec<&ss_hwsim::TimeSeries> = ids.iter().map(|&id| pipe.delay_series(id)).collect();
-    let labeled: Vec<(&str, &ss_hwsim::TimeSeries)> = ["w1_a", "w1_b", "w2", "w4"]
+    let series: Vec<&TimeSeries> = ids.iter().map(|&id| pipe.delay_series(id)).collect();
+    let labeled: Vec<(&str, &TimeSeries)> = ["w1_a", "w1_b", "w2", "w4"]
         .iter()
         .zip(series)
         .map(|(l, s)| (*l, s))

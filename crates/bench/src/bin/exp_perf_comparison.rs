@@ -8,12 +8,12 @@
 //! relative ordering).
 
 use serde::Serialize;
+use sharestreams::linecard::Linecard;
 use ss_bench::{banner, fmt_rate, write_json};
+use ss_core::hwsim::VirtexModel;
 use ss_core::{FabricConfig, FabricConfigKind};
 use ss_disciplines::{Discipline, Drr, StochasticFq, SwPacket, Wfq};
 use ss_endsystem::{EndsystemConfig, PciModel, TransferStrategy};
-use ss_hwsim::VirtexModel;
-use ss_linecard::Linecard;
 
 #[derive(Debug, Serialize)]
 struct ComparisonRow {

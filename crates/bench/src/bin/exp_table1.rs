@@ -1,9 +1,9 @@
 //! Table 1 — Comparing scheduling disciplines, with each qualitative cell
 //! backed by an empirical demonstration from this repository.
 
+use sharestreams::framework::complexity_ranking;
 use ss_bench::banner;
 use ss_disciplines::{Discipline, StaticPriority, SwPacket, Wfq};
-use ss_framework::complexity_ranking;
 
 fn main() {
     banner("T1", "Comparing scheduling disciplines (paper Table 1)");

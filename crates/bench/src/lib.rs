@@ -4,12 +4,17 @@
 //! next to measured value) and drops machine-readable artifacts into the
 //! workspace `results/` directory: a JSON summary per experiment plus CSV
 //! series for the figures.
+//!
+//! [`priorityq`] holds the related-work hardware priority queues that the
+//! `priorityq_vs_shuffle` ablation bench measures against the shuffle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod priorityq;
+
 use serde::Serialize;
-use ss_hwsim::TimeSeries;
+use ss_core::hwsim::TimeSeries;
 use std::fs;
 use std::path::PathBuf;
 

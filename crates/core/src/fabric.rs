@@ -34,10 +34,10 @@
 
 use crate::control::ControlFsm;
 use crate::decision::{DecisionBlock, RuleCounters};
+use crate::hwsim::FabricConfigKind;
 use crate::network;
 use crate::register::{RegisterFile, SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
-use ss_hwsim::FabricConfigKind;
 use ss_types::packed::{lane_slot, lane_valid, pack, unpack};
 use ss_types::{
     ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint, Wrap16,
@@ -76,7 +76,7 @@ pub struct FabricConfig {
     /// folds into the last network cycle. Schedules are unchanged; a
     /// window-constrained decision costs log2(N) cycles instead of
     /// log2(N)+1, at extra register-block area and a small clock penalty
-    /// (see `ss_hwsim::virtex` compute-ahead model).
+    /// (see the `hwsim::virtex` compute-ahead model).
     pub compute_ahead: bool,
 }
 

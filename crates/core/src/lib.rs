@@ -41,6 +41,9 @@
 //! * [`scheduler`] — the user-facing [`ShareStreamsScheduler`]: register
 //!   streams by [`ss_types::StreamSpec`], enqueue packet arrivals, run
 //!   decisions, read QoS counters.
+//! * [`hwsim`] — the simulation substrate under all of the above: the
+//!   two-phase cycle kernel, the event queue, the measurement instruments,
+//!   the VCD writer and the calibrated Virtex area/clock model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +53,7 @@ pub mod decision;
 pub mod dwcs;
 pub mod fabric;
 pub mod faults;
+pub mod hwsim;
 pub mod network;
 pub mod register;
 pub mod rtl;
@@ -71,4 +75,4 @@ pub use telem::{FabricTelemetry, SupervisorTrace};
 pub use watchdog::{DecisionWatchdog, WatchdogVerdict};
 
 // Re-export the hwsim configuration enum used throughout.
-pub use ss_hwsim::FabricConfigKind;
+pub use hwsim::FabricConfigKind;

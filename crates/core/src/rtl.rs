@@ -5,7 +5,7 @@
 //! network passes as function calls). This module re-expresses the design
 //! the way the hardware runs: a Decision-block network stage, a Register
 //! file, and the Control FSM share clocked [`RtlWires`] and are stepped one
-//! edge at a time by [`ss_hwsim::CycleSim`]'s evaluate/commit protocol —
+//! edge at a time by [`CycleSim`]'s evaluate/commit protocol —
 //! every simulated flip-flop updates atomically at the edge, so the
 //! per-cycle lane values are exactly what a waveform viewer would show.
 //!
@@ -21,9 +21,9 @@
 
 use crate::decision::DecisionBlock;
 use crate::fabric::{BlockOrder, DecisionOutcome, FabricConfig, ScheduledPacket};
+use crate::hwsim::{CycleSim, FabricConfigKind, Synchronous, VcdWriter};
 use crate::network;
 use crate::register::{RegisterFile, SlotCounters, StreamState};
-use ss_hwsim::{CycleSim, FabricConfigKind, Synchronous};
 use ss_types::{ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, Wrap16};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -552,7 +552,7 @@ mod tests {
 impl RtlFabric {
     /// Declares this fabric's wires on a VCD writer: per-lane deadline,
     /// slot ID and valid bits, plus the FSM step/update signals.
-    pub fn declare_vcd(&self, vcd: &mut ss_hwsim::VcdWriter) -> std::result::Result<(), String> {
+    pub fn declare_vcd(&self, vcd: &mut VcdWriter) -> std::result::Result<(), String> {
         vcd.add_wire("step", 8)?;
         vcd.add_wire("update_phase", 1)?;
         for i in 0..self.config.slots {
@@ -568,7 +568,7 @@ impl RtlFabric {
     pub fn run_traced(
         &mut self,
         decisions: u64,
-        vcd: &mut ss_hwsim::VcdWriter,
+        vcd: &mut VcdWriter,
     ) -> std::result::Result<Vec<DecisionOutcome>, String> {
         let mut outcomes = Vec::new();
         for _ in 0..decisions {
@@ -638,7 +638,7 @@ mod vcd_tests {
                 plain.push_arrival(s, Wrap16::from_wide(q)).unwrap();
             }
         }
-        let mut vcd = ss_hwsim::VcdWriter::new("sharestreams_fabric", "1ns");
+        let mut vcd = VcdWriter::new("sharestreams_fabric", "1ns");
         traced.declare_vcd(&mut vcd).unwrap();
         let outcomes = traced.run_traced(16, &mut vcd).unwrap();
         for o in outcomes {

@@ -210,7 +210,7 @@ impl ShareStreamsScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_hwsim::FabricConfigKind;
+    use crate::hwsim::FabricConfigKind;
     use ss_types::{Ratio, ServiceClass, WindowConstraint};
 
     fn dwcs_sched(slots: usize) -> ShareStreamsScheduler {

@@ -68,7 +68,7 @@ pub use streaming::{StreamingReport, StreamingUnit};
 #[cfg(feature = "faults")]
 pub use threaded::run_threaded_faulted;
 #[cfg(feature = "telemetry")]
-pub use threaded::{run_threaded_instrumented, run_threaded_traced, TraceConfig, TracedReport};
+pub use threaded::{run_threaded_traced, TraceConfig, TracedReport};
 pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
 pub use threaded::{run_threaded_overload, OverloadRunReport};
 pub use transmission::TransmissionEngine;

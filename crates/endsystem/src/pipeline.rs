@@ -18,8 +18,8 @@ use crate::pci::{PciModel, TransferStrategy};
 use crate::queue_manager::QueueManager;
 use crate::transmission::TransmissionEngine;
 use serde::{Deserialize, Serialize};
+use ss_core::hwsim::TimeSeries;
 use ss_core::{FabricConfig, ShareStreamsScheduler};
-use ss_hwsim::TimeSeries;
 use ss_traffic::ArrivalEvent;
 use ss_types::{Nanos, PacketSize, Result, StreamId, StreamSpec, Wrap16};
 

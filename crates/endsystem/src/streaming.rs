@@ -18,7 +18,7 @@
 use crate::pci::{PciModel, TransferStrategy};
 use crate::sram::{BankOwner, BankedSram};
 use serde::{Deserialize, Serialize};
-use ss_hwsim::EventQueue;
+use ss_core::hwsim::EventQueue;
 use ss_types::{Nanos, Result};
 
 /// Events in the streaming-unit timeline.

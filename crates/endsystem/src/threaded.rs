@@ -122,67 +122,6 @@ pub fn run_threaded_faulted(
     run_stages(stages, arrivals_per_slot, (), ()).map(|run| run.report)
 }
 
-/// Like [`run_threaded`], but attaches the fabric to a telemetry registry
-/// (shard 0) before the pipeline starts and returns the per-stream QoS
-/// report alongside the throughput report. Ring and pipeline statistics
-/// are published into the registry (`ss_endsystem_*`) after the run.
-#[cfg(feature = "telemetry")]
-pub fn run_threaded_instrumented(
-    config: FabricConfig,
-    states: Vec<StreamState>,
-    arrivals_per_slot: u64,
-    registry: &ss_telemetry::Registry,
-) -> Result<(ThreadedReport, ss_telemetry::QosSet)> {
-    let mut stages = Scheduler::with_rings(config, states, None, EndsystemFaults::new(), ())?;
-    stages.1.fabric.attach_telemetry(registry, 0);
-    let run = run_stages(stages, arrivals_per_slot, (), ())?;
-    let (report, mut fabric) = (run.report, run.fabric);
-    // The fabric batches its observations locally; drain them so the
-    // registry is complete before this function's snapshot-style returns.
-    fabric.flush_telemetry();
-    publish_ring_stats(registry, "arrivals", &report.arr_ring);
-    publish_ring_stats(registry, "ids", &report.id_ring);
-    registry
-        .counter(
-            "ss_endsystem_packets_total",
-            "Packets through the threaded pipeline",
-        )
-        .add(report.total);
-    registry
-        .gauge(
-            "ss_endsystem_pps",
-            "End-to-end packets per second of the last threaded run",
-        )
-        .set(report.pps as i64);
-    Ok((report, fabric.qos_snapshot()))
-}
-
-#[cfg(feature = "telemetry")]
-fn publish_ring_stats(registry: &ss_telemetry::Registry, ring: &str, stats: &RingStats) {
-    let labels: &[(&str, &str)] = &[("ring", ring)];
-    registry
-        .counter_labeled(
-            "ss_endsystem_ring_pushes_total",
-            labels,
-            "Successful SPSC ring enqueues",
-        )
-        .add(stats.pushes);
-    registry
-        .counter_labeled(
-            "ss_endsystem_ring_rejections_total",
-            labels,
-            "SPSC ring enqueues rejected by a full ring (backpressure)",
-        )
-        .add(stats.rejections);
-    registry
-        .gauge_labeled(
-            "ss_endsystem_ring_high_water",
-            labels,
-            "Producer-observed SPSC ring occupancy high-water mark",
-        )
-        .fetch_max(stats.high_water as i64);
-}
-
 /// Results of an overload-gated threaded run: the plain report plus the
 /// gate's accounting.
 #[derive(Debug, Clone)]
@@ -326,7 +265,7 @@ pub fn run_threaded_traced(
 /// the threaded pipeline. Used by the examples and benches.
 pub fn run_threaded_edf(
     slots: usize,
-    kind: ss_hwsim::FabricConfigKind,
+    kind: ss_core::FabricConfigKind,
     arrivals_per_slot: u64,
 ) -> Result<ThreadedReport> {
     let config = FabricConfig::edf(slots, kind);
@@ -522,7 +461,7 @@ impl<O: Observer> Scheduler<O> {
     /// The scheduler thread: sweeps until the producer is done and the
     /// fabric is empty, or the watchdog trips. Returning drops `id_tx`,
     /// which is what ends the transmitter after a loss.
-    fn run(mut self) -> (RingStats, Fabric, Option<Gate<()>>, LossLedger, u64) {
+    fn run(mut self) -> (RingStats, Option<Gate<()>>, LossLedger, u64) {
         loop {
             match self.sweep() {
                 Some(WatchdogVerdict::Stuck) => {
@@ -537,13 +476,7 @@ impl<O: Observer> Scheduler<O> {
         // The producer has disconnected, so its final ring stats are
         // published and exact here.
         let trips = self.watchdog.trips();
-        (
-            self.arr_rx.stats(),
-            self.fabric,
-            self.gate,
-            self.loss,
-            trips,
-        )
+        (self.arr_rx.stats(), self.gate, self.loss, trips)
     }
 }
 
@@ -581,7 +514,6 @@ impl SchedulerStage {
 #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 struct Run {
     report: ThreadedReport,
-    fabric: Fabric,
     gate: Option<Gate<()>>,
     holdbacks: u64,
     watchdog_trips: u64,
@@ -665,7 +597,7 @@ fn run_stages<O: Observer>(
     // re-raise its panic instead of reporting it.
     let (produced, scheduled) = (producer.join(), scheduler.join());
     let (mut loss, holdbacks) = produced.map_err(|_| panicked("producer"))?;
-    let (arr_ring, fabric, gate, sched_loss, watchdog_trips) =
+    let (arr_ring, gate, sched_loss, watchdog_trips) =
         scheduled.map_err(|_| panicked("scheduler"))?;
     // The scheduler has dropped its id_tx endpoint — its stats are final.
     let id_ring = id_rx.stats();
@@ -689,7 +621,6 @@ fn run_stages<O: Observer>(
     };
     Ok(Run {
         report,
-        fabric,
         gate,
         holdbacks,
         watchdog_trips,
@@ -699,7 +630,7 @@ fn run_stages<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_hwsim::FabricConfigKind;
+    use ss_core::FabricConfigKind;
 
     #[test]
     fn threaded_pipeline_conserves_packets() {
@@ -828,46 +759,6 @@ mod tests {
         assert_eq!(report.loss.total(), report.lost, "partition is exact");
         assert_eq!(report.loss.ring, report.lost, "only ring-site loss armed");
         assert_eq!(report.loss.shard, 0);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn instrumented_run_publishes_metrics_and_qos() {
-        use ss_telemetry::{MetricValue, Registry};
-        let registry = Registry::new();
-        let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let states = (0..4)
-            .map(|_| StreamState {
-                request_period: 4,
-                original_window: ss_types::WindowConstraint::ZERO,
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            })
-            .collect();
-        let (report, qos) = run_threaded_instrumented(config, states, 500, &registry).unwrap();
-        assert_eq!(report.total, 2_000);
-        assert_eq!(qos.streams.len(), 4);
-        let qos_serviced: u64 = qos.streams.iter().map(|s| s.serviced).sum();
-        assert_eq!(qos_serviced, 2_000);
-        assert!(qos.service_fairness() > 0.9, "EDF round-robins equally");
-        let snap = registry.snapshot();
-        let pushes: u64 = snap
-            .metrics
-            .iter()
-            .filter(|m| m.name == "ss_endsystem_ring_pushes_total")
-            .map(|m| match m.value {
-                MetricValue::Counter(c) => c,
-                _ => panic!("counter expected"),
-            })
-            .sum();
-        assert_eq!(pushes, 4_000, "both rings carried every packet");
-        assert!(snap
-            .metrics
-            .iter()
-            .any(|m| m.name == "ss_fabric_decision_cycles_total"));
-        assert!(snap
-            .to_prometheus()
-            .contains("ss_endsystem_ring_high_water"));
     }
 
     #[test]
@@ -1251,9 +1142,6 @@ mod tests {
         }
         #[cfg(feature = "telemetry")]
         {
-            let registry = ss_telemetry::Registry::new();
-            let run = run_threaded_instrumented(config(), serve_late(), 500, &registry);
-            reports.push(("instrumented", run.unwrap().0));
             for gate in [None, Some(headroom_gate(0))] {
                 let mut trace = TraceConfig::new(1 << 15, 256);
                 trace.gate = gate;

@@ -6,7 +6,7 @@
 //! Figures 8–10: per-stream bandwidth rate meters and queuing-delay
 //! histograms/series.
 
-use ss_hwsim::{Histogram, RateMeter, Summary, TimeSeries};
+use ss_core::hwsim::{Histogram, RateMeter, Summary, TimeSeries};
 use ss_types::{Nanos, PacketSize};
 
 /// Per-stream transmission accounting plus the shared output link.

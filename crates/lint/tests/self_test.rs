@@ -6,7 +6,7 @@
 //! clean under the checked-in `lint.toml`.
 
 use ss_lint::config::Config;
-use ss_lint::workspace::Workspace;
+use ss_lint::workspace::{SourceFile, Workspace};
 use ss_lint::{run_all, run_rule, Report};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -142,6 +142,29 @@ fn error_discipline_fires_exactly_once_and_honors_the_waiver() {
         Some(&1),
         "errors_waived.rs carries a waiver with rationale"
     );
+}
+
+/// The checked-in `[error_discipline].exclude` exempts the bench crate's
+/// binaries, not its library: a bare `.unwrap()` in `crates/bench/src/`
+/// (where the priority-queue baselines live) is flagged, one in
+/// `crates/bench/src/bin/` is not.
+#[test]
+fn error_discipline_covers_the_bench_library_but_not_its_binaries() {
+    let (_, cfg) = load(&workspace_root());
+    let body = "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
+    let ws = Workspace {
+        root: workspace_root(),
+        files: [
+            "crates/bench/src/priorityq/probe.rs",
+            "crates/bench/src/bin/probe.rs",
+        ]
+        .map(|rel| SourceFile::from_text(rel, body.to_string()))
+        .into(),
+    };
+    let mut report = Report::default();
+    run_rule("error-discipline", &ws, &cfg, &mut report);
+    let flagged: Vec<&str> = report.violations.iter().map(|v| v.file.as_str()).collect();
+    assert_eq!(flagged, ["crates/bench/src/priorityq/probe.rs"]);
 }
 
 #[test]

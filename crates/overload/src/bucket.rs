@@ -8,7 +8,7 @@
 //!
 //! The DWCS coupling is in the refill, not the spend: each stream carries
 //! a *protection* value, the per-mille mandatory fraction `(y−x)/y` of its
-//! window constraint `x/y` (see `ss_framework::DwcsRequest`). Under
+//! window constraint `x/y` (see `sharestreams::framework::DwcsRequest`). Under
 //! pressure the controller divides the refill of poorly-protected
 //! (loss-tolerant) streams by a power of two while fully-protected
 //! streams keep their whole rate — which is exactly "streams with tighter

@@ -7,8 +7,8 @@
 use crate::frontend::{Frontend, MAX_SHARDS};
 use crate::threaded::ThreadedShards;
 use ss_core::decision::DecisionRule;
+use ss_core::hwsim::FabricConfigKind;
 use ss_core::{Fabric, FabricConfig, ScheduledPacket, SlotCounters, StreamState, SupervisorTrace};
-use ss_hwsim::FabricConfigKind;
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
 use ss_types::packed::lane_valid;
 use ss_types::{slot_bits, Error, Result, Wrap16};

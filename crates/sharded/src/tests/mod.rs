@@ -1,8 +1,7 @@
 use crate::ShardedScheduler;
 use proptest::prelude::*;
 use ss_core::decision::DecisionRule;
-use ss_core::{Fabric, FabricConfig, LatePolicy, StreamState};
-use ss_hwsim::FabricConfigKind;
+use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
 use ss_types::{Error, WindowConstraint, Wrap16};
 
 fn edf_state(period: u64) -> StreamState {

@@ -4,8 +4,7 @@
 
 #![cfg(target_os = "linux")]
 
-use ss_core::{FabricConfig, LatePolicy, StreamState};
-use ss_hwsim::FabricConfigKind;
+use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, StreamState};
 use ss_sharded::ShardedScheduler;
 use ss_types::{WindowConstraint, Wrap16};
 use std::time::Duration;

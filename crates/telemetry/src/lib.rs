@@ -17,10 +17,10 @@
 //!   and winner-selection latency in decision cycles.
 //! * [`snapshot`] — the one reporting schema ([`Snapshot`],
 //!   [`HistogramSnapshot`], [`SummarySnapshot`]) shared by the live
-//!   schedulers and the `ss-hwsim` measurement instruments, with JSON and
+//!   schedulers and the `ss_core::hwsim` measurement instruments, with JSON and
 //!   Prometheus-text exporters.
 //! * [`stats`] — [`Summary`], the Welford mean/variance accumulator
-//!   (moved here from `ss-hwsim` so both report through one schema).
+//!   (moved here from `ss_core::hwsim` so both report through one schema).
 //! * [`span`] / [`clock`] / [`recorder`] / [`export`] — the one event
 //!   model: 32-byte [`StageEvent`]s recorded into fixed-capacity,
 //!   drop-counting [`StageRing`]s with `rdtsc`-class timestamps

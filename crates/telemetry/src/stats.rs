@@ -1,8 +1,8 @@
 //! Streaming statistics shared across the workspace.
 //!
-//! [`Summary`] lived in `ss-hwsim` originally; it moved here so the
+//! [`Summary`] lived in `ss_core::hwsim` originally; it moved here so the
 //! simulator's instruments and the runtime telemetry report through one
-//! schema (`ss-hwsim` re-exports it for its existing callers).
+//! schema (`ss_core::hwsim` re-exports it for its existing callers).
 
 use crate::snapshot::SummarySnapshot;
 use serde::{Deserialize, Serialize};

@@ -44,19 +44,22 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`types`] | IDs, wrapping 16-bit tags, window constraints, packets |
-//! | [`hwsim`] | cycle-simulation kernel, event queue, stats, Virtex model |
 //! | [`core`] | **the canonical architecture**: Decision blocks, Register Base blocks, recirculating shuffle-exchange, control FSM, scheduler facade |
+//! | [`hwsim`] | `core::hwsim` re-exported: cycle-simulation kernel, event queue, stats, Virtex model |
 //! | [`disciplines`] | software reference schedulers (DWCS, EDF, WFQ, SFQ, DRR, …) |
-//! | [`priorityq`] | related-work hardware priority queues (heap, systolic, shift-register, tree) |
 //! | [`traffic`] | deterministic workload generators |
 //! | [`endsystem`] | host-router realization: SPSC rings and their one wait, the one worker-thread lifecycle, QM, PCI/SRAM models, TE, aggregation, pipeline |
 //! | [`sharded`] | scale-out frontend: K fabric shards with a Table-2 comparator winner-merge, inline (exact) and thread-per-shard modes |
 //! | [`linecard`] | switch line-card realization with dual-ported SRAM |
 //! | [`overload`] | overload control plane (always built, off until armed): window-aware admission, RED, hierarchical backpressure, QoS-aware shedding, the one composed gate, per-shard breakers, degradation ladder |
 //! | [`cluster`] | deterministic cluster-scale simulation + soak lab: scenario generators, per-tick invariant engine, flight-dump repro pipeline, `soak` binary |
-//! | [`framework`] | Figure-1 feasibility reasoning |
+//! | [`framework`] | Figure-1 feasibility reasoning and DWCS admission control |
 //! | `ingress` | hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
 //! | `telemetry` | (cargo feature `telemetry`) lock-free metric registry, Table-3 QoS accounting, per-packet stage-event tracing + flight recorder, JSON/Prometheus/Perfetto exporters |
+//!
+//! The related-work hardware priority queues (heap, systolic, shift-register,
+//! tree) live in the bench crate as `ss_bench::priorityq`: their one user is
+//! the `priorityq_vs_shuffle` ablation bench.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results; `cargo run -p ss-bench --bin run_all`
@@ -66,20 +69,19 @@
 #![warn(missing_docs)]
 
 pub mod failover;
+pub mod framework;
+pub mod linecard;
 
 pub use failover::{FailoverScheduler, SchedulerPath};
 pub use ss_cluster as cluster;
 pub use ss_core as core;
+pub use ss_core::hwsim;
 pub use ss_disciplines as disciplines;
 pub use ss_endsystem as endsystem;
 #[cfg(feature = "faults")]
 pub use ss_faults as faults;
-pub use ss_framework as framework;
-pub use ss_hwsim as hwsim;
 pub use ss_ingress as ingress;
-pub use ss_linecard as linecard;
 pub use ss_overload as overload;
-pub use ss_priorityq as priorityq;
 pub use ss_sharded as sharded;
 #[cfg(feature = "telemetry")]
 pub use ss_telemetry as telemetry;
