@@ -191,7 +191,13 @@ fn main() {
         "kind", "detached", "attached", "overhead"
     );
     for (kind, batched, level, label, target) in [
-        (FabricConfigKind::WinnerOnly, false, Level::Attached, "WR", 5.0),
+        (
+            FabricConfigKind::WinnerOnly,
+            false,
+            Level::Attached,
+            "WR",
+            5.0,
+        ),
         (FabricConfigKind::Base, false, Level::Attached, "BA", 5.0),
         (
             FabricConfigKind::Base,
@@ -256,7 +262,9 @@ fn main() {
         rows.iter()
             .filter(|r| r.mode == mode)
             .filter_map(|r| r.overhead_pct)
-            .fold(None, |acc: Option<f64>, o| Some(acc.map_or(o, |a| a.max(o))))
+            .fold(None, |acc: Option<f64>, o| {
+                Some(acc.map_or(o, |a| a.max(o)))
+            })
     };
     let max_overhead = worst("attached");
     let within = max_overhead.map(|o| o <= 5.0);

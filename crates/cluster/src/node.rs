@@ -557,7 +557,10 @@ mod tests {
         let mut protected = (0..n.slots())
             .filter(|&s| n.protection(s) >= FULLY_PROTECTED)
             .peekable();
-        assert!(protected.peek().is_some(), "the class mix has a protected slot");
+        assert!(
+            protected.peek().is_some(),
+            "the class mix has a protected slot"
+        );
         assert!(protected.all(|s| n.sheds_for(s) == 0));
     }
 

@@ -40,8 +40,7 @@ use crate::register::{RegisterFile, SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
 use ss_types::packed::{lane_slot, lane_valid, pack, unpack};
 use ss_types::{
-    ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint, Wrap16,
-    MAX_SLOTS,
+    ComparisonMode, Cycles, Error, Result, SlotId, StreamAttrs, WindowConstraint, Wrap16, MAX_SLOTS,
 };
 
 /// Which end of the block is circulated for PRIORITY_UPDATE, and the block
@@ -589,7 +588,11 @@ impl Fabric {
             );
             // The reference arm's sorted words go through the same block
             // service, as lane words in `lw_a`.
-            let sorted = if in_a { &self.scratch_a } else { &self.scratch_b };
+            let sorted = if in_a {
+                &self.scratch_a
+            } else {
+                &self.scratch_b
+            };
             for (lane, w) in self.lw_a.iter_mut().zip(sorted) {
                 *lane = pack(w);
             }
@@ -1866,7 +1869,11 @@ mod tests {
     fn assert_words_current(f: &Fabric, what: &str) {
         let n = f.config.slots;
         let fresh: Vec<u64> = (0..n).map(|i| pack(&f.registers.attrs(i))).collect();
-        assert_eq!(&f.registers.words()[..n], &fresh[..], "stale word after {what}");
+        assert_eq!(
+            &f.registers.words()[..n],
+            &fresh[..],
+            "stale word after {what}"
+        );
         let best = fresh[1..].iter().fold(fresh[0], |best, &w| {
             if crate::decision::lane_order(w, best, f.config.mode).0 {
                 w

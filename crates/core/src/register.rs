@@ -170,7 +170,10 @@ impl RegisterFile {
     /// # Panics
     /// If `slots` exceeds the 32 a 5-bit slot field can address.
     pub fn new(slots: usize) -> Self {
-        assert!(slots <= MAX_SLOTS, "{slots} slots exceed the 5-bit slot field");
+        assert!(
+            slots <= MAX_SLOTS,
+            "{slots} slots exceed the 5-bit slot field"
+        );
         let mut file = Self {
             slots,
             configured: 0,
@@ -480,8 +483,7 @@ impl RegisterFile {
     pub fn expiry_check(&mut self, slot: usize, now: u64) -> bool {
         // The three tests stay in the caller's sweep over the slots; only
         // a head that did expire pays for a call.
-        let expired =
-            self.is_configured(slot) && self.qlen[slot] > 0 && self.deadline[slot] <= now;
+        let expired = self.is_configured(slot) && self.qlen[slot] > 0 && self.deadline[slot] <= now;
         if expired {
             self.expire_head(slot, now);
         }
@@ -545,7 +547,11 @@ mod tests {
         fn with<R>(&mut self, f: impl FnOnce(&mut RegisterFile) -> R) -> R {
             let out = f(&mut self.0);
             for s in 0..MAX_SLOTS {
-                assert_eq!(self.0.words()[s], pack(&self.0.attrs(s)), "slot {s} word stale");
+                assert_eq!(
+                    self.0.words()[s],
+                    pack(&self.0.attrs(s)),
+                    "slot {s} word stale"
+                );
             }
             out
         }
@@ -564,7 +570,10 @@ mod tests {
     fn configured_but_empty_slot_is_invalid() {
         let mut r = Checked::new(4);
         r.with(|r| r.load(0, edf_state(1), 1));
-        assert!(!r.0.attrs(0).valid, "no queued packet: slot must not compete");
+        assert!(
+            !r.0.attrs(0).valid,
+            "no queued packet: slot must not compete"
+        );
         assert_eq!(r.0.state(0), Some(edf_state(1)));
     }
 
@@ -793,7 +802,11 @@ mod tests {
         assert_eq!(r.0.head_deadline(0), 9);
         assert!(!lane_valid(r.0.words()[0]));
         r.with(|r| r.push_arrival(0, Wrap16(40), 0));
-        assert_eq!(unpack(r.0.words()[0]).arrival, Wrap16(40), "no stale tag resurfaces");
+        assert_eq!(
+            unpack(r.0.words()[0]).arrival,
+            Wrap16(40),
+            "no stale tag resurfaces"
+        );
         r.with(|r| r.push_arrival(0, Wrap16(41), 0));
         r.with(|r| r.unload(0));
         assert!(!r.0.is_configured(0));
@@ -855,7 +868,12 @@ mod tests {
             for s in [0, 1, 3] {
                 r.with(|r| r.push_arrival(s, Wrap16(s as u16), 0));
             }
-            let lanes = [r.0.words()[3], r.0.words()[2], r.0.words()[0], r.0.words()[1]];
+            let lanes = [
+                r.0.words()[3],
+                r.0.words()[2],
+                r.0.words()[0],
+                r.0.words()[1],
+            ];
             let mut block = empty;
             let (len, serviced) = r.with(|r| r.service_block(&lanes, max_first, 10, &mut block));
             assert_eq!((len, serviced), (3, 0b1011));
@@ -867,7 +885,14 @@ mod tests {
             }
             // Only the first slot transmitted records the win.
             let wins: Vec<u64> = (0..4).map(|s| r.0.counters(s).wins).collect();
-            assert_eq!(wins, if max_first { [0, 0, 0, 1] } else { [0, 1, 0, 0] });
+            assert_eq!(
+                wins,
+                if max_first {
+                    [0, 0, 0, 1]
+                } else {
+                    [0, 1, 0, 0]
+                }
+            );
             assert_eq!(r.0.total_backlog(), 0);
             // Nothing valid any more: an empty block, no win.
             let lanes = *r.0.words();

@@ -94,9 +94,7 @@ fn retire(
             for w in &valid {
                 t += 1;
                 let slot = w.slot.index();
-                let (deadline, met) = registers
-                    .service(slot, t)
-                    .expect("valid word has a packet");
+                let (deadline, met) = registers.service(slot, t).expect("valid word has a packet");
                 packets.push(ScheduledPacket {
                     slot: w.slot,
                     deadline,

@@ -68,8 +68,13 @@ mod enabled {
         #[inline]
         fn expiry_pass(&mut self, cycle: u64, expired: u32) {
             if expired > 0 {
-                self.track
-                    .record(TraceTag::CONTROL.0, cycle, Stage::DecisionExpire, 0, expired);
+                self.track.record(
+                    TraceTag::CONTROL.0,
+                    cycle,
+                    Stage::DecisionExpire,
+                    0,
+                    expired,
+                );
             }
         }
     }

@@ -63,9 +63,7 @@ mod tests {
     fn pinning_to_cpu_zero_succeeds() {
         // CPU 0 always exists; pin a scratch thread rather than the test
         // harness thread so we don't perturb sibling tests.
-        let ok = std::thread::spawn(|| pin_current_thread(0))
-            .join()
-            .unwrap();
+        let ok = std::thread::spawn(|| pin_current_thread(0)).join().unwrap();
         assert!(ok, "pinning to CPU 0 should be accepted");
     }
 

@@ -67,9 +67,9 @@ pub use ss_overload::{
 pub use streaming::{StreamingReport, StreamingUnit};
 #[cfg(feature = "faults")]
 pub use threaded::run_threaded_faulted;
-#[cfg(feature = "telemetry")]
-pub use threaded::{run_threaded_traced, TraceConfig, TracedReport};
 pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
 pub use threaded::{run_threaded_overload, OverloadRunReport};
+#[cfg(feature = "telemetry")]
+pub use threaded::{run_threaded_traced, TraceConfig, TracedReport};
 pub use transmission::TransmissionEngine;
 pub use worker::Worker;

@@ -974,11 +974,12 @@ mod tests {
             .any(|e| e.detail == detail::GATE_ADMISSION_REJECT));
         let refused = events
             .iter()
-            .filter(|e| {
-                e.stage == Stage::Shed && e.detail == detail::GATE_ADMISSION_REJECT
-            })
+            .filter(|e| e.stage == Stage::Shed && e.detail == detail::GATE_ADMISSION_REJECT)
             .count() as u64;
-        assert_eq!(refused, run.report.loss.admission, "shed trail matches ledger");
+        assert_eq!(
+            refused, run.report.loss.admission,
+            "shed trail matches ledger"
+        );
         validate_causal(&events).expect("gate verdicts rank after dequeue");
     }
 

@@ -159,10 +159,7 @@ impl<'ws> Analysis<'ws> {
                 if cfg.is_empty() {
                     continue;
                 }
-                for target in [
-                    format!("{dir}/{name}.rs"),
-                    format!("{dir}/{name}/mod.rs"),
-                ] {
+                for target in [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")] {
                     let t = target.trim_start_matches('/').to_string();
                     mod_cfgs.entry(t).or_default().extend(cfg.iter().cloned());
                 }
@@ -223,9 +220,10 @@ impl<'ws> Analysis<'ws> {
         self.annotations
             .iter()
             .filter(|a| {
-                !self.fns.iter().any(|s| {
-                    s.file == a.file && a.target >= s.header_line && a.target <= s.line
-                })
+                !self
+                    .fns
+                    .iter()
+                    .any(|s| s.file == a.file && a.target >= s.header_line && a.target <= s.line)
             })
             .cloned()
             .collect()
@@ -399,8 +397,7 @@ impl<'ws> Analysis<'ws> {
                     .copied()
                     .filter(|&c| {
                         let s = &self.fns[c];
-                        s.owner.as_deref() == Some(q)
-                            || module_stem(&self.file_of(s).rel) == q
+                        s.owner.as_deref() == Some(q) || module_stem(&self.file_of(s).rel) == q
                     })
                     .collect();
                 if !by_qual.is_empty() {
@@ -413,9 +410,7 @@ impl<'ws> Analysis<'ws> {
                         Some(dir) => candidates
                             .iter()
                             .copied()
-                            .filter(|&c| {
-                                crate_prefix(&self.file_of(&self.fns[c]).rel) == dir
-                            })
+                            .filter(|&c| crate_prefix(&self.file_of(&self.fns[c]).rel) == dir)
                             .collect(),
                         None => Vec::new(),
                     }
@@ -581,19 +576,16 @@ mod tests {
     #[test]
     fn call_site_shapes() {
         let sites = call_sites("{ helper(); self.ring.push(x); Vec::with_capacity(4); decision::order(a, b); max::<u64>(1, 2); if (x) {} }");
-        let names: Vec<(String, CallKind, Option<String>)> = sites
-            .into_iter()
-            .map(|(n, k, q, _, _)| (n, k, q))
-            .collect();
+        let names: Vec<(String, CallKind, Option<String>)> =
+            sites.into_iter().map(|(n, k, q, _, _)| (n, k, q)).collect();
         assert!(names.contains(&("helper".into(), CallKind::Bare, None)));
         assert!(names.contains(&("push".into(), CallKind::Method, None)));
-        assert!(names.contains(&(
-            "with_capacity".into(),
-            CallKind::Path,
-            Some("Vec".into())
-        )));
+        assert!(names.contains(&("with_capacity".into(), CallKind::Path, Some("Vec".into()))));
         assert!(names.contains(&("order".into(), CallKind::Path, Some("decision".into()))));
-        assert!(names.contains(&("max".into(), CallKind::Bare, None)), "turbofish");
+        assert!(
+            names.contains(&("max".into(), CallKind::Bare, None)),
+            "turbofish"
+        );
         assert!(!names.iter().any(|(n, _, _)| n == "if"));
     }
 
@@ -602,14 +594,16 @@ mod tests {
         let sites = call_sites(
             "{ self.push(a); self.ring.write.store(v); (*slot.get()).write(v); local.hit(); ss_core::x.go(); }",
         );
-        let by_name: std::collections::BTreeMap<String, Option<Vec<String>>> = sites
-            .into_iter()
-            .map(|(n, _, _, r, _)| (n, r))
-            .collect();
+        let by_name: std::collections::BTreeMap<String, Option<Vec<String>>> =
+            sites.into_iter().map(|(n, _, _, r, _)| (n, r)).collect();
         assert_eq!(by_name["push"], Some(vec!["self".to_string()]));
         assert_eq!(
             by_name["store"],
-            Some(vec!["self".to_string(), "ring".to_string(), "write".to_string()])
+            Some(vec![
+                "self".to_string(),
+                "ring".to_string(),
+                "write".to_string()
+            ])
         );
         assert_eq!(by_name["write"], None, "deref receiver is opaque");
         assert_eq!(by_name["hit"], Some(vec!["local".to_string()]));
@@ -661,7 +655,11 @@ mod tests {
             .collect();
         assert_eq!(callees, ["hit", "tidy"], "{callees:?}");
         let hit = a.edges[go][0].callee;
-        assert_eq!(a.fns[hit].owner.as_deref(), Some("Inner"), "typed, not Other::hit");
+        assert_eq!(
+            a.fns[hit].owner.as_deref(),
+            Some("Inner"),
+            "typed, not Other::hit"
+        );
     }
 
     #[test]

@@ -536,14 +536,14 @@ pub fn check(ws: &Workspace, cfg: &Config, report: &mut Report) {
         let outcome = match proto.model.as_str() {
             "spsc-ring" => check_spsc(f, proto),
             "shared-pressure" => check_pressure(f, proto),
-            other => Err((1, format!("unknown interleave model `{other}` (known: spsc-ring, shared-pressure)"))),
+            other => Err((
+                1,
+                format!("unknown interleave model `{other}` (known: spsc-ring, shared-pressure)"),
+            )),
         };
         match outcome {
             Ok(stats) => {
-                *report
-                    .stats
-                    .entry("interleavings explored")
-                    .or_insert(0) += stats.executions;
+                *report.stats.entry("interleavings explored").or_insert(0) += stats.executions;
             }
             Err((line, msg)) => report.violation(ID, &f.rel, line, msg),
         }
@@ -576,7 +576,8 @@ fn check_pressure(f: &SourceFile, proto: &InterleaveProtocol) -> Result<Stats, (
     let line = line_of_fn(f, "publish");
     let ords = models::PressureOrds {
         store_level: extract_ord(f, "publish", "level", "store").map_err(|e| (line, e))?,
-        rmw_publishes: extract_ord(f, "publish", "publishes", "fetch_add").map_err(|e| (line, e))?,
+        rmw_publishes: extract_ord(f, "publish", "publishes", "fetch_add")
+            .map_err(|e| (line, e))?,
         load_level: extract_ord(f, "level", "level", "load").map_err(|e| (line, e))?,
         load_publishes: extract_ord(f, "publishes", "publishes", "load").map_err(|e| (line, e))?,
     };

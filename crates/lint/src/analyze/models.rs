@@ -214,16 +214,16 @@ impl Model for SpscModel {
                 }
                 2 => {
                     let got = loaded.expect("take returns a value");
-                    let expected = self
-                        .pushed
-                        .get(self.taken as usize)
-                        .copied()
-                        .ok_or_else(|| {
-                            format!(
-                                "consumer popped slot {} before the producer published it",
-                                self.c_read % Self::CAP
-                            )
-                        })?;
+                    let expected =
+                        self.pushed
+                            .get(self.taken as usize)
+                            .copied()
+                            .ok_or_else(|| {
+                                format!(
+                                    "consumer popped slot {} before the producer published it",
+                                    self.c_read % Self::CAP
+                                )
+                            })?;
                     if got != expected {
                         return Err(format!(
                             "FIFO violation: pop #{} returned {got}, expected {expected}",
@@ -434,7 +434,11 @@ mod tests {
     fn spsc_correct_protocol_is_race_free() {
         let stats = explore(&SpscModel::new(SpscOrds::correct()), BOUND)
             .unwrap_or_else(|ce| panic!("counterexample: {}\n{:#?}", ce.error, ce.trace));
-        assert!(stats.executions > 100, "explored {} executions", stats.executions);
+        assert!(
+            stats.executions > 100,
+            "explored {} executions",
+            stats.executions
+        );
     }
 
     #[test]

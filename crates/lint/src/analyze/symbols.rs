@@ -842,9 +842,18 @@ mod tests {
         assert_eq!(f.len(), 3, "{f:?}");
         assert_eq!(f[0], ("fsm".to_string(), vec!["ControlFsm".to_string()]));
         assert_eq!(f[1].0, "map");
-        assert!(f[1].1.contains(&"SlotState".to_string()), "generic args kept");
-        assert!(f[2].1.contains(&"SharedPressure".to_string()), "path types kept");
-        assert!(s.types[1].fields.is_empty(), "tuple structs have no named fields");
+        assert!(
+            f[1].1.contains(&"SlotState".to_string()),
+            "generic args kept"
+        );
+        assert!(
+            f[2].1.contains(&"SharedPressure".to_string()),
+            "path types kept"
+        );
+        assert!(
+            s.types[1].fields.is_empty(),
+            "tuple structs have no named fields"
+        );
     }
 
     #[test]

@@ -296,12 +296,10 @@ impl Config {
                 preemption_bound: match t.get("preemption_bound") {
                     Some(Value::Int(n)) if *n >= 0 => *n as usize,
                     None => 3,
-                    _ => {
-                        return err(
-                            0,
-                            "[[interleave.protocols]]: preemption_bound must be a non-negative integer",
-                        )
-                    }
+                    _ => return err(
+                        0,
+                        "[[interleave.protocols]]: preemption_bound must be a non-negative integer",
+                    ),
                 },
             });
         }

@@ -57,7 +57,11 @@ fn us(tsc: u64, t0: u64, ticks_per_us: f64) -> f64 {
 /// the earliest event so traces start at `ts = 0`.
 #[must_use]
 pub fn perfetto_json(tracks: &[TrackDump], ticks_per_us: f64) -> String {
-    let tpus = if ticks_per_us > 0.0 { ticks_per_us } else { 1.0 };
+    let tpus = if ticks_per_us > 0.0 {
+        ticks_per_us
+    } else {
+        1.0
+    };
     let t0 = tracks
         .iter()
         .flat_map(|t| t.events.iter())
@@ -164,7 +168,11 @@ impl StageLatencies {
     /// [`stitch`] first). Control tags are skipped.
     #[must_use]
     pub fn from_events(events: &[StageEvent], ticks_per_us: f64) -> Self {
-        let tpus = if ticks_per_us > 0.0 { ticks_per_us } else { 1.0 };
+        let tpus = if ticks_per_us > 0.0 {
+            ticks_per_us
+        } else {
+            1.0
+        };
         let mut out = Self::default();
         // (last stage rank-point, its tsc) per live tag.
         let mut last: HashMap<u64, StageEvent> = HashMap::new();
@@ -274,7 +282,8 @@ pub fn validate_perfetto_schema(json: &str) -> Result<(), String> {
         .ok_or("traceEvents is not an array")?;
     for (i, ev) in events.iter().enumerate() {
         let obj = || format!("traceEvents[{i}]");
-        ev.as_object().ok_or_else(|| format!("{} not an object", obj()))?;
+        ev.as_object()
+            .ok_or_else(|| format!("{} not an object", obj()))?;
         let name = ev
             .get("name")
             .and_then(|v| v.as_str())

@@ -73,8 +73,8 @@ pub use recorder::{
     install_panic_hook, stitch, DumpReason, FlightDump, FlightRecorder, SharedFlightRecorder,
     SpanRecorder, StageRing, TrackDump, TrackRecorder,
 };
-pub use span::{Stage, StageEvent, TraceTag};
 pub use snapshot::{
     Bucket, HistogramSnapshot, MetricSnapshot, MetricValue, Snapshot, SummarySnapshot,
 };
+pub use span::{Stage, StageEvent, TraceTag};
 pub use stats::Summary;

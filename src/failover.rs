@@ -824,7 +824,9 @@ mod tests {
             sup.decision_cycle().unwrap();
         }
         assert!(sup.failovers() >= 1);
-        let dump = flight.take_last_dump().expect("failover dumps the recorder");
+        let dump = flight
+            .take_last_dump()
+            .expect("failover dumps the recorder");
         assert_eq!(dump.reason, DumpReason::WatchdogTrip);
         assert!(dump
             .events

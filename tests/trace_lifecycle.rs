@@ -213,7 +213,10 @@ fn watchdog_trip_takes_automatic_flight_dump() {
     )
     .expect("stuck run still returns a report");
 
-    assert!(out.watchdog_trips >= 1, "the watchdog declared the path stuck");
+    assert!(
+        out.watchdog_trips >= 1,
+        "the watchdog declared the path stuck"
+    );
     let dump = out.flight_dump.expect("trip produced an automatic dump");
     assert_eq!(dump.reason, DumpReason::WatchdogTrip);
     assert!(
@@ -235,7 +238,9 @@ fn sharded_merge_spans_are_causal_with_valid_provenance() {
     let mut sched =
         ShardedScheduler::new(FabricConfig::edf(slots, FabricConfigKind::WinnerOnly), 4).unwrap();
     for s in 0..slots {
-        sched.load_stream(s, edf_state(slots as u64), (s + 1) as u64).unwrap();
+        sched
+            .load_stream(s, edf_state(slots as u64), (s + 1) as u64)
+            .unwrap();
         for a in 0..8u64 {
             sched.push_arrival(s, Wrap16::from_wide(a)).unwrap();
         }
@@ -258,7 +263,11 @@ fn sharded_merge_spans_are_causal_with_valid_provenance() {
         .iter()
         .filter(|e| e.stage == Stage::MergeWin)
         .collect();
-    assert_eq!(wins.len(), served as usize, "one MergeWin per served packet");
+    assert_eq!(
+        wins.len(),
+        served as usize,
+        "one MergeWin per served packet"
+    );
     for w in wins {
         assert!(
             w.detail <= 8 || w.detail == detail::MERGE_ONLY_CANDIDATE,
@@ -305,7 +314,10 @@ fn build_info_gauge_carries_version_and_features() {
         "feature list names the compiled features, got {:?}",
         label("features")
     );
-    assert!(registry.snapshot().to_prometheus().contains("ss_build_info"));
+    assert!(registry
+        .snapshot()
+        .to_prometheus()
+        .contains("ss_build_info"));
 }
 
 proptest! {

@@ -430,7 +430,13 @@ fn steady_state_decision_cycles_do_not_allocate() {
         use sharestreams::endsystem::{GateConfig, RedConfig};
         let gate = gated.then(|| {
             let red = RedConfig::classic(4 * SLOTS * DEPTH);
-            GateConfig::from_windows(&[WindowConstraint::ZERO; SLOTS], 1_000_000, 4_000_000, red, 7)
+            GateConfig::from_windows(
+                &[WindowConstraint::ZERO; SLOTS],
+                1_000_000,
+                4_000_000,
+                red,
+                7,
+            )
         });
         let config = FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly);
         let states = (0..SLOTS).map(|_| edf_state()).collect();
