@@ -194,7 +194,7 @@ pub struct Fabric {
     batch_counters: RuleCounters,
     /// Reference-arm selector: `true` (the default, in every build) runs
     /// decisions through the packed kernel; `false` selects the
-    /// `StreamAttrs` scalar path the equivalence suites compare against.
+    /// `StreamAttrs` scalar path, the conformance harness's anchor.
     batched: bool,
     /// The reference arm's ping-pong scratch buffers, filled from the
     /// unpacked lane words at decision time.
@@ -257,9 +257,9 @@ impl Fabric {
     /// Selects the decision arm: `true` (the default) is the packed
     /// kernel, `false` the `StreamAttrs` scalar reference. The two are
     /// bit-identical — packets, counters, rule firings, hardware cycles —
-    /// and this selector exists so the equivalence suites and the
-    /// benchmark's output check can run one against the other. Returns the
-    /// effective state.
+    /// and this selector exists so the conformance harness
+    /// (`tests/conformance.rs`) and the benchmark's output check can run
+    /// one against the other. Returns the effective state.
     pub fn set_batched(&mut self, on: bool) -> bool {
         self.batched = on;
         on
@@ -1460,27 +1460,6 @@ mod tests {
         assert!(f.is_batched());
     }
 
-    #[test]
-    fn switching_arms_mid_run_is_invisible() {
-        // Both arms read the register file's words: a switch with
-        // arrivals and services since the last cycle changes nothing.
-        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
-            let mut fixed = backlogged_edf(8, kind, 64);
-            let mut toggled = backlogged_edf(8, kind, 64);
-            for cycle in 0..48u64 {
-                if cycle.is_multiple_of(5) {
-                    toggled.set_batched(!toggled.is_batched());
-                }
-                let tag = Wrap16::from_wide(cycle);
-                fixed.push_arrival((cycle % 8) as usize, tag).unwrap();
-                toggled.push_arrival((cycle % 8) as usize, tag).unwrap();
-                assert_eq!(fixed.peek_winner(), toggled.peek_winner());
-                assert_eq!(fixed.decision_cycle(), toggled.decision_cycle());
-            }
-            assert_eq!(fixed.rule_counters(), toggled.rule_counters());
-        }
-    }
-
     /// Pinned xorshift64* — deterministic across runs and platforms.
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed;
@@ -1489,263 +1468,6 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             state.wrapping_mul(0x2545F4914F6CDD1D)
-        }
-    }
-
-    /// The scalar reference arm and the packed kernel side by side, fed
-    /// the same trace and compared after every step.
-    struct Arms {
-        scalar: Fabric,
-        packed: Fabric,
-    }
-
-    impl Arms {
-        fn new(cfg: FabricConfig) -> Self {
-            let mut scalar = Fabric::new(cfg).unwrap();
-            let packed = Fabric::new(cfg).unwrap();
-            assert!(!scalar.set_batched(false));
-            assert!(packed.is_batched());
-            Self { scalar, packed }
-        }
-
-        fn each(&mut self, f: impl Fn(&mut Fabric)) {
-            f(&mut self.scalar);
-            f(&mut self.packed);
-        }
-
-        /// One decision on both arms. Before it, `peek_winner` — taken
-        /// with whatever arrivals and services are still undrained — must
-        /// agree across arms and, on WR, name the slot that then wins.
-        fn step(&mut self, what: &str) {
-            let peek = self.packed.peek_winner();
-            assert_eq!(self.scalar.peek_winner(), peek, "peek diverged: {what}");
-            let out = self.packed.decision_cycle();
-            assert_eq!(self.scalar.decision_cycle(), out, "divergence: {what}");
-            assert_eq!(self.scalar.now(), self.packed.now());
-            if let DecisionOutcome::Winner(w) = out {
-                let peeked = lane_valid(peek).then(|| lane_slot(peek));
-                assert_eq!(w.map(|p| p.slot.index()), peeked, "{what}");
-            }
-        }
-
-        /// Every counter, field by field, and the hardware clock.
-        fn assert_counters_match(&self, what: &str) {
-            for s in 0..self.scalar.config().slots {
-                assert_eq!(
-                    self.scalar.slot_counters(s).unwrap(),
-                    self.packed.slot_counters(s).unwrap(),
-                    "slot {s} counters diverged: {what}"
-                );
-            }
-            // Derived equality: all nine `RuleCounters` fields.
-            assert_eq!(
-                self.scalar.rule_counters(),
-                self.packed.rule_counters(),
-                "rule firings diverged: {what}"
-            );
-            assert_eq!(self.scalar.hw_cycles(), self.packed.hw_cycles(), "{what}");
-        }
-    }
-
-    /// Satellite proof for the packed kernel: a 10 000-cycle pinned-seed
-    /// replay across every fabric width, BA and WR, with random loads,
-    /// arrivals, mid-run unload/reload and window variety, must be
-    /// bit-identical to the scalar reference — every packet, every counter,
-    /// every rule firing, every packet-time.
-    #[test]
-    fn batched_fabric_replays_scalar_bit_exactly() {
-        let mut rng = xorshift(0x5DEECE66D);
-        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
-            for (slots, mode) in [
-                (4usize, ComparisonMode::Dwcs),
-                (4, ComparisonMode::Edf),
-                (8, ComparisonMode::Dwcs),
-                (8, ComparisonMode::ServiceTag),
-                (16, ComparisonMode::Dwcs),
-                (16, ComparisonMode::StaticPriority),
-                (32, ComparisonMode::Dwcs),
-                (32, ComparisonMode::Edf),
-            ] {
-                let what = format!("{kind:?} × {slots}, {mode:?}");
-                let mut arms = Arms::new(FabricConfig {
-                    mode,
-                    priority_update: matches!(mode, ComparisonMode::Dwcs | ComparisonMode::Edf),
-                    ..FabricConfig::dwcs(slots, kind)
-                });
-                for s in 0..slots {
-                    let st = StreamState {
-                        request_period: 1 + (s as u64 % 3),
-                        original_window: WindowConstraint::new((s % 5) as u8, 1 + (s % 4) as u8),
-                        static_prio: (s * 7 % 11) as u8,
-                        late_policy: LatePolicy::ServeLate,
-                    };
-                    arms.each(|f| f.load_stream(s, st.clone(), (s + 1) as u64).unwrap());
-                }
-                for cycle in 0u64..1250 {
-                    for s in 0..slots {
-                        let r = rng();
-                        if r & 3 == 0 {
-                            let tag = Wrap16::from_wide(cycle);
-                            arms.each(|f| f.push_arrival(s, tag).unwrap());
-                        }
-                        // Occasionally churn a slot's binding mid-run so the
-                        // replay also covers unload/reload word refreshes.
-                        if r.is_multiple_of(97) {
-                            let st = StreamState {
-                                request_period: 1 + (r % 2),
-                                original_window: WindowConstraint::new((r % 3) as u8, 2),
-                                static_prio: (r % 13) as u8,
-                                late_policy: LatePolicy::ServeLate,
-                            };
-                            let dl = arms.scalar.now() + 1 + r % 5;
-                            arms.each(|f| {
-                                f.unload_stream(s).unwrap();
-                                f.load_stream(s, st.clone(), dl).unwrap();
-                            });
-                        }
-                    }
-                    arms.step(&format!("{what}, cycle {cycle}"));
-                }
-                arms.assert_counters_match(&what);
-            }
-        }
-    }
-
-    /// The 16-bit deadline and arrival fields wrap every 65 536 packet-
-    /// times; run each width, BA and WR, past three wraps at a load that
-    /// keeps deadlines tracking the clock, so the early-exit sign test
-    /// sees pre-/post-wrap pairs with arrivals and services every cycle.
-    #[test]
-    fn packed_kernel_survives_three_deadline_wraps() {
-        const HORIZON: u64 = 3 << 16;
-        let mut rng = xorshift(0x9E3779B97F4A7C15);
-        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
-            for slots in [4usize, 8, 16, 32] {
-                let what = format!("{kind:?} × {slots}");
-                let mut arms = Arms::new(FabricConfig::dwcs(slots, kind));
-                for s in 0..slots {
-                    let st = StreamState {
-                        // Demand ≤ the link, so no deadline runs ahead of
-                        // the clock: live tags stay within half the 16-bit
-                        // space, where scan and tournament agree.
-                        request_period: slots as u64 - (s as u64 % 2),
-                        original_window: WindowConstraint::new((s % 3) as u8, 2 + (s % 3) as u8),
-                        static_prio: 0,
-                        late_policy: [LatePolicy::ServeLate, LatePolicy::Drop][s % 2],
-                    };
-                    arms.each(|f| f.load_stream(s, st.clone(), (s + 1) as u64).unwrap());
-                }
-                // WR transmits one packet per decision: offer ≈ one per
-                // cycle in total. BA drains every occupied slot per cycle.
-                let one_in = match kind {
-                    FabricConfigKind::WinnerOnly => slots as u64 + 1,
-                    FabricConfigKind::Base => 4,
-                };
-                let mut cycle = 0u64;
-                while arms.scalar.now() < HORIZON {
-                    for s in 0..slots {
-                        if rng().is_multiple_of(one_in) {
-                            let tag = Wrap16::from_wide(arms.scalar.now());
-                            arms.each(|f| f.push_arrival(s, tag).unwrap());
-                        }
-                    }
-                    arms.step(&format!("{what}, cycle {cycle}"));
-                    cycle += 1;
-                }
-                arms.assert_counters_match(&what);
-                let rc = arms.packed.rule_counters();
-                assert!(
-                    rc.earliest_deadline > 0 && rc.total() > rc.earliest_deadline + rc.validity
-                );
-                let slot0 = arms.packed.register_snapshot(0).unwrap().unwrap();
-                assert!(slot0.head_deadline > HORIZON - (1 << 15));
-            }
-        }
-    }
-
-    #[test]
-    fn all_slots_tied_decide_on_slot_id_in_both_arms() {
-        // Identical deadline, window and arrival in every slot: every
-        // comparison leaves the early exit and falls through the whole
-        // chain to the slot tie-break.
-        for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
-            for slots in [4usize, 8, 16, 32] {
-                let what = format!("{kind:?} × {slots}");
-                let mut arms = Arms::new(FabricConfig::dwcs(slots, kind));
-                for s in 0..slots {
-                    let st = StreamState {
-                        request_period: slots as u64,
-                        original_window: WindowConstraint::new(1, 2),
-                        static_prio: 0,
-                        late_policy: LatePolicy::ServeLate,
-                    };
-                    arms.each(|f| {
-                        f.load_stream(s, st.clone(), 500).unwrap();
-                        f.push_arrival(s, Wrap16(7)).unwrap();
-                        f.push_arrival(s, Wrap16(7)).unwrap();
-                    });
-                }
-                arms.step(&what);
-                let rc = arms.packed.rule_counters();
-                assert_eq!(rc.slot_id, rc.total(), "{what}: every comparator tied");
-                assert_eq!(arms.packed.last_block()[0].slot.index(), 0, "{what}");
-                for _ in 0..2 * slots {
-                    arms.step(&what);
-                }
-                arms.assert_counters_match(&what);
-            }
-        }
-    }
-
-    /// The benchmark's `fabric_block` op on both arms: one arrival per
-    /// slot in a rotated order, then decisions until all 32 packets are
-    /// out. Staggered first deadlines (`rank + 1`, period 32) never tie, so
-    /// every packed decision takes the key network; equal first deadlines
-    /// tie every comparison, so every one takes the word network. Either
-    /// way the packed arm must reproduce the scalar arm's packets,
-    /// `SlotCounters`, `RuleCounters` and hardware clock.
-    #[test]
-    fn block_refill_ops_match_the_scalar_arm_on_both_networks() {
-        const SLOTS: usize = 32;
-        for staggered in [true, false] {
-            let what = if staggered { "staggered" } else { "all tied" };
-            let mut arms = Arms::new(FabricConfig::dwcs(SLOTS, FabricConfigKind::Base));
-            let mut rng = xorshift(0xFAB);
-            for s in 0..SLOTS {
-                let rank = (s * 13 + 5) % SLOTS;
-                let st = StreamState {
-                    request_period: SLOTS as u64,
-                    original_window: WindowConstraint::new((rank % 4) as u8, 4),
-                    static_prio: 0,
-                    late_policy: LatePolicy::ServeLate,
-                };
-                let first = if staggered { rank as u64 + 1 } else { 1 };
-                arms.each(|f| f.load_stream(s, st.clone(), first).unwrap());
-            }
-            let mut tag = 0u16;
-            for op in 0..10_000 {
-                let start = rng() as usize;
-                for j in 0..SLOTS {
-                    // The all-tied run shares one tag per op, so a
-                    // comparison falls through FCFS to the slot tie-break.
-                    tag = tag.wrapping_add(u16::from(staggered || j == 0));
-                    arms.each(|f| f.push_arrival((start + j) % SLOTS, Wrap16(tag)).unwrap());
-                }
-                let mut out = 0;
-                while out < SLOTS {
-                    arms.step(&format!("{what}, op {op}"));
-                    out += arms.packed.last_block().len();
-                }
-                assert_eq!(out, SLOTS, "{what}: one block per op");
-            }
-            arms.assert_counters_match(what);
-            let rc = arms.packed.rule_counters();
-            assert_eq!(rc.total(), 80 * arms.packed.decision_count(), "{what}");
-            if staggered {
-                assert_eq!(rc.earliest_deadline, rc.total(), "every verdict is rule 1");
-            } else {
-                assert_eq!(rc.earliest_deadline, 0, "no verdict is rule 1");
-            }
         }
     }
 

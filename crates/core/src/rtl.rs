@@ -422,7 +422,6 @@ impl RtlFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::Fabric;
     use crate::register::LatePolicy;
     use ss_types::WindowConstraint;
 
@@ -432,56 +431,6 @@ mod tests {
             original_window: WindowConstraint::new(1, 2),
             static_prio: 0,
             late_policy: LatePolicy::ServeLate,
-        }
-    }
-
-    fn load_both(rtl: &mut RtlFabric, f: &mut Fabric, n: usize, frames: u64) {
-        for s in 0..n {
-            rtl.load_stream(s, state(n as u64), (s + 1) as u64).unwrap();
-            f.load_stream(s, state(n as u64), (s + 1) as u64).unwrap();
-            for q in 0..frames {
-                let tag = Wrap16::from_wide(q * n as u64 + s as u64);
-                rtl.push_arrival(s, tag).unwrap();
-                f.push_arrival(s, tag).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn rtl_matches_functional_wr() {
-        let config = FabricConfig::dwcs(8, FabricConfigKind::WinnerOnly);
-        let mut rtl = RtlFabric::new(config).unwrap();
-        let mut f = Fabric::new(config).unwrap();
-        load_both(&mut rtl, &mut f, 8, 200);
-        for d in 0..1000 {
-            assert_eq!(rtl.run_decision(), f.decision_cycle(), "decision {d}");
-        }
-        for s in 0..8 {
-            assert_eq!(rtl.slot_counters(s).unwrap(), *f.slot_counters(s).unwrap());
-        }
-        assert_eq!(rtl.now(), f.now());
-    }
-
-    #[test]
-    fn rtl_matches_functional_ba() {
-        let config = FabricConfig::dwcs(4, FabricConfigKind::Base);
-        let mut rtl = RtlFabric::new(config).unwrap();
-        let mut f = Fabric::new(config).unwrap();
-        load_both(&mut rtl, &mut f, 4, 100);
-        for d in 0..100 {
-            assert_eq!(rtl.run_decision(), f.decision_cycle(), "decision {d}");
-        }
-        assert_eq!(rtl.now(), f.now());
-    }
-
-    #[test]
-    fn rtl_matches_functional_service_tag_mode() {
-        let config = FabricConfig::service_tag(8, FabricConfigKind::WinnerOnly);
-        let mut rtl = RtlFabric::new(config).unwrap();
-        let mut f = Fabric::new(config).unwrap();
-        load_both(&mut rtl, &mut f, 8, 100);
-        for d in 0..500 {
-            assert_eq!(rtl.run_decision(), f.decision_cycle(), "decision {d}");
         }
     }
 

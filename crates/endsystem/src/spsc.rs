@@ -125,7 +125,7 @@ const SLEEP_MAX_US: u64 = 1_000;
 
 /// One failed ring operation, the `waits`-th in a row (see [`SPIN_WAITS`]).
 #[inline]
-fn back_off(waits: &mut u32) {
+pub(crate) fn back_off(waits: &mut u32) {
     let n = *waits;
     *waits = n.saturating_add(1);
     if n < SPIN_WAITS {

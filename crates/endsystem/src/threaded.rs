@@ -34,7 +34,7 @@ mod observer;
 use self::observer::Traced;
 use self::observer::{Crossing, Observer};
 use crate::faults::EndsystemFaults;
-use crate::spsc::{spsc_ring, Consumer, Producer, RingStats};
+use crate::spsc::{back_off, spsc_ring, Consumer, Producer, RingStats};
 use crate::worker::Worker;
 use ss_core::{DecisionWatchdog, Fabric, FabricConfig, WatchdogVerdict};
 use ss_core::{LatePolicy, StreamState};
@@ -459,18 +459,20 @@ impl<O: Observer> Scheduler<O> {
     }
 
     /// The scheduler thread: sweeps until the producer is done and the
-    /// fabric is empty, or the watchdog trips. Returning drops `id_tx`,
-    /// which is what ends the transmitter after a loss.
+    /// fabric is empty, or the watchdog trips. An idle sweep waits the
+    /// rings' one wait, restarted by every decision cycle. Returning drops
+    /// `id_tx`, which is what ends the transmitter after a loss.
     fn run(mut self) -> (RingStats, Option<Gate<()>>, LossLedger, u64) {
+        let mut waits = 0;
         loop {
             match self.sweep() {
                 Some(WatchdogVerdict::Stuck) => {
                     self.write_off();
                     break;
                 }
-                Some(_) => {}
+                Some(_) => waits = 0,
                 None if self.arr_rx.finished() => break,
-                None => std::hint::spin_loop(),
+                None => back_off(&mut waits),
             }
         }
         // The producer has disconnected, so its final ring stats are
@@ -1121,41 +1123,6 @@ mod tests {
                 report.lost,
                 "seed {seed}"
             );
-        }
-    }
-
-    /// On a fault-free run every entry point is the same pipeline.
-    #[test]
-    fn wrappers_agree_on_a_fault_free_run() {
-        let config = || FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
-        let serve_late = || states(4, 4, 0, LatePolicy::ServeLate);
-        let mut reports = vec![("plain", run_threaded(config(), serve_late(), 500).unwrap())];
-        let gated = run_threaded_overload(config(), serve_late(), 500, headroom_gate(0)).unwrap();
-        assert_eq!((gated.offered, gated.admitted), (2_000, 2_000));
-        reports.push(("overload", gated.report));
-        #[cfg(feature = "faults")]
-        {
-            use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
-            let inj = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
-            let policy = RetryPolicy::default();
-            let run = run_threaded_faulted(config(), serve_late(), 500, inj, policy).unwrap();
-            reports.push(("faulted", run));
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            for gate in [None, Some(headroom_gate(0))] {
-                let mut trace = TraceConfig::new(1 << 15, 256);
-                trace.gate = gate;
-                let run = run_threaded_traced(config(), serve_late(), 500, trace).unwrap();
-                reports.push(("traced", run.report));
-            }
-        }
-        for (what, report) in &reports {
-            assert_eq!(report.per_slot, [500; 4], "{what}");
-            assert_eq!((report.total, report.lost), (2_000, 0), "{what}");
-            assert_eq!(report.loss.total(), 0, "{what}: zero ledger");
-            assert_eq!(report.arr_ring.pushes, 2_000, "{what}");
-            assert_eq!(report.id_ring.pushes, 2_000, "{what}");
         }
     }
 

@@ -26,7 +26,7 @@
 //!   ([`ss_core::Fabric::expire_cycle`]). No shard is ranked twice.
 //!   Because the Table 2 rule chain is a total order, `min` over shard
 //!   minima is the global minimum — the merged schedule is bit-identical
-//!   to a single M-slot WR fabric (see `tests/sharded_equivalence.rs`).
+//!   to a single M-slot WR fabric (`tests/conformance.rs` holds it there).
 //! * **Threaded** ([`ShardedScheduler::into_threaded`]) — each shard's
 //!   fabric moves onto its own worker thread, fed arrivals and batch
 //!   commands over the endsystem's lock-free SPSC rings, and streams one

@@ -1,200 +1,41 @@
-//! Cross-check: the hardware fabric against the independent software DWCS.
-//!
-//! The fabric (16-bit attribute words, tournament on N/2 Decision blocks)
-//! and `DwcsRef` (wide integers, linear scan) were written independently;
-//! for backlogged workloads whose live tags stay within the 16-bit
-//! half-space they must produce *identical* winner sequences — the DWCS
-//! ordering is a lexicographic composition of total orders, so tournament
-//! and linear scan agree.
-//!
-//! (Workloads keep every queue backlogged: the reference model does not
-//! implement the fabric's idle-stream deadline re-anchoring, which only
-//! matters for queues that drain.)
+//! The fabric against `DwcsRef`, the wide-integer software oracle: each
+//! test replays one preloaded-backlog class of the conformance harness
+//! (`support/harness.rs`) on every path it holds, the `Reference` row
+//! among them. `DwcsRef` has no idle re-anchor, so its classes stay
+//! backlogged: decided half-way, no queue drains.
 
-use sharestreams::core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
-use sharestreams::disciplines::{
-    Discipline, DwcsRef, DwcsStreamConfig, LatePolicy as RefLatePolicy, SwPacket,
-};
-use sharestreams::types::{WindowConstraint, Wrap16};
+#[path = "support/harness.rs"]
+mod harness;
 
-struct Workload {
-    periods: Vec<u64>,
-    windows: Vec<WindowConstraint>,
-    policies: Vec<(LatePolicy, RefLatePolicy)>,
-    frames_per_stream: u64,
-}
+use harness::{backlog, check};
 
-fn run_pair(w: &Workload, mode_edf: bool) -> (Vec<usize>, Vec<usize>) {
-    let n = w.periods.len();
-    let config = if mode_edf {
-        FabricConfig::edf(n, FabricConfigKind::WinnerOnly)
-    } else {
-        FabricConfig::dwcs(n, FabricConfigKind::WinnerOnly)
-    };
-    let mut fabric = Fabric::new(config).unwrap();
-    let configs: Vec<DwcsStreamConfig> = (0..n)
-        .map(|s| DwcsStreamConfig {
-            period: w.periods[s],
-            window: if mode_edf {
-                WindowConstraint::ZERO
-            } else {
-                w.windows[s]
-            },
-            first_deadline: (s + 1) as u64,
-            late_policy: w.policies[s].1,
-        })
-        .collect();
-    let mut reference = if mode_edf {
-        DwcsRef::new_edf(configs)
-    } else {
-        DwcsRef::new(configs)
-    };
-    for s in 0..n {
-        fabric
-            .load_stream(
-                s,
-                StreamState {
-                    request_period: w.periods[s],
-                    original_window: if mode_edf {
-                        WindowConstraint::ZERO
-                    } else {
-                        w.windows[s]
-                    },
-                    static_prio: 0,
-                    late_policy: w.policies[s].0,
-                },
-                (s + 1) as u64,
-            )
-            .unwrap();
-        for q in 0..w.frames_per_stream {
-            // Distinct small arrival tags; identical between the two.
-            let tag = q * n as u64 + s as u64;
-            fabric.push_arrival(s, Wrap16::from_wide(tag)).unwrap();
-            reference.enqueue(SwPacket::new(s, q, tag, 64));
-        }
-    }
-
-    let mut fabric_winners = Vec::new();
-    let mut ref_winners = Vec::new();
-    let decisions = w.frames_per_stream * n as u64 / 2; // stay backlogged
-    for t in 0..decisions {
-        match fabric.decision_cycle() {
-            sharestreams::core::DecisionOutcome::Winner(Some(p)) => {
-                fabric_winners.push(p.slot.index())
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        ref_winners.push(reference.select(t).expect("backlogged").stream);
-    }
-    (fabric_winners, ref_winners)
-}
-
+/// Four EDF streams of one period: the winner sequences match exactly.
 #[test]
 fn edf_winner_sequences_match_exactly() {
-    let w = Workload {
-        periods: vec![4, 4, 4, 4],
-        windows: vec![WindowConstraint::ZERO; 4],
-        policies: vec![(LatePolicy::ServeLate, RefLatePolicy::ServeLate); 4],
-        frames_per_stream: 1000,
-    };
-    let (fabric, reference) = run_pair(&w, true);
-    assert_eq!(fabric, reference);
+    check(backlog("backlog/edf"));
 }
 
+/// Eight EDF streams with prime periods 2 to 19.
 #[test]
 fn edf_with_heterogeneous_periods_matches() {
-    let w = Workload {
-        periods: vec![2, 3, 5, 7, 11, 13, 17, 19],
-        windows: vec![WindowConstraint::ZERO; 8],
-        policies: vec![(LatePolicy::ServeLate, RefLatePolicy::ServeLate); 8],
-        frames_per_stream: 500,
-    };
-    let (fabric, reference) = run_pair(&w, true);
-    assert_eq!(fabric, reference);
+    check(backlog("backlog/edf-periods"));
 }
 
+/// DWCS with 0/1, 1/2, 1/4 and 2/3 windows.
 #[test]
 fn dwcs_with_window_constraints_matches() {
-    let windows = vec![
-        WindowConstraint::new(0, 1),
-        WindowConstraint::new(1, 2),
-        WindowConstraint::new(1, 4),
-        WindowConstraint::new(2, 3),
-    ];
-    let w = Workload {
-        periods: vec![4, 4, 4, 4],
-        windows,
-        policies: vec![(LatePolicy::ServeLate, RefLatePolicy::ServeLate); 4],
-        frames_per_stream: 1000,
-    };
-    let (fabric, reference) = run_pair(&w, false);
-    assert_eq!(fabric, reference);
+    check(backlog("backlog/dwcs-windows"));
 }
 
+/// DWCS with the Drop late policy and lossy windows at period 2.
 #[test]
 fn dwcs_with_drop_semantics_matches() {
-    // Overloaded window-constrained streams dropping expired heads: the
-    // drop bookkeeping must stay in lock-step too.
-    let windows = vec![
-        WindowConstraint::new(1, 2),
-        WindowConstraint::new(1, 2),
-        WindowConstraint::new(2, 4),
-        WindowConstraint::new(1, 3),
-    ];
-    let w = Workload {
-        periods: vec![2, 2, 2, 2], // 2x overload
-        windows,
-        policies: vec![(LatePolicy::Drop, RefLatePolicy::Drop); 4],
-        frames_per_stream: 800,
-    };
-    let (fabric, reference) = run_pair(&w, false);
-    assert_eq!(fabric, reference);
+    check(backlog("backlog/dwcs-drop"));
 }
 
+/// Four EDF streams of period 1 on one link: met, missed and dropped agree
+/// on every slot.
 #[test]
 fn counters_agree_under_overload() {
-    let n = 4;
-    let mut fabric = Fabric::new(FabricConfig::edf(n, FabricConfigKind::WinnerOnly)).unwrap();
-    let mut reference = DwcsRef::new_edf(
-        (0..n)
-            .map(|s| DwcsStreamConfig {
-                period: 1,
-                window: WindowConstraint::ZERO,
-                first_deadline: (s + 1) as u64,
-                late_policy: RefLatePolicy::ServeLate,
-            })
-            .collect(),
-    );
-    for s in 0..n {
-        fabric
-            .load_stream(
-                s,
-                StreamState {
-                    request_period: 1,
-                    original_window: WindowConstraint::ZERO,
-                    static_prio: 0,
-                    late_policy: LatePolicy::ServeLate,
-                },
-                (s + 1) as u64,
-            )
-            .unwrap();
-        for q in 0..500u64 {
-            let tag = q * n as u64 + s as u64;
-            fabric.push_arrival(s, Wrap16::from_wide(tag)).unwrap();
-            reference.enqueue(SwPacket::new(s, q, tag, 64));
-        }
-    }
-    for t in 0..1000 {
-        fabric.decision_cycle();
-        reference.select(t);
-    }
-    for s in 0..n {
-        let fc = fabric.slot_counters(s).unwrap();
-        let (ref_met, ref_missed, _, _) = reference.counters(s);
-        assert_eq!(fc.met_deadlines, ref_met, "met mismatch stream {s}");
-        assert_eq!(
-            fc.missed_deadlines, ref_missed,
-            "missed mismatch stream {s}"
-        );
-    }
+    check(backlog("backlog/edf-overload"));
 }

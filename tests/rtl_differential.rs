@@ -1,121 +1,32 @@
-//! Differential fuzzing: the functional fabric and the RTL fabric driven
-//! through *randomly interleaved* operation sequences (arrivals mid-run,
-//! idle decisions, bursts) must remain indistinguishable at every step.
-//!
-//! The pre-loaded-backlog cross-checks in `ss-core` cover steady state;
-//! this harness covers the messy edges — empty fabrics, slots draining and
-//! re-filling (exercising the idle-deadline re-anchor on both sides),
-//! and partial blocks.
+//! The RTL fabric against the functional fabric on randomly interleaved
+//! operations: arrivals mid-run, idle decisions and bursts, so fabrics
+//! empty, slots drain and refill (the idle-deadline re-anchor) and blocks
+//! come out partial. Each test replays one pinned-seed interleaving class
+//! of the conformance harness (`support/harness.rs`) on every path it
+//! holds, the `Rtl` and `RtlAhead` rows among them. The BA interleaving
+//! runs in `conformance.rs`'s block test.
 
-use proptest::prelude::*;
-use sharestreams::core::{
-    Fabric, FabricConfig, FabricConfigKind, LatePolicy, RtlFabric, StreamState,
-};
-use sharestreams::types::{WindowConstraint, Wrap16};
+#[path = "support/harness.rs"]
+mod harness;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Deposit an arrival for slot `slot % N`.
-    Arrive { slot: u8, tag: u16 },
-    /// Run one decision cycle.
-    Decide,
-    /// Run a burst of decision cycles.
-    DecideBurst(u8),
+use harness::{check, interleaved};
+use sharestreams::core::FabricConfigKind::WinnerOnly;
+use sharestreams::types::ComparisonMode as Mode;
+
+#[test]
+fn wr_dwcs_interleaved() {
+    check(interleaved(WinnerOnly, Mode::Dwcs, 0xD1FF, 3000));
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (any::<u8>(), 0u16..32768).prop_map(|(slot, tag)| Op::Arrive { slot, tag }),
-        3 => Just(Op::Decide),
-        1 => (1u8..8).prop_map(Op::DecideBurst),
-    ]
+#[test]
+fn wr_edf_interleaved() {
+    check(interleaved(WinnerOnly, Mode::Edf, 0xD1FF, 3000));
 }
 
-fn run_differential(
-    kind: FabricConfigKind,
-    edf: bool,
-    compute_ahead: bool,
-    ops: &[Op],
-) -> Result<(), TestCaseError> {
-    const N: usize = 4;
-    let base = if edf {
-        FabricConfig::edf(N, kind)
-    } else {
-        FabricConfig::dwcs(N, kind)
-    };
-    let config = FabricConfig {
-        compute_ahead,
-        ..base
-    };
-    let mut functional = Fabric::new(config).unwrap();
-    let mut rtl = RtlFabric::new(config).unwrap();
-    for s in 0..N {
-        let state = StreamState {
-            request_period: (s as u64 % 3) + 2,
-            original_window: WindowConstraint::new(1, 3),
-            static_prio: 0,
-            late_policy: [LatePolicy::ServeLate, LatePolicy::Drop, LatePolicy::Renew][s % 3],
-        };
-        functional
-            .load_stream(s, state.clone(), (s + 1) as u64)
-            .unwrap();
-        rtl.load_stream(s, state, (s + 1) as u64).unwrap();
-    }
-
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Arrive { slot, tag } => {
-                let slot = *slot as usize % N;
-                functional.push_arrival(slot, Wrap16(*tag)).unwrap();
-                rtl.push_arrival(slot, Wrap16(*tag)).unwrap();
-            }
-            Op::Decide => {
-                prop_assert_eq!(functional.decision_cycle(), rtl.run_decision(), "op {}", i);
-            }
-            Op::DecideBurst(n) => {
-                for _ in 0..*n {
-                    prop_assert_eq!(
-                        functional.decision_cycle(),
-                        rtl.run_decision(),
-                        "op {} (burst)",
-                        i
-                    );
-                }
-            }
-        }
-        prop_assert_eq!(functional.now(), rtl.now(), "clock skew at op {}", i);
-    }
-    for s in 0..N {
-        prop_assert_eq!(
-            *functional.slot_counters(s).unwrap(),
-            rtl.slot_counters(s).unwrap(),
-            "counters diverged for slot {}",
-            s
-        );
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn wr_dwcs_interleaved(ops in proptest::collection::vec(arb_op(), 0..120)) {
-        run_differential(FabricConfigKind::WinnerOnly, false, false, &ops)?;
-    }
-
-    #[test]
-    fn wr_edf_interleaved(ops in proptest::collection::vec(arb_op(), 0..120)) {
-        run_differential(FabricConfigKind::WinnerOnly, true, false, &ops)?;
-    }
-
-    #[test]
-    fn ba_dwcs_interleaved(ops in proptest::collection::vec(arb_op(), 0..120)) {
-        run_differential(FabricConfigKind::Base, false, false, &ops)?;
-    }
-
-    #[test]
-    fn compute_ahead_interleaved(ops in proptest::collection::vec(arb_op(), 0..120)) {
-        run_differential(FabricConfigKind::WinnerOnly, false, true, &ops)?;
-    }
+/// A second WR DWCS interleaving. Compute-ahead folds the priority update
+/// into the next decision, and the `RtlAhead` row's `hw_cycles` counts that
+/// saved cycle back in.
+#[test]
+fn compute_ahead_interleaved() {
+    check(interleaved(WinnerOnly, Mode::Dwcs, 0xA4EAD, 3000));
 }

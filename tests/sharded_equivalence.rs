@@ -1,166 +1,30 @@
-//! Differential test: the sharded frontend versus a single 32-slot fabric
-//! on identical seeded workloads.
-//!
-//! **Tolerance contract** (documented in DESIGN.md "Scale-out"): the inline
-//! winner-merge mode is *exact* — tolerance zero. The Table 2 rule chain
-//! with the slot tie-break is a total order, so the minimum over shard
-//! minima is the global minimum; with the contiguous partition and the
-//! global-ID slot tie-break, every cycle's merged winner, its service
-//! verdict, and every loser's expiry check land identically to the single
-//! fabric. The threaded streamlet mode relaxes this to one packet per shard
-//! per cycle (a K-lane aggregate link): totals and per-slot counts still
-//! match exactly once a finite workload drains, which is what the
-//! conservation test pins down.
+//! The sharded frontend against a single fabric on seeded workloads. The
+//! inline winner merge is exact: the rule chain with the slot tie-break is
+//! a total order, so the minimum over shard minima is the global minimum,
+//! and every merged winner, verdict and expiry lands as on the single
+//! fabric. Each test replays one seeded class of the conformance harness
+//! (`support/harness.rs`) on every path it holds, inline sharding at
+//! K = 1, 2, 4 and 8 among them. The threaded streamlet mode is held to
+//! totals in `conformance.rs`.
 
-use sharestreams::core::{Fabric, LatePolicy, StreamState};
-use sharestreams::prelude::*;
-use sharestreams::sharded::ShardedScheduler;
+#[path = "support/harness.rs"]
+mod harness;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn seeded_states(rng: &mut StdRng, slots: usize) -> Vec<(StreamState, u64)> {
-    (0..slots)
-        .map(|_| {
-            let period = rng.gen_range(1u64..6);
-            let num = rng.gen_range(1u8..4);
-            let den = rng.gen_range(num..8);
-            let state = StreamState {
-                request_period: period,
-                original_window: WindowConstraint::new(num, den),
-                static_prio: 0,
-                late_policy: LatePolicy::ServeLate,
-            };
-            let first_deadline = rng.gen_range(1u64..10);
-            (state, first_deadline)
-        })
-        .collect()
-}
-
-/// Drives both schedulers through the same seeded arrival pattern and
-/// asserts bit-exact agreement, cycle by cycle.
-fn assert_exact_equivalence(mode_label: &str, config: FabricConfig, shards: usize, seed: u64) {
-    let slots = config.slots;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let states = seeded_states(&mut rng, slots);
-
-    let mut single = Fabric::new(config).unwrap();
-    let mut sharded = ShardedScheduler::new(config, shards).unwrap();
-    for (slot, (state, first)) in states.iter().enumerate() {
-        single.load_stream(slot, state.clone(), *first).unwrap();
-        sharded.load_stream(slot, state.clone(), *first).unwrap();
-    }
-
-    let cycles = 600u64;
-    let mut tag = 0u64;
-    for cycle in 0..cycles {
-        // Bursty seeded arrivals: a random subset of slots gets a packet.
-        for slot in 0..slots {
-            if rng.gen_range(0u32..4) == 0 {
-                let t = Wrap16::from_wide(tag);
-                tag += 1;
-                single.push_arrival(slot, t).unwrap();
-                sharded.push_arrival(slot, t).unwrap();
-            }
-        }
-        let expected = match single.decision_cycle() {
-            DecisionOutcome::Winner(p) => p,
-            DecisionOutcome::Block(_) => unreachable!("WR fabric"),
-        };
-        let got = sharded.decision_cycle();
-        assert_eq!(
-            got, expected,
-            "{mode_label} K={shards}: divergence at cycle {cycle}"
-        );
-    }
-    assert_eq!(sharded.now(), single.now());
-    for slot in 0..slots {
-        assert_eq!(
-            sharded.slot_counters(slot).unwrap(),
-            single.slot_counters(slot).unwrap(),
-            "{mode_label} K={shards}: counters diverge at slot {slot}"
-        );
-    }
-}
+use harness::{check, seeded};
+use sharestreams::core::FabricConfig;
+use sharestreams::core::FabricConfigKind::WinnerOnly;
 
 #[test]
 fn inline_sharded_exactly_matches_single_fabric_edf() {
-    let config = FabricConfig::edf(32, FabricConfigKind::WinnerOnly);
-    assert_exact_equivalence("edf", config, 2, 0xE0F1);
-    assert_exact_equivalence("edf", config, 4, 0xE0F2);
+    check(seeded(FabricConfig::edf(32, WinnerOnly), 0xE0F1));
 }
 
 #[test]
 fn inline_sharded_exactly_matches_single_fabric_dwcs() {
-    let config = FabricConfig::dwcs(32, FabricConfigKind::WinnerOnly);
-    assert_exact_equivalence("dwcs", config, 2, 0xD3C51);
-    assert_exact_equivalence("dwcs", config, 4, 0xD3C52);
+    check(seeded(FabricConfig::dwcs(32, WinnerOnly), 0xD3C51));
 }
 
 #[test]
 fn inline_sharded_exactly_matches_single_fabric_service_tag() {
-    let config = FabricConfig::service_tag(16, FabricConfigKind::WinnerOnly);
-    assert_exact_equivalence("service_tag", config, 2, 0x5EF1);
-    assert_exact_equivalence("service_tag", config, 4, 0x5EF2);
-}
-
-/// Threaded streamlet mode: a finite backlogged workload drains to the same
-/// per-slot totals as the single fabric, within the documented streamlet
-/// semantics (K packets per cycle instead of one — conservation is exact,
-/// interleaving is per-streamlet).
-#[test]
-fn threaded_sharded_conserves_against_single_fabric() {
-    let slots = 32usize;
-    let arrivals = 50usize;
-    let config = FabricConfig::edf(slots, FabricConfigKind::WinnerOnly);
-
-    let state = StreamState {
-        request_period: 1,
-        original_window: WindowConstraint::ZERO,
-        static_prio: 0,
-        late_policy: LatePolicy::ServeLate,
-    };
-
-    // Single fabric: one packet per cycle → slots*arrivals cycles drain it.
-    let mut single = Fabric::new(config).unwrap();
-    for s in 0..slots {
-        single
-            .load_stream(s, state.clone(), (s + 1) as u64)
-            .unwrap();
-        for a in 0..arrivals {
-            single.push_arrival(s, Wrap16::from_wide(a as u64)).unwrap();
-        }
-    }
-    let mut single_per_slot = vec![0u64; slots];
-    for _ in 0..(slots * arrivals) {
-        for p in single.decision_cycle().packets() {
-            single_per_slot[p.slot.index()] += 1;
-        }
-    }
-
-    for shards in [2usize, 4] {
-        let mut sharded = ShardedScheduler::new(config, shards).unwrap();
-        for s in 0..slots {
-            sharded
-                .load_stream(s, state.clone(), (s + 1) as u64)
-                .unwrap();
-            for a in 0..arrivals {
-                sharded
-                    .push_arrival(s, Wrap16::from_wide(a as u64))
-                    .unwrap();
-            }
-        }
-        let mut threaded = sharded.into_threaded(8192);
-        // Each shard services one packet per cycle: per-shard backlog is
-        // (slots/shards)*arrivals packets, so that many cycles drain all.
-        let cycles = (slots / shards * arrivals) as u64;
-        let report = threaded.run_cycles(cycles);
-        let mut per_slot = vec![0u64; slots];
-        for p in &report.packets {
-            per_slot[p.slot.index()] += 1;
-        }
-        assert_eq!(per_slot, single_per_slot, "K={shards} conservation");
-        assert_eq!(report.decisions, cycles * shards as u64);
-        threaded.join();
-    }
+    check(seeded(FabricConfig::service_tag(16, WinnerOnly), 0x5EF1));
 }
