@@ -5,8 +5,9 @@
 //! watchdog-trip flight dump from a deliberately wedged run
 //! (`results/trace_flight_dump_example.json`).
 //!
-//! Requires `--features telemetry,faults`; without them it prints a note
-//! and exits cleanly so `run_all` can always invoke it.
+//! Requires `--features telemetry,faults`; without them it builds (the
+//! workspace's default-feature test and clippy legs compile every bin) and
+//! only prints a note.
 
 use ss_bench::banner;
 

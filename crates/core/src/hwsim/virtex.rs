@@ -359,15 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_anchor_7_6m_decisions() {
-        // §5.2: 7.6 M packets/s at 4 slots in the line-card realization.
-        let rate = M
-            .decision_rate_hz(4, FabricConfigKind::WinnerOnly, true)
-            .unwrap();
-        assert!((rate - 7.6e6).abs() < 1e3, "rate {rate}");
-    }
-
-    #[test]
     fn wr_flatter_than_ba() {
         // Paper: WR shows lesser clock-rate variation from 4 to 32 slots.
         let spread = |kind| {
@@ -380,30 +371,6 @@ mod tests {
             (max - min) / max
         };
         assert!(spread(FabricConfigKind::WinnerOnly) < spread(FabricConfigKind::Base));
-    }
-
-    #[test]
-    fn ba_degradation_profile() {
-        // ≈20% below WR at 8 and 16 slots, ≈10% at 32 (paper §5.1).
-        let deg = |n| {
-            let wr = M.clock_mhz(n, FabricConfigKind::WinnerOnly).unwrap();
-            let ba = M.clock_mhz(n, FabricConfigKind::Base).unwrap();
-            (wr - ba) / wr * 100.0
-        };
-        assert!((deg(8) - 20.0).abs() < 2.0, "deg(8) = {}", deg(8));
-        assert!((deg(16) - 20.0).abs() < 2.0, "deg(16) = {}", deg(16));
-        assert!((deg(32) - 10.0).abs() < 2.0, "deg(32) = {}", deg(32));
-    }
-
-    #[test]
-    fn decision_cycles_logarithmic() {
-        // Paper §5.1: 2, 3, 4, 5 cycles to sort 4, 8, 16, 32 stream-slots.
-        assert_eq!(M.cycles_per_decision(4, false).unwrap(), 2);
-        assert_eq!(M.cycles_per_decision(8, false).unwrap(), 3);
-        assert_eq!(M.cycles_per_decision(16, false).unwrap(), 4);
-        assert_eq!(M.cycles_per_decision(32, false).unwrap(), 5);
-        // +1 priority-update cycle for window-constrained disciplines.
-        assert_eq!(M.cycles_per_decision(32, true).unwrap(), 6);
     }
 
     #[test]

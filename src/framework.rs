@@ -15,7 +15,7 @@
 //! * [`DisciplineComplexity`] — the Figure 1(b) / Table 1 complexity
 //!   ranking along the paper's three axes (state storage, attribute
 //!   comparison complexity, priority-update rate);
-//! * [`feasibility_surface`] — the full sweep used by `exp_fig1`;
+//! * [`feasibility_surface`] — the full sweep used by `exp fig1`;
 //! * [`dwcs_admissible`] — the DWCS minimum-utilization admission test.
 
 use serde::{Deserialize, Serialize};
@@ -76,7 +76,7 @@ pub fn assess(
     })
 }
 
-/// Sweeps slots × links × packet sizes (the `exp_fig1` surface).
+/// Sweeps slots × links × packet sizes (the `exp fig1` surface).
 pub fn feasibility_surface(
     slot_counts: &[usize],
     kind: FabricConfigKind,

@@ -62,8 +62,8 @@
 //! the `priorityq_vs_shuffle` ablation bench.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
-//! paper-vs-measured results; `cargo run -p ss-bench --bin run_all`
-//! regenerates everything.
+//! paper-vs-measured results; `cargo run --release -p ss-bench --bin exp`
+//! regenerates everything and checks the paper's anchors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

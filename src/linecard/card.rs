@@ -167,13 +167,10 @@ mod tests {
 
     #[test]
     fn paper_anchor_7_6m_packets_at_4_slots() {
-        let card = edf_card(4, FabricConfigKind::WinnerOnly);
-        let t = card.throughput();
-        assert!(
-            (t.packets_per_sec - 7.6e6).abs() < 1e4,
-            "{}",
-            t.packets_per_sec
-        );
+        let t = edf_card(4, FabricConfigKind::WinnerOnly).throughput();
+        ss_bench::anchor("perf_comparison.linecard_4")
+            .judge(t.packets_per_sec)
+            .unwrap();
     }
 
     #[test]

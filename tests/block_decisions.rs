@@ -1,124 +1,61 @@
-//! The Table 3 claims as fast integration tests (scaled-down runs), plus
-//! block-mode invariants the paper's §5.1 discussion relies on.
+//! The Table 3 claims, each a row of the anchor table (`ss_bench::anchors()`)
+//! evaluated at the paper's scale, plus block-mode invariants the paper's
+//! §5.1 discussion relies on.
 
 use sharestreams::core::{
     BlockOrder, DecisionOutcome, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,
 };
 use sharestreams::types::{WindowConstraint, Wrap16};
+use ss_bench::experiments::table3::{self, FRAMES_PER_STREAM, STREAMS};
+use ss_bench::{anchor, Runs};
 
-const FRAMES: u64 = 512;
-const N: usize = 4;
-
-fn build(kind: FabricConfigKind, order: BlockOrder) -> Fabric {
-    let mut config = FabricConfig::edf(N, kind);
-    config.block_order = order;
-    let mut fabric = Fabric::new(config).unwrap();
-    let period = match kind {
-        FabricConfigKind::WinnerOnly => 1,
-        FabricConfigKind::Base => N as u64,
-    };
-    for s in 0..N {
-        fabric
-            .load_stream(
-                s,
-                StreamState {
-                    request_period: period,
-                    original_window: WindowConstraint::ZERO,
-                    static_prio: 0,
-                    late_policy: LatePolicy::ServeLate,
-                },
-                (s + 1) as u64,
-            )
-            .unwrap();
-        for q in 0..FRAMES {
-            fabric.push_arrival(s, Wrap16::from_wide(q)).unwrap();
-        }
+/// Checks the anchor rows `ids` on one set of runs.
+fn holds(ids: &[&str]) {
+    let runs = Runs::default();
+    for id in ids {
+        anchor(id).check(&runs).unwrap();
     }
-    fabric
-}
-
-fn drain(fabric: &mut Fabric) -> u64 {
-    let mut transmitted = 0;
-    while transmitted < FRAMES * N as u64 {
-        transmitted += fabric.decision_cycle().packets().len() as u64;
-    }
-    transmitted
 }
 
 #[test]
 fn max_first_block_meets_every_deadline() {
-    let mut fabric = build(FabricConfigKind::Base, BlockOrder::MaxFirst);
-    drain(&mut fabric);
-    for s in 0..N {
-        let c = fabric.slot_counters(s).unwrap();
-        assert_eq!(c.missed_deadlines, 0, "stream {s}");
-        assert_eq!(c.met_deadlines, FRAMES, "stream {s}");
-    }
+    holds(&["table3.max_first_misses"]);
 }
 
 #[test]
 fn block_mode_needs_4x_fewer_decision_cycles() {
-    let mut wr = build(FabricConfigKind::WinnerOnly, BlockOrder::MaxFirst);
-    let mut ba = build(FabricConfigKind::Base, BlockOrder::MaxFirst);
-    drain(&mut wr);
-    drain(&mut ba);
-    assert_eq!(wr.decision_count(), FRAMES * N as u64);
-    assert_eq!(ba.decision_count(), FRAMES);
+    holds(&["table3.max_finding_cycles", "table3.cycle_cut"]);
 }
 
 #[test]
 fn max_finding_misses_once_per_stream_per_cycle() {
-    let mut fabric = build(FabricConfigKind::WinnerOnly, BlockOrder::MaxFirst);
-    drain(&mut fabric);
-    let total_missed: u64 = (0..N)
-        .map(|s| fabric.slot_counters(s).unwrap().missed_deadlines)
-        .sum();
-    let cycles = fabric.decision_count();
-    // Paper shape: ~4 misses per decision cycle minus a short startup.
-    assert!(
-        total_missed > 4 * cycles - 64 && total_missed <= 4 * cycles,
-        "missed {total_missed} over {cycles} cycles"
-    );
+    holds(&["table3.max_finding_misses", "table3.max_finding_transient"]);
 }
 
 #[test]
 fn min_first_sits_strictly_between() {
-    let mut max_first = build(FabricConfigKind::Base, BlockOrder::MaxFirst);
-    let mut min_first = build(FabricConfigKind::Base, BlockOrder::MinFirst);
-    let mut wr = build(FabricConfigKind::WinnerOnly, BlockOrder::MaxFirst);
-    drain(&mut max_first);
-    drain(&mut min_first);
-    drain(&mut wr);
-    let missed = |f: &Fabric| -> u64 {
-        (0..N)
-            .map(|s| f.slot_counters(s).unwrap().missed_deadlines)
-            .sum()
-    };
-    assert_eq!(missed(&max_first), 0);
-    assert!(missed(&min_first) > 0);
-    assert!(missed(&min_first) < missed(&wr));
+    holds(&[
+        "table3.min_first_misses",
+        "table3.min_first_below_max_finding",
+    ]);
 }
 
 #[test]
 fn winner_counts_split_evenly_in_max_finding() {
-    let mut fabric = build(FabricConfigKind::WinnerOnly, BlockOrder::MaxFirst);
-    drain(&mut fabric);
-    for s in 0..N {
-        assert_eq!(fabric.slot_counters(s).unwrap().wins, FRAMES, "stream {s}");
-    }
+    holds(&["table3.max_finding_wins"]);
 }
 
 #[test]
 fn block_transaction_preserves_per_stream_order() {
     // Within every block, each slot contributes exactly its head packet —
     // per-stream FIFO order is preserved across blocks.
-    let mut fabric = build(FabricConfigKind::Base, BlockOrder::MaxFirst);
-    let mut last_deadline = [0u64; N];
-    for _ in 0..FRAMES {
+    let mut fabric = table3::fabric(FabricConfigKind::Base, BlockOrder::MaxFirst);
+    let mut last_deadline = [0u64; STREAMS];
+    for _ in 0..FRAMES_PER_STREAM {
         match fabric.decision_cycle() {
             DecisionOutcome::Block(packets) => {
-                assert_eq!(packets.len(), N);
-                let mut seen = [false; N];
+                assert_eq!(packets.len(), STREAMS);
+                let mut seen = [false; STREAMS];
                 for p in &packets {
                     let s = p.slot.index();
                     assert!(!seen[s], "slot {s} appeared twice in one block");
@@ -129,6 +66,11 @@ fn block_transaction_preserves_per_stream_order() {
             }
             other => panic!("expected block, got {other:?}"),
         }
+    }
+    // Every frame of the drained max-first run met its deadline.
+    for s in 0..STREAMS {
+        let met = fabric.slot_counters(s).unwrap().met_deadlines;
+        assert_eq!(met, FRAMES_PER_STREAM, "stream {s}");
     }
 }
 

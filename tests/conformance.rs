@@ -14,7 +14,7 @@ use harness::*;
 use sharestreams::core::FabricConfigKind::{Base, WinnerOnly};
 use sharestreams::endsystem::{run_threaded, run_threaded_edf, run_threaded_overload};
 use sharestreams::overload::{GateConfig, RedConfig};
-use sharestreams::types::{ComparisonMode as Mode, WindowConstraint};
+use sharestreams::types::WindowConstraint;
 #[cfg(feature = "faults")]
 use std::sync::Arc;
 
@@ -40,7 +40,6 @@ fn wr_paths_agree_on_the_edge_cases() {
 
 #[test]
 fn ba_paths_agree_block_for_block() {
-    check(interleaved(Base, Mode::Dwcs, 0xD1FF, 3000));
     check(refill(true, 500));
     check(refill(false, 500));
     let end = check(wrap(Base, 1 << 15));
@@ -49,9 +48,10 @@ fn ba_paths_agree_block_for_block() {
     check(partial_block());
 }
 
-/// The threaded paths, held to the uniform class's per-slot totals and an
-/// all-zero loss ledger: every `run_threaded*` wrapper compiled on this leg,
-/// and `ShardedScheduler::into_threaded` at K = 2 and 4.
+/// The threaded wrappers, held to the uniform class's per-slot totals and an
+/// all-zero loss ledger: every `run_threaded*` wrapper compiled on this leg.
+/// `ShardedScheduler::into_threaded` is held to the same totals in
+/// `sharded_equivalence.rs`.
 #[test]
 fn threaded_paths_keep_the_uniform_totals() {
     let (trace, anchor) = (uniform(), check(uniform()));
@@ -91,27 +91,6 @@ fn threaded_paths_keep_the_uniform_totals() {
         assert_eq!((r.total, r.lost, r.loss.total()), (total, 0, 0), "{what}");
         let pushes = (r.arr_ring.pushes, r.id_ring.pushes);
         assert_eq!(pushes, (total, total), "{what}");
-    }
-    for (shards, path) in [(2, Path::Sharded2), (4, Path::Sharded4)] {
-        let mut run = start(path, &trace);
-        for op in &trace.ops {
-            if let Op::Arrive(s, tag) = op {
-                run.arrive(*s, *tag);
-            }
-        }
-        let Run::Sharded(sharded) = run else {
-            unreachable!("a sharded path")
-        };
-        // One packet per shard per cycle: each shard drains its share.
-        let (mut threaded, cycles) = (sharded.into_threaded(8192), total / shards as u64);
-        let report = threaded.run_cycles(cycles);
-        let mut per_slot = vec![0u64; 32];
-        for p in &report.packets {
-            per_slot[p.slot.index()] += 1;
-        }
-        assert_eq!(per_slot, want, "into_threaded K={shards}");
-        assert_eq!(report.decisions, cycles * shards as u64);
-        threaded.join();
     }
 }
 

@@ -3,19 +3,23 @@
 //! empty, slots drain and refill (the idle-deadline re-anchor) and blocks
 //! come out partial. Each test replays one pinned-seed interleaving class
 //! of the conformance harness (`support/harness.rs`) on every path it
-//! holds, the `Rtl` and `RtlAhead` rows among them. The BA interleaving
-//! runs in `conformance.rs`'s block test.
+//! holds, the `Rtl` and `RtlAhead` rows among them.
 
 #[path = "support/harness.rs"]
 mod harness;
 
 use harness::{check, interleaved};
-use sharestreams::core::FabricConfigKind::WinnerOnly;
+use sharestreams::core::FabricConfigKind::{Base, WinnerOnly};
 use sharestreams::types::ComparisonMode as Mode;
 
 #[test]
 fn wr_dwcs_interleaved() {
     check(interleaved(WinnerOnly, Mode::Dwcs, 0xD1FF, 3000));
+}
+
+#[test]
+fn ba_dwcs_interleaved() {
+    check(interleaved(Base, Mode::Dwcs, 0xD1FF, 3000));
 }
 
 #[test]
