@@ -1,32 +1,41 @@
-//! Telemetry overhead: attached vs detached decision cycles at 32 slots.
+//! Telemetry overhead: off vs detached vs attached decision cycles at 32
+//! slots, all in one binary.
 //!
-//! The telemetry contract is "zero overhead when off, negligible when on":
-//! with the `telemetry` feature disabled the instrumentation hooks are
-//! zero-sized no-ops (nothing to measure — on/off builds are bit-identical
-//! on the hot path), so this bench quantifies the *enabled-but-attached*
-//! cost instead. All columns come from one feature-on build of the same
-//! `Fabric`; the only difference is what `attach_*` calls ran. The
-//! attached run pays the real per-cycle work: local delta accumulation,
-//! the win-gap histogram, QoS latency tracking, and the amortized
-//! every-4096-decisions flush into the striped registry. The
-//! traced rows additionally attach a lifecycle-span track, so every
-//! decision win also stamps a timestamped `StageEvent` into the per-thread
-//! span ring — that path gets its own, looser gate (≤8% vs ≤5%).
+//! Instrumentation is the fabric's type parameter, so every column is the
+//! same `Fabric` code under a different instantiation or attachment:
 //!
-//! Measurement is drift-hardened: the two columns run in alternating ~1 ms
-//! slices (so background load lands on both), the overhead of each pass is
-//! a paired ratio, and the reported figure is the median across passes.
+//! * **off** — `Fabric<()>`, the default: every hook is an empty body on a
+//!   zero-sized state, so this is the uninstrumented decision core;
+//! * **detached** — `Fabric<Traced>` with nothing attached: the hooks are
+//!   compiled in and each costs a branch;
+//! * **attached** — `Fabric<Traced>` after `attach_*`: the real per-cycle
+//!   work, i.e. local delta accumulation, the win-gap histogram, QoS
+//!   latency tracking and the amortized every-4096-decisions flush into
+//!   the striped registry. The traced row attaches a lifecycle-span track
+//!   instead, so every decision win also stamps a timestamped `StageEvent`
+//!   into the per-thread span ring — that path gets its own, looser gate
+//!   (≤8% vs ≤5%).
+//!
+//! The gates judge detached → attached, as they always have. The off →
+//! detached cost (`detached_cost_pct`) is reported and not gated: it is
+//! why the default instantiation is `()` and not a detached `Traced`.
+//!
+//! Measurement is drift-hardened: the three columns run in rotating ~1 ms
+//! slices (so background load lands on all of them), the overhead of each
+//! pass is a paired ratio, and the reported figure is the median across
+//! passes.
 //!
 //! Emits `BENCH_telemetry_overhead.json` at the workspace root: decisions/s
-//! detached vs attached for WR and BA (scalar and batched) at 32 slots,
-//! plus the overhead gates. The gates only fail the process under
+//! off, detached and attached for WR and BA (scalar and batched) at 32
+//! slots, plus the overhead gates. The gates only fail the process under
 //! `SS_BENCH_ENFORCE=1` — untuned CI containers report without gating.
-//! Without the feature the binary still runs and writes the artifact, with
-//! the attached column absent.
 
 use serde::Serialize;
 use ss_bench::banner;
-use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, ScheduledPacket, StreamState};
+use ss_core::{
+    Fabric, FabricConfig, FabricConfigKind, LatePolicy, ScheduledPacket, StreamState, Telemetry,
+    Traced,
+};
 use ss_types::{WindowConstraint, Wrap16};
 use std::hint::black_box;
 use std::time::Instant;
@@ -48,7 +57,7 @@ const REPS: usize = 11;
 /// What instrumentation the measured column attaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Level {
-    /// Feature on, nothing attached — the baseline column.
+    /// `Traced`, nothing attached — the baseline column.
     Detached,
     /// Metric registry attached (`attach_telemetry`).
     Attached,
@@ -67,30 +76,11 @@ fn stream_state() -> StreamState {
     }
 }
 
-/// Builds a fully backlogged fabric with enough queued arrivals to cover
-/// one pass. `level` selects what gets attached before the measured spans;
-/// it is ignored (always detached) when the feature is off, and the caller
-/// skips those columns.
-fn build(kind: FabricConfigKind, batched: bool, level: Level) -> Fabric {
-    let mut f = Fabric::new(FabricConfig::dwcs(SLOTS, kind)).unwrap();
+/// Builds a fully backlogged fabric instrumented by `T` with enough queued
+/// arrivals to cover one pass.
+fn build<T: Telemetry>(kind: FabricConfigKind, batched: bool) -> Fabric<T> {
+    let mut f = Fabric::with_telemetry(FabricConfig::dwcs(SLOTS, kind)).unwrap();
     f.set_batched(batched);
-    #[cfg(feature = "telemetry")]
-    {
-        if level == Level::Attached {
-            // The registry handle outlives the fabric's Attached state (Arc
-            // inside); a per-fabric registry keeps the columns independent.
-            let registry = ss_telemetry::Registry::new();
-            f.attach_telemetry(&registry, 0);
-        }
-        if level == Level::Traced {
-            // The span shared state is Arc'd into the track; the recorder
-            // handle itself need not outlive the attach.
-            let spans = ss_telemetry::SpanRecorder::new(4096);
-            f.attach_spans(&spans, 0, "bench");
-        }
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = level;
     for s in 0..SLOTS {
         f.load_stream(s, stream_state(), (s + 1) as u64).unwrap();
         for q in 0..CYCLES {
@@ -100,8 +90,26 @@ fn build(kind: FabricConfigKind, batched: bool, level: Level) -> Fabric {
     f
 }
 
+/// A `Traced` fabric with `level` attached before the measured spans.
+fn build_traced(kind: FabricConfigKind, batched: bool, level: Level) -> Fabric<Traced> {
+    let mut f = build(kind, batched);
+    if level == Level::Attached {
+        // The registry handle outlives the fabric's Attached state (Arc
+        // inside); a per-fabric registry keeps the columns independent.
+        let registry = ss_telemetry::Registry::new();
+        f.attach_telemetry(&registry, 0);
+    }
+    if level == Level::Traced {
+        // The span shared state is Arc'd into the track; the recorder
+        // handle itself need not outlive the attach.
+        let spans = ss_telemetry::SpanRecorder::new(4096);
+        f.attach_spans(&spans, 0, "bench");
+    }
+    f
+}
+
 /// Seconds to run one `CHUNK`-cycle slice on `f`.
-fn slice_seconds(f: &mut Fabric, sink: &mut Vec<ScheduledPacket>) -> f64 {
+fn slice_seconds<T: Telemetry>(f: &mut Fabric<T>, sink: &mut Vec<ScheduledPacket>) -> f64 {
     let start = Instant::now();
     let cycles = f.decision_cycles(CHUNK, sink);
     let elapsed = start.elapsed().as_secs_f64();
@@ -109,36 +117,31 @@ fn slice_seconds(f: &mut Fabric, sink: &mut Vec<ScheduledPacket>) -> f64 {
     elapsed
 }
 
-/// One pass: detached and instrumented fabrics measured in alternating
-/// ~1 ms slices, so machine-load drift lands on both columns instead of
-/// skewing the ratio. Returns (detached, instrumented) decisions/s;
-/// instrumented is NaN when the feature is off (the caller drops it).
-fn measure_pass(kind: FabricConfigKind, batched: bool, level: Level) -> (f64, f64) {
-    let feature_on = cfg!(feature = "telemetry");
-    let mut det = build(kind, batched, Level::Detached);
-    let mut ins = build(kind, batched, level);
+/// One pass: off, detached and instrumented fabrics measured in rotating
+/// ~1 ms slices, so machine-load drift lands on every column instead of
+/// skewing the ratios. Returns (off, detached, instrumented) decisions/s.
+fn measure_pass(kind: FabricConfigKind, batched: bool, level: Level) -> [f64; 3] {
+    let mut off = build::<()>(kind, batched);
+    let mut det = build_traced(kind, batched, Level::Detached);
+    let mut ins = build_traced(kind, batched, level);
     let cap = CYCLES as usize * SLOTS;
-    let mut sink_det: Vec<ScheduledPacket> = Vec::with_capacity(cap);
-    let mut sink_ins: Vec<ScheduledPacket> = Vec::with_capacity(cap);
-    let (mut t_det, mut t_ins) = (0.0f64, 0.0f64);
+    let mut sinks: [Vec<ScheduledPacket>; 3] = std::array::from_fn(|_| Vec::with_capacity(cap));
+    let mut t = [0.0f64; 3];
     for slice in 0..SLICES {
-        // Alternate which column goes first so warmup and frequency
-        // scaling don't consistently favor one side.
-        if slice % 2 == 0 {
-            t_det += slice_seconds(&mut det, &mut sink_det);
-            if feature_on {
-                t_ins += slice_seconds(&mut ins, &mut sink_ins);
-            }
-        } else {
-            if feature_on {
-                t_ins += slice_seconds(&mut ins, &mut sink_ins);
-            }
-            t_det += slice_seconds(&mut det, &mut sink_det);
+        // Rotate which column goes first so warmup and frequency scaling
+        // don't consistently favor one side.
+        for k in 0..3 {
+            let col = (slice as usize + k) % 3;
+            let sink = &mut sinks[col];
+            t[col] += match col {
+                0 => slice_seconds(&mut off, sink),
+                1 => slice_seconds(&mut det, sink),
+                _ => slice_seconds(&mut ins, sink),
+            };
         }
     }
-    #[cfg(feature = "telemetry")]
     black_box(ins.qos_snapshot().streams.len());
-    (CYCLES as f64 / t_det, CYCLES as f64 / t_ins)
+    t.map(|secs| CYCLES as f64 / secs)
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -153,11 +156,15 @@ struct Row {
     mode: String,
     /// This row's overhead gate, percent.
     target_pct: f64,
+    /// `Fabric<()>`: no hooks compiled in.
+    off_decisions_per_s: f64,
     detached_decisions_per_s: f64,
-    attached_decisions_per_s: Option<f64>,
-    /// Slowdown of the attached run in percent (negative = attached was
-    /// faster, i.e. below measurement noise).
-    overhead_pct: Option<f64>,
+    attached_decisions_per_s: f64,
+    /// Slowdown of detached `Traced` against `()` in percent (not gated).
+    detached_cost_pct: f64,
+    /// Slowdown of the attached run against detached in percent (negative
+    /// = attached was faster, i.e. below measurement noise).
+    overhead_pct: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -165,30 +172,25 @@ struct Report {
     slots: usize,
     cycles_per_run: u64,
     reps: usize,
-    telemetry_feature: bool,
     rows: Vec<Row>,
     /// Worst attached (metrics-only) overhead vs its 5% gate.
-    max_overhead_pct: Option<f64>,
-    within_5_pct: Option<bool>,
+    max_overhead_pct: f64,
+    within_5_pct: bool,
     /// Worst traced overhead vs its 8% gate.
-    max_traced_overhead_pct: Option<f64>,
-    traced_within_8_pct: Option<bool>,
+    max_traced_overhead_pct: f64,
+    traced_within_8_pct: bool,
 }
 
 fn main() {
     banner(
         "telemetry-overhead",
-        "Attached vs detached instrumentation cost at 32 slots",
+        "Off vs detached vs attached instrumentation cost at 32 slots",
     );
-    let feature_on = cfg!(feature = "telemetry");
-    if !feature_on {
-        println!("  (built without --features telemetry: detached column only)");
-    }
 
     let mut rows = Vec::new();
     println!(
-        "  {:<18} {:>14} {:>14} {:>10}",
-        "kind", "detached", "attached", "overhead"
+        "  {:<18} {:>14} {:>14} {:>14} {:>10} {:>10}",
+        "kind", "off", "detached", "attached", "det. cost", "overhead"
     );
     for (kind, batched, level, label, target) in [
         (
@@ -219,32 +221,30 @@ fn main() {
             8.0,
         ),
     ] {
-        let mut det_rates = Vec::with_capacity(REPS);
+        let mut rates: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(REPS));
+        let mut costs = Vec::with_capacity(REPS);
         let mut overheads = Vec::with_capacity(REPS);
-        let mut att_rates = Vec::with_capacity(REPS);
         for _ in 0..REPS {
-            let (d, a) = measure_pass(kind, batched, level);
-            det_rates.push(d);
-            if feature_on {
-                att_rates.push(a);
-                overheads.push((d / a - 1.0) * 100.0);
-                if std::env::var_os("SS_BENCH_VERBOSE").is_some() {
-                    eprintln!("    pass {label}: {:+.2}%", (d / a - 1.0) * 100.0);
-                }
+            let pass = measure_pass(kind, batched, level);
+            for (col, r) in rates.iter_mut().zip(pass) {
+                col.push(r);
+            }
+            let [o, d, a] = pass;
+            costs.push((o / d - 1.0) * 100.0);
+            overheads.push((d / a - 1.0) * 100.0);
+            if std::env::var_os("SS_BENCH_VERBOSE").is_some() {
+                eprintln!("    pass {label}: {:+.2}%", (d / a - 1.0) * 100.0);
             }
         }
-        let detached = median(&mut det_rates);
-        let attached = feature_on.then(|| median(&mut att_rates));
+        let [off, detached, attached] = rates.map(|mut col| median(&mut col));
         // Median of the per-pass paired ratios, not the ratio of medians:
         // each pass's columns are interleaved slice-by-slice, so its ratio
         // is drift-free even when absolute rates wander between passes.
-        let overhead = feature_on.then(|| median(&mut overheads));
-        match (attached, overhead) {
-            (Some(a), Some(o)) => {
-                println!("  {label:<18} {detached:>14.0} {a:>14.0} {o:>9.2}%");
-            }
-            _ => println!("  {label:<18} {detached:>14.0} {:>14} {:>10}", "-", "-"),
-        }
+        let cost = median(&mut costs);
+        let overhead = median(&mut overheads);
+        println!(
+            "  {label:<18} {off:>14.0} {detached:>14.0} {attached:>14.0} {cost:>9.2}% {overhead:>9.2}%"
+        );
         rows.push(Row {
             kind: label.into(),
             mode: match level {
@@ -252,8 +252,10 @@ fn main() {
                 _ => "attached".into(),
             },
             target_pct: target,
+            off_decisions_per_s: off,
             detached_decisions_per_s: detached,
             attached_decisions_per_s: attached,
+            detached_cost_pct: cost,
             overhead_pct: overhead,
         });
     }
@@ -261,33 +263,27 @@ fn main() {
     let worst = |mode: &str| {
         rows.iter()
             .filter(|r| r.mode == mode)
-            .filter_map(|r| r.overhead_pct)
-            .fold(None, |acc: Option<f64>, o| {
-                Some(acc.map_or(o, |a| a.max(o)))
-            })
+            .map(|r| r.overhead_pct)
+            .fold(f64::NEG_INFINITY, f64::max)
     };
     let max_overhead = worst("attached");
-    let within = max_overhead.map(|o| o <= 5.0);
+    let within = max_overhead <= 5.0;
     let max_traced = worst("traced");
-    let traced_within = max_traced.map(|o| o <= 8.0);
-    if let (Some(o), Some(ok)) = (max_overhead, within) {
-        println!(
-            "\n  max attached overhead: {o:.2}% (target ≤ 5%) — {}",
-            if ok { "PASS" } else { "FAIL" }
-        );
-    }
-    if let (Some(o), Some(ok)) = (max_traced, traced_within) {
-        println!(
-            "  max traced overhead:   {o:.2}% (target ≤ 8%) — {}",
-            if ok { "PASS" } else { "FAIL" }
-        );
-    }
+    let traced_within = max_traced <= 8.0;
+    let verdict = |ok: bool| if ok { "PASS" } else { "FAIL" };
+    println!(
+        "\n  max attached overhead: {max_overhead:.2}% (target ≤ 5%) — {}",
+        verdict(within)
+    );
+    println!(
+        "  max traced overhead:   {max_traced:.2}% (target ≤ 8%) — {}",
+        verdict(traced_within)
+    );
 
     let report = Report {
         slots: SLOTS,
         cycles_per_run: CYCLES,
         reps: REPS,
-        telemetry_feature: feature_on,
         rows,
         max_overhead_pct: max_overhead,
         within_5_pct: within,
@@ -308,7 +304,7 @@ fn main() {
     // A failed gate fails the run — but only when enforcement is asked for
     // (SS_BENCH_ENFORCE=1): untuned CI containers report without gating.
     let enforce = std::env::var_os("SS_BENCH_ENFORCE").is_some_and(|v| v == "1");
-    if enforce && (within == Some(false) || traced_within == Some(false)) {
+    if enforce && !(within && traced_within) {
         std::process::exit(1);
     }
 }

@@ -5,19 +5,20 @@
 //! watchdog-trip flight dump from a deliberately wedged run
 //! (`results/trace_flight_dump_example.json`).
 //!
-//! Requires `--features telemetry,faults`; without them it builds (the
-//! workspace's default-feature test and clippy legs compile every bin) and
-//! only prints a note.
+//! Requires `--features faults` (`required-features` in the manifest).
 
 use ss_bench::banner;
+use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, StreamState};
+use ss_endsystem::{run_threaded_traced, TraceConfig};
+use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
+use ss_telemetry::{perfetto_json, stitch, validate_causal, validate_perfetto_schema, Stage};
+use std::sync::Arc;
 
-#[cfg(all(feature = "telemetry", feature = "faults"))]
-fn generate() {
-    use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, StreamState};
-    use ss_endsystem::{run_threaded_traced, TraceConfig};
-    use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
-    use ss_telemetry::{perfetto_json, stitch, validate_causal, validate_perfetto_schema, Stage};
-    use std::sync::Arc;
+fn main() {
+    banner(
+        "trace-lifecycle",
+        "Pinned-seed traced chaos run → Perfetto JSON + flight-dump artifacts",
+    );
 
     let results = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -105,15 +106,4 @@ fn generate() {
         dump.events.len(),
         dump_path.display()
     );
-}
-
-fn main() {
-    banner(
-        "trace-lifecycle",
-        "Pinned-seed traced chaos run → Perfetto JSON + flight-dump artifacts",
-    );
-    #[cfg(all(feature = "telemetry", feature = "faults"))]
-    generate();
-    #[cfg(not(all(feature = "telemetry", feature = "faults")))]
-    println!("  (skipped: build with --features telemetry,faults to regenerate)");
 }

@@ -37,6 +37,7 @@ use crate::decision::{DecisionBlock, RuleCounters};
 use crate::hwsim::FabricConfigKind;
 use crate::network;
 use crate::register::{RegisterFile, SlotCounters, StreamState};
+use crate::telem::{FabricHooks, FabricTelemetry, Telemetry, Traced};
 use serde::{Deserialize, Serialize};
 use ss_types::packed::{lane_slot, lane_valid, pack, unpack};
 use ss_types::{
@@ -170,8 +171,10 @@ impl DecisionOutcome {
     }
 }
 
-/// The assembled scheduler fabric.
-pub struct Fabric {
+/// The assembled scheduler fabric, instrumented by `T`: `()` (the
+/// default) records nothing and costs nothing, [`Traced`] carries the
+/// attachable hooks ([`crate::telem`]).
+pub struct Fabric<T: Telemetry = ()> {
     config: FabricConfig,
     /// Per-slot state and the always-current packed lane words the
     /// decision kernel reads in place.
@@ -206,17 +209,72 @@ pub struct Fabric {
     block_len: usize,
     /// Slots serviced in the most recent cycle (bit i = slot i; slots ≤ 32).
     serviced: u64,
-    /// Instrumentation hooks — a zero-sized no-op unless the `telemetry`
-    /// feature is enabled and a registry is attached.
-    telem: crate::telem::FabricTelemetry,
+    /// Instrumentation hooks — zero-sized for `T = ()`.
+    telem: T::Fabric,
     /// Fault-injection hooks — a zero-sized no-op unless the `faults`
     /// feature is enabled and an injector is attached.
     faults: crate::faults::FabricFaults,
 }
 
 impl Fabric {
-    /// Builds a fabric, validating the slot count.
+    /// Builds an uninstrumented fabric, validating the slot count.
     pub fn new(config: FabricConfig) -> Result<Self> {
+        Self::with_telemetry(config)
+    }
+}
+
+impl Fabric<Traced> {
+    /// Attaches this fabric to a telemetry registry: metrics are published
+    /// under a `shard="<shard>"` label. Every buffer is allocated here,
+    /// once — the per-decision hooks stay allocation-free. Per-decision
+    /// *events* are the span track's ([`Fabric::attach_spans`]).
+    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry, shard: u16) {
+        self.telem.attach(
+            registry,
+            shard,
+            self.config.slots,
+            self.decision_count,
+            self.config.priority_update,
+            matches!(self.config.kind, FabricConfigKind::Base),
+        );
+    }
+
+    /// The fabric's instrumentation state (win-latency tracker).
+    pub fn telemetry(&self) -> &FabricTelemetry {
+        &self.telem
+    }
+
+    /// Wires per-packet lifecycle recording into `recorder`: every
+    /// arrival deposit and decision win gets a stage event tagged
+    /// `(origin, slot, per-slot seq)` on a fresh track named `name`, with
+    /// the batched/scalar BA arm recorded in the event detail; expiry
+    /// passes and blocked (wedged/crashed) cycles leave control events on
+    /// the same track. Orthogonal to [`Fabric::attach_telemetry`].
+    pub fn attach_spans(&mut self, recorder: &ss_telemetry::SpanRecorder, origin: u16, name: &str) {
+        self.telem
+            .attach_spans(recorder, origin, name, self.config.slots);
+    }
+
+    /// Drops the span track, flushing its events into the parent
+    /// recorder (they become visible to `SpanRecorder::drain`).
+    pub fn detach_spans(&mut self) {
+        self.telem.detach_spans();
+    }
+
+    /// Drains telemetry's local accumulators into the registry now. The
+    /// hooks batch observations locally and auto-flush every few thousand
+    /// decisions (and on drop), so this is only needed before reading the
+    /// registry while the fabric is mid-run.
+    pub fn flush_telemetry(&mut self) {
+        self.telem.flush();
+    }
+}
+
+impl<T: Telemetry> Fabric<T> {
+    /// Builds a fabric instrumented by `T` (detached), validating the slot
+    /// count: `Fabric::<Traced>::with_telemetry`. [`Fabric::new`] is this
+    /// for `()`.
+    pub fn with_telemetry(config: FabricConfig) -> Result<Self> {
         if !(config.slots.is_power_of_two() && (2..=32).contains(&config.slots)) {
             return Err(Error::InvalidSlotCount(config.slots));
         }
@@ -249,7 +307,7 @@ impl Fabric {
             }; MAX_SLOTS],
             block_len: 0,
             serviced: 0,
-            telem: crate::telem::FabricTelemetry::new(),
+            telem: T::Fabric::default(),
             faults: crate::faults::FabricFaults::new(),
         })
     }
@@ -665,60 +723,10 @@ impl Fabric {
         appended
     }
 
-    /// Attaches this fabric to a telemetry registry: metrics are published
-    /// under a `shard="<shard>"` label. Every buffer is allocated here,
-    /// once — the per-decision hooks stay allocation-free. Per-decision
-    /// *events* are the span track's ([`Fabric::attach_spans`]).
-    #[cfg(feature = "telemetry")]
-    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry, shard: u16) {
-        self.telem.attach(
-            registry,
-            shard,
-            self.config.slots,
-            self.decision_count,
-            self.config.priority_update,
-            matches!(self.config.kind, FabricConfigKind::Base),
-        );
-    }
-
-    /// The fabric's instrumentation state (win-latency tracker).
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry(&self) -> &crate::telem::FabricTelemetry {
-        &self.telem
-    }
-
-    /// Wires per-packet lifecycle recording into `recorder`: every
-    /// arrival deposit and decision win gets a stage event tagged
-    /// `(origin, slot, per-slot seq)` on a fresh track named `name`, with
-    /// the batched/scalar BA arm recorded in the event detail; expiry
-    /// passes and blocked (wedged/crashed) cycles leave control events on
-    /// the same track. Orthogonal to [`Fabric::attach_telemetry`].
-    #[cfg(feature = "telemetry")]
-    pub fn attach_spans(&mut self, recorder: &ss_telemetry::SpanRecorder, origin: u16, name: &str) {
-        self.telem
-            .attach_spans(recorder, origin, name, self.config.slots);
-    }
-
-    /// Drops the span track, flushing its events into the parent
-    /// recorder (they become visible to `SpanRecorder::drain`).
-    #[cfg(feature = "telemetry")]
-    pub fn detach_spans(&mut self) {
-        self.telem.detach_spans();
-    }
-
-    /// Drains telemetry's local accumulators into the registry now. The
-    /// hooks batch observations locally and auto-flush every few thousand
-    /// decisions (and on drop), so this is only needed before reading the
-    /// registry while the fabric is mid-run.
-    #[cfg(feature = "telemetry")]
-    pub fn flush_telemetry(&mut self) {
-        self.telem.flush();
-    }
-
     /// Per-stream QoS accounting (the paper's Table 3 quantities) in the
     /// shared `ss-telemetry` schema. Winner-selection-latency histograms
-    /// are filled when telemetry is attached, empty otherwise.
-    #[cfg(feature = "telemetry")]
+    /// are filled when a `Traced` fabric's registry is attached, empty
+    /// otherwise.
     pub fn qos_snapshot(&self) -> ss_telemetry::QosSet {
         let mut set = ss_telemetry::QosSet {
             decision_cycles: self.decision_count,
@@ -851,7 +859,7 @@ impl Fabric {
     }
 }
 
-impl std::fmt::Debug for Fabric {
+impl<T: Telemetry> std::fmt::Debug for Fabric<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
             .field("config", &self.config)
@@ -879,7 +887,15 @@ mod tests {
 
     /// Loads `n` always-backlogged EDF streams with deadlines 1..=n.
     fn backlogged_edf(slots: usize, kind: FabricConfigKind, arrivals_per_stream: usize) -> Fabric {
-        let mut f = Fabric::new(FabricConfig::edf(slots, kind)).unwrap();
+        backlogged(slots, kind, arrivals_per_stream)
+    }
+
+    fn backlogged<T: Telemetry>(
+        slots: usize,
+        kind: FabricConfigKind,
+        arrivals_per_stream: usize,
+    ) -> Fabric<T> {
+        let mut f = Fabric::with_telemetry(FabricConfig::edf(slots, kind)).unwrap();
         for s in 0..slots {
             f.load_stream(s, edf_state(1), (s + 1) as u64).unwrap();
             for a in 0..arrivals_per_stream {
@@ -1156,9 +1172,8 @@ mod tests {
 
     /// Detaches the span track and returns its events (the fabric's is
     /// the recorder's only track).
-    #[cfg(feature = "telemetry")]
     fn drained_events(
-        f: &mut Fabric,
+        f: &mut Fabric<Traced>,
         recorder: &ss_telemetry::SpanRecorder,
     ) -> Vec<ss_telemetry::StageEvent> {
         f.detach_spans();
@@ -1170,7 +1185,6 @@ mod tests {
         track.events
     }
 
-    #[cfg(feature = "telemetry")]
     fn metric<'a>(
         snap: &'a ss_telemetry::Snapshot,
         name: &str,
@@ -1181,7 +1195,6 @@ mod tests {
             .unwrap_or_else(|| panic!("{name} missing"))
     }
 
-    #[cfg(feature = "telemetry")]
     fn counter(snap: &ss_telemetry::Snapshot, name: &str) -> u64 {
         match metric(snap, name).value {
             ss_telemetry::MetricValue::Counter(c) => c,
@@ -1189,14 +1202,13 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_counts_decisions_and_traces() {
         use ss_telemetry::span::detail;
         use ss_telemetry::{MetricValue, Registry, SpanRecorder, Stage};
         let registry = Registry::new();
         let recorder = SpanRecorder::new(256);
-        let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 8);
+        let mut f = backlogged::<Traced>(4, FabricConfigKind::WinnerOnly, 8);
         f.attach_telemetry(&registry, 3);
         f.attach_spans(&recorder, 3, "fabric");
         for _ in 0..8 {
@@ -1268,13 +1280,12 @@ mod tests {
         assert!(qos.service_fairness() > 0.0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_ba_records_block_lengths() {
         use ss_telemetry::{MetricValue, Registry, SpanRecorder, Stage};
         let registry = Registry::new();
         let recorder = SpanRecorder::new(64);
-        let mut f = backlogged_edf(4, FabricConfigKind::Base, 2);
+        let mut f = backlogged::<Traced>(4, FabricConfigKind::Base, 2);
         f.attach_telemetry(&registry, 0);
         f.attach_spans(&recorder, 0, "fabric");
         f.decision_cycle(); // full block of 4
@@ -1309,14 +1320,14 @@ mod tests {
         assert!(events.iter().all(|e| e.cycle < 3));
     }
 
-    #[cfg(all(feature = "faults", feature = "telemetry"))]
+    #[cfg(feature = "faults")]
     #[test]
     fn blocked_cycles_leave_one_stall_event_each() {
         use ss_faults::{FaultConfig, FaultInjector};
         use ss_telemetry::{SpanRecorder, Stage};
         use std::sync::Arc;
         let recorder = SpanRecorder::new(64);
-        let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 8);
+        let mut f = backlogged::<Traced>(4, FabricConfigKind::WinnerOnly, 8);
         f.attach_spans(&recorder, 0, "fabric");
         f.attach_faults(Arc::new(FaultInjector::new(
             11,

@@ -140,7 +140,7 @@ mod enabled {
 
         /// Wires `fabric`'s decision cycles to the attached injector (a
         /// fabric the supervisor just built or adopted).
-        pub fn wire(&self, fabric: &mut crate::Fabric) {
+        pub fn wire<T: crate::Telemetry>(&self, fabric: &mut crate::Fabric<T>) {
             if let Some(inj) = &self.injector {
                 fabric.attach_faults(Arc::clone(inj));
             }
@@ -192,6 +192,7 @@ mod disabled {
     /// from the optimized decision core.
     #[derive(Debug, Default)]
     pub struct FabricFaults;
+    const _: () = assert!(core::mem::size_of::<FabricFaults>() == 0);
 
     impl FabricFaults {
         /// The zero-sized stand-in (mirrors the enabled constructor).
@@ -222,6 +223,7 @@ mod disabled {
     /// `faults` feature is off: nothing to book on, nothing to wire.
     #[derive(Debug, Clone, Default)]
     pub struct RecoveryLedger;
+    const _: () = assert!(core::mem::size_of::<RecoveryLedger>() == 0);
 
     impl RecoveryLedger {
         /// The zero-sized stand-in (mirrors the enabled constructor).
@@ -231,7 +233,7 @@ mod disabled {
 
         /// Hook: wire a fabric to the injector (no-op).
         #[inline(always)]
-        pub fn wire(&self, _fabric: &mut crate::Fabric) {}
+        pub fn wire<T: crate::Telemetry>(&self, _fabric: &mut crate::Fabric<T>) {}
 
         /// Hook: detections and written-off packets (no-op).
         #[inline(always)]

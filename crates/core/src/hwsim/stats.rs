@@ -5,7 +5,7 @@
 //! * [`RateMeter`] — bins byte/packet counts into fixed time windows and
 //!   yields a bandwidth-over-time series (Figure 8/10 allocations).
 //! * [`TimeSeries`] — ordered (x, y) samples with CSV export, the common
-//!   output format of every `exp_*` binary.
+//!   output format of the `exp` binary's experiments.
 //! * [`Summary`] — Welford mean/variance accumulator, re-exported from
 //!   `ss-telemetry` (the canonical home since the telemetry crate landed).
 

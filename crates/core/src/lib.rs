@@ -71,7 +71,7 @@ pub use faults::{FabricFaults, RecoveryLedger};
 pub use register::{LatePolicy, RegisterFile, SlotCounters, StreamState};
 pub use rtl::{RtlFabric, RtlWires};
 pub use scheduler::{SchedulerReport, ShareStreamsScheduler};
-pub use telem::{FabricTelemetry, SupervisorTrace};
+pub use telem::{FabricTelemetry, MergeHooks, SupervisorHooks, SupervisorTrace, Telemetry, Traced};
 pub use watchdog::{DecisionWatchdog, WatchdogVerdict};
 
 // Re-export the hwsim configuration enum used throughout.

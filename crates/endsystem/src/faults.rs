@@ -127,6 +127,7 @@ mod disabled {
     /// configurations.
     #[derive(Debug, Clone, Default)]
     pub struct EndsystemFaults;
+    const _: () = assert!(core::mem::size_of::<EndsystemFaults>() == 0);
 
     impl EndsystemFaults {
         /// The zero-sized stand-in (mirrors the enabled constructor).

@@ -69,7 +69,6 @@ pub use streaming::{StreamingReport, StreamingUnit};
 pub use threaded::run_threaded_faulted;
 pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
 pub use threaded::{run_threaded_overload, OverloadRunReport};
-#[cfg(feature = "telemetry")]
 pub use threaded::{run_threaded_traced, TraceConfig, TracedReport};
 pub use transmission::TransmissionEngine;
 pub use worker::Worker;

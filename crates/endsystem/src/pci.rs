@@ -169,7 +169,6 @@ impl CardLink {
     /// control event on `track` (detail = direction, arg = modeled ns) so
     /// host↔card hops show up on the lifecycle timeline between ring
     /// dequeue and fabric arrival.
-    #[cfg(feature = "telemetry")]
     pub fn arrivals_to_card_traced(
         &self,
         n: u64,
@@ -190,7 +189,6 @@ impl CardLink {
 
     /// Like [`CardLink::ids_from_card`], traced (see
     /// [`CardLink::arrivals_to_card_traced`]).
-    #[cfg(feature = "telemetry")]
     pub fn ids_from_card_traced(
         &self,
         n: u64,
@@ -296,7 +294,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_transfers_leave_control_events_with_costs() {
         use ss_telemetry::span::detail;

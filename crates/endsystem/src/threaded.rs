@@ -17,9 +17,8 @@
 //! `run_threaded*` entry points are wrappers that choose the inputs — the
 //! fault seams, an optional overload gate, what is done to the loaded
 //! fabric before the threads start, and an `Observer` (module `observer`):
-//! `()`, whose hooks are empty and whose tag is `()`, or the `telemetry`
-//! feature's lifecycle tracer, whose 8-byte tag rides the rings next to
-//! each packet.
+//! `()`, whose hooks are empty and whose tag is `()`, or the lifecycle
+//! tracer, whose 8-byte tag rides the rings next to each packet.
 //!
 //! Every packet ends transmitted or at exactly one [`LossSite`]: `Ring`
 //! (an injected overflow burst, a corrupt slot), `Admission`/`Shed`/`Ring`
@@ -30,16 +29,13 @@
 
 mod observer;
 
-#[cfg(feature = "telemetry")]
-use self::observer::Traced;
-use self::observer::{Crossing, Observer};
+use self::observer::{Crossing, Observer, Traced};
 use crate::faults::EndsystemFaults;
 use crate::spsc::{back_off, spsc_ring, Consumer, Producer, RingStats};
 use crate::worker::Worker;
 use ss_core::{DecisionWatchdog, Fabric, FabricConfig, WatchdogVerdict};
 use ss_core::{LatePolicy, StreamState};
 use ss_overload::{Gate, GateConfig, LossLedger, LossSite, SharedPressure};
-#[cfg(feature = "telemetry")]
 use ss_telemetry::{clock, SharedFlightRecorder, SpanRecorder};
 use ss_types::{Error, Result, Wrap16};
 #[cfg(feature = "faults")]
@@ -174,7 +170,6 @@ pub fn run_threaded_overload(
 }
 
 /// Tracing knobs for [`run_threaded_traced`].
-#[cfg(feature = "telemetry")]
 #[derive(Clone)]
 pub struct TraceConfig {
     /// Capacity (events) of each per-thread span track.
@@ -190,7 +185,6 @@ pub struct TraceConfig {
     pub faults: Option<(Arc<ss_faults::FaultInjector>, ss_faults::RetryPolicy)>,
 }
 
-#[cfg(feature = "telemetry")]
 impl TraceConfig {
     /// Tracing with the given capacities and no gate or faults.
     pub fn new(span_capacity: usize, flight_capacity: usize) -> Self {
@@ -206,7 +200,6 @@ impl TraceConfig {
 
 /// Results of a traced threaded run: the plain report plus the lifecycle
 /// artifacts (span tracks, flight dump).
-#[cfg(feature = "telemetry")]
 #[derive(Debug)]
 pub struct TracedReport {
     /// The underlying pipeline report.
@@ -232,7 +225,6 @@ pub struct TracedReport {
 /// [`TraceConfig`] can also engage the gate and (with the `faults`
 /// feature) a fault injector, so a chaos soak leaves a causally-ordered
 /// post-mortem artifact instead of just pass/fail.
-#[cfg(feature = "telemetry")]
 pub fn run_threaded_traced(
     config: FabricConfig,
     states: Vec<StreamState>,
@@ -513,7 +505,6 @@ impl SchedulerStage {
 }
 
 /// Everything a wrapper may want back from [`run_stages`].
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 struct Run {
     report: ThreadedReport,
     gate: Option<Gate<()>>,
@@ -849,7 +840,6 @@ mod tests {
         assert_eq!(report.total, 200);
     }
 
-    #[cfg(feature = "telemetry")]
     fn edf_states(slots: usize) -> Vec<StreamState> {
         (0..slots)
             .map(|_| StreamState {
@@ -861,7 +851,6 @@ mod tests {
             .collect()
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_run_covers_full_lifecycle() {
         use ss_telemetry::span::detail;
@@ -903,7 +892,7 @@ mod tests {
         assert!(run.ticks_per_us > 0.0);
     }
 
-    #[cfg(all(feature = "telemetry", feature = "faults"))]
+    #[cfg(feature = "faults")]
     #[test]
     fn traced_stuck_run_auto_dumps_flight() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
@@ -935,7 +924,6 @@ mod tests {
         validate_causal(&events).expect("causal even through the trip");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn traced_gate_records_verdicts_and_shed_reasons() {
         use ss_overload::RedConfig;
@@ -1049,7 +1037,6 @@ mod tests {
                     "no fault, no tally"
                 );
             }
-            #[cfg(feature = "telemetry")]
             {
                 use ss_telemetry::{span::detail, stitch, validate_causal, Stage};
                 let trace = TraceConfig::new(1 << 17, 256);

@@ -1,10 +1,10 @@
 //! What a threaded run records at each stage crossing: the [`Observer`]
 //! the one pipeline is generic over, the no-op `()` observer of the plain
-//! path, and the `telemetry` feature's lifecycle tracer.
+//! path, and the lifecycle tracer [`run_threaded_traced`](super::run_threaded_traced)
+//! runs.
 
 use ss_core::Fabric;
 use ss_overload::GateReason;
-#[cfg(feature = "telemetry")]
 use ss_telemetry::{
     clock, span::detail, DumpReason, SharedFlightRecorder, SpanRecorder, Stage, StageEvent,
     TraceTag, TrackRecorder,
@@ -70,7 +70,6 @@ impl Observer for () {
 
 /// The lifecycle tracer: one span track per thread plus the shared flight
 /// recorder, with the 8-byte [`TraceTag`] on the rings.
-#[cfg(feature = "telemetry")]
 pub(super) struct Traced {
     track: TrackRecorder,
     flight: SharedFlightRecorder,
@@ -81,7 +80,6 @@ pub(super) struct Traced {
     in_fabric: Vec<std::collections::VecDeque<u64>>,
 }
 
-#[cfg(feature = "telemetry")]
 impl Traced {
     pub(super) fn new(
         spans: &SpanRecorder,
@@ -121,7 +119,6 @@ impl Traced {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl Observer for Traced {
     type Tag = u64;
 

@@ -516,7 +516,6 @@ impl FaultInjector {
 
     /// Publishes every counter into `registry` as gauges (idempotent —
     /// safe to call repeatedly mid-run), under `ss_faults_*`.
-    #[cfg(feature = "telemetry")]
     pub fn publish(&self, registry: &ss_telemetry::Registry) {
         let snap = self.stats.snapshot();
         for site in FaultSite::ALL {

@@ -29,7 +29,7 @@
 //! crate itself is feature-free — it is only ever linked when somebody
 //! turned faults on.
 //!
-//! With the `telemetry` feature, [`FaultInjector::publish`] exports every
+//! [`FaultInjector::publish`] exports every
 //! counter into an [`ss_telemetry`] registry so chaos runs flow through the
 //! same Prometheus/JSON pipeline as regular runs.
 

@@ -12,9 +12,8 @@
 //!    something.
 //! 2. **ZST off-arm** — an off-arm `struct` twin must carry no fields
 //!    (unit or empty body). A stateful off-arm contradicts the zero-cost
-//!    promise the generated `zst_off_state` checks enforce at compile
-//!    time — this catches it at lint time, for every crate, without
-//!    registration.
+//!    promise each stub's `size_of == 0` const assertion enforces at
+//!    compile time — this catches it at lint time, before a build.
 //! 3. **No unguarded calls into gated items** — a call site whose *every*
 //!    resolved candidate requires `feature = "f"` must itself be guarded
 //!    on `f` (enclosing item cfg or statement-level `#[cfg]`). If any

@@ -5,8 +5,8 @@
 //! cargo run -p ss-lint --release --bin verify -- faults  # one group
 //! ```
 //!
-//! A group is one feature leg (`default`, `telemetry`, `faults`,
-//! `telemetry,faults`) or `once`, the checks no leg changes. Every step
+//! A group is one feature leg (`default`, `faults`) or `once`, the checks
+//! no leg changes. Every step
 //! runs from the workspace root with incremental builds and debuginfo off
 //! (debug legs fill the disk otherwise). The run stops at the first failing
 //! step and prints its command; a wall-time table per step closes it.
@@ -20,7 +20,7 @@ use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 /// The feature legs, each a group that runs the `LEG` rows.
-const LEGS: [&str; 4] = ["default", "telemetry", "faults", "telemetry,faults"];
+const LEGS: [&str; 2] = ["default", "faults"];
 const LEG: &str = "each leg";
 
 /// The gate: group, step, cargo arguments (`{features}` is the leg's

@@ -199,17 +199,6 @@ pub struct ProtocolRule {
     pub require: String,
 }
 
-/// One crate registered for the zero-sized feature-stub check.
-#[derive(Debug, Clone)]
-pub struct ZstCrate {
-    /// Crate directory relative to the workspace root (e.g. `crates/core`).
-    pub dir: String,
-    /// The crate's extern name (e.g. `ss_core`).
-    pub crate_name: String,
-    /// Generated check file, relative to the workspace root.
-    pub check_file: String,
-}
-
 /// One lock-free protocol registered for exhaustive interleaving
 /// checking (`[[interleave.protocols]]`).
 #[derive(Debug, Clone)]
@@ -238,8 +227,6 @@ pub struct Config {
     pub flag_seqcst: bool,
     /// The declared acquire/release protocol.
     pub protocol: Vec<ProtocolRule>,
-    /// Crates with generated zero-sized-stub check files.
-    pub zst_crates: Vec<ZstCrate>,
     /// Extra path prefixes exempt from the error-discipline rule (on top
     /// of `tests/`, `benches/`, `examples/` anywhere in the tree).
     pub error_exclude: Vec<String>,
@@ -303,14 +290,6 @@ impl Config {
                 },
             });
         }
-        let mut zst_crates = Vec::new();
-        for t in doc.tables("zst.crates") {
-            zst_crates.push(ZstCrate {
-                dir: string(t, "dir", "[[zst.crates]]")?,
-                crate_name: string(t, "crate_name", "[[zst.crates]]")?,
-                check_file: string(t, "check_file", "[[zst.crates]]")?,
-            });
-        }
         Ok(Config {
             exclude: strings(ws, "exclude"),
             unsafe_allow_files: strings(uns, "allow_files"),
@@ -318,7 +297,6 @@ impl Config {
             hot_forbidden: strings(hot, "forbidden"),
             flag_seqcst: matches!(atomics.get("flag_seqcst"), Some(Value::Bool(true)) | None),
             protocol,
-            zst_crates,
             error_exclude: strings(errors, "exclude"),
             allow_expect_with_message: matches!(
                 errors.get("allow_expect_with_message"),

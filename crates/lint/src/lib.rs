@@ -4,15 +4,15 @@
 //! The paper's performance story rests on hand-maintained properties: the
 //! single-cycle Decision blocks demand a zero-allocation, panic-free
 //! fabric hot path; the endsystem's "synchronization-free" SPSC circular
-//! buffers are a hand-rolled acquire/release protocol; and the
-//! telemetry/faults hooks promise zero-sized off-states. This tool turns
-//! each of those into a machine-checked rule, run on every commit:
+//! buffers are a hand-rolled acquire/release protocol; and the `faults`
+//! hooks promise zero-sized off-states (each stub carries its own
+//! `size_of == 0` const assertion, which the compiler checks). This tool
+//! turns the rest into machine-checked rules, run on every commit:
 //!
 //! | rule id            | invariant                                             |
 //! |--------------------|-------------------------------------------------------|
 //! | `unsafe-hygiene`   | `unsafe` only in allowlisted files, each site with an adjacent `// SAFETY:` comment; all other crates carry `#![forbid(unsafe_code)]` |
 //! | `atomics-ordering` | every `Ordering::` site matches the declared protocol (SeqCst banned, undeclared acq/rel flagged) |
-//! | `zst-off-state`    | feature-off stub types carry generated `size_of == 0` compile-time checks |
 //! | `error-discipline` | no `.unwrap()` outside tests; `.expect` needs a literal invariant message |
 //! | `call-graph`       | every `// lint:hot-path` annotation attaches to a function definition |
 //! | `hot-path-reachability` | nothing reachable from a `// lint:hot-path` function contains a panic/alloc/format token (witness call path printed) |
@@ -45,13 +45,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 use workspace::Workspace;
 
-/// Every rule id, in report order. The first four are the per-file token
-/// rules from PR 4; the last four are the workspace-level analyses built
-/// on the symbol table and call graph (see [`analyze`]).
-pub const RULE_IDS: [&str; 8] = [
+/// Every rule id, in report order. The first three are the per-file token
+/// rules; the last four are the workspace-level analyses built on the
+/// symbol table and call graph (see [`analyze`]).
+pub const RULE_IDS: [&str; 7] = [
     rules::unsafe_hygiene::ID,
     rules::atomics::ID,
-    rules::zst::ID,
     rules::errors::ID,
     analyze::callgraph::ID,
     analyze::reachability::ID,
@@ -119,7 +118,6 @@ pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     match rule {
         "unsafe-hygiene" => rules::unsafe_hygiene::check(ws, cfg, report),
         "atomics-ordering" => rules::atomics::check(ws, cfg, report),
-        "zst-off-state" => rules::zst::check(ws, cfg, report),
         "error-discipline" => rules::errors::check(ws, cfg, report),
         "call-graph" => {
             let analysis = analyze::callgraph::Analysis::build(ws, cfg);
@@ -138,12 +136,12 @@ pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     }
 }
 
-/// Runs all eight rules plus waiver-syntax validation and the sanitizer-
+/// Runs all seven rules plus waiver-syntax validation and the sanitizer-
 /// suppression staleness check, sharing one call graph across the
 /// analysis passes.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
     let mut report = Report::default();
-    for rule in &RULE_IDS[..4] {
+    for rule in &RULE_IDS[..3] {
         run_rule(rule, ws, cfg, &mut report);
     }
     let analysis = analyze::callgraph::Analysis::build(ws, cfg);

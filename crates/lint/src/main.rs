@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p ss-lint --release -- --workspace-root .
-//! cargo run -p ss-lint --release -- --write-zst-checks
 //! cargo run -p ss-lint --release -- --rule atomics-ordering
 //! ```
 //!
@@ -19,7 +18,6 @@ use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    write_zst: bool,
     rule: Option<String>,
     features: Vec<String>,
 }
@@ -27,7 +25,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        write_zst: false,
         rule: None,
         features: Vec::new(),
     };
@@ -37,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
             "--workspace-root" => {
                 args.root = PathBuf::from(it.next().ok_or("--workspace-root needs a path")?)
             }
-            "--write-zst-checks" => args.write_zst = true,
             "--rule" => {
                 let r = it.next().ok_or("--rule needs a rule id")?;
                 if !RULE_IDS.contains(&r.as_str()) {
@@ -58,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "ss-lint: workspace static analysis\n\n  --workspace-root <path>   workspace to analyze (default: .)\n  --rule <id>               run a single rule ({})\n  --features <a,b>          cargo features treated as active by the cfg-aware passes\n  --write-zst-checks        regenerate the zero-sized-stub check files",
+                    "ss-lint: workspace static analysis\n\n  --workspace-root <path>   workspace to analyze (default: .)\n  --rule <id>               run a single rule ({})\n  --features <a,b>          cargo features treated as active by the cfg-aware passes",
                     RULE_IDS.join(", ")
                 );
                 std::process::exit(0);
@@ -100,21 +96,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if args.write_zst {
-        return match ss_lint::rules::zst::write(&ws, &cfg) {
-            Ok(paths) => {
-                for p in paths {
-                    println!("wrote {}", p.display());
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("ss-lint: cannot write zst checks: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
 
     let report = match &args.rule {
         Some(rule) => {

@@ -1,4 +1,4 @@
-//! The four per-file rule implementations.
+//! The three per-file rule implementations.
 //!
 //! Every rule works on masked source (see [`crate::lexer`]), reports
 //! [`Violation`](crate::Violation)s with file:line positions, and honors
@@ -7,7 +7,6 @@
 pub mod atomics;
 pub mod errors;
 pub mod unsafe_hygiene;
-pub mod zst;
 
 use crate::lexer::is_ident_byte;
 

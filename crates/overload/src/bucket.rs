@@ -263,7 +263,6 @@ impl AdmissionController {
 
     /// Publishes per-stream admitted/rejected counters and bucket levels
     /// into `registry` under `ss_overload_*`. Idempotent gauges.
-    #[cfg(feature = "telemetry")]
     pub fn publish(&self, registry: &ss_telemetry::Registry) {
         registry
             .gauge(

@@ -146,7 +146,6 @@ impl LossLedger {
     /// unlabeled `ss_loss_packets_total` sum. Call once per finished run:
     /// the gauges show the latest run, the counters accumulate across runs
     /// sharing the registry.
-    #[cfg(feature = "telemetry")]
     pub fn publish(&self, registry: &ss_telemetry::Registry) {
         for site in LossSite::ALL {
             registry
@@ -222,7 +221,6 @@ mod tests {
         assert_eq!(a.total(), 4);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn publish_exports_gauges_and_cumulative_counters() {
         let registry = ss_telemetry::Registry::new();

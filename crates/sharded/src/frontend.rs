@@ -4,15 +4,14 @@
 //! rules over them: slot routing ([`Frontend::route`]), the merge order
 //! ([`Frontend::merge_before`], with the scan and the streamlet sort built
 //! on it), exclusion booking ([`Frontend::exclude`]) and merge-telemetry
-//! recording ([`MergeMetrics::record_merge`], the `metrics` field).
+//! recording ([`ss_core::MergeHooks::record_merge`], the `metrics` field).
 //! [`ShardedScheduler::into_threaded`](crate::ShardedScheduler::into_threaded)
 //! moves this struct whole, so whatever happened inline — a redistribution,
 //! an exclusion, an attached registry or injector — is what the threaded
 //! runtime runs with.
 
-use crate::metrics::MergeMetrics;
 use ss_core::decision::{lane_order, DecisionRule};
-use ss_core::{FabricConfig, RecoveryLedger, ScheduledPacket, StreamState};
+use ss_core::{FabricConfig, RecoveryLedger, ScheduledPacket, StreamState, Telemetry};
 use ss_types::packed::lane_valid;
 use ss_types::{slot_bits, ComparisonMode, Error, Result, SlotId, MAX_SLOTS};
 
@@ -26,7 +25,7 @@ pub(crate) const MAX_SHARDS: usize = MAX_SLOTS / 2;
 pub(crate) type Lane = (u64, ScheduledPacket, usize);
 
 /// The state and rules shared by the inline and threaded drive modes.
-pub(crate) struct Frontend {
+pub(crate) struct Frontend<T: Telemetry> {
     per_shard: usize,
     total_slots: usize,
     mode: ComparisonMode,
@@ -48,11 +47,11 @@ pub(crate) struct Frontend {
     lost_packets: u64,
     /// The shared injector's recovery ledger (zero-sized without `faults`).
     pub(crate) ledger: RecoveryLedger,
-    /// Winner counters and merge latency (zero-sized without `telemetry`).
-    pub(crate) metrics: MergeMetrics,
+    /// Winner counters and merge latency (zero-sized for `T = ()`).
+    pub(crate) metrics: T::Merge,
 }
 
-impl Frontend {
+impl<T: Telemetry> Frontend<T> {
     /// The contiguous partition of `config.slots` global slots over
     /// `shards` shards: global `g` lives on shard `g / (M/K)` as local slot
     /// `g % (M/K)`. The caller has validated that `shards` divides the
@@ -74,7 +73,7 @@ impl Frontend {
             failed: 0,
             lost_packets: 0,
             ledger: RecoveryLedger::new(),
-            metrics: MergeMetrics::new(),
+            metrics: Default::default(),
         }
     }
 

@@ -8,7 +8,10 @@ use crate::frontend::{Frontend, MAX_SHARDS};
 use crate::threaded::ThreadedShards;
 use ss_core::decision::DecisionRule;
 use ss_core::hwsim::FabricConfigKind;
-use ss_core::{Fabric, FabricConfig, ScheduledPacket, SlotCounters, StreamState, SupervisorTrace};
+use ss_core::{
+    Fabric, FabricConfig, MergeHooks, ScheduledPacket, SlotCounters, StreamState, SupervisorHooks,
+    Telemetry, Traced,
+};
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
 use ss_types::packed::lane_valid;
 use ss_types::{slot_bits, Error, Result, Wrap16};
@@ -43,10 +46,12 @@ impl Proposals {
     }
 }
 
-/// The sharded frontend: K fabric shards plus the comparator merge.
-pub struct ShardedScheduler {
-    front: Frontend,
-    shards: Vec<Fabric>,
+/// The sharded frontend: K fabric shards plus the comparator merge,
+/// instrumented by `T` (`()` records nothing; [`Traced`] carries the
+/// shard fabrics' telemetry, the merge metrics and the merge trace).
+pub struct ShardedScheduler<T: Telemetry = ()> {
+    front: Frontend<T>,
+    shards: Vec<Fabric<T>>,
     decision_count: u64,
     /// Per-shard transient-stall horizon: the shard proposes nothing while
     /// `decision_count < stalled_until[k]` (it still expires, so shard
@@ -60,15 +65,70 @@ pub struct ShardedScheduler {
     /// Where breaker refusals are accounted ([`LossSite::Shed`]).
     overload_ledger: LossLedger,
     /// Merge wins on a span track, breaker trips in the flight recorder
-    /// (zero-sized without `telemetry`). Inline-mode state: it does not
-    /// follow the fabrics into [`ShardedScheduler::into_threaded`].
-    trace: SupervisorTrace,
+    /// (zero-sized for `T = ()`). Inline-mode state: it does not follow
+    /// the fabrics into [`ShardedScheduler::into_threaded`].
+    trace: T::Supervisor,
 }
 
 impl ShardedScheduler {
-    /// Builds K shards from `config`, whose `slots` field is the TOTAL
-    /// stream count M. Each shard is an M/K-slot fabric with otherwise
-    /// identical configuration.
+    /// Builds K uninstrumented shards from `config`; see
+    /// [`ShardedScheduler::with_telemetry`].
+    pub fn new(config: FabricConfig, shards: usize) -> Result<Self> {
+        Self::with_telemetry(config, shards)
+    }
+}
+
+impl ShardedScheduler<Traced> {
+    /// Attaches telemetry to the frontend and every shard fabric. Each
+    /// shard registers its fabric metrics under a `shard="<k>"` label; the
+    /// frontend adds per-shard winner counters, an idle-cycle counter and
+    /// the merge-latency histogram. Call before
+    /// [`ShardedScheduler::into_threaded`] — the instrumentation moves onto
+    /// the workers with the fabrics.
+    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry) {
+        for (k, fabric) in self.shards.iter_mut().enumerate() {
+            fabric.attach_telemetry(registry, k as u16);
+        }
+        self.front.metrics.attach(registry, self.shards.len());
+    }
+
+    /// Jain's fairness index over per-shard global-cycle wins, or `None`
+    /// before [`ShardedScheduler::attach_telemetry`]. 1.0 means every shard
+    /// wins equally often; 1/K means one shard monopolizes the link.
+    pub fn shard_fairness(&self) -> Option<f64> {
+        self.front.metrics.fairness()
+    }
+
+    /// Attaches lifecycle-span recording to the inline merge: every global
+    /// decision leaves a `MergeWin` event on a `"merge"` track whose tag
+    /// names the winning shard (origin), the global slot and the slot's win
+    /// sequence, and whose detail byte is the Table 2 rule that decided the
+    /// merge ([`ss_telemetry::span::detail::MERGE_ONLY_CANDIDATE`] when
+    /// only one shard competed). Inline-mode state: spans do not follow the
+    /// fabrics into [`ShardedScheduler::into_threaded`].
+    pub fn attach_spans(&mut self, recorder: &ss_telemetry::SpanRecorder) {
+        self.trace
+            .attach_spans(recorder, "merge", self.front.total_slots());
+    }
+
+    /// Drops the merge track (flushing it into its recorder's drain set).
+    pub fn detach_spans(&mut self) {
+        self.trace.detach_spans();
+    }
+
+    /// Wires a shared flight recorder to the breaker sweep: a breaker's
+    /// Closed/HalfOpen → Open transition records a `BreakerOpen` control
+    /// event and takes an automatic dump
+    /// ([`ss_telemetry::DumpReason::BreakerOpen`]).
+    pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
+        self.trace.attach_flight(flight);
+    }
+}
+
+impl<T: Telemetry> ShardedScheduler<T> {
+    /// Builds K shards instrumented by `T` (detached) from `config`, whose
+    /// `slots` field is the TOTAL stream count M. Each shard is an
+    /// M/K-slot fabric with otherwise identical configuration.
     ///
     /// Constraints: `kind` must be `WinnerOnly` (the merge is a winner
     /// merge; block merges belong to the aggregation layer), `shards` must
@@ -76,7 +136,7 @@ impl ShardedScheduler {
     /// field), and each shard's M/K slots must satisfy the fabric's own
     /// power-of-two 2..=32 rule — so K ≤ 16, and a set of shards is one
     /// mask word.
-    pub fn new(config: FabricConfig, shards: usize) -> Result<Self> {
+    pub fn with_telemetry(config: FabricConfig, shards: usize) -> Result<Self> {
         if config.kind != FabricConfigKind::WinnerOnly {
             return Err(Error::Config(
                 "sharded frontend requires a WinnerOnly fabric (winner-merge)".into(),
@@ -105,7 +165,7 @@ impl ShardedScheduler {
             ..config
         };
         let fabrics = (0..shards)
-            .map(|_| Fabric::new(shard_config))
+            .map(|_| Fabric::with_telemetry(shard_config))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             front,
@@ -114,63 +174,12 @@ impl ShardedScheduler {
             stalled_until: vec![0; shards],
             breakers: Vec::new(),
             overload_ledger: LossLedger::new(),
-            trace: SupervisorTrace::new(),
+            trace: Default::default(),
         })
     }
 
-    /// Attaches telemetry to the frontend and every shard fabric
-    /// (`telemetry` feature). Each shard registers its fabric metrics under
-    /// a `shard="<k>"` label; the frontend adds per-shard winner counters,
-    /// an idle-cycle counter and the merge-latency histogram. Call before
-    /// [`ShardedScheduler::into_threaded`] — the instrumentation moves onto
-    /// the workers with the fabrics.
-    #[cfg(feature = "telemetry")]
-    pub fn attach_telemetry(&mut self, registry: &ss_telemetry::Registry) {
-        for (k, fabric) in self.shards.iter_mut().enumerate() {
-            fabric.attach_telemetry(registry, k as u16);
-        }
-        self.front.metrics.attach(registry, self.shards.len());
-    }
-
-    /// Jain's fairness index over per-shard global-cycle wins, or `None`
-    /// before [`ShardedScheduler::attach_telemetry`]. 1.0 means every shard
-    /// wins equally often; 1/K means one shard monopolizes the link.
-    #[cfg(feature = "telemetry")]
-    pub fn shard_fairness(&self) -> Option<f64> {
-        self.front.metrics.fairness()
-    }
-
-    /// Attaches lifecycle-span recording to the inline merge: every global
-    /// decision leaves a `MergeWin` event on a `"merge"` track whose tag
-    /// names the winning shard (origin), the global slot and the slot's win
-    /// sequence, and whose detail byte is the Table 2 rule that decided the
-    /// merge ([`ss_telemetry::span::detail::MERGE_ONLY_CANDIDATE`] when
-    /// only one shard competed). Inline-mode state: spans do not follow the
-    /// fabrics into [`ShardedScheduler::into_threaded`].
-    #[cfg(feature = "telemetry")]
-    pub fn attach_spans(&mut self, recorder: &ss_telemetry::SpanRecorder) {
-        self.trace
-            .attach_spans(recorder, "merge", self.front.total_slots());
-    }
-
-    /// Drops the merge track (flushing it into its recorder's drain set).
-    #[cfg(feature = "telemetry")]
-    pub fn detach_spans(&mut self) {
-        self.trace.detach_spans();
-    }
-
-    /// Wires a shared flight recorder to the breaker sweep: a breaker's
-    /// Closed/HalfOpen → Open transition records a `BreakerOpen` control
-    /// event and takes an automatic dump
-    /// ([`ss_telemetry::DumpReason::BreakerOpen`]).
-    #[cfg(feature = "telemetry")]
-    pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
-        self.trace.attach_flight(flight);
-    }
-
     /// Per-stream QoS accounting across all shards, with slot IDs remapped
-    /// to global coordinates (`telemetry` feature).
-    #[cfg(feature = "telemetry")]
+    /// to global coordinates.
     pub fn qos_snapshot(&self) -> ss_telemetry::QosSet {
         let mut set = ss_telemetry::QosSet {
             decision_cycles: self.decision_count,
@@ -266,7 +275,6 @@ impl ShardedScheduler {
 
     /// Publishes per-shard breaker gauges (`ss_overload_breaker_*`) plus
     /// the breaker-shed ledger into `registry`.
-    #[cfg(feature = "telemetry")]
     pub fn publish_breakers(&self, registry: &ss_telemetry::Registry) {
         for (k, b) in self.breakers.iter().enumerate() {
             let shard = k.to_string();
@@ -377,7 +385,7 @@ impl ShardedScheduler {
     }
 
     /// Direct access to a shard fabric (read-only, diagnostics).
-    pub fn shard(&self, k: usize) -> &Fabric {
+    pub fn shard(&self, k: usize) -> &Fabric<T> {
         &self.shards[k]
     }
 
@@ -613,12 +621,12 @@ impl ShardedScheduler {
     /// Moves each shard's fabric onto its own worker thread for batch
     /// throughput. `ring_capacity` sizes the arrival and proposal rings
     /// (entries per shard).
-    pub fn into_threaded(self, ring_capacity: usize) -> ThreadedShards {
+    pub fn into_threaded(self, ring_capacity: usize) -> ThreadedShards<T> {
         ThreadedShards::spawn(self.front, self.shards, ring_capacity)
     }
 }
 
-impl std::fmt::Debug for ShardedScheduler {
+impl<T: Telemetry> std::fmt::Debug for ShardedScheduler<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedScheduler")
             .field("shards", &self.shards.len())

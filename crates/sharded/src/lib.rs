@@ -46,17 +46,17 @@
 //! merge-telemetry recording. `inline` and `threaded` own only what
 //! differs — the fabrics and breakers here, the rings and workers there —
 //! and [`ShardedScheduler::into_threaded`] moves the frontend whole.
-//! Supervisor hooks are feature-off-zero-sized handles
-//! ([`ss_core::RecoveryLedger`], [`ss_core::SupervisorTrace`], the crate's
-//! own merge metrics), so the drive modes carry no `cfg` on fields or
-//! statements.
+//! Supervisor hooks are zero-sized when off: the fault ledger
+//! ([`ss_core::RecoveryLedger`]) without the `faults` feature, the merge
+//! trace and merge metrics for the default `ShardedScheduler<()>` (the
+//! [`ss_core::Traced`] instantiation carries them), so the drive modes
+//! carry no `cfg` on fields or statements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod frontend;
 mod inline;
-mod metrics;
 mod threaded;
 
 #[cfg(test)]

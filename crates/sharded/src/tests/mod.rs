@@ -1,7 +1,7 @@
 use crate::ShardedScheduler;
 use proptest::prelude::*;
 use ss_core::decision::DecisionRule;
-use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
+use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState, Telemetry, Traced};
 use ss_types::{Error, WindowConstraint, Wrap16};
 
 fn edf_state(period: u64) -> StreamState {
@@ -14,7 +14,15 @@ fn edf_state(period: u64) -> StreamState {
 }
 
 fn backlogged(total: usize, shards: usize, arrivals: usize) -> ShardedScheduler {
-    let mut s = ShardedScheduler::new(
+    backlogged_with(total, shards, arrivals)
+}
+
+fn backlogged_with<T: Telemetry>(
+    total: usize,
+    shards: usize,
+    arrivals: usize,
+) -> ShardedScheduler<T> {
+    let mut s = ShardedScheduler::with_telemetry(
         FabricConfig::edf(total, FabricConfigKind::WinnerOnly),
         shards,
     )
@@ -610,14 +618,13 @@ fn exclusion_is_booked_identically_in_both_modes() {
     );
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_counts_inline_wins_and_fairness() {
     // Interleave deadlines across the shard boundary — shard 0 holds
     // the odd deadlines 1,3,5,7 and shard 1 the even 2,4,6,8 — with one
     // arrival per slot, so the 8 winners alternate shards: 4 wins each.
-    let mut s =
-        ShardedScheduler::new(FabricConfig::edf(8, FabricConfigKind::WinnerOnly), 2).unwrap();
+    let config = FabricConfig::edf(8, FabricConfigKind::WinnerOnly);
+    let mut s = ShardedScheduler::<Traced>::with_telemetry(config, 2).unwrap();
     for g in 0..8 {
         let deadline = if g < 4 { 2 * g + 1 } else { 2 * (g - 4) + 2 };
         s.load_stream(g, edf_state(1), deadline as u64).unwrap();
@@ -681,12 +688,11 @@ fn merge_reason_names_the_deciding_rule() {
     assert_eq!(reason, None, "only candidate: nothing to compare");
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn merge_wins_leave_provenance_span_events() {
     use ss_telemetry::span::detail;
     use ss_telemetry::{Stage, TraceTag};
-    let mut s = backlogged(8, 2, 2);
+    let mut s = backlogged_with::<Traced>(8, 2, 2);
     let recorder = ss_telemetry::SpanRecorder::new(256);
     s.attach_spans(&recorder);
     for _ in 0..16 {
@@ -723,12 +729,11 @@ fn merge_wins_leave_provenance_span_events() {
     assert_eq!(seqs, vec![0, 1]);
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn breaker_open_takes_automatic_flight_dump() {
     use ss_overload::BreakerConfig;
     use ss_telemetry::{DumpReason, SharedFlightRecorder, SpanRecorder, Stage};
-    let mut s = backlogged(8, 2, 2);
+    let mut s = backlogged_with::<Traced>(8, 2, 2);
     let recorder = SpanRecorder::new(256);
     let flight = SharedFlightRecorder::new(64);
     s.attach_spans(&recorder);
@@ -757,11 +762,10 @@ fn breaker_open_takes_automatic_flight_dump() {
         .any(|e| e.stage == Stage::BreakerOpen));
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_survives_into_threaded() {
     let registry = ss_telemetry::Registry::new();
-    let mut s = backlogged(8, 4, 10);
+    let mut s = backlogged_with::<Traced>(8, 4, 10);
     s.attach_telemetry(&registry);
     let mut t = s.into_threaded(1024);
     // 4 shards × 2 slots × 10 arrivals: each shard services one packet
@@ -868,7 +872,7 @@ proptest! {
             .collect();
         let k = words.len();
         let config = FabricConfig { mode, ..FabricConfig::edf(4 * k, FabricConfigKind::WinnerOnly) };
-        let front = Frontend::new(&config, k);
+        let front = Frontend::<()>::new(&config, k);
 
         prop_assert_eq!(
             front.pick(words.iter().copied().enumerate()),

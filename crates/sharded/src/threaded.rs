@@ -7,7 +7,7 @@
 //! on the one `finished` definition and an idle worker sleeps.
 
 use crate::frontend::{Frontend, Lane};
-use ss_core::{Fabric, ScheduledPacket};
+use ss_core::{Fabric, MergeHooks, ScheduledPacket, Telemetry, Traced};
 use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
 use ss_endsystem::Worker;
 use ss_types::{slot_bits, Error, Result, Wrap16};
@@ -50,7 +50,7 @@ pub struct StreamletReport {
 /// Fields drop in order: a dropped link hangs up `cmd_tx`, then joins the
 /// worker, which runs out its queued batches and leaves.
 #[repr(align(128))]
-struct ShardLink {
+struct ShardLink<T: Telemetry> {
     /// Batch commands: run this many decision cycles.
     cmd_tx: Producer<u64>,
     arr_tx: Producer<(usize, Wrap16)>,
@@ -59,19 +59,19 @@ struct ShardLink {
     /// merge: one ring synchronization covers up to a ring's worth of
     /// cycles the worker ran ahead.
     buf: VecDeque<CycleProposal>,
-    worker: Worker<Fabric>,
+    worker: Worker<Fabric<T>>,
 }
 
 /// One shard's worker: for every batch command, `n` decision cycles, each
 /// draining the arrival ring first and proposing its winner. Ends when the
 /// command ring is finished, or right after proposing from a crashed
 /// fabric — dropping `out_tx` is the merger's exclusion signal.
-fn worker(
-    mut fabric: Fabric,
+fn worker<T: Telemetry>(
+    mut fabric: Fabric<T>,
     mut cmd_rx: Consumer<u64>,
     mut arr_rx: Consumer<(usize, Wrap16)>,
     mut out_tx: Producer<CycleProposal>,
-) -> Fabric {
+) -> Fabric<T> {
     while let Some(n) = cmd_rx.pop_waiting() {
         for _ in 0..n {
             while let Some((slot, tag)) = arr_rx.pop() {
@@ -91,18 +91,29 @@ fn worker(
 }
 
 /// The thread-per-shard runtime: K workers, each owning one fabric, fed by
-/// SPSC rings, merged on the calling thread.
-pub struct ThreadedShards {
+/// SPSC rings, merged on the calling thread; instrumented by `T`, as the
+/// [`ShardedScheduler`](crate::ShardedScheduler) it came from.
+pub struct ThreadedShards<T: Telemetry = ()> {
     /// Routing, merge order, exclusion and merge metrics — the inline
     /// scheduler's own frontend, moved here by `into_threaded`.
-    front: Frontend,
-    links: Vec<ShardLink>,
+    front: Frontend<T>,
+    links: Vec<ShardLink<T>>,
     /// Per-cycle merge scratch (≤ K entries), reused across cycles.
     merge_scratch: Vec<Lane>,
 }
 
-impl ThreadedShards {
-    pub(crate) fn spawn(front: Frontend, shards: Vec<Fabric>, ring_capacity: usize) -> Self {
+impl ThreadedShards<Traced> {
+    /// Jain's fairness index over per-shard lane services, or `None` if the
+    /// source scheduler was never instrumented. In threaded mode every
+    /// non-idle shard services its own lane each cycle, so this measures
+    /// how evenly the offered load spreads across shards.
+    pub fn shard_fairness(&self) -> Option<f64> {
+        self.front.metrics.fairness()
+    }
+}
+
+impl<T: Telemetry> ThreadedShards<T> {
+    pub(crate) fn spawn(front: Frontend<T>, shards: Vec<Fabric<T>>, ring_capacity: usize) -> Self {
         let merge_scratch = Vec::with_capacity(shards.len());
         let links = shards
             .into_iter()
@@ -134,15 +145,6 @@ impl ThreadedShards {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// Jain's fairness index over per-shard lane services, or `None` if the
-    /// source scheduler was never instrumented. In threaded mode every
-    /// non-idle shard services its own lane each cycle, so this measures
-    /// how evenly the offered load spreads across shards.
-    #[cfg(feature = "telemetry")]
-    pub fn shard_fairness(&self) -> Option<f64> {
-        self.front.metrics.fairness()
     }
 
     /// Routes one arrival to its shard's ring. Fails with `QueueFull` if
@@ -237,7 +239,7 @@ impl ThreadedShards {
     /// Shuts the workers down and returns the shard fabrics (for reading
     /// counters after a run). A worker that panicked simply yields no
     /// fabric — the join itself never panics.
-    pub fn join(self) -> Vec<Fabric> {
+    pub fn join(self) -> Vec<Fabric<T>> {
         self.links
             .into_iter()
             .filter_map(|link| {

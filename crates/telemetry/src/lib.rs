@@ -33,15 +33,16 @@
 //!   schema; an always-on bounded [`FlightRecorder`] is dumped on watchdog
 //!   trip / rung change / breaker open / panic.
 //!
-//! # Feature gating
+//! # Instrumentation as a type
 //!
-//! This crate always compiles its real types. The *consumers* (`ss-core`,
-//! `ss-endsystem`, `ss-sharded`, the `sharestreams` facade) each expose a
-//! `telemetry` cargo feature; with the feature off their instrumentation
-//! shims compile to inlined empty functions on zero-sized types, so the
-//! decision core's zero-allocation guarantees and throughput are exactly
-//! the uninstrumented build's. `tests/zero_alloc.rs` additionally proves
-//! the *enabled* path allocates nothing in steady state.
+//! This crate has no cargo feature, and neither do its consumers' hooks:
+//! `ss_core::Fabric`, the sharded frontend and the failover supervisor
+//! take a `T: ss_core::Telemetry` that defaults to `()`, whose hooks are
+//! inlined empty functions on zero-sized types, so the default
+//! instantiation is the uninstrumented decision core. Their
+//! `ss_core::Traced` instantiation holds this crate's handles, attached at
+//! runtime. `tests/zero_alloc.rs` proves both instantiations allocate
+//! nothing in steady state.
 //!
 //! # Metric naming
 //!

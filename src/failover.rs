@@ -22,12 +22,12 @@
 //! Both switches cost one packet-time and are recorded: in the
 //! `ss-faults` ledger (`failovers`/`reattaches`) when an injector is
 //! attached, and as one `Stage::Failover` control event each in the flight
-//! recorder when one is attached (`telemetry` feature,
+//! recorder when one is attached (the [`Traced`] instantiation,
 //! `FailoverScheduler::attach_flight_recorder`).
 
 use ss_core::{
     DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, RecoveryLedger, RegisterSnapshot,
-    ScheduledPacket, StreamState, SupervisorTrace, WatchdogVerdict,
+    ScheduledPacket, StreamState, SupervisorHooks, Telemetry, Traced, WatchdogVerdict,
 };
 use ss_disciplines::{Discipline, DwcsRef, DwcsStreamConfig, SwPacket};
 use ss_overload::{DegradationLadder, LadderConfig, PressureConfig, PressureSignal, Rung};
@@ -61,8 +61,10 @@ fn map_policy(p: ss_core::LatePolicy) -> ss_disciplines::LatePolicy {
 /// [`ScheduledPacket`] stream a caller sees never jumps backward.
 ///
 /// Supports winner-only (WR) fabrics in DWCS or EDF comparison mode —
-/// the two modes the software oracle models.
-pub struct FailoverScheduler {
+/// the two modes the software oracle models. `T` instruments the
+/// supervisor's control events: `()` records nothing, [`Traced`] can attach
+/// a flight recorder.
+pub struct FailoverScheduler<T: Telemetry = ()> {
     config: FabricConfig,
     fabric: Fabric,
     software: Option<DwcsRef>,
@@ -86,8 +88,8 @@ pub struct FailoverScheduler {
     ledger: RecoveryLedger,
     /// Path switches, ladder sheds and rung changes in the flight recorder,
     /// with automatic incident dumps (`attach_flight_recorder`; zero-sized
-    /// without the `telemetry` feature).
-    trace: SupervisorTrace,
+    /// for `T = ()`).
+    trace: T::Supervisor,
 }
 
 /// The facade's overload state: a pressure signal derived from total
@@ -104,10 +106,39 @@ struct OverloadSupervisor {
 }
 
 impl FailoverScheduler {
-    /// Builds a supervised scheduler over `config` with the given
-    /// watchdog thresholds. Rejects block (BA) fabrics and comparison
-    /// modes the software oracle does not model.
+    /// Builds an uninstrumented supervised scheduler; see
+    /// [`FailoverScheduler::with_telemetry`].
     pub fn new(config: FabricConfig, watchdog: DecisionWatchdog) -> Result<Self> {
+        Self::with_telemetry(config, watchdog)
+    }
+
+    /// A supervised scheduler with the default watchdog (trip after 4
+    /// stuck cycles, re-attach after 16 healthy ones).
+    pub fn with_default_watchdog(config: FabricConfig) -> Result<Self> {
+        Self::new(config, DecisionWatchdog::default())
+    }
+}
+
+impl FailoverScheduler<Traced> {
+    /// Wires a shared flight recorder to the supervisor: every path switch
+    /// records one `Failover` control event (detail 1 = to software, 0 =
+    /// re-attach), and the hardware→software direction also takes an
+    /// automatic [`ss_telemetry::DumpReason::WatchdogTrip`] dump; a
+    /// degradation-ladder rung change records `RungChange` and dumps with
+    /// [`ss_telemetry::DumpReason::RungChange`] (detail = new rung,
+    /// arg = old rung; 0 full-QoS, 1 shed-optional, 2 FCFS-drain); every
+    /// arrival the ladder refuses records a control `Shed`
+    /// (detail `SHED_LADDER`, arg = slot).
+    pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
+        self.trace.attach_flight(flight);
+    }
+}
+
+impl<T: Telemetry> FailoverScheduler<T> {
+    /// Builds a supervised scheduler instrumented by `T` over `config`
+    /// with the given watchdog thresholds. Rejects block (BA) fabrics and
+    /// comparison modes the software oracle does not model.
+    pub fn with_telemetry(config: FabricConfig, watchdog: DecisionWatchdog) -> Result<Self> {
         if !matches!(config.kind, FabricConfigKind::WinnerOnly) {
             return Err(Error::Config(
                 "failover supervision needs a winner-only (WR) fabric: the software \
@@ -135,14 +166,8 @@ impl FailoverScheduler {
             reattaches: 0,
             overload: None,
             ledger: RecoveryLedger::new(),
-            trace: SupervisorTrace::new(),
+            trace: Default::default(),
         })
-    }
-
-    /// A supervised scheduler with the default watchdog (trip after 4
-    /// stuck cycles, re-attach after 16 healthy ones).
-    pub fn with_default_watchdog(config: FabricConfig) -> Result<Self> {
-        Self::new(config, DecisionWatchdog::default())
     }
 
     /// The current scheduling path.
@@ -508,23 +533,9 @@ impl FailoverScheduler {
     pub fn inject_crash(&mut self) {
         self.fabric.inject_crash();
     }
-
-    /// Wires a shared flight recorder to the supervisor: every path switch
-    /// records one `Failover` control event (detail 1 = to software, 0 =
-    /// re-attach), and the hardware→software direction also takes an
-    /// automatic [`ss_telemetry::DumpReason::WatchdogTrip`] dump; a
-    /// degradation-ladder rung change records `RungChange` and dumps with
-    /// [`ss_telemetry::DumpReason::RungChange`] (detail = new rung,
-    /// arg = old rung; 0 full-QoS, 1 shed-optional, 2 FCFS-drain); every
-    /// arrival the ladder refuses records a control `Shed`
-    /// (detail `SHED_LADDER`, arg = slot).
-    #[cfg(feature = "telemetry")]
-    pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
-        self.trace.attach_flight(flight);
-    }
 }
 
-impl std::fmt::Debug for FailoverScheduler {
+impl<T: Telemetry> std::fmt::Debug for FailoverScheduler<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FailoverScheduler")
             .field("path", &self.path())
@@ -593,8 +604,13 @@ mod tests {
     /// slot 1 zero-loss — with a fast ladder armed over a capacity of 8 and
     /// the backlog saturated to 16.
     fn saturated_ladder() -> FailoverScheduler {
+        saturated_ladder_with()
+    }
+
+    fn saturated_ladder_with<T: Telemetry>() -> FailoverScheduler<T> {
         let config = FabricConfig::dwcs(2, FabricConfigKind::WinnerOnly);
-        let mut sup = FailoverScheduler::with_default_watchdog(config).unwrap();
+        let watchdog = DecisionWatchdog::default();
+        let mut sup = FailoverScheduler::with_telemetry(config, watchdog).unwrap();
         let optional = StreamState {
             request_period: 2,
             original_window: WindowConstraint { num: 1, den: 2 },
@@ -662,12 +678,11 @@ mod tests {
         sup.enqueue(0, Wrap16(0)).unwrap();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn ladder_refusals_leave_control_shed_events() {
         use ss_telemetry::span::detail;
         use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
-        let mut sup = saturated_ladder();
+        let mut sup = saturated_ladder_with::<Traced>();
         let flight = SharedFlightRecorder::new(64);
         sup.attach_flight_recorder(&flight);
         sup.decision_cycle().unwrap();
@@ -774,13 +789,14 @@ mod tests {
         assert!(sup.decision_cycle().unwrap().is_some());
     }
 
-    #[cfg(all(feature = "faults", feature = "telemetry"))]
+    #[cfg(feature = "faults")]
     #[test]
     fn path_switches_are_traced_and_ledgered() {
         use ss_faults::{FaultConfig, FaultInjector};
         use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
         use std::sync::Arc;
-        let mut sup = FailoverScheduler::new(wr_edf(2), DecisionWatchdog::new(2, 3)).unwrap();
+        let watchdog = DecisionWatchdog::new(2, 3);
+        let mut sup = FailoverScheduler::<Traced>::with_telemetry(wr_edf(2), watchdog).unwrap();
         let flight = SharedFlightRecorder::new(64);
         sup.attach_flight_recorder(&flight);
         let inj = Arc::new(FaultInjector::new(5, FaultConfig::quiet()));
@@ -808,11 +824,12 @@ mod tests {
         assert_eq!(switches, [1, 0]);
     }
 
-    #[cfg(all(feature = "faults", feature = "telemetry"))]
+    #[cfg(feature = "faults")]
     #[test]
     fn failover_takes_automatic_flight_dump() {
         use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
-        let mut sup = FailoverScheduler::new(wr_edf(2), DecisionWatchdog::new(2, 64)).unwrap();
+        let watchdog = DecisionWatchdog::new(2, 64);
+        let mut sup = FailoverScheduler::<Traced>::with_telemetry(wr_edf(2), watchdog).unwrap();
         let flight = SharedFlightRecorder::new(64);
         sup.attach_flight_recorder(&flight);
         sup.load_stream(0, edf_state(1), 1).unwrap();
@@ -834,13 +851,13 @@ mod tests {
             .any(|e| e.stage == Stage::Failover && e.detail == 1));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn rung_change_takes_automatic_flight_dump() {
         use ss_overload::{LadderConfig, PressureConfig, Rung};
         use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
         let config = FabricConfig::dwcs(2, FabricConfigKind::WinnerOnly);
-        let mut sup = FailoverScheduler::with_default_watchdog(config).unwrap();
+        let watchdog = DecisionWatchdog::default();
+        let mut sup = FailoverScheduler::<Traced>::with_telemetry(config, watchdog).unwrap();
         let flight = SharedFlightRecorder::new(64);
         sup.attach_flight_recorder(&flight);
         sup.load_stream(0, edf_state(2), 1).unwrap();

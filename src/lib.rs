@@ -55,7 +55,7 @@
 //! | [`cluster`] | deterministic cluster-scale simulation + soak lab: scenario generators, per-tick invariant engine, flight-dump repro pipeline, `soak` binary |
 //! | [`framework`] | Figure-1 feasibility reasoning and DWCS admission control |
 //! | `ingress` | hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
-//! | `telemetry` | (cargo feature `telemetry`) lock-free metric registry, Table-3 QoS accounting, per-packet stage-event tracing + flight recorder, JSON/Prometheus/Perfetto exporters |
+//! | [`telemetry`] | lock-free metric registry, Table-3 QoS accounting, per-packet stage-event tracing + flight recorder, JSON/Prometheus/Perfetto exporters; schedulers attach it through the `Traced` instantiation ([`core::telem`]) |
 //!
 //! The related-work hardware priority queues (heap, systolic, shift-register,
 //! tree) live in the bench crate as `ss_bench::priorityq`: their one user is
@@ -83,31 +83,26 @@ pub use ss_faults as faults;
 pub use ss_ingress as ingress;
 pub use ss_overload as overload;
 pub use ss_sharded as sharded;
-#[cfg(feature = "telemetry")]
 pub use ss_telemetry as telemetry;
 pub use ss_traffic as traffic;
 pub use ss_types as types;
 
 /// Publishes an `ss_build_info` gauge (value 1) carrying the crate version
 /// and the compiled feature set as labels — the standard Prometheus idiom
-/// for joining metrics against build metadata.
-#[cfg(feature = "telemetry")]
+/// for joining metrics against build metadata. `faults` is the one cargo
+/// feature.
 pub fn publish_build_info(registry: &ss_telemetry::Registry) {
-    let features = [
-        ("telemetry", cfg!(feature = "telemetry")),
-        ("faults", cfg!(feature = "faults")),
-    ]
-    .iter()
-    .filter(|(_, on)| *on)
-    .map(|(name, _)| *name)
-    .collect::<Vec<_>>()
-    .join(",");
+    let features = if cfg!(feature = "faults") {
+        "faults"
+    } else {
+        ""
+    };
     registry
         .gauge_labeled(
             "ss_build_info",
             &[
                 ("version", env!("CARGO_PKG_VERSION")),
-                ("features", &features),
+                ("features", features),
             ],
             "Build metadata (constant 1; labels carry version and features)",
         )
@@ -119,7 +114,8 @@ pub mod prelude {
     pub use crate::failover::{FailoverScheduler, SchedulerPath};
     pub use ss_core::{
         BlockOrder, DecisionOutcome, DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind,
-        ScheduledPacket, SchedulerReport, ShareStreamsScheduler, StreamState, WatchdogVerdict,
+        ScheduledPacket, SchedulerReport, ShareStreamsScheduler, StreamState, Traced,
+        WatchdogVerdict,
     };
     pub use ss_endsystem::{EndsystemConfig, EndsystemPipeline, StreamletSetConfig};
     pub use ss_overload::{LossLedger, LossSite, PressureLevel, Rung};

@@ -365,7 +365,6 @@ fn pci_chaos_delays_but_never_loses_packets() {
 
 /// Fault/recovery counters flow into the shared telemetry registry, so
 /// chaos runs are observable through the same exporters as regular runs.
-#[cfg(feature = "telemetry")]
 #[test]
 fn fault_ledger_publishes_into_telemetry() {
     use sharestreams::telemetry::{MetricValue, Registry};

@@ -66,7 +66,6 @@ fn threaded_paths_keep_the_uniform_totals() {
     assert_eq!((gated.offered, gated.admitted), (total, total));
     let plain = run_threaded(config, states(), arrivals).unwrap();
     let edf = run_threaded_edf(32, WinnerOnly, arrivals).unwrap();
-    #[allow(unused_mut)] // the faults and telemetry legs add their wrappers
     let mut reports = vec![("plain", plain), ("edf", edf), ("overload", gated.report)];
     #[cfg(feature = "faults")]
     {
@@ -76,7 +75,6 @@ fn threaded_paths_keep_the_uniform_totals() {
         let faulted = run(config, states(), arrivals, quiet, RetryPolicy::default());
         reports.push(("faulted", faulted.unwrap()));
     }
-    #[cfg(feature = "telemetry")]
     for gate in [None, Some(gate())] {
         let mut tracing = sharestreams::endsystem::TraceConfig::new(1 << 15, 256);
         tracing.gate = gate;

@@ -25,12 +25,14 @@
 use sharestreams::cluster::{Scenario, ScenarioKind, ScenarioSpec};
 use sharestreams::core::{DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, LatePolicy};
 use sharestreams::core::{RtlFabric, RuleCounters, ScheduledPacket, SlotCounters, StreamState};
+use sharestreams::core::{Telemetry, Traced};
 use sharestreams::disciplines::LatePolicy as SwLate;
 use sharestreams::disciplines::{Discipline, DwcsRef, DwcsStreamConfig, SwPacket};
 use sharestreams::endsystem::Consumer;
 use sharestreams::ingress::{ClientConfig, EdgeMode, FaultConfig, FaultInjector, IngressArrival};
 use sharestreams::ingress::{IngressClient, IngressConfig, IngressServer};
 use sharestreams::sharded::ShardedScheduler;
+use sharestreams::telemetry::{MetricValue, Registry, SpanRecorder};
 use sharestreams::types::{ComparisonMode as Mode, SlotId, WindowConstraint, Wrap16};
 use sharestreams::FailoverScheduler;
 use std::sync::Arc;
@@ -170,6 +172,9 @@ pub(crate) enum Path {
     Scalar,
     /// `Fabric` on the packed arm (on BA, the key and word networks).
     Packed,
+    /// `Fabric<Traced>` on the packed arm with a registry and a span track
+    /// attached: instrumentation must not change a winner.
+    Traced,
     /// `DwcsRef`, the wide-integer software oracle.
     Reference,
     /// `ShardedScheduler` inline at K = 1, 2, 4, 8 shards.
@@ -190,8 +195,8 @@ pub(crate) enum Path {
 }
 
 #[rustfmt::skip]
-pub(crate) const PATHS: [Path; 11] = [
-    Path::Scalar, Path::Packed, Path::Reference, Path::Sharded1, Path::Sharded2, Path::Sharded4,
+pub(crate) const PATHS: [Path; 12] = [
+    Path::Scalar, Path::Packed, Path::Traced, Path::Reference, Path::Sharded1, Path::Sharded2, Path::Sharded4,
     Path::Sharded8, Path::Rtl, Path::RtlAhead, Path::Failover, Path::Loopback,
 ];
 
@@ -253,7 +258,7 @@ pub(crate) fn end(now: u64, counters: impl Iterator<Item = SlotCounters>) -> End
     }
 }
 
-pub(crate) fn fabric_end(f: &Fabric) -> End {
+pub(crate) fn fabric_end<T: Telemetry>(f: &Fabric<T>) -> End {
     let counters = (0..f.config().slots).map(|s| *f.slot_counters(s).unwrap());
     let mut end = end(f.now(), counters);
     (end.rules, end.hw_cycles) = (Some(f.rule_counters()), Some(f.hw_cycles()));
@@ -268,6 +273,8 @@ pub(crate) const MUTANT_AT: u64 = 100;
 pub(crate) enum Run {
     /// The scalar or the packed arm.
     Fabric(Fabric),
+    /// The packed arm, instrumented and attached, and its registry.
+    Traced(Fabric<Traced>, Registry),
     /// The packed arm with the first two packets of tick `MUTANT_AT`'s
     /// block swapped, and its tick.
     Mutant(Fabric, u64),
@@ -291,6 +298,7 @@ impl Run {
         let state = state.clone();
         match self {
             Run::Fabric(f) | Run::Mutant(f, _) => f.load_stream(slot, state, first).unwrap(),
+            Run::Traced(f, _) => f.load_stream(slot, state, first).unwrap(),
             Run::Rtl(rtl, loads) => {
                 *loads += 1;
                 rtl.load_stream(slot, state, first).unwrap()
@@ -305,6 +313,7 @@ impl Run {
     pub(crate) fn arrive(&mut self, slot: usize, tag: u16) {
         match self {
             Run::Fabric(f) | Run::Mutant(f, _) => f.push_arrival(slot, Wrap16(tag)).unwrap(),
+            Run::Traced(f, _) => f.push_arrival(slot, Wrap16(tag)).unwrap(),
             Run::Rtl(rtl, _) => rtl.push_arrival(slot, Wrap16(tag)).unwrap(),
             Run::Sharded(s) => s.push_arrival(slot, Wrap16(tag)).unwrap(),
             Run::Reference(r) => r.arrive(slot, tag),
@@ -318,6 +327,7 @@ impl Run {
         let (state, now) = (state.clone(), self.now());
         let reloaded = match self {
             Run::Fabric(f) | Run::Mutant(f, _) => f.unload_stream(slot),
+            Run::Traced(f, _) => f.unload_stream(slot),
             Run::Sharded(s) => s.unload_stream(slot),
             Run::Loopback(l) => l.flush().fabric.unload_stream(slot),
             _ => unreachable!("the restriction table keeps this path off churn classes"),
@@ -329,6 +339,7 @@ impl Run {
     fn now(&self) -> u64 {
         match self {
             Run::Fabric(f) | Run::Mutant(f, _) => f.now(),
+            Run::Traced(f, _) => f.now(),
             Run::Rtl(rtl, _) => rtl.now(),
             Run::Sharded(s) => s.now(),
             Run::Reference(r) => r.now,
@@ -340,6 +351,7 @@ impl Run {
     fn decide(&mut self, out: &mut Vec<ScheduledPacket>) {
         match self {
             Run::Fabric(f) => out.extend_from_slice(f.decision_cycle_into()),
+            Run::Traced(f, _) => out.extend_from_slice(f.decision_cycle_into()),
             Run::Mutant(f, tick) => {
                 let at = out.len();
                 out.extend_from_slice(f.decision_cycle_into());
@@ -369,6 +381,18 @@ impl Run {
         let now = self.now();
         match self {
             Run::Fabric(f) | Run::Mutant(f, _) => fabric_end(&f),
+            Run::Traced(mut f, registry) => {
+                f.flush_telemetry();
+                let (snap, name) = (registry.snapshot(), "ss_fabric_decision_cycles_total");
+                let counted = snap.metrics.iter().find(|m| m.name == name);
+                let want = MetricValue::Counter(f.decision_count());
+                assert_eq!(
+                    counted.map(|m| &m.value),
+                    Some(&want),
+                    "a cycle went unseen"
+                );
+                fabric_end(&f)
+            }
             Run::Rtl(rtl, loads) => {
                 let c = rtl.config();
                 let mut end = end(now, (0..c.slots).map(|s| rtl.slot_counters(s).unwrap()));
@@ -539,6 +563,13 @@ pub(crate) fn start(path: Path, trace: &Trace) -> Run {
     let mut run = match path {
         Path::Scalar => Run::Fabric(fabric(false)),
         Path::Packed => Run::Fabric(fabric(true)),
+        Path::Traced => {
+            let (mut f, registry) = (Fabric::with_telemetry(config).unwrap(), Registry::new());
+            f.attach_telemetry(&registry, 0);
+            // The track's ring is `Arc`-backed: the fabric keeps it alive.
+            f.attach_spans(&SpanRecorder::new(1024), 0, "traced");
+            Run::Traced(f, registry)
+        }
         Path::Reference => {
             let edf = config.mode == Mode::Edf;
             Run::Reference(Reference {

@@ -16,8 +16,6 @@
 //! Chaos schedules are pinned (`ss-faults` SplitMix64 streams), so a
 //! failure here is a reproducible bug report, not a flaky roll.
 
-#![cfg(feature = "telemetry")]
-
 use proptest::prelude::*;
 use sharestreams::core::LatePolicy;
 use sharestreams::prelude::*;
@@ -235,8 +233,8 @@ fn watchdog_trip_takes_automatic_flight_dump() {
 fn sharded_merge_spans_are_causal_with_valid_provenance() {
     let slots = 16usize;
     let recorder = SpanRecorder::new(1 << 12);
-    let mut sched =
-        ShardedScheduler::new(FabricConfig::edf(slots, FabricConfigKind::WinnerOnly), 4).unwrap();
+    let config = FabricConfig::edf(slots, FabricConfigKind::WinnerOnly);
+    let mut sched = ShardedScheduler::<Traced>::with_telemetry(config, 4).unwrap();
     for s in 0..slots {
         sched
             .load_stream(s, edf_state(slots as u64), (s + 1) as u64)
@@ -309,11 +307,12 @@ fn build_info_gauge_carries_version_and_features() {
             .unwrap_or_default()
     };
     assert_eq!(label("version"), env!("CARGO_PKG_VERSION"));
-    assert!(
-        label("features").contains("telemetry"),
-        "feature list names the compiled features, got {:?}",
-        label("features")
-    );
+    let compiled = if cfg!(feature = "faults") {
+        "faults"
+    } else {
+        ""
+    };
+    assert_eq!(label("features"), compiled, "names the compiled features");
     assert!(registry
         .snapshot()
         .to_prometheus()

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sharestreams::core::{Fabric, LatePolicy, StreamState};
+use sharestreams::core::{Fabric, LatePolicy, StreamState, Telemetry, Traced};
 use sharestreams::prelude::*;
 use sharestreams::sharded::ShardedScheduler;
 
@@ -79,7 +79,11 @@ fn edf_state() -> StreamState {
 
 /// Builds a fully backlogged fabric with `depth` queued arrivals per slot.
 fn backlogged(slots: usize, kind: FabricConfigKind, depth: usize) -> Fabric {
-    let mut f = Fabric::new(FabricConfig::edf(slots, kind)).unwrap();
+    backlogged_with(slots, kind, depth)
+}
+
+fn backlogged_with<T: Telemetry>(slots: usize, kind: FabricConfigKind, depth: usize) -> Fabric<T> {
+    let mut f = Fabric::with_telemetry(FabricConfig::edf(slots, kind)).unwrap();
     for s in 0..slots {
         f.load_stream(s, edf_state(), (s + 1) as u64).unwrap();
         for a in 0..depth {
@@ -91,7 +95,7 @@ fn backlogged(slots: usize, kind: FabricConfigKind, depth: usize) -> Fabric {
 
 /// Refills exactly the slots serviced this cycle, so queue depth — and thus
 /// VecDeque capacity — never grows past the warmed-up high-water mark.
-fn refill(f: &mut Fabric, tag: &mut u64) {
+fn refill<T: Telemetry>(f: &mut Fabric<T>, tag: &mut u64) {
     for i in 0..f.last_block().len() {
         let slot = f.last_block()[i].slot.index();
         *tag += 1;
@@ -206,10 +210,9 @@ fn steady_state_decision_cycles_do_not_allocate() {
     // allocated at attach time; the measured span crosses the
     // 4096-decision auto-flush boundary, so the counter also proves the
     // local-accumulator drain into the striped registry never allocates.
-    #[cfg(feature = "telemetry")]
     {
         let registry = sharestreams::telemetry::Registry::new();
-        let mut wr = backlogged(SLOTS, FabricConfigKind::WinnerOnly, DEPTH);
+        let mut wr = backlogged_with::<Traced>(SLOTS, FabricConfigKind::WinnerOnly, DEPTH);
         wr.attach_telemetry(&registry, 0);
         for _ in 0..WARMUP {
             wr.decision_cycle_into();
@@ -227,9 +230,8 @@ fn steady_state_decision_cycles_do_not_allocate() {
             "attached WR decision_cycle_into allocated in steady state"
         );
 
-        let mut sharded =
-            ShardedScheduler::new(FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly), 4)
-                .unwrap();
+        let config = FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly);
+        let mut sharded = ShardedScheduler::<Traced>::with_telemetry(config, 4).unwrap();
         for s in 0..SLOTS {
             sharded.load_stream(s, edf_state(), (s + 1) as u64).unwrap();
             for a in 0..DEPTH {
@@ -268,7 +270,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
         // over and the measured span covers the overwrite path, not just
         // the initial fill.
         let spans = sharestreams::telemetry::SpanRecorder::new(256);
-        let mut traced = backlogged(SLOTS, FabricConfigKind::WinnerOnly, DEPTH);
+        let mut traced = backlogged_with::<Traced>(SLOTS, FabricConfigKind::WinnerOnly, DEPTH);
         traced.attach_spans(&spans, 0, "zero-alloc");
         for _ in 0..WARMUP {
             traced.decision_cycle_into();
