@@ -4,6 +4,7 @@
 //! per firing rule — the hot inner loop of every fabric simulation. (In
 //! hardware this is one cycle by construction; here the numbers bound the
 //! simulator's fidelity-per-second.)
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ss_core::DecisionBlock;

@@ -5,6 +5,7 @@
 //! * the deterministic pipeline's per-frame cost;
 //! * push-PIO vs pull-DMA transfer strategies (the paper's §4.3 tradeoff);
 //! * streamlet-mux service cost (the aggregation hot path).
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};

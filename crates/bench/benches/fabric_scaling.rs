@@ -6,6 +6,7 @@
 //! counts are deterministic (log2 N per decision); this measures the
 //! *simulator's* cost per decision so the experiment binaries' runtimes
 //! stay predictable.
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ss_core::decision::compare_batch;

@@ -5,6 +5,7 @@
 //! * `static_tags` — fair-queuing style: insert + extract-min, no resort;
 //! * `wc_resort` — window-constrained style: every stored key changes each
 //!   decision, forcing a drain-and-refill (the cost the shuffle avoids).
+#![allow(clippy::unwrap_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ss_bench::priorityq::{

@@ -15,6 +15,7 @@
 //! scalar and batched zero-alloc, BA and WR), and aggregate decisions/s for
 //! the threaded sharded frontend over shards ∈ {1, 2, 4, 8} (per-shard
 //! width ≥ 2).
+#![allow(clippy::unwrap_used)]
 
 use serde::Serialize;
 use ss_bench::banner;

@@ -29,6 +29,7 @@
 //! off, detached and attached for WR and BA (scalar and batched) at 32
 //! slots, plus the overhead gates. The gates only fail the process under
 //! `SS_BENCH_ENFORCE=1` — untuned CI containers report without gating.
+#![allow(clippy::unwrap_used)]
 
 use serde::Serialize;
 use ss_bench::banner;

@@ -5,8 +5,9 @@
 //! refusal) degrades to a no-op.
 //!
 //! The syscall is issued through a raw `asm!` block rather than libc —
-//! this workspace builds offline with no external crates — and is the
-//! crate's only unsafe code, allow-listed in `lint.toml`.
+//! this workspace builds offline with no external crates. With the SPSC
+//! ring it is the crate's unsafe code: the `allow` below exempts it from
+//! the workspace's `unsafe_code = "deny"`.
 #![allow(unsafe_code)]
 
 /// Pins the calling thread to `cpu` (a zero-based logical CPU index).

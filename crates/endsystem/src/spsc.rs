@@ -11,6 +11,7 @@
 //! other's pointer with acquire loads / publishes its own with release
 //! stores. Slots use `MaybeUninit` so no default value is required; the
 //! ring drops any remaining items when both endpoints are gone.
+#![allow(unsafe_code)]
 
 use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;

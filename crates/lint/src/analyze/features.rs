@@ -4,23 +4,22 @@
 //! gated `#[cfg(feature = "f")]` with a same-named zero-sized twin under
 //! `#[cfg(not(feature = "f"))]`, re-exported under one name, so call
 //! sites compile in every configuration and the off-state erases to
-//! nothing. Three checks keep that idiom honest:
+//! nothing. Two checks keep that idiom honest:
 //!
 //! 1. **Matching arms** — every item declared under `not(feature = "f")`
 //!    must have a same-named on-arm (`feature = "f"`) in the same file. An
 //!    off-arm with no on-arm twin is rot: it only ever existed to mirror
 //!    something.
-//! 2. **ZST off-arm** — an off-arm `struct` twin must carry no fields
-//!    (unit or empty body). A stateful off-arm contradicts the zero-cost
-//!    promise each stub's `size_of == 0` const assertion enforces at
-//!    compile time — this catches it at lint time, before a build.
-//! 3. **No unguarded calls into gated items** — a call site whose *every*
+//! 2. **No unguarded calls into gated items** — a call site whose *every*
 //!    resolved candidate requires `feature = "f"` must itself be guarded
 //!    on `f` (enclosing item cfg or statement-level `#[cfg]`). If any
 //!    candidate is an off-arm or ungated, the call compiles everywhere
 //!    and passes.
 //!
-//! Check 3 runs on name-resolution evidence and only on **same-crate**
+//! That an off-arm is zero-sized is the compiler's to check: each stub
+//! carries its own `const _: () = assert!(size_of::<T>() == 0);`.
+//!
+//! Check 2 runs on name-resolution evidence and only on **same-crate**
 //! edges: a cross-crate call into a gated item is already compile-checked
 //! by cargo — the dependent crate must enable the feature in its
 //! `Cargo.toml`, or the symbol does not exist and the per-leg build
@@ -39,7 +38,7 @@ pub const ID: &str = "feature-cfg";
 
 /// Runs the pass.
 pub fn check(analysis: &Analysis<'_>, _cfg: &Config, report: &mut Report) {
-    matching_arms_and_zst(analysis, report);
+    matching_arms(analysis, report);
     unguarded_calls(analysis, report);
 }
 
@@ -53,7 +52,7 @@ fn feature_of(cfg: &[CfgAtom]) -> Option<(&str, bool)> {
     })
 }
 
-fn matching_arms_and_zst(analysis: &Analysis<'_>, report: &mut Report) {
+fn matching_arms(analysis: &Analysis<'_>, report: &mut Report) {
     // (file, feature, name) → has on-arm / off-arm, per item namespace.
     let mut types: BTreeMap<(usize, String, String), (bool, bool)> = BTreeMap::new();
     for t in &analysis.types {
@@ -82,17 +81,6 @@ fn matching_arms_and_zst(analysis: &Analysis<'_>, report: &mut Report) {
                 t.line,
                 format!(
                     "off-arm `{}` (cfg(not(feature = \"{feat}\")))  has no matching on-arm in this file",
-                    t.name
-                ),
-            );
-        }
-        if t.kind == "struct" && !zst_shaped(analysis, t) {
-            report.violation(
-                ID,
-                &file,
-                t.line,
-                format!(
-                    "off-arm struct `{}` for feature \"{feat}\" carries fields — the feature-off state must be zero-sized",
                     t.name
                 ),
             );
@@ -135,19 +123,6 @@ fn matching_arms_and_zst(analysis: &Analysis<'_>, report: &mut Report) {
                     "off-arm fn `{name}` (cfg(not(feature = \"{feat}\"))) has no matching on-arm in this file"
                 ),
             );
-        }
-    }
-}
-
-fn zst_shaped(analysis: &Analysis<'_>, t: &super::symbols::TypeSym) -> bool {
-    match t.body {
-        None => true, // unit struct
-        Some((start, end)) => {
-            let f = &analysis.ws.files[analysis.files[t.file]];
-            // Fields mean `name: Type` — a `:` in the masked body. `::`
-            // paths cannot appear without a field to put them in, and
-            // where-clauses precede the body for structs with `{}`.
-            !f.masked.text[start..end].contains(':')
         }
     }
 }

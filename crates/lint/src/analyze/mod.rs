@@ -12,8 +12,7 @@
 //! * [`reachability`] — transitive hot-path purity: walks the graph from
 //!   every hot root and reports forbidden sinks with a witness call path.
 //! * [`features`] — feature-cfg consistency: on/off hook arms must match,
-//!   off-arms must be ZST-shaped, and unguarded code must not call into
-//!   feature-gated items.
+//!   and unguarded code must not call into feature-gated items.
 //! * [`interleave`] — a bounded-exhaustive two-thread interleaving
 //!   checker (a miniature loom) with Acquire/Release visibility, plus
 //!   [`models`] for the workspace's two lock-free protocols.

@@ -89,7 +89,8 @@ impl FnSym {
     }
 }
 
-/// One type item (`struct`/`enum`), kept for the feature-cfg ZST check.
+/// One type item (`struct`/`enum`): feature-cfg pairs its arms, and the
+/// call graph resolves receivers through its field types.
 #[derive(Debug, Clone)]
 pub struct TypeSym {
     /// Type name.
@@ -98,10 +99,6 @@ pub struct TypeSym {
     pub file: usize,
     /// 1-based line of the keyword.
     pub line: usize,
-    /// `"struct"` or `"enum"`.
-    pub kind: &'static str,
-    /// Body span (brace/paren group), `None` for unit structs.
-    pub body: Option<(usize, usize)>,
     /// Full cfg context (own + enclosing scopes + file).
     pub cfg: Vec<CfgAtom>,
     /// Named fields of a braced struct: `(field name, type idents)`. The
@@ -458,8 +455,6 @@ fn parse_type(
             name,
             file,
             line: f.masked.line_of(kw_start),
-            kind,
-            body,
             cfg,
             fields,
         }),
@@ -824,13 +819,11 @@ mod tests {
     }
 
     #[test]
-    fn type_bodies_and_unit_structs() {
+    fn every_type_shape_is_recorded() {
         let s = syms("struct Z;\nstruct F { a: u32 }\nstruct T(u8);\nenum E { A, B }\n");
-        assert_eq!(s.types.len(), 4);
-        assert!(s.types[0].body.is_none());
-        assert!(s.types[1].body.is_some());
-        assert!(s.types[2].body.is_some());
-        assert_eq!(s.types[3].kind, "enum");
+        let names: Vec<&str> = s.types.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["Z", "F", "T", "E"]);
+        assert_eq!(s.types[3].line, 4);
     }
 
     #[test]

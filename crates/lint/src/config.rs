@@ -216,10 +216,6 @@ pub struct InterleaveProtocol {
 pub struct Config {
     /// Path prefixes excluded from every rule.
     pub exclude: Vec<String>,
-    /// Files allowed to contain `unsafe` (each site still needs `// SAFETY:`).
-    pub unsafe_allow_files: Vec<String>,
-    /// Files that must carry `#![forbid(unsafe_code)]`.
-    pub forbid_unsafe_files: Vec<String>,
     /// Tokens forbidden in everything reachable from a `// lint:hot-path`
     /// annotated function.
     pub hot_forbidden: Vec<String>,
@@ -227,12 +223,6 @@ pub struct Config {
     pub flag_seqcst: bool,
     /// The declared acquire/release protocol.
     pub protocol: Vec<ProtocolRule>,
-    /// Extra path prefixes exempt from the error-discipline rule (on top
-    /// of `tests/`, `benches/`, `examples/` anywhere in the tree).
-    pub error_exclude: Vec<String>,
-    /// Accept `.expect("non-empty literal")` as the sanctioned
-    /// panic-on-broken-invariant idiom; `.unwrap()` stays banned.
-    pub allow_expect_with_message: bool,
     /// Lock-free protocols explored by the interleaving checker.
     pub interleave: Vec<InterleaveProtocol>,
     /// Cargo features active for this run (CLI `--features`, not
@@ -261,10 +251,8 @@ impl Config {
     pub fn from_doc(doc: &Doc) -> Result<Config, ConfigError> {
         let empty = Table::new();
         let ws = doc.table("workspace").unwrap_or(&empty);
-        let uns = doc.table("unsafe").unwrap_or(&empty);
         let hot = doc.table("hot_path").unwrap_or(&empty);
         let atomics = doc.table("atomics").unwrap_or(&empty);
-        let errors = doc.table("error_discipline").unwrap_or(&empty);
 
         let mut protocol = Vec::new();
         for t in doc.tables("atomics.protocol") {
@@ -292,16 +280,9 @@ impl Config {
         }
         Ok(Config {
             exclude: strings(ws, "exclude"),
-            unsafe_allow_files: strings(uns, "allow_files"),
-            forbid_unsafe_files: strings(uns, "forbid_files"),
             hot_forbidden: strings(hot, "forbidden"),
             flag_seqcst: matches!(atomics.get("flag_seqcst"), Some(Value::Bool(true)) | None),
             protocol,
-            error_exclude: strings(errors, "exclude"),
-            allow_expect_with_message: matches!(
-                errors.get("allow_expect_with_message"),
-                Some(Value::Bool(true))
-            ),
             interleave,
             active_features: Vec::new(),
         })
@@ -324,10 +305,10 @@ mod tests {
 [workspace]
 exclude = ["target", "crates/lint/tests/fixtures"]
 
-[unsafe]
-allow_files = [
-    "crates/endsystem/src/spsc.rs",  # SPSC ring
-    "tests/zero_alloc.rs",
+[hot_path]
+forbidden = [
+    "panic!",  # a comment inside the array
+    "Vec::new",
 ]
 
 [atomics]
@@ -338,15 +319,11 @@ file = "crates/endsystem/src/spsc.rs"
 atomic = "write"
 op = "store"
 require = "Release"
-
-[error_discipline]
-allow_expect_with_message = true
 "#;
         let cfg = Config::parse(src).expect("parses");
         assert_eq!(cfg.exclude.len(), 2);
-        assert_eq!(cfg.unsafe_allow_files.len(), 2);
+        assert_eq!(cfg.hot_forbidden, ["panic!", "Vec::new"]);
         assert!(cfg.flag_seqcst);
-        assert!(cfg.allow_expect_with_message);
         assert_eq!(cfg.protocol.len(), 1);
         assert_eq!(cfg.protocol[0].require, "Release");
     }

@@ -11,7 +11,7 @@
 //! the original exactly.
 //!
 //! The comment text itself is collected separately (with line spans) for
-//! the `// SAFETY:` adjacency check and for `lint:allow(...)` waivers.
+//! `lint:allow(...)` waivers and `// lint:hot-path` annotations.
 
 /// One comment (line or block, including doc comments) with its line span.
 #[derive(Debug, Clone)]
@@ -392,57 +392,6 @@ pub fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
     None
 }
 
-/// Byte ranges of `#[cfg(test)]`-gated items (the attribute through the end
-/// of the following braced block or `;`-terminated item).
-pub fn cfg_test_ranges(masked: &str) -> Vec<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    let mut ranges = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = masked[from..].find("#[cfg(test)]") {
-        let start = from + pos;
-        let mut j = start + "#[cfg(test)]".len();
-        // Skip whitespace and any further attributes.
-        loop {
-            while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-                j += 1;
-            }
-            if bytes.get(j) == Some(&b'#') && bytes.get(j + 1) == Some(&b'[') {
-                let mut depth = 0usize;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'[' => depth += 1,
-                        b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            } else {
-                break;
-            }
-        }
-        // Scan to the item's `{` (then match braces) or `;` (use decls).
-        while j < bytes.len() && bytes[j] != b'{' && bytes[j] != b';' {
-            j += 1;
-        }
-        let end = if bytes.get(j) == Some(&b'{') {
-            matching_brace(bytes, j)
-                .map(|c| c + 1)
-                .unwrap_or(bytes.len())
-        } else {
-            (j + 1).min(bytes.len())
-        };
-        ranges.push((start, end));
-        from = end.max(start + 1);
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,16 +443,6 @@ mod tests {
         assert!(!src[a..b].contains("other"));
         assert!(src[bodies[1].0..bodies[1].1].contains("second"));
         assert!(find_fn_bodies(src, "beta").is_empty());
-    }
-
-    #[test]
-    fn cfg_test_blocks_are_ranged() {
-        let src = "fn live() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }\n";
-        let ranges = cfg_test_ranges(src);
-        assert_eq!(ranges.len(), 1);
-        let (s, e) = ranges[0];
-        assert!(src[s..e].contains("y.unwrap"));
-        assert!(!src[s..e].contains("x.unwrap"));
     }
 
     #[test]

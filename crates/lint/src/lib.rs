@@ -3,25 +3,27 @@
 //!
 //! The paper's performance story rests on hand-maintained properties: the
 //! single-cycle Decision blocks demand a zero-allocation, panic-free
-//! fabric hot path; the endsystem's "synchronization-free" SPSC circular
-//! buffers are a hand-rolled acquire/release protocol; and the `faults`
-//! hooks promise zero-sized off-states (each stub carries its own
-//! `size_of == 0` const assertion, which the compiler checks). This tool
-//! turns the rest into machine-checked rules, run on every commit:
+//! fabric hot path, and the endsystem's "synchronization-free" SPSC
+//! circular buffers are a hand-rolled acquire/release protocol. What a
+//! compiler can check is left to it: the workspace manifest denies rustc's
+//! `unsafe_code` (the four files that opt out of it are the whole unsafe
+//! surface) and clippy's `undocumented_unsafe_blocks`,
+//! `missing_safety_doc` and `unwrap_used`, and each `faults` stub carries
+//! its own `size_of == 0` const assertion. This tool turns the rest into
+//! machine-checked rules, run on every commit:
 //!
 //! | rule id            | invariant                                             |
 //! |--------------------|-------------------------------------------------------|
-//! | `unsafe-hygiene`   | `unsafe` only in allowlisted files, each site with an adjacent `// SAFETY:` comment; all other crates carry `#![forbid(unsafe_code)]` |
 //! | `atomics-ordering` | every `Ordering::` site matches the declared protocol (SeqCst banned, undeclared acq/rel flagged) |
-//! | `error-discipline` | no `.unwrap()` outside tests; `.expect` needs a literal invariant message |
 //! | `call-graph`       | every `// lint:hot-path` annotation attaches to a function definition |
 //! | `hot-path-reachability` | nothing reachable from a `// lint:hot-path` function contains a panic/alloc/format token (witness call path printed) |
-//! | `feature-cfg`      | feature on/off hook arms match; off-arms are ZST-shaped; unguarded code never calls gated items |
+//! | `feature-cfg`      | feature on/off hook arms match; unguarded code never calls gated items |
 //! | `spsc-interleave`  | the lock-free protocols survive exhaustive bounded interleaving with the orderings extracted from source |
 //!
 //! Configuration lives in the checked-in `lint.toml` at the workspace
 //! root. Individual sites can be waived with
 //! `// lint:allow(rule-id) -- rationale` (the rationale is mandatory).
+//! The waivers themselves are audited under [`WAIVERS_ID`].
 //! The tool is dependency-free: it carries its own minimal Rust lexer
 //! (`lexer`), a TOML-subset reader (`config`), and the rule passes
 //! (`rules`). Run as:
@@ -45,18 +47,21 @@ use std::collections::BTreeMap;
 use std::fmt;
 use workspace::Workspace;
 
-/// Every rule id, in report order. The first three are the per-file token
-/// rules; the last four are the workspace-level analyses built on the
-/// symbol table and call graph (see [`analyze`]).
-pub const RULE_IDS: [&str; 7] = [
-    rules::unsafe_hygiene::ID,
+/// Every rule id, in report order. The first is the per-file token rule;
+/// the last four are the workspace-level analyses built on the symbol
+/// table and call graph (see [`analyze`]).
+pub const RULE_IDS: [&str; 5] = [
     rules::atomics::ID,
-    rules::errors::ID,
     analyze::callgraph::ID,
     analyze::reachability::ID,
     analyze::features::ID,
     analyze::interleave::ID,
 ];
+
+/// The id the waiver audit reports under: a `lint:allow` naming an unknown
+/// rule, or a `.ci/tsan-suppressions.txt` entry without a rationale. It is
+/// not a rule: it cannot be selected with `--rule` or waived.
+pub const WAIVERS_ID: &str = "waivers";
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,9 +121,7 @@ impl Report {
 /// `--rule`; [`run_all`] builds it once and shares it.
 pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     match rule {
-        "unsafe-hygiene" => rules::unsafe_hygiene::check(ws, cfg, report),
         "atomics-ordering" => rules::atomics::check(ws, cfg, report),
-        "error-discipline" => rules::errors::check(ws, cfg, report),
         "call-graph" => {
             let analysis = analyze::callgraph::Analysis::build(ws, cfg);
             analyze::callgraph::check(&analysis, report);
@@ -136,14 +139,12 @@ pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     }
 }
 
-/// Runs all seven rules plus waiver-syntax validation and the sanitizer-
+/// Runs all five rules plus waiver-syntax validation and the sanitizer-
 /// suppression staleness check, sharing one call graph across the
 /// analysis passes.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
     let mut report = Report::default();
-    for rule in &RULE_IDS[..3] {
-        run_rule(rule, ws, cfg, &mut report);
-    }
+    rules::atomics::check(ws, cfg, &mut report);
     let analysis = analyze::callgraph::Analysis::build(ws, cfg);
     analyze::callgraph::check(&analysis, &mut report);
     analyze::reachability::check(&analysis, cfg, &mut report);
@@ -155,8 +156,8 @@ pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
 }
 
 /// `.ci/tsan-suppressions.txt` staleness check (reported under
-/// `unsafe-hygiene`, whose remit is the sanctioned-unsafe surface):
-/// every active suppression line must be preceded by a `# rationale:`
+/// [`WAIVERS_ID`]: a suppression is a waiver of the race detector): every
+/// active suppression line must be preceded by a `# rationale:`
 /// comment naming why the race report is a false positive, so entries
 /// can't silently accrete without a written argument.
 fn tsan_suppressions(ws: &Workspace, report: &mut Report) {
@@ -181,7 +182,7 @@ fn tsan_suppressions(ws: &Workspace, report: &mut Report) {
         report.stat("tsan suppressions audited");
         if !prev_rationale {
             report.violation(
-                rules::unsafe_hygiene::ID,
+                WAIVERS_ID,
                 rel,
                 idx + 1,
                 format!(
@@ -195,14 +196,14 @@ fn tsan_suppressions(ws: &Workspace, report: &mut Report) {
 
 /// Validates waiver comments themselves: the rule id must exist and the
 /// `-- rationale` tail is mandatory. A malformed waiver is a violation of
-/// the rule it names (or `unsafe-hygiene`'s id-space when unknown), so a
+/// the rule it names (or of [`WAIVERS_ID`] when the rule is unknown), so a
 /// typo can never silently disable a check.
 fn waiver_syntax(ws: &Workspace, report: &mut Report) {
     for f in &ws.files {
         for w in &f.waivers {
             match RULE_IDS.iter().find(|id| **id == w.rule) {
                 None => report.violation(
-                    rules::unsafe_hygiene::ID,
+                    WAIVERS_ID,
                     &f.rel,
                     w.line,
                     format!(

@@ -1,12 +1,11 @@
-//! The three per-file rule implementations.
+//! The per-file token rule, and the token helpers it shares with the
+//! analyses.
 //!
-//! Every rule works on masked source (see [`crate::lexer`]), reports
+//! The rule works on masked source (see [`crate::lexer`]), reports
 //! [`Violation`](crate::Violation)s with file:line positions, and honors
-//! per-site `// lint:allow(rule-id) -- rationale` waivers where documented.
+//! per-site `// lint:allow(rule-id) -- rationale` waivers.
 
 pub mod atomics;
-pub mod errors;
-pub mod unsafe_hygiene;
 
 use crate::lexer::is_ident_byte;
 

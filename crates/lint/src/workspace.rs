@@ -181,10 +181,10 @@ mod tests {
     fn waiver_without_rationale_never_applies() {
         let f = SourceFile::from_text(
             "x.rs",
-            "// lint:allow(error-discipline)\nx.unwrap();\n".into(),
+            "// lint:allow(atomics-ordering)\nx.load(Ordering::SeqCst);\n".into(),
         );
         assert_eq!(f.waivers.len(), 1);
         assert!(f.waivers[0].rationale.is_empty());
-        assert!(!f.waived("error-discipline", 2));
+        assert!(!f.waived("atomics-ordering", 2));
     }
 }

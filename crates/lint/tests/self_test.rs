@@ -1,13 +1,15 @@
 //! Fixture-driven self-tests: each rule fires exactly as seeded on its
 //! known-bad fixture under `tests/fixtures/` (once, except the hot-path
 //! rule's direct + transitive pair), the waiver machinery suppresses
-//! exactly one more, the CLI exit codes hold, the real workspace's hot-root
-//! count is pinned, and — the gate that matters — the real workspace lints
-//! clean under the checked-in `lint.toml`.
+//! exactly one more, the waiver audit flags an unknown rule id and an
+//! unexplained TSan suppression, the CLI exit codes hold, the real
+//! workspace's hot-root count and the manifest's compiler lints are pinned,
+//! and — the gate that matters — the real workspace lints clean under the
+//! checked-in `lint.toml`.
 
 use ss_lint::config::Config;
-use ss_lint::workspace::{SourceFile, Workspace};
-use ss_lint::{run_all, run_rule, Report};
+use ss_lint::workspace::Workspace;
+use ss_lint::{run_all, run_rule, Report, WAIVERS_ID};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -38,17 +40,7 @@ fn run_fixture_rule(rule: &str) -> Report {
 }
 
 #[test]
-fn unsafe_hygiene_fires_exactly_once() {
-    let r = run_fixture_rule("unsafe-hygiene");
-    assert_eq!(r.violations.len(), 1, "{:#?}", r.violations);
-    let v = &r.violations[0];
-    assert_eq!(v.file, "unsafe_no_comment.rs");
-    assert_eq!(v.line, 5);
-    assert!(v.msg.contains("SAFETY"), "{}", v.msg);
-}
-
-#[test]
-fn atomics_ordering_fires_exactly_once() {
+fn atomics_ordering_fires_exactly_once_and_honors_the_waiver() {
     let r = run_fixture_rule("atomics-ordering");
     assert_eq!(r.violations.len(), 1, "{:#?}", r.violations);
     let v = &r.violations[0];
@@ -56,8 +48,13 @@ fn atomics_ordering_fires_exactly_once() {
     assert!(v.msg.contains("SeqCst"), "{}", v.msg);
     assert_eq!(
         r.stats.get("ordering sites audited"),
-        Some(&8),
-        "the Relaxed sites (including interleave_bad.rs's six) are audited but allowed"
+        Some(&9),
+        "the Relaxed sites (including interleave_bad.rs's six) and the waived SeqCst are audited"
+    );
+    assert_eq!(
+        r.stats.get("waivers honored"),
+        Some(&1),
+        "atomics_waived.rs carries a waiver with rationale"
     );
 }
 
@@ -116,41 +113,27 @@ fn spsc_interleave_fires_exactly_once_with_a_counterexample() {
     );
 }
 
+/// The waiver audit is not a rule, so only `run_all` reaches it: a
+/// `lint:allow` naming an unknown rule and a TSan suppression with no
+/// `# rationale:` line (`tests/fixtures/.ci/tsan-suppressions.txt`) each
+/// report once under [`WAIVERS_ID`].
 #[test]
-fn error_discipline_fires_exactly_once_and_honors_the_waiver() {
-    let r = run_fixture_rule("error-discipline");
-    assert_eq!(r.violations.len(), 1, "{:#?}", r.violations);
-    let v = &r.violations[0];
-    assert_eq!(v.file, "errors_unwrap.rs");
-    assert!(v.msg.contains(".unwrap()"), "{}", v.msg);
+fn waiver_audit_flags_an_unknown_rule_and_an_unexplained_suppression() {
+    let (ws, cfg) = load(&fixtures_root());
+    let report = run_all(&ws, &cfg);
+    let found: Vec<(&str, usize)> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == WAIVERS_ID)
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
     assert_eq!(
-        r.stats.get("waivers honored"),
-        Some(&1),
-        "errors_waived.rs carries a waiver with rationale"
+        found,
+        [("waiver_unknown.rs", 6), (".ci/tsan-suppressions.txt", 6)],
+        "{:#?}",
+        report.violations
     );
-}
-
-/// The checked-in `[error_discipline].exclude` exempts the bench crate's
-/// binaries, not its library: a bare `.unwrap()` in `crates/bench/src/`
-/// (where the priority-queue baselines live) is flagged, one in
-/// `crates/bench/src/bin/` is not.
-#[test]
-fn error_discipline_covers_the_bench_library_but_not_its_binaries() {
-    let (_, cfg) = load(&workspace_root());
-    let body = "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
-    let ws = Workspace {
-        root: workspace_root(),
-        files: [
-            "crates/bench/src/priorityq/probe.rs",
-            "crates/bench/src/bin/probe.rs",
-        ]
-        .map(|rel| SourceFile::from_text(rel, body.to_string()))
-        .into(),
-    };
-    let mut report = Report::default();
-    run_rule("error-discipline", &ws, &cfg, &mut report);
-    let flagged: Vec<&str> = report.violations.iter().map(|v| v.file.as_str()).collect();
-    assert_eq!(flagged, ["crates/bench/src/priorityq/probe.rs"]);
+    assert_eq!(report.stats.get("tsan suppressions audited"), Some(&2));
 }
 
 #[test]
@@ -163,6 +146,7 @@ fn all_rules_together_find_exactly_the_seeded_violations() {
     rules.dedup();
     assert_eq!(rules, {
         let mut all = ss_lint::RULE_IDS.to_vec();
+        all.push(WAIVERS_ID);
         all.sort_unstable();
         all
     });
@@ -222,6 +206,73 @@ fn hot_root_counts_of_the_real_workspace_are_pinned() {
     }
 }
 
+/// The value of `key` in `[table]` of a TOML file (`table` empty for the
+/// top level), as written: a line scan that is enough for the manifests'
+/// plain `key = value` lines.
+fn toml_value<'a>(text: &'a str, table: &str, key: &str) -> Option<&'a str> {
+    let mut current = "";
+    for line in text.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            current = header;
+        } else if let Some((k, v)) = line.split_once('=') {
+            if current == table && k.trim() == key {
+                return Some(v.split('#').next().unwrap_or_default().trim());
+            }
+        }
+    }
+    None
+}
+
+/// Unsafe and unwrap discipline are the compiler's: rustc's `unsafe_code`
+/// and clippy's `undocumented_unsafe_blocks`, `missing_safety_doc` and
+/// `unwrap_used` at `deny` in the root manifest, inherited by every member
+/// through `[lints] workspace = true`, with clippy's test allowance in
+/// `clippy.toml`. Nothing else would notice one of them going missing, so
+/// pin them.
+#[test]
+fn compiler_lints_stay_denied_in_every_member() {
+    let root = workspace_root();
+    let read = |p: PathBuf| std::fs::read_to_string(&p).expect("manifest exists");
+    let manifest = read(root.join("Cargo.toml"));
+    for (table, lint) in [
+        ("workspace.lints.rust", "unsafe_code"),
+        ("workspace.lints.clippy", "undocumented_unsafe_blocks"),
+        ("workspace.lints.clippy", "missing_safety_doc"),
+        ("workspace.lints.clippy", "unwrap_used"),
+    ] {
+        assert_eq!(
+            toml_value(&manifest, table, lint),
+            Some("\"deny\""),
+            "[{table}] {lint}"
+        );
+    }
+    // The root package, then every directory the `members` globs name.
+    let members = toml_value(&manifest, "workspace", "members").expect("members listed");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for glob in members.trim_matches(['[', ']']).split(',') {
+        let dir = glob.trim().trim_matches('"').trim_end_matches("/*");
+        for entry in std::fs::read_dir(root.join(dir)).expect("member directory") {
+            let path = entry.expect("directory entry").path().join("Cargo.toml");
+            if path.exists() {
+                manifests.push(path);
+            }
+        }
+    }
+    assert!(manifests.len() > 2, "{manifests:?}");
+    for path in &manifests {
+        assert_eq!(
+            toml_value(&read(path.clone()), "lints", "workspace"),
+            Some("true"),
+            "{} must inherit the workspace lints",
+            path.display()
+        );
+    }
+    assert_eq!(
+        toml_value(&read(root.join("clippy.toml")), "", "allow-unwrap-in-tests"),
+        Some("true")
+    );
+}
+
 #[test]
 fn cli_exits_nonzero_on_fixtures_and_names_every_rule() {
     let out = Command::new(env!("CARGO_BIN_EXE_ss-lint"))
@@ -231,7 +282,7 @@ fn cli_exits_nonzero_on_fixtures_and_names_every_rule() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "seeded violations exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in ss_lint::RULE_IDS {
+    for rule in ss_lint::RULE_IDS.into_iter().chain([WAIVERS_ID]) {
         assert!(stdout.contains(rule), "stdout names {rule}:\n{stdout}");
     }
 }

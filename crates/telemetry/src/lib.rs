@@ -52,8 +52,8 @@
 //! `shard="<k>"` label.
 
 // `clock::now_tsc` needs the `_rdtsc` intrinsic on x86-64 — the one
-// sanctioned unsafe site in this crate (allow-listed in lint.toml with a
-// `// SAFETY:` argument). Every other target promises safety outright.
+// sanctioned unsafe site in this crate (exempt from the workspace's
+// `unsafe_code = "deny"`, with a `// SAFETY:` argument). Every other target promises safety outright.
 #![cfg_attr(not(target_arch = "x86_64"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

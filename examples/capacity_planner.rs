@@ -8,6 +8,7 @@
 //! a ShareStreams fabric of N stream-slots meet the packet-times of your
 //! link, in which configuration, and if not — what utilization survives,
 //! or how much aggregation closes the gap?
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::framework::{assess, required_decision_rate_hz};
 use sharestreams::hwsim::{FabricConfigKind, VirtexModel};

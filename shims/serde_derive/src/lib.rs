@@ -14,6 +14,7 @@
 //! Generics are not supported; no derived type in the workspace is generic.
 
 #![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used)]
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 

@@ -7,6 +7,7 @@
 //! `Deserialize` traits.
 
 #![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used)]
 
 pub use serde::Value;
 

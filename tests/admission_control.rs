@@ -1,5 +1,6 @@
 //! Admission control meets simulation: request sets the framework admits
 //! run violation-free on the fabric; sets it rejects violate.
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
 use sharestreams::framework::{dwcs_admissible, dwcs_min_utilization, DwcsRequest};

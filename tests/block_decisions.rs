@@ -1,6 +1,7 @@
 //! The Table 3 claims, each a row of the anchor table (`ss_bench::anchors()`)
 //! evaluated at the paper's scale, plus block-mode invariants the paper's
 //! §5.1 discussion relies on.
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::core::{
     BlockOrder, DecisionOutcome, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,

@@ -16,6 +16,7 @@
 //! k), so these runs are reproducible bug reports, not flaky dice rolls.
 
 #![cfg(feature = "faults")]
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::core::LatePolicy;
 use sharestreams::endsystem::{

@@ -1,5 +1,6 @@
 //! The compute-ahead extension (paper §6 future work): identical schedules
 //! at log2(N) cycles per window-constrained decision instead of log2(N)+1.
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::core::{
     Fabric, FabricConfig, FabricConfigKind, LatePolicy, RtlFabric, StreamState,

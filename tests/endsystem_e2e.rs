@@ -1,5 +1,6 @@
 //! End-to-end endsystem scenarios spanning traffic generation, the Queue
 //! Manager, the fabric, and the Transmission Engine.
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::endsystem::{PciModel, TransferStrategy};
 use sharestreams::prelude::*;

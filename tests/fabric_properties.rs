@@ -1,6 +1,7 @@
 //! Property tests over randomized fabric workloads: conservation and
 //! counter-consistency invariants that must hold for *any* stream mix,
 //! any routing configuration, and any arrival pattern.
+#![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 use sharestreams::core::{

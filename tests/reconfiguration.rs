@@ -2,6 +2,7 @@
 //! decisions to bind, unbind, and replace streams while the rest of the
 //! fabric keeps scheduling ("interoperability of scheduling disciplines"
 //! and per-application customization, paper §1).
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::prelude::*;
 

@@ -19,6 +19,7 @@
 //! Invariants checked far past where the ordinary suite looks: 16-bit
 //! tag wrap-around epochs, counter consistency over long horizons, and
 //! fabric/RTL lock-step at scale.
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::core::{
     Fabric, FabricConfig, FabricConfigKind, LatePolicy, RtlFabric, StreamState,

@@ -21,6 +21,7 @@
 //! `sharded_equivalence.rs`. Each uses part of it.
 
 #![allow(dead_code)]
+#![allow(clippy::unwrap_used)]
 
 use sharestreams::cluster::{Scenario, ScenarioKind, ScenarioSpec};
 use sharestreams::core::{DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, LatePolicy};

@@ -12,6 +12,8 @@
 //! to the decision core. The thread-local is const-initialized and holds
 //! a plain `Cell<u64>`, so reading it inside the allocator neither lazily
 //! initializes TLS nor registers a destructor — no recursion.
+#![allow(unsafe_code)]
+#![allow(clippy::unwrap_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
