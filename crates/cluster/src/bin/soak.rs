@@ -2,8 +2,8 @@
 //!
 //! Runs a cluster simulation under a wall-clock budget, appends one
 //! [`TrendPoint`](ss_cluster::report::TrendPoint) to `BENCH_soak.json`,
-//! and on any invariant violation writes the flight dump to disk, prints
-//! the one-line repro command, and exits non-zero.
+//! and on any invariant violation writes the replayed flight dump to
+//! disk, prints the one-line repro command, and exits non-zero.
 //!
 //! ```text
 //! cargo run --release -p ss-cluster --bin soak -- \
@@ -127,7 +127,7 @@ fn run(args: SoakArgs) -> Result<bool, String> {
         return Ok(true);
     }
 
-    // Violation path: persist the flight dump, print the repro, fail.
+    // Violation path: write the replayed flight dump, print the repro, fail.
     for v in &report.violations {
         eprintln!(
             "soak: INVARIANT VIOLATION {} at tick {} on node {}: {}",
@@ -141,8 +141,8 @@ fn run(args: SoakArgs) -> Result<bool, String> {
             .unwrap_or_else(|| "soak_flight_dump.json".to_string());
         std::fs::write(&path, dump.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         // Also render the window as a Perfetto-loadable trace (open it at
-        // ui.perfetto.dev). Flight events are already time-ordered; one
-        // synthetic track carries the whole window.
+        // ui.perfetto.dev; a tick reads as a microsecond). Flight events
+        // are time-ordered; one synthetic track carries the whole window.
         let track = ss_telemetry::TrackDump {
             track: 0,
             name: "cluster-flight".to_string(),

@@ -35,7 +35,7 @@ fn default_config() -> Result<ClusterConfig, String> {
 /// Parses `soak` arguments (everything after `--`). Flags:
 /// `--seed N --scenario S --nodes N --shards K --slots M --ticks T
 ///  --threads H --faults off|light|chaos --sabotage kind@node:tick
-///  --bench PATH --dump PATH --budget-ms MS --record-winners`.
+///  --bench PATH --dump PATH --budget-ms MS`.
 /// Unknown flags are errors so a mistyped repro fails loudly.
 pub fn parse_args(args: &[String]) -> Result<SoakArgs, String> {
     let mut config = default_config()?;
@@ -67,7 +67,6 @@ pub fn parse_args(args: &[String]) -> Result<SoakArgs, String> {
             "--bench" => bench_path = Some(value(&mut i, flag)?),
             "--dump" => dump_path = Some(value(&mut i, flag)?),
             "--budget-ms" => budget_ms = Some(parse_u64(&value(&mut i, flag)?, flag)?),
-            "--record-winners" => config.record_winners = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
         i += 1;

@@ -17,8 +17,8 @@
 //!   ladders — with ss-faults schedules layered on top ([`faults`]);
 //! * a **continuous invariant engine** ([`invariant`]) checking
 //!   conservation, protected floors, virtual-time monotonicity and
-//!   liveness on every virtual tick, dumping the flight recorder and a
-//!   one-line repro command on first violation;
+//!   liveness on every virtual tick; the first violation yields a
+//!   one-line repro command and a flight dump replayed from it;
 //! * the **soak binary** (`--bin soak`) that runs bounded-wall-clock long
 //!   horizons and appends trend points to `BENCH_soak.json` for the
 //!   nightly CI leg.

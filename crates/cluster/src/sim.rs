@@ -20,26 +20,24 @@
 //!    long-lived worker that is *sent* the partition for the epoch and
 //!    sends it back: ownership transfer is the barrier.
 //! 2. **cluster phase, tick order** (sequential, sim thread) — for each
-//!    tick of the epoch, under one timestamp: winners in node order feed
-//!    the flight recorder (which this phase alone owns — no lock) and the
-//!    bounded egress aggregator (the "linecard": drains
-//!    `egress_per_tick`, drops above `egress_queue_cap`, every drop
-//!    counted), then the tick's failed node probes are booked in node
-//!    order, then the egress identity is checked.
+//!    tick of the epoch: winners in node order feed the bounded egress
+//!    aggregator (the "linecard": drains `egress_per_tick`, drops above
+//!    `egress_queue_cap`, every drop counted), then the tick's failed
+//!    node probes are booked in node order, then the egress identity is
+//!    checked.
 //!
 //! An epoch of one tick is the tick-major order this replaces, and what
 //! [`ClusterSim::step_tick`] runs: the oracle
 //! `tests/epoch_equivalence.rs` holds every other epoch length to.
 //!
-//! A violation records an [`ss_telemetry::Stage::InvariantViolation`]
-//! control event, auto-dumps the flight recorder with
-//! [`ss_telemetry::DumpReason::InvariantViolation`], and renders a
-//! one-line repro command (`crate::cli::repro_command`) that replays the
-//! exact `(seed, scenario, topology, faults, sabotage)` tuple. Under
-//! `halt_on_violation` the cluster phase stops on that tick while the
-//! nodes have already run to the end of the epoch; they are rebuilt and
-//! replayed to the halt tick (`ClusterSim::rewind_nodes`) — a run is a pure
-//! function of its config, so the config is the undo log.
+//! A violation is booked and renders a one-line repro command
+//! (`crate::cli::repro_command`) that replays the exact `(seed, scenario,
+//! topology, faults, sabotage)` tuple. A run is a pure function of its
+//! config, so the config is the undo log and the flight recorder both:
+//! under `halt_on_violation` the cluster phase stops on that tick while
+//! the nodes have already run to the end of the epoch, and they are
+//! rebuilt and replayed to it (`ClusterSim::rewind_nodes`); the flight
+//! dump is rebuilt the same way when asked for ([`ClusterSim::dump`]).
 
 use crate::cli;
 use crate::faults::FaultProfile;
@@ -52,7 +50,6 @@ use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
 use ss_endsystem::Worker;
 use ss_faults::rng::mix;
 use ss_overload::LossLedger;
-use ss_telemetry::clock::now_tsc;
 use ss_telemetry::{DumpReason, FlightDump, FlightRecorder, Stage, StageEvent};
 use ss_types::{Error, MAX_SLOTS};
 
@@ -113,7 +110,7 @@ impl std::fmt::Display for Sabotage {
 
 /// Everything a run is a pure function of. `(seed, scenario, topology,
 /// faults, sabotage)` determine every bit of the outcome; `threads` and
-/// the capture/flight knobs never do.
+/// `record_winners` never do.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Master seed: arrival draws and fault streams all derive from it.
@@ -144,8 +141,6 @@ pub struct ClusterConfig {
     pub gate_burst_mtok: u32,
     /// Capture full winner sequences (tests; memory-heavy on long runs).
     pub record_winners: bool,
-    /// Flight-recorder ring capacity (events).
-    pub flight_capacity: usize,
     /// Stop at the first violation (soak keeps the dump either way).
     pub halt_on_violation: bool,
 }
@@ -177,7 +172,6 @@ impl ClusterConfig {
             gate_rate_mtok: (3_000 / slots.max(1) as u32).max(200),
             gate_burst_mtok: 2_000,
             record_winners: false,
-            flight_capacity: 4_096,
             halt_on_violation: true,
         }
     }
@@ -187,18 +181,24 @@ impl ClusterConfig {
 /// touches the next. Long enough that a node's ≈ 12.6 KB of state is
 /// loaded into L1d once per epoch rather than once per tick (four such
 /// nodes do not fit beside each other) and that a worker hand-off is
-/// paid once per 32 node-ticks; short enough that the epoch buffer (6 B
+/// paid once per 32 node-ticks; short enough that the epoch buffer (2 B
 /// per node-tick) stays a rounding error beside the node it sits next to
 /// and a halt replays at most one epoch of cluster-phase work it then
 /// discards. Not configurable: no outcome depends on it.
 const EPOCH_TICKS: u64 = 32;
 
+/// Events a flight dump holds: the last of them before the violation.
+const FLIGHT_CAPACITY: usize = 4_096;
+
+/// Why rebuilding a running simulation's nodes cannot fail.
+const REBUILT: &str = "the constructor accepted these nodes once already";
+
 /// What the cluster phase reads of one `(tick, node)`: not the node, not
 /// the 24-byte [`Winner`].
 #[derive(Debug, Clone, Copy, Default)]
 struct Cell {
-    /// The tick's winner as `(slot, met)`, if the node produced one.
-    winner: Option<(u16, bool)>,
+    /// Whether the node produced a winner on the tick.
+    won: bool,
     /// The first invariant the node's own probe found broken.
     failed: Option<Invariant>,
 }
@@ -257,7 +257,7 @@ impl Partition {
             for (tick, cell) in (start..start + len).zip(column) {
                 let winner = ctx.advance(node, tick);
                 *cell = Cell {
-                    winner: winner.map(|(slot, _, met)| (slot, met)),
+                    won: winner.is_some(),
                     failed: InvariantEngine::probe(node, tick),
                 };
             }
@@ -385,11 +385,9 @@ impl Drop for Pool {
 }
 
 /// Everything the sequential cluster phase owns: the clock, the linecard,
-/// the flight recorder, the violation sink.
+/// the violation sink.
 struct ClusterPhase {
     engine: InvariantEngine,
-    /// Single-owner: only this phase records or dumps.
-    flight: FlightRecorder,
     tick: u64,
     /// Winners handed to the linecard so far.
     transmitted_total: u64,
@@ -399,38 +397,24 @@ struct ClusterPhase {
     egress_queue: u64,
     /// Winners dropped at the full egress queue.
     egress_dropped: u64,
-    /// The auto-dump taken at the first violation.
-    dump: Option<FlightDump>,
     halted: bool,
 }
 
 impl ClusterPhase {
-    /// Replays `len` ticks of node-phase output in tick order, each
-    /// under one timestamp: `Service` events and linecard enqueue in node
-    /// order, drain, bound, the tick's failed probes in node order, the
-    /// egress identity. Stops on the tick of a halting violation, `tick`
-    /// not advanced past it. Registered hot path.
+    /// Replays `len` ticks of node-phase output in tick order: linecard
+    /// enqueue in node order, drain, bound, the tick's failed probes in
+    /// node order, the egress identity. Stops on the tick of a halting
+    /// violation, `tick` not advanced past it. Registered hot path.
     // lint:hot-path
     fn replay(&mut self, config: &ClusterConfig, parts: &[Partition], len: u64) {
         for t in 0..len as usize {
             let tick = self.tick;
-            // One timestamp read covers the tick: ring order, not the
-            // stamp, is the tiebreak among a tick's events.
-            let tsc = now_tsc();
             let mut any_failed = false;
-            for (i, cell) in cells_at(parts, t).enumerate() {
+            for cell in cells_at(parts, t) {
                 any_failed |= cell.failed.is_some();
-                if let Some((slot, met)) = cell.winner {
+                if cell.won {
                     self.transmitted_total += 1;
                     self.egress_queue += 1;
-                    self.flight.record(StageEvent::control(
-                        tsc,
-                        tick,
-                        i as u16,
-                        Stage::Service,
-                        u8::from(met),
-                        u32::from(slot),
-                    ));
                 }
             }
             let drained = self.egress_queue.min(config.egress_per_tick);
@@ -445,8 +429,7 @@ impl ClusterPhase {
                 for (i, cell) in cells_at(parts, t).enumerate() {
                     if let Some(invariant) = cell.failed {
                         self.engine.record(i as u32, tick, invariant);
-                        // lint:allow(hot-path-reachability) -- the violation path snapshots the ring: it ends the steady state
-                        self.on_violation(config, invariant, i as u32, tick, tsc);
+                        self.halted = config.halt_on_violation;
                         if self.halted {
                             return;
                         }
@@ -459,40 +442,13 @@ impl ClusterPhase {
                 queued: self.egress_queue,
                 dropped: self.egress_dropped,
             };
-            if let Some(invariant) = self.engine.check_egress(view, tick) {
-                // lint:allow(hot-path-reachability) -- as above
-                self.on_violation(config, invariant, u32::MAX, tick, tsc);
+            if self.engine.check_egress(view, tick).is_some() {
+                self.halted = config.halt_on_violation;
                 if self.halted {
                     return;
                 }
             }
             self.tick += 1;
-        }
-    }
-
-    /// Violation path: control event → auto-dump (first violation only)
-    /// → halt if configured.
-    fn on_violation(
-        &mut self,
-        config: &ClusterConfig,
-        invariant: Invariant,
-        node: u32,
-        tick: u64,
-        tsc: u64,
-    ) {
-        self.flight.record(StageEvent::control(
-            tsc,
-            tick,
-            node.min(u32::from(u16::MAX)) as u16,
-            Stage::InvariantViolation,
-            invariant as u8,
-            node,
-        ));
-        if self.dump.is_none() {
-            self.dump = Some(self.flight.dump(DumpReason::InvariantViolation, tick));
-        }
-        if config.halt_on_violation {
-            self.halted = true;
         }
     }
 }
@@ -527,23 +483,20 @@ impl ClusterSim {
             sabotage: config.sabotage,
         };
         let threads = config.threads.clamp(1, config.nodes.max(1));
-        let mut parts = Vec::with_capacity(threads);
-        for p in 0..threads {
-            let ids = p * config.nodes / threads..(p + 1) * config.nodes / threads;
-            let nodes = ids
-                .map(|id| build_node(&config, &ctx.scenario, id))
-                .collect::<Result<_, _>>()?;
-            parts.push(Partition::new(nodes));
-        }
+        let mut nodes = replay_nodes(&config, &ctx, 0, |_, _, _| {})?.into_iter();
+        let parts = (0..threads)
+            .map(|p| {
+                let width = (p + 1) * config.nodes / threads - p * config.nodes / threads;
+                Partition::new(nodes.by_ref().take(width).collect())
+            })
+            .collect();
         let cluster = ClusterPhase {
             engine: InvariantEngine::new(),
-            flight: FlightRecorder::new(config.flight_capacity.max(16)),
             tick: 0,
             transmitted_total: 0,
             egressed: 0,
             egress_queue: 0,
             egress_dropped: 0,
-            dump: None,
             halted: false,
         };
         Ok(Self {
@@ -586,9 +539,28 @@ impl ClusterSim {
         self.cluster.engine.violations()
     }
 
-    /// The flight dump taken at the first violation, if any.
-    pub fn dump(&self) -> Option<&FlightDump> {
-        self.cluster.dump.as_ref()
+    /// The flight dump of the first violation, if any: the last
+    /// `FLIGHT_CAPACITY` events through it — a `Service` per winner in
+    /// tick then node order, the `InvariantViolation` last — replayed from
+    /// the config on each call, O(violation tick), stamped in virtual
+    /// ticks (`tsc == cycle`, one tick per microsecond).
+    pub fn dump(&self) -> Option<FlightDump> {
+        let first = *self.violations().first()?;
+        let mut flight = FlightRecorder::new(FLIGHT_CAPACITY);
+        let mut record = |tick, node: u32, stage, detail, arg| {
+            let track = node.min(u32::from(u16::MAX)) as u16;
+            flight.record(StageEvent::control(tick, tick, track, stage, detail, arg));
+        };
+        let service = |tick, node: usize, (slot, _, met): Winner| {
+            record(tick, node as u32, Stage::Service, met.into(), slot.into());
+        };
+        replay_nodes(&self.config, &self.ctx, first.tick + 1, service).expect(REBUILT);
+        let (tick, node, code) = (first.tick, first.node, first.invariant as u8);
+        record(tick, node, Stage::InvariantViolation, code, node);
+        Some(FlightDump {
+            ticks_per_us: 1.0,
+            ..flight.dump(DumpReason::InvariantViolation, first.tick)
+        })
     }
 
     /// Advances one virtual tick (no-op once halted): an epoch of one,
@@ -630,18 +602,14 @@ impl ClusterSim {
 
     /// Puts every node back where tick-major order leaves it on a halt at
     /// `halt_tick` — stepped through that tick and no further — by
-    /// building it again and replaying the node side alone: no egress, no
-    /// flight events, no checks. O(`halt_tick`), once, on a run that is
-    /// over; the price of keeping no snapshot on the runs that are not.
+    /// replaying the node side alone: no egress, no checks.
+    /// O(`halt_tick`), once, on a run that is over; the price of keeping
+    /// no snapshot on the runs that are not.
     fn rewind_nodes(&mut self, halt_tick: u64) {
-        for part in &mut self.parts {
-            for node in &mut part.nodes {
-                *node = build_node(&self.config, &self.ctx.scenario, node.id())
-                    .expect("the constructor accepted this node once already");
-                for tick in 0..=halt_tick {
-                    self.ctx.advance(node, tick);
-                }
-            }
+        let fresh = replay_nodes(&self.config, &self.ctx, halt_tick + 1, |_, _, _| {});
+        let nodes = self.parts.iter_mut().flat_map(|p| &mut p.nodes);
+        for (node, fresh) in nodes.zip(fresh.expect(REBUILT)) {
+            *node = fresh;
         }
     }
 
@@ -708,9 +676,16 @@ impl ClusterSim {
     }
 }
 
-/// Node `id` of `config`'s cluster at tick 0 — the one constructor, for
-/// the first build and for [`ClusterSim::rewind_nodes`].
-fn build_node(config: &ClusterConfig, scenario: &Scenario, id: usize) -> Result<SimNode, Error> {
+/// `config`'s nodes built afresh and stepped tick-major through ticks
+/// `0..ticks`, each tick's winners handed to `winner` in node order as
+/// `(tick, node, winner)`: the node side of a run — the one constructor,
+/// for the first build (no ticks), the rewind and the flight dump.
+fn replay_nodes(
+    config: &ClusterConfig,
+    ctx: &NodeCtx,
+    ticks: u64,
+    mut winner: impl FnMut(u64, usize, Winner),
+) -> Result<Vec<SimNode>, Error> {
     let params = NodeParams {
         slots: config.slots,
         shards: config.shards,
@@ -718,8 +693,20 @@ fn build_node(config: &ClusterConfig, scenario: &Scenario, id: usize) -> Result<
         gate_burst_mtok: config.gate_burst_mtok,
         record_winners: config.record_winners,
     };
-    let injector = config.faults.injector_for(config.seed, id);
-    SimNode::new(id, params, scenario, config.seed, injector)
+    let mut nodes = (0..config.nodes)
+        .map(|id| {
+            let injector = config.faults.injector_for(config.seed, id);
+            SimNode::new(id, params, &ctx.scenario, config.seed, injector)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    for tick in 0..ticks {
+        for (id, node) in nodes.iter_mut().enumerate() {
+            if let Some(w) = ctx.advance(node, tick) {
+                winner(tick, id, w);
+            }
+        }
+    }
+    Ok(nodes)
 }
 
 #[cfg(test)]

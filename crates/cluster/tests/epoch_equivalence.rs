@@ -6,13 +6,13 @@
 //! epoch-spanning `k`, on any number of node-phase threads — must leave
 //! the same simulation behind: the whole serialized report, everything
 //! `node(i)` exposes, the recorded winner sequences, the violation list in
-//! booking order, and the flight dump event for event (timestamps aside:
-//! they are wall-clock, and only their one-per-tick shape is checked).
+//! booking order, and the flight dump whole, stamps included: they are
+//! the virtual clock.
 
 use ss_cluster::{
     ClusterConfig, ClusterSim, FaultProfile, Sabotage, ScenarioSpec, SimNode, Violation, Winner,
 };
-use ss_telemetry::{DumpReason, FlightDump, Stage};
+use ss_telemetry::{FlightDump, Stage};
 
 #[derive(Debug, Clone, Copy)]
 enum Drive {
@@ -28,42 +28,6 @@ const DRIVES: [Drive; 4] = [
 ];
 const THREADS: [usize; 4] = [1, 2, 4, 6];
 
-/// A flight dump without its clock: every field but `tsc` and the
-/// calibrated `ticks_per_us`.
-#[derive(Debug, PartialEq)]
-struct DumpView {
-    reason: DumpReason,
-    at_cycle: u64,
-    capacity: usize,
-    dropped: u64,
-    total: u64,
-    /// `(tag, cycle, track, stage, detail, arg)` per event.
-    events: Vec<(u64, u64, u16, Stage, u8, u32)>,
-}
-
-impl DumpView {
-    fn of(dump: &FlightDump) -> Self {
-        for pair in dump.events.windows(2) {
-            assert!(pair[0].tsc <= pair[1].tsc, "stamps never run backwards");
-            if pair[0].cycle == pair[1].cycle {
-                assert_eq!(pair[0].tsc, pair[1].tsc, "one stamp per tick");
-            }
-        }
-        Self {
-            reason: dump.reason,
-            at_cycle: dump.at_cycle,
-            capacity: dump.capacity,
-            dropped: dump.dropped,
-            total: dump.total,
-            events: dump
-                .events
-                .iter()
-                .map(|e| (e.tag, e.cycle, e.track, e.stage, e.detail, e.arg))
-                .collect(),
-        }
-    }
-}
-
 /// Everything a finished (or halted) simulation lets a caller see.
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -73,7 +37,7 @@ struct Outcome {
     nodes: Vec<String>,
     winners: Vec<Option<Vec<Winner>>>,
     violations: Vec<Violation>,
-    dump: Option<DumpView>,
+    dump: Option<FlightDump>,
 }
 
 /// Every read accessor of a node, rendered.
@@ -132,7 +96,7 @@ fn outcome(mut config: ClusterConfig, threads: usize, drive: Drive) -> Outcome {
             .map(|i| sim.node(i).winners().map(<[Winner]>::to_vec))
             .collect(),
         violations: sim.violations().to_vec(),
-        dump: sim.dump().map(DumpView::of),
+        dump: sim.dump(),
     }
 }
 
@@ -205,13 +169,17 @@ fn a_halting_violation_rewinds_the_nodes_to_the_tick_major_state() {
         let dump = oracle.dump.expect("the violation dumped");
         assert_eq!(dump.at_cycle, tick);
         let last = dump.events.last().expect("non-empty window");
-        assert_eq!((last.1, last.3), (tick, Stage::InvariantViolation));
+        assert_eq!((last.cycle, last.stage), (tick, Stage::InvariantViolation));
         // The nodes stand where tick-major order leaves them: stepped
         // through the halt tick and not one further. A node that ran to
         // the end of its epoch would have recorded more winners than the
         // linecard was ever handed.
         let recorded: usize = oracle.winners.iter().flatten().map(Vec::len).sum();
-        let handed = dump.events.iter().filter(|e| e.3 == Stage::Service).count();
+        let handed = dump
+            .events
+            .iter()
+            .filter(|e| e.stage == Stage::Service)
+            .count();
         assert_eq!(
             recorded as u64,
             dump.total - 1,

@@ -303,7 +303,7 @@ impl EdgeCore {
         let n = self.gate.drain_write_off();
         self.drain_writeoffs += n;
         if let Some(rec) = &self.recorder {
-            rec.record_control(self.gate.served(), 0, Stage::DecisionExpire, 0, n as u32);
+            rec.record_control(self.gate.served(), 0, Stage::DrainWriteOff, 0, n as u32);
         }
         n
     }
@@ -485,7 +485,7 @@ impl IngressServer {
             if let Some(rec) = &self.recorder {
                 let c = lock_core(&self.shared.core);
                 let (served, live) = (c.gate.served(), self.shared.live.load(Ordering::Acquire));
-                rec.record_control(served, 0, Stage::DecisionExpire, 1, live as u32);
+                rec.record_control(served, 0, Stage::DrainWriteOff, 1, live as u32);
                 drop(c);
                 rec.auto_dump(DumpReason::DrainTimeout, served);
             }

@@ -8,7 +8,7 @@ use ss_ingress::frame::{self, Frame, FrameDecoder};
 use ss_ingress::{
     ClientConfig, EdgeMode, IngressClient, IngressConfig, IngressServer, SubmitOutcome,
 };
-use ss_telemetry::{DumpReason, SharedFlightRecorder};
+use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
 use ss_types::WindowConstraint;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -350,6 +350,12 @@ fn drain_timeout_auto_dumps_the_flight_recorder() {
     );
     let dump = recorder.take_last_dump().expect("drain-timeout dump");
     assert_eq!(dump.reason, DumpReason::DrainTimeout);
+    let stop = dump
+        .events
+        .iter()
+        .find(|e| e.stage == Stage::DrainWriteOff && e.detail == 1)
+        .expect("the hard stop is in the dump");
+    assert_eq!(stop.arg, 1, "the silent holder is the one live reader");
     assert!(report.conserved);
 }
 

@@ -137,6 +137,10 @@ pub enum Stage {
     /// packet-time elapsed and nothing was scheduled (`detail` 0 = stuck
     /// decision FSM, 1 = crashed fabric/shard).
     DecisionStall = 39,
+    /// Control: a graceful ingress drain wrote work off (`detail` 0 = the
+    /// drain cutoff flushed `arg` backlogged packets, 1 = the drain
+    /// deadline hard-stopped `arg` live readers).
+    DrainWriteOff = 40,
 }
 
 impl Stage {
@@ -165,7 +169,8 @@ impl Stage {
             | Stage::BreakerOpen
             | Stage::WatchdogTrip
             | Stage::InvariantViolation
-            | Stage::DecisionStall => None,
+            | Stage::DecisionStall
+            | Stage::DrainWriteOff => None,
         }
     }
 
@@ -190,6 +195,7 @@ impl Stage {
             Stage::WatchdogTrip => "watchdog_trip",
             Stage::InvariantViolation => "invariant_violation",
             Stage::DecisionStall => "decision_stall",
+            Stage::DrainWriteOff => "drain_write_off",
         }
     }
 }
@@ -353,6 +359,9 @@ mod tests {
         assert_eq!(Stage::DecisionStall as u8, 39);
         assert!(Stage::DecisionStall.lifecycle_rank().is_none());
         assert_eq!(Stage::DecisionStall.name(), "decision_stall");
+        assert_eq!(Stage::DrainWriteOff as u8, 40);
+        assert!(Stage::DrainWriteOff.lifecycle_rank().is_none());
+        assert_eq!(Stage::DrainWriteOff.name(), "drain_write_off");
         assert_eq!((detail::SHED_EXPIRED, detail::SHED_LADDER), (12, 13));
     }
 
