@@ -34,10 +34,10 @@ pub fn run() -> Table1 {
     let mut wfq = Wfq::new(vec![1, 1]);
     wfq.enqueue(SwPacket::new(0, 0, 0, 100));
     wfq.enqueue(SwPacket::new(0, 1, 0, 100));
-    let first = wfq.head_finish_tag(0).expect("stream 0 is backlogged");
+    let first = wfq.head_key(0).expect("stream 0 is backlogged");
     wfq.select(0);
     let second = wfq
-        .head_finish_tag(0)
+        .head_key(0)
         .expect("stream 0 has a second packet");
 
     let update = |config: FabricConfig| u64::from(config.priority_update);

@@ -1,9 +1,9 @@
 //! Long-horizon soak runner: the nightly CI leg.
 //!
 //! Runs a cluster simulation under a wall-clock budget, appends one
-//! [`TrendPoint`](ss_cluster::report::TrendPoint) to `BENCH_soak.json`,
-//! and on any invariant violation writes the replayed flight dump to
-//! disk, prints the one-line repro command, and exits non-zero.
+//! [`TrendPoint`] to `BENCH_soak.json`, and on any invariant violation
+//! writes the replayed flight dump to disk, prints the one-line repro
+//! command, and exits non-zero.
 //!
 //! ```text
 //! cargo run --release -p ss-cluster --bin soak -- \

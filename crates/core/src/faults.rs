@@ -1,16 +1,15 @@
 //! Decision-cycle fault hooks behind the `faults` cargo feature.
 //!
 //! With the feature **on**, [`FabricFaults`] optionally holds an
-//! `Arc<`[`FaultInjector`](ss_faults::FaultInjector)`>` and consults it at
-//! the top of every decision cycle: a sampled
-//! [`StuckCycles`](ss_faults::FaultKind::StuckCycles) fault wedges the
-//! control FSM in its SCHEDULE↔PRIORITY_UPDATE loop for that many cycles —
-//! attempts during the window consume a packet-time but produce nothing and
-//! advance no register state — and a crash blocks the fabric permanently
-//! (modelling a lost card partition). With the feature **off**, the same
-//! type is zero-sized and every hook is an inlined empty body, so the
-//! zero-allocation decision core is untouched (same contract as
-//! [`crate::telem`]).
+//! `Arc<ss_faults::FaultInjector>` and consults it at the top of every
+//! decision cycle: a sampled `ss_faults::FaultKind::StuckCycles` fault
+//! wedges the control FSM in its SCHEDULE↔PRIORITY_UPDATE loop for that
+//! many cycles — attempts during the window consume a packet-time but
+//! produce nothing and advance no register state — and a crash blocks the
+//! fabric permanently (modelling a lost card partition). With the feature
+//! **off**, the same type is zero-sized and every hook is an inlined empty
+//! body, so the zero-allocation decision core is untouched (same contract
+//! as [`crate::telem`]).
 //!
 //! Detection is deliberately *not* in here: [`crate::watchdog`] is
 //! feature-independent, because a real deployment needs the watchdog

@@ -1,14 +1,15 @@
 //! Software earliest-deadline-first.
 //!
 //! Streams are configured with a request period `T`; packet `k` of a stream
-//! is due at `offset + (k+1)·T`. Selection scans stream heads for the
-//! earliest deadline (O(N) per decision — the cost profile the paper's §4.1
-//! latency numbers reflect). Deadline met/missed counters mirror the
-//! hardware's per-slot performance counters so the two can be cross-checked.
+//! is due at `first_deadline + k·T`. That deadline is the packet's
+//! [`Rank`] key, so the [`Pifo`] serves the earliest deadline, O(N) per
+//! decision — the cost profile the paper's §4.1 latency numbers reflect.
+//! Deadline met/missed counters mirror the hardware's per-slot performance
+//! counters so the two can be cross-checked.
 
-use crate::packet::{Discipline, SwPacket};
+use crate::packet::SwPacket;
+use crate::pifo::{Pifo, Rank};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Per-stream EDF configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -19,99 +20,71 @@ pub struct EdfStreamConfig {
     pub first_deadline: u64,
 }
 
+/// Software EDF scheduler.
+pub type Edf = Pifo<EdfRank>;
+
+/// EDF's rank: the `k`-th packet enqueued on a stream is due at
+/// `first_deadline + k·period`.
 #[derive(Debug)]
-struct EdfStream {
-    config: EdfStreamConfig,
-    queue: VecDeque<SwPacket>,
-    /// Deadline of the head packet.
-    head_deadline: u64,
-    met: u64,
-    missed: u64,
+pub struct EdfRank {
+    configs: Vec<EdfStreamConfig>,
+    /// Deadline of each stream's next enqueued packet.
+    next_deadline: Vec<u64>,
+    /// `(met, missed)` per stream.
+    counters: Vec<(u64, u64)>,
 }
 
-/// Software EDF scheduler.
-#[derive(Debug)]
-pub struct Edf {
-    streams: Vec<EdfStream>,
-    backlog: usize,
+impl EdfRank {
+    /// `(met, missed)` deadline counters for `stream`.
+    pub fn deadline_counters(&self, stream: usize) -> (u64, u64) {
+        self.counters[stream]
+    }
+
+    /// Deadline of the next packet `stream` will serve.
+    pub fn head_deadline(&self, stream: usize) -> u64 {
+        let (met, missed) = self.counters[stream];
+        let c = self.configs[stream];
+        c.first_deadline + (met + missed) * c.period
+    }
+}
+
+impl Rank for EdfRank {
+    type Key = u64;
+    const NAME: &'static str = "EDF";
+
+    fn rank(&mut self, pkt: &SwPacket) -> u64 {
+        let deadline = self.next_deadline[pkt.stream];
+        self.next_deadline[pkt.stream] += self.configs[pkt.stream].period;
+        deadline
+    }
+
+    fn dequeued(&mut self, pkt: &SwPacket, deadline: u64, now: u64) {
+        // Transmission completes one packet-time after selection.
+        let (met, missed) = &mut self.counters[pkt.stream];
+        if now < deadline {
+            *met += 1;
+        } else {
+            *missed += 1;
+        }
+    }
 }
 
 impl Edf {
     /// Creates a scheduler with the given per-stream configurations.
     pub fn new(configs: Vec<EdfStreamConfig>) -> Self {
-        assert!(!configs.is_empty(), "need at least one stream");
-        let streams = configs
-            .into_iter()
-            .map(|config| EdfStream {
-                head_deadline: config.first_deadline,
-                config,
-                queue: VecDeque::new(),
-                met: 0,
-                missed: 0,
-            })
-            .collect();
-        Self {
-            streams,
-            backlog: 0,
-        }
-    }
-
-    /// `(met, missed)` deadline counters for `stream`.
-    pub fn deadline_counters(&self, stream: usize) -> (u64, u64) {
-        let s = &self.streams[stream];
-        (s.met, s.missed)
-    }
-
-    /// Deadline of the stream's current head packet.
-    pub fn head_deadline(&self, stream: usize) -> u64 {
-        self.streams[stream].head_deadline
-    }
-}
-
-impl Discipline for Edf {
-    fn name(&self) -> &'static str {
-        "EDF"
-    }
-
-    fn enqueue(&mut self, pkt: SwPacket) {
-        self.streams[pkt.stream].queue.push_back(pkt);
-        self.backlog += 1;
-    }
-
-    fn select(&mut self, now: u64) -> Option<SwPacket> {
-        if self.backlog == 0 {
-            return None;
-        }
-        let best = self
-            .streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.queue.is_empty())
-            .min_by_key(|(i, s)| (s.head_deadline, *i))
-            .map(|(i, _)| i)
-            .expect("backlog > 0");
-        let s = &mut self.streams[best];
-        let pkt = s.queue.pop_front().expect("selected stream non-empty");
-        self.backlog -= 1;
-        // Transmission completes one packet-time after selection.
-        if now < s.head_deadline {
-            s.met += 1;
-        } else {
-            s.missed += 1;
-        }
-        s.head_deadline += s.config.period;
-        Some(pkt)
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
+        let rank = EdfRank {
+            next_deadline: configs.iter().map(|c| c.first_deadline).collect(),
+            counters: vec![(0, 0); configs.len()],
+            configs,
+        };
+        Pifo::with_rank(rank.configs.len(), rank)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::conformance;
+    use crate::packet::{conformance, Discipline};
 
     fn cfg(period: u64, first: u64) -> EdfStreamConfig {
         EdfStreamConfig {
@@ -152,7 +125,7 @@ mod tests {
             now += 1;
         }
         for s in 0..2 {
-            let (met, missed) = e.deadline_counters(s);
+            let (met, missed) = e.rank().deadline_counters(s);
             assert_eq!(missed, 0, "stream {s} missed deadlines");
             assert_eq!(met, 200);
         }
@@ -172,7 +145,7 @@ mod tests {
             e.select(now);
             now += 1;
         }
-        let total_missed: u64 = (0..3).map(|s| e.deadline_counters(s).1).sum();
+        let total_missed: u64 = (0..3).map(|s| e.rank().deadline_counters(s).1).sum();
         assert!(total_missed > 0);
     }
 
@@ -189,8 +162,8 @@ mod tests {
         let mut e = Edf::new(vec![cfg(7, 7)]);
         e.enqueue(SwPacket::new(0, 0, 0, 64));
         e.enqueue(SwPacket::new(0, 1, 0, 64));
-        assert_eq!(e.head_deadline(0), 7);
+        assert_eq!(e.rank().head_deadline(0), 7);
         e.select(0);
-        assert_eq!(e.head_deadline(0), 14);
+        assert_eq!(e.rank().head_deadline(0), 14);
     }
 }

@@ -1,70 +1,38 @@
 //! Strict static-priority classes (DiffServ-style, paper Table 1).
 
-use crate::packet::{Discipline, SwPacket};
-use std::collections::VecDeque;
+use crate::packet::SwPacket;
+use crate::pifo::{Pifo, Rank};
 
-/// Strict priority scheduler: lower level = more urgent; FIFO within a
+/// Strict priority scheduler: lower level = more urgent; FCFS within a
 /// level; a level is served only when all more-urgent levels are empty.
+pub type StaticPriority = Pifo<PriorityRank>;
+
+/// Static priority's rank: `(level, arrival)`, the level fixed per stream.
 #[derive(Debug)]
-pub struct StaticPriority {
-    /// Priority level per stream.
+pub struct PriorityRank {
     levels: Vec<u8>,
-    /// One FIFO per stream (kept per-stream so per-stream FIFO order is
-    /// trivially preserved even when streams share a level).
-    queues: Vec<VecDeque<SwPacket>>,
-    backlog: usize,
+}
+
+impl Rank for PriorityRank {
+    type Key = (u8, u64);
+    const NAME: &'static str = "StaticPriority";
+
+    fn rank(&mut self, pkt: &SwPacket) -> (u8, u64) {
+        (self.levels[pkt.stream], pkt.arrival)
+    }
 }
 
 impl StaticPriority {
     /// Creates a scheduler with a priority level per stream.
     pub fn new(levels: Vec<u8>) -> Self {
-        assert!(!levels.is_empty(), "need at least one stream");
-        let queues = (0..levels.len()).map(|_| VecDeque::new()).collect();
-        Self {
-            levels,
-            queues,
-            backlog: 0,
-        }
-    }
-}
-
-impl Discipline for StaticPriority {
-    fn name(&self) -> &'static str {
-        "StaticPriority"
-    }
-
-    fn enqueue(&mut self, pkt: SwPacket) {
-        self.queues[pkt.stream].push_back(pkt);
-        self.backlog += 1;
-    }
-
-    fn select(&mut self, _now: u64) -> Option<SwPacket> {
-        if self.backlog == 0 {
-            return None;
-        }
-        // Most urgent non-empty stream; within a level, earliest head
-        // arrival (FCFS), then stream index.
-        let best = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.is_empty())
-            .min_by_key(|(i, q)| (self.levels[*i], q.front().expect("non-empty").arrival, *i))
-            .map(|(i, _)| i)
-            .expect("backlog > 0");
-        self.backlog -= 1;
-        self.queues[best].pop_front()
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
+        Pifo::with_rank(levels.len(), PriorityRank { levels })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::conformance;
+    use crate::packet::{conformance, Discipline};
 
     #[test]
     fn contract() {

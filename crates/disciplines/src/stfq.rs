@@ -4,98 +4,22 @@
 //! Like WFQ but packets are ordered by *start* tags and the virtual clock
 //! follows the start tag of the packet in service. Start-time FQ has a
 //! smaller worst-case delay for low-weight streams and is cheaper to
-//! compute; it is the second fair-queuing discipline the paper names.
+//! compute; it is the second fair-queuing discipline the paper names. Its
+//! rank is WFQ's [`FairQueueRank`] keyed by the start tag.
 
-use crate::packet::{Discipline, SwPacket};
-use crate::wfq::TAG_SCALE;
-use std::collections::VecDeque;
-
-#[derive(Debug)]
-struct StfqStream {
-    weight: u64,
-    last_finish: u64,
-    /// Queue of (packet, start tag, finish tag).
-    queue: VecDeque<(SwPacket, u64, u64)>,
-}
+use crate::pifo::Pifo;
+use crate::wfq::FairQueueRank;
 
 /// Start-time fair queuing.
-#[derive(Debug)]
-pub struct StartTimeFq {
-    streams: Vec<StfqStream>,
-    /// Virtual time: start tag of the packet in service.
-    virtual_time: u64,
-    backlog: usize,
-}
+pub type StartTimeFq = Pifo<StfqRank>;
 
-impl StartTimeFq {
-    /// Creates a scheduler with per-stream weights.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty or contains zero.
-    pub fn new(weights: Vec<u32>) -> Self {
-        assert!(!weights.is_empty(), "need at least one stream");
-        assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
-        Self {
-            streams: weights
-                .into_iter()
-                .map(|w| StfqStream {
-                    weight: u64::from(w),
-                    last_finish: 0,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
-            virtual_time: 0,
-            backlog: 0,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn virtual_time(&self) -> u64 {
-        self.virtual_time
-    }
-}
-
-impl Discipline for StartTimeFq {
-    fn name(&self) -> &'static str {
-        "StartTimeFQ"
-    }
-
-    fn enqueue(&mut self, pkt: SwPacket) {
-        let s = &mut self.streams[pkt.stream];
-        let start = s.last_finish.max(self.virtual_time);
-        let finish = start + u64::from(pkt.size_bytes) * TAG_SCALE / s.weight;
-        s.last_finish = finish;
-        s.queue.push_back((pkt, start, finish));
-        self.backlog += 1;
-    }
-
-    fn select(&mut self, _now: u64) -> Option<SwPacket> {
-        if self.backlog == 0 {
-            return None;
-        }
-        let best = self
-            .streams
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.queue.front().map(|(_, st, _)| (*st, i)))
-            .min()
-            .map(|(_, i)| i)
-            .expect("backlog > 0");
-        let (pkt, start, _finish) = self.streams[best].queue.pop_front().expect("non-empty");
-        self.backlog -= 1;
-        self.virtual_time = start;
-        Some(pkt)
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
-    }
-}
+/// Start-time FQ's rank: the start tag.
+pub type StfqRank = FairQueueRank<true>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::conformance;
+    use crate::packet::{conformance, Discipline, SwPacket};
 
     #[test]
     fn contract() {
@@ -149,8 +73,8 @@ mod tests {
         let mut last = 0;
         for t in 0..200 {
             s.select(t);
-            assert!(s.virtual_time() >= last);
-            last = s.virtual_time();
+            assert!(s.rank().virtual_time() >= last);
+            last = s.rank().virtual_time();
         }
     }
 }

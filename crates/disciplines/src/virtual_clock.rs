@@ -11,98 +11,67 @@
 //! at once. Both behaviours are pinned by tests (and contrasted with
 //! [`crate::Wfq`]).
 
-use crate::packet::{Discipline, SwPacket};
-use std::collections::VecDeque;
+use crate::packet::SwPacket;
+use crate::pifo::{Pifo, Rank};
 
 /// Fixed-point tag units per byte at rate 1 (byte/tick).
 const VC_SCALE: u64 = 1 << 16;
 
+/// The Virtual Clock scheduler.
+pub type VirtualClock = Pifo<VirtualClockRank>;
+
+/// Virtual Clock's rank: the stream's auxiliary virtual clock after the
+/// packet is charged to it.
 #[derive(Debug)]
-struct VcStream {
-    /// Declared rate in bytes per tick of `now`.
-    rate: u64,
-    /// Auxiliary virtual clock (fixed point).
-    aux_vc: u64,
-    /// Queue of (packet, tag).
-    queue: VecDeque<(SwPacket, u64)>,
+pub struct VirtualClockRank {
+    /// Declared rate in bytes per tick of `now`, per stream.
+    rates: Vec<u64>,
+    /// Auxiliary virtual clock per stream (fixed point).
+    aux_vc: Vec<u64>,
 }
 
-/// The Virtual Clock scheduler.
-#[derive(Debug)]
-pub struct VirtualClock {
-    streams: Vec<VcStream>,
-    backlog: usize,
+impl VirtualClockRank {
+    /// The auxiliary virtual clock of `stream` (fixed point, ticks ×2¹⁶).
+    pub fn aux_vc(&self, stream: usize) -> u64 {
+        self.aux_vc[stream]
+    }
+}
+
+impl Rank for VirtualClockRank {
+    type Key = u64;
+    const NAME: &'static str = "VirtualClock";
+
+    fn rank(&mut self, pkt: &SwPacket) -> u64 {
+        // Anchor to real (arrival) time, then advance by the packet's
+        // service share at the declared rate.
+        let aux_vc = &mut self.aux_vc[pkt.stream];
+        let now_fp = pkt.arrival * VC_SCALE;
+        *aux_vc =
+            (*aux_vc).max(now_fp) + u64::from(pkt.size_bytes) * VC_SCALE / self.rates[pkt.stream];
+        *aux_vc
+    }
 }
 
 impl VirtualClock {
     /// Creates a scheduler with per-stream declared rates (bytes per time
-    /// tick of the `now` passed to [`Discipline::select`]).
+    /// tick of the `now` passed to [`crate::Discipline::select`]).
     ///
     /// # Panics
     /// Panics if `rates` is empty or contains zero.
     pub fn new(rates: Vec<u64>) -> Self {
-        assert!(!rates.is_empty(), "need at least one stream");
         assert!(rates.iter().all(|&r| r > 0), "rates must be positive");
-        Self {
-            streams: rates
-                .into_iter()
-                .map(|rate| VcStream {
-                    rate,
-                    aux_vc: 0,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
-            backlog: 0,
-        }
-    }
-
-    /// The auxiliary virtual clock of `stream` (fixed point, ticks ×2¹⁶).
-    pub fn aux_vc(&self, stream: usize) -> u64 {
-        self.streams[stream].aux_vc
-    }
-}
-
-impl Discipline for VirtualClock {
-    fn name(&self) -> &'static str {
-        "VirtualClock"
-    }
-
-    fn enqueue(&mut self, pkt: SwPacket) {
-        let s = &mut self.streams[pkt.stream];
-        // Anchor to real (arrival) time, then advance by the packet's
-        // service share at the declared rate.
-        let now_fp = pkt.arrival * VC_SCALE;
-        s.aux_vc = s.aux_vc.max(now_fp) + u64::from(pkt.size_bytes) * VC_SCALE / s.rate;
-        s.queue.push_back((pkt, s.aux_vc));
-        self.backlog += 1;
-    }
-
-    fn select(&mut self, _now: u64) -> Option<SwPacket> {
-        if self.backlog == 0 {
-            return None;
-        }
-        let best = self
-            .streams
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.queue.front().map(|(_, tag)| (*tag, i)))
-            .min()
-            .map(|(_, i)| i)
-            .expect("backlog > 0");
-        let (pkt, _) = self.streams[best].queue.pop_front().expect("non-empty");
-        self.backlog -= 1;
-        Some(pkt)
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
+        let rank = VirtualClockRank {
+            aux_vc: vec![0; rates.len()],
+            rates,
+        };
+        Pifo::with_rank(rank.rates.len(), rank)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::conformance;
+    use crate::packet::{conformance, Discipline};
     use crate::Wfq;
 
     #[test]
@@ -198,7 +167,7 @@ mod tests {
         // Long idle; next packet arrives at t=1000 → tag anchors at 1000,
         // not at the stale aux_vc.
         vc.enqueue(SwPacket::new(0, 1, 1000, 1000));
-        assert_eq!(vc.aux_vc(0), (1000 + 10) * (1 << 16));
+        assert_eq!(vc.rank().aux_vc(0), (1000 + 10) * (1 << 16));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Weighted fair queuing (packetized, self-clocked).
+//! Weighted fair queuing (packetized, self-clocked), and the rank it
+//! shares with start-time FQ.
 //!
 //! This is the classic virtual-time fair-queuing discipline of Demers,
 //! Keshav & Shenker as realized by the practical *self-clocked* scheme:
@@ -13,108 +14,78 @@
 //! which is exactly why the ShareStreams fabric can run it with the
 //! PRIORITY_UPDATE cycle bypassed.
 
-use crate::packet::{Discipline, SwPacket};
-use std::collections::VecDeque;
+use crate::packet::SwPacket;
+use crate::pifo::{Pifo, Rank};
 
 /// Fixed-point scale for service tags (units per byte at weight 1).
 pub const TAG_SCALE: u64 = 1 << 16;
 
-#[derive(Debug)]
-struct WfqStream {
-    weight: u64,
-    /// Finish tag of this stream's most recently enqueued packet.
-    last_finish: u64,
-    /// Queue of (packet, finish tag).
-    queue: VecDeque<(SwPacket, u64)>,
-}
-
 /// Self-clocked weighted fair queuing.
+pub type Wfq = Pifo<WfqRank>;
+
+/// WFQ's rank: the finish tag.
+pub type WfqRank = FairQueueRank<false>;
+
+/// The fair-queuing rank: packet `k` of stream `i` starts at
+/// `S = max(V, F_i^{k-1})` and finishes at `F_i^k = S + L·TAG_SCALE/w_i`.
+/// The key is the finish tag (WFQ) or, if `BY_START`, the start tag
+/// (start-time FQ); serving a packet sets `V` to its key.
 #[derive(Debug)]
-pub struct Wfq {
-    streams: Vec<WfqStream>,
-    /// Virtual time: finish tag of the packet in service.
+pub struct FairQueueRank<const BY_START: bool> {
+    weights: Vec<u64>,
+    /// Finish tag of each stream's most recently enqueued packet.
+    last_finish: Vec<u64>,
+    /// Virtual time: the key of the packet in service.
     virtual_time: u64,
-    backlog: usize,
 }
 
-impl Wfq {
+impl<const BY_START: bool> FairQueueRank<BY_START> {
+    /// Current virtual time.
+    pub fn virtual_time(&self) -> u64 {
+        self.virtual_time
+    }
+}
+
+impl<const BY_START: bool> Rank for FairQueueRank<BY_START> {
+    type Key = u64;
+    const NAME: &'static str = if BY_START { "StartTimeFQ" } else { "WFQ" };
+
+    fn rank(&mut self, pkt: &SwPacket) -> u64 {
+        let last_finish = &mut self.last_finish[pkt.stream];
+        let start = (*last_finish).max(self.virtual_time);
+        *last_finish = start + u64::from(pkt.size_bytes) * TAG_SCALE / self.weights[pkt.stream];
+        if BY_START {
+            start
+        } else {
+            *last_finish
+        }
+    }
+
+    fn dequeued(&mut self, _pkt: &SwPacket, key: u64, _now: u64) {
+        self.virtual_time = key;
+    }
+}
+
+impl<const BY_START: bool> Pifo<FairQueueRank<BY_START>> {
     /// Creates a scheduler with per-stream weights.
     ///
     /// # Panics
     /// Panics if `weights` is empty or contains zero.
     pub fn new(weights: Vec<u32>) -> Self {
-        assert!(!weights.is_empty(), "need at least one stream");
         assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
-        Self {
-            streams: weights
-                .into_iter()
-                .map(|w| WfqStream {
-                    weight: u64::from(w),
-                    last_finish: 0,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
+        let rank = FairQueueRank {
+            last_finish: vec![0; weights.len()],
+            weights: weights.into_iter().map(u64::from).collect(),
             virtual_time: 0,
-            backlog: 0,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn virtual_time(&self) -> u64 {
-        self.virtual_time
-    }
-
-    /// Finish tag of the head packet of `stream`, if backlogged.
-    pub fn head_finish_tag(&self, stream: usize) -> Option<u64> {
-        self.streams[stream].queue.front().map(|(_, f)| *f)
-    }
-
-    fn service_increment(weight: u64, size_bytes: u32) -> u64 {
-        u64::from(size_bytes) * TAG_SCALE / weight
-    }
-}
-
-impl Discipline for Wfq {
-    fn name(&self) -> &'static str {
-        "WFQ"
-    }
-
-    fn enqueue(&mut self, pkt: SwPacket) {
-        let s = &mut self.streams[pkt.stream];
-        let start = s.last_finish.max(self.virtual_time);
-        let finish = start + Self::service_increment(s.weight, pkt.size_bytes);
-        s.last_finish = finish;
-        s.queue.push_back((pkt, finish));
-        self.backlog += 1;
-    }
-
-    fn select(&mut self, _now: u64) -> Option<SwPacket> {
-        if self.backlog == 0 {
-            return None;
-        }
-        let best = self
-            .streams
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.queue.front().map(|(_, f)| (*f, i)))
-            .min()
-            .map(|(_, i)| i)
-            .expect("backlog > 0");
-        let (pkt, finish) = self.streams[best].queue.pop_front().expect("non-empty");
-        self.backlog -= 1;
-        self.virtual_time = finish;
-        Some(pkt)
-    }
-
-    fn backlog(&self) -> usize {
-        self.backlog
+        };
+        Pifo::with_rank(rank.weights.len(), rank)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::conformance;
+    use crate::packet::{conformance, Discipline};
     use proptest::prelude::*;
 
     #[test]
@@ -214,8 +185,8 @@ mod tests {
         let mut last_v = 0;
         for t in 0..100 {
             w.select(t);
-            assert!(w.virtual_time() >= last_v);
-            last_v = w.virtual_time();
+            assert!(w.rank().virtual_time() >= last_v);
+            last_v = w.rank().virtual_time();
         }
     }
 

@@ -222,11 +222,12 @@ impl<T: Send> Producer<T> {
     }
 
     /// Waits until `value` is on the ring — the one backpressure wait of
-    /// every ring user (see [`SPIN_WAITS`]). `give_up` is consulted once,
-    /// on the first full-ring observation (one fault sample per full-ring
-    /// episode, not per wait, so an injected count stays proportional to
-    /// real backpressure events): `true` drops the value instead, and this
-    /// returns `false` — as it does once the consumer is gone.
+    /// every ring user (it spins, then yields, then sleeps). `give_up` is
+    /// consulted once, on the first full-ring observation (one fault sample
+    /// per full-ring episode, not per wait, so an injected count stays
+    /// proportional to real backpressure events): `true` drops the value
+    /// instead, and this returns `false` — as it does once the consumer is
+    /// gone.
     // lint:hot-path
     #[inline]
     pub fn push_spinning(&mut self, mut value: T, give_up: impl FnOnce() -> bool) -> bool {
@@ -339,8 +340,8 @@ impl<T: Send> Consumer<T> {
         self.is_disconnected() && self.is_empty()
     }
 
-    /// Pops, waiting (see [`SPIN_WAITS`]) while the ring is empty but its
-    /// producer is still there; `None` only once the ring is
+    /// Pops, waiting (it spins, then yields, then sleeps) while the ring is
+    /// empty but its producer is still there; `None` only once the ring is
     /// [`finished`](Consumer::finished). `while let Some(x) =
     /// rx.pop_waiting()` therefore drains a ring to its end.
     #[inline]

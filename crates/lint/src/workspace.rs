@@ -56,7 +56,7 @@ impl SourceFile {
 
     /// `true` when a waiver for `rule` covers `line`. Matching is exact on
     /// the rule id — a typo in the id simply never matches, and unknown ids
-    /// are flagged separately by [`crate::waiver_violations`].
+    /// are flagged separately, under [`crate::WAIVERS_ID`].
     pub fn waived(&self, rule: &str, line: usize) -> bool {
         self.waivers
             .iter()

@@ -239,6 +239,9 @@ fn compiler_lints_stay_denied_in_every_member() {
         ("workspace.lints.clippy", "undocumented_unsafe_blocks"),
         ("workspace.lints.clippy", "missing_safety_doc"),
         ("workspace.lints.clippy", "unwrap_used"),
+        ("workspace.lints.rustdoc", "broken_intra_doc_links"),
+        ("workspace.lints.rustdoc", "private_intra_doc_links"),
+        ("workspace.lints.rustdoc", "redundant_explicit_links"),
     ] {
         assert_eq!(
             toml_value(&manifest, table, lint),

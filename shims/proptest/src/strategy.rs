@@ -284,7 +284,7 @@ impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6);
 // collection::vec
 // ---------------------------------------------------------------------------
 
-/// Length specification for [`vec`]: an exact `usize` or a `usize` range.
+/// Length specification for [`vec()`]: an exact `usize` or a `usize` range.
 pub trait IntoLen {
     /// Draw a concrete length.
     fn draw_len(&self, rng: &mut StdRng) -> usize;

@@ -18,6 +18,40 @@ use sharestreams::types::WindowConstraint;
 #[cfg(feature = "faults")]
 use std::sync::Arc;
 
+/// Every `RESTRICTIONS` row says why its path leaves the class: a paper
+/// section (`§…`), or an open ROADMAP item (`item N`) that would lift it.
+#[test]
+fn every_restriction_cites_its_reason() {
+    let roadmap = concat!(env!("CARGO_MANIFEST_DIR"), "/ROADMAP.md");
+    let roadmap = std::fs::read_to_string(roadmap).expect("ROADMAP.md is readable");
+    let open = roadmap
+        .split("\n## Open items")
+        .nth(1)
+        .expect("an open-items section");
+    let open = open.split("\n## ").next().expect("the section's text");
+    for (path, _, why) in RESTRICTIONS {
+        let items: Vec<&str> = why
+            .split("item ")
+            .skip(1)
+            .map(|rest| {
+                rest.split(|c: char| !c.is_ascii_digit())
+                    .next()
+                    .expect("split yields")
+            })
+            .collect();
+        assert!(
+            why.contains('§') || !items.is_empty(),
+            "{path:?}: `{why}` cites neither a paper section nor a ROADMAP item"
+        );
+        for n in items {
+            assert!(
+                !n.is_empty() && open.contains(&format!("\n**{n}. ")),
+                "{path:?}: `{why}` cites item `{n}`, which is not an open ROADMAP item"
+            );
+        }
+    }
+}
+
 #[test]
 fn wr_paths_agree_on_the_cluster_generators() {
     for kind in GENERATORS {

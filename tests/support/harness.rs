@@ -202,30 +202,32 @@ pub(crate) const PATHS: [Path; 12] = [
 ];
 
 /// Why a path leaves a class: a path is held to every class that has none
-/// of the properties listed against it.
+/// of the properties listed against it. Every reason cites a paper section
+/// (`§…`) or the open ROADMAP item (`item N`) that would lift it
+/// (`conformance::every_restriction_cites_its_reason`).
 #[rustfmt::skip]
 pub(crate) const RESTRICTIONS: &[(Path, u16, &str)] = &[
-    (Path::Reference, REFILLS, "no idle re-anchor: a refilled queue keeps its stale deadline"),
-    (Path::Reference, ANTIPODE, "wide deadlines: its order is not the fabric's there"),
-    (Path::Reference, CHURN, "no unload"),
-    (Path::Reference, BLOCK, "one winner per decision"),
-    (Path::Reference, FAIR, "models the DWCS and EDF comparison modes only"),
-    (Path::Failover, REFILLS | ANTIPODE, "its degraded path is DwcsRef (see Reference)"),
-    (Path::Failover, TIES, "the switch re-sequences queued arrivals in slot order, so FCFS differs"),
-    (Path::Failover, DUE, "re-attach moves a head already due to the new clock's now + 1"),
-    (Path::Failover, CHURN, "no unload, and no load while degraded"),
-    (Path::Failover, BLOCK | FAIR, "supervises WR fabrics in DWCS or EDF mode only"),
-    (Path::Sharded1, BLOCK, "the frontend merges winners, not blocks"),
-    (Path::Sharded2, BLOCK | UNDER_4, "a winner merge over shards of at least 2 slots"),
-    (Path::Sharded4, BLOCK | UNDER_8, "a winner merge over shards of at least 2 slots"),
-    (Path::Sharded8, BLOCK | UNDER_16, "a winner merge over shards of at least 2 slots"),
-    (Path::Sharded1, ANTIPODE, "the grant checks the tournament against a linear min: another order"),
-    (Path::Sharded2, ANTIPODE, "the merge re-compares shard winners: another comparison tree"),
-    (Path::Sharded4, ANTIPODE, "the merge re-compares shard winners: another comparison tree"),
-    (Path::Sharded8, ANTIPODE, "the merge re-compares shard winners: another comparison tree"),
-    (Path::Rtl, CHURN, "RtlFabric has no unload_stream"),
-    (Path::RtlAhead, CHURN, "RtlFabric has no unload_stream"),
-    (Path::Loopback, BLOCK, "the socket carries arrivals; the consumer's BA routing is the packed row"),
+    (Path::Reference, REFILLS, "no idle re-anchor: a refilled queue keeps its stale deadline (item 22(a))"),
+    (Path::Reference, ANTIPODE, "wide deadlines: its order is not the fabric's there (item 19)"),
+    (Path::Reference, CHURN, "no unload (item 22(a))"),
+    (Path::Reference, BLOCK, "one winner per decision: §3's WR max-finding, not a BA block"),
+    (Path::Reference, FAIR, "models the DWCS and EDF comparison modes of §2 only"),
+    (Path::Failover, REFILLS | ANTIPODE, "its degraded path is DwcsRef (see Reference; item 22(a), item 19)"),
+    (Path::Failover, TIES, "the switch re-sequences queued arrivals in slot order, so FCFS differs (item 21)"),
+    (Path::Failover, DUE, "re-attach moves a head already due to the new clock's now + 1 (item 21)"),
+    (Path::Failover, CHURN, "no unload, and no load while degraded (item 22)"),
+    (Path::Failover, BLOCK | FAIR, "supervises §3's WR fabrics in §2's DWCS or EDF mode only"),
+    (Path::Sharded1, BLOCK, "the frontend merges winners, not blocks (item 9)"),
+    (Path::Sharded2, BLOCK | UNDER_4, "a winner merge over shards of at least 2 slots (item 9)"),
+    (Path::Sharded4, BLOCK | UNDER_8, "a winner merge over shards of at least 2 slots (item 9)"),
+    (Path::Sharded8, BLOCK | UNDER_16, "a winner merge over shards of at least 2 slots (item 9)"),
+    (Path::Sharded1, ANTIPODE, "the grant checks the tournament against a linear min: another order (item 19)"),
+    (Path::Sharded2, ANTIPODE, "the merge re-compares shard winners: another comparison tree (item 19)"),
+    (Path::Sharded4, ANTIPODE, "the merge re-compares shard winners: another comparison tree (item 19)"),
+    (Path::Sharded8, ANTIPODE, "the merge re-compares shard winners: another comparison tree (item 19)"),
+    (Path::Rtl, CHURN, "RtlFabric has no unload_stream (item 22(a))"),
+    (Path::RtlAhead, CHURN, "RtlFabric has no unload_stream (item 22(a))"),
+    (Path::Loopback, BLOCK, "the socket carries arrivals; the consumer's BA routing is the packed row (item 9)"),
 ];
 
 /// The paths held to `trace`, printing every exclusion with its reason.
