@@ -4,8 +4,6 @@
 //! (`results/trace_lifecycle_example.json`) plus the automatic
 //! watchdog-trip flight dump from a deliberately wedged run
 //! (`results/trace_flight_dump_example.json`).
-//!
-//! Requires `--features faults` (`required-features` in the manifest).
 
 use ss_bench::banner;
 use ss_core::{FabricConfig, FabricConfigKind, LatePolicy, StreamState};

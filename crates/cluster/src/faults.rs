@@ -1,9 +1,8 @@
 //! Cluster-level fault schedules: named profiles over `ss-faults`.
 //!
-//! The sharded scheduler's own injection hooks are gated behind its
-//! `faults` cargo feature, which this crate must not enable (feature
-//! unification would switch it on workspace-wide — see the crate docs).
-//! Instead the *simulation* owns fault modeling: each node holds its own
+//! The sharded scheduler's own injection hooks
+//! (`ShardedScheduler::attach_faults`) stay detached here: the
+//! *simulation* owns fault modeling instead. Each node holds its own
 //! [`FaultInjector`] seeded from `(run seed, node)`, samples the shard /
 //! decision / ring / admission sites once per tick, and maps the drawn
 //! faults onto the unconditional APIs (`fail_shard`, skipped decision

@@ -31,16 +31,6 @@
 //! cross-node coupling happens afterwards, in a sequential phase that
 //! replays the epoch in tick order, node order within a tick, and never
 //! feeds back into a node.
-//!
-//! # Feature hygiene
-//!
-//! `ss-cluster` is built unconditionally (the facade depends on it with
-//! no feature gate), so it must depend **only on feature-free surfaces**
-//! of the workspace: `ss-types`, `ss-core`, `ss-sharded` (base API),
-//! `ss-overload`, `ss-faults`, `ss-telemetry`, and the serde shims. It
-//! must never enable another crate's cargo feature — unification would
-//! silently turn that feature on for every build and invalidate the CI
-//! feature-matrix off-state legs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

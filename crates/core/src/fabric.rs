@@ -211,8 +211,8 @@ pub struct Fabric<T: Telemetry = ()> {
     serviced: u64,
     /// Instrumentation hooks — zero-sized for `T = ()`.
     telem: T::Fabric,
-    /// Fault-injection hooks — a zero-sized no-op unless the `faults`
-    /// feature is enabled and an injector is attached.
+    /// Fault-injection state — detached (every cycle clean) until
+    /// [`Fabric::attach_faults`] or [`Fabric::inject_crash`].
     faults: crate::faults::FabricFaults,
 }
 
@@ -805,7 +805,6 @@ impl<T: Telemetry> Fabric<T> {
     /// stuck SCHEDULE↔PRIORITY_UPDATE loop looks like from outside: time
     /// passes, nothing is scheduled.
     // lint:hot-path
-    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
     fn blocked_cycle(&mut self) {
         self.decision_count += 1;
         self.block_len = 0;
@@ -816,7 +815,7 @@ impl<T: Telemetry> Fabric<T> {
     }
 
     /// `true` while the decision path is making progress: no stuck-FSM
-    /// wedge, no crash. Always `true` without the `faults` feature. This is
+    /// wedge, no crash. Always `true` on a detached fabric. This is
     /// the cheap health probe a failover supervisor polls alongside the
     /// [`crate::watchdog::DecisionWatchdog`]'s behavioral detection.
     pub fn probe_health(&self) -> bool {
@@ -824,7 +823,6 @@ impl<T: Telemetry> Fabric<T> {
     }
 
     /// `true` once the fabric has been crashed (permanently blocked).
-    /// Always `false` without the `faults` feature.
     pub fn is_crashed(&self) -> bool {
         self.faults.crashed()
     }
@@ -840,20 +838,17 @@ impl<T: Telemetry> Fabric<T> {
     /// Wires this fabric to a shared fault injector: each decision/expiry
     /// cycle samples the injector's decision-cycle stream and may wedge or
     /// stay blocked per the seeded schedule.
-    #[cfg(feature = "faults")]
     pub fn attach_faults(&mut self, injector: std::sync::Arc<ss_faults::FaultInjector>) {
         self.faults.attach(injector);
     }
 
     /// Permanently blocks this fabric, as a shard-crash fault does.
-    #[cfg(feature = "faults")]
     pub fn inject_crash(&mut self) {
         self.faults.crash();
     }
 
     /// Clears any wedge/crash state (supervisor re-adoption after
     /// degraded-mode recovery).
-    #[cfg(feature = "faults")]
     pub fn clear_faults(&mut self) {
         self.faults.clear();
     }
@@ -1320,7 +1315,6 @@ mod tests {
         assert!(events.iter().all(|e| e.cycle < 3));
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn blocked_cycles_leave_one_stall_event_each() {
         use ss_faults::{FaultConfig, FaultInjector};
@@ -1367,7 +1361,6 @@ mod tests {
         assert_eq!(json.matches("\"decision_stall\"").count(), 12);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn certain_fault_rate_blocks_every_cycle() {
         use ss_faults::{FaultConfig, FaultInjector};
@@ -1396,7 +1389,6 @@ mod tests {
         assert!(f.has_backlog());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn quiet_injector_changes_nothing() {
         use ss_faults::FaultInjector;
@@ -1410,7 +1402,6 @@ mod tests {
         assert!(faulted.probe_health());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn crash_blocks_until_cleared() {
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 4);

@@ -13,8 +13,8 @@
 //! supervisor re-attaches, so a flapping fabric cannot bounce the system
 //! between paths every cycle.
 //!
-//! Deliberately feature-independent (compiled with or without the `faults`
-//! cargo feature): a real deployment needs stall detection against genuine
+//! Deliberately independent of fault injection (it watches detached
+//! fabrics too): a real deployment needs stall detection against genuine
 //! hardware wedges, not only injected ones.
 
 use serde::{Deserialize, Serialize};

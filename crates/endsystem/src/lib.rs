@@ -65,9 +65,7 @@ pub use ss_overload::{
     early_drop_probability, Gate, GateConfig, GateReason, RedConfig, RedQueue, RedVerdict,
 };
 pub use streaming::{StreamingReport, StreamingUnit};
-#[cfg(feature = "faults")]
-pub use threaded::run_threaded_faulted;
-pub use threaded::{run_threaded, run_threaded_edf, ThreadedReport};
+pub use threaded::{run_threaded, run_threaded_edf, run_threaded_faulted, ThreadedReport};
 pub use threaded::{run_threaded_overload, OverloadRunReport};
 pub use threaded::{run_threaded_traced, TraceConfig, TracedReport};
 pub use transmission::TransmissionEngine;

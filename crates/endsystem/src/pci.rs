@@ -109,12 +109,11 @@ impl PciModel {
 }
 
 /// A checked host↔card transfer front-end: the [`PciModel`] cost model
-/// plus the endsystem fault hooks. Without the `faults` feature every
-/// transfer succeeds at its nominal cost (the hooks are zero-sized); with
-/// it, transfers run through the seeded fault schedule with bounded
-/// retry-with-backoff, and exhaustion surfaces as
-/// [`ss_types::Error::TransferTimeout`] so callers can requeue instead of
-/// losing the batch.
+/// plus the endsystem fault hooks. Detached, every transfer succeeds at
+/// its nominal cost; with an injector attached, transfers run through the
+/// seeded fault schedule with bounded retry-with-backoff, and exhaustion
+/// surfaces as [`ss_types::Error::TransferTimeout`] so callers can requeue
+/// instead of losing the batch.
 #[derive(Debug, Clone, Default)]
 pub struct CardLink {
     model: PciModel,
@@ -137,7 +136,6 @@ impl CardLink {
 
     /// Wires the link's transfers to a shared fault injector with the
     /// given retry policy.
-    #[cfg(feature = "faults")]
     pub fn attach_faults(
         &mut self,
         injector: std::sync::Arc<ss_faults::FaultInjector>,
@@ -320,7 +318,6 @@ mod tests {
         assert_eq!(events[1].arg as u64, from);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn card_link_retries_and_eventually_times_out() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};

@@ -290,7 +290,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn drain_to_card_requeues_on_transfer_timeout() {
         use crate::pci::{CardLink, PciModel, TransferStrategy};

@@ -38,8 +38,7 @@ pub struct BankedSram {
     /// Ownership handovers forced by lost arbitration races (a subset of
     /// `switches`): how often contention, not the protocol, moved a bank.
     contended_switches: u64,
-    /// Fault hooks — zero-sized no-op unless the `faults` feature is on
-    /// and an injector is attached.
+    /// Fault hooks — nominal until an injector is attached.
     faults: EndsystemFaults,
 }
 
@@ -104,7 +103,6 @@ impl BankedSram {
     /// stall for extra arbitration latency, and owned accesses may lose a
     /// revocation race (the access fails with
     /// [`Error::BankContention`] and the bank flips to the other side).
-    #[cfg(feature = "faults")]
     pub fn attach_faults(
         &mut self,
         injector: std::sync::Arc<ss_faults::FaultInjector>,
@@ -304,7 +302,6 @@ mod tests {
         s.write(0, BankOwner::Host, 0, &[7]).unwrap();
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn injected_races_revoke_ownership_and_count_switches() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
@@ -345,7 +342,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn injected_handover_stall_adds_latency_but_never_fails() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};

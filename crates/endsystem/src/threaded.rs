@@ -38,7 +38,6 @@ use ss_core::{LatePolicy, StreamState};
 use ss_overload::{Gate, GateConfig, LossLedger, LossSite, SharedPressure};
 use ss_telemetry::{clock, SharedFlightRecorder, SpanRecorder};
 use ss_types::{Error, Result, Wrap16};
-#[cfg(feature = "faults")]
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,7 +103,6 @@ pub fn run_threaded(
 /// spun on forever), and the scheduler's watchdog abandons the backlog —
 /// counted into [`ThreadedReport::lost`] and the injector's
 /// `lost_packets` — if the fabric stays stuck past its threshold.
-#[cfg(feature = "faults")]
 pub fn run_threaded_faulted(
     config: FabricConfig,
     states: Vec<StreamState>,
@@ -181,7 +179,6 @@ pub struct TraceConfig {
     pub gate: Option<GateConfig>,
     /// Fault injector wired into the fabric and the producer's ring
     /// seam, if any — the chaos half of a traced chaos soak.
-    #[cfg(feature = "faults")]
     pub faults: Option<(Arc<ss_faults::FaultInjector>, ss_faults::RetryPolicy)>,
 }
 
@@ -192,7 +189,6 @@ impl TraceConfig {
             span_capacity,
             flight_capacity,
             gate: None,
-            #[cfg(feature = "faults")]
             faults: None,
         }
     }
@@ -222,8 +218,8 @@ pub struct TracedReport {
 /// fabric arrival, decision win, service, shed) into a per-thread span
 /// track, while a shared flight recorder keeps the most recent events and
 /// dumps automatically when the scheduler's watchdog trips. The
-/// [`TraceConfig`] can also engage the gate and (with the `faults`
-/// feature) a fault injector, so a chaos soak leaves a causally-ordered
+/// [`TraceConfig`] can also engage the gate and attach a fault injector,
+/// so a chaos soak leaves a causally-ordered
 /// post-mortem artifact instead of just pass/fail.
 pub fn run_threaded_traced(
     config: FabricConfig,
@@ -235,9 +231,7 @@ pub fn run_threaded_traced(
     let flight = SharedFlightRecorder::new(trace.flight_capacity);
     let [prod_obs, sched_obs, tx_obs] = ["producer", "scheduler", "transmitter"]
         .map(|thread| Traced::new(&spans, &flight, thread, config.slots));
-    #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
     let mut faults = EndsystemFaults::new();
-    #[cfg(feature = "faults")]
     if let Some((injector, policy)) = trace.faults {
         faults.attach(injector, policy);
     }
@@ -643,7 +637,6 @@ mod tests {
         assert_eq!(report.loss.total(), 0, "ledger agrees: no loss anywhere");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn quiet_injector_run_matches_fault_free() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
@@ -667,7 +660,6 @@ mod tests {
         assert_eq!(inj.stats().snapshot().lost_packets, 0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn stuck_fabric_trips_watchdog_and_bounds_loss() {
         use ss_faults::{FaultConfig, FaultInjector, FaultSite, RetryPolicy};
@@ -718,7 +710,6 @@ mod tests {
         assert_eq!(report.loss.shed, 0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn ring_burst_loss_classified_at_ring_site() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
@@ -892,7 +883,6 @@ mod tests {
         assert!(run.ticks_per_us > 0.0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn traced_stuck_run_auto_dumps_flight() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
@@ -1022,7 +1012,6 @@ mod tests {
             let gated = run_threaded_overload(config(), late(), 2_000, headroom_gate(3)).unwrap();
             assert_expiry_drops_are_shed(&gated.report, 8_000, "overload");
             assert_eq!((gated.offered, gated.admitted), (8_000, 8_000));
-            #[cfg(feature = "faults")]
             {
                 use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};
                 let inj = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
@@ -1085,7 +1074,6 @@ mod tests {
 
     /// 300 always-wedged runs: whatever instant the producer finishes at,
     /// every arrival is transmitted or written off at `shard`.
-    #[cfg(feature = "faults")]
     #[test]
     fn wedged_runs_conserve_every_arrival() {
         use ss_faults::{FaultConfig, FaultInjector, RetryPolicy};

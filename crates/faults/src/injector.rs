@@ -437,8 +437,8 @@ impl FaultStats {
 /// through either of two receivers that draw the same schedule:
 ///
 /// * [`sample`](Self::sample) (`&self`) — for an injector shared via `Arc`
-///   across layers or threads (ingress, endsystem, the sharded frontend's
-///   `faults` leg): the add is an atomic `fetch_add`.
+///   across layers or threads (ingress, endsystem, the sharded
+///   frontend): the add is an atomic `fetch_add`.
 /// * [`sample_mut`](Self::sample_mut) (`&mut self`) — for an injector with
 ///   exactly one owner (each cluster `SimNode` owns its own): the borrow
 ///   already excludes every other drawer, so the add is a plain one.

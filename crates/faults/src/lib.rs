@@ -19,15 +19,14 @@
 //!   against what the recovery machinery detected, retried, recovered,
 //!   failed over, or lost. The chaos soak asserts the two sides agree.
 //!
-//! ## Zero cost when off
+//! ## Detached by default
 //!
-//! Downstream crates (`ss-core`, `ss-endsystem`, `ss-sharded`) gate their
-//! hooks behind their own `faults` cargo feature, mirroring the
-//! `ss-telemetry` pattern: with the feature off the hook types are
-//! zero-sized and every call is an empty `#[inline(always)]` body, so the
-//! zero-allocation decision core and its benchmarks are untouched. This
-//! crate itself is feature-free — it is only ever linked when somebody
-//! turned faults on.
+//! Downstream crates (`ss-core`, `ss-endsystem`, `ss-sharded`) hold their
+//! hooks in every build as runtime attachments: an
+//! `Option<Arc<FaultInjector>>` that is `None` until a caller attaches an
+//! injector, so a detached hook is one branch and a run with no injector
+//! schedules exactly what it would without the hooks. Attached or not,
+//! no hook allocates (`tests/zero_alloc.rs`).
 //!
 //! [`FaultInjector::publish`] exports every
 //! counter into an [`ss_telemetry`] registry so chaos runs flow through the

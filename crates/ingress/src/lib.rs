@@ -48,9 +48,8 @@ pub mod server;
 pub mod soak;
 
 pub use client::{ClientConfig, ClientError, ClientStats, IngressClient, SubmitOutcome};
-// Re-exported so feature-gated facade users can configure injectors
-// without naming ss-faults directly (the facade's `faults` feature may be
-// off while `ingress` is on).
+// Re-exported so ingress users can configure injectors without naming
+// ss-faults directly.
 pub use frame::{Frame, FrameDecoder, FrameError, SubmitView};
 pub use gate::{EdgeGate, EdgeVerdict, IngressArrival};
 pub use server::{DrainReport, EdgeMode, IngressConfig, IngressServer, IngressTotals};

@@ -11,14 +11,11 @@
 //!   rule (`call-graph`) keeps annotations attached to real symbols.
 //! * [`reachability`] — transitive hot-path purity: walks the graph from
 //!   every hot root and reports forbidden sinks with a witness call path.
-//! * [`features`] — feature-cfg consistency: on/off hook arms must match,
-//!   and unguarded code must not call into feature-gated items.
 //! * [`interleave`] — a bounded-exhaustive two-thread interleaving
 //!   checker (a miniature loom) with Acquire/Release visibility, plus
 //!   [`models`] for the workspace's two lock-free protocols.
 
 pub mod callgraph;
-pub mod features;
 pub mod interleave;
 pub mod models;
 pub mod reachability;

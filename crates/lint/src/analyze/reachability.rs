@@ -20,33 +20,32 @@
 //!   "this edge leaves the hot path" (e.g. a cold failure-reporting branch).
 //!   The walk does not traverse a waived edge.
 //!
-//! Items whose `cfg` is dead under the active `--features` set are neither
-//! roots nor traversed — each feature-matrix CI leg re-runs the analyzer
-//! with its own feature set, so every live configuration is covered.
+//! Test-only items (`#[cfg(test)]`) are neither roots nor traversed; the
+//! workspace has no cargo features, so every other item is live in the
+//! one build.
 
 use super::callgraph::Analysis;
-use crate::config::Config;
+use super::symbols::CfgAtom;
 use crate::Report;
 use std::collections::{BTreeSet, VecDeque};
 
 /// The rule id.
 pub const ID: &str = "hot-path-reachability";
 
-/// Hot-root symbol indices: annotated definitions live under the active
-/// feature set.
-pub fn roots(analysis: &Analysis<'_>, cfg: &Config) -> BTreeSet<usize> {
+/// Hot-root symbol indices: annotated definitions outside test code.
+pub fn roots(analysis: &Analysis<'_>) -> BTreeSet<usize> {
     analysis
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, s)| s.hot_annotated && s.live(&cfg.active_features) && !s.test_only())
+        .filter(|(_, s)| s.hot_annotated && !s.test_only())
         .map(|(i, _)| i)
         .collect()
 }
 
 /// Runs the transitive pass.
-pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
-    let roots = roots(analysis, cfg);
+pub fn check(analysis: &Analysis<'_>, report: &mut Report) {
+    let roots = roots(analysis);
     // Multi-source BFS with parent tracking: each reachable function gets
     // one (shortest) witness chain back to a root, so every sink is
     // reported exactly once rather than once per root.
@@ -62,12 +61,9 @@ pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
         let caller_file = analysis.file_of(&analysis.fns[i]);
         for e in &analysis.edges[i] {
             let callee = &analysis.fns[e.callee];
-            if reached[e.callee] || callee.test_only() || !callee.live(&cfg.active_features) {
-                continue;
-            }
-            // A call under a dead statement-level `#[cfg]` is not compiled
-            // in this configuration.
-            if !e.cfg.iter().all(|a| a.live(&cfg.active_features)) {
+            // A call under a statement-level `#[cfg(test)]` is not
+            // compiled outside tests.
+            if reached[e.callee] || callee.test_only() || !e.cfg.iter().all(CfgAtom::live) {
                 continue;
             }
             if caller_file.waived(ID, e.line) {
@@ -89,7 +85,7 @@ pub fn check(analysis: &Analysis<'_>, cfg: &Config, report: &mut Report) {
         let sym = &analysis.fns[i];
         let f = analysis.file_of(sym);
         for sink in &analysis.sinks[i] {
-            if !sink.cfg.iter().all(|a| a.live(&cfg.active_features)) {
+            if !sink.cfg.iter().all(CfgAtom::live) {
                 continue;
             }
             if f.waived(ID, sink.line) {

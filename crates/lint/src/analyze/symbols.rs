@@ -4,10 +4,10 @@
 //!
 //! Extraction runs over the *masked* text (comments and string contents
 //! blanked, byte layout preserved — see [`crate::lexer`]), so the token
-//! walk never trips over braces in strings or `fn` in prose. The one
-//! exception is `cfg` feature names, which live inside string literals:
-//! those are read back from the original text at the same byte offsets,
-//! which the mask guarantees line up.
+//! walk never trips over braces in strings or `fn` in prose. `cfg`
+//! attribute bodies, which may hold string literals, are read back from
+//! the original text at the same byte offsets, which the mask guarantees
+//! line up.
 //!
 //! The parser is a single forward token walk with an explicit scope
 //! stack: inline `mod`/`impl`/`trait` blocks push a scope carrying their
@@ -15,8 +15,8 @@
 //! cfg context is its own attributes plus every enclosing scope's. Items
 //! inside `#[cfg(test)]` scopes are marked and excluded from the call
 //! graph. `mod name;` declarations are collected separately so a file
-//! gated at its declaration site (`#[cfg(feature = "simd")] mod simd;`)
-//! inherits that cfg for every symbol it defines.
+//! gated at its declaration site (`#[cfg(test)] mod tests;`) inherits
+//! that cfg for every symbol it defines.
 
 use crate::lexer::is_ident_byte;
 use crate::workspace::SourceFile;
@@ -24,29 +24,18 @@ use crate::workspace::SourceFile;
 /// One parsed `#[cfg(...)]` atom, conservatively classified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CfgAtom {
-    /// `#[cfg(feature = "name")]`.
-    Feature(String),
-    /// `#[cfg(not(feature = "name"))]`.
-    NotFeature(String),
     /// `#[cfg(test)]`.
     Test,
-    /// Anything else (`any(...)`, `target_arch`, ...) — kept verbatim and
-    /// treated as "unknown": live for reachability (over-approximate), but
-    /// never used to prove a guard in the feature-cfg pass.
+    /// Anything else (`not(test)`, `target_arch`, ...) — kept verbatim and
+    /// treated as live for reachability (over-approximation keeps it
+    /// sound: we would rather scan dead code than skip live code).
     Other(String),
 }
 
 impl CfgAtom {
-    /// Whether code under this atom is compiled with `active` features.
-    /// Unknown atoms answer `true` (over-approximation keeps reachability
-    /// sound: we would rather scan dead code than skip live code).
-    pub fn live(&self, active: &[String]) -> bool {
-        match self {
-            CfgAtom::Feature(f) => active.iter().any(|a| a == f),
-            CfgAtom::NotFeature(f) => !active.iter().any(|a| a == f),
-            CfgAtom::Test => false,
-            CfgAtom::Other(_) => true,
-        }
+    /// Whether code under this atom is compiled outside tests.
+    pub fn live(&self) -> bool {
+        !matches!(self, CfgAtom::Test)
     }
 }
 
@@ -77,20 +66,14 @@ pub struct FnSym {
 }
 
 impl FnSym {
-    /// `true` when this symbol is compiled under `active` features (and is
-    /// not test-only code).
-    pub fn live(&self, active: &[String]) -> bool {
-        self.cfg.iter().all(|c| c.live(active))
-    }
-
     /// `true` when any cfg atom is `test`.
     pub fn test_only(&self) -> bool {
         self.cfg.contains(&CfgAtom::Test)
     }
 }
 
-/// One type item (`struct`/`enum`): feature-cfg pairs its arms, and the
-/// call graph resolves receivers through its field types.
+/// One type item (`struct`/`enum`): the call graph resolves receivers
+/// through its field types.
 #[derive(Debug, Clone)]
 pub struct TypeSym {
     /// Type name.
@@ -659,15 +642,15 @@ fn angle_end(bytes: &[u8], open: usize) -> usize {
 /// Statement-level `#[cfg(...)]` guards inside a body.
 ///
 /// Item-level cfg lands on [`FnSym::cfg`]; but this workspace also guards
-/// individual statements, arguments, and struct-literal fields (the
-/// threaded endsystem does this heavily). For each such attribute this
+/// individual statements, arguments, and struct-literal fields. For each
+/// such attribute this
 /// returns the byte range of the guarded statement/expression — attr end
 /// to the first `;`/`,` at depth 0 or the close of the guarded block
 /// (including `else` chains) — plus the parsed atom. Call sites and sinks
 /// inside the range inherit the atom.
 ///
 /// `masked` and `original` are the same byte span of the file (masked for
-/// structure, original for the feature-name strings).
+/// structure, original for the attribute text).
 pub fn stmt_guards(masked: &str, original: &str) -> Vec<(std::ops::Range<usize>, CfgAtom)> {
     let bytes = masked.as_bytes();
     let mut out = Vec::new();
@@ -728,31 +711,7 @@ fn classify_cfg(body: &str) -> CfgAtom {
     if body == "test" {
         return CfgAtom::Test;
     }
-    if let Some(feature) = parse_feature_eq(body) {
-        return CfgAtom::Feature(feature);
-    }
-    if let Some(inner) = body
-        .strip_prefix("not")
-        .and_then(|s| s.trim_start().strip_prefix('('))
-        .and_then(|s| s.trim_end().strip_suffix(')'))
-    {
-        if let Some(feature) = parse_feature_eq(inner) {
-            return CfgAtom::NotFeature(feature);
-        }
-        if inner.trim() == "test" {
-            // `cfg(not(test))` is always live outside tests.
-            return CfgAtom::Other(body.to_string());
-        }
-    }
     CfgAtom::Other(body.to_string())
-}
-
-fn parse_feature_eq(s: &str) -> Option<String> {
-    let rest = s.trim().strip_prefix("feature")?.trim_start();
-    let rest = rest.strip_prefix('=')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 #[cfg(test)]
@@ -781,29 +740,23 @@ mod tests {
     #[test]
     fn cfg_attribution_through_scopes_and_attrs() {
         let s = syms(
-            "#[cfg(feature = \"telemetry\")]\nmod enabled {\n    pub fn record() {}\n}\n#[cfg(not(feature = \"telemetry\"))]\npub fn record() {}\n#[cfg(test)]\nmod tests { fn t() {} }\n",
+            "#[cfg(target_arch = \"x86_64\")]\nmod simd {\n    pub fn record() {}\n}\n#[cfg(not(test))]\npub fn record() {}\n#[cfg(test)]\nmod tests { fn t() {} }\n",
         );
         assert_eq!(s.fns.len(), 3);
-        assert_eq!(
-            s.fns[0].cfg,
-            vec![CfgAtom::Feature("telemetry".to_string())]
-        );
-        assert_eq!(
-            s.fns[1].cfg,
-            vec![CfgAtom::NotFeature("telemetry".to_string())]
-        );
+        let arch = CfgAtom::Other("target_arch = \"x86_64\"".to_string());
+        assert_eq!(s.fns[0].cfg, vec![arch]);
+        assert_eq!(s.fns[1].cfg, vec![CfgAtom::Other("not(test)".to_string())]);
         assert!(s.fns[2].test_only());
-        assert!(s.fns[0].live(&["telemetry".to_string()]));
-        assert!(!s.fns[0].live(&[]));
-        assert!(s.fns[1].live(&[]));
+        assert!(s.fns[0].cfg.iter().all(CfgAtom::live));
+        assert!(!s.fns[1].test_only());
     }
 
     #[test]
     fn mod_decls_carry_cfg() {
-        let s = syms("#[cfg(feature = \"simd\")]\npub(crate) mod simd;\npub mod fabric;\n");
+        let s = syms("#[cfg(test)]\nmod tests;\npub mod fabric;\n");
         assert_eq!(s.mod_decls.len(), 2);
-        assert_eq!(s.mod_decls[0].name, "simd");
-        assert_eq!(s.mod_decls[0].cfg, vec![CfgAtom::Feature("simd".into())]);
+        assert_eq!(s.mod_decls[0].name, "tests");
+        assert_eq!(s.mod_decls[0].cfg, vec![CfgAtom::Test]);
         assert!(s.mod_decls[1].cfg.is_empty());
     }
 
@@ -851,13 +804,13 @@ mod tests {
 
     #[test]
     fn stmt_guards_cover_statements_and_blocks() {
-        let src = "{\n    #[cfg(feature = \"overload\")]\n    gate.tick();\n    always();\n    #[cfg(feature = \"faults\")]\n    if armed { inject(); } else { skip(); }\n    after();\n}";
+        let src = "{\n    #[cfg(test)]\n    gate.tick();\n    always();\n    #[cfg(debug_assertions)]\n    if armed { inject(); } else { skip(); }\n    after();\n}";
         let guards = stmt_guards(src, src);
         assert_eq!(guards.len(), 2);
         let at = |needle: &str| src.find(needle).expect("needle present");
         assert!(guards[0].0.contains(&at("gate.tick")));
         assert!(!guards[0].0.contains(&at("always")));
-        assert_eq!(guards[0].1, CfgAtom::Feature("overload".into()));
+        assert_eq!(guards[0].1, CfgAtom::Test);
         assert!(guards[1].0.contains(&at("inject")));
         assert!(guards[1].0.contains(&at("skip")), "else chain is guarded");
         assert!(!guards[1].0.contains(&at("after")));

@@ -1,15 +1,18 @@
 //! The whole gate, one command: what CI runs, runnable locally.
 //!
 //! ```text
-//! cargo run -p ss-lint --release --bin verify            # every group
-//! cargo run -p ss-lint --release --bin verify -- faults  # one group
+//! cargo run -p ss-lint --release --bin verify             # every step
+//! cargo run -p ss-lint --release --bin verify -- release  # one group
 //! ```
 //!
-//! A group is one feature leg (`default`, `faults`) or `once`, the checks
-//! no leg changes. Every step
-//! runs from the workspace root with incremental builds and debuginfo off
-//! (debug legs fill the disk otherwise). The run stops at the first failing
-//! step and prints its command; a wall-time table per step closes it.
+//! One leg: the workspace has no cargo features, so every step checks the
+//! one build. The steps fall into two groups only so CI can run them as two
+//! parallel jobs: `debug` (the workspace tests, ss-lint, clippy) and
+//! `release` (release tests, the conformance full gear, the bench compile,
+//! rustfmt, rustdoc and the digests). Every step runs from the workspace
+//! root with incremental builds and debuginfo off (debug builds fill the
+//! disk otherwise). The run stops at the first failing step and prints its
+//! command; a wall-time table per step closes it.
 //!
 //! Exit status: 0 when every step passed, 1 on a failing step, 2 on usage.
 
@@ -19,64 +22,50 @@ use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
-/// The feature legs, each a group that runs the `LEG` rows.
-const LEGS: [&str; 2] = ["default", "faults"];
-const LEG: &str = "each leg";
+/// The groups, in run order.
+const GROUPS: [&str; 2] = ["debug", "release"];
 
-/// The gate: group, step, cargo arguments (`{features}` is the leg's
-/// `--features` flag) and the text a line of its stdout must contain,
-/// which is echoed. The four fixed-work digests are pinned here and
-/// nowhere else: a change that moves one must explain and re-pin it.
+/// The gate: group, step, cargo arguments and the text a line of its stdout
+/// must contain, which is echoed. The four fixed-work digests are pinned
+/// here and nowhere else: a change that moves one must explain and re-pin
+/// it.
 #[rustfmt::skip]
 const STEPS: &[(&str, &str, &str, &str)] = &[
-    (LEG, "test", "test --workspace{features}", ""),
-    (LEG, "ss-lint", "run -q -p ss-lint --release -- --workspace-root .{features}", "hot roots"),
-    (LEG, "clippy", "clippy --workspace --all-targets{features} -- -D warnings", ""),
-    ("once", "test --release", "test --release --workspace", ""),
-    ("once", "conformance full gear", "test --release --test conformance -- --ignored", ""),
-    ("once", "bench compile", "bench --no-run --workspace", ""),
-    ("once", "rustfmt", "fmt --all --check", ""),
+    ("debug", "test", "test --workspace", ""),
+    ("debug", "ss-lint", "run -q -p ss-lint --release -- --workspace-root .", "hot roots"),
+    ("debug", "clippy", "clippy --workspace --all-targets -- -D warnings", ""),
+    ("release", "test --release", "test --release --workspace", ""),
+    ("release", "conformance full gear", "test --release --test conformance -- --ignored", ""),
+    ("release", "bench compile", "bench --no-run --workspace", ""),
+    ("release", "rustfmt", "fmt --all --check", ""),
     // ss-benchmark is left out only for its one private `replay` link in
     // `loopback.rs` (ROADMAP item 4's stale prose); the row covers it once
     // that link is fixed.
-    ("once", "doc", "doc --workspace --no-deps --exclude ss-benchmark", ""),
-    ("once", "digest loopback_pipeline", "run -q --release -p ss-benchmark -- --workload loopback_pipeline --seed 5 --slices 60", "output digest 0xd284b066b201f648"),
-    ("once", "digest loopback_overload", "run -q --release -p ss-benchmark -- --workload loopback_overload --seed 5 --slices 60", "output digest 0x965a9780775302f9"),
-    ("once", "digest fabric_block", "run -q --release -p ss-benchmark -- --workload fabric_block --seed 5 --slices 60", "output digest 0x9921faa37804e1e5"),
-    ("once", "digest cluster_soak", "run -q --release -p ss-benchmark -- --workload cluster_soak --seed 5 --slices 60", "output digest 0xc09e4b3671610608"),
+    ("release", "doc", "doc --workspace --no-deps --exclude ss-benchmark", ""),
+    ("release", "digest loopback_pipeline", "run -q --release -p ss-benchmark -- --workload loopback_pipeline --seed 5 --slices 60", "output digest 0xd284b066b201f648"),
+    ("release", "digest loopback_overload", "run -q --release -p ss-benchmark -- --workload loopback_overload --seed 5 --slices 60", "output digest 0x965a9780775302f9"),
+    ("release", "digest fabric_block", "run -q --release -p ss-benchmark -- --workload fabric_block --seed 5 --slices 60", "output digest 0x9921faa37804e1e5"),
+    ("release", "digest cluster_soak", "run -q --release -p ss-benchmark -- --workload cluster_soak --seed 5 --slices 60", "output digest 0xc09e4b3671610608"),
 ];
 
 /// Environment for every step.
 const ENV: &str = "CARGO_INCREMENTAL=0 CARGO_PROFILE_DEV_DEBUG=0 CARGO_PROFILE_TEST_DEBUG=0";
 
-/// One step of one group, with its arguments expanded.
+/// One row of `STEPS`.
 struct Step {
     group: &'static str,
     name: &'static str,
-    args: String,
+    args: &'static str,
     expect: &'static str,
 }
 
-/// `STEPS` with the `LEG` rows expanded once per leg, in run order.
-fn steps() -> Vec<Step> {
-    let mut out = Vec::new();
-    for group in LEGS.into_iter().chain(["once"]) {
-        let leg = group != "once";
-        let flag = match group {
-            "default" | "once" => String::new(),
-            f => format!(" --features {f}"),
-        };
-        for &(_, name, args, expect) in STEPS.iter().filter(|r| r.0 == group || leg && r.0 == LEG) {
-            let args = args.replace("{features}", &flag);
-            out.push(Step {
-                group,
-                name,
-                args,
-                expect,
-            });
-        }
-    }
-    out
+fn steps() -> impl Iterator<Item = Step> {
+    STEPS.iter().map(|&(group, name, args, expect)| Step {
+        group,
+        name,
+        args,
+        expect,
+    })
 }
 
 fn command_line(s: &Step) -> String {
@@ -124,17 +113,16 @@ fn table(rows: &[(&Step, f64, bool)]) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let groups: Vec<&str> = LEGS.into_iter().chain(["once"]).collect();
     let selected = match args.as_slice() {
         [] => None,
-        [g] if groups.contains(&g.as_str()) => Some(g.as_str()),
+        [g] if GROUPS.contains(&g.as_str()) => Some(g.as_str()),
         _ => {
-            eprintln!("usage: verify [GROUP]   (GROUP: {})", groups.join(" | "));
+            eprintln!("usage: verify [GROUP]   (GROUP: {})", GROUPS.join(" | "));
             return ExitCode::from(2);
         }
     };
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let all = steps();
+    let all: Vec<Step> = steps().collect();
     let mut rows = Vec::new();
     for s in all.iter().filter(|s| selected.is_none_or(|g| s.group == g)) {
         println!("\n==> [{}] {}: {}", s.group, s.name, command_line(s));

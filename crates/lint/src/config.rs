@@ -225,10 +225,6 @@ pub struct Config {
     pub protocol: Vec<ProtocolRule>,
     /// Lock-free protocols explored by the interleaving checker.
     pub interleave: Vec<InterleaveProtocol>,
-    /// Cargo features active for this run (CLI `--features`, not
-    /// `lint.toml`): drives `cfg(feature)` liveness in the call-graph
-    /// passes so every CI matrix leg checks its own configuration.
-    pub active_features: Vec<String>,
 }
 
 fn strings(t: &Table, key: &str) -> Vec<String> {
@@ -284,7 +280,6 @@ impl Config {
             flag_seqcst: matches!(atomics.get("flag_seqcst"), Some(Value::Bool(true)) | None),
             protocol,
             interleave,
-            active_features: Vec::new(),
         })
     }
 

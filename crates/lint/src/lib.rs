@@ -8,8 +8,7 @@
 //! compiler can check is left to it: the workspace manifest denies rustc's
 //! `unsafe_code` (the four files that opt out of it are the whole unsafe
 //! surface) and clippy's `undocumented_unsafe_blocks`,
-//! `missing_safety_doc` and `unwrap_used`, and each `faults` stub carries
-//! its own `size_of == 0` const assertion. This tool turns the rest into
+//! `missing_safety_doc` and `unwrap_used`. This tool turns the rest into
 //! machine-checked rules, run on every commit:
 //!
 //! | rule id            | invariant                                             |
@@ -17,7 +16,6 @@
 //! | `atomics-ordering` | every `Ordering::` site matches the declared protocol (SeqCst banned, undeclared acq/rel flagged) |
 //! | `call-graph`       | every `// lint:hot-path` annotation attaches to a function definition |
 //! | `hot-path-reachability` | nothing reachable from a `// lint:hot-path` function contains a panic/alloc/format token (witness call path printed) |
-//! | `feature-cfg`      | feature on/off hook arms match; unguarded code never calls gated items |
 //! | `spsc-interleave`  | the lock-free protocols survive exhaustive bounded interleaving with the orderings extracted from source |
 //!
 //! Configuration lives in the checked-in `lint.toml` at the workspace
@@ -48,13 +46,12 @@ use std::fmt;
 use workspace::Workspace;
 
 /// Every rule id, in report order. The first is the per-file token rule;
-/// the last four are the workspace-level analyses built on the symbol
+/// the last three are the workspace-level analyses built on the symbol
 /// table and call graph (see [`analyze`]).
-pub const RULE_IDS: [&str; 5] = [
+pub const RULE_IDS: [&str; 4] = [
     rules::atomics::ID,
     analyze::callgraph::ID,
     analyze::reachability::ID,
-    analyze::features::ID,
     analyze::interleave::ID,
 ];
 
@@ -117,8 +114,8 @@ impl Report {
 
 /// Runs one rule by id. Panics on an unknown id (caller validates).
 ///
-/// The four analysis rules each rebuild the call graph when run alone via
-/// `--rule`; [`run_all`] builds it once and shares it.
+/// The two call-graph rules each rebuild the call graph when run alone
+/// via `--rule`; [`run_all`] builds it once and shares it.
 pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     match rule {
         "atomics-ordering" => rules::atomics::check(ws, cfg, report),
@@ -128,18 +125,14 @@ pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
         }
         "hot-path-reachability" => {
             let analysis = analyze::callgraph::Analysis::build(ws, cfg);
-            analyze::reachability::check(&analysis, cfg, report);
-        }
-        "feature-cfg" => {
-            let analysis = analyze::callgraph::Analysis::build(ws, cfg);
-            analyze::features::check(&analysis, cfg, report);
+            analyze::reachability::check(&analysis, report);
         }
         "spsc-interleave" => analyze::interleave::check(ws, cfg, report),
         other => unreachable!("unknown rule id `{other}` — caller validates against RULE_IDS"),
     }
 }
 
-/// Runs all five rules plus waiver-syntax validation and the sanitizer-
+/// Runs all four rules plus waiver-syntax validation and the sanitizer-
 /// suppression staleness check, sharing one call graph across the
 /// analysis passes.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
@@ -147,8 +140,7 @@ pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
     rules::atomics::check(ws, cfg, &mut report);
     let analysis = analyze::callgraph::Analysis::build(ws, cfg);
     analyze::callgraph::check(&analysis, &mut report);
-    analyze::reachability::check(&analysis, cfg, &mut report);
-    analyze::features::check(&analysis, cfg, &mut report);
+    analyze::reachability::check(&analysis, &mut report);
     analyze::interleave::check(ws, cfg, &mut report);
     waiver_syntax(ws, &mut report);
     tsan_suppressions(ws, &mut report);

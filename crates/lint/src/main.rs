@@ -19,14 +19,12 @@ use std::process::ExitCode;
 struct Args {
     root: PathBuf,
     rule: Option<String>,
-    features: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         rule: None,
-        features: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -44,17 +42,9 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.rule = Some(r);
             }
-            "--features" => {
-                let list = it.next().ok_or("--features needs a comma-separated list")?;
-                args.features.extend(
-                    list.split(',')
-                        .map(|f| f.trim().to_string())
-                        .filter(|f| !f.is_empty()),
-                );
-            }
             "--help" | "-h" => {
                 println!(
-                    "ss-lint: workspace static analysis\n\n  --workspace-root <path>   workspace to analyze (default: .)\n  --rule <id>               run a single rule ({})\n  --features <a,b>          cargo features treated as active by the cfg-aware passes",
+                    "ss-lint: workspace static analysis\n\n  --workspace-root <path>   workspace to analyze (default: .)\n  --rule <id>               run a single rule ({})",
                     RULE_IDS.join(", ")
                 );
                 std::process::exit(0);
@@ -81,14 +71,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut cfg = match Config::parse(&config_src) {
+    let cfg = match Config::parse(&config_src) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("ss-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    cfg.active_features = args.features.clone();
     let ws = match Workspace::load(&args.root, &cfg.exclude) {
         Ok(w) => w,
         Err(e) => {

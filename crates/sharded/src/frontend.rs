@@ -45,7 +45,7 @@ pub(crate) struct Frontend<T: Telemetry> {
     failed: u32,
     /// Backlogged packets written off when shards were excluded.
     lost_packets: u64,
-    /// The shared injector's recovery ledger (zero-sized without `faults`).
+    /// The shared injector's recovery ledger (detached until `attach_faults`).
     pub(crate) ledger: RecoveryLedger,
     /// Winner counters and merge latency (zero-sized for `T = ()`).
     pub(crate) metrics: T::Merge,

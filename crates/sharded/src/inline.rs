@@ -468,7 +468,6 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// a shared injector: decision cycles can wedge per shard, and the
     /// [`ss_faults::FaultSite::Shard`] stream drives transient stalls and
     /// permanent crashes (auto-excluded on detection).
-    #[cfg(feature = "faults")]
     pub fn attach_faults(&mut self, injector: std::sync::Arc<ss_faults::FaultInjector>) {
         self.front.ledger.attach(injector);
         for fabric in &mut self.shards {
@@ -478,14 +477,12 @@ impl<T: Telemetry> ShardedScheduler<T> {
 
     /// Permanently crashes shard `k`'s fabric (test/operator hook); the
     /// next decision cycle detects and excludes it.
-    #[cfg(feature = "faults")]
     pub fn inject_shard_crash(&mut self, k: usize) {
         self.shards[k].inject_crash();
     }
 
     /// Samples the shard-level fault stream once per global cycle and
     /// applies the drawn fault to a round-robin-picked live shard.
-    #[cfg(feature = "faults")]
     fn inject_shard_faults(&mut self) {
         use ss_faults::{FaultKind, FaultSite};
         let Some(inj) = self.front.ledger.injector() else {
@@ -571,7 +568,6 @@ impl<T: Telemetry> ShardedScheduler<T> {
     // lint:hot-path
     pub fn decision_cycle(&mut self) -> Option<ScheduledPacket> {
         self.decision_count += 1;
-        #[cfg(feature = "faults")]
         self.inject_shard_faults();
         self.auto_exclude_crashed();
         let merge_start = self.front.metrics.start();

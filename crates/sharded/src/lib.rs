@@ -46,11 +46,11 @@
 //! merge-telemetry recording. `inline` and `threaded` own only what
 //! differs — the fabrics and breakers here, the rings and workers there —
 //! and [`ShardedScheduler::into_threaded`] moves the frontend whole.
-//! Supervisor hooks are zero-sized when off: the fault ledger
-//! ([`ss_core::RecoveryLedger`]) without the `faults` feature, the merge
-//! trace and merge metrics for the default `ShardedScheduler<()>` (the
-//! [`ss_core::Traced`] instantiation carries them), so the drive modes
-//! carry no `cfg` on fields or statements.
+//! Supervisor hooks are off until attached: the fault ledger
+//! ([`ss_core::RecoveryLedger`]) books nothing while detached, and the
+//! merge trace and merge metrics are zero-sized for the default
+//! `ShardedScheduler<()>` (the [`ss_core::Traced`] instantiation carries
+//! them), so the drive modes carry no `cfg` on fields or statements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -466,7 +466,6 @@ fn every_live_shard_counts_one_tournament_per_cycle() {
 /// alone: 4 queued against a limit of 4 for 6 cycles, which a healthy
 /// merge drains first (seed 80 never trips). The figures are the parent
 /// commit's, where a third `peek_winner` scan fed the breakers.
-#[cfg(feature = "faults")]
 #[test]
 fn breakers_see_the_cycles_proposals() {
     use ss_faults::{FaultConfig, FaultInjector};
@@ -501,7 +500,6 @@ fn breakers_see_the_cycles_proposals() {
     assert_eq!((s.breaker_trips(), served), (3, 8));
 }
 
-#[cfg(feature = "faults")]
 #[test]
 fn injected_crash_auto_excludes_the_shard() {
     use ss_faults::{FaultConfig, FaultInjector};
@@ -525,7 +523,6 @@ fn injected_crash_auto_excludes_the_shard() {
     assert_eq!(inj.stats().lost_packets.load(AOrd::Relaxed), 20);
 }
 
-#[cfg(feature = "faults")]
 #[test]
 fn threaded_worker_crash_is_excluded_not_hung() {
     use ss_faults::{FaultConfig, FaultInjector};
@@ -575,7 +572,6 @@ fn threaded_worker_crash_is_excluded_not_hung() {
 /// the fabric — so it books 0 and the stranded packets are read off the
 /// fabric `join()` hands back; the cycles the shard will never answer are
 /// the report's `missed_proposals`.
-#[cfg(feature = "faults")]
 #[test]
 fn exclusion_is_booked_identically_in_both_modes() {
     use ss_faults::{FaultConfig, FaultInjector};

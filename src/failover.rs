@@ -83,8 +83,8 @@ pub struct FailoverScheduler<T: Telemetry = ()> {
     reattaches: u64,
     /// Degradation-ladder supervision (off until armed).
     overload: Option<OverloadSupervisor>,
-    /// The injector's recovery ledger (`attach_faults`; zero-sized
-    /// without the `faults` feature).
+    /// The injector's recovery ledger (`attach_faults`; detached, it books
+    /// nothing).
     ledger: RecoveryLedger,
     /// Path switches, ladder sheds and rung changes in the flight recorder,
     /// with automatic incident dumps (`attach_flight_recorder`; zero-sized
@@ -521,7 +521,6 @@ impl<T: Telemetry> FailoverScheduler<T> {
     /// Wires the supervised fabric (and every fabric built by future
     /// re-attachments) to a shared fault injector; failover/re-attach
     /// events land in the injector's ledger.
-    #[cfg(feature = "faults")]
     pub fn attach_faults(&mut self, injector: std::sync::Arc<ss_faults::FaultInjector>) {
         self.ledger.attach(injector);
         self.ledger.wire(&mut self.fabric);
@@ -529,7 +528,6 @@ impl<T: Telemetry> FailoverScheduler<T> {
 
     /// Crashes the current hardware path (test hook; the watchdog will
     /// trip and fail over on subsequent cycles).
-    #[cfg(feature = "faults")]
     pub fn inject_crash(&mut self) {
         self.fabric.inject_crash();
     }
@@ -713,7 +711,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn crash_fails_over_serves_degraded_and_reattaches() {
         let mut sup = FailoverScheduler::new(wr_edf(2), DecisionWatchdog::new(2, 4)).unwrap();
@@ -768,7 +765,6 @@ mod tests {
         assert_eq!(served, total, "every enqueued packet was served");
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn degraded_mode_rejects_loads_and_accepts_arrivals() {
         let mut sup = FailoverScheduler::new(wr_edf(2), DecisionWatchdog::new(1, 64)).unwrap();
@@ -789,7 +785,6 @@ mod tests {
         assert!(sup.decision_cycle().unwrap().is_some());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn path_switches_are_traced_and_ledgered() {
         use ss_faults::{FaultConfig, FaultInjector};
@@ -824,7 +819,6 @@ mod tests {
         assert_eq!(switches, [1, 0]);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn failover_takes_automatic_flight_dump() {
         use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};

@@ -78,7 +78,6 @@ pub use ss_core as core;
 pub use ss_core::hwsim;
 pub use ss_disciplines as disciplines;
 pub use ss_endsystem as endsystem;
-#[cfg(feature = "faults")]
 pub use ss_faults as faults;
 pub use ss_ingress as ingress;
 pub use ss_overload as overload;
@@ -88,23 +87,14 @@ pub use ss_traffic as traffic;
 pub use ss_types as types;
 
 /// Publishes an `ss_build_info` gauge (value 1) carrying the crate version
-/// and the compiled feature set as labels — the standard Prometheus idiom
-/// for joining metrics against build metadata. `faults` is the one cargo
-/// feature.
+/// as a label — the standard Prometheus idiom for joining metrics against
+/// build metadata. There is one build, so the version names it.
 pub fn publish_build_info(registry: &ss_telemetry::Registry) {
-    let features = if cfg!(feature = "faults") {
-        "faults"
-    } else {
-        ""
-    };
     registry
         .gauge_labeled(
             "ss_build_info",
-            &[
-                ("version", env!("CARGO_PKG_VERSION")),
-                ("features", features),
-            ],
-            "Build metadata (constant 1; labels carry version and features)",
+            &[("version", env!("CARGO_PKG_VERSION"))],
+            "Build metadata (constant 1; the label carries the version)",
         )
         .set(1);
 }

@@ -15,7 +15,6 @@
 //! make the k-th fault decision at a site a pure function of (seed, site,
 //! k), so these runs are reproducible bug reports, not flaky dice rolls.
 
-#![cfg(feature = "faults")]
 #![allow(clippy::unwrap_used)]
 
 use sharestreams::core::LatePolicy;
@@ -414,10 +413,9 @@ fn fault_ledger_publishes_into_telemetry() {
     );
 }
 
-/// Overload soak (cargo feature `faults`): the same pinned
-/// seeds drive a 2× offered load — two arrivals per decision cycle against
-/// a one-packet-per-cycle fabric — plus seeded `OverloadBurst` spikes at
-/// the admission point. The deadline demand is deliberately infeasible
+/// Overload soak: the same pinned seeds drive a 2× offered load — two
+/// arrivals per decision cycle against a one-packet-per-cycle fabric —
+/// plus seeded `OverloadBurst` spikes at the admission point. The deadline demand is deliberately infeasible
 /// (4 streams at `T=6` plus 4 at `T=8` want 7/6 of the service rate), so
 /// an unmanaged fabric drifts behind on *every* stream, while the managed
 /// run's admission plan passes a feasible mix that gives the tight-window

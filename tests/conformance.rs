@@ -13,9 +13,10 @@ mod harness;
 use harness::*;
 use sharestreams::core::FabricConfigKind::{Base, WinnerOnly};
 use sharestreams::endsystem::{run_threaded, run_threaded_edf, run_threaded_overload};
+use sharestreams::endsystem::{run_threaded_faulted, run_threaded_traced, TraceConfig};
+use sharestreams::faults::{FaultConfig, FaultInjector, RetryPolicy};
 use sharestreams::overload::{GateConfig, RedConfig};
 use sharestreams::types::WindowConstraint;
-#[cfg(feature = "faults")]
 use std::sync::Arc;
 
 /// Every `RESTRICTIONS` row says why its path leaves the class: a paper
@@ -101,22 +102,14 @@ fn threaded_paths_keep_the_uniform_totals() {
     let plain = run_threaded(config, states(), arrivals).unwrap();
     let edf = run_threaded_edf(32, WinnerOnly, arrivals).unwrap();
     let mut reports = vec![("plain", plain), ("edf", edf), ("overload", gated.report)];
-    #[cfg(feature = "faults")]
-    {
-        use sharestreams::faults::{FaultConfig, FaultInjector, RetryPolicy};
-        let quiet = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
-        let run = sharestreams::endsystem::run_threaded_faulted;
-        let faulted = run(config, states(), arrivals, quiet, RetryPolicy::default());
-        reports.push(("faulted", faulted.unwrap()));
-    }
+    let quiet = Arc::new(FaultInjector::new(11, FaultConfig::quiet()));
+    let faulted = run_threaded_faulted(config, states(), arrivals, quiet, RetryPolicy::default());
+    reports.push(("faulted", faulted.unwrap()));
     for gate in [None, Some(gate())] {
-        let mut tracing = sharestreams::endsystem::TraceConfig::new(1 << 15, 256);
+        let mut tracing = TraceConfig::new(1 << 15, 256);
         tracing.gate = gate;
-        let run = sharestreams::endsystem::run_threaded_traced;
-        reports.push((
-            "traced",
-            run(config, states(), arrivals, tracing).unwrap().report,
-        ));
+        let traced = run_threaded_traced(config, states(), arrivals, tracing);
+        reports.push(("traced", traced.unwrap().report));
     }
     for (what, r) in &reports {
         assert_eq!(r.per_slot, want, "{what}");

@@ -186,8 +186,8 @@ pub(crate) enum Path {
     /// `RtlFabric`, plain and compute-ahead.
     Rtl,
     RtlAhead,
-    /// `FailoverScheduler`; on the `faults` legs it crashes a third of the
-    /// way in, fails over to software and re-attaches.
+    /// `FailoverScheduler`; it crashes a third of the way in, fails over
+    /// to software and re-attaches.
     Failover,
     /// Through `IngressServer` over loopback TCP into a consumer `Fabric`.
     Loopback,
@@ -286,13 +286,13 @@ pub(crate) enum Run {
     Rtl(RtlFabric, u64),
     Sharded(ShardedScheduler),
     Reference(Reference),
-    /// The supervisor, its tick, and the tick at which its card crashes on
-    /// the `faults` legs. A watchdog that trips on the first stuck cycle
+    /// The supervisor, its tick, and the tick at which its card crashes.
+    /// A watchdog that trips on the first stuck cycle
     /// fails over in that cycle and re-attaches after 16 healthy ones. The
     /// crashed cycle costs a packet-time, so the clock runs one ahead after
     /// a failover; that is taken off, and the winners, deadlines and
     /// verdicts must be the fabric's.
-    Failover(FailoverScheduler, u64, #[allow(dead_code)] u64),
+    Failover(FailoverScheduler, u64, u64),
     Loopback(Box<Loopback>),
 }
 
@@ -366,9 +366,8 @@ impl Run {
             Run::Rtl(rtl, _) => out.extend_from_slice(rtl.run_decision().packets()),
             Run::Sharded(s) => out.extend(s.decision_cycle()),
             Run::Reference(r) => out.extend(r.decide()),
-            Run::Failover(sup, tick, _crash_at) => {
-                #[cfg(feature = "faults")]
-                if *tick == *_crash_at {
+            Run::Failover(sup, tick, crash_at) => {
+                if *tick == *crash_at {
                     sup.inject_crash();
                 }
                 *tick += 1;
@@ -417,14 +416,13 @@ impl Run {
                 }
             }
             Run::Failover(sup, ..) => {
-                #[cfg(feature = "faults")]
                 assert_eq!((sup.failovers(), sup.reattaches()), (1, 1));
-                // After a crash the counters are split across two fabrics and
-                // the software oracle; the winner sequence is the check then.
-                let mut end = fabric_end(sup.fabric());
-                let counters = end.counters.filter(|_| sup.failovers() == 0);
-                (end.now, end.counters, end.rules, end.hw_cycles) = (now, counters, None, None);
-                end
+                // The crash splits the counters across two fabrics and the
+                // software oracle; the winner sequence is the check.
+                End {
+                    now,
+                    ..End::default()
+                }
             }
             Run::Loopback(mut l) => {
                 l.client.goodbye();

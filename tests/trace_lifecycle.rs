@@ -119,7 +119,6 @@ proptest! {
 /// bursts and decision wedges) still yields: conserved accounting, a
 /// causally-ordered stitched stream, Perfetto-loadable JSON, and stage
 /// latencies that join the Prometheus schema.
-#[cfg(feature = "faults")]
 #[test]
 fn traced_chaos_run_is_causal_and_perfetto_loadable() {
     use sharestreams::endsystem::{run_threaded_traced, TraceConfig};
@@ -185,7 +184,6 @@ fn traced_chaos_run_is_causal_and_perfetto_loadable() {
 /// When the injector wedges every decision cycle, the watchdog trips and
 /// the flight recorder dumps *automatically* — and the dump names the
 /// trip, survives serde, and still reads causally.
-#[cfg(feature = "faults")]
 #[test]
 fn watchdog_trip_takes_automatic_flight_dump() {
     use sharestreams::endsystem::{run_threaded_traced, TraceConfig};
@@ -286,11 +284,11 @@ fn sharded_merge_spans_are_causal_with_valid_provenance() {
     }
 }
 
-/// `publish_build_info` exposes version + compiled features as the
-/// standard `ss_build_info` join gauge, in the same registry namespace
-/// as everything else.
+/// `publish_build_info` exposes the version as the standard
+/// `ss_build_info` join gauge, in the same registry namespace as
+/// everything else. There is one build, so there is no feature label.
 #[test]
-fn build_info_gauge_carries_version_and_features() {
+fn build_info_gauge_carries_version() {
     let registry = Registry::new();
     sharestreams::publish_build_info(&registry);
     let snap = registry.snapshot();
@@ -299,20 +297,8 @@ fn build_info_gauge_carries_version_and_features() {
         .iter()
         .find(|m| m.name == "ss_build_info")
         .expect("ss_build_info present");
-    let label = |key: &str| {
-        info.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default()
-    };
-    assert_eq!(label("version"), env!("CARGO_PKG_VERSION"));
-    let compiled = if cfg!(feature = "faults") {
-        "faults"
-    } else {
-        ""
-    };
-    assert_eq!(label("features"), compiled, "names the compiled features");
+    let version = ("version".to_string(), env!("CARGO_PKG_VERSION").to_string());
+    assert_eq!(info.labels, [version]);
     assert!(registry
         .snapshot()
         .to_prometheus()

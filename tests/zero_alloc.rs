@@ -3,10 +3,11 @@
 //! A counting global allocator wraps the system allocator; after a warmup
 //! that lets every buffer (fabric scratch, per-slot VecDeques, sinks) reach
 //! its high-water capacity, thousands of decision cycles — WR, BA, batched,
-//! the inline sharded merge, and the cluster simulation's epoch loop —
-//! must leave the allocation counter untouched. This file holds exactly
-//! one `#[test]` so no sibling test thread can pollute the counter, and
-//! the counter itself is per-thread:
+//! the inline sharded merge (WR, BA and the merge again with a fault
+//! injector attached), and the cluster simulation's epoch loop — must leave
+//! the allocation counter untouched. This file holds exactly one `#[test]`
+//! so no sibling test thread can pollute the counter, and the counter
+//! itself is per-thread:
 //! the libtest harness thread occasionally allocates while the test runs
 //! (timing-dependent), and a process-wide count would misattribute that
 //! to the decision core. The thread-local is const-initialized and holds
@@ -105,6 +106,36 @@ fn refill<T: Telemetry>(f: &mut Fabric<T>, tag: &mut u64) {
     }
 }
 
+/// One steady-state cycle. WR runs the split cycle a shard behind a
+/// frontend runs — `propose` → `grant`, then `propose` → the
+/// `expire_cycle` pass — so the spans prove the in-place tournament, the
+/// grant and the pass heap-free; BA runs the whole cycle (the lane
+/// ping-pong and the block walk) and a grant-less expiry.
+fn cycle(f: &mut Fabric, tag: &mut u64) {
+    let split = f.config().kind == FabricConfigKind::WinnerOnly;
+    if split {
+        let word = f.propose();
+        f.grant(word);
+    } else {
+        f.decision_cycle_into();
+    }
+    refill(f, tag);
+    if split {
+        std::hint::black_box(f.propose());
+    }
+    f.expire_cycle();
+}
+
+/// One inline sharded cycle: the winner's slot is refilled.
+fn sharded_cycle<T: Telemetry>(sharded: &mut ShardedScheduler<T>, tag: &mut u64) {
+    if let Some(p) = sharded.decision_cycle() {
+        *tag += 1;
+        sharded
+            .push_arrival(p.slot.index(), Wrap16::from_wide(*tag))
+            .unwrap();
+    }
+}
+
 #[test]
 fn steady_state_decision_cycles_do_not_allocate() {
     const SLOTS: usize = 32;
@@ -116,29 +147,11 @@ fn steady_state_decision_cycles_do_not_allocate() {
 
     // --- Per-cycle API, BA and WR, both decision arms ---
     // The packed kernel is the default arm; pinning both explicitly keeps
-    // the scalar reference covered too. WR runs the split cycle a shard
-    // behind a frontend runs — `propose` → `grant`, then `propose` → the
-    // `expire_cycle` pass — so the spans prove the in-place tournament,
-    // the grant and the pass heap-free; BA runs the whole cycle (the lane
-    // ping-pong and the block walk) and a grant-less expiry.
+    // the scalar reference covered too.
     for kind in [FabricConfigKind::Base, FabricConfigKind::WinnerOnly] {
         for batched in [false, true] {
             let mut f = backlogged(SLOTS, kind, DEPTH);
             assert_eq!(f.set_batched(batched), batched);
-            let split = kind == FabricConfigKind::WinnerOnly;
-            let cycle = |f: &mut Fabric, tag: &mut u64| {
-                if split {
-                    let word = f.propose();
-                    f.grant(word);
-                } else {
-                    f.decision_cycle_into();
-                }
-                refill(f, tag);
-                if split {
-                    std::hint::black_box(f.propose());
-                }
-                f.expire_cycle();
-            };
             for _ in 0..WARMUP {
                 cycle(&mut f, &mut tag);
             }
@@ -185,12 +198,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
             }
         }
         let cycle = |sharded: &mut ShardedScheduler, tag: &mut u64| {
-            if let Some(p) = sharded.decision_cycle() {
-                *tag += 1;
-                sharded
-                    .push_arrival(p.slot.index(), Wrap16::from_wide(*tag))
-                    .unwrap();
-            }
+            sharded_cycle(sharded, tag);
             assert_eq!(sharded.live_backlog(), (SLOTS / 2 * DEPTH) as u64);
         };
         for _ in 0..WARMUP {
@@ -204,6 +212,95 @@ fn steady_state_decision_cycles_do_not_allocate() {
             allocations() - before,
             0,
             "sharded inline decision_cycle (K={shards}) allocated in steady state"
+        );
+    }
+
+    // --- Attached fault injection: every fault hook stays heap-free ---
+    // The injector is a runtime attachment in every build. A BA-32 and a
+    // WR-8 fabric and an inline 32 × 2 merge each run three spans: a quiet
+    // injector attached (every cycle samples, nothing fires), a profile
+    // that wedges decision cycles (`StuckCycles`; the merge's shard stream
+    // adds `ShardStall`s), and a crash (`inject_crash`; the merge detects
+    // and excludes the crashed shard inside the span).
+    {
+        use sharestreams::faults::{FaultConfig, FaultInjector, FaultSite};
+        use std::sync::Arc;
+        let quiet = || Arc::new(FaultInjector::new(7, FaultConfig::quiet()));
+        let stuck = FaultConfig {
+            decision_rate_ppm: 50_000,
+            shard_rate_ppm: 5_000,
+            ..FaultConfig::quiet()
+        };
+        let fired =
+            |inj: &FaultInjector, site: FaultSite| inj.stats().snapshot().injected[site.index()];
+        for (slots, kind) in [
+            (SLOTS, FabricConfigKind::Base),
+            (8, FabricConfigKind::WinnerOnly),
+        ] {
+            let mut f = backlogged(slots, kind, DEPTH);
+            let stuck = Arc::new(FaultInjector::new(7, stuck));
+            for phase in ["quiet", "stuck", "crashed"] {
+                match phase {
+                    "quiet" => f.attach_faults(quiet()),
+                    "stuck" => f.attach_faults(Arc::clone(&stuck)),
+                    _ => f.inject_crash(),
+                }
+                for _ in 0..WARMUP {
+                    cycle(&mut f, &mut tag);
+                }
+                let before = allocations();
+                for _ in 0..MEASURED {
+                    cycle(&mut f, &mut tag);
+                }
+                assert_eq!(
+                    allocations() - before,
+                    0,
+                    "{kind:?}-{slots} with a {phase} injector allocated in steady state"
+                );
+            }
+            assert!(fired(&stuck, FaultSite::DecisionCycle) > 0, "wedges fired");
+            assert!(f.is_crashed());
+        }
+
+        let config = FabricConfig::edf(SLOTS, FabricConfigKind::WinnerOnly);
+        let mut sharded = ShardedScheduler::new(config, 2).unwrap();
+        for s in 0..SLOTS {
+            sharded.load_stream(s, edf_state(), (s + 1) as u64).unwrap();
+            for a in 0..DEPTH {
+                sharded
+                    .push_arrival(s, Wrap16::from_wide(a as u64))
+                    .unwrap();
+            }
+        }
+        let stuck = Arc::new(FaultInjector::new(7, stuck));
+        for phase in ["quiet", "stuck", "crashed"] {
+            match phase {
+                "quiet" => sharded.attach_faults(quiet()),
+                "stuck" => sharded.attach_faults(Arc::clone(&stuck)),
+                _ => {}
+            }
+            for _ in 0..WARMUP {
+                sharded_cycle(&mut sharded, &mut tag);
+            }
+            if phase == "crashed" {
+                sharded.inject_shard_crash(1);
+            }
+            let before = allocations();
+            for _ in 0..MEASURED {
+                sharded_cycle(&mut sharded, &mut tag);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "sharded inline decision_cycle with a {phase} injector allocated in steady state"
+            );
+        }
+        assert!(fired(&stuck, FaultSite::DecisionCycle) > 0, "wedges fired");
+        assert!(fired(&stuck, FaultSite::Shard) > 0, "shard stalls fired");
+        assert_eq!(
+            stuck.stats().snapshot().shards_excluded,
+            1,
+            "the crash was detected"
         );
     }
 
@@ -244,21 +341,11 @@ fn steady_state_decision_cycles_do_not_allocate() {
         }
         sharded.attach_telemetry(&registry);
         for _ in 0..WARMUP {
-            if let Some(p) = sharded.decision_cycle() {
-                tag += 1;
-                sharded
-                    .push_arrival(p.slot.index(), Wrap16::from_wide(tag))
-                    .unwrap();
-            }
+            sharded_cycle(&mut sharded, &mut tag);
         }
         let before = allocations();
         for _ in 0..MEASURED {
-            if let Some(p) = sharded.decision_cycle() {
-                tag += 1;
-                sharded
-                    .push_arrival(p.slot.index(), Wrap16::from_wide(tag))
-                    .unwrap();
-            }
+            sharded_cycle(&mut sharded, &mut tag);
         }
         assert_eq!(
             allocations() - before,
