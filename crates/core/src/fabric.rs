@@ -121,11 +121,10 @@ impl FabricConfig {
     }
 }
 
-/// Host-visible read-out of one stream-slot's register state: what a
-/// failover supervisor needs to rebuild an equivalent software scheduler
-/// when the hardware path is declared stuck. Produced by
+/// Host-visible read-out of one stream-slot's register state (the card's
+/// Register Base block as the host sees it). Produced by
 /// [`Fabric::register_snapshot`]; deadlines are *wide* (u64) scheduler
-/// time, so continuity across a path switch is exact.
+/// time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterSnapshot {
     /// The bound stream's static configuration.
@@ -482,12 +481,11 @@ impl<T: Telemetry> Fabric<T> {
         self.registers.total_backlog()
     }
 
-    /// Reads `slot`'s register state for a failover supervisor:
-    /// `Ok(None)` for an unconfigured slot, otherwise the bound stream's
-    /// configuration, wide head deadline, current window constraint, and
-    /// queue depth. Read-only — no counters move, no time advances — and
-    /// it works even on a wedged or crashed fabric, which is exactly when
-    /// a supervisor needs it.
+    /// Reads `slot`'s register state: `Ok(None)` for an unconfigured slot,
+    /// otherwise the bound stream's configuration, wide head deadline,
+    /// current window constraint, and queue depth. Read-only — no counters
+    /// move, no time advances — and it works even on a wedged or crashed
+    /// fabric.
     pub fn register_snapshot(&self, slot: usize) -> Result<Option<RegisterSnapshot>> {
         self.check_slot(slot)?;
         let r = &self.registers;
@@ -816,7 +814,7 @@ impl<T: Telemetry> Fabric<T> {
 
     /// `true` while the decision path is making progress: no stuck-FSM
     /// wedge, no crash. Always `true` on a detached fabric. This is
-    /// the cheap health probe a failover supervisor polls alongside the
+    /// the cheap health probe next to the
     /// [`crate::watchdog::DecisionWatchdog`]'s behavioral detection.
     pub fn probe_health(&self) -> bool {
         self.faults.healthy()
@@ -847,8 +845,10 @@ impl<T: Telemetry> Fabric<T> {
         self.faults.crash();
     }
 
-    /// Clears any wedge/crash state (supervisor re-adoption after
-    /// degraded-mode recovery).
+    /// The hand-over to the host: clears any wedge or crash and drops the
+    /// injector, because a host path draws no card faults. The register
+    /// image — clock, heads, windows, queues, counters — is untouched, so
+    /// the host decides on exactly the state the card held.
     pub fn clear_faults(&mut self) {
         self.faults.clear();
     }

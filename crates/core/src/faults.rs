@@ -15,10 +15,10 @@
 //! genuine hardware wedges, not only injected ones.
 //!
 //! [`RecoveryLedger`] is the supervisors' half of the same contract: the
-//! handle the sharded frontend, the failover supervisor and the endsystem
-//! pipeline hold to book what their recovery paths did (exclusions,
-//! failovers, re-attaches, written-off packets) on the injector's
-//! `FaultStats`, and to wire a fabric they build to the same injector.
+//! handle the sharded frontend and the endsystem pipeline hold to book
+//! what their recovery paths did (exclusions, hand-overs to the host,
+//! re-attaches, written-off packets) on the injector's `FaultStats`, and
+//! to wire a fabric back to the same injector when it returns to its card.
 //! Detached, every booking is one branch that books nothing.
 
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
@@ -48,11 +48,10 @@ impl FabricFaults {
         self.injector = Some(injector);
     }
 
-    /// Clears any in-progress wedge (used when a supervisor rebuilds /
-    /// re-adopts the fabric after degraded-mode recovery).
+    /// Clears any wedge or crash and drops the injector: the hand-over to
+    /// a host path, which draws no card faults.
     pub fn clear(&mut self) {
-        self.stuck_remaining = 0;
-        self.crashed = false;
+        *self = Self::default();
     }
 
     /// Marks the fabric permanently blocked, as a shard-crash fault
@@ -134,7 +133,7 @@ impl RecoveryLedger {
     }
 
     /// Wires `fabric`'s decision cycles to the attached injector (a
-    /// fabric the supervisor just built or adopted).
+    /// fabric going back to its card).
     pub fn wire<T: crate::Telemetry>(&self, fabric: &mut crate::Fabric<T>) {
         if let Some(inj) = &self.injector {
             fabric.attach_faults(Arc::clone(inj));
@@ -161,7 +160,7 @@ impl RecoveryLedger {
         self.tally(1, lost);
     }
 
-    /// Books one hardware→software failover (a detection).
+    /// Books one hand-over from the card to the host (a detection).
     #[inline]
     pub fn failed_over(&self) {
         if let Some(inj) = &self.injector {
@@ -170,7 +169,7 @@ impl RecoveryLedger {
         self.tally(1, 0);
     }
 
-    /// Books one software→hardware re-attach.
+    /// Books one re-attach from the host to the card.
     #[inline]
     pub fn reattached(&self) {
         if let Some(inj) = &self.injector {

@@ -1,7 +1,7 @@
 //! Instrumentation as a type parameter: one build carries both states.
 //!
-//! [`Fabric`](crate::Fabric), the sharded frontend and the failover
-//! supervisor are generic over a [`Telemetry`] whose default is `()`.
+//! [`Fabric`](crate::Fabric) and the sharded frontend are generic over a
+//! [`Telemetry`] whose default is `()`.
 //! `()`'s state is zero-sized and every hook is the trait's empty default
 //! body, so the uninstrumented instantiation compiles to the bare
 //! zero-allocation core — no branch, no field. [`Traced`] is the
@@ -14,10 +14,9 @@
 //!   [`StageEvent`](ss_telemetry::StageEvent)s (arrivals, wins, expiry
 //!   passes, blocked cycles).
 //! * [`SupervisorTrace`] is the same contract one level up: the control
-//!   events the sharded frontend and the failover supervisor leave —
-//!   merge wins on a span track, breaker trips, ladder rung changes and
-//!   sheds, path switches in a flight recorder with its automatic
-//!   incident dumps.
+//!   events the sharded frontend leaves — merge wins on a span track,
+//!   breaker trips and recovery path switches in a flight recorder with
+//!   its automatic incident dumps.
 //! * [`MergeMetrics`] is the sharded frontend's per-shard winner counters,
 //!   idle-cycle counter and merge-latency histogram. Its handles are
 //!   `Arc`-backed, so it moves with the frontend into the threaded
@@ -45,7 +44,8 @@ use std::time::Instant;
 pub trait Telemetry: 'static {
     /// One fabric's decision-cycle hooks.
     type Fabric: FabricHooks;
-    /// A supervisor's control-event sink (the sharded merge, failover).
+    /// A supervisor's control-event sink (the sharded merge and its
+    /// recovery supervisors).
     type Supervisor: SupervisorHooks;
     /// The sharded frontend's merge metrics.
     type Merge: MergeHooks;
@@ -127,17 +127,10 @@ pub trait SupervisorHooks: Default {
     #[inline(always)]
     fn on_breaker_open(&mut self, _cycle: u64, _shard: usize, _backlog: usize) {}
 
-    /// The degradation ladder moved from rung code `before` to `after`.
+    /// A shard switched between its card and the host (`failovers` so
+    /// far).
     #[inline(always)]
-    fn on_rung_change(&mut self, _now: u64, _after: u8, _before: u8) {}
-
-    /// The ladder refused an arrival for `slot`.
-    #[inline(always)]
-    fn on_ladder_shed(&mut self, _now: u64, _slot: usize) {}
-
-    /// The supervisor switched scheduling paths (`failovers` so far).
-    #[inline(always)]
-    fn on_path_switch(&mut self, _now: u64, _to_software: bool, _failovers: u64) {}
+    fn on_path_switch(&mut self, _now: u64, _to_host: bool, _failovers: u64) {}
 }
 
 impl SupervisorHooks for () {}
@@ -603,41 +596,22 @@ impl SupervisorHooks for SupervisorTrace {
         }
     }
 
-    /// Hook: the degradation ladder moved from rung code `before` to
-    /// `after`. A control `RungChange` (detail = new, arg = old) and a
-    /// [`DumpReason::RungChange`] dump.
-    fn on_rung_change(&mut self, now: u64, after: u8, before: u8) {
-        if let Some(fl) = &self.flight {
-            fl.record_control(now, 0, Stage::RungChange, after, before as u32);
-            fl.auto_dump(DumpReason::RungChange, now);
-        }
-    }
-
-    /// Hook: the ladder refused an arrival for `slot`. A control `Shed`
-    /// (detail [`detail::SHED_LADDER`], arg = slot).
-    #[inline]
-    fn on_ladder_shed(&mut self, now: u64, slot: usize) {
-        if let Some(fl) = &self.flight {
-            fl.record_control(now, 0, Stage::Shed, detail::SHED_LADDER, slot as u32);
-        }
-    }
-
-    /// Hook: the supervisor switched scheduling paths (`failovers` so
-    /// far). One control `Failover` (detail 1 = to software, 0 =
-    /// re-attach). The hardware→software switch is the incident — the
-    /// watchdog declared the fabric stuck — and also dumps
+    /// Hook: a shard switched between its card and the host (`failovers`
+    /// so far). One control `Failover` (detail 1 = to the host, 0 =
+    /// re-attach). The hand-over is the incident — the card crashed or the
+    /// watchdog declared it stuck — and also dumps
     /// ([`DumpReason::WatchdogTrip`]); re-attachment is recovery and
     /// only leaves the event.
-    fn on_path_switch(&mut self, now: u64, to_software: bool, failovers: u64) {
+    fn on_path_switch(&mut self, now: u64, to_host: bool, failovers: u64) {
         if let Some(fl) = &self.flight {
             fl.record_control(
                 now,
                 0,
                 Stage::Failover,
-                to_software as u8,
+                to_host as u8,
                 failovers.min(u32::MAX as u64) as u32,
             );
-            if to_software {
+            if to_host {
                 fl.auto_dump(DumpReason::WatchdogTrip, now);
             }
         }

@@ -5,12 +5,13 @@
 //! backlog but produces nothing is therefore an unambiguous stall
 //! signature: the control FSM is wedged in its SCHEDULE↔PRIORITY_UPDATE
 //! loop, or the card partition is gone. The watchdog counts consecutive
-//! unproductive-with-backlog cycles and trips after a threshold; a
-//! supervisor then fails over to the software reference scheduler.
+//! unproductive-with-backlog cycles and trips after a threshold; the
+//! sharded frontend's recovery supervisor then hands the shard to the
+//! host, which keeps deciding on the shard's own register image.
 //!
-//! Recovery uses hysteresis in the opposite direction: the hardware path
-//! must *prove* itself with a run of consecutive healthy probes before the
-//! supervisor re-attaches, so a flapping fabric cannot bounce the system
+//! Recovery uses hysteresis in the opposite direction: the host path must
+//! run a streak of consecutive healthy cycles before the supervisor
+//! re-attaches the card, so a flapping card cannot bounce the shard
 //! between paths every cycle.
 //!
 //! Deliberately independent of fault injection (it watches detached
@@ -31,7 +32,7 @@ pub enum WatchdogVerdict {
 }
 
 /// Counts unproductive decision cycles and trips past a threshold;
-/// tracks the healthy streak needed to re-attach after failover.
+/// tracks the healthy streak needed to re-attach after a hand-over.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecisionWatchdog {
     /// Consecutive unproductive-with-backlog cycles that mean "stuck".
@@ -105,7 +106,7 @@ impl DecisionWatchdog {
         self.healthy_streak >= self.reattach_threshold
     }
 
-    /// Clears both streaks (after a failover or re-attach, so the next
+    /// Clears both streaks (after a hand-over or re-attach, so the next
     /// path starts with a clean slate).
     pub fn reset(&mut self) {
         self.unproductive = 0;
@@ -115,8 +116,8 @@ impl DecisionWatchdog {
 
 impl Default for DecisionWatchdog {
     /// Trip after 4 stuck cycles; re-attach after 16 healthy ones. The
-    /// asymmetry is intentional: failing over is cheap (the software path
-    /// is always correct), flapping back early is not.
+    /// asymmetry is intentional: handing over is cheap (the host decides
+    /// on the same register image), flapping back early is not.
     fn default() -> Self {
         Self::new(4, 16)
     }

@@ -148,15 +148,6 @@ impl DwcsRef {
         self.streams[stream].queue.len()
     }
 
-    /// Overrides `stream`'s *current* window constraint `W'` without
-    /// touching its original constraint. A failover supervisor uses this
-    /// to carry the dynamic window state read out of the hardware
-    /// registers across the path switch, instead of restarting the
-    /// window from its configured value.
-    pub fn set_window(&mut self, stream: usize, window: WindowConstraint) {
-        self.streams[stream].window = window;
-    }
-
     /// Table 2 pairwise ordering on stream indices (both must be
     /// backlogged). `Less` means `a` orders first.
     fn pairwise(&self, a: usize, b: usize) -> Ordering {
@@ -392,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_hooks_read_and_carry_state() {
+    fn stream_backlog_counts_per_stream() {
         let mut d = DwcsRef::new(vec![
             DwcsStreamConfig {
                 period: 4,
@@ -406,9 +397,6 @@ mod tests {
         d.enqueue(SwPacket::new(0, 1, 1, 64));
         assert_eq!(d.stream_backlog(0), 2);
         assert_eq!(d.stream_backlog(1), 0);
-        // Carrying a dynamic window read out of hardware registers.
-        d.set_window(0, WindowConstraint::new(1, 2));
-        assert_eq!(d.current_window(0), WindowConstraint::new(1, 2));
         d.select(0);
         assert_eq!(d.stream_backlog(0), 1);
     }

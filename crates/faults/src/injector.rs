@@ -358,9 +358,9 @@ pub struct FaultStats {
     pub recovered: AtomicU64,
     /// Operations whose retry budget was exhausted.
     pub gave_up: AtomicU64,
-    /// Hardware→software failovers (degraded-mode entries).
+    /// Shards handed from their card to the host (recovery supervisor).
     pub failovers: AtomicU64,
-    /// Degraded-mode exits (software→hardware re-attach).
+    /// Shards re-attached from the host to their card.
     pub reattaches: AtomicU64,
     /// Shards excluded from the winner merge.
     pub shards_excluded: AtomicU64,
@@ -551,12 +551,12 @@ impl FaultInjector {
             (
                 "ss_faults_failovers",
                 snap.failovers,
-                "Hardware-to-software failovers",
+                "Shard hand-overs from the card to the host",
             ),
             (
                 "ss_faults_reattaches",
                 snap.reattaches,
-                "Degraded-mode exits back to hardware",
+                "Shard re-attaches from the host to the card",
             ),
             (
                 "ss_faults_shards_excluded",

@@ -12,7 +12,9 @@
 //! rustfmt, rustdoc and the digests). Every step runs from the workspace
 //! root with incremental builds and debuginfo off (debug builds fill the
 //! disk otherwise). The run stops at the first failing step and prints its
-//! command; a wall-time table per step closes it.
+//! command; a wall-time table per step follows, and a passing run ends with
+//! the workspace's line count: plain `.rs` lines outside every `tests/`
+//! directory, `shims/` and `target/` (ROADMAP item 13's count).
 //!
 //! Exit status: 0 when every step passed, 1 on a failing step, 2 on usage.
 
@@ -111,6 +113,31 @@ fn table(rows: &[(&Step, f64, bool)]) {
     println!("{:<18} {:<26} {total:>9.1}", "total", "");
 }
 
+/// Newlines in the `.rs` files under `dir`, skipping every `tests/` and
+/// `target/` directory, hidden directories, and `shims/` at the root
+/// (`top`): what `wc -l` reads over the same files.
+fn line_count(dir: &Path, top: bool) -> std::io::Result<usize> {
+    let mut lines = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            let skipped = ["tests", "target"].contains(&name)
+                || name.starts_with('.')
+                || (top && name == "shims");
+            if !skipped {
+                lines += line_count(&path, false)?;
+            }
+        } else if name.ends_with(".rs") {
+            lines += std::fs::read(&path)?
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+        }
+    }
+    Ok(lines)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selected = match args.as_slice() {
@@ -137,5 +164,38 @@ fn main() -> ExitCode {
         }
     }
     table(&rows);
+    match line_count(&root, true) {
+        Ok(n) => println!("\nlines: {n} (.rs outside tests/, shims/ and target/)"),
+        Err(e) => println!("\nlines: unreadable ({e})"),
+    }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::line_count;
+
+    #[test]
+    fn line_count_skips_tests_shims_and_target() {
+        let root = std::env::temp_dir().join(format!("verify-lines-{}", std::process::id()));
+        let files = [
+            ("a.rs", "1\n2\n"),
+            ("src/b.rs", "3\n"),
+            ("crates/shims/c.rs", "4\n"),
+            ("src/tests/d.rs", "x\n"),
+            ("tests/e.rs", "x\n"),
+            ("shims/f.rs", "x\n"),
+            ("crates/target/g.rs", "x\n"),
+            (".git/h.rs", "x\n"),
+            ("notes.md", "x\n"),
+        ];
+        for (file, text) in files {
+            let path = root.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        }
+        let counted = line_count(&root, true);
+        std::fs::remove_dir_all(&root).unwrap();
+        assert_eq!(counted.unwrap(), 4);
+    }
 }

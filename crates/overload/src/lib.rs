@@ -26,9 +26,6 @@
 //! * [`CircuitBreaker`] — per-shard overload breaker, distinct from crash
 //!   handling: trips on sustained latency/backlog, sheds the shard's new
 //!   load while survivors keep full service, and half-opens on recovery.
-//! * [`DegradationLadder`] — the facade's rung sequence full QoS →
-//!   shed-optional-streams → FCFS drain, with watchdog + pressure driven
-//!   entry/exit and per-rung dwell hysteresis.
 //! * [`RedQueue`] — Floyd/Jacobson RED, the probabilistic front end that
 //!   decides *when* occupancy warrants a drop proposal.
 //!
@@ -53,7 +50,6 @@
 pub mod breaker;
 pub mod bucket;
 pub mod gate;
-pub mod ladder;
 pub mod ledger;
 pub mod pressure;
 pub mod red;
@@ -62,7 +58,6 @@ pub mod shed;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bucket::{AdmissionController, StreamClass};
 pub use gate::{Gate, GateConfig, GateCore, GateReason};
-pub use ladder::{DegradationLadder, LadderConfig, Rung};
 pub use ledger::{LossLedger, LossSite};
 pub use pressure::{PressureConfig, PressureLevel, PressureSignal, SharedPressure};
 pub use red::{early_drop_probability, RedConfig, RedQueue, RedVerdict};

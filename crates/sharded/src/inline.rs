@@ -1,16 +1,16 @@
 //! The inline drive mode: the K fabrics on the calling thread, one exact
 //! global decision per [`ShardedScheduler::decision_cycle`]. Owns what only
 //! this mode has — the fabrics themselves, the global cycle count, injected
-//! stall horizons, the per-shard overload breakers — over the shared
-//! [`Frontend`].
+//! stall horizons, the per-shard overload breakers and recovery
+//! supervisors — over the shared [`Frontend`].
 
 use crate::frontend::{Frontend, MAX_SHARDS};
 use crate::threaded::ThreadedShards;
 use ss_core::decision::DecisionRule;
 use ss_core::hwsim::FabricConfigKind;
 use ss_core::{
-    Fabric, FabricConfig, MergeHooks, ScheduledPacket, SlotCounters, StreamState, SupervisorHooks,
-    Telemetry, Traced,
+    DecisionWatchdog, Fabric, FabricConfig, MergeHooks, ScheduledPacket, SlotCounters, StreamState,
+    SupervisorHooks, Telemetry, Traced, WatchdogVerdict,
 };
 use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
 use ss_types::packed::lane_valid;
@@ -46,6 +46,20 @@ impl Proposals {
     }
 }
 
+/// One shard's recovery supervisor (armed by
+/// [`ShardedScheduler::enable_recovery`]).
+#[derive(Debug, Clone)]
+struct Supervisor {
+    /// Judges the shard's grants: stuck after its stall threshold, fit to
+    /// go back to the card after its healthy streak.
+    watchdog: DecisionWatchdog,
+    /// `true` from the hand-over to the re-attach: the host decides for
+    /// the shard on its own register image, with no card faults drawn.
+    on_host: bool,
+    failovers: u64,
+    reattaches: u64,
+}
+
 /// The sharded frontend: K fabric shards plus the comparator merge,
 /// instrumented by `T` (`()` records nothing; [`Traced`] carries the
 /// shard fabrics' telemetry, the merge metrics and the merge trace).
@@ -64,7 +78,12 @@ pub struct ShardedScheduler<T: Telemetry = ()> {
     breakers: Vec<CircuitBreaker>,
     /// Where breaker refusals are accounted ([`LossSite::Shed`]).
     overload_ledger: LossLedger,
-    /// Merge wins on a span track, breaker trips in the flight recorder
+    /// Per-shard recovery supervisors (empty until
+    /// [`ShardedScheduler::enable_recovery`]; empty, a crashed shard is
+    /// excluded and its backlog written off).
+    recovery: Vec<Supervisor>,
+    /// Merge wins on a span track, breaker trips and path switches in the
+    /// flight recorder
     /// (zero-sized for `T = ()`). Inline-mode state: it does not follow
     /// the fabrics into [`ShardedScheduler::into_threaded`].
     trace: T::Supervisor,
@@ -116,10 +135,13 @@ impl ShardedScheduler<Traced> {
         self.trace.detach_spans();
     }
 
-    /// Wires a shared flight recorder to the breaker sweep: a breaker's
-    /// Closed/HalfOpen → Open transition records a `BreakerOpen` control
-    /// event and takes an automatic dump
-    /// ([`ss_telemetry::DumpReason::BreakerOpen`]).
+    /// Wires a shared flight recorder to the breaker sweep and the recovery
+    /// supervisors: a breaker's Closed/HalfOpen → Open transition records a
+    /// `BreakerOpen` control event and takes an automatic dump
+    /// ([`ss_telemetry::DumpReason::BreakerOpen`]); a hand-over to the host
+    /// records a `Failover` control event (detail 1) and dumps
+    /// ([`ss_telemetry::DumpReason::WatchdogTrip`]), a re-attach records
+    /// one with detail 0.
     pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
         self.trace.attach_flight(flight);
     }
@@ -174,6 +196,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
             stalled_until: vec![0; shards],
             breakers: Vec::new(),
             overload_ledger: LossLedger::new(),
+            recovery: Vec::new(),
             trace: Default::default(),
         })
     }
@@ -329,6 +352,102 @@ impl<T: Telemetry> ShardedScheduler<T> {
         }
     }
 
+    /// Arms one recovery supervisor per shard, each judging its shard with
+    /// its own copy of `watchdog`. Until called, a crashed shard is
+    /// excluded and its backlog written off
+    /// ([`ShardedScheduler::fail_shard`]). Armed, a shard is handed to the
+    /// host when the per-cycle sweep finds it crashed — before it proposes,
+    /// so the crash costs no packet-time — or when its watchdog declares
+    /// it stuck: only the granted shard can be unproductive, so it
+    /// observes whether it transmitted and every other shard observes a
+    /// cycle with nothing owed. The hand-over is [`Fabric::clear_faults`]:
+    /// the shard stays in the merge with its own register image — clock,
+    /// heads, windows, arrival tags and counters — and draws no card
+    /// faults. After the watchdog's healthy streak the injector is wired
+    /// back: the reset card reloaded with the same image. Both switches
+    /// book `failovers`/`reattaches` on the fault ledger and a `Failover`
+    /// control event in the flight recorder. Recovery is inline-mode
+    /// state; it does not follow the fabrics into
+    /// [`ShardedScheduler::into_threaded`].
+    pub fn enable_recovery(&mut self, watchdog: DecisionWatchdog) {
+        let supervisor = Supervisor {
+            watchdog,
+            on_host: false,
+            failovers: 0,
+            reattaches: 0,
+        };
+        self.recovery = vec![supervisor; self.shards.len()];
+    }
+
+    /// `true` while the host decides for shard `k` (between a hand-over
+    /// and its re-attach); always `false` before
+    /// [`ShardedScheduler::enable_recovery`].
+    pub fn on_host(&self, k: usize) -> bool {
+        self.recovery.get(k).is_some_and(|s| s.on_host)
+    }
+
+    /// Hand-overs to the host so far, across all shards.
+    pub fn failovers(&self) -> u64 {
+        self.recovery.iter().map(|s| s.failovers).sum()
+    }
+
+    /// Re-attaches to the card so far, across all shards.
+    pub fn reattaches(&self) -> u64 {
+        self.recovery.iter().map(|s| s.reattaches).sum()
+    }
+
+    /// Hands shard `k` to the host: its wedge or crash is cleared and its
+    /// injector dropped, and the healthy streak starts over. A shard
+    /// already on the host (crashed again by an operator) books nothing.
+    fn hand_over(&mut self, k: usize) {
+        self.shards[k].clear_faults();
+        let sup = &mut self.recovery[k];
+        sup.watchdog.reset();
+        if !sup.on_host {
+            sup.on_host = true;
+            sup.failovers += 1;
+            self.front.ledger.failed_over();
+            let failovers = self.failovers();
+            self.trace
+                .on_path_switch(self.decision_count, true, failovers);
+        }
+    }
+
+    /// Gives shard `k` back to its card: the injector is wired again.
+    fn re_attach(&mut self, k: usize) {
+        self.front.ledger.wire(&mut self.shards[k]);
+        let sup = &mut self.recovery[k];
+        sup.on_host = false;
+        sup.reattaches += 1;
+        sup.watchdog.reset();
+        self.front.ledger.reattached();
+        let failovers = self.failovers();
+        self.trace
+            .on_path_switch(self.decision_count, false, failovers);
+    }
+
+    /// Feeds one global cycle into every live shard's watchdog: the
+    /// granted shard `winner` owed a packet and `transmitted` says whether
+    /// it sent one; every other shard owed nothing. A stuck shard is
+    /// handed to the host, a host-path shard with its healthy streak is
+    /// re-attached.
+    fn observe_recovery(&mut self, winner: Option<usize>, transmitted: bool) {
+        if self.recovery.is_empty() {
+            return;
+        }
+        for k in slot_bits(self.front.live()) {
+            let sup = &mut self.recovery[k];
+            let granted = Some(k) == winner;
+            let verdict = sup.watchdog.observe(transmitted || !granted, granted);
+            let reattach = sup.on_host && sup.watchdog.ready_to_reattach();
+            if verdict == WatchdogVerdict::Stuck {
+                self.hand_over(k);
+            } else if reattach {
+                self.re_attach(k);
+            }
+        }
+    }
+
     /// Deposits one arrival into global slot `g`'s queue.
     ///
     /// With breakers armed, an arrival for a shard
@@ -360,9 +479,14 @@ impl<T: Telemetry> ShardedScheduler<T> {
         Ok(())
     }
 
-    /// Queue depth of global slot `g`.
+    /// Queue depth of global slot `g`: 0 for a slot homed on an excluded
+    /// shard, whose backlog [`ShardedScheduler::fail_shard`] already booked
+    /// in [`ShardedScheduler::lost_packets`].
     pub fn backlog(&self, global: usize) -> Result<usize> {
         let (shard, local) = self.front.route(global)?;
+        if self.front.is_failed(shard) {
+            return Ok(0);
+        }
         self.shards[shard].backlog(local)
     }
 
@@ -414,7 +538,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
         self.front.lost_packets()
     }
 
-    /// Excludes shard `k` from the winner merge: its proposals stop
+    /// Excludes shard `k` from the winner merge (with or without
+    /// [`ShardedScheduler::enable_recovery`]): its proposals stop
     /// competing, its expiry clock stops, and its queued backlog is written
     /// off (returned, and added to [`ShardedScheduler::lost_packets`] —
     /// bounded, counted loss, never a hang). Streams homed there stay
@@ -464,25 +589,30 @@ impl<T: Telemetry> ShardedScheduler<T> {
         Ok(moves)
     }
 
-    /// Wires every shard fabric and the frontend's shard-fault sampling to
-    /// a shared injector: decision cycles can wedge per shard, and the
-    /// [`ss_faults::FaultSite::Shard`] stream drives transient stalls and
-    /// permanent crashes (auto-excluded on detection).
+    /// Wires every shard fabric still on its card and the frontend's
+    /// shard-fault sampling to a shared injector: decision cycles can
+    /// wedge per shard, and the [`ss_faults::FaultSite::Shard`] stream
+    /// drives transient stalls and permanent crashes (excluded on
+    /// detection, or handed to the host with recovery armed).
     pub fn attach_faults(&mut self, injector: std::sync::Arc<ss_faults::FaultInjector>) {
         self.front.ledger.attach(injector);
-        for fabric in &mut self.shards {
-            self.front.ledger.wire(fabric);
+        for k in 0..self.shards.len() {
+            if !self.on_host(k) {
+                self.front.ledger.wire(&mut self.shards[k]);
+            }
         }
     }
 
     /// Permanently crashes shard `k`'s fabric (test/operator hook); the
-    /// next decision cycle detects and excludes it.
+    /// next decision cycle detects it and excludes it, or hands it to the
+    /// host with recovery armed.
     pub fn inject_shard_crash(&mut self, k: usize) {
         self.shards[k].inject_crash();
     }
 
     /// Samples the shard-level fault stream once per global cycle and
-    /// applies the drawn fault to a round-robin-picked live shard.
+    /// applies the drawn fault to a round-robin-picked live shard still on
+    /// its card.
     fn inject_shard_faults(&mut self) {
         use ss_faults::{FaultKind, FaultSite};
         let Some(inj) = self.front.ledger.injector() else {
@@ -494,7 +624,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
         let n = self.shards.len();
         let Some(target) = (0..n)
             .map(|i| (self.decision_count as usize + i) % n)
-            .find(|&k| !self.front.is_failed(k))
+            .find(|&k| !self.front.is_failed(k) && !self.on_host(k))
         else {
             return;
         };
@@ -510,13 +640,18 @@ impl<T: Telemetry> ShardedScheduler<T> {
         }
     }
 
-    /// Probes every live shard's health and auto-excludes crashed ones —
-    /// the frontend's watchdog sweep, run at the top of each global cycle.
-    fn auto_exclude_crashed(&mut self) {
+    /// Probes every live shard's health at the top of each global cycle:
+    /// a crashed shard is excluded, or handed to the host with recovery
+    /// armed.
+    fn sweep_crashed(&mut self) {
         for k in slot_bits(self.front.live()) {
             if self.shards[k].is_crashed() {
-                // fail_shard only errors on already-failed, excluded here.
-                let _ = self.fail_shard(k);
+                if self.recovery.is_empty() {
+                    // fail_shard only errors on already-failed, excluded here.
+                    let _ = self.fail_shard(k);
+                } else {
+                    self.hand_over(k);
+                }
             }
         }
     }
@@ -569,7 +704,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
     pub fn decision_cycle(&mut self) -> Option<ScheduledPacket> {
         self.decision_count += 1;
         self.inject_shard_faults();
-        self.auto_exclude_crashed();
+        self.sweep_crashed();
         let merge_start = self.front.metrics.start();
         // Dead hardware makes no decisions and keeps no expiry clock: both
         // walks below visit the live shards only.
@@ -598,6 +733,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
             self.trace
                 .on_merge_win(self.decision_count, k, p.slot.index(), reason);
         }
+        self.observe_recovery(winner, out.is_some());
         out
     }
 

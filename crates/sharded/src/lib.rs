@@ -44,8 +44,22 @@
 //! modes need and writes each shared rule once: slot routing, the merge
 //! order (incumbent keeps a full tie), exclusion booking and
 //! merge-telemetry recording. `inline` and `threaded` own only what
-//! differs — the fabrics and breakers here, the rings and workers there —
-//! and [`ShardedScheduler::into_threaded`] moves the frontend whole.
+//! differs — the fabrics, breakers and recovery supervisors here, the
+//! rings and workers there — and [`ShardedScheduler::into_threaded`] moves
+//! the frontend whole. Three kinds of state are inline-only and stay
+//! behind: the per-shard breakers
+//! ([`ShardedScheduler::enable_breakers`]), the merge's span track and
+//! flight recorder, and the per-shard recovery supervisors
+//! ([`ShardedScheduler::enable_recovery`]).
+//!
+//! Recovery is the one path for "a shard stops deciding". Off (the
+//! default), a crashed shard is excluded and its backlog written off
+//! ([`ShardedScheduler::fail_shard`]). Armed, a crashed or stuck shard is
+//! handed to the host, which keeps deciding on the shard's own register
+//! image in the same merge — the paper's card works in tandem with host
+//! software and keeps per-stream state in its Register Base blocks — and
+//! the card is re-attached after the watchdog's healthy streak. Nothing is
+//! written off and neither switch costs a packet-time.
 //! Supervisor hooks are off until attached: the fault ledger
 //! ([`ss_core::RecoveryLedger`]) books nothing while detached, and the
 //! merge trace and merge metrics are zero-sized for the default

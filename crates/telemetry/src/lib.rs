@@ -26,18 +26,18 @@
 //!   drop-counting [`StageRing`]s with `rdtsc`-class timestamps
 //!   ([`clock::now_tsc`]). Packet events carry an 8-byte [`TraceTag`]
 //!   minted at admission; machine events (expiry passes, blocked decision
-//!   cycles, failovers, rung changes, ladder sheds, watchdog trips) carry
+//!   cycles, recovery path switches, breaker trips, watchdog trips) carry
 //!   [`TraceTag::CONTROL`]. Per-thread span tracks feed an exporter that
 //!   stitches them into causally-ordered Chrome/Perfetto trace JSON plus
 //!   per-stage latency histograms merged into this crate's snapshot
 //!   schema; an always-on bounded [`FlightRecorder`] is dumped on watchdog
-//!   trip / rung change / breaker open / panic.
+//!   trip / breaker open / panic.
 //!
 //! # Instrumentation as a type
 //!
 //! This crate has no cargo feature, and neither do its consumers' hooks:
-//! `ss_core::Fabric`, the sharded frontend and the failover supervisor
-//! take a `T: ss_core::Telemetry` that defaults to `()`, whose hooks are
+//! `ss_core::Fabric` and the sharded frontend take a
+//! `T: ss_core::Telemetry` that defaults to `()`, whose hooks are
 //! inlined empty functions on zero-sized types, so the default
 //! instantiation is the uninstrumented decision core. Their
 //! `ss_core::Traced` instantiation holds this crate's handles, attached at

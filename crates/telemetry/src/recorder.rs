@@ -330,7 +330,8 @@ pub fn stitch(tracks: &[TrackDump]) -> Vec<StageEvent> {
 pub enum DumpReason {
     /// The decision watchdog declared the scheduling path stuck.
     WatchdogTrip,
-    /// The degradation ladder changed rungs.
+    /// Reserved: the retired degradation ladder's rung change. Nothing
+    /// dumps with it; the variant stays so dumps keep their encoding.
     RungChange,
     /// A shard circuit breaker opened.
     BreakerOpen,

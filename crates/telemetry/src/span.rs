@@ -21,7 +21,7 @@
 //!
 //! `u64::MAX` ([`TraceTag::CONTROL`]) is reserved for control-plane
 //! events that describe the machine rather than a packet (watchdog trips,
-//! failovers, rung changes, PCI batch transfers). The encoding is
+//! failovers, breaker trips, PCI batch transfers). The encoding is
 //! collision-free for runs of under 2³² admissions per slot — beyond any
 //! soak this workspace runs — and per-slot FIFO order through the SPSC
 //! rings and fabric queues makes the sequence number reconstructible at
@@ -121,10 +121,11 @@ pub enum Stage {
     PciTransfer = 32,
     /// Control: an expiry pass dropped `arg` late head packets.
     DecisionExpire = 33,
-    /// Control: the supervisor switched paths (`detail` 1 = to software,
-    /// 0 = re-attach).
+    /// Control: a shard's recovery supervisor switched paths (`detail` 1 =
+    /// to the host, 0 = re-attach to the card).
     Failover = 34,
-    /// Control: the degradation ladder moved rungs (`detail` = new rung).
+    /// Reserved: the retired degradation ladder's rung change. Nothing
+    /// records it; the code stays because stage codes are append-only.
     RungChange = 35,
     /// Control: a shard circuit breaker opened (`arg` = shard).
     BreakerOpen = 36,
@@ -237,9 +238,8 @@ pub mod detail {
     /// [`super::Stage::Shed`]: head packet expired in the fabric
     /// (`DropLate` policy).
     pub const SHED_EXPIRED: u8 = 12;
-    /// [`super::Stage::Shed`]: refused at ingest by the degradation
-    /// ladder's active rung (control-tagged: the arrival never got a tag;
-    /// `arg` is the slot).
+    /// Reserved: the retired degradation ladder's ingest refusal. Nothing
+    /// records it; the code stays because detail codes are append-only.
     pub const SHED_LADDER: u8 = 13;
 
     /// [`super::Stage::MergeWin`]: the winner was the only live candidate.

@@ -66,21 +66,21 @@ pub enum Error {
         /// Configured number of shards.
         shards: usize,
     },
-    /// The operation is unavailable because the scheduler is running in a
-    /// degraded software mode (hardware path failed over).
+    /// The scheduler is running degraded and cannot finish the operation
+    /// (a pipeline thread panicked).
     DegradedMode {
         /// What degraded and why, human-readable.
         reason: String,
     },
     /// An arrival was refused by the overload control plane (admission
-    /// bucket, QoS-aware shedder, open shard breaker, or the degradation
-    /// ladder). The caller should treat this as intentional load shedding,
+    /// bucket, QoS-aware shedder, or open shard breaker). The caller should
+    /// treat this as intentional load shedding,
     /// not a fault: retrying immediately will make the overload worse.
     Overloaded {
         /// Stream/slot whose arrival was refused.
         slot: usize,
         /// Which control-plane site refused it (static name, e.g.
-        /// `"admission"`, `"shed"`, `"breaker"`, `"ladder"`).
+        /// `"admission"`, `"shed"`, `"breaker"`).
         site: &'static str,
     },
 }
@@ -126,7 +126,7 @@ impl fmt::Display for Error {
                 write!(f, "no shard {shard} (scheduler has {shards} shards)")
             }
             Error::DegradedMode { reason } => {
-                write!(f, "scheduler degraded to software path: {reason}")
+                write!(f, "scheduler degraded: {reason}")
             }
             Error::Overloaded { slot, site } => {
                 write!(

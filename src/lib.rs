@@ -49,9 +49,9 @@
 //! | [`disciplines`] | software reference schedulers (DWCS, EDF, WFQ, SFQ, DRR, …) |
 //! | [`traffic`] | deterministic workload generators |
 //! | [`endsystem`] | host-router realization: SPSC rings and their one wait, the one worker-thread lifecycle, QM, PCI/SRAM models, TE, aggregation, pipeline |
-//! | [`sharded`] | scale-out frontend: K fabric shards with a Table-2 comparator winner-merge, inline (exact) and thread-per-shard modes |
+//! | [`sharded`] | scale-out frontend: K fabric shards with a Table-2 comparator winner-merge, inline (exact) and thread-per-shard modes, per-shard recovery onto the host |
 //! | [`linecard`] | switch line-card realization with dual-ported SRAM |
-//! | [`overload`] | overload control plane (always built, off until armed): window-aware admission, RED, hierarchical backpressure, QoS-aware shedding, the one composed gate, per-shard breakers, degradation ladder |
+//! | [`overload`] | overload control plane (always built, off until armed): window-aware admission, RED, hierarchical backpressure, QoS-aware shedding, the one composed gate, per-shard breakers |
 //! | [`cluster`] | deterministic cluster-scale simulation + soak lab: scenario generators, per-tick invariant engine, flight-dump repro pipeline, `soak` binary |
 //! | [`framework`] | Figure-1 feasibility reasoning and DWCS admission control |
 //! | `ingress` | hardened TCP edge: length-prefixed frame protocol, edge admission gate, lifecycle robustness, socket chaos soak |
@@ -68,11 +68,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod failover;
 pub mod framework;
 pub mod linecard;
 
-pub use failover::{FailoverScheduler, SchedulerPath};
 pub use ss_cluster as cluster;
 pub use ss_core as core;
 pub use ss_core::hwsim;
@@ -101,14 +99,13 @@ pub fn publish_build_info(registry: &ss_telemetry::Registry) {
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use crate::failover::{FailoverScheduler, SchedulerPath};
     pub use ss_core::{
         BlockOrder, DecisionOutcome, DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind,
         ScheduledPacket, SchedulerReport, ShareStreamsScheduler, StreamState, Traced,
         WatchdogVerdict,
     };
     pub use ss_endsystem::{EndsystemConfig, EndsystemPipeline, StreamletSetConfig};
-    pub use ss_overload::{LossLedger, LossSite, PressureLevel, Rung};
+    pub use ss_overload::{LossLedger, LossSite, PressureLevel};
     pub use ss_sharded::{ShardedScheduler, StreamletReport, ThreadedShards};
     pub use ss_traffic::ArrivalEvent;
     pub use ss_types::{

@@ -2,12 +2,12 @@
 //! at once, asserting the robustness contract end to end:
 //!
 //! * **no panics** — every injected fault surfaces as a `Result`, a retry,
-//!   a failover, or counted loss;
+//!   a hand-over to the host, or counted loss;
 //! * **bounded, counted loss** — `total + lost` always equals the offered
 //!   load; nothing disappears silently;
 //! * **eventual recovery** — transient wedges clear, crashed shards are
-//!   excluded (not hung on), the failover supervisor keeps packets
-//!   flowing and re-attaches;
+//!   excluded (not hung on), a recovering shard keeps packets flowing on
+//!   the host and re-attaches;
 //! * **ledger reconciliation** — the `ss-faults` counters written by the
 //!   injector agree with what the recovery machinery reports.
 //!
@@ -175,6 +175,13 @@ fn sharded_frontend_survives_shard_chaos() {
             sched.lost_packets(),
             "seed {seed}: written-off backlog matches the ledger"
         );
+        for g in (0..slots).filter(|&g| dead_globals[g]) {
+            assert_eq!(
+                sched.backlog(g).unwrap(),
+                0,
+                "seed {seed}: a dead global's backlog was written off"
+            );
+        }
         // Streams on dead shards are exactly the failed shards' tenants.
         if !sched.failed_shards().is_empty() {
             assert!(
@@ -225,9 +232,9 @@ fn chaos_schedules_replay_deterministically() {
     }
 }
 
-/// The failover supervisor under decision-cycle wedges long enough to trip
-/// the watchdog: scheduling keeps flowing across hardware→software→
-/// hardware switches, time stays monotone, and nothing is lost.
+/// A recovering K = 1 merge under decision-cycle wedges long enough to trip
+/// the watchdog: scheduling keeps flowing across card→host→card switches,
+/// time stays monotone, and nothing is lost.
 #[test]
 fn failover_supervisor_survives_decision_chaos() {
     let cycles = 800u64;
@@ -241,11 +248,9 @@ fn failover_supervisor_survives_decision_chaos() {
                 ..FaultConfig::quiet()
             },
         ));
-        let mut sup = FailoverScheduler::new(
-            FabricConfig::edf(4, FabricConfigKind::WinnerOnly),
-            DecisionWatchdog::new(6, 10),
-        )
-        .unwrap();
+        let mut sup =
+            ShardedScheduler::new(FabricConfig::edf(4, FabricConfigKind::WinnerOnly), 1).unwrap();
+        sup.enable_recovery(DecisionWatchdog::new(6, 10));
         sup.attach_faults(Arc::clone(&inj));
         for s in 0..4 {
             sup.load_stream(s, edf_state(4), (s + 1) as u64).unwrap();
@@ -257,14 +262,11 @@ fn failover_supervisor_survives_decision_chaos() {
         for t in 0..cycles {
             if t % 4 == 0 {
                 for s in 0..4 {
-                    sup.enqueue(s, Wrap16::from_wide(t)).unwrap();
+                    sup.push_arrival(s, Wrap16::from_wide(t)).unwrap();
                     enqueued += 1;
                 }
             }
-            if let Some(p) = sup
-                .decision_cycle()
-                .unwrap_or_else(|e| panic!("seed {seed}: supervisor died: {e}"))
-            {
+            if let Some(p) = sup.decision_cycle() {
                 assert!(
                     p.completed_at > last_completed,
                     "seed {seed}: global time is monotone across path switches"
@@ -276,7 +278,7 @@ fn failover_supervisor_survives_decision_chaos() {
 
         assert_eq!(
             enqueued,
-            served + sup.total_backlog() as u64,
+            served + sup.live_backlog(),
             "seed {seed}: both path switches conserve the backlog exactly"
         );
         assert!(

@@ -35,7 +35,6 @@ use sharestreams::ingress::{IngressClient, IngressConfig, IngressServer};
 use sharestreams::sharded::ShardedScheduler;
 use sharestreams::telemetry::{MetricValue, Registry, SpanRecorder};
 use sharestreams::types::{ComparisonMode as Mode, SlotId, WindowConstraint, Wrap16};
-use sharestreams::FailoverScheduler;
 use std::sync::Arc;
 use FabricConfigKind::{Base, WinnerOnly};
 
@@ -186,8 +185,9 @@ pub(crate) enum Path {
     /// `RtlFabric`, plain and compute-ahead.
     Rtl,
     RtlAhead,
-    /// `FailoverScheduler`; it crashes a third of the way in, fails over
-    /// to software and re-attaches.
+    /// `ShardedScheduler` at K = 1 with recovery armed; its card crashes a
+    /// third of the way in, the host takes over on the shard's own
+    /// register image and the card re-attaches.
     Failover,
     /// Through `IngressServer` over loopback TCP into a consumer `Fabric`.
     Loopback,
@@ -212,11 +212,8 @@ pub(crate) const RESTRICTIONS: &[(Path, u16, &str)] = &[
     (Path::Reference, CHURN, "no unload (item 22(a))"),
     (Path::Reference, BLOCK, "one winner per decision: §3's WR max-finding, not a BA block"),
     (Path::Reference, FAIR, "models the DWCS and EDF comparison modes of §2 only"),
-    (Path::Failover, REFILLS | ANTIPODE, "its degraded path is DwcsRef (see Reference; item 22(a), item 19)"),
-    (Path::Failover, TIES, "the switch re-sequences queued arrivals in slot order, so FCFS differs (item 21)"),
-    (Path::Failover, DUE, "re-attach moves a head already due to the new clock's now + 1 (item 21)"),
-    (Path::Failover, CHURN, "no unload, and no load while degraded (item 22)"),
-    (Path::Failover, BLOCK | FAIR, "supervises §3's WR fabrics in §2's DWCS or EDF mode only"),
+    (Path::Failover, BLOCK, "a recovering K = 1 merge: winners, not blocks (see Sharded1; item 9)"),
+    (Path::Failover, ANTIPODE, "a recovering K = 1 merge: the grant's linear-min check (see Sharded1; item 19)"),
     (Path::Sharded1, BLOCK, "the frontend merges winners, not blocks (item 9)"),
     (Path::Sharded2, BLOCK | UNDER_4, "a winner merge over shards of at least 2 slots (item 9)"),
     (Path::Sharded4, BLOCK | UNDER_8, "a winner merge over shards of at least 2 slots (item 9)"),
@@ -286,13 +283,11 @@ pub(crate) enum Run {
     Rtl(RtlFabric, u64),
     Sharded(ShardedScheduler),
     Reference(Reference),
-    /// The supervisor, its tick, and the tick at which its card crashes.
-    /// A watchdog that trips on the first stuck cycle
-    /// fails over in that cycle and re-attaches after 16 healthy ones. The
-    /// crashed cycle costs a packet-time, so the clock runs one ahead after
-    /// a failover; that is taken off, and the winners, deadlines and
-    /// verdicts must be the fabric's.
-    Failover(FailoverScheduler, u64, u64),
+    /// The recovering K = 1 merge, its tick, and the tick at which its card
+    /// crashes. The sweep hands the shard to the host before it proposes
+    /// and the watchdog re-attaches it after 16 healthy cycles; neither
+    /// switch costs a packet-time, so everything must be the fabric's.
+    Failover(ShardedScheduler, u64, u64),
     Loopback(Box<Loopback>),
 }
 
@@ -306,9 +301,8 @@ impl Run {
                 *loads += 1;
                 rtl.load_stream(slot, state, first).unwrap()
             }
-            Run::Sharded(s) => s.load_stream(slot, state, first).unwrap(),
+            Run::Sharded(s) | Run::Failover(s, ..) => s.load_stream(slot, state, first).unwrap(),
             Run::Reference(r) => r.load(slot, state, first),
-            Run::Failover(sup, ..) => sup.load_stream(slot, state, first).unwrap(),
             Run::Loopback(l) => l.fabric.load_stream(slot, state, first).unwrap(),
         }
     }
@@ -318,9 +312,8 @@ impl Run {
             Run::Fabric(f) | Run::Mutant(f, _) => f.push_arrival(slot, Wrap16(tag)).unwrap(),
             Run::Traced(f, _) => f.push_arrival(slot, Wrap16(tag)).unwrap(),
             Run::Rtl(rtl, _) => rtl.push_arrival(slot, Wrap16(tag)).unwrap(),
-            Run::Sharded(s) => s.push_arrival(slot, Wrap16(tag)).unwrap(),
+            Run::Sharded(s) | Run::Failover(s, ..) => s.push_arrival(slot, Wrap16(tag)).unwrap(),
             Run::Reference(r) => r.arrive(slot, tag),
-            Run::Failover(sup, ..) => sup.enqueue(slot, Wrap16(tag)).unwrap(),
             Run::Loopback(l) => l.batch.push((slot as u32, tag)),
         }
     }
@@ -331,7 +324,7 @@ impl Run {
         let reloaded = match self {
             Run::Fabric(f) | Run::Mutant(f, _) => f.unload_stream(slot),
             Run::Traced(f, _) => f.unload_stream(slot),
-            Run::Sharded(s) => s.unload_stream(slot),
+            Run::Sharded(s) | Run::Failover(s, ..) => s.unload_stream(slot),
             Run::Loopback(l) => l.flush().fabric.unload_stream(slot),
             _ => unreachable!("the restriction table keeps this path off churn classes"),
         };
@@ -344,9 +337,8 @@ impl Run {
             Run::Fabric(f) | Run::Mutant(f, _) => f.now(),
             Run::Traced(f, _) => f.now(),
             Run::Rtl(rtl, _) => rtl.now(),
-            Run::Sharded(s) => s.now(),
+            Run::Sharded(s) | Run::Failover(s, ..) => s.now(),
             Run::Reference(r) => r.now,
-            Run::Failover(sup, ..) => sup.now() - sup.failovers(),
             Run::Loopback(l) => l.fabric.now(),
         }
     }
@@ -366,14 +358,12 @@ impl Run {
             Run::Rtl(rtl, _) => out.extend_from_slice(rtl.run_decision().packets()),
             Run::Sharded(s) => out.extend(s.decision_cycle()),
             Run::Reference(r) => out.extend(r.decide()),
-            Run::Failover(sup, tick, crash_at) => {
+            Run::Failover(s, tick, crash_at) => {
                 if *tick == *crash_at {
-                    sup.inject_crash();
+                    s.inject_shard_crash(0);
                 }
                 *tick += 1;
-                let packet = sup.decision_cycle().unwrap();
-                let lost = sup.failovers();
-                out.extend(packet.map(|p| sent(p.slot.index(), p.deadline, p.completed_at - lost)));
+                out.extend(s.decision_cycle());
             }
             Run::Loopback(l) => out.extend_from_slice(l.flush().fabric.decision_cycle_into()),
         }
@@ -408,20 +398,21 @@ impl Run {
                 let counters = (0..s.total_slots()).map(|k| *s.slot_counters(k).unwrap());
                 end(now, counters)
             }
+            Run::Failover(s, tick, crash_at) => {
+                // Crashed if a decision ran at `crash_at`; back on the card
+                // once 16 decisions ran from the crash on.
+                let switches = (tick > crash_at, tick >= crash_at + 16);
+                let switches = (u64::from(switches.0), u64::from(switches.1));
+                assert_eq!((s.failovers(), s.reattaches()), switches);
+                assert_eq!(s.lost_packets(), 0, "the host path loses nothing");
+                let counters = (0..s.total_slots()).map(|k| *s.slot_counters(k).unwrap());
+                end(now, counters)
+            }
             Run::Reference(mut r) => {
                 let counters: Vec<_> = (0..r.configs.len()).map(|s| r.counters(s)).collect();
                 End {
                     partial: true,
                     ..end(now, counters.into_iter())
-                }
-            }
-            Run::Failover(sup, ..) => {
-                assert_eq!((sup.failovers(), sup.reattaches()), (1, 1));
-                // The crash splits the counters across two fabrics and the
-                // software oracle; the winner sequence is the check.
-                End {
-                    now,
-                    ..End::default()
                 }
             }
             Run::Loopback(mut l) => {
@@ -585,8 +576,9 @@ pub(crate) fn start(path: Path, trace: &Trace) -> Run {
         Path::Rtl => rtl(false),
         Path::RtlAhead => rtl(true),
         Path::Failover => {
-            let sup = FailoverScheduler::new(config, DecisionWatchdog::new(1, 16)).unwrap();
-            Run::Failover(sup, 0, crash_at)
+            let mut s = ShardedScheduler::new(config, 1).unwrap();
+            s.enable_recovery(DecisionWatchdog::new(1, 16));
+            Run::Failover(s, 0, crash_at)
         }
         Path::Loopback => Run::Loopback(Box::new(Loopback::new(trace))),
         Path::Mutant => Run::Mutant(fabric(true), 0),

@@ -3,8 +3,9 @@
 //! A counting global allocator wraps the system allocator; after a warmup
 //! that lets every buffer (fabric scratch, per-slot VecDeques, sinks) reach
 //! its high-water capacity, thousands of decision cycles — WR, BA, batched,
-//! the inline sharded merge (WR, BA and the merge again with a fault
-//! injector attached), and the cluster simulation's epoch loop — must leave
+//! the inline sharded merge (WR, BA, the merge again with a fault injector
+//! attached, and a recovering merge through a hand-over to the host and
+//! back), and the cluster simulation's epoch loop — must leave
 //! the allocation counter untouched. This file holds exactly one `#[test]`
 //! so no sibling test thread can pollute the counter, and the counter
 //! itself is per-thread:
@@ -19,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sharestreams::core::{Fabric, LatePolicy, StreamState, Telemetry, Traced};
+use sharestreams::core::{DecisionWatchdog, Fabric, LatePolicy, StreamState, Telemetry, Traced};
 use sharestreams::prelude::*;
 use sharestreams::sharded::ShardedScheduler;
 
@@ -226,7 +227,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
         use sharestreams::faults::{FaultConfig, FaultInjector, FaultSite};
         use std::sync::Arc;
         let quiet = || Arc::new(FaultInjector::new(7, FaultConfig::quiet()));
-        let stuck = FaultConfig {
+        let profile = FaultConfig {
             decision_rate_ppm: 50_000,
             shard_rate_ppm: 5_000,
             ..FaultConfig::quiet()
@@ -238,7 +239,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
             (8, FabricConfigKind::WinnerOnly),
         ] {
             let mut f = backlogged(slots, kind, DEPTH);
-            let stuck = Arc::new(FaultInjector::new(7, stuck));
+            let stuck = Arc::new(FaultInjector::new(7, profile));
             for phase in ["quiet", "stuck", "crashed"] {
                 match phase {
                     "quiet" => f.attach_faults(quiet()),
@@ -272,7 +273,7 @@ fn steady_state_decision_cycles_do_not_allocate() {
                     .unwrap();
             }
         }
-        let stuck = Arc::new(FaultInjector::new(7, stuck));
+        let stuck = Arc::new(FaultInjector::new(7, profile));
         for phase in ["quiet", "stuck", "crashed"] {
             match phase {
                 "quiet" => sharded.attach_faults(quiet()),
@@ -302,6 +303,46 @@ fn steady_state_decision_cycles_do_not_allocate() {
             1,
             "the crash was detected"
         );
+
+        // The recovering merge: the same shape and profile with recovery
+        // armed. The measured span crashes shard 1, hands it to the host
+        // (the wedges hand shards over too), runs host-path cycles and
+        // re-attaches it.
+        let mut sharded = ShardedScheduler::new(config, 2).unwrap();
+        sharded.enable_recovery(DecisionWatchdog::new(4, 16));
+        for s in 0..SLOTS {
+            sharded.load_stream(s, edf_state(), (s + 1) as u64).unwrap();
+            for a in 0..DEPTH {
+                sharded
+                    .push_arrival(s, Wrap16::from_wide(a as u64))
+                    .unwrap();
+            }
+        }
+        let stuck = Arc::new(FaultInjector::new(7, profile));
+        sharded.attach_faults(Arc::clone(&stuck));
+        for _ in 0..WARMUP {
+            sharded_cycle(&mut sharded, &mut tag);
+        }
+        let (failovers, reattaches) = (sharded.failovers(), sharded.reattaches());
+        let before = allocations();
+        sharded.inject_shard_crash(1);
+        sharded_cycle(&mut sharded, &mut tag);
+        assert!(
+            sharded.on_host(1),
+            "the sweep handed the crashed shard over"
+        );
+        for _ in 0..MEASURED {
+            sharded_cycle(&mut sharded, &mut tag);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "recovering sharded decision_cycle allocated across a hand-over"
+        );
+        assert!(sharded.failovers() > failovers, "a hand-over ran");
+        assert!(sharded.reattaches() > reattaches, "a re-attach ran");
+        assert_eq!(sharded.lost_packets(), 0, "recovery writes nothing off");
+        assert_eq!(stuck.stats().snapshot().failovers, sharded.failovers());
     }
 
     // --- Attached telemetry: hooks and periodic flushes stay heap-free ---
