@@ -472,6 +472,8 @@ impl SimNode {
     }
 
     /// `true` while an injected stall is holding the fabric.
+    /// Tests-only: `crates/cluster/tests/epoch_equivalence.rs` holds every epoch length to tick
+    /// order with it.
     pub fn stalled(&self) -> bool {
         self.stall > 0
     }
@@ -512,6 +514,8 @@ impl SimNode {
     }
 
     /// The captured winner sequence, when recording was requested.
+    /// Tests-only: `crates/cluster/tests/determinism.rs` and `epoch_equivalence.rs` fingerprint the
+    /// winners with it.
     pub fn winners(&self) -> Option<&[Winner]> {
         self.winners.as_deref()
     }

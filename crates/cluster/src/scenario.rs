@@ -279,11 +279,13 @@ impl Scenario {
     }
 
     /// The spec this scenario was compiled from.
+    /// Tests-only: `crates/cluster/tests/scenario_props.rs` checks the spec round trip with it.
     pub fn spec(&self) -> &ScenarioSpec {
         &self.spec
     }
 
     /// Per-slot aggregate shares, ‰ (sums to 1000).
+    /// Tests-only: `crates/cluster/tests/scenario_props.rs` checks the split weights with it.
     pub fn weights(&self) -> &[u32] {
         &self.weights
     }

@@ -27,8 +27,8 @@
 //!    checked.
 //!
 //! An epoch of one tick is the tick-major order this replaces, and what
-//! [`ClusterSim::step_tick`] runs: the oracle
-//! `tests/epoch_equivalence.rs` holds every other epoch length to.
+//! `run_chunk(1)` runs: the oracle `tests/epoch_equivalence.rs` holds
+//! every other epoch length to.
 //!
 //! A violation is booked and renders a one-line repro command
 //! (`crate::cli::repro_command`) that replays the exact `(seed, scenario,
@@ -514,6 +514,8 @@ impl ClusterSim {
     }
 
     /// `true` once a violation halted the run.
+    /// Tests-only: `crates/cluster/tests/violation_dump.rs` and `epoch_equivalence.rs` check
+    /// halting on a violation with it.
     pub fn halted(&self) -> bool {
         self.cluster.halted
     }
@@ -561,12 +563,6 @@ impl ClusterSim {
             ticks_per_us: 1.0,
             ..flight.dump(DumpReason::InvariantViolation, first.tick)
         })
-    }
-
-    /// Advances one virtual tick (no-op once halted): an epoch of one,
-    /// which is tick-major order.
-    pub fn step_tick(&mut self) {
-        self.run_chunk(1);
     }
 
     /// Runs to the configured horizon (or the first violation).

@@ -79,11 +79,6 @@ impl ControlFsm {
         self.record = true;
     }
 
-    /// Current state.
-    pub fn state(&self) -> FsmState {
-        self.state
-    }
-
     /// Hardware cycles consumed so far.
     pub fn cycle(&self) -> Cycles {
         self.cycle
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn starts_in_load() {
         let fsm = ControlFsm::new(2, true);
-        assert_eq!(fsm.state(), FsmState::Load);
+        assert_eq!(fsm.state, FsmState::Load);
         assert_eq!(fsm.cycle(), 0);
     }
 

@@ -215,11 +215,6 @@ impl DecisionBlock {
     pub fn counters(&self) -> &RuleCounters {
         &self.counters
     }
-
-    /// Resets the counters.
-    pub fn reset_counters(&mut self) {
-        self.counters = RuleCounters::default();
-    }
 }
 
 /// Pairwise ordering of two packed lane words (see [`ss_types::packed`]):
@@ -472,8 +467,6 @@ mod tests {
         assert_eq!(c.earliest_deadline, 2);
         assert_eq!(c.lowest_window_constraint, 1);
         assert_eq!(c.total(), 3);
-        blk.reset_counters();
-        assert_eq!(blk.counters().total(), 0);
     }
 
     #[test]

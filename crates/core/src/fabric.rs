@@ -125,6 +125,7 @@ impl FabricConfig {
 /// Register Base block as the host sees it). Produced by
 /// [`Fabric::register_snapshot`]; deadlines are *wide* (u64) scheduler
 /// time.
+/// Tests-only: `tests/reconfiguration.rs` reads it to check §1's banked credit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterSnapshot {
     /// The bound stream's static configuration.
@@ -239,6 +240,7 @@ impl Fabric<Traced> {
     }
 
     /// The fabric's instrumentation state (win-latency tracker).
+    /// Tests-only: `tests/zero_alloc.rs` reads the attached registry through it.
     pub fn telemetry(&self) -> &FabricTelemetry {
         &self.telem
     }
@@ -256,6 +258,7 @@ impl Fabric<Traced> {
 
     /// Drops the span track, flushing its events into the parent
     /// recorder (they become visible to `SpanRecorder::drain`).
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that detaching flushes the track.
     pub fn detach_spans(&mut self) {
         self.telem.detach_spans();
     }
@@ -264,6 +267,8 @@ impl Fabric<Traced> {
     /// hooks batch observations locally and auto-flush every few thousand
     /// decisions (and on drop), so this is only needed before reading the
     /// registry while the fabric is mid-run.
+    /// Tests-only: `tests/zero_alloc.rs` and the conformance harness (`tests/support/harness.rs`)
+    /// flush with it before reading the registry.
     pub fn flush_telemetry(&mut self) {
         self.telem.flush();
     }
@@ -432,6 +437,8 @@ impl<T: Telemetry> Fabric<T> {
     }
 
     /// Unbinds `slot`.
+    /// Tests-only: the conformance harness's churn classes (`tests/support/harness.rs`) and
+    /// `tests/recovery.rs` unload streams with it.
     pub fn unload_stream(&mut self, slot: usize) -> Result<()> {
         self.check_slot(slot)?;
         self.registers.unload(slot);
@@ -486,6 +493,7 @@ impl<T: Telemetry> Fabric<T> {
     /// current window constraint, and queue depth. Read-only — no counters
     /// move, no time advances — and it works even on a wedged or crashed
     /// fabric.
+    /// Tests-only: `tests/reconfiguration.rs` reads it to check §1's banked credit.
     pub fn register_snapshot(&self, slot: usize) -> Result<Option<RegisterSnapshot>> {
         self.check_slot(slot)?;
         let r = &self.registers;
@@ -812,25 +820,9 @@ impl<T: Telemetry> Fabric<T> {
             .on_fault_stall(self.decision_count, self.faults.crashed());
     }
 
-    /// `true` while the decision path is making progress: no stuck-FSM
-    /// wedge, no crash. Always `true` on a detached fabric. This is
-    /// the cheap health probe next to the
-    /// [`crate::watchdog::DecisionWatchdog`]'s behavioral detection.
-    pub fn probe_health(&self) -> bool {
-        self.faults.healthy()
-    }
-
     /// `true` once the fabric has been crashed (permanently blocked).
     pub fn is_crashed(&self) -> bool {
         self.faults.crashed()
-    }
-
-    /// `true` if any configured slot has a queued packet — the watchdog's
-    /// "should this cycle have produced something" input.
-    pub fn has_backlog(&self) -> bool {
-        self.registers.words()[..self.config.slots]
-            .iter()
-            .any(|&w| lane_valid(w))
     }
 
     /// Wires this fabric to a shared fault injector: each decision/expiry
@@ -1272,7 +1264,6 @@ mod tests {
         assert_eq!(total_wins, 8);
         let tracked: u64 = qos.streams.iter().map(|s| s.win_latency_cycles.count).sum();
         assert_eq!(tracked, 8, "every win recorded a latency gap");
-        assert!(qos.service_fairness() > 0.0);
     }
 
     #[test]
@@ -1386,7 +1377,6 @@ mod tests {
         assert_eq!(f.hw_cycles(), hw_before, "FSM frozen while wedged");
         assert_eq!(f.backlog(0).unwrap(), 8, "no slot was serviced");
         assert_eq!(inj.stats().snapshot().stalled_cycles, 10);
-        assert!(f.has_backlog());
     }
 
     #[test]
@@ -1399,21 +1389,20 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(plain.decision_cycle(), faulted.decision_cycle());
         }
-        assert!(faulted.probe_health());
+        assert!(!faulted.is_crashed());
     }
 
     #[test]
     fn crash_blocks_until_cleared() {
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 4);
-        assert!(f.probe_health());
+        assert!(!f.is_crashed());
         f.inject_crash();
-        assert!(!f.probe_health());
         assert!(f.is_crashed());
         assert!(f.decision_cycle().packets().is_empty());
         f.expire_cycle();
         assert_eq!(f.backlog(0).unwrap(), 4, "crash also blocks expiry");
         f.clear_faults();
-        assert!(f.probe_health());
+        assert!(!f.is_crashed());
         assert!(!f.decision_cycle().packets().is_empty(), "recovered");
     }
 
@@ -1436,13 +1425,13 @@ mod tests {
     #[test]
     fn health_probe_defaults() {
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 2);
-        assert!(f.probe_health());
         assert!(!f.is_crashed());
-        assert!(f.has_backlog());
+        let backlog = |f: &Fabric| (0..4).map(|s| f.backlog(s).unwrap()).sum::<usize>();
+        assert_eq!(backlog(&f), 8);
         for _ in 0..8 {
             f.decision_cycle();
         }
-        assert!(!f.has_backlog(), "queues drained");
+        assert_eq!(backlog(&f), 0, "queues drained");
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl FabricFaults {
         self.crashed = true;
     }
 
-    /// `true` while no wedge or crash is blocking decision cycles.
-    #[inline]
-    pub fn healthy(&self) -> bool {
-        !self.crashed && self.stuck_remaining == 0
-    }
-
     /// `true` once the fabric has been crashed.
     #[inline]
     pub fn crashed(&self) -> bool {

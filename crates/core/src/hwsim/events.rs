@@ -101,11 +101,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -172,13 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_pending_events() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule_at(7, 0);
         q.schedule_at(3, 1);
-        assert_eq!(q.peek_time(), Some(3));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
     }

@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 use ss_types::Nanos;
-use std::fmt::Write as _;
 
 /// A histogram with 64 power-of-two magnitude buckets, each split into 16
 /// linear sub-buckets (HDR-histogram style, ~6% relative error), plus exact
@@ -177,11 +176,6 @@ impl RateMeter {
         self.bins.iter().sum()
     }
 
-    /// The window width.
-    pub fn window_ns(&self) -> Nanos {
-        self.window_ns
-    }
-
     /// Per-window rates in units/second, as a time series with window
     /// midpoints (in seconds) on the x axis.
     pub fn rates_per_sec(&self) -> TimeSeries {
@@ -238,24 +232,6 @@ impl TimeSeries {
     /// `true` when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Mean of the y values (`None` when empty).
-    pub fn mean_y(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64)
-    }
-
-    /// Renders the series as a two-column CSV with a header row.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{},{}", self.x_label, self.y_label);
-        for (x, y) in &self.points {
-            let _ = writeln!(out, "{x},{y}");
-        }
-        out
     }
 }
 
@@ -393,19 +369,11 @@ mod tests {
     }
 
     #[test]
-    fn time_series_csv() {
+    fn time_series_keeps_insertion_order() {
         let mut ts = TimeSeries::new("t", "v");
+        assert!(ts.is_empty());
         ts.push(0.5, 2.0);
         ts.push(1.5, 4.0);
-        assert_eq!(ts.to_csv(), "t,v\n0.5,2\n1.5,4\n");
-        assert_eq!(ts.mean_y(), Some(3.0));
-        assert!(!ts.is_empty());
-    }
-
-    #[test]
-    fn time_series_empty_mean() {
-        let ts = TimeSeries::new("t", "v");
-        assert_eq!(ts.mean_y(), None);
-        assert!(ts.is_empty());
+        assert_eq!(ts.points, [(0.5, 2.0), (1.5, 4.0)]);
     }
 }

@@ -254,6 +254,7 @@ impl VirtexModel {
     }
 
     /// Checks the design fits `device`, returning the estimate.
+    /// Tests-only: `tests/wire_speed.rs` checks the Virtex timing fit with it.
     pub fn fit(
         &self,
         slots: usize,

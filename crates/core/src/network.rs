@@ -51,21 +51,6 @@ fn check_n(n: usize) {
     );
 }
 
-/// The perfect shuffle permutation, written into a caller-provided buffer
-/// (`dst[2i] = src[i]`, `dst[2i+1] = src[i + n/2]`). This is the hot-path
-/// form: no allocation, mirroring the hardware's fixed wiring.
-// lint:hot-path
-pub fn perfect_shuffle_into<T: Copy>(src: &[T], dst: &mut [T]) {
-    let n = src.len();
-    debug_assert!(n.is_power_of_two() && n >= 2);
-    debug_assert_eq!(dst.len(), n, "shuffle buffers must match in length");
-    let half = n / 2;
-    for i in 0..half {
-        dst[2 * i] = src[i];
-        dst[2 * i + 1] = src[i + half];
-    }
-}
-
 /// One cycle of the recirculating shuffle-exchange network, writing the
 /// result into `dst`. The perfect shuffle is fused into the indexing:
 /// Decision block `j` reads the pair the shuffle would deliver to its ports
@@ -386,6 +371,7 @@ pub fn bitonic_decision(
 }
 
 /// Number of bitonic passes for an N-word block.
+/// Tests-only: the reference `bitonic_sorts_all_sizes` holds the bitonic network's cycle count to.
 pub fn bitonic_pass_count(n: usize) -> u64 {
     check_n(n);
     let k = n.trailing_zeros() as u64;
@@ -440,44 +426,6 @@ mod tests {
             }
         }
         worst
-    }
-
-    #[test]
-    fn perfect_shuffle_interleaves_halves() {
-        let v: Vec<u32> = (0..8).collect();
-        let mut out = vec![0u32; 8];
-        perfect_shuffle_into(&v, &mut out);
-        assert_eq!(out, vec![0, 4, 1, 5, 2, 6, 3, 7]);
-        perfect_shuffle_into(&v[..4], &mut out[..4]);
-        assert_eq!(out[..4], [0, 2, 1, 3]);
-    }
-
-    #[test]
-    fn shuffle_into_parity_all_sizes() {
-        // The in-place hot-path shuffle must match the wiring definition
-        // (dst[2i] = src[i], dst[2i+1] = src[i + n/2]) at every supported
-        // fabric width.
-        for n in [2usize, 4, 8, 16, 32] {
-            let src: Vec<u32> = (0..n as u32).collect();
-            let mut dst = vec![0u32; n];
-            perfect_shuffle_into(&src, &mut dst);
-            let half = n / 2;
-            for i in 0..half {
-                assert_eq!(dst[2 * i] as usize, i, "even port, n={n}");
-                assert_eq!(dst[2 * i + 1] as usize, i + half, "odd port, n={n}");
-            }
-        }
-    }
-
-    // The length and size checks are `debug_assert!`s (the kernels are
-    // registered panic-free hot paths), so only debug builds can see them.
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "debug_assert! compiles out")]
-    #[should_panic(expected = "match in length")]
-    fn shuffle_into_rejects_mismatched_buffers() {
-        let src = [0u32, 1, 2, 3];
-        let mut dst = [0u32; 8];
-        perfect_shuffle_into(&src, &mut dst);
     }
 
     #[test]

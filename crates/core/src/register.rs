@@ -247,6 +247,8 @@ impl RegisterFile {
     }
 
     /// Unbinds `slot` and clears its queue.
+    /// Tests-only: the conformance harness's churn classes (`tests/support/harness.rs`) and
+    /// `tests/recovery.rs` unload streams with it.
     pub fn unload(&mut self, slot: usize) {
         self.configured &= !(1 << slot);
         self.qlen[slot] = 0;
@@ -261,6 +263,8 @@ impl RegisterFile {
     }
 
     /// The configuration of the stream bound to `slot`, if any.
+    /// Tests-only: `Fabric::register_snapshot` reads it for `tests/reconfiguration.rs`'s §1
+    /// banked-credit check.
     pub fn state(&self, slot: usize) -> Option<StreamState> {
         self.is_configured(slot).then(|| StreamState {
             request_period: self.period[slot],
@@ -285,11 +289,15 @@ impl RegisterFile {
     }
 
     /// Current head deadline of `slot` (wide).
+    /// Tests-only: `Fabric::register_snapshot` reads it for `tests/reconfiguration.rs`'s §1
+    /// banked-credit check.
     pub fn head_deadline(&self, slot: usize) -> u64 {
         self.deadline[slot]
     }
 
     /// Current window constraint `x'/y'` of `slot`.
+    /// Tests-only: `Fabric::register_snapshot` reads it for `tests/reconfiguration.rs`'s §1
+    /// banked-credit check.
     pub fn current_window(&self, slot: usize) -> WindowConstraint {
         self.window[slot]
     }

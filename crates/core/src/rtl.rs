@@ -366,11 +366,6 @@ impl RtlFabric {
         self.decision_count
     }
 
-    /// Lane values currently on the wires (waveform-style visibility).
-    pub fn lanes(&self) -> &[StreamAttrs] {
-        &self.sim.state().lanes
-    }
-
     /// Drives fresh attribute words from the register file onto the lanes
     /// (the combinational read at each decision boundary).
     fn prime(&mut self) {
@@ -477,12 +472,12 @@ mod tests {
         // of this particular input).
         rtl.prime();
         rtl.sim.step();
-        let lanes = rtl.lanes().to_vec();
+        let lanes = rtl.sim.state().lanes.clone();
         assert_eq!(lanes.len(), 4);
         assert!(lanes.iter().all(|l| l.valid));
         // After the full decision the winner lane holds deadline 1.
         rtl.sim.step();
-        assert_eq!(rtl.lanes()[0].deadline, Wrap16(1));
+        assert_eq!(rtl.sim.state().lanes[0].deadline, Wrap16(1));
     }
 
     #[test]

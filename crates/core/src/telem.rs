@@ -14,9 +14,9 @@
 //!   [`StageEvent`](ss_telemetry::StageEvent)s (arrivals, wins, expiry
 //!   passes, blocked cycles).
 //! * [`SupervisorTrace`] is the same contract one level up: the control
-//!   events the sharded frontend leaves — merge wins on a span track,
-//!   breaker trips and recovery path switches in a flight recorder with
-//!   its automatic incident dumps.
+//!   events the sharded frontend leaves — merge wins on a span track and
+//!   recovery path switches in a flight recorder with its automatic
+//!   incident dumps.
 //! * [`MergeMetrics`] is the sharded frontend's per-shard winner counters,
 //!   idle-cycle counter and merge-latency histogram. Its handles are
 //!   `Arc`-backed, so it moves with the frontend into the threaded
@@ -122,10 +122,6 @@ pub trait SupervisorHooks: Default {
         _reason: Option<DecisionRule>,
     ) {
     }
-
-    /// `shard`'s breaker just opened over `backlog` queued packets.
-    #[inline(always)]
-    fn on_breaker_open(&mut self, _cycle: u64, _shard: usize, _backlog: usize) {}
 
     /// A shard switched between its card and the host (`failovers` so
     /// far).
@@ -344,11 +340,6 @@ impl FabricTelemetry {
         });
     }
 
-    /// `true` once attached to a registry.
-    pub fn is_attached(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Wires per-packet lifecycle recording into `recorder`: every
     /// fabric arrival and decision win is stamped with a
     /// [`TraceTag`] (origin = `origin`, per-slot sequence) on a
@@ -366,13 +357,9 @@ impl FabricTelemetry {
 
     /// Drops the span track (flushing its events into the parent
     /// recorder).
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that detaching flushes the track.
     pub fn detach_spans(&mut self) {
         self.spans = None;
-    }
-
-    /// `true` while a span track is live.
-    pub fn spans_attached(&self) -> bool {
-        self.spans.is_some()
     }
 
     /// Drains the local accumulators into the registry now. Call
@@ -383,11 +370,6 @@ impl FabricTelemetry {
         if let Some(a) = &mut self.inner {
             a.flush();
         }
-    }
-
-    /// Per-slot winner-selection-latency tracker, once attached.
-    pub fn win_latency(&self) -> Option<&WinLatencyTracker> {
-        self.inner.as_ref().map(|a| &a.win_latency)
     }
 
     // lint:hot-path
@@ -537,12 +519,14 @@ impl SupervisorTrace {
     }
 
     /// Drops the span track (flushing it into its recorder's drain set).
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that detaching flushes the track.
     pub fn detach_spans(&mut self) {
         self.spans = None;
     }
 
     /// Records control events into (and takes incident dumps from)
     /// `flight` from now on.
+    /// Tests-only: `tests/recovery.rs` checks the hand-over's flight dump with it.
     pub fn attach_flight(&mut self, flight: &SharedFlightRecorder) {
         self.flight = Some(flight.clone());
     }
@@ -566,33 +550,6 @@ impl SupervisorHooks for SupervisorTrace {
             win_seq[slot] = win_seq[slot].wrapping_add(1);
             let why = reason.map_or(detail::MERGE_ONLY_CANDIDATE, |r| r as u8);
             track.record(tag, cycle, Stage::MergeWin, why, slot as u32);
-        }
-    }
-
-    /// Hook: `shard`'s breaker just opened over `backlog` queued
-    /// packets. A control `BreakerOpen` on the span track and in the
-    /// flight recorder, which also snapshots the recent past
-    /// ([`DumpReason::BreakerOpen`]).
-    fn on_breaker_open(&mut self, cycle: u64, shard: usize, backlog: usize) {
-        if let Some((track, _)) = &mut self.spans {
-            track.record(
-                TraceTag::CONTROL.0,
-                cycle,
-                Stage::BreakerOpen,
-                shard as u8,
-                backlog as u32,
-            );
-        }
-        if let Some(fl) = &self.flight {
-            let track = self.spans.as_ref().map_or(0, |(track, _)| track.id());
-            fl.record_control(
-                cycle,
-                track,
-                Stage::BreakerOpen,
-                shard as u8,
-                backlog as u32,
-            );
-            fl.auto_dump(DumpReason::BreakerOpen, cycle);
         }
     }
 
@@ -657,14 +614,6 @@ impl MergeMetrics {
                 "Nanoseconds spent in the cross-shard winner merge",
             ),
         });
-    }
-
-    /// Jain's fairness index over per-shard wins, once attached.
-    pub fn fairness(&self) -> Option<f64> {
-        self.inner.as_ref().map(|a| {
-            let wins: Vec<u64> = a.shard_wins.iter().map(Counter::value).collect();
-            ss_telemetry::jain_fairness(&wins)
-        })
     }
 }
 

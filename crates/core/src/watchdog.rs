@@ -85,16 +85,6 @@ impl DecisionWatchdog {
         }
     }
 
-    /// Consecutive unproductive-with-backlog cycles so far.
-    pub fn unproductive_cycles(&self) -> u32 {
-        self.unproductive
-    }
-
-    /// Consecutive healthy observations so far.
-    pub fn healthy_streak(&self) -> u32 {
-        self.healthy_streak
-    }
-
     /// Times the watchdog has tripped (entered `Stuck`) over its lifetime.
     /// Survives [`DecisionWatchdog::reset`] — it counts stalls, not state.
     pub fn trips(&self) -> u64 {
@@ -133,7 +123,7 @@ mod tests {
         assert_eq!(w.observe(false, true), WatchdogVerdict::Suspect);
         assert_eq!(w.observe(false, true), WatchdogVerdict::Suspect);
         assert_eq!(w.observe(false, true), WatchdogVerdict::Stuck);
-        assert_eq!(w.unproductive_cycles(), 3);
+        assert_eq!(w.trips(), 1);
     }
 
     #[test]
@@ -143,7 +133,7 @@ mod tests {
         w.observe(false, true);
         assert_eq!(w.observe(true, true), WatchdogVerdict::Healthy);
         assert_eq!(w.observe(false, true), WatchdogVerdict::Suspect);
-        assert_eq!(w.unproductive_cycles(), 1);
+        assert_eq!(w.observe(false, true), WatchdogVerdict::Suspect, "2 of 3");
     }
 
     #[test]
@@ -152,7 +142,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(w.observe(false, false), WatchdogVerdict::Healthy);
         }
-        assert_eq!(w.unproductive_cycles(), 0);
+        assert_eq!(w.observe(false, true), WatchdogVerdict::Suspect, "1 of 2");
     }
 
     #[test]
@@ -166,8 +156,9 @@ mod tests {
         assert!(w.ready_to_reattach());
         // One bad cycle restarts the proof.
         w.observe(false, true);
-        assert!(!w.ready_to_reattach());
-        assert_eq!(w.healthy_streak(), 0);
+        w.observe(true, true);
+        w.observe(true, true);
+        assert!(!w.ready_to_reattach(), "the streak restarted");
     }
 
     #[test]
@@ -177,9 +168,8 @@ mod tests {
         w.observe(true, true);
         w.observe(true, true);
         w.reset();
-        assert_eq!(w.unproductive_cycles(), 0);
-        assert_eq!(w.healthy_streak(), 0);
         assert!(!w.ready_to_reattach());
+        assert_eq!(w.observe(false, true), WatchdogVerdict::Suspect, "1 of 2");
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Drr {
             backlog: 0,
         }
     }
-
-    /// Current deficit of `stream` (diagnostics).
-    pub fn deficit(&self, stream: usize) -> u64 {
-        self.streams[stream].deficit
-    }
 }
 
 impl Discipline for Drr {
@@ -156,10 +151,16 @@ mod tests {
 
     #[test]
     fn deficit_resets_when_queue_drains() {
-        let mut d = Drr::new(vec![1000]);
+        // Quantum 1000: the 100-byte packet leaves 900 of credit. Kept,
+        // stream 0's 1900-byte packet would fit after one more quantum and
+        // go before stream 1's.
+        let mut d = Drr::new(vec![1000, 1000]);
         d.enqueue(SwPacket::new(0, 0, 0, 100));
         d.select(0).unwrap();
-        assert_eq!(d.deficit(0), 0, "residual deficit forfeited on idle");
+        d.enqueue(SwPacket::new(0, 1, 1, 1900));
+        d.enqueue(SwPacket::new(1, 0, 1, 1000));
+        let next = d.select(1).unwrap();
+        assert_eq!(next.stream, 1, "residual deficit forfeited on idle");
     }
 
     #[test]

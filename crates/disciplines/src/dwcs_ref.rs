@@ -101,6 +101,7 @@ impl DwcsRef {
     }
 
     /// Creates a scheduler in EDF mode (window rules bypassed).
+    /// Tests-only: the conformance harness (`tests/support/harness.rs`) runs its EDF traces on it.
     pub fn new_edf(configs: Vec<DwcsStreamConfig>) -> Self {
         Self::with_mode(configs, true)
     }
@@ -132,20 +133,10 @@ impl DwcsRef {
         (s.met, s.missed, s.dropped, s.violations)
     }
 
-    /// Current window constraint of `stream`.
-    pub fn current_window(&self, stream: usize) -> WindowConstraint {
-        self.streams[stream].window
-    }
-
     /// Head deadline of `stream`.
+    /// Tests-only: the conformance harness (`tests/support/harness.rs`) reads deadlines with it.
     pub fn head_deadline(&self, stream: usize) -> u64 {
         self.streams[stream].deadline
-    }
-
-    /// Queued packets waiting for `stream` (the total across all streams
-    /// is [`Discipline::backlog`]).
-    pub fn stream_backlog(&self, stream: usize) -> usize {
-        self.streams[stream].queue.len()
     }
 
     /// Table 2 pairwise ordering on stream indices (both must be
@@ -380,25 +371,6 @@ mod tests {
             assert_eq!(violations, 0, "1/2 tolerance absorbs alternating misses");
             assert!(met > 0);
         }
-    }
-
-    #[test]
-    fn stream_backlog_counts_per_stream() {
-        let mut d = DwcsRef::new(vec![
-            DwcsStreamConfig {
-                period: 4,
-                window: WindowConstraint::new(3, 4),
-                first_deadline: 4,
-                late_policy: LatePolicy::ServeLate,
-            },
-            edf_cfg(4, 8),
-        ]);
-        d.enqueue(SwPacket::new(0, 0, 0, 64));
-        d.enqueue(SwPacket::new(0, 1, 1, 64));
-        assert_eq!(d.stream_backlog(0), 2);
-        assert_eq!(d.stream_backlog(1), 0);
-        d.select(0);
-        assert_eq!(d.stream_backlog(0), 1);
     }
 
     #[test]

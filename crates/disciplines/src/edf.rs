@@ -36,15 +36,9 @@ pub struct EdfRank {
 
 impl EdfRank {
     /// `(met, missed)` deadline counters for `stream`.
+    /// Tests-only: `tests/discipline_golden.rs` pins the EDF met/missed counts with it.
     pub fn deadline_counters(&self, stream: usize) -> (u64, u64) {
         self.counters[stream]
-    }
-
-    /// Deadline of the next packet `stream` will serve.
-    pub fn head_deadline(&self, stream: usize) -> u64 {
-        let (met, missed) = self.counters[stream];
-        let c = self.configs[stream];
-        c.first_deadline + (met + missed) * c.period
     }
 }
 
@@ -162,8 +156,9 @@ mod tests {
         let mut e = Edf::new(vec![cfg(7, 7)]);
         e.enqueue(SwPacket::new(0, 0, 0, 64));
         e.enqueue(SwPacket::new(0, 1, 0, 64));
-        assert_eq!(e.rank().head_deadline(0), 7);
         e.select(0);
-        assert_eq!(e.rank().head_deadline(0), 14);
+        // Served at 10: met only against the second deadline, 14.
+        e.select(10);
+        assert_eq!(e.rank().deadline_counters(0), (2, 0));
     }
 }

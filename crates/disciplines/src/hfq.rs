@@ -148,11 +148,6 @@ impl HierarchicalFq {
         idx
     }
 
-    /// Number of leaf streams.
-    pub fn streams(&self) -> usize {
-        self.leaf_of_stream.len()
-    }
-
     /// Descends from the root picking the min-finish backlogged child.
     fn pick_leaf(&self) -> usize {
         let mut node = self.root;

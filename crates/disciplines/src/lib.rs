@@ -16,8 +16,8 @@
 //!
 //! The five whose order is fixed when a packet is enqueued — [`Edf`],
 //! [`StaticPriority`], [`Wfq`], [`StartTimeFq`] and [`VirtualClock`] — are
-//! each a [`Rank`] function over one [`Pifo`]. DRR, round robin and
-//! stochastic FQ decide at dequeue, and [`HierarchicalFq`] charges the
+//! each a [`Rank`] function over one [`Pifo`]. DRR and stochastic FQ
+//! decide at dequeue, and [`HierarchicalFq`] charges the
 //! packet it serves at dequeue, so they keep their own queues.
 //!
 //! All disciplines are *work-conserving* (they emit a packet whenever any
@@ -33,7 +33,6 @@ pub mod fcfs;
 pub mod hfq;
 pub mod packet;
 pub mod pifo;
-pub mod rr;
 pub mod sfq;
 pub mod static_prio;
 pub mod stfq;
@@ -47,7 +46,6 @@ pub use fcfs::Fcfs;
 pub use hfq::{HfqSpec, HierarchicalFq};
 pub use packet::{Discipline, SwPacket};
 pub use pifo::{Pifo, Rank};
-pub use rr::{RoundRobin, WeightedRoundRobin};
 pub use sfq::StochasticFq;
 pub use static_prio::StaticPriority;
 pub use stfq::StartTimeFq;

@@ -11,9 +11,11 @@ use crate::pifo::Pifo;
 use crate::wfq::FairQueueRank;
 
 /// Start-time fair queuing.
+/// Tests-only: `tests/discipline_golden.rs` pins its winner trace.
 pub type StartTimeFq = Pifo<StfqRank>;
 
 /// Start-time FQ's rank: the start tag.
+/// Tests-only: `tests/discipline_golden.rs` pins its winner trace.
 pub type StfqRank = FairQueueRank<true>;
 
 #[cfg(test)]

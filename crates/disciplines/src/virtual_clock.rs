@@ -18,6 +18,7 @@ use crate::pifo::{Pifo, Rank};
 const VC_SCALE: u64 = 1 << 16;
 
 /// The Virtual Clock scheduler.
+/// Tests-only: `tests/discipline_golden.rs` pins its winner trace.
 pub type VirtualClock = Pifo<VirtualClockRank>;
 
 /// Virtual Clock's rank: the stream's auxiliary virtual clock after the
@@ -32,6 +33,7 @@ pub struct VirtualClockRank {
 
 impl VirtualClockRank {
     /// The auxiliary virtual clock of `stream` (fixed point, ticks ×2¹⁶).
+    /// Tests-only: `tests/discipline_golden.rs` pins its winner trace.
     pub fn aux_vc(&self, stream: usize) -> u64 {
         self.aux_vc[stream]
     }

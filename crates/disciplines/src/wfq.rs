@@ -41,6 +41,7 @@ pub struct FairQueueRank<const BY_START: bool> {
 
 impl<const BY_START: bool> FairQueueRank<BY_START> {
     /// Current virtual time.
+    /// Tests-only: `tests/discipline_golden.rs` pins its virtual-time trace.
     pub fn virtual_time(&self) -> u64 {
         self.virtual_time
     }

@@ -94,15 +94,6 @@ impl StreamletMux {
         }
     }
 
-    /// A single plain round-robin set of `n` streamlets (the paper's base
-    /// aggregation case: 100 streamlets per slot).
-    pub fn single_set(n: usize) -> Self {
-        Self::new(&[StreamletSetConfig {
-            streamlets: n,
-            weight: 1,
-        }])
-    }
-
     /// Deposits a packet into `(set, streamlet)`.
     ///
     /// # Panics
@@ -156,11 +147,6 @@ impl StreamletMux {
     pub fn bytes(&self, set: usize, streamlet: usize) -> u64 {
         self.sets[set].bytes[streamlet]
     }
-
-    /// Total bytes serviced by a whole set.
-    pub fn set_bytes(&self, set: usize) -> u64 {
-        self.sets[set].bytes.iter().sum()
-    }
 }
 
 impl Iterator for StreamletMux {
@@ -184,9 +170,18 @@ mod tests {
         }
     }
 
+    /// One plain round-robin set of `n` streamlets (the paper's base
+    /// aggregation case: 100 streamlets per slot).
+    fn single_set(n: usize) -> StreamletMux {
+        StreamletMux::new(&[StreamletSetConfig {
+            streamlets: n,
+            weight: 1,
+        }])
+    }
+
     #[test]
     fn round_robin_within_a_set() {
-        let mut m = StreamletMux::single_set(3);
+        let mut m = single_set(3);
         for sl in 0..3 {
             for q in 0..2 {
                 m.deposit(0, sl, ev(q));
@@ -199,7 +194,7 @@ mod tests {
 
     #[test]
     fn skips_idle_streamlets() {
-        let mut m = StreamletMux::single_set(4);
+        let mut m = single_set(4);
         m.deposit(0, 2, ev(0));
         m.deposit(0, 2, ev(1));
         assert_eq!(m.next().unwrap().1, 2);
@@ -229,14 +224,15 @@ mod tests {
         for _ in 0..3000 {
             m.next().unwrap();
         }
-        let (b0, b1) = (m.set_bytes(0), m.set_bytes(1));
+        let set_bytes = |set| (0..50).map(|sl| m.bytes(set, sl)).sum::<u64>();
+        let (b0, b1) = (set_bytes(0), set_bytes(1));
         let ratio = b0 as f64 / b1 as f64;
         assert!((ratio - 2.0).abs() < 0.05, "set ratio {ratio}");
     }
 
     #[test]
     fn streamlets_within_a_set_share_equally() {
-        let mut m = StreamletMux::single_set(100);
+        let mut m = single_set(100);
         for sl in 0..100 {
             for q in 0..20 {
                 m.deposit(0, sl, ev(q));
@@ -252,14 +248,13 @@ mod tests {
 
     #[test]
     fn per_streamlet_byte_accounting() {
-        let mut m = StreamletMux::single_set(2);
+        let mut m = single_set(2);
         m.deposit(0, 0, ev(0));
         m.deposit(0, 1, ev(0));
         m.next();
         m.next();
         assert_eq!(m.bytes(0, 0), 1500);
         assert_eq!(m.bytes(0, 1), 1500);
-        assert_eq!(m.set_bytes(0), 3000);
     }
 
     #[test]

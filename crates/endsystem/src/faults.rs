@@ -36,17 +36,14 @@ impl EndsystemFaults {
         self.policy = policy;
     }
 
-    /// `true` once an injector is attached.
-    pub fn is_attached(&self) -> bool {
-        self.ledger.injector().is_some()
-    }
-
     /// Runs one PCI transfer of nominal cost `base_cost_ns` through the
     /// seeded fault schedule: each attempt samples the
     /// [`FaultSite::PciTransfer`] stream, failed attempts burn their
     /// cost plus exponential backoff, and exhaustion surfaces as
     /// [`ss_types::Error::TransferTimeout`]. Returns the total
     /// simulated cost on success.
+    /// Tests-only: `tests/chaos.rs` checks with it that a failed PCI transfer requeues, never
+    /// loses.
     #[inline]
     pub fn transfer_ns(&self, base_cost_ns: Nanos) -> Result<Nanos> {
         let Some(inj) = self.ledger.injector() else {

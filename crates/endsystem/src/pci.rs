@@ -114,6 +114,7 @@ impl PciModel {
 /// seeded fault schedule with bounded retry-with-backoff, and exhaustion
 /// surfaces as [`ss_types::Error::TransferTimeout`] so callers can requeue
 /// instead of losing the batch.
+/// Tests-only: `tests/chaos.rs` checks with it that a failed PCI transfer requeues, never loses.
 #[derive(Debug, Clone, Default)]
 pub struct CardLink {
     model: PciModel,
@@ -129,11 +130,6 @@ impl CardLink {
         }
     }
 
-    /// The underlying cost model.
-    pub fn model(&self) -> &PciModel {
-        &self.model
-    }
-
     /// Wires the link's transfers to a shared fault injector with the
     /// given retry policy.
     pub fn attach_faults(
@@ -146,63 +142,14 @@ impl CardLink {
 
     /// Moves `n` arrival times to the card, returning the total simulated
     /// cost (retries and backoff included).
+    /// Tests-only: `tests/chaos.rs` checks with it that a failed PCI transfer requeues, never
+    /// loses.
     pub fn arrivals_to_card(&self, n: u64, strategy: TransferStrategy) -> Result<Nanos> {
         if n == 0 {
             return Ok(0);
         }
         self.faults
             .transfer_ns(self.model.arrivals_to_card_ns(n, strategy))
-    }
-
-    /// Reads `n` scheduled stream IDs back from the card.
-    pub fn ids_from_card(&self, n: u64, strategy: TransferStrategy) -> Result<Nanos> {
-        if n == 0 {
-            return Ok(0);
-        }
-        self.faults
-            .transfer_ns(self.model.ids_from_card_ns(n, strategy))
-    }
-
-    /// Like [`CardLink::arrivals_to_card`], but leaves a `PciTransfer`
-    /// control event on `track` (detail = direction, arg = modeled ns) so
-    /// host↔card hops show up on the lifecycle timeline between ring
-    /// dequeue and fabric arrival.
-    pub fn arrivals_to_card_traced(
-        &self,
-        n: u64,
-        strategy: TransferStrategy,
-        cycle: u64,
-        track: &mut ss_telemetry::TrackRecorder,
-    ) -> Result<Nanos> {
-        let cost = self.arrivals_to_card(n, strategy)?;
-        track.record(
-            ss_telemetry::TraceTag::CONTROL.0,
-            cycle,
-            ss_telemetry::Stage::PciTransfer,
-            ss_telemetry::span::detail::PCI_TO_CARD,
-            cost.min(u32::MAX as u64) as u32,
-        );
-        Ok(cost)
-    }
-
-    /// Like [`CardLink::ids_from_card`], traced (see
-    /// [`CardLink::arrivals_to_card_traced`]).
-    pub fn ids_from_card_traced(
-        &self,
-        n: u64,
-        strategy: TransferStrategy,
-        cycle: u64,
-        track: &mut ss_telemetry::TrackRecorder,
-    ) -> Result<Nanos> {
-        let cost = self.ids_from_card(n, strategy)?;
-        track.record(
-            ss_telemetry::TraceTag::CONTROL.0,
-            cycle,
-            ss_telemetry::Stage::PciTransfer,
-            ss_telemetry::span::detail::PCI_FROM_CARD,
-            cost.min(u32::MAX as u64) as u32,
-        );
-        Ok(cost)
     }
 }
 
@@ -283,39 +230,9 @@ mod tests {
             M.arrivals_to_card_ns(8, TransferStrategy::PioPush)
         );
         assert_eq!(
-            link.ids_from_card(8, TransferStrategy::DmaPull).unwrap(),
-            M.ids_from_card_ns(8, TransferStrategy::DmaPull)
-        );
-        assert_eq!(
             link.arrivals_to_card(0, TransferStrategy::PioPush).unwrap(),
             0
         );
-    }
-
-    #[test]
-    fn traced_transfers_leave_control_events_with_costs() {
-        use ss_telemetry::span::detail;
-        use ss_telemetry::{SpanRecorder, Stage};
-        let link = CardLink::new(M);
-        let spans = SpanRecorder::new(64);
-        let mut track = spans.track("pci");
-        let to = link
-            .arrivals_to_card_traced(8, TransferStrategy::PioPush, 1, &mut track)
-            .unwrap();
-        let from = link
-            .ids_from_card_traced(8, TransferStrategy::DmaPull, 1, &mut track)
-            .unwrap();
-        drop(track);
-        let tracks = spans.drain();
-        assert_eq!(tracks.len(), 1);
-        let events = &tracks[0].events;
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().all(|e| e.stage == Stage::PciTransfer));
-        assert!(events.iter().all(|e| e.trace_tag().is_control()));
-        assert_eq!(events[0].detail, detail::PCI_TO_CARD);
-        assert_eq!(events[0].arg as u64, to);
-        assert_eq!(events[1].detail, detail::PCI_FROM_CARD);
-        assert_eq!(events[1].arg as u64, from);
     }
 
     #[test]

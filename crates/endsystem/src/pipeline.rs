@@ -178,16 +178,6 @@ impl EndsystemPipeline {
         self.muxes[stream.index()].as_ref()
     }
 
-    /// The transmission engine (bandwidth/delay series access).
-    pub fn te(&self) -> &TransmissionEngine {
-        &self.te
-    }
-
-    /// The scheduler (fabric counters access).
-    pub fn scheduler(&self) -> &ShareStreamsScheduler {
-        &self.scheduler
-    }
-
     fn packet_time_ns(&self, size: PacketSize) -> Nanos {
         self.te.service_time_ns(size)
     }
@@ -346,7 +336,7 @@ mod tests {
     use super::*;
     use ss_core::FabricConfigKind;
     use ss_traffic::{merge, Cbr};
-    use ss_types::{Ratio, ServiceClass};
+    use ss_types::ServiceClass;
 
     fn fair_pipeline() -> (EndsystemPipeline, Vec<StreamId>) {
         let fabric = FabricConfig::dwcs(4, FabricConfigKind::WinnerOnly);
@@ -418,7 +408,7 @@ mod tests {
         let arrivals = backlogged_arrivals(2, 5000);
         let report = p.run(&arrivals);
         assert!(
-            Ratio::within_pct(report.host_pps, report.modeled_pps, 2.0),
+            (report.host_pps / report.modeled_pps - 1.0).abs() <= 0.02,
             "measured {} vs modeled {}",
             report.host_pps,
             report.modeled_pps

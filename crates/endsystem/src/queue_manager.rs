@@ -18,11 +18,6 @@ pub struct QueueManager {
     capacity: usize,
     deposited: u64,
     dropped: u64,
-    /// Batched drains toward the card ([`QueueManager::pop_batch`] calls
-    /// that moved at least one packet).
-    transfer_batches: u64,
-    /// Packets moved by batched drains.
-    transferred: u64,
 }
 
 impl QueueManager {
@@ -41,14 +36,7 @@ impl QueueManager {
             capacity,
             deposited: 0,
             dropped: 0,
-            transfer_batches: 0,
-            transferred: 0,
         }
-    }
-
-    /// Number of streams.
-    pub fn streams(&self) -> usize {
-        self.queues.len()
     }
 
     /// Deposits an arriving packet; a full queue drops it (tail drop) and
@@ -78,19 +66,15 @@ impl QueueManager {
     }
 
     /// Drains up to `max` head packets of `stream` into `out` — one PCI
-    /// transfer batch toward the card. Returns the number of packets moved
-    /// and accounts the batch in [`QueueManager::transfer_batches`] /
-    /// [`QueueManager::transferred`].
+    /// transfer batch toward the card. Returns the number of packets moved.
+    /// Tests-only: `tests/chaos.rs` checks with it that a failed PCI transfer requeues, never
+    /// loses.
     pub fn pop_batch(&mut self, stream: usize, max: usize, out: &mut Vec<ArrivalEvent>) -> usize {
         let Some(q) = self.queues.get_mut(stream) else {
             return 0;
         };
         let n = max.min(q.len());
         out.extend(q.drain(..n));
-        if n > 0 {
-            self.transfer_batches += 1;
-            self.transferred += n as u64;
-        }
         n
     }
 
@@ -101,6 +85,8 @@ impl QueueManager {
     /// front in their original order and the error is returned — a failed
     /// transfer delays packets, it never silently loses them. Returns the
     /// simulated transfer cost on success (0 for an empty queue).
+    /// Tests-only: `tests/chaos.rs` checks with it that a failed PCI transfer requeues, never
+    /// loses.
     pub fn drain_to_card(
         &mut self,
         stream: usize,
@@ -118,31 +104,14 @@ impl QueueManager {
             Ok(cost) => Ok(cost),
             Err(e) => {
                 // Undo: push the batch back at the front, preserving FIFO
-                // order, and undo the batch accounting.
+                // order.
                 let q = &mut self.queues[stream];
                 for ev in out.drain(start..).rev() {
                     q.push_front(ev);
                 }
-                self.transfer_batches -= 1;
-                self.transferred -= n as u64;
                 Err(e)
             }
         }
-    }
-
-    /// Batched drains that moved at least one packet.
-    pub fn transfer_batches(&self) -> u64 {
-        self.transfer_batches
-    }
-
-    /// Packets moved by batched drains.
-    pub fn transferred(&self) -> u64 {
-        self.transferred
-    }
-
-    /// Mean packets per transfer batch (`None` before the first batch).
-    pub fn mean_batch_len(&self) -> Option<f64> {
-        (self.transfer_batches > 0).then(|| self.transferred as f64 / self.transfer_batches as f64)
     }
 
     /// Head packet of `stream` without dequeuing.
@@ -240,9 +209,6 @@ mod tests {
         assert_eq!(qm.pop_batch(0, 100, &mut out), 6);
         assert_eq!(qm.pop_batch(0, 4, &mut out), 0, "empty drains nothing");
         assert_eq!(qm.pop_batch(7, 4, &mut out), 0, "bad stream drains nothing");
-        assert_eq!(qm.transfer_batches(), 2, "empty batches not counted");
-        assert_eq!(qm.transferred(), 10);
-        assert_eq!(qm.mean_batch_len(), Some(5.0));
         assert_eq!(qm.backlog(1), 1, "other stream untouched");
     }
 
@@ -280,7 +246,6 @@ mod tests {
             PciModel::pci32_33().arrivals_to_card_ns(4, TransferStrategy::PioPush)
         );
         assert_eq!(qm.backlog(0), 2);
-        assert_eq!(qm.transferred(), 4);
         // Empty queue drains nothing at no cost.
         let mut out2 = Vec::new();
         assert_eq!(
@@ -320,8 +285,6 @@ mod tests {
         assert_eq!(qm.backlog(0), 5, "batch requeued, no loss");
         assert_eq!(qm.pop(0).unwrap().time_ns, 0, "FIFO order preserved");
         assert_eq!(qm.pop(0).unwrap().time_ns, 1);
-        assert_eq!(qm.transferred(), 0, "failed batch not accounted");
-        assert_eq!(qm.transfer_batches(), 0);
     }
 
     #[test]

@@ -103,6 +103,7 @@ pub fn run_threaded(
 /// spun on forever), and the scheduler's watchdog abandons the backlog —
 /// counted into [`ThreadedReport::lost`] and the injector's
 /// `lost_packets` — if the fabric stays stuck past its threshold.
+/// Tests-only: `tests/chaos.rs` and `tests/conformance.rs` run the faulted pipeline through it.
 pub fn run_threaded_faulted(
     config: FabricConfig,
     states: Vec<StreamState>,
@@ -118,6 +119,7 @@ pub fn run_threaded_faulted(
 
 /// Results of an overload-gated threaded run: the plain report plus the
 /// gate's accounting.
+/// Tests-only: `tests/conformance.rs` holds the overload pipeline to the uniform totals through it.
 #[derive(Debug, Clone)]
 pub struct OverloadRunReport {
     /// The underlying pipeline report. `report.loss` merges the pipeline's
@@ -146,6 +148,7 @@ pub struct OverloadRunReport {
 /// backlog → pressure level → Stream-processor pacing; the rule is stated
 /// in [`ss_overload::gate`]). Loss is classified by site and conserved
 /// exactly.
+/// Tests-only: `tests/conformance.rs` holds the overload pipeline to the uniform totals through it.
 pub fn run_threaded_overload(
     config: FabricConfig,
     states: Vec<StreamState>,
@@ -471,6 +474,7 @@ impl<O: Observer> Scheduler<O> {
 /// The scheduler stage with the no-op observer, assembled outside the
 /// pipeline so its steady state can be driven on one thread over pre-filled
 /// rings (`tests/zero_alloc.rs` counts its allocations).
+/// Tests-only: `tests/zero_alloc.rs` counts the sweep's allocations (zero) through it.
 pub struct SchedulerStage(Scheduler<()>);
 
 impl SchedulerStage {
@@ -492,6 +496,7 @@ impl SchedulerStage {
 
     /// One scheduler sweep; `true` when a decision cycle ran. Spins while
     /// the winner ring is full, so drain it between sweeps.
+    /// Tests-only: `tests/zero_alloc.rs` counts the sweep's allocations (zero) through it.
     // lint:hot-path
     pub fn sweep(&mut self) -> bool {
         self.0.sweep().is_some()
@@ -699,7 +704,7 @@ mod tests {
             report.lost,
             "injector ledger matches the report"
         );
-        assert!(stats.injected(FaultSite::DecisionCycle) >= 1);
+        assert!(stats.snapshot().injected[FaultSite::DecisionCycle.index()] >= 1);
         // Site classification: every packet the watchdog wrote off belongs
         // to the dead scheduling path, none to the rings — and the
         // partition sums exactly to the scalar.
@@ -917,8 +922,7 @@ mod tests {
     #[test]
     fn traced_gate_records_verdicts_and_shed_reasons() {
         use ss_overload::RedConfig;
-        use ss_overload::StreamClass;
-        use ss_telemetry::span::detail;
+        use ss_overload::{GateReason, StreamClass};
         use ss_telemetry::{stitch, validate_causal, Stage};
         let config = FabricConfig::edf(4, FabricConfigKind::WinnerOnly);
         let mut gate = GateConfig::from_windows(
@@ -948,13 +952,15 @@ mod tests {
             .filter(|e| e.stage == Stage::GateVerdict)
             .collect();
         assert_eq!(verdicts.len(), 8_000, "one verdict per dequeued arrival");
-        assert!(verdicts.iter().any(|e| e.detail == detail::GATE_ADMITTED));
         assert!(verdicts
             .iter()
-            .any(|e| e.detail == detail::GATE_ADMISSION_REJECT));
+            .any(|e| e.detail == GateReason::Admitted.code()));
+        assert!(verdicts
+            .iter()
+            .any(|e| e.detail == GateReason::AdmissionReject.code()));
         let refused = events
             .iter()
-            .filter(|e| e.stage == Stage::Shed && e.detail == detail::GATE_ADMISSION_REJECT)
+            .filter(|e| e.stage == Stage::Shed && e.detail == GateReason::AdmissionReject.code())
             .count() as u64;
         assert_eq!(
             refused, run.report.loss.admission,

@@ -41,6 +41,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff delay before retry number `retry` (0-based), ns.
+    /// Tests-only: the PCI transfer path that `tests/chaos.rs` drives retries through it.
     #[inline]
     pub fn backoff_ns(&self, retry: u32) -> u64 {
         let shifted = self.base_backoff_ns.saturating_shl(retry.min(63));
@@ -66,6 +67,7 @@ impl SaturatingShl for u64 {
 }
 
 /// Outcome of a successful retried operation.
+/// Tests-only: the PCI transfer path that `tests/chaos.rs` drives retries through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryOutcome<T> {
     /// The operation's value.
@@ -88,6 +90,7 @@ pub struct RetryOutcome<T> {
 /// `retries`, a success after ≥1 failure bumps `recovered`, exhaustion
 /// bumps `gave_up`. (`detected` is bumped once per failed attempt —
 /// detection is the act of observing the fault.)
+/// Tests-only: the PCI transfer path that `tests/chaos.rs` drives retries through it.
 pub fn retry_with_backoff<T>(
     policy: &RetryPolicy,
     mut stats: Option<&FaultStats>,

@@ -239,8 +239,10 @@ impl FaultConfig {
         }
     }
 
-    /// An aggressive chaos profile: every site faults at `rate_ppm`.
-    pub const fn uniform(rate_ppm: u32) -> Self {
+    /// An aggressive chaos profile: every site faults at `rate_ppm` (the
+    /// unit tests' fixture).
+    #[cfg(test)]
+    pub(crate) const fn uniform(rate_ppm: u32) -> Self {
         Self {
             pci_rate_ppm: rate_ppm,
             sram_handover_rate_ppm: rate_ppm,
@@ -258,6 +260,8 @@ impl FaultConfig {
     /// A socket-only chaos profile: every edge operation faults at
     /// `rate_ppm`, everything behind the edge stays clean — the shape the
     /// ingress chaos soak uses to attribute every anomaly to the boundary.
+    /// Tests-only: the ingress chaos soak (`crates/ingress/tests/scenario_soak.rs`) injects with
+    /// it.
     pub const fn socket_only(rate_ppm: u32) -> Self {
         Self {
             socket_rate_ppm: rate_ppm,
@@ -399,17 +403,13 @@ pub struct FaultStatsSnapshot {
 
 impl FaultStatsSnapshot {
     /// Total injected faults across every site.
+    /// Tests-only: `tests/chaos.rs` checks with it that chaos happened.
     pub fn total_injected(&self) -> u64 {
         self.injected.iter().sum()
     }
 }
 
 impl FaultStats {
-    /// Injected-fault count for `site`.
-    pub fn injected(&self, site: FaultSite) -> u64 {
-        self.injected[site.index()].load(Ordering::Relaxed)
-    }
-
     /// Copies every counter.
     pub fn snapshot(&self) -> FaultStatsSnapshot {
         let mut injected = [0u64; SITE_COUNT];
@@ -516,6 +516,7 @@ impl FaultInjector {
 
     /// Publishes every counter into `registry` as gauges (idempotent —
     /// safe to call repeatedly mid-run), under `ss_faults_*`.
+    /// Tests-only: `tests/chaos.rs` checks the fault ledger's telemetry export with it.
     pub fn publish(&self, registry: &ss_telemetry::Registry) {
         let snap = self.stats.snapshot();
         for site in FaultSite::ALL {
@@ -634,7 +635,10 @@ mod tests {
             .filter(|_| inj.sample(FaultSite::SramHandover).is_some())
             .count();
         assert!((1_500..2_500).contains(&hits), "hits {hits}");
-        assert_eq!(inj.stats().injected(FaultSite::SramHandover), hits as u64);
+        assert_eq!(
+            inj.stats().snapshot().injected[FaultSite::SramHandover.index()],
+            hits as u64
+        );
     }
 
     #[test]

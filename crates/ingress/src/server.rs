@@ -36,7 +36,7 @@ use ss_endsystem::{spsc_ring, Consumer, Producer, RedConfig, Worker};
 use ss_faults::rng::mix;
 use ss_faults::{FaultInjector, FaultKind, FaultSite};
 use ss_overload::{LossLedger, SharedPressure};
-use ss_telemetry::{DumpReason, Registry, SharedFlightRecorder, Stage};
+use ss_telemetry::{DumpReason, SharedFlightRecorder, Stage};
 use ss_types::WindowConstraint;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -149,87 +149,6 @@ pub struct IngressTotals {
     /// Packets written off at the drain cutoff (backlog flush plus late
     /// arrivals).
     pub drain_writeoffs: u64,
-}
-
-impl IngressTotals {
-    /// Publishes the counters under `ss_ingress_*` names.
-    pub fn publish(&self, registry: &Registry) {
-        let pairs: [(&str, u64, &str); 11] = [
-            (
-                "ss_ingress_connections_total",
-                self.connections,
-                "Connections accepted",
-            ),
-            (
-                "ss_ingress_connections_refused_total",
-                self.refused_connections,
-                "Connections refused at the edge",
-            ),
-            (
-                "ss_ingress_frames_total",
-                self.frames,
-                "Frames decoded and handled",
-            ),
-            (
-                "ss_ingress_decode_errors_total",
-                self.decode_errors,
-                "Typed wire-decode failures",
-            ),
-            (
-                "ss_ingress_protocol_errors_total",
-                self.protocol_errors,
-                "Protocol-order violations",
-            ),
-            (
-                "ss_ingress_evictions_total",
-                self.evictions,
-                "Connections evicted",
-            ),
-            (
-                "ss_ingress_duplicate_batches_total",
-                self.duplicate_batches,
-                "SUBMIT batches deduplicated",
-            ),
-            (
-                "ss_ingress_accept_faults_total",
-                self.accept_faults,
-                "Accepted sockets dropped by injected faults",
-            ),
-            (
-                "ss_ingress_throttle_replies_total",
-                self.throttle_replies,
-                "Acks carrying nonzero backpressure",
-            ),
-            (
-                "ss_ingress_offered_total",
-                self.offered,
-                "Packets offered to the edge gate",
-            ),
-            (
-                "ss_ingress_served_total",
-                self.served,
-                "Packets served out of the edge backlog",
-            ),
-        ];
-        for (name, value, help) in pairs {
-            registry.counter(name, help).add(value);
-        }
-        for site in ss_overload::LossSite::ALL {
-            registry
-                .counter_labeled(
-                    "ss_ingress_loss_total",
-                    &[("site", site.name())],
-                    "Edge losses by ledger site",
-                )
-                .add(self.loss.at(site));
-        }
-        registry
-            .counter(
-                "ss_ingress_drain_writeoffs_total",
-                "Packets written off unserved at drain",
-            )
-            .add(self.drain_writeoffs);
-    }
 }
 
 /// Outcome of a graceful [`IngressServer::shutdown`].
@@ -454,18 +373,6 @@ impl IngressServer {
     /// A snapshot of the aggregate counters.
     pub fn totals(&self) -> IngressTotals {
         lock_core(&self.shared.core).totals()
-    }
-
-    /// Publishes `ss_ingress_*` metrics from the current counters.
-    pub fn publish_metrics(&self, registry: &Registry) {
-        let (totals, backlog) = {
-            let c = lock_core(&self.shared.core);
-            (c.totals(), c.gate.backlog_len())
-        };
-        totals.publish(registry);
-        registry
-            .gauge("ss_ingress_backlog", "Current edge backlog depth")
-            .set(backlog as i64);
     }
 
     /// Graceful drain: stop accepting, flush the backlog to the drain

@@ -37,6 +37,7 @@ use std::time::Duration;
 
 /// Chaos-soak parameters. Load factor is
 /// `batch_len / service_per_batch` — the defaults give 1.5×.
+/// Tests-only: `crates/ingress/tests/chaos_soak.rs` pins the chaos-soak fingerprints through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SoakOptions {
     /// Master seed: client faults draw from `seed`, server faults from
@@ -69,6 +70,7 @@ impl SoakOptions {
 }
 
 /// Everything a soak run produced.
+/// Tests-only: `crates/ingress/tests/chaos_soak.rs` pins the chaos-soak fingerprints through it.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SoakReport {
     /// The options that produced this report.
@@ -98,6 +100,8 @@ impl SoakReport {
     /// fingerprint, and the holdback count. Timing-racy counters
     /// (evictions, reconnects, duplicates) are deliberately excluded —
     /// see the module docs.
+    /// Tests-only: `crates/ingress/tests/chaos_soak.rs` pins the chaos-soak fingerprints through
+    /// it.
     pub fn replay_fingerprint(&self) -> u64 {
         let t = &self.totals;
         let mut fp = mix(self.options.seed ^ 0x1236_7894_ABCD_EF01);
@@ -117,6 +121,7 @@ impl SoakReport {
 
 /// Runs one chaos soak to completion. Panics only on harness-level
 /// failures (server start); wire chaos is absorbed and reported.
+/// Tests-only: `crates/ingress/tests/chaos_soak.rs` pins the chaos-soak fingerprints through it.
 pub fn run_chaos_soak(opts: SoakOptions) -> SoakReport {
     let windows: Vec<WindowConstraint> = (0..opts.slots)
         .map(|s| {

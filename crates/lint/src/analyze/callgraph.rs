@@ -211,11 +211,6 @@ impl<'ws> Analysis<'ws> {
         &self.ws.files[self.files[sym.file]]
     }
 
-    /// All symbols named `name`.
-    pub fn named(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     fn find_orphans(&self) -> Vec<Annotation> {
         self.annotations
             .iter()
@@ -285,7 +280,7 @@ impl<'ws> Analysis<'ws> {
 
     /// Resolves one call site to candidate symbol indices. See the module
     /// docs for the (deliberately conservative) policy.
-    fn resolve(
+    pub(crate) fn resolve(
         &self,
         caller: usize,
         name: &str,
@@ -512,7 +507,7 @@ fn call_sites(body: &str) -> Vec<(String, CallKind, Option<String>, Option<Vec<S
 /// (`self.ring.push` with `dot` at the second `.` → `["self", "ring"]`).
 /// `None` when any segment is not a plain ident (tuple index, call
 /// result `)`, index `]`, deref) or the chain continues from a `::` path.
-fn recv_chain(bytes: &[u8], body: &str, dot: usize) -> Option<Vec<String>> {
+pub(crate) fn recv_chain(bytes: &[u8], body: &str, dot: usize) -> Option<Vec<String>> {
     let mut chain = Vec::new();
     let mut k = dot; // index of the `.` whose left side we are reading
     loop {
@@ -648,7 +643,7 @@ mod tests {
         };
         let cfg = Config::parse("").expect("empty config");
         let a = Analysis::build(&ws, &cfg);
-        let go = a.named("go")[0];
+        let go = a.fns.iter().position(|f| f.name == "go").expect("go");
         let callees: Vec<&str> = a.edges[go]
             .iter()
             .map(|e| a.fns[e.callee].name.as_str())

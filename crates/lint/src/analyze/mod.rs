@@ -11,11 +11,14 @@
 //!   rule (`call-graph`) keeps annotations attached to real symbols.
 //! * [`reachability`] — transitive hot-path purity: walks the graph from
 //!   every hot root and reports forbidden sinks with a witness call path.
+//! * [`census`] — a report, not a rule: every public item of product
+//!   code classed by what reaches it (product, bench, tests-only, none).
 //! * [`interleave`] — a bounded-exhaustive two-thread interleaving
 //!   checker (a miniature loom) with Acquire/Release visibility, plus
 //!   [`models`] for the workspace's two lock-free protocols.
 
 pub mod callgraph;
+pub mod census;
 pub mod interleave;
 pub mod models;
 pub mod reachability;

@@ -44,6 +44,7 @@ pub struct SpscOrds {
 
 impl SpscOrds {
     /// The protocol as designed (what `spsc.rs` ships).
+    /// Tests-only: the reference configuration this module's tests explore and mutate.
     pub fn correct() -> SpscOrds {
         SpscOrds {
             push_own_load: MemOrd::Relaxed,
@@ -276,6 +277,7 @@ pub struct PressureOrds {
 impl PressureOrds {
     /// The protocol as designed: all-Relaxed (advisory signal, no data
     /// published through it).
+    /// Tests-only: the reference configuration this module's tests explore and mutate.
     pub fn correct() -> PressureOrds {
         PressureOrds {
             store_level: MemOrd::Relaxed,

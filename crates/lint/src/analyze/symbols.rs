@@ -1,6 +1,7 @@
-//! Workspace symbol table: every `fn`/`struct`/`enum` item with its
-//! definition site, body span, `cfg` attribution, impl owner, and
-//! `// lint:hot-path` annotation state.
+//! Workspace symbol table: every `fn`, `struct`, `enum`, `trait`, type
+//! alias, `const` and `static` item with its definition site, span, `cfg`
+//! attribution, impl owner, visibility, and `// lint:hot-path` annotation
+//! state.
 //!
 //! Extraction runs over the *masked* text (comments and string contents
 //! blanked, byte layout preserved — see [`crate::lexer`]), so the token
@@ -63,6 +64,8 @@ pub struct FnSym {
     pub header_line: usize,
     /// `true` when a `// lint:hot-path` annotation covers this fn.
     pub hot_annotated: bool,
+    /// `true` when declared plain `pub` (not `pub(crate)` and the like).
+    pub public: bool,
 }
 
 impl FnSym {
@@ -72,16 +75,26 @@ impl FnSym {
     }
 }
 
-/// One type item (`struct`/`enum`): the call graph resolves receivers
-/// through its field types.
+/// One item that is not a fn: a `struct` or `enum`, through whose field
+/// types the call graph resolves receivers, or a `trait`, type alias,
+/// `const` or `static`.
 #[derive(Debug, Clone)]
 pub struct TypeSym {
-    /// Type name.
+    /// Item name.
     pub name: String,
+    /// The item keyword (`struct`, `enum`, `trait`, `type`, `const`,
+    /// `static`).
+    pub kind: &'static str,
     /// Defining file index.
     pub file: usize,
     /// 1-based line of the keyword.
     pub line: usize,
+    /// Item span `[keyword, one past its closing brace or semicolon)`.
+    pub span: (usize, usize),
+    /// The impl'd type of an associated `const`.
+    pub owner: Option<String>,
+    /// `true` when declared plain `pub`.
+    pub public: bool,
     /// Full cfg context (own + enclosing scopes + file).
     pub cfg: Vec<CfgAtom>,
     /// Named fields of a braced struct: `(field name, type idents)`. The
@@ -286,6 +299,23 @@ pub fn extract(file: usize, f: &SourceFile) -> FileSymbols {
                 }
                 "trait" => {
                     let (name, next) = next_ident(bytes, masked, i);
+                    let open = next + masked[next..].find(['{', ';']).unwrap_or(0);
+                    let end = match bytes.get(open) {
+                        Some(b'{') => {
+                            crate::lexer::matching_brace(bytes, open).map_or(open, |c| c + 1)
+                        }
+                        _ => open,
+                    };
+                    let sym = item_sym(
+                        file,
+                        f,
+                        "trait",
+                        name.clone(),
+                        (start, end),
+                        &scopes,
+                        &attrs,
+                    );
+                    out.types.push(sym);
                     pending_scope = Some(Scope {
                         cfg: std::mem::take(&mut attrs),
                         owner: Some(name),
@@ -293,8 +323,30 @@ pub fn extract(file: usize, f: &SourceFile) -> FileSymbols {
                     attr_line = None;
                     i = next;
                 }
+                "const" | "static" | "type" if start == 0 || bytes[start - 1] != b'\'' => {
+                    let (mut name, mut next) = next_ident(bytes, masked, i);
+                    if name == "mut" {
+                        (name, next) = next_ident(bytes, masked, next);
+                    }
+                    // `const fn` and the like: a prefix of the fn item.
+                    if !matches!(name.as_str(), "fn" | "unsafe" | "async" | "extern") {
+                        let end = stmt_end(bytes, next);
+                        if !name.is_empty() && name != "_" {
+                            let kind = match word {
+                                "const" => "const",
+                                "static" => "static",
+                                _ => "type",
+                            };
+                            let sym = item_sym(file, f, kind, name, (start, end), &scopes, &attrs);
+                            out.types.push(sym);
+                        }
+                        attrs.clear();
+                        attr_line = None;
+                        i = end;
+                    }
+                }
                 w if ITEM_PREFIXES.contains(&w) => {}
-                "use" | "static" | "type" | "union" | "macro_rules" => {
+                "use" | "union" | "macro_rules" => {
                     // Items the analyzer does not model: their attrs are
                     // consumed so they cannot leak onto the next item.
                     attrs.clear();
@@ -379,6 +431,7 @@ fn parse_fn(
             cfg,
             header_line,
             hot_annotated,
+            public: is_pub(masked, kw_start),
         }),
         end,
     )
@@ -427,22 +480,68 @@ fn parse_type(
             None => break,
         }
     }
+    let mut sym = item_sym(file, f, kind, name, (kw_start, i), scopes, attrs);
+    if let Some((s, e)) = body.filter(|&(s, _)| kind == "struct" && bytes[s] == b'{') {
+        sym.fields = struct_fields(&masked[s..e]);
+    }
+    (Some(sym), i)
+}
+
+/// A non-fn item spanning `span`, its cfg and owner taken from the
+/// enclosing scopes and its own attributes.
+fn item_sym(
+    file: usize,
+    f: &SourceFile,
+    kind: &'static str,
+    name: String,
+    span: (usize, usize),
+    scopes: &[Scope],
+    attrs: &[CfgAtom],
+) -> TypeSym {
     let mut cfg: Vec<CfgAtom> = scopes.iter().flat_map(|s| s.cfg.clone()).collect();
     cfg.extend(attrs.iter().cloned());
-    let fields = match body {
-        Some((s, e)) if kind == "struct" && bytes[s] == b'{' => struct_fields(&masked[s..e]),
-        _ => Vec::new(),
-    };
-    (
-        Some(TypeSym {
-            name,
-            file,
-            line: f.masked.line_of(kw_start),
-            cfg,
-            fields,
-        }),
-        i,
-    )
+    TypeSym {
+        name,
+        kind,
+        file,
+        line: f.masked.line_of(span.0),
+        span,
+        owner: scopes.iter().rev().find_map(|s| s.owner.clone()),
+        public: is_pub(&f.masked.text, span.0),
+        cfg,
+        fields: Vec::new(),
+    }
+}
+
+/// `true` when the item whose keyword starts at `kw` is declared plain
+/// `pub` (`pub const fn` included, `pub(crate)` not).
+fn is_pub(masked: &str, kw: usize) -> bool {
+    let mut head = masked[..kw].trim_end();
+    loop {
+        let word = head
+            .rfind(|c: char| !is_ident_byte(c as u8) || !c.is_ascii())
+            .map_or(0, |p| p + 1);
+        match &head[word..] {
+            "const" | "unsafe" | "async" | "extern" => head = head[..word].trim_end(),
+            w => return w == "pub",
+        }
+    }
+}
+
+/// One past the first `;` at bracket depth 0 from `i`: the end of a
+/// `const`, `static` or `type` item.
+fn stmt_end(bytes: &[u8], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => depth = depth.saturating_sub(1),
+            b';' if depth == 0 => return i + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    bytes.len()
 }
 
 /// Named fields of a braced struct body (masked text, outer braces
@@ -511,7 +610,11 @@ fn struct_fields(masked: &str) -> Vec<(String, Vec<String>)> {
 
 /// The impl'd type name: `impl Foo {` → `Foo`, `impl Trait for Bar {` →
 /// `Bar`, `impl<T> Producer<T> {` → `Producer`.
-fn parse_impl_owner(bytes: &[u8], masked: &str, after_kw: usize) -> (Option<String>, usize) {
+pub(crate) fn parse_impl_owner(
+    bytes: &[u8],
+    masked: &str,
+    after_kw: usize,
+) -> (Option<String>, usize) {
     let mut i = skip_ws(bytes, after_kw);
     // Leading generics parameter list.
     if bytes.get(i) == Some(&b'<') {
@@ -773,10 +876,34 @@ mod tests {
 
     #[test]
     fn every_type_shape_is_recorded() {
-        let s = syms("struct Z;\nstruct F { a: u32 }\nstruct T(u8);\nenum E { A, B }\n");
-        let names: Vec<&str> = s.types.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, ["Z", "F", "T", "E"]);
+        let src = "struct Z;\nstruct F { a: u32 }\nstruct T(u8);\nenum E { A, B }\npub const C: [u8; 2] = [0; 2];\npub(crate) static mut S: u8 = 0;\npub type A = Vec<u8>;\npub trait R { fn r(&self); }\nimpl F { pub const K: u32 = 2; }\nconst fn f() {}\n";
+        let s = syms(src);
+        let shapes: Vec<(&str, &str, bool)> = s
+            .types
+            .iter()
+            .map(|t| (t.name.as_str(), t.kind, t.public))
+            .collect();
+        assert_eq!(
+            shapes,
+            [
+                ("Z", "struct", false),
+                ("F", "struct", false),
+                ("T", "struct", false),
+                ("E", "enum", false),
+                ("C", "const", true),
+                ("S", "static", false),
+                ("A", "type", true),
+                ("R", "trait", true),
+                ("K", "const", true),
+            ],
+            "`const fn` is a fn, not a const"
+        );
         assert_eq!(s.types[3].line, 4);
+        let text = |t: &TypeSym| &src[t.span.0..t.span.1];
+        assert_eq!(text(&s.types[4]), "const C: [u8; 2] = [0; 2];");
+        assert_eq!(text(&s.types[7]), "trait R { fn r(&self); }");
+        assert_eq!(s.types[8].owner.as_deref(), Some("F"));
+        assert_eq!(s.types[4].owner, None);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! root with incremental builds and debuginfo off (debug builds fill the
 //! disk otherwise). The run stops at the first failing step and prints its
 //! command; a wall-time table per step follows, and a passing run ends with
+//! the ss-lint step's public-surface census counts (when that step ran) and
 //! the workspace's line count: plain `.rs` lines outside every `tests/`
 //! directory, `shims/` and `target/` (ROADMAP item 13's count).
 //!
@@ -74,8 +75,9 @@ fn command_line(s: &Step) -> String {
     format!("{ENV} cargo {}", s.args)
 }
 
-/// Runs one step; `Err` carries why it failed.
-fn run(root: &Path, s: &Step) -> Result<(), String> {
+/// Runs one step, returning the stdout it captured (none for a step that
+/// expects no line); `Err` carries why it failed.
+fn run(root: &Path, s: &Step) -> Result<String, String> {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let mut cmd = Command::new(cargo);
     let env = ENV.split(' ').filter_map(|kv| kv.split_once('='));
@@ -85,7 +87,10 @@ fn run(root: &Path, s: &Step) -> Result<(), String> {
     let started = |e: std::io::Error| format!("cannot start cargo: {e}");
     if s.expect.is_empty() {
         let status = cmd.status().map_err(started)?;
-        return status.success().then_some(()).ok_or(format!("{status}"));
+        return status
+            .success()
+            .then(String::new)
+            .ok_or(format!("{status}"));
     }
     let out = cmd.stderr(Stdio::inherit()).output().map_err(started)?;
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -93,7 +98,7 @@ fn run(root: &Path, s: &Step) -> Result<(), String> {
     match (out.status.success(), line) {
         (true, Some(line)) => {
             println!("[{}] {}: {}", s.group, s.name, line.trim());
-            Ok(())
+            Ok(stdout.into_owned())
         }
         (ok, _) => {
             print!("{stdout}");
@@ -151,19 +156,32 @@ fn main() -> ExitCode {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let all: Vec<Step> = steps().collect();
     let mut rows = Vec::new();
+    let mut census = None;
     for s in all.iter().filter(|s| selected.is_none_or(|g| s.group == g)) {
         println!("\n==> [{}] {}: {}", s.group, s.name, command_line(s));
         let start = Instant::now();
         let outcome = run(&root, s);
         rows.push((s, start.elapsed().as_secs_f64(), outcome.is_ok()));
-        if let Err(why) = outcome {
-            table(&rows);
-            eprintln!("\nverify: [{}] {} failed ({why})", s.group, s.name);
-            eprintln!("  command: {}", command_line(s));
-            return ExitCode::FAILURE;
+        match outcome {
+            Ok(stdout) => {
+                let line = stdout
+                    .lines()
+                    .map(str::trim)
+                    .find(|l| l.starts_with("census:"));
+                census = census.or(line.map(str::to_string));
+            }
+            Err(why) => {
+                table(&rows);
+                eprintln!("\nverify: [{}] {} failed ({why})", s.group, s.name);
+                eprintln!("  command: {}", command_line(s));
+                return ExitCode::FAILURE;
+            }
         }
     }
     table(&rows);
+    if let Some(line) = census {
+        println!("\n{line}");
+    }
     match line_count(&root, true) {
         Ok(n) => println!("\nlines: {n} (.rs outside tests/, shims/ and target/)"),
         Err(e) => println!("\nlines: unreadable ({e})"),

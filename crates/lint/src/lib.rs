@@ -18,6 +18,10 @@
 //! | `hot-path-reachability` | nothing reachable from a `// lint:hot-path` function contains a panic/alloc/format token (witness call path printed) |
 //! | `spsc-interleave`  | the lock-free protocols survive exhaustive bounded interleaving with the orderings extracted from source |
 //!
+//! Every run that builds the call graph also prints the public-surface
+//! census ([`analyze::census`]): a report, not a rule, that classes each
+//! public item by what reaches it and fails nothing.
+//!
 //! Configuration lives in the checked-in `lint.toml` at the workspace
 //! root. Individual sites can be waived with
 //! `// lint:allow(rule-id) -- rationale` (the rationale is mandatory).
@@ -90,6 +94,9 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Counters ("ordering sites audited", "waivers honored", ...).
     pub stats: BTreeMap<&'static str, u64>,
+    /// The public-surface census ([`analyze::census`]), lowest class
+    /// first; filled by [`run_all`] and the `call-graph` rule.
+    pub census: Vec<analyze::census::Entry>,
 }
 
 impl Report {
@@ -120,7 +127,7 @@ pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     match rule {
         "atomics-ordering" => rules::atomics::check(ws, cfg, report),
         "call-graph" => {
-            let analysis = analyze::callgraph::Analysis::build(ws, cfg);
+            let analysis = graph_with_census(ws, cfg, report);
             analyze::callgraph::check(&analysis, report);
         }
         "hot-path-reachability" => {
@@ -132,13 +139,24 @@ pub fn run_rule(rule: &str, ws: &Workspace, cfg: &Config, report: &mut Report) {
     }
 }
 
+/// Builds the call graph and fills `report.census` from it.
+fn graph_with_census<'ws>(
+    ws: &'ws Workspace,
+    cfg: &Config,
+    report: &mut Report,
+) -> analyze::callgraph::Analysis<'ws> {
+    let analysis = analyze::callgraph::Analysis::build(ws, cfg);
+    report.census = analyze::census::census(&analysis);
+    analysis
+}
+
 /// Runs all four rules plus waiver-syntax validation and the sanitizer-
 /// suppression staleness check, sharing one call graph across the
 /// analysis passes.
 pub fn run_all(ws: &Workspace, cfg: &Config) -> Report {
     let mut report = Report::default();
     rules::atomics::check(ws, cfg, &mut report);
-    let analysis = analyze::callgraph::Analysis::build(ws, cfg);
+    let analysis = graph_with_census(ws, cfg, &mut report);
     analyze::callgraph::check(&analysis, &mut report);
     analyze::reachability::check(&analysis, &mut report);
     analyze::interleave::check(ws, cfg, &mut report);

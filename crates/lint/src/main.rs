@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+use ss_lint::analyze::census::Class;
 use ss_lint::config::Config;
 use ss_lint::workspace::Workspace;
 use ss_lint::{run_all, run_rule, Report, RULE_IDS};
@@ -98,6 +99,26 @@ fn main() -> ExitCode {
     println!("ss-lint: {} files analyzed", ws.files.len());
     for (name, n) in &report.stats {
         println!("  {n:6} {name}");
+    }
+    if !report.census.is_empty() {
+        let count = |c: Class| report.census.iter().filter(|e| e.class == c).count();
+        let counts: Vec<String> = Class::ALL
+            .iter()
+            .map(|&c| format!("{} {}", count(c), c.name()))
+            .collect();
+        println!(
+            "  census: {} (public items by what reaches them)",
+            counts.join(", ")
+        );
+        for e in report.census.iter().take_while(|e| e.class < Class::Bench) {
+            println!(
+                "    {:<10} {}:{} {}",
+                e.class.name(),
+                e.file,
+                e.line,
+                e.item
+            );
+        }
     }
     if report.is_clean() {
         println!("  clean — no violations");

@@ -125,11 +125,6 @@ impl Workspace {
             files,
         })
     }
-
-    /// The file at exactly `rel`, if loaded.
-    pub fn file(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
-    }
 }
 
 fn walk(root: &Path, dir: &Path, exclude: &[String], out: &mut Vec<String>) -> io::Result<()> {

@@ -2,11 +2,13 @@
 //! known-bad fixture under `tests/fixtures/` (once, except the hot-path
 //! rule's direct + transitive pair), the waiver machinery suppresses
 //! exactly one more, the waiver audit flags an unknown rule id and an
-//! unexplained TSan suppression, the CLI exit codes hold, the real
-//! workspace's hot-root count and the manifest's compiler lints are pinned,
-//! no member declares a cargo feature, and — the gate that matters — the
-//! real workspace lints clean under the checked-in `lint.toml`.
+//! unexplained TSan suppression, the public-surface census classes each
+//! `census_*` fixture's item by its callers, the CLI exit codes hold, the
+//! real workspace's hot-root count and the manifest's compiler lints are
+//! pinned, no member declares a cargo feature, and — the gate that matters
+//! — the real workspace lints clean under the checked-in `lint.toml`.
 
+use ss_lint::analyze::census::Class;
 use ss_lint::config::Config;
 use ss_lint::workspace::Workspace;
 use ss_lint::{run_all, run_rule, Report, WAIVERS_ID};
@@ -104,6 +106,60 @@ fn spsc_interleave_fires_exactly_once_with_a_counterexample() {
     );
 }
 
+/// The census class of `item` in the fixture workspace.
+fn census_class(item: &str) -> Class {
+    let report = run_fixture_rule("call-graph");
+    let entry = report.census.iter().find(|e| e.item == item);
+    entry
+        .unwrap_or_else(|| panic!("{item} is not in the census"))
+        .class
+}
+
+/// The call graph leaves `g.read()` unresolved; the census counts it for
+/// every public method called `read`, so it can never call a live item
+/// dead.
+#[test]
+fn census_counts_a_call_through_a_local_receiver() {
+    assert_eq!(census_class("Gauge::read"), Class::Product);
+}
+
+#[test]
+fn census_classes_an_item_only_tests_dir_calls_tests_only() {
+    assert_eq!(census_class("only_tested"), Class::TestsOnly);
+}
+
+#[test]
+fn census_classes_an_item_only_cfg_test_calls_tests_only() {
+    assert_eq!(census_class("only_unit_tested"), Class::TestsOnly);
+}
+
+#[test]
+fn census_classes_an_item_only_benches_call_bench() {
+    assert_eq!(census_class("only_benched"), Class::Bench);
+}
+
+#[test]
+fn census_classes_an_item_nothing_calls_none() {
+    assert_eq!(census_class("never_called"), Class::None);
+}
+
+/// Items that are not fns (`census_shapes.rs`): `Owner::NAME` reaches only
+/// `Owner`'s `NAME`, a `use` reaches a trait and nothing else, a type
+/// position reaches an alias, and `pub(crate)` is not public surface.
+#[test]
+fn census_classes_consts_traits_and_aliases_by_their_references() {
+    assert_eq!(census_class("Limits::MAX"), Class::Product);
+    assert_eq!(census_class("Spare::MAX"), Class::None);
+    assert_eq!(census_class("Probe"), Class::Product);
+    assert_eq!(census_class("only_imported"), Class::None);
+    assert_eq!(census_class("Ticks"), Class::Product);
+    let report = run_fixture_rule("call-graph");
+    assert!(
+        report.census.iter().all(|e| e.item != "internal"),
+        "a `pub(crate)` fn is not in the census"
+    );
+}
+
 /// The waiver audit is not a rule, so only `run_all` reaches it: a
 /// `lint:allow` naming an unknown rule and a TSan suppression with no
 /// `# rationale:` line (`tests/fixtures/.ci/tsan-suppressions.txt`) each
@@ -197,12 +253,18 @@ fn hot_root_count_of_the_real_workspace_is_pinned() {
     // the reach: the transitive hot set goes 224 → 231 with the hand-over,
     // the re-attach and the watchdog below the node tick, none holding a
     // forbidden token (no new waiver).
+    // 148 → 142 when the public-surface census removed what no product
+    // path calls, −6: `network::perfect_shuffle_into` (only its own tests
+    // called it), `QosShedder::pick_victim`, `Gate::idle_tick`, and the
+    // sharded frontend's breakers with `CircuitBreaker::observe`,
+    // `allows_ingest` and `record_shed`. The transitive hot set goes
+    // 231 → 223 with them.
     let (ws, cfg) = load(&workspace_root());
     let mut report = Report::default();
     run_rule("hot-path-reachability", &ws, &cfg, &mut report);
     assert_eq!(
         report.stats.get("hot roots"),
-        Some(&148),
+        Some(&142),
         "`// lint:hot-path` roots changed"
     );
 }

@@ -41,10 +41,10 @@
 //!
 //! The backlog's occupancy feeds the hysteresis pressure signal every
 //! [`Gate::tick`], and the level reaches the source (the SUBMIT_ACK byte,
-//! the producer's holdback, a generator's `Throttled` adapter) *before*
-//! the gate refuses anything: with [`PressureConfig::default`] the signal
-//! rises at half occupancy while classic RED proposes nothing below a
-//! quarter-capacity *average*, which lags a fill from empty. This is the
+//! the producer's holdback) *before* the gate refuses anything: with
+//! [`PressureConfig::default`] the signal rises at half occupancy while
+//! classic RED proposes nothing below a quarter-capacity *average*, which
+//! lags a fill from empty. This is the
 //! source-propagated rule of "Flow Control and Scheduling for Shared FIFO
 //! Queues" (arXiv:1601.07597) — clients hold back before RED sheds — and
 //! `pressure_rises_before_the_first_loss` pins it across capacities and
@@ -58,9 +58,8 @@ use crate::{
 use ss_types::WindowConstraint;
 use std::sync::Arc;
 
-/// What the gate decided for one arrival, and why. The discriminants
-/// match `ss_telemetry::span::detail::GATE_*`, so [`GateReason::code`] is
-/// the lifecycle trace event's detail byte.
+/// What the gate decided for one arrival, and why. [`GateReason::code`]
+/// is the lifecycle trace's `GateVerdict` detail byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum GateReason {
@@ -238,6 +237,7 @@ impl GateCore {
     }
 
     /// Pressure-level transitions so far (hysteresis audit).
+    /// Tests-only: `run_threaded_overload` reports it for `tests/conformance.rs`.
     pub fn pressure_transitions(&self) -> u64 {
         self.pressure.transitions()
     }
@@ -395,14 +395,6 @@ impl<T: Copy> Gate<T> {
     #[inline]
     pub fn tick(&mut self, occupied: usize, capacity: usize) -> PressureLevel {
         self.core.tick(occupied, capacity)
-    }
-
-    /// Advances RED's idle clock across a packet-time with no arrival
-    /// (counted only while the backlog is empty). Hot path.
-    // lint:hot-path
-    #[inline]
-    pub fn idle_tick(&mut self) {
-        self.backlog.idle_tick();
     }
 
     /// Writes off the entire backlog at [`LossSite::Drain`] (the
@@ -691,10 +683,9 @@ mod tests {
                         g.mark_ring_loss();
                     }
                 }
-                12..=14 => {
+                12..=15 => {
                     g.tick(g.backlog_len(), capacity);
                 }
-                15 => g.idle_tick(),
                 _ => {
                     g.drain_write_off();
                     g.write_off_late(pick as u64 % 3);

@@ -12,7 +12,7 @@
 //!   buffered);
 //! * **ring** — dropped at an overflowing SPSC ring, or corrupted in it;
 //! * **shed** — admitted but dropped by the QoS-aware shedder / RED front
-//!   end / an open shard breaker, or by the fabric at the packet's
+//!   end, or by the fabric at the packet's
 //!   deadline (`LatePolicy::Drop` expiry);
 //! * **shard** — written off with a stuck fabric or crashed shard's
 //!   backlog;
@@ -33,7 +33,7 @@ pub enum LossSite {
     Admission,
     /// Dropped at an SPSC ring (overflow burst or corrupt message).
     Ring,
-    /// Dropped by the QoS-aware shedder, RED, or an open breaker — or by
+    /// Dropped by the QoS-aware shedder or RED — or by
     /// the fabric itself, when a `LatePolicy::Drop` stream's head expires
     /// at its deadline (the threaded endsystem books those here).
     Shed,
@@ -116,6 +116,8 @@ impl LossLedger {
     }
 
     /// Count at one site.
+    /// Tests-only: the chaos soak's replay fingerprint (`crates/ingress/tests/chaos_soak.rs`) reads
+    /// it.
     pub fn at(&self, site: LossSite) -> u64 {
         match site {
             LossSite::Admission => self.admission,
@@ -138,37 +140,6 @@ impl LossLedger {
         self.shed += other.shed;
         self.shard += other.shard;
         self.drain += other.drain;
-    }
-
-    /// Publishes the per-site counters into `registry` as
-    /// `ss_overload_lost{site=…}` gauges (this ledger's snapshot) and folds
-    /// them into the cumulative `ss_loss_total{site=…}` counters plus the
-    /// unlabeled `ss_loss_packets_total` sum. Call once per finished run:
-    /// the gauges show the latest run, the counters accumulate across runs
-    /// sharing the registry.
-    pub fn publish(&self, registry: &ss_telemetry::Registry) {
-        for site in LossSite::ALL {
-            registry
-                .gauge_labeled(
-                    "ss_overload_lost",
-                    &[("site", site.name())],
-                    "Packets lost, classified by the unique site that consumed them",
-                )
-                .set(self.at(site) as i64);
-            registry
-                .counter_labeled(
-                    "ss_loss_total",
-                    &[("site", site.name())],
-                    "Cumulative packets lost per consuming site",
-                )
-                .add(self.at(site));
-        }
-        registry
-            .counter(
-                "ss_loss_packets_total",
-                "Cumulative packets lost across all sites",
-            )
-            .add(self.total());
     }
 }
 
@@ -219,41 +190,6 @@ mod tests {
         assert_eq!(a.ring, 3);
         assert_eq!(a.shed, 1);
         assert_eq!(a.total(), 4);
-    }
-
-    #[test]
-    fn publish_exports_gauges_and_cumulative_counters() {
-        let registry = ss_telemetry::Registry::new();
-        let mut l = LossLedger::new();
-        l.record_n(LossSite::Ring, 3);
-        l.record(LossSite::Shed);
-        l.publish(&registry);
-        // A second run's ledger accumulates into the counters while the
-        // gauges track the latest snapshot.
-        let mut l2 = LossLedger::new();
-        l2.record_n(LossSite::Ring, 2);
-        l2.publish(&registry);
-        let snap = registry.snapshot();
-        let value = |name: &str, site: Option<&str>| {
-            snap.metrics
-                .iter()
-                .find(|m| {
-                    m.name == name && site.is_none_or(|s| m.labels.iter().any(|(_, v)| v == s))
-                })
-                .map(|m| match &m.value {
-                    ss_telemetry::MetricValue::Counter(c) => *c,
-                    ss_telemetry::MetricValue::Gauge(g) => *g as u64,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .expect("metric present")
-        };
-        assert_eq!(value("ss_loss_total", Some("ring")), 5, "3 + 2 accumulated");
-        assert_eq!(value("ss_loss_total", Some("shed")), 1);
-        assert_eq!(value("ss_loss_packets_total", None), 6);
-        assert_eq!(value("ss_overload_lost", Some("ring")), 2, "latest run");
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("ss_loss_total{site=\"ring\"}"));
-        assert!(prom.contains("ss_loss_packets_total"));
     }
 
     #[test]

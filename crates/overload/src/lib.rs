@@ -23,9 +23,6 @@
 //!   constraints are *currently satisfied* (loss headroom left in the
 //!   sliding `x/y` window), maximizing Table-3 deadlines-met under
 //!   overload.
-//! * [`CircuitBreaker`] — per-shard overload breaker, distinct from crash
-//!   handling: trips on sustained latency/backlog, sheds the shard's new
-//!   load while survivors keep full service, and half-opens on recovery.
 //! * [`RedQueue`] — Floyd/Jacobson RED, the probabilistic front end that
 //!   decides *when* occupancy warrants a drop proposal.
 //!
@@ -47,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod bucket;
 pub mod gate;
 pub mod ledger;
@@ -55,7 +51,6 @@ pub mod pressure;
 pub mod red;
 pub mod shed;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bucket::{AdmissionController, StreamClass};
 pub use gate::{Gate, GateConfig, GateCore, GateReason};
 pub use ledger::{LossLedger, LossSite};

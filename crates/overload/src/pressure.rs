@@ -127,6 +127,7 @@ impl PressureSignal {
 
     /// Level transitions so far (a bounded count is the no-oscillation
     /// evidence the soak asserts on).
+    /// Tests-only: `run_threaded_overload` reports it for `tests/conformance.rs`.
     pub fn transitions(&self) -> u64 {
         self.transitions
     }
@@ -226,6 +227,8 @@ impl SharedPressure {
     }
 
     /// Total publishes (diagnostics).
+    /// Tests-only: the `shared-pressure` interleave model and `gate.rs`'s one-store-per-transition
+    /// test read it.
     pub fn publishes(&self) -> u64 {
         self.publishes.load(Ordering::Relaxed)
     }

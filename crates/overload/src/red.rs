@@ -111,9 +111,6 @@ pub struct RedQueue<T> {
     /// EWMA as `(1-w)^m` on the next arrival.
     idle_pending: u64,
     rng: StdRng,
-    early_drops: u64,
-    forced_drops: u64,
-    tail_drops: u64,
 }
 
 impl<T> RedQueue<T> {
@@ -139,15 +136,7 @@ impl<T> RedQueue<T> {
             count_since_drop: 0,
             idle_pending: 0,
             rng: StdRng::seed_from_u64(seed),
-            early_drops: 0,
-            forced_drops: 0,
-            tail_drops: 0,
         }
-    }
-
-    /// Current EWMA of queue depth.
-    pub fn average(&self) -> f64 {
-        self.avg
     }
 
     /// Instantaneous depth.
@@ -158,11 +147,6 @@ impl<T> RedQueue<T> {
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// `(early, forced, tail)` drop counters.
-    pub fn drops(&self) -> (u64, u64, u64) {
-        (self.early_drops, self.forced_drops, self.tail_drops)
     }
 
     /// Advances the packet-time clock across a cycle with no arrival.
@@ -198,11 +182,9 @@ impl<T> RedQueue<T> {
         self.avg += self.config.weight * (self.queue.len() as f64 - self.avg);
 
         if self.queue.len() >= self.config.capacity {
-            self.tail_drops += 1;
             return RedVerdict::TailDrop;
         }
         if self.avg >= self.config.max_th {
-            self.forced_drops += 1;
             self.count_since_drop = 0;
             return RedVerdict::ForcedDrop;
         }
@@ -210,7 +192,6 @@ impl<T> RedQueue<T> {
             let p = early_drop_probability(&self.config, self.avg, self.count_since_drop);
             self.count_since_drop += 1;
             if self.rng.gen_range(0.0..1.0) < p {
-                self.early_drops += 1;
                 self.count_since_drop = 0;
                 return RedVerdict::EarlyDrop;
             }
@@ -225,13 +206,12 @@ impl<T> RedQueue<T> {
     /// the EWMA (the paired [`RedQueue::offer`] for this arrival updated it
     /// already). The overload gate uses this when the QoS-aware back end
     /// vetoes a RED drop proposal for a protected stream. Only the hard
-    /// capacity backstop still applies; returns `false` (and counts a tail
-    /// drop) when physically full. Hot path.
+    /// capacity backstop still applies; returns `false` when physically
+    /// full. Hot path.
     // lint:hot-path
     #[inline]
     pub fn push_unchecked(&mut self, item: T) -> bool {
         if self.queue.len() >= self.config.capacity {
-            self.tail_drops += 1;
             return false;
         }
         self.queue.push_back(item);
@@ -266,7 +246,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(q.offer(i), RedVerdict::Enqueued);
         }
-        assert_eq!(q.drops(), (0, 0, 0));
     }
 
     #[test]
@@ -280,7 +259,7 @@ mod tests {
             }
         }
         assert!(forced > 0, "EWMA must cross max_th");
-        assert!(q.average() > 30.0 * 0.8);
+        assert!(q.avg > 30.0 * 0.8);
     }
 
     #[test]
@@ -354,14 +333,14 @@ mod tests {
         for i in 0..5 {
             q.offer(i);
         }
-        assert!(q.average() > 0.9 && q.average() < 5.0);
+        assert!(q.avg > 0.9 && q.avg < 5.0);
         for _ in 0..5 {
             q.pop();
         }
         for i in 0..3 {
             q.offer(i); // EWMA decays toward the now-small queue
         }
-        assert!(q.average() < 4.0);
+        assert!(q.avg < 4.0);
     }
 
     #[test]
@@ -403,7 +382,7 @@ mod tests {
             q.offer(i);
         }
         while q.pop().is_some() {}
-        let before = q.average();
+        let before = q.avg;
         assert!(before > 0.0);
         for _ in 0..10 {
             q.idle_tick();
@@ -414,9 +393,9 @@ mod tests {
         q.offer(99);
         let expected = before * 0.8f64.powi(11);
         assert!(
-            (q.average() - expected).abs() < 1e-12,
+            (q.avg - expected).abs() < 1e-12,
             "avg {} != expected {expected}",
-            q.average()
+            q.avg
         );
     }
 
@@ -431,7 +410,7 @@ mod tests {
             b.idle_tick();
             b.idle_tick();
         }
-        assert_eq!(a.average().to_bits(), b.average().to_bits());
+        assert_eq!(a.avg.to_bits(), b.avg.to_bits());
     }
 
     #[test]
@@ -449,7 +428,7 @@ mod tests {
             for i in 0..300 {
                 q.offer(i);
             }
-            assert!(q.average() > 60.0, "setup: EWMA must sit near capacity");
+            assert!(q.avg > 60.0, "setup: EWMA must sit near capacity");
             while q.pop().is_some() {}
             for _ in 0..ticks {
                 q.idle_tick();
@@ -467,9 +446,8 @@ mod tests {
             assert!(q.push_unchecked(i));
         }
         // EWMA untouched: this path is the post-offer veto companion.
-        assert_eq!(q.average(), 0.0);
+        assert_eq!(q.avg, 0.0);
         assert!(!q.push_unchecked(64), "hard capacity still applies");
-        assert_eq!(q.drops(), (0, 0, 1));
         assert_eq!(q.len(), 64);
     }
 

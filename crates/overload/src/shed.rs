@@ -77,11 +77,6 @@ impl QosShedder {
         }
     }
 
-    /// Streams tracked.
-    pub fn streams(&self) -> usize {
-        self.windows.len()
-    }
-
     /// `true` if `stream` can absorb a loss right now (its constraint is
     /// satisfied with headroom to spare). Out-of-range streams report
     /// `false` — never sheddable. Hot path.
@@ -92,35 +87,6 @@ impl QosShedder {
             Some(w) => w.headroom() > 0,
             None => false,
         }
-    }
-
-    /// The stream that should absorb the next shed, or `None` when every
-    /// stream is at its tolerance (nothing may be dropped without a
-    /// violation). Preference order: most loss headroom first, then the
-    /// looser contract (smaller mandatory fraction), then the lower
-    /// index — fully deterministic. Hot path: one linear scan, no
-    /// allocation, no panic.
-    // lint:hot-path
-    #[inline]
-    pub fn pick_victim(&self) -> Option<usize> {
-        let mut best: Option<(usize, u8, u32)> = None;
-        for (i, w) in self.windows.iter().enumerate() {
-            let headroom = w.headroom();
-            if headroom == 0 {
-                continue;
-            }
-            // Looseness = tolerated losses per window, normalized (‰);
-            // higher is a better victim.
-            let looseness = (u32::from(w.num) * 1000) / u32::from(w.den);
-            let better = match best {
-                None => true,
-                Some((_, bh, bl)) => headroom > bh || (headroom == bh && looseness > bl),
-            };
-            if better {
-                best = Some((i, headroom, looseness));
-            }
-        }
-        best.map(|(i, _, _)| i)
     }
 
     /// Records a shed for `stream`: one loss enters its window.
@@ -147,11 +113,6 @@ impl QosShedder {
     pub fn shed(&self, stream: usize) -> u64 {
         self.shed.get(stream).copied().unwrap_or(0)
     }
-
-    /// Total packets shed.
-    pub fn total_shed(&self) -> u64 {
-        self.shed.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -167,14 +128,6 @@ mod tests {
         let s = QosShedder::new(&[wc(0, 1), wc(0, 4)]);
         assert!(!s.sheddable(0));
         assert!(!s.sheddable(1));
-        assert_eq!(s.pick_victim(), None);
-    }
-
-    #[test]
-    fn loosest_satisfied_stream_goes_first() {
-        // 1/4 (tightish), 3/4 (loose), 0/1 (protected).
-        let s = QosShedder::new(&[wc(1, 4), wc(3, 4), wc(0, 1)]);
-        assert_eq!(s.pick_victim(), Some(1), "most headroom wins");
     }
 
     #[test]
@@ -185,7 +138,6 @@ mod tests {
         assert!(s.sheddable(0), "1 of 2 tolerated losses used");
         s.record_shed(0);
         assert!(!s.sheddable(0), "tolerance exhausted");
-        assert_eq!(s.pick_victim(), None);
         // Window completes (2 served outcomes reach den=4): fresh headroom.
         s.record_served(0);
         s.record_served(0);
@@ -202,13 +154,7 @@ mod tests {
             assert!(!s.sheddable(0));
             s.record_served(0); // completes the window, resetting it
         }
-        assert_eq!(s.total_shed(), 10);
-    }
-
-    #[test]
-    fn ties_break_deterministically_by_index() {
-        let s = QosShedder::new(&[wc(2, 4), wc(2, 4)]);
-        assert_eq!(s.pick_victim(), Some(0));
+        assert_eq!(s.shed(0), 10);
     }
 
     #[test]
@@ -218,6 +164,5 @@ mod tests {
         s.record_shed(9);
         s.record_served(9);
         assert_eq!(s.shed(9), 0);
-        assert_eq!(s.total_shed(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! The inline drive mode: the K fabrics on the calling thread, one exact
 //! global decision per [`ShardedScheduler::decision_cycle`]. Owns what only
 //! this mode has — the fabrics themselves, the global cycle count, injected
-//! stall horizons, the per-shard overload breakers and recovery
-//! supervisors — over the shared [`Frontend`].
+//! stall horizons and the per-shard recovery supervisors — over the shared
+//! [`Frontend`].
 
 use crate::frontend::{Frontend, MAX_SHARDS};
 use crate::threaded::ThreadedShards;
@@ -12,12 +12,10 @@ use ss_core::{
     DecisionWatchdog, Fabric, FabricConfig, MergeHooks, ScheduledPacket, SlotCounters, StreamState,
     SupervisorHooks, Telemetry, Traced, WatchdogVerdict,
 };
-use ss_overload::{BreakerConfig, BreakerState, CircuitBreaker, LossLedger, LossSite};
-use ss_types::packed::lane_valid;
 use ss_types::{slot_bits, Error, Result, Wrap16};
 
 /// One global cycle's proposed winner words, by shard, on the stack: the
-/// merge, the breakers and the grant all read the same words.
+/// merge and the grant read the same words.
 #[derive(Default)]
 struct Proposals {
     words: [u64; MAX_SHARDS],
@@ -30,11 +28,6 @@ impl Proposals {
     fn set(&mut self, k: usize, word: u64) {
         self.words[k] = word;
         self.made |= 1 << k;
-    }
-
-    #[inline]
-    fn get(&self, k: usize) -> Option<u64> {
-        (self.made & (1 << k) != 0).then(|| self.words[k])
     }
 
     /// `(shard, word)` in ascending shard order — the order
@@ -71,19 +64,11 @@ pub struct ShardedScheduler<T: Telemetry = ()> {
     /// `decision_count < stalled_until[k]` (it still expires, so shard
     /// clocks stay in lockstep).
     stalled_until: Vec<u64>,
-    /// Per-shard overload breakers (empty until
-    /// [`ShardedScheduler::enable_breakers`]). Distinct from exclusion: an
-    /// open breaker sheds *new* ingest while the shard keeps cycling and
-    /// draining, a failed shard is out of the merge for good.
-    breakers: Vec<CircuitBreaker>,
-    /// Where breaker refusals are accounted ([`LossSite::Shed`]).
-    overload_ledger: LossLedger,
     /// Per-shard recovery supervisors (empty until
     /// [`ShardedScheduler::enable_recovery`]; empty, a crashed shard is
     /// excluded and its backlog written off).
     recovery: Vec<Supervisor>,
-    /// Merge wins on a span track, breaker trips and path switches in the
-    /// flight recorder
+    /// Merge wins on a span track and path switches in the flight recorder
     /// (zero-sized for `T = ()`). Inline-mode state: it does not follow
     /// the fabrics into [`ShardedScheduler::into_threaded`].
     trace: T::Supervisor,
@@ -111,13 +96,6 @@ impl ShardedScheduler<Traced> {
         self.front.metrics.attach(registry, self.shards.len());
     }
 
-    /// Jain's fairness index over per-shard global-cycle wins, or `None`
-    /// before [`ShardedScheduler::attach_telemetry`]. 1.0 means every shard
-    /// wins equally often; 1/K means one shard monopolizes the link.
-    pub fn shard_fairness(&self) -> Option<f64> {
-        self.front.metrics.fairness()
-    }
-
     /// Attaches lifecycle-span recording to the inline merge: every global
     /// decision leaves a `MergeWin` event on a `"merge"` track whose tag
     /// names the winning shard (origin), the global slot and the slot's win
@@ -131,17 +109,16 @@ impl ShardedScheduler<Traced> {
     }
 
     /// Drops the merge track (flushing it into its recorder's drain set).
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that detaching flushes the track.
     pub fn detach_spans(&mut self) {
         self.trace.detach_spans();
     }
 
-    /// Wires a shared flight recorder to the breaker sweep and the recovery
-    /// supervisors: a breaker's Closed/HalfOpen → Open transition records a
-    /// `BreakerOpen` control event and takes an automatic dump
-    /// ([`ss_telemetry::DumpReason::BreakerOpen`]); a hand-over to the host
-    /// records a `Failover` control event (detail 1) and dumps
+    /// Wires a shared flight recorder to the recovery supervisors: a
+    /// hand-over to the host records a `Failover` control event (detail 1) and dumps
     /// ([`ss_telemetry::DumpReason::WatchdogTrip`]), a re-attach records
     /// one with detail 0.
+    /// Tests-only: `tests/recovery.rs` checks the hand-over's flight dump with it.
     pub fn attach_flight_recorder(&mut self, flight: &ss_telemetry::SharedFlightRecorder) {
         self.trace.attach_flight(flight);
     }
@@ -194,8 +171,6 @@ impl<T: Telemetry> ShardedScheduler<T> {
             shards: fabrics,
             decision_count: 0,
             stalled_until: vec![0; shards],
-            breakers: Vec::new(),
-            overload_ledger: LossLedger::new(),
             recovery: Vec::new(),
             trace: Default::default(),
         })
@@ -228,6 +203,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Total stream slots across all shards.
+    /// Tests-only: the conformance harness (`tests/support/harness.rs`) sizes its sharded paths
+    /// with it.
     pub fn total_slots(&self) -> usize {
         self.front.total_slots()
     }
@@ -260,96 +237,13 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Unbinds global slot `g`.
+    /// Tests-only: the conformance harness's churn classes (`tests/support/harness.rs`) and
+    /// `tests/recovery.rs` unload streams with it.
     pub fn unload_stream(&mut self, global: usize) -> Result<()> {
         let (shard, local) = self.front.route_live(global)?;
         self.shards[shard].unload_stream(local)?;
         self.front.set_shadow(global, None);
         Ok(())
-    }
-
-    /// Arms one [`CircuitBreaker`] per shard. Until
-    /// called, breakers are off and ingest is never refused. An open
-    /// breaker refuses [`ShardedScheduler::push_arrival`] for its shard
-    /// with [`Error::Overloaded`] — survivors keep full service — while
-    /// the shard keeps cycling in the merge so its backlog drains and its
-    /// clock stays in lockstep. Breakers are inline-mode state; they do
-    /// not follow the fabrics into [`ShardedScheduler::into_threaded`].
-    pub fn enable_breakers(&mut self, config: BreakerConfig) {
-        self.breakers = (0..self.shards.len())
-            .map(|_| CircuitBreaker::new(config))
-            .collect();
-    }
-
-    /// Shard `k`'s breaker state, or `None` before
-    /// [`ShardedScheduler::enable_breakers`].
-    pub fn breaker_state(&self, k: usize) -> Option<BreakerState> {
-        self.breakers.get(k).map(CircuitBreaker::state)
-    }
-
-    /// Total breaker trips across all shards.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breakers.iter().map(CircuitBreaker::trips).sum()
-    }
-
-    /// The ledger accounting every breaker refusal (at [`LossSite::Shed`]).
-    pub fn overload_ledger(&self) -> &LossLedger {
-        &self.overload_ledger
-    }
-
-    /// Publishes per-shard breaker gauges (`ss_overload_breaker_*`) plus
-    /// the breaker-shed ledger into `registry`.
-    pub fn publish_breakers(&self, registry: &ss_telemetry::Registry) {
-        for (k, b) in self.breakers.iter().enumerate() {
-            let shard = k.to_string();
-            registry
-                .gauge_labeled(
-                    "ss_overload_breaker_state",
-                    &[("shard", &shard)],
-                    "Breaker state (0 closed, 1 half-open, 2 open)",
-                )
-                .set(match b.state() {
-                    BreakerState::Closed => 0,
-                    BreakerState::HalfOpen => 1,
-                    BreakerState::Open => 2,
-                });
-            registry
-                .gauge_labeled(
-                    "ss_overload_breaker_trips",
-                    &[("shard", &shard)],
-                    "Times this shard's breaker has tripped",
-                )
-                .set(b.trips() as i64);
-            registry
-                .gauge_labeled(
-                    "ss_overload_breaker_shed",
-                    &[("shard", &shard)],
-                    "Arrivals refused while this shard's breaker was open",
-                )
-                .set(b.shed() as i64);
-        }
-        self.overload_ledger.publish(registry);
-    }
-
-    /// Feeds one global cycle into every live shard's breaker: a shard
-    /// makes progress when it proposed a valid winner word or has nothing
-    /// queued; one over the backlog limit is lagging. `proposals` is this
-    /// cycle's own: a stalled shard proposed nothing and is judged on its
-    /// backlog alone.
-    fn observe_breakers(&mut self, proposals: &Proposals) {
-        if self.breakers.is_empty() {
-            return;
-        }
-        for k in slot_bits(self.front.live()) {
-            let backlog = self.shards[k].total_backlog();
-            let made_progress = backlog == 0 || proposals.get(k).is_none_or(lane_valid);
-            let before = self.breakers[k].state();
-            self.breakers[k].observe(made_progress, backlog);
-            if before != BreakerState::Open && self.breakers[k].state() == BreakerState::Open {
-                // A shard just went into shed mode: leave the transition on
-                // the merge track and snapshot the recent past.
-                self.trace.on_breaker_open(self.decision_count, k, backlog);
-            }
-        }
     }
 
     /// Arms one recovery supervisor per shard, each judging its shard with
@@ -369,6 +263,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// control event in the flight recorder. Recovery is inline-mode
     /// state; it does not follow the fabrics into
     /// [`ShardedScheduler::into_threaded`].
+    /// Tests-only: `tests/recovery.rs` and `tests/chaos.rs` check the per-shard recovery supervisor
+    /// with it.
     pub fn enable_recovery(&mut self, watchdog: DecisionWatchdog) {
         let supervisor = Supervisor {
             watchdog,
@@ -392,6 +288,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Re-attaches to the card so far, across all shards.
+    /// Tests-only: `tests/recovery.rs` and `tests/chaos.rs` check the per-shard recovery supervisor
+    /// with it.
     pub fn reattaches(&self) -> u64 {
         self.recovery.iter().map(|s| s.reattaches).sum()
     }
@@ -448,35 +346,12 @@ impl<T: Telemetry> ShardedScheduler<T> {
         }
     }
 
-    /// Deposits one arrival into global slot `g`'s queue.
-    ///
-    /// With breakers armed, an arrival for a shard
-    /// whose breaker is open is refused with [`Error::Overloaded`] and
-    /// accounted at [`LossSite::Shed`] — intentional, counted load
-    /// shedding, never silent loss. Inlinable: it is the node tick's
-    /// per-arrival call.
+    /// Deposits one arrival into global slot `g`'s queue. Inlinable: it is
+    /// the node tick's per-arrival call.
     #[inline]
     pub fn push_arrival(&mut self, global: usize, arrival: Wrap16) -> Result<()> {
         let (shard, local) = self.front.route_live(global)?;
-        if let Some(b) = self.breakers.get_mut(shard) {
-            if !b.allows_ingest() {
-                b.record_shed();
-                self.overload_ledger.record(LossSite::Shed);
-                return Err(Error::Overloaded {
-                    slot: global,
-                    site: "breaker",
-                });
-            }
-        }
         self.shards[shard].push_arrival(local, arrival)
-    }
-
-    /// Batched arrival deposit over `(global_slot, tag)` pairs.
-    pub fn push_arrivals(&mut self, arrivals: &[(usize, Wrap16)]) -> Result<()> {
-        for &(global, arrival) in arrivals {
-            self.push_arrival(global, arrival)?;
-        }
-        Ok(())
     }
 
     /// Queue depth of global slot `g`: 0 for a slot homed on an excluded
@@ -509,6 +384,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Direct access to a shard fabric (read-only, diagnostics).
+    /// Tests-only: `tests/recovery.rs` and `tests/chaos.rs` check the per-shard recovery supervisor
+    /// with it.
     pub fn shard(&self, k: usize) -> &Fabric<T> {
         &self.shards[k]
     }
@@ -519,6 +396,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Indices of excluded shards, ascending.
+    /// Tests-only: `tests/recovery.rs` and `tests/chaos.rs` check the per-shard recovery supervisor
+    /// with it.
     pub fn failed_shards(&self) -> Vec<usize> {
         self.front.failed_shards()
     }
@@ -534,6 +413,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Backlogged packets written off when shards failed.
+    /// Tests-only: `tests/recovery.rs`, `tests/chaos.rs` and the conformance harness check the
+    /// write-off ledger with it.
     pub fn lost_packets(&self) -> u64 {
         self.front.lost_packets()
     }
@@ -569,6 +450,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// `(global_slot, new_shard)` for every move; streams that found no
     /// free surviving slot stay unreachable. Errors if `from` is not a
     /// failed shard.
+    /// Tests-only: `tests/recovery.rs` moves a failed shard's slots with it.
     pub fn redistribute(&mut self, from: usize) -> Result<Vec<(usize, usize)>> {
         if from >= self.shards.len() || !self.front.is_failed(from) {
             return Err(Error::Config(format!("shard {from} is not failed")));
@@ -606,6 +488,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// Permanently crashes shard `k`'s fabric (test/operator hook); the
     /// next decision cycle detects it and excludes it, or hands it to the
     /// host with recovery armed.
+    /// Tests-only: `tests/recovery.rs` and the conformance harness crash shards with it.
     pub fn inject_shard_crash(&mut self, k: usize) {
         self.shards[k].inject_crash();
     }
@@ -685,6 +568,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// (every other shard failed or stalled), so there was no comparison
     /// to decide. A `SlotId` reason means the winner held a full tie on the
     /// global-slot-ID convention.
+    /// Tests-only: the oracle the crate's merge tests compare the inline decision against.
     pub fn merge_pick_with_reason(&self) -> Option<(usize, Option<DecisionRule>)> {
         self.front.pick(
             slot_bits(self.front.live())
@@ -718,7 +602,6 @@ impl<T: Telemetry> ShardedScheduler<T> {
         let picked = self.front.pick(proposals.iter());
         let winner = picked.map(|(k, _)| k);
         self.front.metrics.record_merge(merge_start, winner);
-        self.observe_breakers(&proposals);
         let mut out = None;
         for k in slot_bits(live) {
             if Some(k) == winner {

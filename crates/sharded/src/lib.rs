@@ -44,13 +44,11 @@
 //! modes need and writes each shared rule once: slot routing, the merge
 //! order (incumbent keeps a full tie), exclusion booking and
 //! merge-telemetry recording. `inline` and `threaded` own only what
-//! differs — the fabrics, breakers and recovery supervisors here, the
-//! rings and workers there — and [`ShardedScheduler::into_threaded`] moves
-//! the frontend whole. Three kinds of state are inline-only and stay
-//! behind: the per-shard breakers
-//! ([`ShardedScheduler::enable_breakers`]), the merge's span track and
-//! flight recorder, and the per-shard recovery supervisors
-//! ([`ShardedScheduler::enable_recovery`]).
+//! differs — the fabrics and recovery supervisors here, the rings and
+//! workers there — and [`ShardedScheduler::into_threaded`] moves the
+//! frontend whole. Two kinds of state are inline-only and stay behind: the
+//! merge's span track and flight recorder, and the per-shard recovery
+//! supervisors ([`ShardedScheduler::enable_recovery`]).
 //!
 //! Recovery is the one path for "a shard stops deciding". Off (the
 //! default), a crashed shard is excluded and its backlog written off

@@ -312,7 +312,10 @@ fn the_sixteenth_shard_fails_like_any_other() {
     let mut s = backlogged(32, 16, 1);
     s.fail_shard(15).unwrap();
     let mut t = s.into_threaded(64);
-    assert_eq!(t.dead_shards(), vec![15]);
+    assert!(matches!(
+        t.push_arrival(31, Wrap16(0)),
+        Err(Error::ShardFailed { shard: 15 })
+    ));
     let report = t.run_cycles(2);
     assert_eq!(report.decisions, 2 * 15);
     assert_eq!(
@@ -342,11 +345,11 @@ fn a_rehomed_slot_keeps_its_global_id_across_into_threaded() {
         "4..8 now live on shard 0"
     );
     let mut t = s.into_threaded(1024);
-    assert_eq!(t.dead_shards(), vec![1], "the exclusion moved too");
     for g in 4..total {
         t.push_arrival(g, Wrap16(0)).unwrap();
     }
-    // The empty tenants swapped onto the dead home: unreachable, not lost.
+    // The exclusion moved too: the empty tenants swapped onto the dead
+    // home are unreachable, not lost.
     assert!(matches!(
         t.push_arrival(0, Wrap16(0)),
         Err(Error::ShardFailed { shard: 1 })
@@ -359,67 +362,6 @@ fn a_rehomed_slot_keeps_its_global_id_across_into_threaded() {
     let fabrics = t.join();
     assert_eq!(fabrics[0].total_backlog(), 0, "shard 0 served all four");
     assert_eq!(fabrics[1].decision_count(), 0, "the dead shard never ran");
-}
-
-#[test]
-fn open_breaker_sheds_ingest_while_survivors_flow() {
-    use ss_overload::{BreakerConfig, BreakerState, LossSite};
-    let mut s = backlogged(8, 2, 2);
-    // Trip on a 4-deep backlog after 2 lagging cycles; shard 1 holds
-    // 4 slots × 2 arrivals = 8 queued, over the limit even after a win.
-    s.enable_breakers(BreakerConfig {
-        trip_lag_cycles: 2,
-        trip_backlog: 4,
-        cooldown_cycles: 64,
-        probe_quota: 2,
-    });
-    assert_eq!(s.breaker_state(1), Some(BreakerState::Closed));
-    for _ in 0..2 {
-        s.decision_cycle();
-    }
-    assert_eq!(s.breaker_state(0), Some(BreakerState::Open));
-    assert_eq!(s.breaker_state(1), Some(BreakerState::Open));
-    // Open breaker: ingest refused with Overloaded, counted as Shed.
-    assert!(matches!(
-        s.push_arrival(5, Wrap16(9)),
-        Err(Error::Overloaded {
-            slot: 5,
-            site: "breaker"
-        })
-    ));
-    assert_eq!(s.overload_ledger().at(LossSite::Shed), 1);
-    assert_eq!(s.breaker_trips(), 2);
-    // The shard keeps cycling while open: its queued backlog drains
-    // through the merge, nothing hangs. 16 queued minus the 2 already
-    // served by the tripping cycles.
-    let mut served = 0;
-    while s.decision_cycle().is_some() {
-        served += 1;
-    }
-    assert_eq!(served, 14, "queued packets still drain while open");
-}
-
-#[test]
-fn breaker_recloses_after_drain_and_probes() {
-    use ss_overload::{BreakerConfig, BreakerState};
-    let mut s = backlogged(8, 2, 2);
-    s.enable_breakers(BreakerConfig {
-        trip_lag_cycles: 1,
-        trip_backlog: 4,
-        cooldown_cycles: 2,
-        probe_quota: 2,
-    });
-    // One cycle trips (8 > 4 backlog); the merge then drains both
-    // shards while the breakers cool down, half-open, and prove
-    // themselves on empty-backlog probes.
-    for _ in 0..40 {
-        s.decision_cycle();
-    }
-    assert_eq!(s.breaker_state(0), Some(BreakerState::Closed));
-    assert_eq!(s.breaker_state(1), Some(BreakerState::Closed));
-    assert!(s.breaker_trips() >= 2, "each shard tripped at least once");
-    // Closed again: ingest flows.
-    s.push_arrival(5, Wrap16(0)).unwrap();
 }
 
 /// The split cycle's one semantic change: a shard fabric's rule counters
@@ -459,47 +401,6 @@ fn every_live_shard_counts_one_tournament_per_cycle() {
     assert_eq!(s.shard(1).now(), s.shard(0).now(), "a stalled shard passes");
 }
 
-/// The breakers judge the words the shards proposed this cycle, not a
-/// scan of their own. A wedged fabric still proposes (the tournament reads
-/// the register words; the wedge blocks the grant), so a wedged,
-/// backlogged shard is "progressing" by its word and trips on its backlog
-/// alone: 4 queued against a limit of 4 for 6 cycles, which a healthy
-/// merge drains first (seed 80 never trips). The figures are the parent
-/// commit's, where a third `peek_winner` scan fed the breakers.
-#[test]
-fn breakers_see_the_cycles_proposals() {
-    use ss_faults::{FaultConfig, FaultInjector};
-    use ss_overload::{BreakerConfig, BreakerState};
-    use std::sync::Arc;
-    let mut s = backlogged(8, 2, 1);
-    s.attach_faults(Arc::new(FaultInjector::new(
-        79,
-        FaultConfig {
-            decision_rate_ppm: 400_000,
-            max_stuck_cycles: 6,
-            ..FaultConfig::quiet()
-        },
-    )));
-    s.enable_breakers(BreakerConfig {
-        trip_lag_cycles: 6,
-        trip_backlog: 4,
-        cooldown_cycles: 16,
-        probe_quota: 2,
-    });
-    let mut first_open = [None; 2];
-    let mut served = 0u64;
-    for cycle in 1..=60u64 {
-        served += u64::from(s.decision_cycle().is_some());
-        for (k, first) in first_open.iter_mut().enumerate() {
-            if first.is_none() && s.breaker_state(k) == Some(BreakerState::Open) {
-                *first = Some(cycle);
-            }
-        }
-    }
-    assert_eq!(first_open, [Some(6), Some(6)], "first trip, per shard");
-    assert_eq!((s.breaker_trips(), served), (3, 8));
-}
-
 #[test]
 fn injected_crash_auto_excludes_the_shard() {
     use ss_faults::{FaultConfig, FaultInjector};
@@ -536,7 +437,6 @@ fn threaded_worker_crash_is_excluded_not_hung() {
     let report = t.run_cycles(50);
     assert_eq!(report.excluded, vec![2], "crashed worker excluded");
     assert!(report.missed_proposals > 0);
-    assert_eq!(t.dead_shards(), vec![2]);
     // Surviving shards each drained their 2 slots × 50 arrivals... at
     // one packet per shard-cycle, 50 cycles move 50 packets per
     // surviving shard; the crashed shard contributes at most its
@@ -615,7 +515,7 @@ fn exclusion_is_booked_identically_in_both_modes() {
 }
 
 #[test]
-fn telemetry_counts_inline_wins_and_fairness() {
+fn telemetry_counts_inline_wins() {
     // Interleave deadlines across the shard boundary — shard 0 holds
     // the odd deadlines 1,3,5,7 and shard 1 the even 2,4,6,8 — with one
     // arrival per slot, so the 8 winners alternate shards: 4 wins each.
@@ -626,14 +526,11 @@ fn telemetry_counts_inline_wins_and_fairness() {
         s.load_stream(g, edf_state(1), deadline as u64).unwrap();
         s.push_arrival(g, Wrap16(0)).unwrap();
     }
-    assert_eq!(s.shard_fairness(), None, "detached until attach");
     let registry = ss_telemetry::Registry::new();
     s.attach_telemetry(&registry);
     for _ in 0..8 {
         s.decision_cycle().expect("backlogged");
     }
-    let fairness = s.shard_fairness().expect("attached");
-    assert!((fairness - 1.0).abs() < 1e-9, "balanced wins: {fairness}");
     let snap = registry.snapshot();
     let wins: Vec<u64> = ["0", "1"]
         .iter()
@@ -726,39 +623,6 @@ fn merge_wins_leave_provenance_span_events() {
 }
 
 #[test]
-fn breaker_open_takes_automatic_flight_dump() {
-    use ss_overload::BreakerConfig;
-    use ss_telemetry::{DumpReason, SharedFlightRecorder, SpanRecorder, Stage};
-    let mut s = backlogged_with::<Traced>(8, 2, 2);
-    let recorder = SpanRecorder::new(256);
-    let flight = SharedFlightRecorder::new(64);
-    s.attach_spans(&recorder);
-    s.attach_flight_recorder(&flight);
-    s.enable_breakers(BreakerConfig {
-        trip_lag_cycles: 2,
-        trip_backlog: 4,
-        cooldown_cycles: 64,
-        probe_quota: 2,
-    });
-    for _ in 0..2 {
-        s.decision_cycle();
-    }
-    assert_eq!(s.breaker_state(0), Some(ss_overload::BreakerState::Open));
-    let dump = flight.take_last_dump().expect("open transition dumps");
-    assert_eq!(dump.reason, DumpReason::BreakerOpen);
-    assert!(dump
-        .events
-        .iter()
-        .any(|e| e.stage == Stage::BreakerOpen && e.trace_tag().is_control()));
-    s.detach_spans();
-    let tracks = recorder.drain();
-    assert!(tracks[0]
-        .events
-        .iter()
-        .any(|e| e.stage == Stage::BreakerOpen));
-}
-
-#[test]
 fn telemetry_survives_into_threaded() {
     let registry = ss_telemetry::Registry::new();
     let mut s = backlogged_with::<Traced>(8, 4, 10);
@@ -769,9 +633,17 @@ fn telemetry_survives_into_threaded() {
     let report = t.run_cycles(10);
     assert_eq!(report.packets.len(), 40);
     // Every shard serviced its lane every cycle: 10 wins apiece.
-    let fairness = t.shard_fairness().expect("carried across spawn");
-    assert!((fairness - 1.0).abs() < 1e-9, "lane fairness: {fairness}");
     let snap = registry.snapshot();
+    let wins: Vec<u64> = snap
+        .metrics
+        .iter()
+        .filter(|m| m.name == "ss_sharded_shard_wins_total")
+        .filter_map(|m| match m.value {
+            ss_telemetry::MetricValue::Counter(c) => Some(c),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(wins, [10; 4], "carried across spawn");
     let merge = snap
         .metrics
         .iter()

@@ -7,7 +7,7 @@
 //! on the one `finished` definition and an idle worker sleeps.
 
 use crate::frontend::{Frontend, Lane};
-use ss_core::{Fabric, MergeHooks, ScheduledPacket, Telemetry, Traced};
+use ss_core::{Fabric, MergeHooks, ScheduledPacket, Telemetry};
 use ss_endsystem::spsc::{spsc_ring, Consumer, Producer};
 use ss_endsystem::Worker;
 use ss_types::{slot_bits, Error, Result, Wrap16};
@@ -93,6 +93,13 @@ fn worker<T: Telemetry>(
 /// The thread-per-shard runtime: K workers, each owning one fabric, fed by
 /// SPSC rings, merged on the calling thread; instrumented by `T`, as the
 /// [`ShardedScheduler`](crate::ShardedScheduler) it came from.
+///
+/// No system path runs it: cluster nodes merge inline, and neither ingress
+/// nor the endsystem shards. It stays for what measures and checks it: the
+/// benchmark's `sharded.threaded_*` per-layer rows
+/// (`crates/benchmark/src/cluster_soak.rs`), `tests/sharded_equivalence.rs`
+/// and the conformance totals, which hold it to the inline merge, and
+/// ROADMAP item 11, the only candidate for a system use.
 pub struct ThreadedShards<T: Telemetry = ()> {
     /// Routing, merge order, exclusion and merge metrics — the inline
     /// scheduler's own frontend, moved here by `into_threaded`.
@@ -100,16 +107,6 @@ pub struct ThreadedShards<T: Telemetry = ()> {
     links: Vec<ShardLink<T>>,
     /// Per-cycle merge scratch (≤ K entries), reused across cycles.
     merge_scratch: Vec<Lane>,
-}
-
-impl ThreadedShards<Traced> {
-    /// Jain's fairness index over per-shard lane services, or `None` if the
-    /// source scheduler was never instrumented. In threaded mode every
-    /// non-idle shard services its own lane each cycle, so this measures
-    /// how evenly the offered load spreads across shards.
-    pub fn shard_fairness(&self) -> Option<f64> {
-        self.front.metrics.fairness()
-    }
 }
 
 impl<T: Telemetry> ThreadedShards<T> {
@@ -142,11 +139,6 @@ impl<T: Telemetry> ThreadedShards<T> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Routes one arrival to its shard's ring. Fails with `QueueFull` if
     /// the ring is full (workers drain it once per cycle) and with
     /// `ShardFailed` if the slot's shard has been excluded.
@@ -157,14 +149,6 @@ impl<T: Telemetry> ThreadedShards<T> {
             slot: global,
             capacity: arr_tx.capacity(),
         })
-    }
-
-    /// Batched arrival routing over `(global_slot, tag)` pairs.
-    pub fn push_arrivals(&mut self, arrivals: &[(usize, Wrap16)]) -> Result<()> {
-        for &(global, arrival) in arrivals {
-            self.push_arrival(global, arrival)?;
-        }
-        Ok(())
     }
 
     /// Runs `n` cycles on every shard in parallel and merges the results:
@@ -229,11 +213,6 @@ impl<T: Telemetry> ThreadedShards<T> {
                 .record_merge(merge_start, self.merge_scratch.iter().map(|&(_, _, k)| k));
         }
         report
-    }
-
-    /// Indices of shards currently excluded from the merge.
-    pub fn dead_shards(&self) -> Vec<usize> {
-        self.front.failed_shards()
     }
 
     /// Shuts the workers down and returns the shard fabrics (for reading

@@ -151,6 +151,8 @@ pub fn perfetto_json(tracks: &[TrackDump], ticks_per_us: f64) -> String {
 /// * **decision-latency** — `FabricArrival` → `DecisionWin`/`MergeWin`
 ///   (time queued in the fabric before winning);
 /// * **service-latency** — win → `Service` (handoff + transmit).
+///
+/// Tests-only: `tests/trace_lifecycle.rs` checks the per-stage latency export with it.
 #[derive(Debug, Default)]
 pub struct StageLatencies {
     /// `Admitted` → `RingEnqueue`, µs.
@@ -166,6 +168,7 @@ pub struct StageLatencies {
 impl StageLatencies {
     /// Accumulates stage gaps from a causally-ordered event stream (use
     /// [`stitch`] first). Control tags are skipped.
+    /// Tests-only: `tests/trace_lifecycle.rs` checks the per-stage latency export with it.
     #[must_use]
     pub fn from_events(events: &[StageEvent], ticks_per_us: f64) -> Self {
         let tpus = if ticks_per_us > 0.0 {
@@ -204,6 +207,7 @@ impl StageLatencies {
 
     /// Merges the accumulators into `registry` as `ss_trace_*_us`
     /// histograms, joining the existing snapshot/Prometheus schema.
+    /// Tests-only: `tests/trace_lifecycle.rs` checks the per-stage latency export with it.
     pub fn publish(&self, registry: &Registry) {
         registry
             .histogram(
@@ -440,7 +444,7 @@ mod tests {
     #[test]
     fn detail_codes_survive_into_json_args() {
         let mut tracks = sample_tracks();
-        tracks[0].events[0].detail = detail::GATE_ADMITTED;
+        tracks[0].events[0].detail = detail::DECISION_SCALAR;
         let json = perfetto_json(&tracks, 1.0);
         validate_perfetto_schema(&json).unwrap();
         assert!(json.contains("\"detail\":0"));

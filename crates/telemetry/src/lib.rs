@@ -26,12 +26,12 @@
 //!   drop-counting [`StageRing`]s with `rdtsc`-class timestamps
 //!   ([`clock::now_tsc`]). Packet events carry an 8-byte [`TraceTag`]
 //!   minted at admission; machine events (expiry passes, blocked decision
-//!   cycles, recovery path switches, breaker trips, watchdog trips) carry
+//!   cycles, recovery path switches, watchdog trips) carry
 //!   [`TraceTag::CONTROL`]. Per-thread span tracks feed an exporter that
 //!   stitches them into causally-ordered Chrome/Perfetto trace JSON plus
 //!   per-stage latency histograms merged into this crate's snapshot
 //!   schema; an always-on bounded [`FlightRecorder`] is dumped on watchdog
-//!   trip / breaker open / panic.
+//!   trip / violation / panic.
 //!
 //! # Instrumentation as a type
 //!
@@ -69,7 +69,7 @@ pub mod stats;
 
 pub use export::{perfetto_json, validate_causal, validate_perfetto_schema, StageLatencies};
 pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, Registry};
-pub use qos::{jain_fairness, QosSet, StreamQos, WinLatencyTracker};
+pub use qos::{QosSet, StreamQos, WinLatencyTracker};
 pub use recorder::{
     install_panic_hook, stitch, DumpReason, FlightDump, FlightRecorder, SharedFlightRecorder,
     SpanRecorder, StageRing, TrackDump, TrackRecorder,

@@ -434,6 +434,7 @@ impl Registry {
     }
 
     /// Registers (or retrieves) an unlabeled gauge.
+    /// Tests-only: `FaultInjector::publish` writes gauges with it for `tests/chaos.rs`.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
         self.gauge_labeled(name, &[], help)
     }

@@ -53,35 +53,6 @@ impl QosSet {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("qos serializes")
     }
-
-    /// Deadline miss rate across all streams (`None` with no service).
-    pub fn aggregate_miss_rate(&self) -> Option<f64> {
-        let met: u64 = self.streams.iter().map(|s| s.met_deadlines).sum();
-        let missed: u64 = self.streams.iter().map(|s| s.missed_deadlines).sum();
-        let total = met + missed;
-        (total > 0).then(|| missed as f64 / total as f64)
-    }
-
-    /// Jain's fairness index over per-stream service counts.
-    pub fn service_fairness(&self) -> f64 {
-        let counts: Vec<u64> = self.streams.iter().map(|s| s.serviced).collect();
-        jain_fairness(&counts)
-    }
-}
-
-/// Jain's fairness index: `(Σx)² / (n·Σx²)`, 1.0 when perfectly fair,
-/// `1/n` when one party takes everything. Returns 1.0 for empty or
-/// all-zero inputs (nothing was unfair).
-pub fn jain_fairness(counts: &[u64]) -> f64 {
-    if counts.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = counts.iter().map(|&c| c as f64).sum();
-    let sq_sum: f64 = counts.iter().map(|&c| (c as f64) * (c as f64)).sum();
-    if sq_sum == 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (counts.len() as f64 * sq_sum)
 }
 
 /// Records winner-selection latency (decision cycles between wins) for
@@ -131,15 +102,6 @@ impl WinLatencyTracker {
         out
     }
 
-    /// All slots' latency histograms merged into one.
-    pub fn merged_snapshot(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
-        for h in &self.hists {
-            out.merge(&h.snapshot());
-        }
-        out
-    }
-
     /// Number of tracked slots.
     pub fn slots(&self) -> usize {
         self.hists.len()
@@ -163,21 +125,10 @@ mod tests {
         assert_eq!(s.min, Some(2));
         assert_eq!(s.max, Some(5));
         assert_eq!(t.snapshot(1).count, 0, "slot 1 never won");
-        assert_eq!(t.merged_snapshot().count, 3);
     }
 
     #[test]
-    fn fairness_index() {
-        assert!((jain_fairness(&[10, 10, 10, 10]) - 1.0).abs() < 1e-12);
-        assert!((jain_fairness(&[40, 0, 0, 0]) - 0.25).abs() < 1e-12);
-        assert_eq!(jain_fairness(&[]), 1.0);
-        assert_eq!(jain_fairness(&[0, 0]), 1.0);
-        let skewed = jain_fairness(&[30, 10]);
-        assert!(skewed > 0.5 && skewed < 1.0, "skewed {skewed}");
-    }
-
-    #[test]
-    fn qos_set_aggregates() {
+    fn qos_set_round_trips_through_json() {
         let row = |slot, met, missed, serviced| StreamQos {
             slot,
             serviced,
@@ -193,17 +144,8 @@ mod tests {
             decision_cycles: 100,
             streams: vec![row(0, 80, 20, 100), row(1, 60, 40, 100)],
         };
-        assert!((set.aggregate_miss_rate().unwrap() - 0.3).abs() < 1e-12);
-        assert!((set.service_fairness() - 1.0).abs() < 1e-12);
         let json = set.to_json();
         let back: QosSet = serde_json::from_str(&json).unwrap();
         assert_eq!(back, set);
-    }
-
-    #[test]
-    fn empty_qos_set() {
-        let set = QosSet::default();
-        assert_eq!(set.aggregate_miss_rate(), None);
-        assert_eq!(set.service_fairness(), 1.0);
     }
 }

@@ -13,11 +13,11 @@
 //!   one causally-ordered event stream for export.
 //! * **Flight recorder** ([`FlightRecorder`] / [`SharedFlightRecorder`])
 //!   — a bounded last-N-events ring kept *always* warm so that when
-//!   something trips (watchdog stall, degradation-rung change, breaker
-//!   open, panic), the machine can dump the events leading up to the trip
+//!   something trips (watchdog stall, invariant violation, panic), the
+//!   machine can dump the events leading up to the trip
 //!   as a post-mortem artifact, black-box style. The shared form wraps a
-//!   mutex but records through `try_lock`: a contended record is counted
-//!   and dropped rather than ever blocking a decision path.
+//!   mutex but records through `try_lock`: a contended record is dropped
+//!   rather than ever blocking a decision path.
 //!
 //! Every buffer is allocated at construction; record paths never
 //! allocate (proved by `tests/zero_alloc.rs`).
@@ -333,7 +333,9 @@ pub enum DumpReason {
     /// Reserved: the retired degradation ladder's rung change. Nothing
     /// dumps with it; the variant stays so dumps keep their encoding.
     RungChange,
-    /// A shard circuit breaker opened.
+    /// A shard circuit breaker opened. The breakers are retired and
+    /// nothing dumps with it; the variant stays so dumps keep their
+    /// encoding.
     BreakerOpen,
     /// The process panicked (panic-hook fire).
     Panic,
@@ -378,6 +380,8 @@ impl FlightDump {
     ///
     /// # Errors
     /// Returns the serde error message when `json` is not a dump.
+    /// Tests-only: `tests/trace_lifecycle.rs` and `crates/cluster/tests/violation_dump.rs` check
+    /// with it that dumps round-trip.
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
     }
@@ -433,9 +437,6 @@ impl FlightRecorder {
 
 struct FlightShared {
     recorder: Mutex<FlightRecorder>,
-    /// Records refused because another thread held the lock — the record
-    /// path must never block a decision cycle.
-    contended: AtomicU64,
     last_dump: Mutex<Option<FlightDump>>,
 }
 
@@ -457,22 +458,19 @@ impl SharedFlightRecorder {
         Self {
             shared: Arc::new(FlightShared {
                 recorder: Mutex::new(FlightRecorder::new(capacity)),
-                contended: AtomicU64::new(0),
                 last_dump: Mutex::new(None),
             }),
         }
     }
 
     /// Records one event unless another thread holds the ring this
-    /// instant (then the event is dropped and counted — never blocks).
+    /// instant (then the event is dropped — the record path never blocks
+    /// a decision cycle).
     // lint:hot-path
     #[inline]
     pub fn record(&self, event: StageEvent) {
-        match self.shared.recorder.try_lock() {
-            Ok(mut rec) => rec.record(event),
-            Err(_) => {
-                self.shared.contended.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Ok(mut rec) = self.shared.recorder.try_lock() {
+            rec.record(event);
         }
     }
 
@@ -516,13 +514,7 @@ impl SharedFlightRecorder {
             .take()
     }
 
-    /// Records refused due to lock contention.
-    #[must_use]
-    pub fn contended(&self) -> u64 {
-        self.shared.contended.load(Ordering::Relaxed)
-    }
-
-    /// Events ever recorded (excluding contended drops).
+    /// Events ever recorded (excluding drops under contention).
     #[must_use]
     pub fn total_recorded(&self) -> u64 {
         self.shared
@@ -662,7 +654,7 @@ mod tests {
     #[test]
     fn dump_written_before_decision_stall_existed_still_round_trips() {
         // Byte-for-byte what the commit before `Stage::DecisionStall` /
-        // `detail::SHED_LADDER` wrote for these three events.
+        // the retired ladder's shed code wrote for these three events.
         let old = "{\"reason\":\"WatchdogTrip\",\"at_cycle\":11,\"capacity\":4,\"dropped\":0,\
             \"total\":3,\"ticks_per_us\":2.5,\"events\":[\
             {\"tag\":18446744073709551615,\"tsc\":42,\"cycle\":9,\"track\":2,\"stage\":\"Failover\",\"detail\":1,\"arg\":1},\
@@ -690,7 +682,6 @@ mod tests {
         let last = fr.take_last_dump().expect("auto_dump stores last");
         assert_eq!(last, dump);
         assert!(fr.take_last_dump().is_none(), "take empties the slot");
-        assert_eq!(fr.contended(), 0);
     }
 
     #[test]
@@ -713,11 +704,11 @@ mod tests {
             TraceTag::new(0, 5, 0).0,
             0,
             Stage::GateVerdict,
-            detail::GATE_TAIL_DROP,
+            detail::SHED_RING,
             0,
         );
         drop(t);
         let tracks = rec.drain();
-        assert_eq!(tracks[0].events[0].detail, detail::GATE_TAIL_DROP);
+        assert_eq!(tracks[0].events[0].detail, detail::SHED_RING);
     }
 }

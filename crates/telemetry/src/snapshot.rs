@@ -172,6 +172,7 @@ impl Snapshot {
     /// rendered with cumulative `_bucket{le=...}` series using each log2
     /// bucket's exclusive upper bound, plus `_sum` and `_count`; summaries
     /// as `_count`/`_sum` with mean and stddev gauges.
+    /// Tests-only: `tests/trace_lifecycle.rs` checks the Prometheus text export with it.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         let mut seen_header: Vec<&str> = Vec::new();

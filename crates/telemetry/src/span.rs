@@ -21,7 +21,7 @@
 //!
 //! `u64::MAX` ([`TraceTag::CONTROL`]) is reserved for control-plane
 //! events that describe the machine rather than a packet (watchdog trips,
-//! failovers, breaker trips, PCI batch transfers). The encoding is
+//! failovers, violations). The encoding is
 //! collision-free for runs of under 2³² admissions per slot — beyond any
 //! soak this workspace runs — and per-slot FIFO order through the SPSC
 //! rings and fabric queues makes the sequence number reconstructible at
@@ -58,6 +58,7 @@ impl TraceTag {
     }
 
     /// The recording origin (shard ID; 0 for unsharded runs).
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that tags round-trip.
     #[inline]
     #[must_use]
     pub const fn origin(self) -> u16 {
@@ -65,6 +66,7 @@ impl TraceTag {
     }
 
     /// The stream slot the packet belongs to.
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that tags round-trip.
     #[inline]
     #[must_use]
     pub const fn slot(self) -> u16 {
@@ -72,6 +74,7 @@ impl TraceTag {
     }
 
     /// The per-(origin, slot) admission sequence number.
+    /// Tests-only: `tests/trace_lifecycle.rs` checks with it that tags round-trip.
     #[inline]
     #[must_use]
     pub const fn seq(self) -> u32 {
@@ -116,8 +119,9 @@ pub enum Stage {
     /// Packet dropped by the overload plane; `detail` carries the
     /// [`gate reason`](detail) / loss-site code. Terminal.
     Shed = 8,
-    /// Control: a PCI block transfer was modeled (`detail` = direction,
-    /// `arg` = modeled nanoseconds).
+    /// Control: a PCI block transfer was modeled (`arg` = modeled
+    /// nanoseconds). Nothing records it since the traced PCI transfers
+    /// went; the code stays because stage codes are append-only.
     PciTransfer = 32,
     /// Control: an expiry pass dropped `arg` late head packets.
     DecisionExpire = 33,
@@ -127,7 +131,9 @@ pub enum Stage {
     /// Reserved: the retired degradation ladder's rung change. Nothing
     /// records it; the code stays because stage codes are append-only.
     RungChange = 35,
-    /// Control: a shard circuit breaker opened (`arg` = shard).
+    /// Control: a shard circuit breaker opened (`arg` = shard). The
+    /// breakers are retired and nothing records it; the code stays
+    /// because stage codes are append-only.
     BreakerOpen = 36,
     /// Control: the decision watchdog declared the path stuck.
     WatchdogTrip = 37,
@@ -211,24 +217,7 @@ pub mod detail {
     /// [`super::Stage::DecisionWin`]: the batched packed-lane arm won.
     pub const DECISION_BATCHED: u8 = 1;
 
-    /// Gate: arrival admitted (token bucket + RED both passed).
-    pub const GATE_ADMITTED: u8 = 0;
-    /// Gate: per-stream token bucket refused admission.
-    pub const GATE_ADMISSION_REJECT: u8 = 1;
-    /// Gate: RED early-drop picked this (sheddable) arrival.
-    pub const GATE_RED_EARLY: u8 = 2;
-    /// Gate: RED forced-drop above the max threshold.
-    pub const GATE_RED_FORCED: u8 = 3;
-    /// Gate: queue full — tail drop.
-    pub const GATE_TAIL_DROP: u8 = 4;
-    /// Gate: RED chose a protected (zero-loss) stream; the veto readmitted
-    /// it.
-    pub const GATE_VETO_READMIT: u8 = 5;
-
-    /// [`super::Stage::PciTransfer`]: host → card (arrival writes).
-    pub const PCI_TO_CARD: u8 = 0;
-    /// [`super::Stage::PciTransfer`]: card → host (result reads).
-    pub const PCI_FROM_CARD: u8 = 1;
+    // Gate verdicts carry `ss_overload::GateReason::code` (0..=5).
 
     /// [`super::Stage::Shed`]: dropped at an overflowing SPSC ring.
     pub const SHED_RING: u8 = 10;
@@ -238,9 +227,7 @@ pub mod detail {
     /// [`super::Stage::Shed`]: head packet expired in the fabric
     /// (`DropLate` policy).
     pub const SHED_EXPIRED: u8 = 12;
-    /// Reserved: the retired degradation ladder's ingest refusal. Nothing
-    /// records it; the code stays because detail codes are append-only.
-    pub const SHED_LADDER: u8 = 13;
+    // 13 was the retired degradation ladder's ingest refusal: never reuse.
 
     /// [`super::Stage::MergeWin`]: the winner was the only live candidate.
     pub const MERGE_ONLY_CANDIDATE: u8 = 255;
@@ -362,7 +349,7 @@ mod tests {
         assert_eq!(Stage::DrainWriteOff as u8, 40);
         assert!(Stage::DrainWriteOff.lifecycle_rank().is_none());
         assert_eq!(Stage::DrainWriteOff.name(), "drain_write_off");
-        assert_eq!((detail::SHED_EXPIRED, detail::SHED_LADDER), (12, 13));
+        assert_eq!(detail::SHED_EXPIRED, 12);
     }
 
     #[test]
@@ -378,7 +365,7 @@ mod tests {
             cycle: 99,
             track: 3,
             stage: Stage::GateVerdict,
-            detail: detail::GATE_RED_EARLY,
+            detail: detail::SHED_EXPIRED,
             arg: 7,
         };
         let json = serde_json::to_string(&e).unwrap();

@@ -51,12 +51,6 @@ impl Bursty {
             remaining: count,
         }
     }
-
-    /// The paper's Figure 9 configuration: 4000-frame bursts with a
-    /// multi-millisecond (default 4 ms) inter-burst delay.
-    pub fn figure9(stream: StreamId, size: PacketSize, intra_ns: Nanos, count: u64) -> Self {
-        Self::new(stream, size, 4000, intra_ns, 4_000_000, 0, count)
-    }
 }
 
 impl Iterator for Bursty {
@@ -101,20 +95,6 @@ mod tests {
         let times: Vec<u64> = events.iter().map(|e| e.time_ns).collect();
         // Burst 1 at 0,10,20; gap; burst 2 at 1020,1030,1040; gap; 2040.
         assert_eq!(times, vec![0, 10, 20, 1020, 1030, 1040, 2040]);
-    }
-
-    #[test]
-    fn figure9_shape() {
-        let events: Vec<_> = Bursty::figure9(sid(0), PacketSize(1500), 1000, 8001).collect();
-        assert_eq!(events.len(), 8001);
-        // First gap appears exactly after frame 4000.
-        let d3999 = events[4000].time_ns - events[3999].time_ns;
-        let d3998 = events[3999].time_ns - events[3998].time_ns;
-        assert_eq!(d3998, 1000, "intra-burst spacing");
-        assert_eq!(d3999, 4_000_000, "multi-ms inter-burst delay");
-        // Second gap after frame 8000.
-        let d7999 = events[8000].time_ns - events[7999].time_ns;
-        assert_eq!(d7999, 4_000_000);
     }
 
     #[test]

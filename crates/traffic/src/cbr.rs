@@ -35,24 +35,6 @@ impl Cbr {
             remaining: count,
         }
     }
-
-    /// A CBR source delivering `bytes_per_sec` with `size`-byte packets.
-    pub fn from_rate(
-        stream: StreamId,
-        size: PacketSize,
-        bytes_per_sec: u64,
-        start_ns: Nanos,
-        count: u64,
-    ) -> Self {
-        assert!(bytes_per_sec > 0, "rate must be positive");
-        let interval = (u64::from(size.bytes()) * 1_000_000_000) / bytes_per_sec;
-        Self::new(stream, size, interval.max(1), start_ns, count)
-    }
-
-    /// The inter-packet interval.
-    pub fn interval_ns(&self) -> Nanos {
-        self.interval_ns
-    }
 }
 
 impl Iterator for Cbr {
@@ -94,17 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn from_rate_computes_interval() {
-        // 1000-byte packets at 1 MB/s → one per millisecond.
-        let c = Cbr::from_rate(sid(1), PacketSize(1000), 1_000_000, 0, 10);
-        assert_eq!(c.interval_ns(), 1_000_000);
-    }
-
-    #[test]
     fn rate_is_respected_over_window() {
-        // 8 MBps with 1000-byte packets for 1 simulated second.
-        let events: Vec<_> =
-            Cbr::from_rate(sid(0), PacketSize(1000), 8_000_000, 0, 8_000).collect();
+        // 8 MBps with 1000-byte packets (one per 125 µs) for 1 simulated
+        // second.
+        let events: Vec<_> = Cbr::new(sid(0), PacketSize(1000), 125_000, 0, 8_000).collect();
         assert_eq!(events.len(), 8000);
         let last = events.last().unwrap().time_ns;
         let bytes: u64 = events.iter().map(|e| u64::from(e.size.bytes())).sum();

@@ -12,10 +12,6 @@
 //! * [`MpegFrames`] — I/P/B group-of-pictures frame-size pattern at a fixed
 //!   frame rate (the paper's §2 example of large-granularity scheduling).
 //! * [`merge()`] — deterministic time-ordered merge of per-stream sources.
-//! * [`trace`] — CSV trace record/replay with retiming helpers.
-//! * [`Throttled`] — backpressure-paced
-//!   wrapper stretching any generator's gaps by the endsystem's published
-//!   pressure level.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +23,6 @@ pub mod mpeg;
 pub mod onoff;
 pub mod poisson;
 pub mod shaper;
-pub mod throttle;
-pub mod trace;
 
 pub use bursty::Bursty;
 pub use cbr::Cbr;
@@ -37,8 +31,6 @@ pub use mpeg::MpegFrames;
 pub use onoff::OnOff;
 pub use poisson::Poisson;
 pub use shaper::Shaper;
-pub use throttle::Throttled;
-pub use trace::{from_csv, rebase, retime, to_csv};
 
 use serde::{Deserialize, Serialize};
 use ss_types::{Nanos, PacketSize, StreamId};

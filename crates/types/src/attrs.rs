@@ -84,8 +84,8 @@ pub enum ComparisonMode {
 
 /// The attribute word a Register Base block supplies to a Decision block.
 ///
-/// Field widths follow the published hardware (see
-/// [`crate::field_widths`]): 16-bit deadline, 8+8-bit window constraint,
+/// Field widths follow the published hardware (paper Figure 4): 16-bit
+/// deadline, 8+8-bit window constraint,
 /// 16-bit arrival time, 5-bit slot ID. `valid` models the slot-occupied
 /// signal: empty slots always lose. `static_prio` is the priority-class
 /// register used in static-priority mode.

@@ -72,17 +72,6 @@ pub enum Error {
         /// What degraded and why, human-readable.
         reason: String,
     },
-    /// An arrival was refused by the overload control plane (admission
-    /// bucket, QoS-aware shedder, or open shard breaker). The caller should
-    /// treat this as intentional load shedding,
-    /// not a fault: retrying immediately will make the overload worse.
-    Overloaded {
-        /// Stream/slot whose arrival was refused.
-        slot: usize,
-        /// Which control-plane site refused it (static name, e.g.
-        /// `"admission"`, `"shed"`, `"breaker"`).
-        site: &'static str,
-    },
 }
 
 impl fmt::Display for Error {
@@ -127,12 +116,6 @@ impl fmt::Display for Error {
             }
             Error::DegradedMode { reason } => {
                 write!(f, "scheduler degraded: {reason}")
-            }
-            Error::Overloaded { slot, site } => {
-                write!(
-                    f,
-                    "arrival for slot {slot} shed by overload control ({site})"
-                )
             }
         }
     }
@@ -184,14 +167,6 @@ mod tests {
         }
         .to_string()
         .contains("fabric stuck"));
-        assert_eq!(
-            Error::Overloaded {
-                slot: 5,
-                site: "admission"
-            }
-            .to_string(),
-            "arrival for slot 5 shed by overload control (admission)"
-        );
     }
 
     #[test]

@@ -129,25 +129,6 @@ impl From<StreamId> for SlotId {
     }
 }
 
-/// Identifier of a streamlet: a software-side sub-stream aggregated into a
-/// stream-slot (paper §4.3, "Stream Aggregation").
-///
-/// Streamlets never reach the FPGA; the Stream processor round-robins among
-/// the streamlets bound to a slot each time the slot wins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct StreamletId {
-    /// Slot the streamlet is bound to.
-    pub slot: SlotId,
-    /// Index of the streamlet within its slot.
-    pub index: u16,
-}
-
-impl fmt::Display for StreamletId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.slot, self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,11 +158,6 @@ mod tests {
     fn display_formats() {
         assert_eq!(StreamId::new(3).unwrap().to_string(), "S3");
         assert_eq!(SlotId::new(3).unwrap().to_string(), "slot3");
-        let sl = StreamletId {
-            slot: SlotId::new(2).unwrap(),
-            index: 41,
-        };
-        assert_eq!(sl.to_string(), "slot2.41");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Packed attribute codec: [`StreamAttrs`] ⇄ a single `u64` lane word.
 //!
 //! The hardware routes a 53-bit attribute word between Decision blocks
-//! (see [`crate::field_widths`]); this module widens it to one 64-bit
+//! (16 + 8 + 8 + 16 + 5 bits, paper Figure 4); this module widens it to one 64-bit
 //! lane, the only representation the decision hot path streams: eight
 //! bytes per slot, every Table-2 field one shift away. The layout is
 //! chosen so the *unsigned* value of the word already encodes the

@@ -1,19 +1,12 @@
-//! Packets as the scheduler sees them.
+//! Packet sizes and packet-times.
 //!
 //! ShareStreams never moves payloads through the scheduler: the Stream
 //! processor exchanges 16-bit arrival-time offsets and 5-bit stream IDs with
-//! the FPGA (paper §4.3). A [`Packet`] here is therefore a descriptor — the
-//! payload stays in host memory (or, in our simulation, does not exist).
+//! the FPGA (paper §4.3), so a packet matters here only by its length.
 
-use crate::ids::StreamId;
 use crate::Nanos;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Monotonic per-run packet identifier (simulation bookkeeping only; the
-/// hardware never sees it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PacketId(pub u64);
 
 /// Packet length in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -39,27 +32,6 @@ impl PacketSize {
 impl fmt::Display for PacketSize {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}B", self.0)
-    }
-}
-
-/// A packet descriptor flowing through per-stream queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Packet {
-    /// Simulation-unique identifier.
-    pub id: PacketId,
-    /// Stream this packet belongs to.
-    pub stream: StreamId,
-    /// Arrival time at the Stream processor, in simulated nanoseconds.
-    pub arrival_ns: Nanos,
-    /// Length on the wire.
-    pub size: PacketSize,
-}
-
-impl Packet {
-    /// Time to transmit this packet on a link of `line_speed_bps`, in
-    /// nanoseconds (the paper's *packet-time*: `length_bits / line_speed`).
-    pub fn packet_time_ns(&self, line_speed_bps: u64) -> Nanos {
-        packet_time_ns(self.size, line_speed_bps)
     }
 }
 
@@ -102,20 +74,6 @@ mod tests {
         let slow = packet_time_ns(PacketSize(1000), GBPS);
         let fast = packet_time_ns(PacketSize(1000), 2 * GBPS);
         assert_eq!(slow, 2 * fast);
-    }
-
-    #[test]
-    fn packet_helper_matches_free_function() {
-        let p = Packet {
-            id: PacketId(0),
-            stream: StreamId::new(0).unwrap(),
-            arrival_ns: 0,
-            size: PacketSize(256),
-        };
-        assert_eq!(
-            p.packet_time_ns(GBPS),
-            packet_time_ns(PacketSize(256), GBPS)
-        );
     }
 
     #[test]

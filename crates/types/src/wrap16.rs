@@ -60,11 +60,6 @@ impl Wrap16 {
         }
     }
 
-    /// `true` if `self` is strictly earlier than `other`.
-    pub fn is_before(self, other: Wrap16) -> bool {
-        self.serial_cmp(other) == Ordering::Less
-    }
-
     /// The raw 16-bit value.
     pub const fn raw(self) -> u16 {
         self.0
@@ -92,8 +87,8 @@ mod tests {
     fn plain_ordering_without_wrap() {
         let a = Wrap16(10);
         let b = Wrap16(20);
-        assert!(a.is_before(b));
-        assert!(!b.is_before(a));
+        assert_eq!(a.serial_cmp(b), Ordering::Less);
+        assert_eq!(b.serial_cmp(a), Ordering::Greater);
         assert_eq!(a.serial_cmp(a), Ordering::Equal);
     }
 
@@ -102,8 +97,8 @@ mod tests {
         // 65530 is "earlier" than 5 once the counter has wrapped.
         let late = Wrap16(65530);
         let early_next_epoch = Wrap16(5);
-        assert!(late.is_before(early_next_epoch));
-        assert!(!early_next_epoch.is_before(late));
+        assert_eq!(late.serial_cmp(early_next_epoch), Ordering::Less);
+        assert_eq!(early_next_epoch.serial_cmp(late), Ordering::Greater);
     }
 
     #[test]

@@ -260,6 +260,7 @@ mod tests {
 }
 
 /// A stream's DWCS service request for admission control.
+/// Tests-only: `tests/admission_control.rs` checks the DWCS admission bound with it.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DwcsRequest {
     /// Request period `T` in packet-times.
@@ -273,6 +274,7 @@ pub struct DwcsRequest {
 impl DwcsRequest {
     /// The fraction of this stream's packets that must be serviced on time:
     /// `(y - x) / y` (1.0 for zero-tolerance streams).
+    /// Tests-only: `tests/admission_control.rs` checks the DWCS admission bound with it.
     pub fn mandatory_fraction(&self) -> f64 {
         if self.loss_den == 0 {
             return 1.0;
@@ -286,6 +288,7 @@ impl DwcsRequest {
 /// stream must receive at least `(y-x)/y` of its packets, each consuming
 /// one packet-time every `T` — so the mandatory load is
 /// `Σ (1 - x_i/y_i) / T_i`.
+/// Tests-only: `tests/admission_control.rs` checks the DWCS admission bound with it.
 pub fn dwcs_min_utilization(requests: &[DwcsRequest]) -> f64 {
     requests
         .iter()
@@ -298,6 +301,7 @@ pub fn dwcs_min_utilization(requests: &[DwcsRequest]) -> f64 {
 /// with equal request periods this bound is exact; for heterogeneous
 /// periods it is the standard necessary condition (see the RTSS 2000
 /// analysis the paper builds on).
+/// Tests-only: `tests/admission_control.rs` checks the DWCS admission bound with it.
 pub fn dwcs_admissible(requests: &[DwcsRequest]) -> bool {
     dwcs_min_utilization(requests) <= 1.0 + 1e-9
 }

@@ -87,6 +87,7 @@ pub use ss_types as types;
 /// Publishes an `ss_build_info` gauge (value 1) carrying the crate version
 /// as a label — the standard Prometheus idiom for joining metrics against
 /// build metadata. There is one build, so the version names it.
+/// Tests-only: `tests/trace_lifecycle.rs` checks the build-info gauge with it.
 pub fn publish_build_info(registry: &ss_telemetry::Registry) {
     registry
         .gauge_labeled(

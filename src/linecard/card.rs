@@ -21,6 +21,7 @@ pub struct LinecardThroughput {
 }
 
 /// Wire-speed feasibility report: can the card keep up with a link?
+/// Tests-only: `tests/wire_speed.rs` checks §5.2's wire-speed claims with it.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct LinecardReport {
     /// The modeled throughput.
@@ -63,6 +64,8 @@ impl Linecard {
     }
 
     /// Switch fabric deposits a packet arrival for `stream`.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn packet_arrival(&mut self, stream: usize, arrival: Wrap16) -> Result<()> {
         self.sram.fabric_write_arrival(stream, arrival)?;
         // The SRAM interface concurrently makes the arrival visible to the
@@ -85,16 +88,22 @@ impl Linecard {
     }
 
     /// Transceiver drains the next scheduled stream ID.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn next_winner_id(&mut self) -> Option<u8> {
         self.sram.transceiver_read_winner()
     }
 
     /// The underlying fabric.
+    /// Tests-only: `tests/block_decisions.rs` and `tests/reconfiguration.rs` reach the card's
+    /// fabric with it.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
     }
 
     /// The SRAM model.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn sram(&self) -> &DualPortSram {
         &self.sram
     }
@@ -127,6 +136,7 @@ impl Linecard {
     }
 
     /// Wire-speed feasibility of this card against a link.
+    /// Tests-only: `tests/wire_speed.rs` checks §5.2's wire-speed claims with it.
     pub fn wire_speed_report(&self, line_speed_bps: u64, size: PacketSize) -> LinecardReport {
         let throughput = self.throughput();
         let pt_ns = packet_time_ns(size, line_speed_bps);

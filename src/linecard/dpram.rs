@@ -16,9 +16,6 @@ pub struct DualPortSram {
     arrival_queues: Vec<VecDeque<Wrap16>>,
     winner_ids: VecDeque<u8>,
     capacity_per_queue: usize,
-    /// Concurrent accesses served (both ports combined) — one per cycle
-    /// per port, no arbitration stalls.
-    accesses: u64,
     drops: u64,
 }
 
@@ -36,12 +33,13 @@ impl DualPortSram {
             arrival_queues: (0..streams).map(|_| VecDeque::new()).collect(),
             winner_ids: VecDeque::new(),
             capacity_per_queue,
-            accesses: 0,
             drops: 0,
         }
     }
 
     /// Switch-fabric port: deposits an arrival time for `stream`.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn fabric_write_arrival(&mut self, stream: usize, arrival: Wrap16) -> Result<()> {
         let cap = self.capacity_per_queue;
         let q = self
@@ -51,7 +49,6 @@ impl DualPortSram {
                 slot: stream,
                 slots: 0,
             })?;
-        self.accesses += 1;
         if q.len() >= cap {
             self.drops += 1;
             return Err(Error::QueueFull {
@@ -64,39 +61,27 @@ impl DualPortSram {
     }
 
     /// Scheduler port: reads (consumes) the head arrival of `stream`.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn scheduler_read_arrival(&mut self, stream: usize) -> Option<Wrap16> {
-        self.accesses += 1;
         self.arrival_queues.get_mut(stream)?.pop_front()
     }
 
     /// Scheduler port: writes a winner stream ID.
     pub fn scheduler_write_winner(&mut self, id: u8) {
-        self.accesses += 1;
         self.winner_ids.push_back(id);
     }
 
     /// Transceiver port: drains the next winner ID.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn transceiver_read_winner(&mut self) -> Option<u8> {
-        self.accesses += 1;
         self.winner_ids.pop_front()
     }
 
-    /// Occupancy of a stream's arrival queue.
-    pub fn arrival_backlog(&self, stream: usize) -> usize {
-        self.arrival_queues.get(stream).map_or(0, VecDeque::len)
-    }
-
-    /// Pending winner IDs.
-    pub fn winner_backlog(&self) -> usize {
-        self.winner_ids.len()
-    }
-
-    /// Total port accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
     /// Arrivals dropped at full queues.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn drops(&self) -> u64 {
         self.drops
     }
@@ -111,13 +96,12 @@ mod tests {
         let mut m = DualPortSram::new(4, 8);
         m.fabric_write_arrival(2, Wrap16(7)).unwrap();
         m.fabric_write_arrival(2, Wrap16(9)).unwrap();
-        assert_eq!(m.arrival_backlog(2), 2);
         assert_eq!(m.scheduler_read_arrival(2), Some(Wrap16(7)));
         m.scheduler_write_winner(2);
-        assert_eq!(m.winner_backlog(), 1);
         assert_eq!(m.transceiver_read_winner(), Some(2));
         assert_eq!(m.transceiver_read_winner(), None);
-        assert_eq!(m.accesses(), 6);
+        assert_eq!(m.scheduler_read_arrival(2), Some(Wrap16(9)));
+        assert_eq!(m.scheduler_read_arrival(2), None);
     }
 
     #[test]
@@ -134,7 +118,6 @@ mod tests {
         let mut m = DualPortSram::new(2, 2);
         assert!(m.fabric_write_arrival(5, Wrap16(0)).is_err());
         assert_eq!(m.scheduler_read_arrival(5), None);
-        assert_eq!(m.arrival_backlog(5), 0);
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub struct LinecardPipelineConfig {
 }
 
 /// Results of a line-card run.
+/// Tests-only: the §5.2 anchor tests in `linecard::pipeline` run it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinecardRunReport {
     /// Packets transmitted.
@@ -52,6 +53,7 @@ pub struct LinecardRunReport {
 }
 
 /// The line-card pipeline.
+/// Tests-only: the §5.2 anchor tests in `linecard::pipeline` run it.
 pub struct LinecardPipeline {
     card: Linecard,
     config: LinecardPipelineConfig,
@@ -93,19 +95,10 @@ impl LinecardPipeline {
         self.card.load_stream(slot, state, first_deadline)
     }
 
-    /// Nanoseconds one scheduler decision takes at the modeled clock.
-    pub fn decision_ns(&self) -> f64 {
-        self.decision_ns
-    }
-
-    /// The wire packet-time, ns.
-    pub fn packet_time_ns(&self) -> Nanos {
-        self.packet_time
-    }
-
     /// Runs with every stream continuously backlogged ("packet arrival
     /// times supplied in dual-ported memory by action of the switch
     /// fabric", §5.2) until `target_packets` have been transmitted.
+    /// Tests-only: the §5.2 anchor tests in `linecard::pipeline` run it.
     pub fn run_backlogged(&mut self, target_packets: u64) -> Result<LinecardRunReport> {
         let slots = self.config.fabric.slots;
         // Keep a rolling backlog in the card's SRAM queues.
