@@ -40,7 +40,7 @@ macro_rules! experiments {
 
 experiments! {
     table1, table2, table3, fig1, fig6, fig7, fig8, fig9, fig10, software_limits,
-    perf_comparison, extensions, transfer_sweep,
+    perf_comparison, extensions, transfer_sweep, priority_queues,
 }
 
 macro_rules! runs {
@@ -77,6 +77,7 @@ runs! {
     perf_measured: Vec<perf_comparison::Row> = perf_comparison::measured,
     extensions: Vec<extensions::Row> = extensions::run,
     transfer_sweep: Vec<transfer_sweep::Row> = transfer_sweep::run,
+    priority_queues: Vec<crate::priorityq::CostModel> = priority_queues::run,
 }
 
 /// The stream weights of Figures 8–10.

@@ -7,8 +7,8 @@
 //! and drops the same rows into the workspace `results/` directory: a JSON
 //! summary per experiment plus CSV series for the figures.
 //!
-//! [`priorityq`] holds the related-work hardware priority queues that the
-//! `priorityq_vs_shuffle` ablation bench measures against the shuffle.
+//! [`priorityq`] holds the related-work hardware priority queues that
+//! `exp priority_queues` prices against the shuffle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

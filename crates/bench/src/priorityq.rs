@@ -16,7 +16,8 @@
 //! This module implements the three structures (plus the binary comparator
 //! tree the paper dismisses as area-wasteful) behind one trait with cycle
 //! and comparator-count accounting, so the §3 argument can be *measured*
-//! rather than asserted — see the `priorityq_vs_shuffle` ablation bench.
+//! rather than asserted: [`CostModel`] tabulates it, and `exp
+//! priority_queues` checks the paper's claims against that table.
 
 pub mod heap;
 pub mod model;
@@ -25,7 +26,7 @@ pub mod systolic;
 pub mod tree;
 
 pub use heap::PipelinedHeap;
-pub use model::{resort_cost_cycles, CostModel};
+pub use model::CostModel;
 pub use shift_register::ShiftRegisterChain;
 pub use systolic::SystolicQueue;
 pub use tree::ComparatorTree;

@@ -31,9 +31,8 @@
 //!   register file: per-stream state in 32-entry banks, always-current lane
 //!   words, winner/loser updates, the block service walk, performance
 //!   counters.
-//! * [`network`] — the recirculating shuffle-exchange network (BA), the
-//!   winner-only tournament (WR), and the bitonic full-sort schedule the
-//!   fidelity note compares them against.
+//! * [`network`] — the recirculating shuffle-exchange network (BA) and the
+//!   winner-only tournament (WR).
 //! * [`control`] — the Control & Steering FSM and its timeline trace
 //!   (paper Figure 6).
 //! * [`fabric`] — the assembled fabric: runs decision cycles, counts hardware

@@ -1,5 +1,5 @@
-//! The single-stage recirculating shuffle-exchange network, the winner-only
-//! tournament, and the bitonic full-sort schedule they are measured against.
+//! The single-stage recirculating shuffle-exchange network and the
+//! winner-only tournament.
 //!
 //! The paper's area argument (§3, §4.3): a Decision-block *tree* needs N−1
 //! blocks and cannot be pipelined for window-constrained disciplines (the
@@ -31,10 +31,8 @@
 //! log2(N) shuffle-exchange passes guarantee the **maximum at position 0 and
 //! the minimum at position N−1** — which is everything the paper's
 //! max-first/min-first block modes consume — but *not* a fully sorted
-//! permutation (see [`bitonic_decision`] for the counterexample-free full
-//! sort, at log2(N)·(log2(N)+1)/2 passes — a network-level schedule kept as
-//! the evidence for the note, not something a fabric can be configured
-//! into). The unit tests enshrine the counterexample.
+//! permutation, which takes a bitonic schedule of log2(N)·(log2(N)+1)/2
+//! passes. The unit tests enshrine the counterexample.
 
 use crate::decision::{compare_batch, lane_select, DecisionBlock, RuleCounters};
 use ss_types::packed::{lane_valid, DEADLINE_SHIFT, INVALID_BIT};
@@ -324,60 +322,6 @@ fn wr_tournament<const N: usize>(
     winners[0]
 }
 
-/// Runs a bitonic sorting schedule on the same N/2 Decision blocks,
-/// producing an exactly sorted block (DESIGN.md §3 note 1; no fabric runs
-/// this schedule).
-/// Returns the sorted block and the number of network cycles consumed:
-/// log2(N)·(log2(N)+1)/2 — each bitonic stage is one pass over the N/2
-/// comparators, just with different mux settings from the Control unit.
-pub fn bitonic_decision(
-    words: &[StreamAttrs],
-    blocks: &mut [DecisionBlock],
-    mode: ComparisonMode,
-) -> (Vec<StreamAttrs>, u64) {
-    let n = words.len();
-    check_n(n);
-    assert_eq!(blocks.len(), n / 2, "need N/2 decision blocks");
-    let mut cur = words.to_vec();
-    let mut cycles = 0u64;
-    let k = n.trailing_zeros();
-    for stage in 1..=k {
-        for sub in (0..stage).rev() {
-            // One pass: compare-exchange pairs at distance 2^sub, direction
-            // chosen so the final order is highest priority first.
-            let dist = 1usize << sub;
-            let mut block_idx = 0;
-            for i in 0..n {
-                if i & dist == 0 {
-                    let j = i + dist;
-                    // Ascending (winner to the lower index) iff the bit at
-                    // `stage` is 0.
-                    let ascending = i & (1usize << stage) == 0;
-                    let (w, l) = blocks[block_idx % blocks.len()].compare(cur[i], cur[j], mode);
-                    if ascending {
-                        cur[i] = w;
-                        cur[j] = l;
-                    } else {
-                        cur[i] = l;
-                        cur[j] = w;
-                    }
-                    block_idx += 1;
-                }
-            }
-            cycles += 1;
-        }
-    }
-    (cur, cycles)
-}
-
-/// Number of bitonic passes for an N-word block.
-/// Tests-only: the reference `bitonic_sorts_all_sizes` holds the bitonic network's cycle count to.
-pub fn bitonic_pass_count(n: usize) -> u64 {
-    check_n(n);
-    let k = n.trailing_zeros() as u64;
-    k * (k + 1) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,24 +446,6 @@ mod tests {
         let block = if in_a { &a } else { &b };
         assert!(!block[3].valid, "invalid word must be last");
         assert_eq!(block[0].deadline, Wrap16(1));
-    }
-
-    #[test]
-    fn bitonic_fully_sorts() {
-        let words = tagged(&[1, 4, 2, 3]); // the shuffle-exchange counterexample
-        let (block, cycles) = bitonic_decision(&words, &mut blocks(4), ComparisonMode::ServiceTag);
-        let tags: Vec<u16> = block.iter().map(|w| w.deadline.raw()).collect();
-        assert_eq!(tags, vec![1, 2, 3, 4]);
-        assert_eq!(cycles, bitonic_pass_count(4));
-        assert_eq!(cycles, 3);
-    }
-
-    #[test]
-    fn bitonic_pass_counts() {
-        assert_eq!(bitonic_pass_count(4), 3);
-        assert_eq!(bitonic_pass_count(8), 6);
-        assert_eq!(bitonic_pass_count(16), 10);
-        assert_eq!(bitonic_pass_count(32), 15);
     }
 
     #[test]
@@ -705,12 +631,6 @@ mod tests {
         }
     }
 
-    fn is_sorted(block: &[StreamAttrs], mode: ComparisonMode) -> bool {
-        block
-            .windows(2)
-            .all(|p| order(&p[0], &p[1], mode).0 == Ordering::Less)
-    }
-
     proptest! {
         /// After log2(N) passes the extremes are guaranteed for any N and
         /// any tag assignment (the property Table 3's block modes rely on).
@@ -764,19 +684,6 @@ mod tests {
             let words = tagged(&seed_tags);
             let (winner, _) = wr_decision_in_place(&mut words.clone(), &mut blocks(8), mode);
             prop_assert_eq!(winner, oracle_best(&words, mode));
-        }
-
-        /// Bitonic output is totally sorted under the decision ordering.
-        #[test]
-        fn bitonic_sorts_all_sizes(
-            n_idx in 0usize..4,
-            seed_tags in proptest::collection::vec(0u16..32768, 32),
-        ) {
-            let n = [4usize, 8, 16, 32][n_idx];
-            let words = tagged(&seed_tags[..n]);
-            let (block, cycles) = bitonic_decision(&words, &mut blocks(n), ComparisonMode::ServiceTag);
-            prop_assert!(is_sorted(&block, ComparisonMode::ServiceTag));
-            prop_assert_eq!(cycles, bitonic_pass_count(n));
         }
 
         /// The packed BA ping-pong and WR tournament produce the

@@ -381,6 +381,8 @@ impl RtlFabric {
     }
 
     /// Runs clock edges until one decision retires, returning its outcome.
+    /// Tests-only: the conformance harness's RTL paths, `tests/soak.rs` and
+    /// `tests/compute_ahead.rs` check it against the functional fabric.
     pub fn run_decision(&mut self) -> DecisionOutcome {
         self.prime();
         let update_cycle = self.config.priority_update && !self.config.compute_ahead;

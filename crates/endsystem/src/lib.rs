@@ -31,7 +31,7 @@
 //! * [`pipeline`] — the deterministic virtual-time pipeline that produces
 //!   Figures 8, 9, 10 and the §5.2 endsystem throughput numbers.
 //! * [`threaded`] — a real multi-threaded pipeline over the SPSC rings
-//!   (used by the `host_router` example and throughput benches).
+//!   (used by the `host_router` example and the conformance harness).
 //! * [`worker`] — the one thread lifecycle: named, joined when dropped.
 //! * [`affinity`] — best-effort pinning for benchmark rigs (no-op off Linux).
 

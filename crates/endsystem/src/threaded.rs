@@ -251,7 +251,8 @@ pub fn run_threaded_traced(
 
 /// Convenience: an EDF fabric of `slots` always-backlogged streams
 /// (request period = slot count, staggered first deadlines), run through
-/// the threaded pipeline. Used by the examples and benches.
+/// the threaded pipeline. Used by the `host_router` example and
+/// `tests/conformance.rs`.
 pub fn run_threaded_edf(
     slots: usize,
     kind: ss_core::FabricConfigKind,

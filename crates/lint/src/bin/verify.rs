@@ -8,8 +8,9 @@
 //! One leg: the workspace has no cargo features, so every step checks the
 //! one build. The steps fall into two groups only so CI can run them as two
 //! parallel jobs: `debug` (the workspace tests, ss-lint, clippy) and
-//! `release` (release tests, the conformance full gear, the bench compile,
-//! rustfmt, rustdoc and the digests). Every step runs from the workspace
+//! `release` (release tests, the conformance full gear, rustfmt, rustdoc and
+//! the digests). Clippy's `--all-targets` compiles every target, the
+//! examples and bench binaries included. Every step runs from the workspace
 //! root with incremental builds and debuginfo off (debug builds fill the
 //! disk otherwise). The run stops at the first failing step and prints its
 //! command; a wall-time table per step follows, and a passing run ends with
@@ -39,7 +40,6 @@ const STEPS: &[(&str, &str, &str, &str)] = &[
     ("debug", "clippy", "clippy --workspace --all-targets -- -D warnings", ""),
     ("release", "test --release", "test --release --workspace", ""),
     ("release", "conformance full gear", "test --release --test conformance -- --ignored", ""),
-    ("release", "bench compile", "bench --no-run --workspace", ""),
     ("release", "rustfmt", "fmt --all --check", ""),
     // ss-benchmark is left out only for its one private `replay` link in
     // `loopback.rs` (ROADMAP item 4's stale prose); the row covers it once

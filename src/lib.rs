@@ -59,7 +59,7 @@
 //!
 //! The related-work hardware priority queues (heap, systolic, shift-register,
 //! tree) live in the bench crate as `ss_bench::priorityq`: their one user is
-//! the `priorityq_vs_shuffle` ablation bench.
+//! `exp priority_queues`, which prices them against the shuffle.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results; `cargo run --release -p ss-bench --bin exp`

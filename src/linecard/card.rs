@@ -109,6 +109,8 @@ impl Linecard {
     }
 
     /// Modeled throughput of this configuration.
+    /// Tests-only: `wire_speed_report` and the `paper_anchor_7_6m_packets_at_4_slots` test
+    /// (§5.2's 7.6 M pkt/s) read it.
     pub fn throughput(&self) -> LinecardThroughput {
         let cfg = self.fabric.config();
         Self::modeled_throughput(&self.model, cfg.slots, cfg.kind, cfg.priority_update)

@@ -1,5 +1,5 @@
 //! The paper's anchors: every row of `ss_bench::anchors()` (Tables 1–3,
-//! Figs 1 and 6–10, §4.1, §4.3, §5.2, §6) checked at the paper's scale.
+//! Figs 1 and 6–10, §3, §4.1, §4.3, §5.2, §6) checked at the paper's scale.
 //! Host-timed rows need a release build, so `exp` checks them; here they
 //! print as skipped (`cargo test --test paper_anchors -- --nocapture`).
 
