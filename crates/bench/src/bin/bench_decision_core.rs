@@ -19,10 +19,7 @@
 
 use serde::Serialize;
 use ss_bench::banner;
-use ss_core::{
-    DecisionOutcome, Fabric, FabricConfig, FabricConfigKind, LatePolicy, ScheduledPacket,
-    StreamState,
-};
+use ss_core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, ScheduledPacket, StreamState};
 use ss_endsystem::{Gate, GateConfig, RedConfig};
 use ss_sharded::ShardedScheduler;
 use ss_types::{WindowConstraint, Wrap16};
@@ -235,7 +232,7 @@ fn gated_decisions_per_s(slots: usize, managed: bool) -> f64 {
                     f.push_arrival(slot, Wrap16::from_wide(tag)).unwrap();
                 }
             }
-            if let DecisionOutcome::Winner(Some(p)) = f.decision_cycle() {
+            if let Some(p) = f.decision_cycle_into().first() {
                 packets += 1;
                 if let Some(g) = gate.as_mut() {
                     g.mirror_served(p.slot.index());

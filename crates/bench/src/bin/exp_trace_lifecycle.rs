@@ -68,7 +68,7 @@ fn main() {
         stitched.len(),
         out.tracks.len(),
         out.report.total,
-        out.report.lost,
+        out.report.loss.total(),
         trace_path.display()
     );
 

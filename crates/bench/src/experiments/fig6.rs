@@ -46,10 +46,7 @@ pub fn run() -> Fig6 {
         }
     }
     let winners = (0..4)
-        .map(|_| {
-            let outcome = fabric.decision_cycle();
-            outcome.packets().first().map(|p| p.slot.index())
-        })
+        .map(|_| fabric.decision_cycle_into().first().map(|p| p.slot.index()))
         .collect();
     Fig6 {
         timeline: fabric.fsm().timeline().to_vec(),

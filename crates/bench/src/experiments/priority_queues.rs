@@ -2,10 +2,12 @@
 //! recirculating shuffle, in comparators and in cycles per decision.
 //!
 //! The paper argues that one recirculating shuffle of N/2 Decision blocks
-//! replaces a tree of N − 1 comparators, and that a pipelined heap, a
-//! systolic queue or a shift-register chain must re-sort every stored
-//! stream on each window-constrained decision, where the shuffle re-orders
-//! as a side effect of its log₂N passes. The queues' cycle counts are their
+//! replaces a tree of N − 1 comparators and the N per-element comparators
+//! of a systolic queue or a shift-register chain (the pipelined heap's
+//! 2·log₂N is smaller, so no row claims area against it), and that all
+//! three queues must re-sort every stored stream on each
+//! window-constrained decision, where the shuffle re-orders as a side
+//! effect of its log₂N passes. The queues' cycle counts are their
 //! own operation accounting ([`crate::priorityq`]), not constants.
 
 use super::Runs;
@@ -29,6 +31,8 @@ pub(crate) const ANCHORS: &[Anchor] = &[
         |r| cost(r, 32, SHUFFLE).comparators as f64),
     row("priority_queues.tree_comparators_32", 31.0, Abs(0.0), "§3: a comparator tree needs N − 1 = 31 comparators at 32 slots",
         |r| cost(r, 32, "comparator-tree").comparators as f64),
+    row("priority_queues.element_queues_comparators_32", 16.0, Above, "§3: the systolic queue and the shift-register chain replicate a comparator in every element, more than the shuffle's 16 at 32 slots (the smaller of the two)",
+        |r| cost(r, 32, "systolic-queue").comparators.min(cost(r, 32, "shift-register-chain").comparators) as f64),
     row("priority_queues.shuffle_cycles_32", 6.0, Abs(0.0), "§3: the shuffle re-orders in its own log₂N + 1 = 6 cycles per window-constrained decision at 32 slots",
         |r| cost(r, 32, SHUFFLE).cycles_per_wc_decision as f64),
     row("priority_queues.queues_resort_slower", 0.0, Above, "§3: every heap, systolic and shift-register queue costs more cycles per window-constrained decision than the shuffle, at every width (smallest margin)",

@@ -49,7 +49,7 @@ pub fn run() -> RuleCounters {
         }
     }
     for _ in 0..2_000 {
-        fabric.decision_cycle();
+        fabric.decision_cycle_into();
     }
     fabric.rule_counters()
 }

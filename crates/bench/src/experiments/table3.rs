@@ -92,7 +92,7 @@ fn drain(kind: FabricConfigKind, order: BlockOrder) -> RunResult {
     let mut frames = [0u64; STREAMS];
     let mut transmitted = 0u64;
     while transmitted < FRAMES_PER_STREAM * STREAMS as u64 {
-        for p in fabric.decision_cycle().packets() {
+        for p in fabric.decision_cycle_into() {
             frames[p.slot.index()] += 1;
             transmitted += 1;
         }

@@ -6,8 +6,12 @@
 //! chain (Moon, Rexford & Shin; Bhagwan & Lin). The paper argues none of
 //! these yields a *unified canonical architecture*:
 //!
-//! 1. they replicate the (complex, multi-attribute) Decision block in every
-//!    element, where ShareStreams needs only N/2 of them; and
+//! 1. the systolic queue and the shift-register chain replicate the
+//!    (complex, multi-attribute) Decision block in every element — N of
+//!    them, where ShareStreams needs only N/2. The pipelined heap needs
+//!    only two per level (2·log₂N: 12 at 32 slots, fewer than the
+//!    shuffle's 16), so this half of the argument does not hold for it;
+//!    and
 //! 2. window-constrained disciplines update priorities every decision cycle,
 //!    forcing a full re-sort of the heap/systolic/shift structure per
 //!    decision, while the recirculating shuffle re-orders as a side effect

@@ -2,7 +2,7 @@
 //! blocks, N/2 Decision blocks, the recirculating network, and the Control
 //! FSM.
 //!
-//! One [`Fabric::decision_cycle`] call is one hardware decision:
+//! One [`Fabric::decision_cycle_into`] call is one hardware decision:
 //!
 //! * **WR (max-finding)** — the tournament selects the single winner, whose
 //!   head packet occupies the next packet-time on the link; every other slot
@@ -149,26 +149,6 @@ pub struct ScheduledPacket {
     pub completed_at: u64,
     /// `true` if the packet met its deadline.
     pub met: bool,
-}
-
-/// Result of one decision cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DecisionOutcome {
-    /// WR: the winner's packet (or `None` if no slot had a packet).
-    Winner(Option<ScheduledPacket>),
-    /// BA: the block transaction, in transmission order (possibly empty).
-    Block(Vec<ScheduledPacket>),
-}
-
-impl DecisionOutcome {
-    /// Packets transmitted this cycle.
-    pub fn packets(&self) -> &[ScheduledPacket] {
-        match self {
-            DecisionOutcome::Winner(Some(p)) => std::slice::from_ref(p),
-            DecisionOutcome::Winner(None) => &[],
-            DecisionOutcome::Block(v) => v,
-        }
-    }
 }
 
 /// The assembled scheduler fabric, instrumented by `T`: `()` (the
@@ -684,22 +664,11 @@ impl<T: Telemetry> Fabric<T> {
         );
     }
 
-    /// Runs one decision cycle. See the module docs for the exact
-    /// WR/BA semantics.
-    pub fn decision_cycle(&mut self) -> DecisionOutcome {
-        self.decision_cycle_core();
-        match self.config.kind {
-            FabricConfigKind::WinnerOnly => {
-                DecisionOutcome::Winner(self.last_block().first().copied())
-            }
-            FabricConfigKind::Base => DecisionOutcome::Block(self.last_block().to_vec()),
-        }
-    }
-
-    /// Runs one decision cycle without allocating, returning a view of the
-    /// transmitted packets (in transmission order) in the fabric's
-    /// persistent block buffer. For WR the slice holds at most one packet.
-    /// The slice is invalidated by the next decision cycle.
+    /// Runs one decision cycle (see the module docs for the exact WR/BA
+    /// semantics) without allocating, returning a view of the transmitted
+    /// packets, in transmission order, in the fabric's persistent block
+    /// buffer: at most one packet for WR, the block transaction (possibly
+    /// empty) for BA. The slice is invalidated by the next decision cycle.
     // lint:hot-path
     pub fn decision_cycle_into(&mut self) -> &[ScheduledPacket] {
         self.decision_cycle_core();
@@ -919,16 +888,13 @@ mod tests {
     #[test]
     fn wr_picks_earliest_deadline() {
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 4);
-        let out = f.decision_cycle();
-        match out {
-            DecisionOutcome::Winner(Some(p)) => {
-                assert_eq!(p.slot.index(), 0, "slot 0 has deadline 1");
-                assert_eq!(p.deadline, 1);
-                assert_eq!(p.completed_at, 1);
-                assert!(p.met);
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        let &[p] = f.decision_cycle_into() else {
+            panic!("one winner expected")
+        };
+        assert_eq!(p.slot.index(), 0, "slot 0 has deadline 1");
+        assert_eq!(p.deadline, 1);
+        assert_eq!(p.completed_at, 1);
+        assert!(p.met);
         assert_eq!(f.now(), 1);
     }
 
@@ -936,9 +902,7 @@ mod tests {
     fn wr_idle_when_no_packets() {
         let mut f = Fabric::new(FabricConfig::edf(4, FabricConfigKind::WinnerOnly)).unwrap();
         f.load_stream(0, edf_state(1), 1).unwrap();
-        let out = f.decision_cycle();
-        assert_eq!(out, DecisionOutcome::Winner(None));
-        assert_eq!(out.packets().len(), 0);
+        assert!(f.decision_cycle_into().is_empty());
         assert_eq!(f.now(), 1, "idle packet-time still elapses");
     }
 
@@ -946,7 +910,7 @@ mod tests {
     fn wr_losers_accumulate_misses() {
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 100);
         for _ in 0..40 {
-            f.decision_cycle();
+            f.decision_cycle_into();
         }
         // With T=1 and 4 always-backlogged streams, capacity is 1/4 of
         // demand: every stream accumulates roughly one miss per cycle in
@@ -962,8 +926,7 @@ mod tests {
     #[test]
     fn ba_block_transmits_all_backlogged_slots() {
         let mut f = backlogged_edf(4, FabricConfigKind::Base, 4);
-        let out = f.decision_cycle();
-        let packets = out.packets().to_vec();
+        let packets = f.decision_cycle_into().to_vec();
         assert_eq!(packets.len(), 4);
         // Max-first order: deadlines 1,2,3,4 transmitted in order, each
         // completing exactly at its deadline → all met.
@@ -988,8 +951,7 @@ mod tests {
                 f.push_arrival(s, Wrap16(a)).unwrap();
             }
         }
-        let out = f.decision_cycle();
-        let packets = out.packets().to_vec();
+        let packets = f.decision_cycle_into().to_vec();
         assert_eq!(packets.len(), 4);
         // Reverse order: latest deadline (4) goes first and meets; the two
         // earliest-deadline packets are late.
@@ -1009,8 +971,7 @@ mod tests {
         }
         f.push_arrival(1, Wrap16(0)).unwrap();
         f.push_arrival(3, Wrap16(0)).unwrap();
-        let out = f.decision_cycle();
-        let packets = out.packets().to_vec();
+        let packets = f.decision_cycle_into().to_vec();
         assert_eq!(packets.len(), 2, "only occupied slots transmit");
         assert_eq!(f.now(), 2, "block transaction spans 2 packet-times");
         assert_eq!(
@@ -1024,8 +985,7 @@ mod tests {
     fn ba_idle_cycle_advances_time() {
         let mut f = Fabric::new(FabricConfig::edf(4, FabricConfigKind::Base)).unwrap();
         f.load_stream(0, edf_state(1), 1).unwrap();
-        let out = f.decision_cycle();
-        assert_eq!(out.packets().len(), 0);
+        assert!(f.decision_cycle_into().is_empty());
         assert_eq!(f.now(), 1);
     }
 
@@ -1035,9 +995,9 @@ mod tests {
         // cycles per decision (2 schedule + 1 update).
         let mut f = backlogged_edf(4, FabricConfigKind::WinnerOnly, 2);
         assert_eq!(f.hw_cycles(), 4, "four LOAD cycles");
-        f.decision_cycle();
+        f.decision_cycle_into();
         assert_eq!(f.hw_cycles(), 7);
-        f.decision_cycle();
+        f.decision_cycle_into();
         assert_eq!(f.hw_cycles(), 10);
         assert_eq!(f.decision_count(), 2);
     }
@@ -1050,7 +1010,7 @@ mod tests {
             f.push_arrival(s, Wrap16(0)).unwrap();
         }
         let before = f.hw_cycles();
-        f.decision_cycle();
+        f.decision_cycle_into();
         assert_eq!(f.hw_cycles() - before, 2, "log2(4) cycles, no update");
     }
 
@@ -1071,16 +1031,18 @@ mod tests {
             f.load_stream(s, st, 100).unwrap();
             f.push_arrival(s, Wrap16(0)).unwrap();
         }
-        match f.decision_cycle() {
-            DecisionOutcome::Winner(Some(p)) => assert_eq!(p.slot.index(), 1),
-            other => panic!("unexpected {other:?}"),
-        }
+        let slots: Vec<usize> = f
+            .decision_cycle_into()
+            .iter()
+            .map(|p| p.slot.index())
+            .collect();
+        assert_eq!(slots, [1]);
     }
 
     #[test]
     fn rule_counters_accumulate_across_blocks() {
         let mut f = backlogged_edf(8, FabricConfigKind::Base, 4);
-        f.decision_cycle();
+        f.decision_cycle_into();
         let rc = f.rule_counters();
         // 3 passes × 4 decision blocks = 12 comparisons.
         assert_eq!(rc.total(), 12);
@@ -1093,7 +1055,7 @@ mod tests {
         let mut batched = backlogged_edf(8, FabricConfigKind::Base, 16);
         let mut expected = Vec::new();
         for _ in 0..6 {
-            expected.extend_from_slice(legacy.decision_cycle().packets());
+            expected.extend_from_slice(legacy.decision_cycle_into());
         }
         let mut sink = Vec::new();
         let appended = batched.decision_cycles(6, &mut sink);
@@ -1109,7 +1071,7 @@ mod tests {
         let mut batched = backlogged_edf(4, FabricConfigKind::WinnerOnly, 16);
         let mut expected = Vec::new();
         for _ in 0..10 {
-            expected.extend_from_slice(legacy.decision_cycle().packets());
+            expected.extend_from_slice(legacy.decision_cycle_into());
         }
         let mut sink = Vec::new();
         batched.decision_cycles(10, &mut sink);
@@ -1120,16 +1082,6 @@ mod tests {
                 legacy.slot_counters(s).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn decision_cycle_into_matches_packets_view() {
-        let mut a = backlogged_edf(8, FabricConfigKind::Base, 4);
-        let mut b = backlogged_edf(8, FabricConfigKind::Base, 4);
-        let out = a.decision_cycle();
-        let view = b.decision_cycle_into().to_vec();
-        assert_eq!(view, out.packets());
-        assert_eq!(b.last_block(), out.packets());
     }
 
     #[test]
@@ -1150,7 +1102,7 @@ mod tests {
         for s in 0..4 {
             assert_eq!(batch.backlog(s).unwrap(), single.backlog(s).unwrap());
         }
-        assert_eq!(single.decision_cycle(), batch.decision_cycle());
+        assert_eq!(single.decision_cycle_into(), batch.decision_cycle_into());
         // Out-of-range slot anywhere in the batch is rejected.
         assert!(batch
             .push_arrivals(&[(0, Wrap16(0)), (9, Wrap16(0))])
@@ -1199,7 +1151,7 @@ mod tests {
         f.attach_telemetry(&registry, 3);
         f.attach_spans(&recorder, 3, "fabric");
         for _ in 0..8 {
-            f.decision_cycle();
+            f.decision_cycle_into();
         }
         f.expire_cycle();
         // Observations batch locally until the flush window or drop; force
@@ -1274,9 +1226,9 @@ mod tests {
         let mut f = backlogged::<Traced>(4, FabricConfigKind::Base, 2);
         f.attach_telemetry(&registry, 0);
         f.attach_spans(&recorder, 0, "fabric");
-        f.decision_cycle(); // full block of 4
-        f.decision_cycle(); // full block of 4
-        f.decision_cycle(); // empty → idle
+        f.decision_cycle_into(); // full block of 4
+        f.decision_cycle_into(); // full block of 4
+        f.decision_cycle_into(); // empty → idle
         f.flush_telemetry();
         let snap = registry.snapshot();
         match &metric(&snap, "ss_fabric_block_len_packets").value {
@@ -1323,11 +1275,11 @@ mod tests {
             },
         )));
         for _ in 0..10 {
-            assert!(f.decision_cycle().packets().is_empty(), "wedged");
+            assert!(f.decision_cycle_into().is_empty(), "wedged");
         }
         f.expire_cycle(); // a blocked expiry attempt stalls the same way
         f.inject_crash();
-        f.decision_cycle();
+        f.decision_cycle_into();
 
         f.detach_spans();
         let tracks = recorder.drain();
@@ -1368,7 +1320,7 @@ mod tests {
         f.attach_faults(Arc::clone(&inj));
         let hw_before = f.hw_cycles();
         for _ in 0..10 {
-            assert!(f.decision_cycle().packets().is_empty(), "wedged");
+            assert!(f.decision_cycle_into().is_empty(), "wedged");
         }
         // Time and attempt counts advance; the FSM and register state do
         // not — that is exactly the stuck-loop signature.
@@ -1387,7 +1339,7 @@ mod tests {
         let mut faulted = backlogged_edf(4, FabricConfigKind::Base, 4);
         faulted.attach_faults(Arc::new(FaultInjector::disabled()));
         for _ in 0..4 {
-            assert_eq!(plain.decision_cycle(), faulted.decision_cycle());
+            assert_eq!(plain.decision_cycle_into(), faulted.decision_cycle_into());
         }
         assert!(!faulted.is_crashed());
     }
@@ -1398,12 +1350,12 @@ mod tests {
         assert!(!f.is_crashed());
         f.inject_crash();
         assert!(f.is_crashed());
-        assert!(f.decision_cycle().packets().is_empty());
+        assert!(f.decision_cycle_into().is_empty());
         f.expire_cycle();
         assert_eq!(f.backlog(0).unwrap(), 4, "crash also blocks expiry");
         f.clear_faults();
         assert!(!f.is_crashed());
-        assert!(!f.decision_cycle().packets().is_empty(), "recovered");
+        assert!(!f.decision_cycle_into().is_empty(), "recovered");
     }
 
     #[test]
@@ -1429,7 +1381,7 @@ mod tests {
         let backlog = |f: &Fabric| (0..4).map(|s| f.backlog(s).unwrap()).sum::<usize>();
         assert_eq!(backlog(&f), 8);
         for _ in 0..8 {
-            f.decision_cycle();
+            f.decision_cycle_into();
         }
         assert_eq!(backlog(&f), 0, "queues drained");
     }
@@ -1657,10 +1609,12 @@ mod tests {
             let peek = f.peek_winner();
             assert!(lane_valid(peek));
             assert_eq!(lane_slot(peek), expect);
-            match f.decision_cycle() {
-                DecisionOutcome::Winner(Some(p)) => assert_eq!(p.slot.index(), expect),
-                other => panic!("unexpected {other:?}"),
-            }
+            let slots: Vec<usize> = f
+                .decision_cycle_into()
+                .iter()
+                .map(|p| p.slot.index())
+                .collect();
+            assert_eq!(slots, [expect]);
         }
         // The service emptied slot 5.
         assert!(!lane_valid(f.peek_winner()));
@@ -1677,7 +1631,7 @@ mod tests {
         f.enable_timeline();
         f.load_stream(0, edf_state(1), 1).unwrap();
         f.push_arrival(0, Wrap16(0)).unwrap();
-        f.decision_cycle();
+        f.decision_cycle_into();
         let tl = f.fsm().timeline();
         assert_eq!(tl.len(), 4); // 1 load + 2 schedule + 1 update
     }

@@ -9,8 +9,10 @@
 //!   real registered logic cannot.
 //! * [`events`] — a deterministic discrete-event queue used by the
 //!   transaction-level endsystem models (PCI, DMA, SRAM banks).
-//! * [`stats`] — counters, histograms, rate meters and time-series recorders
-//!   that back every figure regeneration.
+//! * [`stats`] — the rate meters and time-series recorders that back every
+//!   figure regeneration. Delay histograms and summaries are
+//!   `ss-telemetry`'s `LocalHistogram` and `Summary`, the one schema the
+//!   live schedulers report through too.
 //! * [`vcd`] — a Value Change Dump writer for the RTL model's waveforms.
 //! * [`virtex`] — the Virtex-I device table and the area/clock-rate model
 //!   calibrated to the paper's published numbers (Decision block = 190
@@ -28,7 +30,7 @@ pub mod vcd;
 pub mod virtex;
 
 pub use events::EventQueue;
-pub use stats::{Histogram, RateMeter, Summary, TimeSeries};
+pub use stats::{RateMeter, TimeSeries};
 pub use sync::{CycleSim, Synchronous};
 pub use vcd::VcdWriter;
 pub use virtex::{

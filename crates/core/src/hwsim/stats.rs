@@ -1,146 +1,16 @@
 //! Measurement instruments backing the experiment figures.
 //!
-//! * [`Histogram`] — log-linear latency/delay histogram with exact count,
-//!   mean, and percentile queries (Figure 9 queuing delays).
 //! * [`RateMeter`] — bins byte/packet counts into fixed time windows and
 //!   yields a bandwidth-over-time series (Figure 8/10 allocations).
 //! * [`TimeSeries`] — ordered (x, y) samples with CSV export, the common
 //!   output format of the `exp` binary's experiments.
-//! * [`Summary`] — Welford mean/variance accumulator, re-exported from
-//!   `ss-telemetry` (the canonical home since the telemetry crate landed).
+//!
+//! Histograms and the Welford summary are `ss-telemetry`'s
+//! (`LocalHistogram`, `Summary`), so simulated measurements and runtime
+//! metrics report through one schema.
 
 use serde::{Deserialize, Serialize};
 use ss_types::Nanos;
-
-/// A histogram with 64 power-of-two magnitude buckets, each split into 16
-/// linear sub-buckets (HDR-histogram style, ~6% relative error), plus exact
-/// running count/sum/min/max.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-const SUB_BUCKET_BITS: u32 = 4;
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; 64 * SUB_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    fn index_of(value: u64) -> usize {
-        if value < SUB_BUCKETS as u64 {
-            return value as usize;
-        }
-        let magnitude = 63 - value.leading_zeros(); // >= SUB_BUCKET_BITS
-        let sub = (value >> (magnitude - SUB_BUCKET_BITS)) as usize & (SUB_BUCKETS - 1);
-        ((magnitude - SUB_BUCKET_BITS + 1) as usize) * SUB_BUCKETS + sub
-    }
-
-    /// Lower bound of the bucket at `idx` (the value reported for
-    /// percentiles falling in that bucket).
-    fn bucket_floor(idx: usize) -> u64 {
-        let magnitude = idx / SUB_BUCKETS;
-        let sub = (idx % SUB_BUCKETS) as u64;
-        if magnitude == 0 {
-            sub
-        } else {
-            (SUB_BUCKETS as u64 + sub) << (magnitude - 1)
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = Self::index_of(value);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += u128::from(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
-    }
-
-    /// Exact minimum, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Exact maximum, or `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Exports the histogram in the workspace-wide telemetry schema:
-    /// occupied buckets keyed by their floor value (strictly ascending, by
-    /// construction of `bucket_floor`), so hwsim measurement artifacts and
-    /// live scheduler metrics serialize identically.
-    pub fn snapshot(&self) -> ss_telemetry::HistogramSnapshot {
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .map(|(idx, &count)| ss_telemetry::Bucket {
-                lower: Self::bucket_floor(idx),
-                count,
-            })
-            .collect();
-        ss_telemetry::HistogramSnapshot {
-            count: self.count,
-            sum: u64::try_from(self.sum).unwrap_or(u64::MAX),
-            min: (self.count > 0).then_some(self.min),
-            max: (self.count > 0).then_some(self.max),
-            buckets,
-        }
-    }
-
-    /// Approximate `q`-quantile (`0.0..=1.0`); resolution ~6%.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Self::bucket_floor(idx).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-}
 
 /// Bins event magnitudes (bytes, packets) into fixed-width time windows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -235,110 +105,9 @@ impl TimeSeries {
     }
 }
 
-/// The Welford mean/variance accumulator, re-exported from the telemetry
-/// crate so the whole workspace shares one summary-statistics schema. It
-/// originated here; `ss-telemetry` is now the canonical home (its
-/// [`Summary::snapshot`] feeds the exporter pipeline).
-pub use ss_telemetry::Summary;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn histogram_exact_stats() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 4, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Some(1));
-        assert_eq!(h.max(), Some(100));
-        assert!((h.mean().unwrap() - 22.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_median_of_uniform() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let med = h.quantile(0.5).unwrap();
-        // ~6% relative resolution around 500.
-        assert!((450..=550).contains(&med), "median {med} out of range");
-    }
-
-    #[test]
-    fn histogram_small_values_exact() {
-        let mut h = Histogram::new();
-        for _ in 0..10 {
-            h.record(7);
-        }
-        assert_eq!(h.quantile(0.5), Some(7));
-        assert_eq!(h.quantile(1.0), Some(7));
-    }
-
-    proptest! {
-        /// Quantile results always lie within [min, max], and the bucket
-        /// index function is monotone.
-        #[test]
-        fn histogram_quantile_bounded(values in proptest::collection::vec(0u64..1u64<<40, 1..200), q in 0.0f64..1.0) {
-            let mut h = Histogram::new();
-            for &v in &values { h.record(v); }
-            let quant = h.quantile(q).unwrap();
-            prop_assert!(quant >= h.min().unwrap());
-            prop_assert!(quant <= h.max().unwrap());
-        }
-
-        #[test]
-        fn histogram_index_monotone(a in any::<u64>(), b in any::<u64>()) {
-            prop_assume!(a <= b);
-            prop_assert!(Histogram::index_of(a) <= Histogram::index_of(b));
-        }
-
-        /// bucket_floor(index_of(v)) <= v, and within ~6.25% of v.
-        #[test]
-        fn histogram_bucket_floor_close(v in 0u64..1u64<<50) {
-            let floor = Histogram::bucket_floor(Histogram::index_of(v));
-            prop_assert!(floor <= v);
-            prop_assert!(v - floor <= v / 16 + 1);
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_telemetry_schema() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 4, 100] {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.sum, 110);
-        assert_eq!(snap.min, Some(1));
-        assert_eq!(snap.max, Some(100));
-        assert_eq!(snap.buckets.iter().map(|b| b.count).sum::<u64>(), 5);
-        // Strictly ascending floors, each at or below its observation.
-        for pair in snap.buckets.windows(2) {
-            assert!(pair[0].lower < pair[1].lower);
-        }
-        // Quantiles agree between the live histogram and its snapshot —
-        // both report the floor of the bucket holding the q-th sample.
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(h.quantile(q), snap.quantile(q), "q={q}");
-        }
-        assert_eq!(Histogram::new().snapshot(), Default::default());
-    }
 
     #[test]
     fn rate_meter_bins_and_rates() {

@@ -63,9 +63,7 @@ pub mod watchdog;
 pub use control::{ControlFsm, FsmState, TimelineEntry};
 pub use decision::{DecisionBlock, DecisionRule, RuleCounters};
 pub use dwcs::{DwcsUpdater, UpdateEvent};
-pub use fabric::{
-    BlockOrder, DecisionOutcome, Fabric, FabricConfig, RegisterSnapshot, ScheduledPacket,
-};
+pub use fabric::{BlockOrder, Fabric, FabricConfig, RegisterSnapshot, ScheduledPacket};
 pub use faults::{FabricFaults, RecoveryLedger};
 pub use register::{LatePolicy, RegisterFile, SlotCounters, StreamState};
 pub use rtl::{RtlFabric, RtlWires};

@@ -20,7 +20,7 @@
 //! functional-only.
 
 use crate::decision::DecisionBlock;
-use crate::fabric::{BlockOrder, DecisionOutcome, FabricConfig, ScheduledPacket};
+use crate::fabric::{BlockOrder, FabricConfig, ScheduledPacket};
 use crate::hwsim::{CycleSim, FabricConfigKind, Synchronous, VcdWriter};
 use crate::network;
 use crate::register::{RegisterFile, SlotCounters, StreamState};
@@ -237,6 +237,8 @@ pub struct RtlFabric {
     registers: Registers,
     now: SharedNow,
     outbox: Outbox,
+    /// The packets the last decision retired, in transmission order.
+    block: Vec<ScheduledPacket>,
     config: FabricConfig,
     schedule_cycles: u8,
     decision_count: u64,
@@ -299,6 +301,7 @@ impl RtlFabric {
             registers,
             now,
             outbox,
+            block: Vec::new(),
             config,
             schedule_cycles,
             decision_count: 0,
@@ -380,18 +383,34 @@ impl RtlFabric {
         wires.update_phase = false;
     }
 
-    /// Runs clock edges until one decision retires, returning its outcome.
+    /// Runs clock edges until one decision retires, returning the
+    /// transmitted packets as [`crate::Fabric::decision_cycle_into`] does
+    /// (valid until the next decision).
     /// Tests-only: the conformance harness's RTL paths, `tests/soak.rs` and
     /// `tests/compute_ahead.rs` check it against the functional fabric.
-    pub fn run_decision(&mut self) -> DecisionOutcome {
+    pub fn run_decision(&mut self) -> &[ScheduledPacket] {
+        self.decide(None)
+            .expect("a decision without a waveform writes nothing that can fail")
+    }
+
+    /// One decision: the clock edges, each dumped into `vcd` when given,
+    /// then the retire.
+    fn decide(
+        &mut self,
+        mut vcd: Option<&mut VcdWriter>,
+    ) -> std::result::Result<&[ScheduledPacket], String> {
         self.prime();
         let update_cycle = self.config.priority_update && !self.config.compute_ahead;
         let cycles = u64::from(self.schedule_cycles) + u64::from(update_cycle);
         for _ in 0..cycles {
             self.sim.step();
+            if let Some(vcd) = vcd.as_deref_mut() {
+                self.dump_wires(vcd)?;
+            }
         }
-        let packets: Vec<ScheduledPacket> = if update_cycle {
-            self.outbox.borrow_mut().drain(..).collect()
+        if update_cycle {
+            self.block.clear();
+            std::mem::swap(&mut self.block, &mut *self.outbox.borrow_mut());
         } else {
             // Update cycle absent — either the fair-queuing bypass or the
             // compute-ahead fold; retire combinationally at the boundary
@@ -406,13 +425,10 @@ impl RtlFabric {
                 now,
             );
             *self.now.borrow_mut() = new_now;
-            packets
-        };
-        self.decision_count += 1;
-        match self.config.kind {
-            FabricConfigKind::WinnerOnly => DecisionOutcome::Winner(packets.first().copied()),
-            FabricConfigKind::Base => DecisionOutcome::Block(packets),
+            self.block = packets;
         }
+        self.decision_count += 1;
+        Ok(&self.block)
     }
 }
 
@@ -487,8 +503,7 @@ mod tests {
         let config = FabricConfig::dwcs(4, FabricConfigKind::WinnerOnly);
         let mut rtl = RtlFabric::new(config).unwrap();
         rtl.load_stream(0, state(4), 4).unwrap();
-        let out = rtl.run_decision();
-        assert_eq!(out, DecisionOutcome::Winner(None));
+        assert!(rtl.run_decision().is_empty());
         assert_eq!(rtl.now(), 1, "idle packet-time elapses");
     }
 }
@@ -507,53 +522,28 @@ impl RtlFabric {
         Ok(())
     }
 
-    /// Runs `decisions` decisions while dumping every clock edge's wire
-    /// values into `vcd` (one VCD timestep per hardware cycle).
+    /// Runs one decision while dumping every clock edge's wire values
+    /// into `vcd` (one VCD timestep per hardware cycle), returning the
+    /// transmitted packets as [`RtlFabric::run_decision`] does.
     pub fn run_traced(
         &mut self,
-        decisions: u64,
         vcd: &mut VcdWriter,
-    ) -> std::result::Result<Vec<DecisionOutcome>, String> {
-        let mut outcomes = Vec::new();
-        for _ in 0..decisions {
-            self.prime();
-            let update_cycle = self.config.priority_update && !self.config.compute_ahead;
-            let cycles = u64::from(self.schedule_cycles) + u64::from(update_cycle);
-            for _ in 0..cycles {
-                self.sim.step();
-                vcd.set_time(self.sim.cycle())?;
-                let wires = self.sim.state();
-                vcd.change("step", u64::from(wires.step))?;
-                vcd.change("update_phase", u64::from(wires.update_phase))?;
-                for (i, lane) in wires.lanes.iter().enumerate() {
-                    vcd.change(&format!("lane{i}_deadline"), u64::from(lane.deadline.raw()))?;
-                    vcd.change(&format!("lane{i}_slot"), u64::from(lane.slot.raw()))?;
-                    vcd.change(&format!("lane{i}_valid"), u64::from(lane.valid))?;
-                }
-            }
-            // Retire exactly as run_decision does.
-            let packets: Vec<ScheduledPacket> = if update_cycle {
-                self.outbox.borrow_mut().drain(..).collect()
-            } else {
-                let now = *self.now.borrow();
-                let lanes = self.sim.state().lanes.clone();
-                let (packets, new_now) = retire(
-                    &mut self.registers.borrow_mut(),
-                    &lanes,
-                    self.config.kind,
-                    self.config.priority_update,
-                    now,
-                );
-                *self.now.borrow_mut() = new_now;
-                packets
-            };
-            self.decision_count += 1;
-            outcomes.push(match self.config.kind {
-                FabricConfigKind::WinnerOnly => DecisionOutcome::Winner(packets.first().copied()),
-                FabricConfigKind::Base => DecisionOutcome::Block(packets),
-            });
+    ) -> std::result::Result<&[ScheduledPacket], String> {
+        self.decide(Some(vcd))
+    }
+
+    /// One clock edge's wire values.
+    fn dump_wires(&self, vcd: &mut VcdWriter) -> std::result::Result<(), String> {
+        vcd.set_time(self.sim.cycle())?;
+        let wires = self.sim.state();
+        vcd.change("step", u64::from(wires.step))?;
+        vcd.change("update_phase", u64::from(wires.update_phase))?;
+        for (i, lane) in wires.lanes.iter().enumerate() {
+            vcd.change(&format!("lane{i}_deadline"), u64::from(lane.deadline.raw()))?;
+            vcd.change(&format!("lane{i}_slot"), u64::from(lane.slot.raw()))?;
+            vcd.change(&format!("lane{i}_valid"), u64::from(lane.valid))?;
         }
-        Ok(outcomes)
+        Ok(())
     }
 }
 
@@ -584,9 +574,8 @@ mod vcd_tests {
         }
         let mut vcd = VcdWriter::new("sharestreams_fabric", "1ns");
         traced.declare_vcd(&mut vcd).unwrap();
-        let outcomes = traced.run_traced(16, &mut vcd).unwrap();
-        for o in outcomes {
-            assert_eq!(o, plain.run_decision());
+        for _ in 0..16 {
+            assert_eq!(traced.run_traced(&mut vcd).unwrap(), plain.run_decision());
         }
         let doc = vcd.finish();
         assert!(doc.contains("$var wire 16 "));

@@ -7,7 +7,7 @@
 //! QoS reports. A mix of service classes runs on a single DWCS fabric
 //! (the paper's headline flexibility claim).
 
-use crate::fabric::{DecisionOutcome, Fabric, FabricConfig, ScheduledPacket};
+use crate::fabric::{Fabric, FabricConfig, ScheduledPacket};
 use crate::register::{SlotCounters, StreamState};
 use serde::{Deserialize, Serialize};
 use ss_types::{Error, Result, StreamId, StreamSpec, Wrap16};
@@ -131,9 +131,10 @@ impl ShareStreamsScheduler {
         self.fabric.push_arrival(stream.index(), arrival)
     }
 
-    /// Runs one decision cycle.
-    pub fn run_decision(&mut self) -> DecisionOutcome {
-        self.fabric.decision_cycle()
+    /// Runs one decision cycle, returning the transmitted packets as
+    /// [`Fabric::decision_cycle_into`] does (valid until the next cycle).
+    pub fn run_decision(&mut self) -> &[ScheduledPacket] {
+        self.fabric.decision_cycle_into()
     }
 
     /// Runs decision cycles until `frames` packets have been transmitted
@@ -142,8 +143,7 @@ impl ShareStreamsScheduler {
         let mut out = Vec::with_capacity(frames);
         let mut cycles = 0;
         while out.len() < frames && cycles < max_cycles {
-            let outcome = self.fabric.decision_cycle();
-            out.extend_from_slice(outcome.packets());
+            out.extend_from_slice(self.fabric.decision_cycle_into());
             cycles += 1;
         }
         out

@@ -227,6 +227,9 @@ struct Attached {
     /// then, so the hot path records each gap exactly once (into the
     /// tracker).
     win_gap_base: LocalHistogram,
+    /// Scratch for the tracker's merged state at this flush; swapped
+    /// into `win_gap_base` after draining, so flushing never allocates.
+    win_gap_cur: LocalHistogram,
     since_flush: u32,
     win_latency: WinLatencyTracker,
 }
@@ -259,11 +262,11 @@ impl Attached {
             self.block_len.merge_local(&self.d_block_len);
             self.d_block_len.clear();
         }
-        let merged = self.win_latency.merged_local();
-        if merged.count() > self.win_gap_base.count() {
+        self.win_latency.merge_into(&mut self.win_gap_cur);
+        if self.win_gap_cur.count() > self.win_gap_base.count() {
             self.win_gap
-                .merge_cumulative_since(&merged, &self.win_gap_base);
-            self.win_gap_base = merged;
+                .merge_cumulative_since(&self.win_gap_cur, &self.win_gap_base);
+            std::mem::swap(&mut self.win_gap_cur, &mut self.win_gap_base);
         }
         self.since_flush = 0;
     }
@@ -335,6 +338,7 @@ impl FabricTelemetry {
             d_prio: 0,
             d_block_len: LocalHistogram::new(),
             win_gap_base: LocalHistogram::new(),
+            win_gap_cur: LocalHistogram::new(),
             since_flush: 0,
             win_latency: WinLatencyTracker::new(slots, start_cycle),
         });

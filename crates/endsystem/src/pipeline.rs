@@ -245,8 +245,7 @@ impl EndsystemPipeline {
                 continue;
             }
 
-            let outcome = self.scheduler.run_decision();
-            for p in outcome.packets() {
+            for p in self.scheduler.run_decision() {
                 let slot = p.slot.index();
                 // The actual frame: from the streamlet mux if aggregated,
                 // else from the per-stream queue.
@@ -282,9 +281,9 @@ impl EndsystemPipeline {
         let mut streams = Vec::new();
         let mut total = 0u64;
         for (i, name) in self.names.iter().enumerate() {
-            let serviced = self.te.count(i);
+            let h = self.te.delay_histogram(i).snapshot();
+            let serviced = h.count;
             total += serviced;
-            let h = self.te.delay_histogram(i);
             let missed = self
                 .scheduler
                 .fabric()
@@ -299,7 +298,7 @@ impl EndsystemPipeline {
                 mean_rate: self.te.mean_rate(i),
                 mean_delay_us: h.mean().unwrap_or(0.0) / 1e3,
                 p99_delay_us: h.quantile(0.99).unwrap_or(0) as f64 / 1e3,
-                max_delay_us: h.max().unwrap_or(0) as f64 / 1e3,
+                max_delay_us: h.max.unwrap_or(0) as f64 / 1e3,
                 jitter_us: self.te.interdeparture(i).std_dev().unwrap_or(0.0) / 1e3,
                 missed_deadlines: missed,
             });

@@ -24,8 +24,8 @@
 //! (an injected overflow burst, a corrupt slot), `Admission`/`Shed`/`Ring`
 //! from the gate, `Shed` again for a head the fabric dropped at its
 //! deadline ([`LatePolicy::Drop`]), `Shard` for everything the watchdog
-//! wrote off behind a stuck fabric — so `total + lost` is the offered load
-//! on every entry point.
+//! wrote off behind a stuck fabric — so `total + loss.total()` is the
+//! offered load on every entry point.
 
 mod observer;
 
@@ -67,18 +67,15 @@ pub struct ThreadedReport {
     pub arr_ring: RingStats,
     /// Scheduler → transmitter winner-ID-ring statistics.
     pub id_ring: RingStats,
-    /// Packets offered but not transmitted: dropped at an overflowing
+    /// Packets offered but not transmitted — dropped at an overflowing
     /// arrival ring, refused by the gate, dropped by the fabric at their
     /// deadline ([`LatePolicy::Drop`] expiry), or abandoned when the
-    /// scheduler's watchdog declared the fabric stuck. Loss is bounded and
-    /// *counted*, never silent: `total + lost` is the offered load. Equals
-    /// `loss.total()` exactly; kept as a scalar for backward compatibility.
-    pub lost: u64,
-    /// The same loss, classified by the unique site that consumed each
-    /// packet (admission / ring / shed / shard; expiry drops are `shed`).
-    /// The partition is exact — `loss.total() == lost`, asserted in tests —
-    /// so an overflowing ring is never mistaken for an abandoned backlog
-    /// and no packet is counted at two sites.
+    /// scheduler's watchdog declared the fabric stuck — classified by the
+    /// unique site that consumed each packet (admission / ring / shed /
+    /// shard; expiry drops are `shed`). Loss is bounded and *counted*,
+    /// never silent: `total + loss.total()` is the offered load, so an
+    /// overflowing ring is never mistaken for an abandoned backlog and no
+    /// packet is counted at two sites.
     pub loss: LossLedger,
 }
 
@@ -101,7 +98,7 @@ pub fn run_threaded(
 /// to a shared fault injector: decision cycles can wedge or crash, arrival
 /// enqueues can hit injected overflow bursts (dropped and counted, never
 /// spun on forever), and the scheduler's watchdog abandons the backlog —
-/// counted into [`ThreadedReport::lost`] and the injector's
+/// counted into [`ThreadedReport::loss`] and the injector's
 /// `lost_packets` — if the fabric stays stuck past its threshold.
 /// Tests-only: `tests/chaos.rs` and `tests/conformance.rs` run the faulted pipeline through it.
 pub fn run_threaded_faulted(
@@ -123,9 +120,8 @@ pub fn run_threaded_faulted(
 #[derive(Debug, Clone)]
 pub struct OverloadRunReport {
     /// The underlying pipeline report. `report.loss` merges the pipeline's
-    /// own sites (ring, expiry shed, shard) with the gate's ledger; the
-    /// partition stays exact: `report.lost == report.loss.total()` and
-    /// `report.total + report.lost == offered`.
+    /// own sites (ring, expiry shed, shard) with the gate's ledger, and
+    /// `report.total + report.loss.total() == offered`.
     pub report: ThreadedReport,
     /// Arrivals offered to the gate by the scheduler thread.
     pub offered: u64,
@@ -601,15 +597,13 @@ fn run_stages<O: Observer>(
     if let Some(gate) = &gate {
         loss.merge(gate.core().ledger());
     }
-    let (pps, lost) = (total as f64 / wall_seconds, loss.total());
     let report = ThreadedReport {
         per_slot,
         total,
         wall_seconds,
-        pps,
+        pps: total as f64 / wall_seconds,
         arr_ring,
         id_ring,
-        lost,
         loss,
     };
     Ok(Run {
@@ -639,8 +633,7 @@ mod tests {
         assert_eq!(report.id_ring.pushes, 8_000);
         assert!(report.arr_ring.high_water <= report.arr_ring.capacity);
         assert!(report.id_ring.high_water >= 1);
-        assert_eq!(report.lost, 0, "fault-free run loses nothing");
-        assert_eq!(report.loss.total(), 0, "ledger agrees: no loss anywhere");
+        assert_eq!(report.loss.total(), 0, "fault-free run loses nothing");
     }
 
     #[test]
@@ -661,7 +654,7 @@ mod tests {
             run_threaded_faulted(config, states, 1_000, inj.clone(), RetryPolicy::default())
                 .unwrap();
         assert_eq!(report.total, 4_000);
-        assert_eq!(report.lost, 0);
+        assert_eq!(report.loss.total(), 0);
         assert_eq!(inj.stats().snapshot().total_injected(), 0);
         assert_eq!(inj.stats().snapshot().lost_packets, 0);
     }
@@ -692,9 +685,9 @@ mod tests {
         ));
         let report =
             run_threaded_faulted(config, states, 500, inj.clone(), RetryPolicy::default()).unwrap();
-        assert!(report.lost > 0, "watchdog abandoned the backlog");
+        assert!(report.loss.total() > 0, "watchdog abandoned the backlog");
         assert_eq!(
-            report.total + report.lost,
+            report.total + report.loss.total(),
             2_000,
             "every arrival is either transmitted or counted lost"
         );
@@ -702,15 +695,18 @@ mod tests {
         assert!(stats.detected.load(Ordering::Relaxed) >= 1, "trip detected");
         assert_eq!(
             stats.lost_packets.load(Ordering::Relaxed),
-            report.lost,
+            report.loss.total(),
             "injector ledger matches the report"
         );
         assert!(stats.snapshot().injected[FaultSite::DecisionCycle.index()] >= 1);
         // Site classification: every packet the watchdog wrote off belongs
         // to the dead scheduling path, none to the rings — and the
         // partition sums exactly to the scalar.
-        assert_eq!(report.loss.total(), report.lost, "partition is exact");
-        assert_eq!(report.loss.shard, report.lost, "all loss at the shard site");
+        assert_eq!(
+            report.loss.shard,
+            report.loss.total(),
+            "all loss at the shard site"
+        );
         assert_eq!(report.loss.ring, 0);
         assert_eq!(report.loss.admission, 0);
         assert_eq!(report.loss.shed, 0);
@@ -742,12 +738,15 @@ mod tests {
         let report =
             run_threaded_faulted(config, states, 2_000, inj, RetryPolicy::default()).unwrap();
         assert_eq!(
-            report.total + report.lost,
+            report.total + report.loss.total(),
             8_000,
             "transmitted + lost covers every arrival exactly once"
         );
-        assert_eq!(report.loss.total(), report.lost, "partition is exact");
-        assert_eq!(report.loss.ring, report.lost, "only ring-site loss armed");
+        assert_eq!(
+            report.loss.ring,
+            report.loss.total(),
+            "only ring-site loss armed"
+        );
         assert_eq!(report.loss.shard, 0);
     }
 
@@ -775,10 +774,9 @@ mod tests {
         );
         let run = run_threaded_overload(config, states, 2_000, gate).unwrap();
         assert_eq!(run.report.total, 8_000);
-        assert_eq!(run.report.lost, 0, "no loss with headroom");
+        assert_eq!(run.report.loss.total(), 0, "no loss with headroom");
         assert_eq!(run.offered, 8_000);
         assert_eq!(run.admitted, 8_000);
-        assert_eq!(run.report.loss.total(), 0);
     }
 
     #[test]
@@ -815,11 +813,10 @@ mod tests {
         assert_eq!(run.offered, 8_000);
         assert!(run.report.loss.admission > 0, "starved buckets refuse");
         assert_eq!(
-            run.report.total + run.report.lost,
+            run.report.total + run.report.loss.total(),
             8_000,
             "transmitted + classified loss covers every arrival"
         );
-        assert_eq!(run.report.loss.total(), run.report.lost, "partition exact");
     }
 
     #[test]
@@ -856,7 +853,7 @@ mod tests {
         let run = run_threaded_traced(config, edf_states(4), 500, TraceConfig::new(1 << 15, 256))
             .unwrap();
         assert_eq!(run.report.total, 2_000);
-        assert_eq!(run.report.lost, 0);
+        assert_eq!(run.report.loss.total(), 0);
         assert_eq!(run.watchdog_trips, 0);
         assert!(run.flight_dump.is_none(), "healthy run: no automatic dump");
         assert_eq!(run.tracks.len(), 3, "producer, scheduler, transmitter");
@@ -906,7 +903,11 @@ mod tests {
         trace.faults = Some((inj, RetryPolicy::default()));
         let run = run_threaded_traced(config, edf_states(4), 500, trace).unwrap();
         assert!(run.watchdog_trips >= 1, "chained wedge trips the watchdog");
-        assert_eq!(run.report.total + run.report.lost, 2_000, "conserved");
+        assert_eq!(
+            run.report.total + run.report.loss.total(),
+            2_000,
+            "conserved"
+        );
         let dump = run.flight_dump.expect("watchdog trip dumps the recorder");
         assert_eq!(dump.reason, DumpReason::WatchdogTrip);
         assert!(!dump.events.is_empty(), "dump holds recent events");
@@ -945,7 +946,11 @@ mod tests {
         let mut trace = TraceConfig::new(1 << 16, 256);
         trace.gate = Some(gate);
         let run = run_threaded_traced(config, edf_states(4), 2_000, trace).unwrap();
-        assert_eq!(run.report.total + run.report.lost, 8_000, "conserved");
+        assert_eq!(
+            run.report.total + run.report.loss.total(),
+            8_000,
+            "conserved"
+        );
         assert!(run.report.loss.admission > 0, "starved buckets refuse");
         let events = stitch(&run.tracks);
         let verdicts: Vec<_> = events
@@ -994,14 +999,18 @@ mod tests {
     /// dropping late heads: everything offered is transmitted or at `shed`,
     /// and nothing was written off as a crashed shard.
     fn assert_expiry_drops_are_shed(report: &ThreadedReport, offered: u64, what: &str) {
-        assert_eq!(report.total + report.lost, offered, "{what}: conserved");
-        assert_eq!(report.loss.total(), report.lost, "{what}: partition exact");
+        assert_eq!(
+            report.total + report.loss.total(),
+            offered,
+            "{what}: conserved"
+        );
         assert_eq!(
             report.loss.shard, 0,
             "{what}: a healthy fabric is not a crashed shard"
         );
         assert_eq!(
-            report.loss.shed, report.lost,
+            report.loss.shed,
+            report.loss.total(),
             "{what}: expiry drops are shed"
         );
     }
@@ -1047,7 +1056,8 @@ mod tests {
                     .filter(|e| e.stage == Stage::Shed && e.detail == detail::SHED_EXPIRED)
                     .count() as u64;
                 assert_eq!(
-                    expired, run.report.lost,
+                    expired,
+                    run.report.loss.total(),
                     "one terminal Shed per dropped packet"
                 );
                 validate_causal(&events).expect("expiry sheds rank after the deposit");
@@ -1095,14 +1105,19 @@ mod tests {
             let serve_late = states(4, 4, 0, LatePolicy::ServeLate);
             let report =
                 run_threaded_faulted(config, serve_late, 1_500, inj.clone(), policy).unwrap();
-            assert_eq!(report.total + report.lost, 6_000, "seed {seed}: conserved");
             assert_eq!(
-                report.loss.shard, report.lost,
+                report.total + report.loss.total(),
+                6_000,
+                "seed {seed}: conserved"
+            );
+            assert_eq!(
+                report.loss.shard,
+                report.loss.total(),
                 "seed {seed}: all loss at shard"
             );
             assert_eq!(
                 inj.stats().snapshot().lost_packets,
-                report.lost,
+                report.loss.total(),
                 "seed {seed}"
             );
         }
@@ -1130,7 +1145,7 @@ mod tests {
         assert!(run.holdbacks > 0, "the producer paced itself");
         assert_eq!(run.pressure_transitions, 1, "latched");
         assert_eq!(
-            (run.report.total, run.report.lost),
+            (run.report.total, run.report.loss.total()),
             (40_000, 0),
             "a pause is not a drop"
         );

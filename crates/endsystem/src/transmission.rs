@@ -6,7 +6,8 @@
 //! Figures 8–10: per-stream bandwidth rate meters and queuing-delay
 //! histograms/series.
 
-use ss_core::hwsim::{Histogram, RateMeter, Summary, TimeSeries};
+use ss_core::hwsim::{RateMeter, TimeSeries};
+use ss_telemetry::{LocalHistogram, Summary};
 use ss_types::{Nanos, PacketSize};
 
 /// Per-stream transmission accounting plus the shared output link.
@@ -15,13 +16,14 @@ pub struct TransmissionEngine {
     link_bytes_per_sec: u64,
     /// The link is busy until this instant.
     busy_until: Nanos,
+    /// Bytes per stream, binned in time; its total is the stream's bytes.
     meters: Vec<RateMeter>,
-    delays: Vec<Histogram>,
+    /// Queuing delay per stream at 1/16-octave resolution (≈ 6 %, for
+    /// Figure 9's p99); its count is the stream's frames.
+    delays: Vec<LocalHistogram<4>>,
     delay_series: Vec<TimeSeries>,
     /// Record every k-th packet into the delay series.
     decimate: u64,
-    counts: Vec<u64>,
-    bytes: Vec<u64>,
     /// Inter-departure interval statistics per stream (delay-jitter).
     interdeparture: Vec<Summary>,
     last_completion: Vec<Option<Nanos>>,
@@ -41,13 +43,11 @@ impl TransmissionEngine {
             link_bytes_per_sec,
             busy_until: 0,
             meters: (0..streams).map(|_| RateMeter::new(window_ns)).collect(),
-            delays: (0..streams).map(|_| Histogram::new()).collect(),
+            delays: (0..streams).map(|_| LocalHistogram::default()).collect(),
             delay_series: (0..streams)
                 .map(|i| TimeSeries::new("t_sec", format!("stream{i}_delay_us")))
                 .collect(),
             decimate,
-            counts: vec![0; streams],
-            bytes: vec![0; streams],
             interdeparture: (0..streams).map(|_| Summary::new()).collect(),
             last_completion: vec![None; streams],
         }
@@ -74,16 +74,14 @@ impl TransmissionEngine {
 
         self.meters[stream].record(completion, u64::from(size.bytes()));
         let delay = completion.saturating_sub(arrival_ns);
-        self.delays[stream].record(delay);
-        if self.counts[stream].is_multiple_of(self.decimate) {
+        if self.delays[stream].count().is_multiple_of(self.decimate) {
             self.delay_series[stream].push(completion as f64 / 1e9, delay as f64 / 1e3);
         }
+        self.delays[stream].record(delay);
         if let Some(prev) = self.last_completion[stream] {
             self.interdeparture[stream].record((completion - prev) as f64);
         }
         self.last_completion[stream] = Some(completion);
-        self.counts[stream] += 1;
-        self.bytes[stream] += u64::from(size.bytes());
         completion
     }
 
@@ -92,14 +90,9 @@ impl TransmissionEngine {
         self.busy_until
     }
 
-    /// Frames transmitted per stream.
-    pub fn count(&self, stream: usize) -> u64 {
-        self.counts[stream]
-    }
-
     /// Bytes transmitted per stream.
     pub fn bytes(&self, stream: usize) -> u64 {
-        self.bytes[stream]
+        self.meters[stream].total()
     }
 
     /// Bandwidth-over-time series for `stream` (Figure 8/10 y-axis,
@@ -113,8 +106,9 @@ impl TransmissionEngine {
         self.meters[stream].mean_rate_per_sec()
     }
 
-    /// Queuing-delay histogram for `stream` (Figure 9).
-    pub fn delay_histogram(&self, stream: usize) -> &Histogram {
+    /// Queuing-delay histogram for `stream` (Figure 9); its count is the
+    /// frames transmitted.
+    pub fn delay_histogram(&self, stream: usize) -> &LocalHistogram<4> {
         &self.delays[stream]
     }
 
@@ -159,7 +153,7 @@ mod tests {
         let c = te.transmit(0, PacketSize(500), 5_000_000, 4_000_000);
         assert_eq!(c, 5_500_000);
         // Delay measured from arrival: 1.5 ms.
-        assert_eq!(te.delay_histogram(0).max(), Some(1_500_000));
+        assert_eq!(te.delay_histogram(0).snapshot().max, Some(1_500_000));
     }
 
     #[test]
@@ -168,7 +162,7 @@ mod tests {
         te.transmit(0, PacketSize(100), 0, 0);
         te.transmit(0, PacketSize(100), 0, 0);
         te.transmit(1, PacketSize(300), 0, 0);
-        assert_eq!(te.count(0), 2);
+        assert_eq!(te.delay_histogram(0).count(), 2);
         assert_eq!(te.bytes(0), 200);
         assert_eq!(te.bytes(1), 300);
     }

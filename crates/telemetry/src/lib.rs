@@ -11,16 +11,17 @@
 //!   [`Counter`]s, [`Gauge`]s, and log2-bucketed [`Histogram`]s. Hot-path
 //!   updates are relaxed atomic adds striped across per-thread cells (no
 //!   shared cache line between recording threads); stripes are merged only
-//!   on [`Registry::snapshot`].
+//!   on [`Registry::snapshot`]. [`LocalHistogram`] is the workspace's one
+//!   single-owner histogram, its resolution a sub-bucket parameter: the
+//!   registry's log2 layout at 0 bits, 1/16 octave at 4.
 //! * [`qos`] — per-stream QoS accounting matching the paper's Table 3
 //!   quantities: deadlines met/missed, window-constraint (x/y) violations,
 //!   and winner-selection latency in decision cycles.
 //! * [`snapshot`] — the one reporting schema ([`Snapshot`],
 //!   [`HistogramSnapshot`], [`SummarySnapshot`]) shared by the live
-//!   schedulers and the `ss_core::hwsim` measurement instruments, with JSON and
-//!   Prometheus-text exporters.
-//! * [`stats`] — [`Summary`], the Welford mean/variance accumulator
-//!   (moved here from `ss_core::hwsim` so both report through one schema).
+//!   schedulers and the simulated endsystem's Transmission Engine, with
+//!   JSON and Prometheus-text exporters.
+//! * [`stats`] — [`Summary`], the Welford mean/variance accumulator.
 //! * [`span`] / [`clock`] / [`recorder`] / [`export`] — the one event
 //!   model: 32-byte [`StageEvent`]s recorded into fixed-capacity,
 //!   drop-counting [`StageRing`]s with `rdtsc`-class timestamps

@@ -1,4 +1,5 @@
-//! The lock-free metric registry: counters, gauges, log2 histograms.
+//! The lock-free metric registry — counters, gauges, log2 histograms — and
+//! [`LocalHistogram`], the single-owner histogram it folds in.
 //!
 //! Hot-path recording is a handful of `Relaxed` atomic read-modify-writes
 //! on a *stripe* owned (statistically) by the recording thread: each thread
@@ -133,29 +134,10 @@ impl Gauge {
 
 // --- Histogram ---
 
-/// Bucket count for the log2 layout: bucket 0 holds exactly the value 0,
-/// bucket `i ≥ 1` holds `[2^(i-1), 2^i)`. 65 buckets cover all of `u64`.
-pub(crate) const BUCKETS: usize = 65;
-
-/// The log2 bucket index of `value`.
-#[inline]
-pub(crate) fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// Inclusive lower bound of bucket `idx`.
-#[inline]
-pub(crate) fn bucket_lower(idx: usize) -> u64 {
-    if idx == 0 {
-        0
-    } else {
-        1u64 << (idx - 1)
-    }
-}
+/// Bucket count of the registry's log2 layout ([`LocalHistogram`] at 0
+/// sub-bucket bits): bucket 0 holds exactly the value 0, bucket `i ≥ 1`
+/// holds `[2^(i-1), 2^i)`. 65 buckets cover all of `u64`.
+const BUCKETS: usize = <LocalHistogram>::BUCKETS;
 
 #[derive(Debug)]
 struct HistStripe {
@@ -201,7 +183,7 @@ impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         let s = &self.cells.stripes[stripe()].0;
-        s.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        s.buckets[<LocalHistogram>::index(value)].fetch_add(1, Ordering::Relaxed);
         s.count.fetch_add(1, Ordering::Relaxed);
         s.sum.fetch_add(value, Ordering::Relaxed);
         s.min.fetch_min(value, Ordering::Relaxed);
@@ -268,33 +250,71 @@ impl Histogram {
     }
 }
 
-/// A single-owner (non-atomic) log2 histogram with the same bucket layout
-/// as [`Histogram`] — for recorders embedded in single-threaded hot paths
-/// (e.g. per-slot winner-selection latency inside one fabric).
+/// A single-owner (non-atomic) histogram with exact count/sum/min/max —
+/// the workspace's one histogram for recorders owned by a single thread.
+///
+/// `SUB_BITS` is the resolution: every power-of-two octave is split into
+/// `2^SUB_BITS` linear sub-buckets, and values below `2^SUB_BITS` get a
+/// bucket each. 0 (the default) is [`Histogram`]'s log2 layout, which
+/// [`Histogram::merge_local`] folds in bucket for bucket; 4 is the
+/// 1/16-octave layout (≈ 6 % relative resolution) the transmission
+/// engine's delay histograms use. The buckets live on the heap, sized
+/// once at construction: recording, [`clear`](Self::clear) and
+/// [`merge`](Self::merge) never allocate; `new`, `clone` and `snapshot` do.
 #[derive(Debug, Clone)]
-pub struct LocalHistogram {
-    buckets: [u64; BUCKETS],
+pub struct LocalHistogram<const SUB_BITS: u32 = 0> {
+    buckets: Box<[u64]>,
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
 }
 
-impl Default for LocalHistogram {
+impl<const SUB_BITS: u32> Default for LocalHistogram<SUB_BITS> {
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocalHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
         Self {
-            buckets: [0; BUCKETS],
+            buckets: vec![0; Self::BUCKETS].into_boxed_slice(),
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// An empty histogram in the registry's log2 layout.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<const SUB_BITS: u32> LocalHistogram<SUB_BITS> {
+    /// Sub-buckets per octave.
+    const SUB: u64 = 1 << SUB_BITS;
+    /// One bucket per value below `SUB`, then `SUB` per octave up to
+    /// 2^63: 65 at 0 bits, 976 at 4.
+    const BUCKETS: usize = (65 - SUB_BITS as usize) << SUB_BITS;
+
+    /// The bucket holding `value`.
+    #[inline]
+    fn index(value: u64) -> usize {
+        if value < Self::SUB {
+            return value as usize;
+        }
+        let magnitude = 63 - value.leading_zeros(); // >= SUB_BITS
+        let sub = (value >> (magnitude - SUB_BITS)) & (Self::SUB - 1);
+        (((magnitude - SUB_BITS + 1) as usize) << SUB_BITS) | sub as usize
+    }
+
+    /// Inclusive lower bound of bucket `idx`.
+    fn lower(idx: usize) -> u64 {
+        let magnitude = idx >> SUB_BITS;
+        let sub = idx as u64 & (Self::SUB - 1);
+        if magnitude == 0 {
+            sub
+        } else {
+            (Self::SUB + sub) << (magnitude - 1)
         }
     }
 
@@ -302,7 +322,7 @@ impl LocalHistogram {
     // lint:hot-path
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
+        self.buckets[Self::index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -314,14 +334,19 @@ impl LocalHistogram {
         self.count
     }
 
-    /// Resets to empty — for delta accumulators that periodically drain
-    /// into a shared [`Histogram`] via [`Histogram::merge_local`].
+    /// Resets to empty without allocating — for delta accumulators that
+    /// periodically drain into a shared [`Histogram`] via
+    /// [`Histogram::merge_local`].
     pub fn clear(&mut self) {
-        *self = Self::new();
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
     }
 
     /// Folds `other` into this histogram. Never allocates.
-    pub fn merge(&mut self, other: &LocalHistogram) {
+    pub fn merge(&mut self, other: &Self) {
         for (b, &o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
@@ -331,7 +356,8 @@ impl LocalHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// The snapshot (allocates; call off the hot path).
+    /// The snapshot (allocates; call off the hot path). Mean, quantiles
+    /// and extremes are read from it.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets = self
             .buckets
@@ -339,7 +365,7 @@ impl LocalHistogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| Bucket {
-                lower: bucket_lower(i),
+                lower: Self::lower(i),
                 count: c,
             })
             .collect();
@@ -522,26 +548,100 @@ mod tests {
         assert_eq!(g.value(), 10);
     }
 
+    type Log2 = LocalHistogram<0>;
+    type Sixteenths = LocalHistogram<4>;
+
     #[test]
     fn bucket_boundaries_exact() {
-        // Bucket 0 is exactly {0}; bucket i ≥ 1 is [2^(i-1), 2^i).
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(7), 3);
-        assert_eq!(bucket_index(8), 4);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        assert_eq!(bucket_index(1u64 << 63), 64);
-        assert_eq!(bucket_index((1u64 << 63) - 1), 63);
+        // 0 bits is the log2 layout: bucket 0 is exactly {0}, bucket
+        // i ≥ 1 is [2^(i-1), 2^i).
+        let log2_index = |v: u64| {
+            if v == 0 {
+                0
+            } else {
+                64 - v.leading_zeros() as usize
+            }
+        };
+        let log2_lower = |i: usize| if i == 0 { 0 } else { 1u64 << (i - 1) };
+        assert_eq!(Log2::index(0), 0);
+        assert_eq!(Log2::index(1), 1);
+        assert_eq!(Log2::index(2), 2);
+        assert_eq!(Log2::index(3), 2);
+        assert_eq!(Log2::index(4), 3);
+        assert_eq!(Log2::index(7), 3);
+        assert_eq!(Log2::index(8), 4);
+        assert_eq!(Log2::index(u64::MAX), 64);
+        assert_eq!(Log2::index(1u64 << 63), 64);
+        assert_eq!(Log2::index((1u64 << 63) - 1), 63);
+        assert_eq!(BUCKETS, 65);
         for i in 0..BUCKETS {
-            assert_eq!(bucket_index(bucket_lower(i)), i, "lower bound of {i}");
+            let lower = Log2::lower(i);
+            assert_eq!(lower, log2_lower(i), "lower bound of {i}");
+            for v in [lower.saturating_sub(1), lower, lower.saturating_add(1)] {
+                assert_eq!(Log2::index(v), log2_index(v), "index of {v}");
+            }
+            assert_eq!(Log2::index(lower), i, "lower bound of {i}");
             if i >= 1 {
                 // The value just below the lower bound falls one bucket down.
-                assert_eq!(bucket_index(bucket_lower(i) - 1), i - 1);
+                assert_eq!(Log2::index(lower - 1), i - 1);
             }
         }
+    }
+
+    #[test]
+    fn sixteenth_octave_boundaries_exact() {
+        // 4 bits: values 0..16 get a bucket each; octave [2^k, 2^(k+1))
+        // for k ≥ 4 splits into 16 buckets of width 2^(k-4), the first
+        // at index 16·(k − 3).
+        assert_eq!(Sixteenths::BUCKETS, 976);
+        for v in 0..16u64 {
+            assert_eq!(Sixteenths::index(v), v as usize);
+            assert_eq!(Sixteenths::lower(v as usize), v);
+        }
+        for k in 4..64u32 {
+            let edge = 1u64 << k;
+            let first = 16 * (k as usize - 3);
+            assert_eq!(Sixteenths::index(edge), first, "2^{k}");
+            assert_eq!(Sixteenths::lower(first), edge, "2^{k}");
+            // One below the edge is the previous octave's last bucket.
+            assert_eq!(Sixteenths::index(edge - 1), first - 1, "2^{k} - 1");
+            // One above shares the edge's bucket, except at 2^4, where
+            // the buckets are still one value wide.
+            let above = if k == 4 { first + 1 } else { first };
+            assert_eq!(Sixteenths::index(edge + 1), above, "2^{k} + 1");
+            assert_eq!(Sixteenths::lower(first - 1), edge - (edge >> 5).max(1));
+        }
+        assert_eq!(Sixteenths::index(u64::MAX), Sixteenths::BUCKETS - 1);
+    }
+
+    #[test]
+    fn sixteenth_octave_stats_and_quantiles() {
+        let mut h = Sixteenths::default();
+        assert_eq!(h.snapshot(), HistogramSnapshot::default());
+        assert_eq!(h.snapshot().quantile(0.5), None);
+        for v in [1u64, 2, 3, 4, 100] {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert_eq!((s.count, s.sum, s.min, s.max), (5, 110, Some(1), Some(100)));
+        assert!((s.mean().unwrap() - 22.0).abs() < 1e-9);
+        // Strictly ascending lower bounds, every observation in a bucket.
+        assert!(s.buckets.windows(2).all(|p| p[0].lower < p[1].lower));
+        assert_eq!(s.buckets.iter().map(|b| b.count).sum::<u64>(), 5);
+        // Values below 16 are exact.
+        let mut h = Sixteenths::default();
+        for _ in 0..10 {
+            h.record(7);
+        }
+        assert_eq!(h.snapshot().quantile(0.5), Some(7));
+        assert_eq!(h.snapshot().quantile(1.0), Some(7));
+        // ~6 % resolution around the median of 0..1000.
+        let mut h = Sixteenths::default();
+        for v in 0..1000u64 {
+            h.record(v);
+        }
+        let med = h.snapshot().quantile(0.5).unwrap();
+        assert!((450..=550).contains(&med), "median {med} out of range");
     }
 
     #[test]
@@ -722,19 +822,39 @@ mod tests {
             prop_assert_eq!(shared_counter.value(), serial_count);
         }
 
-        /// Bucket index is monotone and the floor stays within a power of
-        /// two of the value.
+        /// Bucket index is monotone at both resolutions, and the floor
+        /// stays within a power of two of the value at 0 bits and within
+        /// 1/16 of it at 4.
         #[test]
         fn bucket_index_monotone(a in any::<u64>(), b in any::<u64>()) {
             prop_assume!(a <= b);
-            prop_assert!(bucket_index(a) <= bucket_index(b));
+            prop_assert!(Log2::index(a) <= Log2::index(b));
+            prop_assert!(Sixteenths::index(a) <= Sixteenths::index(b));
         }
 
         #[test]
         fn bucket_floor_within_2x(v in 1u64..u64::MAX) {
-            let lower = bucket_lower(bucket_index(v));
+            let lower = Log2::lower(Log2::index(v));
             prop_assert!(lower <= v);
             prop_assert!(v / 2 < lower || v < 2, "floor {lower} too far below {v}");
+        }
+
+        #[test]
+        fn bucket_floor_within_a_sixteenth(v in 0u64..1u64 << 50) {
+            let lower = Sixteenths::lower(Sixteenths::index(v));
+            prop_assert!(lower <= v);
+            prop_assert!(v - lower <= v / 16 + 1);
+        }
+
+        /// Quantiles always lie within [min, max].
+        #[test]
+        fn quantile_bounded(values in proptest::collection::vec(0u64..1u64 << 40, 1..200), q in 0.0f64..1.0) {
+            let mut h = Sixteenths::default();
+            for &v in &values { h.record(v); }
+            let s = h.snapshot();
+            let quant = s.quantile(q).unwrap();
+            prop_assert!(quant >= s.min.unwrap());
+            prop_assert!(quant <= s.max.unwrap());
         }
     }
 }

@@ -89,17 +89,16 @@ impl WinLatencyTracker {
         self.hists[slot].snapshot()
     }
 
-    /// All slots' cumulative histograms folded into one `LocalHistogram`
-    /// (stack value — never allocates). Pair with
+    /// Replaces `out` with all slots' cumulative histograms folded into
+    /// one (never allocates). Pair with
     /// [`Histogram::merge_cumulative_since`](crate::Histogram::merge_cumulative_since)
     /// to drain the tracker into a registry histogram without a second
     /// per-win record on the hot path.
-    pub fn merged_local(&self) -> LocalHistogram {
-        let mut out = LocalHistogram::new();
+    pub fn merge_into(&self, out: &mut LocalHistogram) {
+        out.clear();
         for h in &self.hists {
             out.merge(h);
         }
-        out
     }
 
     /// Number of tracked slots.

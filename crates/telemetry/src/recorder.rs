@@ -330,13 +330,6 @@ pub fn stitch(tracks: &[TrackDump]) -> Vec<StageEvent> {
 pub enum DumpReason {
     /// The decision watchdog declared the scheduling path stuck.
     WatchdogTrip,
-    /// Reserved: the retired degradation ladder's rung change. Nothing
-    /// dumps with it; the variant stays so dumps keep their encoding.
-    RungChange,
-    /// A shard circuit breaker opened. The breakers are retired and
-    /// nothing dumps with it; the variant stays so dumps keep their
-    /// encoding.
-    BreakerOpen,
     /// The process panicked (panic-hook fire).
     Panic,
     /// Explicit operator/test request.
@@ -675,7 +668,7 @@ mod tests {
         }
         assert_eq!(fr.total_recorded(), 6);
         assert!(fr.take_last_dump().is_none());
-        let dump = fr.auto_dump(DumpReason::BreakerOpen, 77);
+        let dump = fr.auto_dump(DumpReason::WatchdogTrip, 77);
         assert_eq!(dump.at_cycle, 77);
         assert_eq!(dump.events.len(), 4);
         assert_eq!(dump.dropped, 2);
@@ -687,11 +680,11 @@ mod tests {
     #[test]
     fn record_control_stamps_the_reserved_tag() {
         let fr = SharedFlightRecorder::new(4);
-        fr.record_control(3, 1, Stage::RungChange, 2, 0);
+        fr.record_control(3, 1, Stage::Failover, 2, 0);
         let dump = fr.auto_dump(DumpReason::Manual, 3);
         assert_eq!(dump.events.len(), 1);
         assert!(dump.events[0].trace_tag().is_control());
-        assert_eq!(dump.events[0].stage, Stage::RungChange);
+        assert_eq!(dump.events[0].stage, Stage::Failover);
         assert_eq!(dump.events[0].detail, 2);
         assert!(dump.events[0].tsc > 0);
     }

@@ -4,8 +4,8 @@
 //! A [`Snapshot`] is a point-in-time merge of a [`crate::Registry`]: plain
 //! data, serializable, comparable. The same [`HistogramSnapshot`] /
 //! [`SummarySnapshot`] shapes are produced by the live schedulers'
-//! telemetry and by the `ss_core::hwsim` measurement instruments, so experiment
-//! artifacts and runtime metrics go through one schema.
+//! telemetry and by the simulated endsystem's Transmission Engine, so
+//! experiment artifacts and runtime metrics go through one schema.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;

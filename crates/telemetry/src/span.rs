@@ -92,7 +92,9 @@ impl TraceTag {
 /// An instrumented point in the packet pipeline (or the control plane).
 ///
 /// Discriminants are part of the dump wire format — append new stages,
-/// never renumber.
+/// never renumber. Codes 32, 35 and 36 are reserved: they were a modeled
+/// PCI transfer, the retired degradation ladder's rung change and the
+/// retired shard breaker's opening, which nothing records any more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum Stage {
@@ -119,22 +121,11 @@ pub enum Stage {
     /// Packet dropped by the overload plane; `detail` carries the
     /// [`gate reason`](detail) / loss-site code. Terminal.
     Shed = 8,
-    /// Control: a PCI block transfer was modeled (`arg` = modeled
-    /// nanoseconds). Nothing records it since the traced PCI transfers
-    /// went; the code stays because stage codes are append-only.
-    PciTransfer = 32,
     /// Control: an expiry pass dropped `arg` late head packets.
     DecisionExpire = 33,
     /// Control: a shard's recovery supervisor switched paths (`detail` 1 =
     /// to the host, 0 = re-attach to the card).
     Failover = 34,
-    /// Reserved: the retired degradation ladder's rung change. Nothing
-    /// records it; the code stays because stage codes are append-only.
-    RungChange = 35,
-    /// Control: a shard circuit breaker opened (`arg` = shard). The
-    /// breakers are retired and nothing records it; the code stays
-    /// because stage codes are append-only.
-    BreakerOpen = 36,
     /// Control: the decision watchdog declared the path stuck.
     WatchdogTrip = 37,
     /// Control: a continuously-checked simulation invariant failed
@@ -169,11 +160,8 @@ impl Stage {
             Stage::DecisionWin | Stage::MergeWin => Some(5),
             Stage::Service => Some(6),
             Stage::Shed => Some(7),
-            Stage::PciTransfer
-            | Stage::DecisionExpire
+            Stage::DecisionExpire
             | Stage::Failover
-            | Stage::RungChange
-            | Stage::BreakerOpen
             | Stage::WatchdogTrip
             | Stage::InvariantViolation
             | Stage::DecisionStall
@@ -194,11 +182,8 @@ impl Stage {
             Stage::MergeWin => "merge_win",
             Stage::Service => "service",
             Stage::Shed => "shed",
-            Stage::PciTransfer => "pci_transfer",
             Stage::DecisionExpire => "decision_expire",
             Stage::Failover => "failover",
-            Stage::RungChange => "rung_change",
-            Stage::BreakerOpen => "breaker_open",
             Stage::WatchdogTrip => "watchdog_trip",
             Stage::InvariantViolation => "invariant_violation",
             Stage::DecisionStall => "decision_stall",
@@ -254,7 +239,7 @@ pub struct StageEvent {
     pub stage: Stage,
     /// Stage-specific code (see [`detail`]).
     pub detail: u8,
-    /// Stage-specific argument (winner slot, modeled ns, rung, shard…).
+    /// Stage-specific argument (winner slot, dropped count, shard…).
     pub arg: u32,
 }
 

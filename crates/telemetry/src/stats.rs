@@ -1,8 +1,10 @@
 //! Streaming statistics shared across the workspace.
 //!
-//! [`Summary`] lived in `ss_core::hwsim` originally; it moved here so the
-//! simulator's instruments and the runtime telemetry report through one
-//! schema (`ss_core::hwsim` re-exports it for its existing callers).
+//! [`Summary`] is the workspace's one Welford accumulator: the simulated
+//! Transmission Engine's delay-jitter and the runtime telemetry report
+//! through it, as both report distributions through
+//! [`LocalHistogram`](crate::LocalHistogram), so simulated measurements
+//! and runtime metrics share one schema.
 
 use crate::snapshot::SummarySnapshot;
 use serde::{Deserialize, Serialize};

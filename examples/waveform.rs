@@ -38,7 +38,12 @@ fn main() {
 
     let mut vcd = VcdWriter::new("sharestreams_fabric", "1ns");
     fabric.declare_vcd(&mut vcd).expect("declare wires");
-    let outcomes = fabric.run_traced(8, &mut vcd).expect("trace");
+    let blocks: Vec<Vec<usize>> = (0..8)
+        .map(|_| {
+            let block = fabric.run_traced(&mut vcd).expect("trace");
+            block.iter().map(|p| p.slot.index()).collect()
+        })
+        .collect();
 
     std::fs::create_dir_all("results").expect("results dir");
     std::fs::write("results/fabric.vcd", vcd.finish()).expect("write vcd");
@@ -46,14 +51,8 @@ fn main() {
         "8 decisions traced ({} hardware cycles) → results/fabric.vcd",
         fabric.hw_cycles()
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        println!(
-            "  decision {i}: {:?}",
-            o.packets()
-                .iter()
-                .map(|p| p.slot.index())
-                .collect::<Vec<_>>()
-        );
+    for (i, slots) in blocks.iter().enumerate() {
+        println!("  decision {i}: {slots:?}");
     }
     println!("open with any VCD viewer (e.g. `gtkwave results/fabric.vcd`).");
 }

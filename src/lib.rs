@@ -101,9 +101,8 @@ pub fn publish_build_info(registry: &ss_telemetry::Registry) {
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use ss_core::{
-        BlockOrder, DecisionOutcome, DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind,
-        ScheduledPacket, SchedulerReport, ShareStreamsScheduler, StreamState, Traced,
-        WatchdogVerdict,
+        BlockOrder, DecisionWatchdog, Fabric, FabricConfig, FabricConfigKind, ScheduledPacket,
+        SchedulerReport, ShareStreamsScheduler, StreamState, Traced, WatchdogVerdict,
     };
     pub use ss_endsystem::{EndsystemConfig, EndsystemPipeline, StreamletSetConfig};
     pub use ss_overload::{LossLedger, LossSite, PressureLevel};

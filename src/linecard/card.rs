@@ -4,7 +4,7 @@
 use super::dpram::DualPortSram;
 use serde::{Deserialize, Serialize};
 use ss_core::hwsim::{FabricConfigKind, VirtexModel};
-use ss_core::{DecisionOutcome, Fabric, FabricConfig, StreamState};
+use ss_core::{Fabric, FabricConfig, ScheduledPacket, StreamState};
 use ss_types::{packet_time_ns, PacketSize, Result, Wrap16};
 
 /// Modeled line-card throughput for a configuration.
@@ -78,13 +78,16 @@ impl Linecard {
     }
 
     /// Runs one decision cycle; winner IDs land in the SRAM partition for
-    /// the transceiver.
-    pub fn decision_cycle(&mut self) -> DecisionOutcome {
-        let outcome = self.fabric.decision_cycle();
-        for p in outcome.packets() {
+    /// the transceiver. Returns the transmitted packets as
+    /// [`Fabric::decision_cycle_into`] does (valid until the next cycle).
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
+    pub fn decision_cycle(&mut self) -> &[ScheduledPacket] {
+        let block = self.fabric.decision_cycle_into();
+        for p in block {
             self.sram.scheduler_write_winner(p.slot.raw());
         }
-        outcome
+        block
     }
 
     /// Transceiver drains the next scheduled stream ID.

@@ -68,6 +68,8 @@ impl DualPortSram {
     }
 
     /// Scheduler port: writes a winner stream ID.
+    /// Tests-only: `LinecardPipeline::run_backlogged` drives it for the §5.2 anchor tests in
+    /// `linecard::pipeline`.
     pub fn scheduler_write_winner(&mut self, id: u8) {
         self.winner_ids.push_back(id);
     }

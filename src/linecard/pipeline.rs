@@ -123,9 +123,10 @@ impl LinecardPipeline {
 
         while transmitted < target_packets {
             refill(&mut self.card, &mut seq);
-            let outcome = self.card.decision_cycle();
             sched_free += self.decision_ns;
-            for p in outcome.packets() {
+            let block = self.card.decision_cycle();
+            let ids = block.len();
+            for p in block {
                 // The transceiver may not start before the scheduler
                 // produced the ID, nor before the wire is free.
                 let start = tx_free.max(sched_free.ceil() as Nanos);
@@ -133,7 +134,9 @@ impl LinecardPipeline {
                 tx_free = last_completion;
                 per_stream[p.slot.index()] += 1;
                 transmitted += 1;
-                // Drain the winner ID partition.
+            }
+            // Drain the winner ID partition.
+            for _ in 0..ids {
                 self.card.next_winner_id();
             }
         }

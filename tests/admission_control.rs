@@ -33,7 +33,7 @@ fn simulate_violations(reqs: &[DwcsRequest], decisions: u64) -> u64 {
         }
     }
     for _ in 0..decisions {
-        fabric.decision_cycle();
+        fabric.decision_cycle_into();
     }
     (0..reqs.len())
         .map(|s| fabric.slot_counters(s).unwrap().violations)

@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used)]
 
 use sharestreams::core::{
-    BlockOrder, DecisionOutcome, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,
+    BlockOrder, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,
 };
 use sharestreams::types::{WindowConstraint, Wrap16};
 use ss_bench::experiments::table3::{self, FRAMES_PER_STREAM, STREAMS};
@@ -53,19 +53,15 @@ fn block_transaction_preserves_per_stream_order() {
     let mut fabric = table3::fabric(FabricConfigKind::Base, BlockOrder::MaxFirst);
     let mut last_deadline = [0u64; STREAMS];
     for _ in 0..FRAMES_PER_STREAM {
-        match fabric.decision_cycle() {
-            DecisionOutcome::Block(packets) => {
-                assert_eq!(packets.len(), STREAMS);
-                let mut seen = [false; STREAMS];
-                for p in &packets {
-                    let s = p.slot.index();
-                    assert!(!seen[s], "slot {s} appeared twice in one block");
-                    seen[s] = true;
-                    assert!(p.deadline > last_deadline[s], "stream {s} reordered");
-                    last_deadline[s] = p.deadline;
-                }
-            }
-            other => panic!("expected block, got {other:?}"),
+        let packets = fabric.decision_cycle_into();
+        assert_eq!(packets.len(), STREAMS);
+        let mut seen = [false; STREAMS];
+        for p in packets {
+            let s = p.slot.index();
+            assert!(!seen[s], "slot {s} appeared twice in one block");
+            seen[s] = true;
+            assert!(p.deadline > last_deadline[s], "stream {s} reordered");
+            last_deadline[s] = p.deadline;
         }
     }
     // Every frame of the drained max-first run met its deadline.
@@ -103,7 +99,7 @@ fn fair_share_skews_under_block_transmission() {
             }
         }
         for _ in 0..1000 {
-            fabric.decision_cycle();
+            fabric.decision_cycle_into();
         }
         (0..4)
             .map(|s| fabric.slot_counters(s).unwrap().serviced)

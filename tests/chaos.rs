@@ -68,14 +68,14 @@ fn threaded_endsystem_survives_seeded_chaos() {
         .unwrap_or_else(|e| panic!("seed {seed}: pipeline died: {e}"));
 
         assert_eq!(
-            report.total + report.lost,
+            report.total + report.loss.total(),
             expected,
             "seed {seed}: offered load is conserved (served + counted loss)"
         );
         assert!(
-            report.lost <= expected / 5,
+            report.loss.total() <= expected / 5,
             "seed {seed}: loss stays bounded, got {} of {expected}",
-            report.lost
+            report.loss.total()
         );
         assert_eq!(
             report.per_slot.iter().sum::<u64>(),
@@ -84,7 +84,8 @@ fn threaded_endsystem_survives_seeded_chaos() {
         );
         let stats = inj.stats().snapshot();
         assert_eq!(
-            stats.lost_packets, report.lost,
+            stats.lost_packets,
+            report.loss.total(),
             "seed {seed}: report loss and injector ledger agree"
         );
         if stats.injected[ss_faults::FaultSite::DecisionCycle.index()] > 0 {
@@ -557,7 +558,7 @@ mod overload_soak {
                     tag += 1;
                 }
             }
-            if let DecisionOutcome::Winner(Some(p)) = fabric.decision_cycle() {
+            if let Some(&p) = fabric.decision_cycle_into().first() {
                 if let Some(g) = gate.as_mut() {
                     g.mirror_served(p.slot.index());
                 }

@@ -41,8 +41,8 @@ fn schedules_are_bit_identical() {
     let mut f_ca = loaded(ca, 300);
     for d in 0..2000 {
         assert_eq!(
-            f_base.decision_cycle(),
-            f_ca.decision_cycle(),
+            f_base.decision_cycle_into(),
+            f_ca.decision_cycle_into(),
             "decision {d}"
         );
     }
@@ -66,8 +66,8 @@ fn compute_ahead_saves_one_cycle_per_decision() {
         let mut f_base = loaded(base, 4);
         let mut f_ca = loaded(ca, 4);
         let (b0, c0) = (f_base.hw_cycles(), f_ca.hw_cycles());
-        f_base.decision_cycle();
-        f_ca.decision_cycle();
+        f_base.decision_cycle_into();
+        f_ca.decision_cycle_into();
         assert_eq!(f_base.hw_cycles() - b0, log2n + 1);
         assert_eq!(f_ca.hw_cycles() - c0, log2n);
     }
@@ -89,7 +89,7 @@ fn rtl_fabric_supports_compute_ahead() {
         }
     }
     for d in 0..500 {
-        assert_eq!(rtl.run_decision(), f.decision_cycle(), "decision {d}");
+        assert_eq!(rtl.run_decision(), f.decision_cycle_into(), "decision {d}");
     }
     // RTL cycle accounting: log2(8) = 3 cycles per decision, no update.
     assert_eq!(rtl.hw_cycles(), 500 * 3);
@@ -105,7 +105,7 @@ fn block_mode_compute_ahead_matches_too() {
     let mut f_base = loaded(base, 100);
     let mut f_ca = loaded(ca, 100);
     for _ in 0..100 {
-        assert_eq!(f_base.decision_cycle(), f_ca.decision_cycle());
+        assert_eq!(f_base.decision_cycle_into(), f_ca.decision_cycle_into());
     }
 }
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sharestreams::core::{
-    BlockOrder, DecisionOutcome, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,
+    BlockOrder, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,
 };
 use sharestreams::types::{WindowConstraint, Wrap16};
 
@@ -102,14 +102,8 @@ proptest! {
         let mut fabric = build(config, &streams);
         let mut transmitted = vec![0u64; config.slots];
         for _ in 0..decisions {
-            match fabric.decision_cycle() {
-                DecisionOutcome::Winner(Some(p)) => transmitted[p.slot.index()] += 1,
-                DecisionOutcome::Winner(None) => {}
-                DecisionOutcome::Block(v) => {
-                    for p in v {
-                        transmitted[p.slot.index()] += 1;
-                    }
-                }
+            for p in fabric.decision_cycle_into() {
+                transmitted[p.slot.index()] += 1;
             }
         }
         for (s, rs) in streams.iter().enumerate().take(config.slots) {
@@ -134,7 +128,7 @@ proptest! {
     ) {
         let mut fabric = build(config, &streams);
         for _ in 0..decisions {
-            fabric.decision_cycle();
+            fabric.decision_cycle_into();
         }
         let mut total_wins = 0;
         for s in 0..config.slots {
@@ -159,8 +153,7 @@ proptest! {
         let mut fabric = build(config, &streams);
         for _ in 0..decisions {
             let before = fabric.now();
-            let outcome = fabric.decision_cycle();
-            let sent = outcome.packets().len() as u64;
+            let sent = fabric.decision_cycle_into().len() as u64;
             let expected = match config.kind {
                 FabricConfigKind::WinnerOnly => 1,
                 FabricConfigKind::Base => sent.max(1),
@@ -180,7 +173,7 @@ proptest! {
         let loads = fabric.hw_cycles(); // one LOAD per configured slot
         prop_assert_eq!(loads, config.slots as u64);
         for _ in 0..decisions {
-            fabric.decision_cycle();
+            fabric.decision_cycle_into();
         }
         let log2n = config.slots.trailing_zeros() as u64;
         let per_decision = log2n + u64::from(config.priority_update && !config.compute_ahead);

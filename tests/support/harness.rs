@@ -355,7 +355,7 @@ impl Run {
                 }
                 *tick += 1;
             }
-            Run::Rtl(rtl, _) => out.extend_from_slice(rtl.run_decision().packets()),
+            Run::Rtl(rtl, _) => out.extend_from_slice(rtl.run_decision()),
             Run::Sharded(s) => out.extend(s.decision_cycle()),
             Run::Reference(r) => out.extend(r.decide()),
             Run::Failover(s, tick, crash_at) => {

@@ -2,9 +2,7 @@
 //! priority-class, fair-queuing, and window-constrained disciplines
 //! (paper §2/§4.3), cross-checked against the software disciplines crate.
 
-use sharestreams::core::{
-    DecisionOutcome, Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState,
-};
+use sharestreams::core::{Fabric, FabricConfig, FabricConfigKind, LatePolicy, StreamState};
 use sharestreams::disciplines::{Discipline, StaticPriority, SwPacket, Wfq};
 use sharestreams::prelude::*;
 
@@ -38,7 +36,7 @@ fn service_tag_mode_matches_wfq_shares() {
     }
     let mut fabric_counts = [0u64; 4];
     for _ in 0..4000 {
-        if let DecisionOutcome::Winner(Some(p)) = fabric.decision_cycle() {
+        if let Some(p) = fabric.decision_cycle_into().first() {
             fabric_counts[p.slot.index()] += 1;
         }
     }
@@ -101,10 +99,10 @@ fn static_priority_mode_matches_software() {
     }
     let total: u64 = depths.iter().sum();
     for t in 0..total {
-        let fw = match fabric.decision_cycle() {
-            DecisionOutcome::Winner(Some(p)) => p.slot.index(),
-            other => panic!("unexpected {other:?}"),
+        let &[p] = fabric.decision_cycle_into() else {
+            panic!("decision {t}: one winner expected")
         };
+        let fw = p.slot.index();
         let sww = sw.select(t).unwrap().stream;
         assert_eq!(fw, sww, "decision {t}");
     }
@@ -126,7 +124,7 @@ fn update_cycle_bypass_accounting() {
         for (mk, cycles) in cases {
             let mut fabric = Fabric::new(mk(slots, FabricConfigKind::WinnerOnly)).unwrap();
             let before = fabric.hw_cycles();
-            fabric.decision_cycle();
+            fabric.decision_cycle_into();
             assert_eq!(fabric.hw_cycles() - before, cycles, "slots {slots}");
         }
     }

@@ -51,7 +51,7 @@ fn model_rate_matches_simulated_cycle_accounting() {
         let mut fabric =
             Fabric::new(FabricConfig::dwcs(slots, FabricConfigKind::WinnerOnly)).unwrap();
         let before = fabric.hw_cycles();
-        fabric.decision_cycle();
+        fabric.decision_cycle_into();
         let simulated = fabric.hw_cycles() - before;
         let modeled = model.cycles_per_decision(slots, true).unwrap();
         assert_eq!(simulated, modeled, "slots {slots}");
