@@ -700,8 +700,7 @@ mod tests {
         );
         assert!(stats.snapshot().injected[FaultSite::DecisionCycle.index()] >= 1);
         // Site classification: every packet the watchdog wrote off belongs
-        // to the dead scheduling path, none to the rings — and the
-        // partition sums exactly to the scalar.
+        // to the dead scheduling path, none to the rings.
         assert_eq!(
             report.loss.shard,
             report.loss.total(),
@@ -726,8 +725,8 @@ mod tests {
             })
             .collect();
         // Only SPSC overflow bursts are armed: any loss must be classified
-        // at the ring site, and the by-site partition must equal the scalar
-        // exactly (the double-count this ledger was introduced to rule out).
+        // at the ring site, and transmitted plus lost must cover every
+        // arrival exactly once (no packet counted at two sites).
         let inj = Arc::new(FaultInjector::new(
             21,
             FaultConfig {
