@@ -15,10 +15,11 @@
 //! 1. **Fault draws** — one sample per site (shard, decision, ring,
 //!    admission), mapped onto unconditional APIs: crashes call
 //!    [`ShardedScheduler::fail_shard`] and re-derive the dead-slot mask
-//!    from the slot map ([`ShardedScheduler::slots_on`]; the last live
-//!    shard degrades a crash to a stall so the node never goes fully
-//!    dark), stalls skip upcoming decision cycles, ring bursts arm a drop
-//!    budget, overload bursts add offered arrivals.
+//!    from the failed shards' slot sets
+//!    ([`ShardedScheduler::slots_on`]; the last live shard degrades a
+//!    crash to a stall so the node never goes fully dark), stalls skip
+//!    upcoming decision cycles, ring bursts arm a drop budget, overload
+//!    bursts add offered arrivals.
 //! 2. **Arrivals** — the scenario's draws as slot sets
 //!    ([`Scenario::sample_mask`]: a Bernoulli bit per slot plus whole
 //!    counts), with burst extras folded into per-slot counts. Arrivals on
@@ -97,7 +98,7 @@ pub struct SimNode {
     /// names; other entries are stale.
     counts: [u32; MAX_SLOTS],
     /// Slots stranded on crashed shards, as a mask — the union of the
-    /// failed shards' slot sets, read off the scheduler's slot map.
+    /// failed shards' slot sets, read off the scheduler's partition.
     dead: u32,
     /// Arrivals pushed into the fabric, per slot (live-slot sanity).
     pushed_per_slot: Vec<u64>,
@@ -378,8 +379,8 @@ impl SimNode {
             if let Ok(lost) = self.sched.fail_shard(k) {
                 self.gate.record_loss(LossSite::Shard, lost);
                 self.backlog_ctr = self.backlog_ctr.saturating_sub(lost);
-                // The slots the slot map homes on failed shards — not an
-                // arithmetic partition, which a rehoming would falsify.
+                // The slots homed on failed shards, as the scheduler's
+                // fixed partition names them.
                 self.dead = (0..shards)
                     .filter(|&f| self.sched.is_failed(f))
                     .fold(0, |dead, f| dead | self.sched.slots_on(f));

@@ -21,13 +21,15 @@
 //!
 //! # Graceful drain
 //!
-//! [`IngressServer::shutdown`] (or a client DRAIN frame) flips the
-//! draining flag: the accept loop stops, the edge backlog is written off
-//! at [`ss_overload::LossSite::Drain`], and late SUBMITs are acked but
-//! written off — conservation stays exact through the teardown. If
-//! readers are still alive at `drain_deadline` the server hard-stops them
-//! and auto-dumps the flight recorder with
-//! [`DumpReason::DrainTimeout`].
+//! A client DRAIN frame or [`IngressServer::shutdown`] flips the edge's
+//! draining flag: the edge backlog is written off at
+//! [`ss_overload::LossSite::Drain`], and late SUBMITs are acked but
+//! written off — conservation stays exact through the teardown. A client
+//! DRAIN does not stop the accept loop: new connections are still
+//! accepted. Only `shutdown` (and dropping the server) stops it;
+//! `shutdown` then waits for the readers, and if any is still alive at
+//! `drain_deadline` it hard-stops them and auto-dumps the flight recorder
+//! with [`DumpReason::DrainTimeout`].
 
 use crate::frame::{self, Frame, FrameDecoder};
 use crate::gate::{EdgeGate, EdgeVerdict, IngressArrival};

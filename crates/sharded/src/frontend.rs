@@ -1,17 +1,16 @@
-//! What both drive modes need, written once: the global↔(shard, local)
-//! slot indirection, the host-side shadow of every loaded stream, the
-//! comparison mode, the failed shards as one mask word — and the four
-//! rules over them: slot routing ([`Frontend::route`]), the merge order
+//! What both drive modes need, written once: the fixed contiguous
+//! partition of global slots over the shards, the comparison mode, the
+//! failed shards as one mask word — and the four rules over them: slot
+//! routing ([`Frontend::route`]), the merge order
 //! ([`Frontend::merge_before`], with the scan and the streamlet sort built
 //! on it), exclusion booking ([`Frontend::exclude`]) and merge-telemetry
 //! recording ([`ss_core::MergeHooks::record_merge`], the `metrics` field).
 //! [`ShardedScheduler::into_threaded`](crate::ShardedScheduler::into_threaded)
-//! moves this struct whole, so whatever happened inline — a redistribution,
-//! an exclusion, an attached registry or injector — is what the threaded
-//! runtime runs with.
+//! moves this struct whole, so whatever happened inline — an exclusion, an
+//! attached registry or injector — is what the threaded runtime runs with.
 
 use ss_core::decision::{lane_order, DecisionRule};
-use ss_core::{FabricConfig, RecoveryLedger, ScheduledPacket, StreamState, Telemetry};
+use ss_core::{FabricConfig, RecoveryLedger, ScheduledPacket, Telemetry};
 use ss_types::packed::lane_valid;
 use ss_types::{slot_bits, ComparisonMode, Error, Result, SlotId, MAX_SLOTS};
 
@@ -26,17 +25,11 @@ pub(crate) type Lane = (u64, ScheduledPacket, usize);
 
 /// The state and rules shared by the inline and threaded drive modes.
 pub(crate) struct Frontend<T: Telemetry> {
-    per_shard: usize,
+    /// log2 of the slots per shard (M/K, a power of two): global `g` lives
+    /// on shard `g >> shift` as local slot `g & (M/K - 1)`, for good.
+    shift: u32,
     total_slots: usize,
     mode: ComparisonMode,
-    /// Global slot → (shard, local). Starts as the contiguous partition;
-    /// [`Frontend::rehome`] edits it when streams move off a failed shard.
-    slot_map: Vec<(usize, usize)>,
-    /// (shard, local) → global slot (exact inverse of `slot_map`).
-    rev_map: Vec<Vec<usize>>,
-    /// Host-side shadow of every loaded stream's configuration — the
-    /// supervisor's copy that makes rehoming off dead hardware possible.
-    shadow: Vec<Option<StreamState>>,
     /// The shards that exist: the low K bits set.
     shards: u32,
     /// Bit k set = shard k is out of the merge for good: operator-failed,
@@ -55,20 +48,15 @@ impl<T: Telemetry> Frontend<T> {
     /// The contiguous partition of `config.slots` global slots over
     /// `shards` shards: global `g` lives on shard `g / (M/K)` as local slot
     /// `g % (M/K)`. The caller has validated that `shards` divides the
-    /// slot count and is at most [`MAX_SHARDS`].
+    /// slot count, is at most [`MAX_SHARDS`], and leaves each shard a
+    /// power-of-two slot count (the fabric's own rule).
     pub(crate) fn new(config: &FabricConfig, shards: usize) -> Self {
         let per_shard = config.slots / shards;
+        debug_assert!(per_shard.is_power_of_two());
         Self {
-            per_shard,
+            shift: per_shard.trailing_zeros(),
             total_slots: config.slots,
             mode: config.mode,
-            slot_map: (0..config.slots)
-                .map(|g| (g / per_shard, g % per_shard))
-                .collect(),
-            rev_map: (0..shards)
-                .map(|k| (0..per_shard).map(|l| k * per_shard + l).collect())
-                .collect(),
-            shadow: vec![None; config.slots],
             shards: (1u32 << shards) - 1,
             failed: 0,
             lost_packets: 0,
@@ -78,23 +66,23 @@ impl<T: Telemetry> Frontend<T> {
     }
 
     pub(crate) fn per_shard(&self) -> usize {
-        self.per_shard
+        1 << self.shift
     }
 
     pub(crate) fn total_slots(&self) -> usize {
         self.total_slots
     }
 
-    /// Global slot → its current (shard, local) home.
+    /// Global slot → its (shard, local) home: a shift and a mask.
     #[inline]
     pub(crate) fn route(&self, global: usize) -> Result<(usize, usize)> {
-        self.slot_map
-            .get(global)
-            .copied()
-            .ok_or(Error::SlotOutOfRange {
+        if global >= self.total_slots {
+            return Err(Error::SlotOutOfRange {
                 slot: global,
                 slots: self.total_slots,
-            })
+            });
+        }
+        Ok((global >> self.shift, global & (self.per_shard() - 1)))
     }
 
     /// Like [`Frontend::route`], but rejects slots homed on an excluded
@@ -111,7 +99,7 @@ impl<T: Telemetry> Frontend<T> {
     /// (shard, local) → the global slot homed there.
     #[inline]
     pub(crate) fn global_of(&self, shard: usize, local: usize) -> usize {
-        self.rev_map[shard][local]
+        shard << self.shift | local
     }
 
     /// `packet`, which `shard` serviced, in global slot coordinates.
@@ -121,14 +109,6 @@ impl<T: Telemetry> Frontend<T> {
             slot: SlotId::new_unchecked(self.global_of(shard, packet.slot.index()) as u8),
             ..packet
         }
-    }
-
-    pub(crate) fn shadow(&self, global: usize) -> Option<&StreamState> {
-        self.shadow[global].as_ref()
-    }
-
-    pub(crate) fn set_shadow(&mut self, global: usize, state: Option<StreamState>) {
-        self.shadow[global] = state;
     }
 
     /// `true` once shard `k` (below [`MAX_SHARDS`]) is out of the merge.
@@ -150,11 +130,14 @@ impl<T: Telemetry> Frontend<T> {
     }
 
     /// The global slots homed on shard `k`, as a mask (0 when `k` is out
-    /// of range): read off the reverse map, so it follows every rehoming.
+    /// of range): the contiguous run of M/K bits starting at bit
+    /// `k * M/K`.
     pub(crate) fn slots_on(&self, k: usize) -> u32 {
-        self.rev_map
-            .get(k)
-            .map_or(0, |row| row.iter().fold(0, |mask, &g| mask | 1 << g))
+        if k >= self.total_slots >> self.shift {
+            return 0;
+        }
+        let run = (1u64 << self.per_shard()) - 1;
+        (run << (k << self.shift)) as u32
     }
 
     pub(crate) fn lost_packets(&self) -> u64 {
@@ -174,34 +157,12 @@ impl<T: Telemetry> Frontend<T> {
         self.ledger.shard_excluded(lost);
     }
 
-    /// Moves `global` off its (failed) home onto the first free slot of a
-    /// surviving shard — one whose current tenant has nothing loaded — and
-    /// returns the new (shard, local) home, or `None` when surviving
-    /// capacity is exhausted. The two slots swap homes, so the indirection
-    /// stays a bijection: the empty tenant takes over the dead home.
-    pub(crate) fn rehome(&mut self, global: usize) -> Option<(usize, usize)> {
-        let (from, local) = self.slot_map[global];
-        let (k2, l2, tenant) = self
-            .rev_map
-            .iter()
-            .enumerate()
-            .filter(|&(k2, _)| !self.is_failed(k2))
-            .find_map(|(k2, row)| {
-                let l2 = row.iter().position(|&t| self.shadow[t].is_none())?;
-                Some((k2, l2, row[l2]))
-            })?;
-        self.slot_map[global] = (k2, l2);
-        self.slot_map[tenant] = (from, local);
-        self.rev_map[k2][l2] = global;
-        self.rev_map[from][local] = tenant;
-        Some((k2, l2))
-    }
-
     /// The merge order: does lane word `word` go before `incumbent`, and
     /// which Table 2 rule said so. A `SlotId` verdict compared shard-local
     /// IDs, which is meaningless across shards: proposals are visited in
-    /// ascending shard order and the earlier shard holds the lower global
-    /// IDs, so the incumbent keeps a full tie.
+    /// ascending shard order and, the partition being contiguous and
+    /// fixed, the earlier shard holds the lower global IDs, so the
+    /// incumbent keeps a full tie.
     #[inline]
     pub(crate) fn merge_before(&self, word: u64, incumbent: u64) -> (bool, DecisionRule) {
         let (wins, rule) = lane_order(word, incumbent, self.mode);

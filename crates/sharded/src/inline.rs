@@ -158,16 +158,15 @@ impl<T: Telemetry> ShardedScheduler<T> {
                 "{shards} shards of one slot each: a shard is at least a 2-slot fabric"
             )));
         }
-        let front = Frontend::new(&config, shards);
         let shard_config = FabricConfig {
-            slots: front.per_shard(),
+            slots: config.slots / shards,
             ..config
         };
         let fabrics = (0..shards)
             .map(|_| Fabric::with_telemetry(shard_config))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
-            front,
+            front: Frontend::new(&config, shards),
             shards: fabrics,
             decision_count: 0,
             stalled_until: vec![0; shards],
@@ -195,11 +194,6 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Slots per shard.
-    pub fn per_shard(&self) -> usize {
-        self.front.per_shard()
     }
 
     /// Total stream slots across all shards.
@@ -231,9 +225,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
         first_deadline: u64,
     ) -> Result<()> {
         let (shard, local) = self.front.route_live(global)?;
-        self.shards[shard].load_stream(local, state.clone(), first_deadline)?;
-        self.front.set_shadow(global, Some(state));
-        Ok(())
+        self.shards[shard].load_stream(local, state, first_deadline)
     }
 
     /// Unbinds global slot `g`.
@@ -241,9 +233,7 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// `tests/recovery.rs` unload streams with it.
     pub fn unload_stream(&mut self, global: usize) -> Result<()> {
         let (shard, local) = self.front.route_live(global)?;
-        self.shards[shard].unload_stream(local)?;
-        self.front.set_shadow(global, None);
-        Ok(())
+        self.shards[shard].unload_stream(local)
     }
 
     /// Arms one recovery supervisor per shard, each judging its shard with
@@ -366,8 +356,8 @@ impl<T: Telemetry> ShardedScheduler<T> {
     }
 
     /// Packets queued across the shards still in the merge: each live
-    /// shard's queue depths summed straight off its registers, with no trip
-    /// through the slot map. A failed shard's backlog was written off by
+    /// shard's queue depths summed straight off its registers. A failed
+    /// shard's backlog was written off by
     /// [`ShardedScheduler::fail_shard`] and is not counted.
     // lint:hot-path
     #[inline]
@@ -377,7 +367,9 @@ impl<T: Telemetry> ShardedScheduler<T> {
             .sum()
     }
 
-    /// Per-slot performance counters for global slot `g`.
+    /// Per-slot performance counters for global slot `g`, read off its
+    /// home shard's registers whether that shard is live or excluded: a
+    /// home never moves, so they are always the stream's own.
     pub fn slot_counters(&self, global: usize) -> Result<&SlotCounters> {
         let (shard, local) = self.front.route(global)?;
         self.shards[shard].slot_counters(local)
@@ -402,12 +394,10 @@ impl<T: Telemetry> ShardedScheduler<T> {
         self.front.failed_shards()
     }
 
-    /// The global slots homed on shard `k` right now, as a mask (bit `g`
-    /// = global slot `g`; 0 for an out-of-range `k`). Read off the
-    /// frontend's reverse map, so it follows
-    /// [`ShardedScheduler::redistribute`]: a rehomed slot leaves its
-    /// failed shard's mask for its survivor's, and the empty tenant it
-    /// swapped with goes the other way.
+    /// The global slots homed on shard `k`, as a mask (bit `g` = global
+    /// slot `g`; 0 for an out-of-range `k`): the contiguous run
+    /// `k * M/K .. (k + 1) * M/K`. A home never moves, so the mask is the
+    /// same before and after the shard fails.
     pub fn slots_on(&self, k: usize) -> u32 {
         self.front.slots_on(k)
     }
@@ -424,7 +414,9 @@ impl<T: Telemetry> ShardedScheduler<T> {
     /// competing, its expiry clock stops, and its queued backlog is written
     /// off (returned, and added to [`ShardedScheduler::lost_packets`] —
     /// bounded, counted loss, never a hang). Streams homed there stay
-    /// unreachable until [`ShardedScheduler::redistribute`] rehomes them.
+    /// unreachable for good; their counters and QoS rows still read the
+    /// shard's own registers. [`ShardedScheduler::enable_recovery`] is the
+    /// path that keeps a dead shard's streams deciding.
     /// Errors if `k` is out of range or already failed.
     pub fn fail_shard(&mut self, k: usize) -> Result<u64> {
         if k >= self.shards.len() {
@@ -439,36 +431,6 @@ impl<T: Telemetry> ShardedScheduler<T> {
         let lost = self.shards[k].total_backlog() as u64;
         self.front.exclude(k, lost);
         Ok(lost)
-    }
-
-    /// Rehomes the streams of failed shard `from` onto free slots of
-    /// surviving shards, updating the global→(shard, local) indirection so
-    /// existing global slot IDs keep working. Each rehomed stream is
-    /// reloaded from the supervisor's shadow configuration with a fresh
-    /// first deadline (`now + request_period`) — its in-flight backlog was
-    /// already written off by [`ShardedScheduler::fail_shard`]. Returns
-    /// `(global_slot, new_shard)` for every move; streams that found no
-    /// free surviving slot stay unreachable. Errors if `from` is not a
-    /// failed shard.
-    /// Tests-only: `tests/recovery.rs` moves a failed shard's slots with it.
-    pub fn redistribute(&mut self, from: usize) -> Result<Vec<(usize, usize)>> {
-        if from >= self.shards.len() || !self.front.is_failed(from) {
-            return Err(Error::Config(format!("shard {from} is not failed")));
-        }
-        let mut moves = Vec::new();
-        for local in 0..self.front.per_shard() {
-            let global = self.front.global_of(from, local);
-            let Some(state) = self.front.shadow(global).cloned() else {
-                continue;
-            };
-            let Some((k2, l2)) = self.front.rehome(global) else {
-                break; // surviving capacity exhausted
-            };
-            let restart = self.shards[k2].now() + state.request_period;
-            self.shards[k2].load_stream(l2, state, restart)?;
-            moves.push((global, k2));
-        }
-        Ok(moves)
     }
 
     /// Wires every shard fabric still on its card and the frontend's

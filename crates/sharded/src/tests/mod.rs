@@ -54,7 +54,7 @@ fn config_validation() {
     );
     let s = ShardedScheduler::new(wr, 2).unwrap();
     assert_eq!(s.shard_count(), 2);
-    assert_eq!(s.per_shard(), 4);
+    assert_eq!(s.slots_on(0), 0x0F, "4 slots per shard");
 }
 
 #[test]
@@ -185,9 +185,9 @@ fn failed_shard_is_excluded_and_loss_is_counted() {
 
 #[test]
 fn surviving_set_is_bit_exact_with_a_standalone_fabric() {
-    // Exclusion without rehoming: after shard 1 dies, the merged
-    // schedule over shard 0's streams must be bit-identical to a
-    // standalone 4-slot fabric running those same streams.
+    // After shard 1 dies, the merged schedule over shard 0's streams
+    // must be bit-identical to a standalone 4-slot fabric running those
+    // same streams.
     let total = 8usize;
     let arrivals = 50usize;
     let mut s = backlogged(total, 2, arrivals);
@@ -217,72 +217,22 @@ fn surviving_set_is_bit_exact_with_a_standalone_fabric() {
     }
 }
 
+/// `slots_on` is the fixed contiguous partition: shard k's mask is the
+/// run of M/K bits from `k * M/K`, the shards' masks tile the global
+/// slots, and an out-of-range shard holds nothing. A failure moves no
+/// home, so the masks read the same after `fail_shard`.
 #[test]
-fn redistribute_rehomes_streams_onto_surviving_capacity() {
-    // Only shard 1's globals (4..8) are loaded; shard 0 is empty, so
-    // after shard 1 dies every stream finds a new home on shard 0.
-    let total = 8usize;
-    let mut s =
-        ShardedScheduler::new(FabricConfig::edf(total, FabricConfigKind::WinnerOnly), 2).unwrap();
-    for g in 4..total {
-        s.load_stream(g, edf_state(1), (g + 1) as u64).unwrap();
-    }
-    s.fail_shard(1).unwrap();
-    assert!(
-        s.redistribute(0).is_err(),
-        "only failed shards redistribute"
-    );
-    let moves = s.redistribute(1).unwrap();
-    assert_eq!(moves.len(), 4);
-    for &(g, new_shard) in &moves {
-        assert!((4..8).contains(&g));
-        assert_eq!(new_shard, 0, "rehomed onto the survivor");
-    }
-    // The global IDs still work end to end: arrivals route through the
-    // indirection and transmitted packets come back in global coords.
-    for g in 4..total {
-        s.push_arrival(g, Wrap16(0)).unwrap();
-    }
-    let mut seen = Vec::new();
-    for _ in 0..16 {
-        if let Some(p) = s.decision_cycle() {
-            seen.push(p.slot.index());
-        }
-    }
-    seen.sort_unstable();
-    assert_eq!(seen, vec![4, 5, 6, 7], "global coordinates preserved");
-    for g in 4..total {
-        assert_eq!(s.slot_counters(g).unwrap().serviced, 1);
-    }
-}
-
-/// `slots_on` reads the reverse map, so a redistribution moves the rehomed
-/// global slot's bit from the failed shard's mask to its survivor's — and
-/// the empty tenant it swapped with the other way. The contiguous
-/// partition's arithmetic (`k * per_shard ..`) would still name the old
-/// home.
-#[test]
-fn slots_on_follows_a_rehomed_slot() {
+fn slots_on_is_the_contiguous_partition() {
     let mut s =
         ShardedScheduler::new(FabricConfig::edf(8, FabricConfigKind::WinnerOnly), 2).unwrap();
-    // Shard 0 holds globals 0..4, one of them (3) unloaded: room for one.
-    for g in (0..3).chain(4..8) {
-        s.load_stream(g, edf_state(1), (g + 1) as u64).unwrap();
-    }
     assert_eq!((s.slots_on(0), s.slots_on(1)), (0x0F, 0xF0));
     assert_eq!(s.slots_on(2), 0, "out of range is the empty set");
     s.fail_shard(1).unwrap();
-    let moves = s.redistribute(1).unwrap();
-    assert_eq!(moves, vec![(4, 0)], "one free slot on the survivor");
-    assert_ne!(s.slots_on(0) & 1 << 4, 0, "the survivor gains global 4");
-    assert_eq!(s.slots_on(1) & 1 << 4, 0, "the failed shard loses it");
-    assert_eq!((s.slots_on(0), s.slots_on(1)), (0x17, 0xE8));
-    assert_eq!(s.slots_on(0) & s.slots_on(1), 0, "still a partition");
-    assert!(s.push_arrival(4, Wrap16(0)).is_ok());
-    assert!(matches!(
-        s.push_arrival(3, Wrap16(0)),
-        Err(Error::ShardFailed { shard: 1 })
-    ));
+    assert_eq!((s.slots_on(0), s.slots_on(1)), (0x0F, 0xF0));
+    assert_eq!(s.slots_on(0) & s.slots_on(1), 0, "a partition");
+    assert_eq!(s.slots_on(0) | s.slots_on(1), 0xFF, "of every global");
+    let s = ShardedScheduler::new(FabricConfig::edf(32, FabricConfigKind::WinnerOnly), 1).unwrap();
+    assert_eq!(s.slots_on(0), u32::MAX, "one 32-slot shard holds all");
 }
 
 /// The widest frontend: 16 two-slot shards, so the failed set uses every
@@ -324,44 +274,6 @@ fn the_sixteenth_shard_fails_like_any_other() {
         "one slot per live shard per cycle"
     );
     t.join();
-}
-
-/// `into_threaded` moves the frontend whole, so a redistribution that
-/// happened inline is the routing the threaded runtime uses — in both
-/// directions: arrivals for a rehomed global slot reach its *new* shard's
-/// ring, and the packets come back under the same global ID.
-#[test]
-fn a_rehomed_slot_keeps_its_global_id_across_into_threaded() {
-    let total = 8usize;
-    let mut s =
-        ShardedScheduler::new(FabricConfig::edf(total, FabricConfigKind::WinnerOnly), 2).unwrap();
-    for g in 4..total {
-        s.load_stream(g, edf_state(1), (g + 1) as u64).unwrap();
-    }
-    s.fail_shard(1).unwrap();
-    assert_eq!(
-        s.redistribute(1).unwrap().len(),
-        4,
-        "4..8 now live on shard 0"
-    );
-    let mut t = s.into_threaded(1024);
-    for g in 4..total {
-        t.push_arrival(g, Wrap16(0)).unwrap();
-    }
-    // The exclusion moved too: the empty tenants swapped onto the dead
-    // home are unreachable, not lost.
-    assert!(matches!(
-        t.push_arrival(0, Wrap16(0)),
-        Err(Error::ShardFailed { shard: 1 })
-    ));
-    let report = t.run_cycles(8);
-    assert_eq!(report.decisions, 8, "one live shard");
-    let mut seen: Vec<usize> = report.packets.iter().map(|p| p.slot.index()).collect();
-    seen.sort_unstable();
-    assert_eq!(seen, vec![4, 5, 6, 7], "global coordinates preserved");
-    let fabrics = t.join();
-    assert_eq!(fabrics[0].total_backlog(), 0, "shard 0 served all four");
-    assert_eq!(fabrics[1].decision_count(), 0, "the dead shard never ran");
 }
 
 /// The split cycle's one semantic change: a shard fabric's rule counters

@@ -217,10 +217,13 @@ fn recovery_keeps_the_backlog_exclusion_writes_off() {
 #[test]
 fn backlog_reads_zero_on_an_excluded_home() {
     // Globals 0, 1 on shard 0 and 4, 5 on shard 1; the other four free.
+    // Shard 1's streams have twice the period, so no global's history
+    // equals the one at the same local slot of the other shard.
     let mut s = ShardedScheduler::new(wr_edf(8), 2).unwrap();
     let loaded = [0, 1, 4, 5];
     for g in loaded {
-        s.load_stream(g, edf_state(8), (g + 1) as u64).unwrap();
+        let period = if g < 4 { 8 } else { 16 };
+        s.load_stream(g, edf_state(period), (g + 1) as u64).unwrap();
     }
     let (mut offered, mut served) = (0u64, 0u64);
     let mut run = |s: &mut ShardedScheduler, ticks: u64| {
@@ -236,20 +239,47 @@ fn backlog_reads_zero_on_an_excluded_home() {
         let queued: u64 = (0..8).map(|g| s.backlog(g).unwrap() as u64).sum();
         assert_eq!(offered, served + s.lost_packets() + queued);
     };
+    // Per-global history: each global's `serviced` counter and its
+    // `qos_snapshot` row, in global slot order.
+    let serviced = |s: &ShardedScheduler| -> Vec<u64> {
+        (0..8)
+            .map(|g| s.slot_counters(g).unwrap().serviced)
+            .collect()
+    };
+    let rows = |s: &ShardedScheduler| -> Vec<(u8, u64)> {
+        let mut rows: Vec<_> = s
+            .qos_snapshot()
+            .streams
+            .iter()
+            .map(|r| (r.slot, r.serviced))
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
     let counts = run(&mut s, 40);
     conserved(&s, counts);
+    let (before, before_rows) = (serviced(&s), rows(&s));
+    assert_eq!(before_rows, (0..8).zip(before.clone()).collect::<Vec<_>>());
+    for g in loaded {
+        assert!(before[g] > 0, "global {g} was served");
+    }
     assert!(s.fail_shard(1).unwrap() > 0, "shard 1 had a backlog");
     conserved(&s, counts);
-    // The unloaded tenants 2 and 3 swap onto the dead home.
-    assert_eq!(s.redistribute(1).unwrap(), [(4, 0), (5, 0)]);
-    assert_eq!(s.slots_on(1), 0b1100_1100);
+    // A home never moves: every global reads its own registers, live or
+    // excluded, and the never-loaded ones read zero.
+    assert_eq!(serviced(&s), before);
+    assert_eq!(rows(&s), before_rows);
     for g in [2, 3, 6, 7] {
-        assert_eq!(
-            s.backlog(g).unwrap(),
-            0,
-            "global {g} is homed on the dead shard"
-        );
+        assert_eq!(before[g], 0, "global {g} was never loaded");
+    }
+    for g in 4..8 {
+        assert_eq!(s.backlog(g).unwrap(), 0, "global {g} is on the dead shard");
     }
     let counts = run(&mut s, 40);
     conserved(&s, counts);
+    // The dead shard's globals keep their history; the survivor's grow.
+    let after = serviced(&s);
+    assert_eq!(after[4..], before[4..]);
+    assert!(after[0] > before[0] && after[1] > before[1]);
+    assert_eq!((after[2], after[3]), (0, 0));
 }
